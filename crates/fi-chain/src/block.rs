@@ -236,6 +236,13 @@ impl BlockChain {
         self.head_hash
     }
 
+    /// Whether advancing to `target` crosses a block boundary, i.e. whether
+    /// [`BlockChain::advance_time`] would seal at least one block — and so
+    /// use the state root it is handed.
+    pub fn seals_block_by(&self, target: Time) -> bool {
+        (self.height + 1) * self.block_interval <= target
+    }
+
     /// Advances consensus time to `target`, sealing one block per elapsed
     /// interval. `state_root` is the caller's state commitment, folded into
     /// each sealed block (callers that don't track state pass
@@ -249,7 +256,7 @@ impl BlockChain {
         let mut sealed = Vec::new();
         // Blocks seal at absolute boundaries height × interval, regardless
         // of how time was chopped into advance_time calls.
-        while (self.height + 1) * self.block_interval <= target {
+        while self.seals_block_by(target) {
             self.height += 1;
             self.now = self.height * self.block_interval;
             let beacon_value = self.beacon.value_at(self.height);
@@ -374,6 +381,27 @@ mod tests {
         chain.log(ChainEvent::new("pending", b"".to_vec()));
         chain.advance_time(10, Hash256::ZERO);
         assert_eq!(chain.blocks()[1].events.len(), 1);
+    }
+
+    /// `seals_block_by` is exactly "would `advance_time` seal anything":
+    /// on boundaries, inside an interval, across several intervals, and
+    /// from a time that is itself off the boundary grid.
+    #[test]
+    fn seals_block_by_agrees_with_advance_time() {
+        for start in [0, 3, 10, 17, 20] {
+            for target in start..start + 35 {
+                let mut chain = BlockChain::new(6, 10);
+                chain.advance_time(start, Hash256::ZERO);
+                let predicted = chain.seals_block_by(target);
+                let sealed = chain.advance_time(target, Hash256::ZERO);
+                assert_eq!(
+                    predicted,
+                    !sealed.is_empty(),
+                    "from {start} to {target}: sealed {sealed:?}"
+                );
+                assert_eq!(sealed.len() as u64, target / 10 - start / 10);
+            }
+        }
     }
 
     #[test]

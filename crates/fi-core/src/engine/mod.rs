@@ -74,7 +74,7 @@ use fi_chain::block::{BlockChain, ChainEvent};
 use fi_chain::gas::{GasSchedule, Op as GasOp};
 use fi_chain::tasks::Time;
 use fi_crypto::{DetRng, Hash256};
-use fi_store::{Blockstore, DiskBlockstore, MemoryBlockstore};
+use fi_store::{Blockstore, DiskBlockstore, Hamt, MemoryBlockstore};
 
 use crate::drep::CrAccounting;
 use crate::ops::{Op, OpRecord, Receipt};
@@ -86,7 +86,7 @@ use crate::types::{FileId, ProtocolEvent, Sector, SectorId};
 use self::audit::ProofAudit;
 use self::batch::{ledger_steps_match, shard_local_file};
 use self::lifecycle::FileAddPrestage;
-use self::pool::{PoolHandle, WorkerPool};
+use self::pool::{JobBatch, PoolHandle, WorkerPool};
 use self::shard::ShardedState;
 use self::statemap::{CommitCell, TrackedMap};
 
@@ -102,6 +102,16 @@ pub const COMPENSATION_POOL: AccountId = AccountId(2);
 pub const RENT_POOL: AccountId = AccountId(3);
 /// Traffic-fee escrow: prepaid transfer fees awaiting confirms.
 pub const TRAFFIC_ESCROW: AccountId = AccountId(4);
+
+/// Fewest dirty keys in one state commit worth fanning out over the
+/// pool. A key costs one to three microseconds of node hashing, and
+/// getting parked workers running on another core takes the better part
+/// of a millisecond on the 2-vCPU VMs this is benchmarked on: measured
+/// there, commits of about 600 keys gain nothing from two workers, and
+/// commits of 4 096 to 200 000 keys run 1.7x faster. Below the floor a
+/// commit stays inline, and an engine that only ever makes small commits
+/// never spawns a pool for them.
+const COMMIT_FANOUT_MIN_DIRTY_KEYS: usize = 2048;
 
 /// Errors returned by engine request handlers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -400,7 +410,8 @@ pub struct Engine {
     /// *never* part of consensus: any backend yields the same roots.
     store: Arc<dyn Blockstore>,
     /// The five state HAMTs ([`statemap::StateMaps`]), synced from the
-    /// tracked maps' dirty keys on every [`Engine::state_root`].
+    /// tracked maps' dirty keys on every [`Engine::state_root`] (hashed)
+    /// or [`Engine::state_roots`] (hashed and persisted).
     commit: CommitCell,
 }
 
@@ -765,14 +776,22 @@ impl Engine {
     /// [`Checkpoint::ops_applied`], not the log length — so checkpoints
     /// are invisible to consensus.
     ///
+    /// The checkpointed version is persisted ([`Engine::state_roots`]): it
+    /// is what a restart recovers to, with the post-checkpoint op log
+    /// replayed on top.
+    ///
     /// To later reconstruct state past the checkpoint, keep a clone of
     /// the engine (or a restored snapshot) from this moment and feed it
     /// to [`Engine::replay_from`] together with the post-checkpoint log.
+    ///
+    /// # Panics
+    ///
+    /// As [`Engine::state_roots`]: on backing-store write failure.
     pub fn checkpoint(&mut self) -> Checkpoint {
         let cp = Checkpoint {
             height: self.chain.height(),
             at: self.now(),
-            state_root: self.state_root(),
+            state_root: self.state_roots().state_root,
             ops_applied: self.ops_applied,
         };
         self.op_log.clear();
@@ -918,16 +937,12 @@ impl Engine {
     /// truncation is likewise invisible: the root commits to the monotonic
     /// ops-applied counter, not the op log's length.
     ///
-    /// # Panics
-    ///
-    /// Panics if the backing blockstore fails to persist HAMT nodes (disk
-    /// I/O failure): the engine cannot continue consensus without its
-    /// commitment.
+    /// Naming the root only hashes: nothing is written to the blockstore
+    /// (so this cannot fail on store I/O). The calls that hand out a
+    /// version to *read* — [`Engine::state_roots`] and everything built on
+    /// it — persist it.
     pub fn state_root(&self) -> Hash256 {
-        statemap::fold_state_root(
-            &self.state_header(),
-            statemap::fold_maps_root(&self.sync_commitment()),
-        )
+        self.commit_state(false).state_root
     }
 
     /// The scalar fields [`Engine::state_root`] commits to alongside the
@@ -949,11 +964,25 @@ impl Engine {
     /// [`Engine::state_root`] — the base identity for
     /// [`Engine::snapshot_delta`] and the pin for [`PinnedState`].
     ///
+    /// This is the call that **persists**: it puts into the blockstore
+    /// every node reachable from the returned roots that the store does
+    /// not hold yet, so the version can be pinned, proven and diffed.
+    /// [`Engine::checkpoint`], [`Engine::pin_state`],
+    /// [`Engine::prove_file`] and the delta-snapshot calls all come
+    /// through here; versions nobody names this way are never written.
+    ///
     /// # Panics
     ///
-    /// As [`Engine::state_root`]: on backing-store failure.
+    /// Panics if the backing blockstore fails to persist HAMT nodes (disk
+    /// I/O failure): a version that was promised readable is not.
     pub fn state_roots(&self) -> StateRoots {
-        let map_roots = self.sync_commitment();
+        self.commit_state(true)
+    }
+
+    /// Syncs the state maps, seals them — persisting the version when
+    /// `persist` — and folds the roots with the header.
+    fn commit_state(&self, persist: bool) -> StateRoots {
+        let map_roots = self.sync_commitment(persist);
         let state_root =
             statemap::fold_state_root(&self.state_header(), statemap::fold_maps_root(&map_roots));
         StateRoots {
@@ -967,63 +996,66 @@ impl Engine {
     }
 
     /// Drains every tracked map's dirty keys into the five state HAMTs,
-    /// flushes them into the blockstore, and returns the map roots in
-    /// canonical fold order. Keys are applied in drain order — the HAMT
-    /// layout is history-independent, so any order yields the same roots.
-    fn sync_commitment(&self) -> [Hash256; 5] {
+    /// commits them — hash-only, or into the blockstore when `persist` —
+    /// and returns the map roots in canonical fold order. Keys are applied
+    /// in drain order — the HAMT layout is history-independent, so any
+    /// order yields the same roots.
+    ///
+    /// The dirty top-level subtrees of the five tries are independent, so
+    /// a large enough commit hashes them as one batch on the worker pool
+    /// before the five root nodes are sealed here. Whether to is decided
+    /// from the commit's own shape — the roots are the same either way.
+    fn sync_commitment(&self, persist: bool) -> [Hash256; 5] {
         let store = self.store.as_ref();
         let mut maps = self.commit.lock();
-        let ok = "state store write";
+        let mut dirty_keys = 0usize;
+        // The engine's tries are built in memory and never unloaded, so
+        // `set`/`delete` find every node resident and never read the store.
+        let mut put = |trie: &mut Hamt, key: &[u8], leaf: Option<Vec<u8>>| {
+            let ok = "state trie nodes are resident";
+            match leaf {
+                Some(bytes) => trie.set(store, key, &bytes).expect(ok),
+                None => drop(trie.delete(store, key).expect(ok)),
+            }
+            dirty_keys += 1;
+        };
         for shard in &self.shards.shards {
             for id in shard.files.take_dirty() {
-                let key = statemap::key_file(id);
-                match shard.files.get(&id) {
-                    Some(f) => maps
-                        .files
-                        .set(store, &key, &statemap::enc_file(f))
-                        .expect(ok),
-                    None => drop(maps.files.delete(store, &key).expect(ok)),
-                }
+                let leaf = shard.files.get(&id).map(statemap::enc_file);
+                put(&mut maps.files, &statemap::key_file(id), leaf);
             }
             for (file, index) in shard.alloc.take_dirty() {
-                let key = statemap::key_alloc(file, index);
-                match shard.alloc.get(&(file, index)) {
-                    Some(e) => maps
-                        .alloc
-                        .set(store, &key, &statemap::enc_alloc_entry(e))
-                        .expect(ok),
-                    None => drop(maps.alloc.delete(store, &key).expect(ok)),
-                }
+                let leaf = shard.alloc.get(&(file, index));
+                let leaf = leaf.map(statemap::enc_alloc_entry);
+                put(&mut maps.alloc, &statemap::key_alloc(file, index), leaf);
             }
             for id in shard.discard_reasons.take_dirty() {
-                let key = statemap::key_file(id);
-                match shard.discard_reasons.get(&id) {
-                    Some(r) => maps
-                        .discard
-                        .set(store, &key, &statemap::enc_reason(*r))
-                        .expect(ok),
-                    None => drop(maps.discard.delete(store, &key).expect(ok)),
-                }
+                let leaf = shard.discard_reasons.get(&id);
+                let leaf = leaf.map(|r| statemap::enc_reason(*r));
+                put(&mut maps.discard, &statemap::key_file(id), leaf);
             }
         }
         for id in self.sectors.take_dirty() {
-            let key = statemap::key_sector(id);
-            match self.sectors.get(&id) {
-                Some(s) => maps
-                    .sectors
-                    .set(store, &key, &statemap::enc_sector(s))
-                    .expect(ok),
-                None => drop(maps.sectors.delete(store, &key).expect(ok)),
-            }
+            let leaf = self.sectors.get(&id).map(statemap::enc_sector);
+            put(&mut maps.sectors, &statemap::key_sector(id), leaf);
         }
         for id in self.cr.take_dirty() {
-            let key = statemap::key_sector(id);
-            match self.cr.get(&id) {
-                Some(acct) => maps.cr.set(store, &key, &statemap::enc_cr(acct)).expect(ok),
-                None => drop(maps.cr.delete(store, &key).expect(ok)),
+            let leaf = self.cr.get(&id).map(statemap::enc_cr);
+            put(&mut maps.cr, &statemap::key_sector(id), leaf);
+        }
+
+        if dirty_keys >= COMMIT_FANOUT_MIN_DIRTY_KEYS && self.pool_width() >= 2 {
+            let subtrees = maps.dirty_subtrees();
+            if subtrees.len() >= 2 {
+                let jobs: JobBatch<'_> = subtrees
+                    .into_iter()
+                    .map(|subtree| Box::new(move || subtree.commit()) as _)
+                    .collect();
+                self.pool().run(jobs);
             }
         }
-        maps.flush(store).expect("state store flush")
+        maps.seal(persist.then_some(store))
+            .expect("state store write")
     }
 
     /// Replaces the gas fee schedule (e.g. [`GasSchedule::free`] for
@@ -1062,12 +1094,21 @@ impl Engine {
             if t > target {
                 break;
             }
-            let root = self.state_root();
-            self.chain.advance_time(t, root);
+            self.advance_chain(t);
             self.run_due_bucket(t);
         }
-        let root = self.state_root();
-        self.chain.advance_time(target, root);
+        self.advance_chain(target);
+    }
+
+    /// Moves chain time to `t`. Only a sealed block folds the state root
+    /// in, so an advance inside the open block's interval computes none.
+    fn advance_chain(&mut self, t: Time) {
+        let root = if self.chain.seals_block_by(t) {
+            self.state_root()
+        } else {
+            Hash256::ZERO
+        };
+        self.chain.advance_time(t, root);
     }
 
     /// Executes every task due at `now` in two phases:
@@ -1141,10 +1182,16 @@ impl Engine {
     /// available parallelism and the configured ingest width, so neither
     /// the staging nor the audit fan-out ever starves for workers.
     pub(super) fn pool(&self) -> Arc<WorkerPool> {
+        self.pool.get(self.pool_width())
+    }
+
+    /// The worker count [`Engine::pool`] spawns with — known without
+    /// spawning, so a phase can tell whether fanning out could help.
+    fn pool_width(&self) -> usize {
         let cores = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        self.pool.get(cores.max(self.params.ingest_threads))
+        cores.max(self.params.ingest_threads)
     }
 
     /// Cumulative wall-time spent in each engine phase since construction

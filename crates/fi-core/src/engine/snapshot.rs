@@ -1142,7 +1142,7 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// As [`Engine::state_root`]: on backing-store write failure while
+    /// As [`Engine::state_roots`]: on backing-store write failure while
     /// syncing the current commitment.
     pub fn snapshot_delta(&self, base: &StateRoots) -> Result<Vec<u8>, Error> {
         let roots = self.state_roots();
@@ -1204,6 +1204,11 @@ impl Engine {
     /// root that doesn't match `base`, or a final state-root mismatch);
     /// [`variant@Error::Store`] when the combined store still can't resolve
     /// the new trees or a leaf fails to decode.
+    ///
+    /// # Panics
+    ///
+    /// As [`Engine::state_roots`]: on backing-store write failure while
+    /// persisting the base's version, which the delta's nodes link into.
     pub fn snapshot_restore_delta(bytes: &[u8], base: &Engine) -> Result<Engine, Error> {
         let mut d = open_envelope(bytes, DELTA_MAGIC, DELTA_VERSION)?;
 

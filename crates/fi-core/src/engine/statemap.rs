@@ -17,7 +17,7 @@
 //!   per logical map, *not* per shard: a per-shard trie forest would bake
 //!   the shard count into the root) behind a mutex, so
 //!   [`Engine::state_root`](super::Engine::state_root) can sync dirty
-//!   keys and flush from `&self`.
+//!   keys and commit from `&self`.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -27,7 +27,7 @@ use std::sync::Mutex;
 use fi_chain::account::{AccountId, TokenAmount};
 use fi_chain::tasks::Time;
 use fi_crypto::{keyed_hash, Hash256};
-use fi_store::{Blockstore, Hamt, StoreError};
+use fi_store::{Blockstore, DirtySubtree, Hamt, StoreError};
 
 use crate::drep::CrAccounting;
 use crate::types::{
@@ -492,20 +492,45 @@ pub(super) struct StateMaps {
 }
 
 impl StateMaps {
-    /// Flushes all five maps and returns their roots in fold order.
-    pub(super) fn flush(&mut self, store: &dyn Blockstore) -> Result<[Hash256; 5], StoreError> {
+    /// The dirty top-level subtrees of all five maps: the independent
+    /// part of a commit, which the engine may spread over its pool before
+    /// [`StateMaps::seal`] finishes the five root nodes.
+    pub(super) fn dirty_subtrees(&self) -> Vec<DirtySubtree<'_>> {
+        [
+            &self.files,
+            &self.alloc,
+            &self.discard,
+            &self.sectors,
+            &self.cr,
+        ]
+        .into_iter()
+        .flat_map(Hamt::dirty_subtrees)
+        .collect()
+    }
+
+    /// Commits all five maps and returns their roots in fold order. With
+    /// a store, also persists the committed version into it
+    /// ([`Hamt::flush`]); without, only hashes ([`Hamt::commit`]).
+    pub(super) fn seal(
+        &mut self,
+        store: Option<&dyn Blockstore>,
+    ) -> Result<[Hash256; 5], StoreError> {
+        let seal = |trie: &mut Hamt| match store {
+            Some(store) => trie.flush(store),
+            None => Ok(trie.commit()),
+        };
         Ok([
-            self.files.flush(store)?,
-            self.alloc.flush(store)?,
-            self.discard.flush(store)?,
-            self.sectors.flush(store)?,
-            self.cr.flush(store)?,
+            seal(&mut self.files)?,
+            seal(&mut self.alloc)?,
+            seal(&mut self.discard)?,
+            seal(&mut self.sectors)?,
+            seal(&mut self.cr)?,
         ])
     }
 }
 
 /// [`StateMaps`] behind a mutex, so the commitment can be synced and
-/// flushed from `&Engine` (the state root is read in contexts that only
+/// sealed from `&Engine` (the state root is read in contexts that only
 /// hold a shared borrow). Never contended: the engine is externally
 /// synchronized for mutation, and parallel phases never touch the cell.
 #[derive(Debug, Default)]

@@ -98,14 +98,14 @@ impl StateView for Engine {
 }
 
 impl Engine {
-    /// Pins the current state for historical reads: syncs the commitment
-    /// and returns a [`PinnedState`] over this engine's blockstore at the
-    /// current [`StateRoots`]. The pin stays readable as the live engine
+    /// Pins the current state for historical reads: persists the current
+    /// version and returns a [`PinnedState`] over this engine's blockstore
+    /// at its [`StateRoots`]. The pin stays readable as the live engine
     /// mutates — the store is content-addressed and append-only.
     ///
     /// # Panics
     ///
-    /// As [`Engine::state_root`]: on backing-store write failure.
+    /// As [`Engine::state_roots`]: on backing-store write failure.
     pub fn pin_state(&self) -> PinnedState {
         PinnedState {
             store: Arc::clone(&self.store),
@@ -124,7 +124,7 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// As [`Engine::state_root`]: on backing-store write failure.
+    /// As [`Engine::state_roots`]: on backing-store write failure.
     pub fn prove_file(&self, file: FileId) -> Result<StateProof, Error> {
         let roots = self.state_roots();
         let path = Hamt::prove(self.store.as_ref(), roots.files, &statemap::key_file(file))?

@@ -10,17 +10,24 @@
 //!   byte-deterministic, with typed rejection of tampered deltas.
 //! * **Light-client proofs** — [`Engine::prove_file`] verifies against
 //!   the bare `state_root` and rejects every tampering mode.
+//! * **Commit is not persist** — `state_root()` only hashes; the store
+//!   receives exactly the versions `state_roots()` and its callers name,
+//!   and an engine that persists rarely agrees at every block with one
+//!   that persists always.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use std::collections::HashSet;
+
 use fi_chain::account::{AccountId, TokenAmount};
-use fi_core::engine::{Engine, PinnedState, StateView};
+use fi_core::engine::{Engine, PinnedState, StateRoots, StateView};
+use fi_core::ops::Op;
 use fi_core::params::ProtocolParams;
-use fi_core::types::SectorState;
+use fi_core::types::{FileId, SectorState};
 use fi_core::Error;
-use fi_crypto::{sha256, DetRng};
-use fi_store::{Blockstore, DiskBlockstore, MemoryBlockstore, StoreError};
+use fi_crypto::{sha256, DetRng, Hash256};
+use fi_store::{Blockstore, DiskBlockstore, Hamt, MemoryBlockstore, StoreError};
 
 const CLIENT: AccountId = AccountId(900);
 const PROVIDERS: [AccountId; 3] = [AccountId(700), AccountId(701), AccountId(702)];
@@ -47,6 +54,7 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 }
 
 /// Deletes the scratch file when the test is done with it.
+#[derive(Debug)]
 struct DropFile(std::path::PathBuf);
 impl Drop for DropFile {
     fn drop(&mut self) {
@@ -54,11 +62,8 @@ impl Drop for DropFile {
     }
 }
 
-/// The same seeded workload as the sharding differential suite: every
-/// stochastic choice comes from the caller's rng, so engines differing
-/// only in configuration receive byte-identical op sequences.
-fn drive(engine: &mut Engine, seed: u64, steps: u64) {
-    let mut rng = DetRng::from_seed_label(seed, "state-commitment");
+/// Funds the client and providers and registers two sectors each.
+fn setup(engine: &mut Engine, rng: &mut DetRng) {
     engine.fund(CLIENT, TokenAmount(500_000_000));
     for p in PROVIDERS {
         engine.fund(p, TokenAmount(1_000_000_000_000));
@@ -68,37 +73,111 @@ fn drive(engine: &mut Engine, seed: u64, steps: u64) {
                 .expect("registration");
         }
     }
-    for step in 0..steps {
-        match rng.below(10) {
-            0..=3 => {
-                let size = 1 + rng.below(40);
-                let root = sha256(&(seed ^ step).to_be_bytes());
-                let _ = engine.file_add(CLIENT, size, engine.params().min_value, root);
-            }
-            4..=6 => {
-                engine.honest_providers_act();
-            }
-            7 => {
-                let ids = engine.file_ids();
-                if !ids.is_empty() {
-                    let f = ids[(rng.below(ids.len() as u64)) as usize];
-                    let _ = engine.file_discard(CLIENT, f);
-                }
-            }
-            8 => {
-                let ids = engine.sector_ids();
-                if !ids.is_empty() {
-                    let s = ids[(rng.below(ids.len() as u64)) as usize];
-                    if engine.sector(s).map(|x| x.state) == Some(SectorState::Normal) {
-                        engine.corrupt_sector_now(s);
-                    }
-                }
-            }
-            _ => engine.advance_to(engine.now() + 10 + rng.below(150)),
+}
+
+/// One step of the seeded workload: an add, a round of honest provider
+/// work, a discard, a sector corruption, or an advance by an amount that
+/// usually lands off the block grid.
+fn step(engine: &mut Engine, rng: &mut DetRng, seed: u64, step: u64) {
+    match rng.below(10) {
+        0..=3 => {
+            let size = 1 + rng.below(40);
+            let root = sha256(&(seed ^ step).to_be_bytes());
+            let _ = engine.file_add(CLIENT, size, engine.params().min_value, root);
         }
+        4..=6 => {
+            engine.honest_providers_act();
+        }
+        7 => {
+            let ids = engine.file_ids();
+            if !ids.is_empty() {
+                let f = ids[(rng.below(ids.len() as u64)) as usize];
+                let _ = engine.file_discard(CLIENT, f);
+            }
+        }
+        8 => {
+            let ids = engine.sector_ids();
+            if !ids.is_empty() {
+                let s = ids[(rng.below(ids.len() as u64)) as usize];
+                if engine.sector(s).map(|x| x.state) == Some(SectorState::Normal) {
+                    engine.corrupt_sector_now(s);
+                }
+            }
+        }
+        _ => engine.advance_to(engine.now() + 10 + rng.below(150)),
+    }
+}
+
+/// The same seeded workload as the sharding differential suite: every
+/// stochastic choice comes from the caller's rng, so engines differing
+/// only in configuration receive byte-identical op sequences.
+fn drive(engine: &mut Engine, seed: u64, steps: u64) {
+    let mut rng = DetRng::from_seed_label(seed, "state-commitment");
+    setup(engine, &mut rng);
+    for i in 0..steps {
+        step(engine, &mut rng, seed, i);
     }
     engine.honest_providers_act();
     engine.advance_to(engine.now() + engine.params().proof_cycle * 2);
+}
+
+/// A blockstore of either backend that counts its `put` calls.
+#[derive(Debug)]
+struct CountingStore {
+    inner: Box<dyn Blockstore>,
+    puts: AtomicU64,
+    _log: Option<DropFile>,
+}
+
+impl CountingStore {
+    fn new(disk: bool, tag: &str) -> Arc<Self> {
+        let (inner, log): (Box<dyn Blockstore>, _) = if disk {
+            let path = scratch(tag);
+            let store = DiskBlockstore::open(&path).expect("disk store");
+            (Box::new(store), Some(DropFile(path)))
+        } else {
+            (Box::new(MemoryBlockstore::new()), None)
+        };
+        Arc::new(CountingStore {
+            inner,
+            puts: AtomicU64::new(0),
+            _log: log,
+        })
+    }
+
+    fn puts(&self) -> u64 {
+        self.puts.load(Ordering::Relaxed)
+    }
+}
+
+impl Blockstore for CountingStore {
+    fn get(&self, hash: &Hash256) -> Result<Option<Arc<[u8]>>, StoreError> {
+        self.inner.get(hash)
+    }
+
+    fn put(&self, bytes: &[u8]) -> Result<Hash256, StoreError> {
+        self.puts.fetch_add(1, Ordering::Relaxed);
+        self.inner.put(bytes)
+    }
+}
+
+/// Every file, allocation row, sector and DRep row `view` holds equals
+/// the live engine's.
+fn assert_reads_match(view: &impl StateView, engine: &Engine) {
+    assert_eq!(view.file_ids(), engine.file_ids());
+    assert_eq!(view.sector_ids(), engine.sector_ids());
+    for f in engine.file_ids() {
+        assert_eq!(view.file(f), engine.file(f), "descriptor mismatch at {f}");
+        // Allocation rows for every configured replica index.
+        let cp = engine.file(f).expect("live file").cp;
+        for i in 0..cp {
+            assert_eq!(view.alloc_entry(f, i), engine.alloc_entry(f, i));
+        }
+    }
+    for s in engine.sector_ids() {
+        assert_eq!(view.sector(s), engine.sector(s));
+        assert_eq!(view.cr_accounting(s), engine.cr_accounting(s));
+    }
 }
 
 /// The consensus rule: identical roots at every point of the
@@ -144,21 +223,7 @@ fn pinned_state_reads_a_frozen_version() {
 
     let pin = engine.pin_state();
     let files_then = engine.file_ids();
-    let sectors_then = engine.sector_ids();
-    assert_eq!(pin.file_ids(), files_then, "pin sees the live file set");
-    assert_eq!(pin.sector_ids(), sectors_then);
-    for &f in &files_then {
-        assert_eq!(pin.file(f), engine.file(f), "descriptor mismatch at {f}");
-        // Allocation rows for every configured replica index.
-        let cp = engine.file(f).expect("live file").cp;
-        for i in 0..cp {
-            assert_eq!(pin.alloc_entry(f, i), engine.alloc_entry(f, i));
-        }
-    }
-    for &s in &sectors_then {
-        assert_eq!(pin.sector(s), engine.sector(s));
-        assert_eq!(pin.cr_accounting(s), engine.cr_accounting(s));
-    }
+    assert_reads_match(&pin, &engine);
     assert!(pin.events().is_empty(), "pins never expose live events");
 
     // Move the live engine on; the pin must not move with it.
@@ -362,4 +427,228 @@ fn state_proofs_verify_and_reject_tampering() {
             );
         }
     }
+}
+
+/// One block of the differential workload below, identical for every
+/// engine given the same `rng` state.
+fn differential_block(engine: &mut Engine, rng: &mut DetRng, seed: u64, block: u64) {
+    // The workload corrupts sectors; keep capacity coming so files keep
+    // being placed, lost and compensated.
+    if block.is_multiple_of(4) {
+        let owner = PROVIDERS[(block / 4 % 3) as usize];
+        engine.sector_register(owner, 6_400).expect("registration");
+    }
+    // Enough small files that the tries grow levels.
+    for i in 0..6 {
+        let root = sha256(&(block << 8 | i).to_be_bytes());
+        let _ = engine.file_add(CLIENT, 1 + i % 3, engine.params().min_value, root);
+    }
+    for i in 0..3 {
+        step(engine, rng, seed, block * 3 + i);
+    }
+}
+
+/// Commit is not persist, differentially. A reference engine persists
+/// (`state_roots()`) every block; in every `(store × shards × threads)`
+/// cell an engine fed the same ops names only `state_root()` per block
+/// and persists every fifth. They agree on the root at every block;
+/// every persisted version reads back in full through a fresh pin over
+/// the store alone; a delta between two persisted versions — with four
+/// roots in between that were only ever hashed — round-trips; and
+/// persisting through a clone seals the nodes it shares with the
+/// original, not copies of them.
+#[test]
+fn lazy_and_eager_persistence_agree_at_every_block() {
+    const SEED: u64 = 77;
+    const BLOCKS: u64 = 30;
+    const PERSIST_EVERY: u64 = 5;
+    let as_dyn = |s: &Arc<CountingStore>| Arc::clone(s) as Arc<dyn Blockstore>;
+
+    let eager_store = CountingStore::new(false, "eager");
+    let mut eager = Engine::new_with_store(params(1, 1), as_dyn(&eager_store)).expect("params");
+    let mut rng = DetRng::from_seed_label(SEED, "state-commitment");
+    setup(&mut eager, &mut rng);
+    let mut reference = Vec::new();
+    for block in 0..BLOCKS {
+        differential_block(&mut eager, &mut rng, SEED, block);
+        reference.push((eager.state_roots(), eager.chain().head_hash()));
+    }
+
+    for disk in [false, true] {
+        for shards in [1usize, 4] {
+            for threads in [1usize, 2] {
+                let cell = format!("disk={disk} shards={shards} threads={threads}");
+                let store = CountingStore::new(disk, &format!("lazy-{shards}-{threads}"));
+                let mut lazy = Engine::new_with_store(params(shards, threads), as_dyn(&store))
+                    .expect("params");
+                let mut rng = DetRng::from_seed_label(SEED, "state-commitment");
+                setup(&mut lazy, &mut rng);
+
+                // (roots, file ids, full snapshot) at each persisted block.
+                let mut persisted: Vec<(StateRoots, Vec<FileId>, Vec<u8>)> = Vec::new();
+                for (block, (want, head)) in (0..BLOCKS).zip(&reference) {
+                    differential_block(&mut lazy, &mut rng, SEED, block);
+                    assert_eq!(lazy.chain().head_hash(), *head, "{cell} block {block}");
+                    if block % PERSIST_EVERY != PERSIST_EVERY - 1 {
+                        let before = store.puts();
+                        assert_eq!(lazy.state_root(), want.state_root, "{cell} block {block}");
+                        assert_eq!(store.puts(), before, "state_root() wrote to the store");
+                        continue;
+                    }
+                    let roots = lazy.state_roots();
+                    assert_eq!(roots, *want, "{cell} block {block}");
+                    let pin = PinnedState::new(as_dyn(&store), roots);
+                    assert_reads_match(&pin, &lazy);
+                    if let Some((base_roots, _, base_full)) = persisted.last() {
+                        let delta = lazy.snapshot_delta(base_roots).expect("delta");
+                        let base = Engine::snapshot_restore(base_full).expect("base restore");
+                        let restored =
+                            Engine::snapshot_restore_delta(&delta, &base).expect("delta restore");
+                        assert_eq!(restored.state_root(), roots.state_root, "{cell}");
+                        assert_eq!(restored.chain().head_hash(), *head);
+                        assert_eq!(restored.file_ids(), lazy.file_ids());
+                    }
+                    persisted.push((roots, lazy.file_ids(), lazy.snapshot_save()));
+                }
+                assert!(
+                    store.puts() < eager_store.puts(),
+                    "{cell}: lazy wrote no less"
+                );
+                // Every persisted version is still there, frozen.
+                for (roots, files, _) in &persisted {
+                    assert_eq!(&PinnedState::new(as_dyn(&store), *roots).file_ids(), files);
+                }
+
+                // A clone persists what it shares with the original in
+                // place: the original then finds nothing left to write.
+                assert!(!lazy.file_ids().is_empty(), "{cell}: no file left to audit");
+                lazy.advance_to(lazy.now() + lazy.params().proof_cycle);
+                lazy.state_root();
+                let clone = lazy.clone();
+                let before = store.puts();
+                let clone_roots = clone.state_roots();
+                let wrote = store.puts() - before;
+                assert!(wrote > 0, "{cell}: the proof cycle changed every file");
+                assert_eq!(lazy.state_roots(), clone_roots);
+                assert_eq!(
+                    store.puts() - before,
+                    wrote,
+                    "{cell}: the original re-put what its clone had persisted"
+                );
+            }
+        }
+    }
+}
+
+/// What the store holds is what was named. Blocks of `apply_batch` +
+/// `state_root()` add nothing to it; a checkpoint adds exactly the nodes
+/// reachable from the checkpointed roots that it did not already hold —
+/// and so none of the versions superseded in between.
+#[test]
+fn the_store_grows_only_by_the_versions_that_are_named() {
+    let store = Arc::new(MemoryBlockstore::new());
+    // The empty map's node, so `diff_new_nodes` against it lists a whole tree.
+    let empty = Hamt::new().flush(store.as_ref()).expect("memory store");
+    let nodes_of = |roots: &StateRoots| -> HashSet<Hash256> {
+        let mut nodes = HashSet::from([empty]);
+        for root in roots.map_roots() {
+            let tree = Hamt::diff_new_nodes(store.as_ref(), root, empty).expect("persisted tree");
+            nodes.extend(tree.into_iter().map(|(hash, _)| hash));
+        }
+        nodes
+    };
+
+    let as_dyn = Arc::clone(&store) as Arc<dyn Blockstore>;
+    let mut engine = Engine::new_with_store(params(4, 2), as_dyn).expect("params");
+    engine.fund(CLIENT, TokenAmount(u128::MAX / 4));
+    engine.fund(PROVIDERS[0], TokenAmount(u128::MAX / 4));
+    for _ in 0..6 {
+        engine
+            .sector_register(PROVIDERS[0], 64_000)
+            .expect("register");
+    }
+    let adds = |engine: &Engine, ids: std::ops::Range<u64>| -> Vec<Op> {
+        ids.map(|i| Op::FileAdd {
+            client: CLIENT,
+            size: 1 + i % 5,
+            value: engine.params().min_value,
+            merkle_root: sha256(&i.to_be_bytes()),
+        })
+        .collect()
+    };
+    let fill = adds(&engine, 0..300);
+    assert!(engine.apply_batch(fill).iter().all(Result::is_ok));
+    engine.honest_providers_act();
+    engine.advance_to(engine.now() + engine.params().proof_cycle);
+    assert_eq!(
+        store.len(),
+        1,
+        "the fill and its sealed blocks wrote nothing"
+    );
+    engine.checkpoint();
+    let first = nodes_of(&engine.state_roots());
+    assert_eq!(store.len(), first.len());
+    assert!(
+        first.len() > 50,
+        "three hundred files make multi-level trees"
+    );
+
+    let mut roots_seen = HashSet::new();
+    for block in 0..12u64 {
+        let mut ops = adds(&engine, 1_000 + block * 8..1_008 + block * 8);
+        ops.push(Op::AdvanceTo {
+            target: engine.now() + 35,
+        });
+        engine.apply_batch(ops);
+        engine.honest_providers_act();
+        roots_seen.insert(engine.state_root());
+        assert_eq!(store.len(), first.len(), "block {block} wrote to the store");
+    }
+    assert_eq!(roots_seen.len(), 12, "every block was a new version");
+
+    engine.checkpoint();
+    let second = nodes_of(&engine.state_roots());
+    assert!(second.difference(&first).count() > 0);
+    assert_eq!(store.len(), first.union(&second).count());
+}
+
+// Block count, head hash and state root of `off_boundary_advances_…`'s
+// workload, taken from the commit before advances skipped unused roots.
+const GOLDEN_BLOCKS: usize = 80;
+const GOLDEN_HEAD: &str = "826de9cd7b2f2344a6277aa2853bd717530e11be218ac4aec988f8ec0d69edd2";
+const GOLDEN_ROOT: &str = "2c302c884ffc3c9de3a59c24e72a36ae46f290d3ba906ee9dbcea218b4878835";
+
+/// Advances that stop inside a block's interval fold no root into
+/// anything, so the engine computes none for them — unobservably: an
+/// engine asked for `state_root()` before every step (as every advance
+/// used to) seals the same blocks, and both seal the blocks the engine
+/// sealed before it learned to skip.
+#[test]
+fn off_boundary_advances_seal_the_same_blocks() {
+    let run = |root_every_step: bool| {
+        let mut engine = Engine::new(params(1, 1)).expect("params");
+        let mut rng = DetRng::from_seed_label(11, "state-commitment");
+        setup(&mut engine, &mut rng);
+        let mut off_grid = 0;
+        for i in 0..150 {
+            if root_every_step {
+                engine.state_root();
+            }
+            step(&mut engine, &mut rng, 11, i);
+            off_grid += u32::from(!engine.now().is_multiple_of(engine.params().block_interval));
+        }
+        assert!(off_grid > 50, "the workload must stop inside intervals");
+        let blocks: Vec<Hash256> = engine
+            .chain()
+            .blocks()
+            .iter()
+            .map(|b| b.block_hash)
+            .collect();
+        (blocks, engine.state_root())
+    };
+    let (blocks, root) = run(false);
+    assert_eq!((blocks.clone(), root), run(true));
+    assert_eq!(blocks.len(), GOLDEN_BLOCKS);
+    assert_eq!(blocks.last().expect("blocks").to_hex(), GOLDEN_HEAD);
+    assert_eq!(root.to_hex(), GOLDEN_ROOT);
 }

@@ -3,7 +3,8 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Read;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -176,10 +177,17 @@ const REC_HEADER: usize = 32 + 4;
 /// rather than failing. Reads verify the bytes against their hash, so a
 /// bit flip on disk surfaces as [`StoreError::Corrupt`] instead of
 /// silently feeding a decoder.
+///
+/// All I/O is positional — reads at the indexed offset, appends at the
+/// offset the store itself tracks — so there is no file cursor for a
+/// failed call to leave in the wrong place.
 #[derive(Debug)]
 pub struct DiskBlockstore {
-    /// The append-only log, positioned at its end for writes.
-    file: Mutex<File>,
+    /// The append-only log.
+    file: File,
+    /// Where the next record goes: the end of the last complete record.
+    /// Appends serialize on this lock; a failed one leaves it where it was.
+    end: Mutex<u64>,
     /// hash → (payload offset, payload length).
     index: RwLock<HashMap<Hash256, (u64, u32)>>,
     path: PathBuf,
@@ -231,12 +239,33 @@ impl DiskBlockstore {
         if valid_end < len {
             file.set_len(valid_end)?;
         }
-        file.seek(SeekFrom::End(0))?;
         Ok(DiskBlockstore {
-            file: Mutex::new(file),
+            file,
+            end: Mutex::new(valid_end),
             index: RwLock::new(index),
             path,
         })
+    }
+
+    /// Called when a read the index promised has failed: if the log has
+    /// been cut short behind this handle, forgets the records that are no
+    /// longer complete and truncates the torn tail — what
+    /// [`DiskBlockstore::open`] would do — so the next append lands on a
+    /// record boundary instead of past a hole.
+    fn drop_torn_tail(&self) -> Result<(), StoreError> {
+        let mut end = self.end.lock().expect("store lock");
+        let len = self.file.metadata()?.len();
+        if len < *end {
+            let mut index = self.index.write().expect("store lock");
+            index.retain(|_, &mut (offset, blen)| offset + u64::from(blen) <= len);
+            *end = index
+                .values()
+                .map(|&(offset, blen)| offset + u64::from(blen))
+                .max()
+                .unwrap_or(0);
+            self.file.set_len(*end)?;
+        }
+        Ok(())
     }
 
     /// The log file backing this store.
@@ -261,11 +290,9 @@ impl Blockstore for DiskBlockstore {
             return Ok(None);
         };
         let mut buf = vec![0u8; len as usize];
-        {
-            let mut file = self.file.lock().expect("store lock");
-            file.seek(SeekFrom::Start(offset))?;
-            file.read_exact(&mut buf)?;
-            file.seek(SeekFrom::End(0))?;
+        if let Err(e) = self.file.read_exact_at(&mut buf, offset) {
+            self.drop_torn_tail()?;
+            return Err(e.into());
         }
         if block_hash(&buf) != *hash {
             return Err(StoreError::Corrupt("disk block bytes mismatch its hash"));
@@ -278,21 +305,26 @@ impl Blockstore for DiskBlockstore {
         if self.index.read().expect("store lock").contains_key(&hash) {
             return Ok(hash);
         }
-        let mut file = self.file.lock().expect("store lock");
-        // Re-check under the write lock: a racing put may have landed.
+        let mut end = self.end.lock().expect("store lock");
+        // Re-check under the append lock: a racing put may have landed.
         if self.index.read().expect("store lock").contains_key(&hash) {
             return Ok(hash);
         }
-        let offset = file.stream_position()?;
         let mut rec = Vec::with_capacity(REC_HEADER + bytes.len());
         rec.extend_from_slice(hash.as_bytes());
         rec.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
         rec.extend_from_slice(bytes);
-        file.write_all(&rec)?;
+        if let Err(e) = self.file.write_all_at(&rec, *end) {
+            // Cut off whatever part of the record made it out, so the log
+            // still ends on a record boundary.
+            let _ = self.file.set_len(*end);
+            return Err(e.into());
+        }
         self.index
             .write()
             .expect("store lock")
-            .insert(hash, (offset + REC_HEADER as u64, bytes.len() as u32));
+            .insert(hash, (*end + REC_HEADER as u64, bytes.len() as u32));
+        *end += rec.len() as u64;
         Ok(hash)
     }
 
@@ -398,6 +430,47 @@ mod tests {
         assert_eq!(
             store.get(&h3).unwrap().as_deref(),
             Some(&b"after recovery"[..])
+        );
+    }
+
+    /// A read that fails must not move where the next append goes. Cut
+    /// the log short behind a live handle (the only way to make a read
+    /// fail on a healthy disk), then put: every record that was still
+    /// complete survives, and the new one lands where a reopen finds it.
+    #[test]
+    fn disk_store_failed_read_does_not_misplace_the_next_append() {
+        let path = scratch("failed-read");
+        let _guard = DropFile(path.clone());
+        let blocks: Vec<Vec<u8>> = (0u8..6).map(|i| vec![i; 40 + i as usize]).collect();
+        let store = DiskBlockstore::open(&path).unwrap();
+        let hashes: Vec<Hash256> = blocks.iter().map(|b| store.put(b).unwrap()).collect();
+
+        // Chop the log in the middle of record 3's payload: records 0..3
+        // stay complete, 3 is torn, 4 and 5 are gone.
+        let cut = (0..3).map(|i| REC_HEADER + blocks[i].len()).sum::<usize>() + REC_HEADER + 7;
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(cut as u64).unwrap();
+        drop(file);
+
+        assert!(matches!(store.get(&hashes[5]), Err(StoreError::Io(_))));
+        // The records the log no longer holds are forgotten, not dangling.
+        assert_eq!(store.len(), 3);
+        assert_eq!(store.get(&hashes[4]).unwrap(), None);
+        let fresh = store.put(b"written after the failed read").unwrap();
+        assert_eq!(
+            store.get(&fresh).unwrap().as_deref(),
+            Some(&b"written after the failed read"[..])
+        );
+        drop(store);
+
+        let store = DiskBlockstore::open(&path).unwrap();
+        assert_eq!(store.len(), 4);
+        for (h, b) in hashes.iter().zip(&blocks).take(3) {
+            assert_eq!(store.get(h).unwrap().as_deref(), Some(b.as_slice()));
+        }
+        assert_eq!(
+            store.get(&fresh).unwrap().as_deref(),
+            Some(&b"written after the failed read"[..])
         );
     }
 

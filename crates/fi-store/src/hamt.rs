@@ -16,20 +16,46 @@
 //!
 //! Those two rules make the trie **history-independent**: the structure —
 //! and therefore the root hash — is a pure function of the key-value set,
-//! not of the insert/delete order that produced it. Two engines that
-//! mutate their maps in different orders (different shard counts,
-//! different ingest interleavings) still converge on bit-identical roots.
-//! The property tests in this module shuffle and interleave mutation
-//! orders to pin this down.
+//! not of the insert/delete order that produced it, nor of when it was
+//! committed or flushed in between. Two engines that mutate their maps in
+//! different orders (different shard counts, different ingest
+//! interleavings) still converge on bit-identical roots. The property
+//! tests in this module shuffle and interleave mutation orders to pin
+//! this down.
+//!
+//! # Commit is not persist
+//!
+//! A root hash costs hashing and nothing else: [`Hamt::commit`] hashes
+//! the nodes mutation has touched and never sees a store.
+//! [`Hamt::flush`] is commit plus persist — it also puts into the store
+//! every node of *this* version the store has not received yet, and no
+//! node of a version that was only ever committed and then superseded.
+//! A node reached through a link is in one of four states:
+//!
+//! | state | resident | hash known | bytes in the store |
+//! |---|---|---|---|
+//! | dirty — mutated since the last commit | yes | no | no |
+//! | hashed — committed, not yet flushed | yes | yes | no |
+//! | clean — flushed | yes | yes | yes |
+//! | stored — not loaded | no | yes (the link) | yes |
+//!
+//! A resident node carries the last two columns itself, in cells a
+//! shared reference can fill in, so committing or flushing one clone of
+//! a map seals the nodes it shares with the others instead of copying
+//! them. Mutation clears both cells along the path it writes. Both
+//! passes are one bottom-up walk ([`Hamt::flush`] is the same walk with
+//! a `put`), and the walks of disjoint subtrees are independent:
+//! [`Hamt::dirty_subtrees`] hands the dirty top-level subtrees out as
+//! [`DirtySubtree`] jobs a caller may commit on threads of its own.
 //!
 //! # Copy-on-write
 //!
 //! In-memory nodes are held behind [`Arc`]s; cloning a [`Hamt`] is O(1)
 //! and mutation copies only the path being written
-//! ([`Arc::make_mut`]). [`Hamt::flush`] writes the dirty nodes into a
-//! [`Blockstore`] and returns the root hash; nodes reached through an
-//! unflushed map stay purely in memory, so read traffic never touches
-//! the store until a commitment is actually needed.
+//! ([`Arc::make_mut`]). Nodes reached through an unflushed map stay
+//! purely in memory, so read traffic never touches the store. Leaf
+//! buckets are kept in their encoded form, so encoding a node is a copy
+//! per slot into one scratch buffer reused along the walk.
 //!
 //! # Defensive decoding
 //!
@@ -40,7 +66,8 @@
 //! unbounded traversal.
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use fi_crypto::{sha256, Hash256};
 
@@ -73,32 +100,127 @@ fn nibble(hash: &Hash256, depth: usize) -> u32 {
     ((lo >> shift) | (hi << (8 - shift))) & (FANOUT - 1)
 }
 
-/// A key-value pair as stored in a leaf bucket.
-type Kv = (Vec<u8>, Vec<u8>);
+const TAG_BUCKET: u8 = 0;
+const TAG_CHILD: u8 = 1;
 
-/// A link to a child node: resident and modified since the last flush
-/// (`Dirty`), resident with its stored hash known (`Clean`), or not yet
-/// loaded (`Stored`).
+/// A leaf bucket in its canonical encoded form — the exact bytes it
+/// contributes to its node's encoding:
+/// `[TAG_BUCKET][count u32]` then per pair `[klen u32][key][vlen u32][value]`,
+/// keys strictly ascending. Only this module (and [`decode_node`], after
+/// validating) builds one, so the accessors slice without re-checking.
+#[derive(Debug, Clone)]
+struct Bucket(Vec<u8>);
+
+/// Tag byte plus pair count.
+const BUCKET_HEADER: usize = 5;
+
+impl Bucket {
+    /// Sized exactly: buckets are most of a resident trie's memory.
+    fn from_sorted(pairs: &[(&[u8], &[u8])]) -> Bucket {
+        let body: usize = pairs.iter().map(|(k, v)| 8 + k.len() + v.len()).sum();
+        let mut out = Vec::with_capacity(BUCKET_HEADER + body);
+        out.push(TAG_BUCKET);
+        out.extend_from_slice(&(pairs.len() as u32).to_be_bytes());
+        for field in pairs.iter().flat_map(|&(k, v)| [k, v]) {
+            out.extend_from_slice(&(field.len() as u32).to_be_bytes());
+            out.extend_from_slice(field);
+        }
+        Bucket(out)
+    }
+
+    fn len(&self) -> usize {
+        u32::from_be_bytes(self.0[1..BUCKET_HEADER].try_into().expect("4 bytes")) as usize
+    }
+
+    fn pairs(&self) -> Pairs<'_> {
+        Pairs(&self.0[BUCKET_HEADER..])
+    }
+
+    fn get(&self, key: &[u8]) -> Option<&[u8]> {
+        self.pairs().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    /// This bucket with `key` set to `value`, or removed.
+    fn with(&self, key: &[u8], value: Option<&[u8]>) -> Bucket {
+        let mut pairs: Vec<_> = self.pairs().filter(|(k, _)| *k != key).collect();
+        if let Some(value) = value {
+            let at = pairs.partition_point(|(k, _)| *k < key);
+            pairs.insert(at, (key, value));
+        }
+        Bucket::from_sorted(&pairs)
+    }
+}
+
+/// A bucket's pairs in key order: what is left of its bytes to read.
+struct Pairs<'a>(&'a [u8]);
+
+impl<'a> Iterator for Pairs<'a> {
+    type Item = (&'a [u8], &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.0.is_empty() {
+            return None;
+        }
+        let mut field = || {
+            let (len, rest) = self.0.split_at(4);
+            let len = u32::from_be_bytes(len.try_into().expect("4 bytes"));
+            let (field, rest) = rest.split_at(len as usize);
+            self.0 = rest;
+            field
+        };
+        Some((field(), field()))
+    }
+}
+
+/// A link to a child node: in memory (`Resident` — dirty, hashed or
+/// clean, as the node's own cells say) or not yet loaded (`Stored`).
 #[derive(Debug, Clone)]
 enum Link {
-    Dirty(Arc<Node>),
-    Clean(Arc<Node>, Hash256),
+    Resident(Arc<Node>),
     Stored(Hash256),
+}
+
+impl Link {
+    /// The hash of the node behind the link, unless it is dirty.
+    fn hash(&self) -> Option<Hash256> {
+        match self {
+            Link::Resident(node) => node.hash.get().copied(),
+            Link::Stored(hash) => Some(*hash),
+        }
+    }
 }
 
 /// One occupied slot: a sorted leaf bucket or a child link.
 #[derive(Debug, Clone)]
 enum Slot {
-    Bucket(Vec<Kv>),
+    Bucket(Bucket),
     Child(Link),
 }
 
 /// A trie node: a 32-bit occupancy bitmap plus one [`Slot`] per set bit,
 /// in ascending bit order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Node {
     bitmap: u32,
     slots: Vec<Slot>,
+    /// The hash of this node's encoding, filled in by the first commit or
+    /// flush after a mutation. Set ⇒ set on every resident descendant.
+    hash: OnceLock<Hash256>,
+    /// Whether a flush has put this node's bytes into its store.
+    /// Set ⇒ set on every resident descendant. `Release` after the `put`,
+    /// `Acquire` before trusting the store to hold the bytes.
+    stored: AtomicBool,
+}
+
+impl Clone for Node {
+    fn clone(&self) -> Self {
+        Node {
+            bitmap: self.bitmap,
+            slots: self.slots.clone(),
+            hash: self.hash.clone(),
+            stored: AtomicBool::new(self.stored.load(Ordering::Acquire)),
+        }
+    }
 }
 
 impl Node {
@@ -133,37 +255,22 @@ impl Node {
 // Canonical node encoding
 // ----------------------------------------------------------------------
 
-const TAG_BUCKET: u8 = 0;
-const TAG_CHILD: u8 = 1;
-
-/// Serializes a node whose child links all carry known hashes
-/// (`Clean`/`Stored` — i.e. after its children were flushed).
-fn encode_node(node: &Node) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+/// Serializes a node whose children all have their hashes into `out`
+/// (cleared first): the bitmap, then each slot's bucket bytes or child
+/// hash.
+fn encode_node(node: &Node, out: &mut Vec<u8>) {
+    out.clear();
     out.extend_from_slice(&node.bitmap.to_be_bytes());
     for slot in &node.slots {
         match slot {
-            Slot::Bucket(kvs) => {
-                out.push(TAG_BUCKET);
-                out.extend_from_slice(&(kvs.len() as u32).to_be_bytes());
-                for (k, v) in kvs {
-                    out.extend_from_slice(&(k.len() as u32).to_be_bytes());
-                    out.extend_from_slice(k);
-                    out.extend_from_slice(&(v.len() as u32).to_be_bytes());
-                    out.extend_from_slice(v);
-                }
-            }
+            Slot::Bucket(bucket) => out.extend_from_slice(&bucket.0),
             Slot::Child(link) => {
-                let hash = match link {
-                    Link::Clean(_, h) | Link::Stored(h) => h,
-                    Link::Dirty(_) => unreachable!("encode_node called before children flushed"),
-                };
                 out.push(TAG_CHILD);
+                let hash = link.hash().expect("children are sealed before parents");
                 out.extend_from_slice(hash.as_bytes());
             }
         }
     }
-    out
 }
 
 /// Parses untrusted node bytes, validating every structural invariant the
@@ -181,29 +288,25 @@ fn decode_node(bytes: &[u8]) -> Result<Node, StoreError> {
     let bitmap = u32::from_be_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes"));
     let mut slots = Vec::with_capacity(bitmap.count_ones() as usize);
     for _ in 0..bitmap.count_ones() {
+        let start = pos;
         match take(&mut pos, 1)?[0] {
             TAG_BUCKET => {
                 let count = u32::from_be_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes"));
                 if count == 0 {
                     return Err(StoreError::Corrupt("empty bucket slot"));
                 }
-                if count as usize > bytes.len() {
-                    return Err(StoreError::Corrupt("bucket count exceeds node bytes"));
-                }
-                let mut kvs = Vec::with_capacity(count as usize);
+                let mut prev: Option<&[u8]> = None;
                 for _ in 0..count {
                     let klen = u32::from_be_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes"));
-                    let k = take(&mut pos, klen as usize)?.to_vec();
+                    let k = take(&mut pos, klen as usize)?;
                     let vlen = u32::from_be_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes"));
-                    let v = take(&mut pos, vlen as usize)?.to_vec();
-                    if let Some((prev, _)) = kvs.last() {
-                        if *prev >= k {
-                            return Err(StoreError::Corrupt("bucket keys out of order"));
-                        }
+                    take(&mut pos, vlen as usize)?;
+                    if prev.is_some_and(|prev| prev >= k) {
+                        return Err(StoreError::Corrupt("bucket keys out of order"));
                     }
-                    kvs.push((k, v));
+                    prev = Some(k);
                 }
-                slots.push(Slot::Bucket(kvs));
+                slots.push(Slot::Bucket(Bucket(bytes[start..pos].to_vec())));
             }
             TAG_CHILD => {
                 let hash = Hash256::from_bytes(take(&mut pos, 32)?.try_into().expect("32 bytes"));
@@ -215,13 +318,17 @@ fn decode_node(bytes: &[u8]) -> Result<Node, StoreError> {
     if pos != bytes.len() {
         return Err(StoreError::Corrupt("trailing bytes after node"));
     }
-    Ok(Node { bitmap, slots })
+    Ok(Node {
+        bitmap,
+        slots,
+        ..Node::default()
+    })
 }
 
 /// Loads the node behind a link for reading.
 fn link_node(link: &Link, store: &dyn Blockstore) -> Result<Arc<Node>, StoreError> {
     match link {
-        Link::Dirty(n) | Link::Clean(n, _) => Ok(Arc::clone(n)),
+        Link::Resident(n) => Ok(Arc::clone(n)),
         Link::Stored(h) => {
             let bytes = store.get(h)?.ok_or(StoreError::NotFound(*h))?;
             Ok(Arc::new(decode_node(&bytes)?))
@@ -229,21 +336,24 @@ fn link_node(link: &Link, store: &dyn Blockstore) -> Result<Arc<Node>, StoreErro
     }
 }
 
-/// Loads the node behind a link for writing: the link becomes `Dirty`
-/// and the caller gets exclusive access to a private copy.
+/// Loads the node behind a link for writing: the node becomes resident
+/// and dirty, and the caller gets exclusive access to a private copy.
 fn link_node_mut<'a>(
     link: &'a mut Link,
     store: &dyn Blockstore,
 ) -> Result<&'a mut Node, StoreError> {
     if let Link::Stored(h) = link {
         let bytes = store.get(h)?.ok_or(StoreError::NotFound(*h))?;
-        *link = Link::Dirty(Arc::new(decode_node(&bytes)?));
-    } else if let Link::Clean(n, _) = link {
-        *link = Link::Dirty(Arc::clone(n));
+        *link = Link::Resident(Arc::new(decode_node(&bytes)?));
     }
     match link {
-        Link::Dirty(n) => Ok(Arc::make_mut(n)),
-        _ => unreachable!("link normalized to Dirty above"),
+        Link::Resident(n) => {
+            let node = Arc::make_mut(n);
+            node.hash.take();
+            *node.stored.get_mut() = false;
+            Ok(node)
+        }
+        Link::Stored(_) => unreachable!("link made resident above"),
     }
 }
 
@@ -264,10 +374,7 @@ fn node_get(
     let nib = nibble(hash, depth);
     match node.slot_index(nib).map(|i| &node.slots[i]) {
         None => Ok(None),
-        Some(Slot::Bucket(kvs)) => Ok(kvs
-            .iter()
-            .find(|(k, _)| k.as_slice() == key)
-            .map(|(_, v)| v.clone())),
+        Some(Slot::Bucket(bucket)) => Ok(bucket.get(key).map(<[u8]>::to_vec)),
         Some(Slot::Child(link)) => {
             let child = link_node(link, store)?;
             node_get(&child, store, hash, depth + 1, key)
@@ -288,33 +395,25 @@ fn node_set(
     }
     let nib = nibble(hash, depth);
     let Some(idx) = node.slot_index(nib) else {
-        node.insert_slot(nib, Slot::Bucket(vec![(key.to_vec(), value.to_vec())]));
+        node.insert_slot(nib, Slot::Bucket(Bucket::from_sorted(&[(key, value)])));
         return Ok(());
     };
     match &mut node.slots[idx] {
-        Slot::Bucket(kvs) => {
-            match kvs.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                Ok(i) => kvs[i].1 = value.to_vec(),
-                Err(i) => {
-                    // The deepest level absorbs full-hash collisions in an
-                    // unbounded bucket: there are no path bits left to
-                    // split on.
-                    if kvs.len() < BUCKET_SIZE || depth + 1 >= MAX_DEPTH {
-                        kvs.insert(i, (key.to_vec(), value.to_vec()));
-                    } else {
-                        // Overflow: push the bucket one level down. The
-                        // re-inserted pairs may collide again on the next
-                        // 5 bits — recursion splits as deep as needed.
-                        let mut spill = std::mem::take(kvs);
-                        spill.push((key.to_vec(), value.to_vec()));
-                        let mut child = Node::default();
-                        for (k, v) in &spill {
-                            let kh = sha256(k);
-                            node_set(&mut child, store, &kh, depth + 1, k, v)?;
-                        }
-                        node.slots[idx] = Slot::Child(Link::Dirty(Arc::new(child)));
-                    }
+        Slot::Bucket(bucket) => {
+            // The deepest level absorbs full-hash collisions in an
+            // unbounded bucket: there are no path bits left to split on.
+            let fits = bucket.len() < BUCKET_SIZE || depth + 1 >= MAX_DEPTH;
+            if fits || bucket.get(key).is_some() {
+                *bucket = bucket.with(key, Some(value));
+            } else {
+                // Overflow: push the bucket one level down. The
+                // re-inserted pairs may collide again on the next 5 bits —
+                // recursion splits as deep as needed.
+                let mut child = Node::default();
+                for (k, v) in bucket.pairs().chain([(key, value)]) {
+                    node_set(&mut child, store, &sha256(k), depth + 1, k, v)?;
                 }
+                node.slots[idx] = Slot::Child(Link::Resident(Arc::new(child)));
             }
             Ok(())
         }
@@ -329,27 +428,27 @@ fn node_set(
 /// buckets (no child links), returns them merged and sorted — the parent
 /// replaces the child link with a single bucket, restoring the canonical
 /// "a child exists only above `BUCKET_SIZE` pairs" invariant.
-fn collapse_kvs(node: &Node) -> Option<Vec<Kv>> {
+fn collapse(node: &Node) -> Option<Bucket> {
     let mut total = 0usize;
     for slot in &node.slots {
         match slot {
             Slot::Child(_) => return None, // subtree holds > BUCKET_SIZE pairs
-            Slot::Bucket(kvs) => total += kvs.len(),
+            Slot::Bucket(bucket) => total += bucket.len(),
         }
     }
     if total > BUCKET_SIZE {
         return None;
     }
-    let mut merged: Vec<Kv> = node
+    let mut merged: Vec<(&[u8], &[u8])> = node
         .slots
         .iter()
         .flat_map(|s| match s {
-            Slot::Bucket(kvs) => kvs.clone(),
+            Slot::Bucket(bucket) => bucket.pairs(),
             Slot::Child(_) => unreachable!("checked above"),
         })
         .collect();
-    merged.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-    Some(merged)
+    merged.sort_unstable_by_key(|&(key, _)| key);
+    Some(Bucket::from_sorted(&merged))
 }
 
 fn node_delete(
@@ -367,13 +466,13 @@ fn node_delete(
         return Ok(false);
     };
     match &mut node.slots[idx] {
-        Slot::Bucket(kvs) => {
-            let Ok(i) = kvs.binary_search_by(|(k, _)| k.as_slice().cmp(key)) else {
+        Slot::Bucket(bucket) => {
+            if bucket.get(key).is_none() {
                 return Ok(false);
-            };
-            kvs.remove(i);
-            if kvs.is_empty() {
-                node.remove_slot(nib);
+            }
+            match bucket.len() {
+                1 => node.remove_slot(nib),
+                _ => *bucket = bucket.with(key, None),
             }
             Ok(true)
         }
@@ -382,32 +481,52 @@ fn node_delete(
             if !node_delete(child, store, hash, depth + 1, key)? {
                 return Ok(false);
             }
-            if let Some(kvs) = collapse_kvs(child) {
-                node.slots[idx] = Slot::Bucket(kvs);
+            if let Some(bucket) = collapse(child) {
+                node.slots[idx] = Slot::Bucket(bucket);
             }
             Ok(true)
         }
     }
 }
 
-fn flush_link(link: &mut Link, store: &dyn Blockstore) -> Result<Hash256, StoreError> {
-    match link {
-        Link::Stored(h) => Ok(*h),
-        Link::Clean(_, h) => Ok(*h),
-        Link::Dirty(arc) => {
-            let node = Arc::make_mut(arc);
-            for slot in &mut node.slots {
-                if let Slot::Child(child) = slot {
-                    flush_link(child, store)?;
-                }
-            }
-            let bytes = encode_node(node);
-            let hash = store.put(&bytes)?;
-            let resident = Arc::clone(arc);
-            *link = Link::Clean(resident, hash);
-            Ok(hash)
+/// The one commit walk, children before parents. Without a store it
+/// hashes every resident node under `node` that has no hash yet; with
+/// one it also puts every node the store has not received. Works through
+/// shared references — the cells it fills are the nodes' own — so nodes
+/// shared with a clone of the map are sealed in place, never copied.
+/// `buf` is the scratch buffer every node of the walk is encoded into.
+fn seal(
+    node: &Node,
+    store: Option<&dyn Blockstore>,
+    buf: &mut Vec<u8>,
+) -> Result<Hash256, StoreError> {
+    if let Some(&hash) = node.hash.get() {
+        if store.is_none() || node.stored.load(Ordering::Acquire) {
+            return Ok(hash);
         }
     }
+    for slot in &node.slots {
+        if let Slot::Child(Link::Resident(child)) = slot {
+            seal(child, store, buf)?;
+        }
+    }
+    encode_node(node, buf);
+    let hash = match store {
+        Some(store) => {
+            let hash = store.put(buf)?;
+            node.stored.store(true, Ordering::Release);
+            hash
+        }
+        None => block_hash(buf),
+    };
+    // A clone sharing this node may have sealed it first — with this hash.
+    let _ = node.hash.set(hash);
+    Ok(hash)
+}
+
+/// A scratch buffer that holds most nodes without growing.
+fn scratch() -> Vec<u8> {
+    Vec::with_capacity(4096)
 }
 
 fn walk_link(
@@ -422,11 +541,7 @@ fn walk_link(
     let node = link_node(link, store)?;
     for slot in &node.slots {
         match slot {
-            Slot::Bucket(kvs) => {
-                for (k, v) in kvs {
-                    f(k, v);
-                }
-            }
+            Slot::Bucket(bucket) => bucket.pairs().for_each(|(k, v)| f(k, v)),
             Slot::Child(child) => walk_link(child, store, depth + 1, f)?,
         }
     }
@@ -487,9 +602,10 @@ fn collect_new_nodes(
 /// as content-addressed trie nodes (see the [crate docs](crate)).
 ///
 /// Cloning is O(1) (shared [`Arc`] structure); the clones diverge
-/// copy-on-write. An unflushed map lives purely in memory; [`Hamt::flush`]
-/// persists it and returns the root hash that [`Hamt::load`] (or any of
-/// the root-addressed associated functions) can pick back up.
+/// copy-on-write. An unflushed map lives purely in memory;
+/// [`Hamt::commit`] names its root hash, [`Hamt::flush`] also persists it
+/// so that [`Hamt::load`] (or any of the root-addressed associated
+/// functions) can pick the root back up.
 #[derive(Debug, Clone)]
 pub struct Hamt {
     root: Link,
@@ -501,11 +617,24 @@ impl Default for Hamt {
     }
 }
 
+/// One dirty top-level subtree of a [`Hamt`], handed out by
+/// [`Hamt::dirty_subtrees`]: an independent unit of commit work that may
+/// run on any thread.
+#[derive(Debug)]
+pub struct DirtySubtree<'a>(&'a Node);
+
+impl DirtySubtree<'_> {
+    /// Hashes the subtree's dirty nodes. Touches no store.
+    pub fn commit(self) {
+        seal(self.0, None, &mut scratch()).expect("a hash-only walk cannot fail");
+    }
+}
+
 impl Hamt {
     /// An empty map (not yet flushed anywhere).
     pub fn new() -> Self {
         Hamt {
-            root: Link::Dirty(Arc::new(Node::default())),
+            root: Link::Resident(Arc::new(Node::default())),
         }
     }
 
@@ -518,12 +647,9 @@ impl Hamt {
         }
     }
 
-    /// The root hash, if the map is flushed (`None` while dirty).
+    /// The root hash, if the map is committed (`None` while dirty).
     pub fn root_hash(&self) -> Option<Hash256> {
-        match &self.root {
-            Link::Clean(_, h) | Link::Stored(h) => Some(*h),
-            Link::Dirty(_) => None,
-        }
+        self.root.hash()
     }
 
     /// The value stored under `key`, if any.
@@ -567,14 +693,54 @@ impl Hamt {
         Ok(removed)
     }
 
-    /// Writes every dirty node into `store` and returns the root hash —
-    /// the cryptographic commitment to the full map contents.
+    /// Hashes every dirty node and returns the root hash — the
+    /// cryptographic commitment to the full map contents. Touches no
+    /// store: the version becomes readable from one only when a later
+    /// [`Hamt::flush`] names it.
+    pub fn commit(&mut self) -> Hash256 {
+        self.seal(None).expect("a hash-only walk cannot fail")
+    }
+
+    /// [`Hamt::commit`], plus: puts every node of this version that
+    /// `store` has not received into it, so the returned root can be
+    /// loaded, proven and diffed from the store. Versions that were only
+    /// committed and since superseded are never written.
     ///
     /// # Errors
     ///
     /// Store failures ([`StoreError::Io`]).
     pub fn flush(&mut self, store: &dyn Blockstore) -> Result<Hash256, StoreError> {
-        flush_link(&mut self.root, store)
+        self.seal(Some(store))
+    }
+
+    fn seal(&self, store: Option<&dyn Blockstore>) -> Result<Hash256, StoreError> {
+        match &self.root {
+            Link::Stored(hash) => Ok(*hash),
+            Link::Resident(root) => seal(root, store, &mut scratch()),
+        }
+    }
+
+    /// The dirty subtrees directly under a dirty root, as independent
+    /// jobs: committing them — in any order, on any threads — leaves only
+    /// the root node for the [`Hamt::commit`] or [`Hamt::flush`] that
+    /// must follow. Empty when the map is committed or all its pairs sit
+    /// in the root's own buckets.
+    pub fn dirty_subtrees(&self) -> Vec<DirtySubtree<'_>> {
+        let Link::Resident(root) = &self.root else {
+            return Vec::new();
+        };
+        if root.hash.get().is_some() {
+            return Vec::new();
+        }
+        root.slots
+            .iter()
+            .filter_map(|slot| match slot {
+                Slot::Child(Link::Resident(child)) if child.hash.get().is_none() => {
+                    Some(DirtySubtree(child))
+                }
+                _ => None,
+            })
+            .collect()
     }
 
     /// Visits every key-value pair (in hash-path order, not key order).
@@ -634,11 +800,8 @@ impl Hamt {
             let nib = nibble(&hash, depth);
             match node.slot_index(nib).map(|i| &node.slots[i]) {
                 None => return Ok(None),
-                Some(Slot::Bucket(kvs)) => {
-                    if kvs.iter().any(|(k, _)| k.as_slice() == key) {
-                        return Ok(Some(nodes));
-                    }
-                    return Ok(None);
+                Some(Slot::Bucket(bucket)) => {
+                    return Ok(bucket.get(key).map(|_| nodes));
                 }
                 Some(Slot::Child(Link::Stored(h))) => current = *h,
                 Some(Slot::Child(_)) => unreachable!("decode_node yields Stored links"),
@@ -677,14 +840,13 @@ impl Hamt {
             let nib = nibble(&hash, depth);
             match node.slot_index(nib).map(|i| &node.slots[i]) {
                 None => return Err(StoreError::Proof("path reaches an empty slot")),
-                Some(Slot::Bucket(kvs)) => {
+                Some(Slot::Bucket(bucket)) => {
                     if depth + 1 != nodes.len() {
                         return Err(StoreError::Proof("extra nodes after the leaf"));
                     }
-                    return kvs
-                        .iter()
-                        .find(|(k, _)| k.as_slice() == key)
-                        .map(|(_, v)| v.clone())
+                    return bucket
+                        .get(key)
+                        .map(<[u8]>::to_vec)
                         .ok_or(StoreError::Proof("key absent from the leaf bucket"));
                 }
                 Some(Slot::Child(Link::Stored(h))) => want = *h,
@@ -743,14 +905,16 @@ mod tests {
             let (k, v) = kv(i);
             a.set(&store, &k, &v).unwrap();
         }
-        // Descending insertion with interleaved flushes (persisted and
-        // in-memory paths must agree).
+        // Descending insertion with interleaved commits and flushes
+        // (dirty, hashed and persisted paths must agree).
         let mut b = Hamt::new();
         for i in (0..n).rev() {
             let (k, v) = kv(i);
             b.set(&store, &k, &v).unwrap();
             if i % 37 == 0 {
                 b.flush(&store).unwrap();
+            } else if i % 5 == 0 {
+                b.commit();
             }
         }
         // Overshoot-and-delete: insert 2n, remove the top n, overwrite a
@@ -760,14 +924,19 @@ mod tests {
             let (k, v) = kv(i);
             c.set(&store, &k, &v).unwrap();
         }
+        c.commit();
         for i in n..2 * n {
             let (k, _) = kv(i);
             assert!(c.delete(&store, &k).unwrap());
+            if i % 13 == 0 {
+                c.commit();
+            }
         }
         for i in (0..n).step_by(7) {
             let (k, _) = kv(i);
             c.set(&store, &k, b"garbage").unwrap();
         }
+        c.flush(&store).unwrap();
         for i in (0..n).step_by(7) {
             let (k, v) = kv(i);
             c.set(&store, &k, &v).unwrap();
@@ -992,6 +1161,207 @@ mod tests {
             decode_node(&empty).unwrap_err(),
             StoreError::Corrupt("empty bucket slot")
         );
+    }
+
+    /// A memory store that counts `put` calls.
+    #[derive(Debug, Default)]
+    struct CountingStore {
+        inner: MemoryBlockstore,
+        puts: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CountingStore {
+        fn puts(&self) -> usize {
+            self.puts.load(Ordering::Relaxed)
+        }
+    }
+
+    impl Blockstore for CountingStore {
+        fn get(&self, hash: &Hash256) -> Result<Option<Arc<[u8]>>, StoreError> {
+            self.inner.get(hash)
+        }
+
+        fn put(&self, bytes: &[u8]) -> Result<Hash256, StoreError> {
+            self.puts.fetch_add(1, Ordering::Relaxed);
+            self.inner.put(bytes)
+        }
+    }
+
+    fn reachable(store: &dyn Blockstore, root: Hash256) -> HashSet<Hash256> {
+        let mut out = HashSet::new();
+        reachable_hashes(store, root, 0, &mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn commit_hashes_and_flush_persists_only_the_named_version() {
+        let store = CountingStore::default();
+        let mut map = Hamt::new();
+        for i in 0..2_000 {
+            let (k, v) = kv(i);
+            map.set(&store, &k, &v).unwrap();
+        }
+        assert_eq!(map.root_hash(), None, "dirty until committed");
+        let first = map.commit();
+        assert_eq!(map.root_hash(), Some(first));
+        assert_eq!(map.commit(), first, "nothing changed");
+
+        // Set, overwrite and delete after the hash: the touched paths go
+        // dirty again, the rest keeps its hashes.
+        map.set(&store, b"key-5", b"changed").unwrap();
+        map.set(&store, b"key-5000", b"new").unwrap();
+        assert!(map.delete(&store, b"key-6").unwrap());
+        assert_eq!(map.root_hash(), None);
+        let second = map.commit();
+        assert_ne!(first, second);
+        assert_eq!(store.puts(), 0, "committing never touches the store");
+
+        // Flushing writes every node of the version it names and no node
+        // of the version that was only committed.
+        assert_eq!(map.flush(&store).unwrap(), second);
+        assert_eq!(store.inner.len(), reachable(&store, second).len());
+        assert_eq!(store.puts(), store.inner.len());
+        assert!(!store.has(&first).unwrap(), "superseded root never written");
+        assert_eq!(map.flush(&store).unwrap(), second);
+        assert_eq!(store.puts(), store.inner.len(), "a clean map puts nothing");
+
+        // The next flush writes the changed path only.
+        map.set(&store, b"key-7", b"changed too").unwrap();
+        let third = map.flush(&store).unwrap();
+        let new_nodes = store.puts() - reachable(&store, second).len();
+        assert!((1..=MAX_DEPTH).contains(&new_nodes));
+        assert_eq!(
+            store.inner.len(),
+            reachable(&store, second)
+                .union(&reachable(&store, third))
+                .count()
+        );
+
+        // And the hashes are those of a map built in one go.
+        let mut direct = Hamt::new();
+        for i in (0..2_000).filter(|&i| i != 6) {
+            let (k, v) = kv(i);
+            direct.set(&store, &k, &v).unwrap();
+        }
+        direct.set(&store, b"key-5", b"changed").unwrap();
+        direct.set(&store, b"key-5000", b"new").unwrap();
+        assert_eq!(direct.commit(), second);
+        direct.set(&store, b"key-7", b"changed too").unwrap();
+        assert_eq!(direct.commit(), third);
+    }
+
+    #[test]
+    fn deletes_collapse_hashed_and_flushed_subtrees() {
+        let store = MemoryBlockstore::new();
+        let mut grown = Hamt::new();
+        for i in 0..3_000 {
+            let (k, v) = kv(i);
+            grown.set(&store, &k, &v).unwrap();
+        }
+        grown.commit();
+        for i in 50..3_000 {
+            let (k, _) = kv(i);
+            assert!(grown.delete(&store, &k).unwrap());
+            // Collapse subtrees in every state: dirty, hashed, flushed.
+            match i % 400 {
+                0 => drop(grown.flush(&store).unwrap()),
+                200 => drop(grown.commit()),
+                _ => {}
+            }
+        }
+        let mut direct = Hamt::new();
+        for i in 0..50 {
+            let (k, v) = kv(i);
+            direct.set(&store, &k, &v).unwrap();
+        }
+        assert_eq!(grown.commit(), direct.commit());
+        // A flushed version read back from the store alone agrees.
+        let root = grown.flush(&store).unwrap();
+        let mut count = 0;
+        Hamt::load(root)
+            .walk(&store, &mut |_, _| count += 1)
+            .unwrap();
+        assert_eq!(count, 50);
+    }
+
+    fn root_node(map: &Hamt) -> &Arc<Node> {
+        match &map.root {
+            Link::Resident(node) => node,
+            Link::Stored(_) => panic!("map built in memory"),
+        }
+    }
+
+    #[test]
+    fn sealing_a_clone_seals_shared_nodes_in_place() {
+        let store = CountingStore::default();
+        let mut map = Hamt::new();
+        for i in 0..3_000 {
+            let (k, v) = kv(i);
+            map.set(&store, &k, &v).unwrap();
+        }
+
+        // Committing a clone of a dirty map hashes the nodes both share.
+        let mut clone = map.clone();
+        let root = clone.commit();
+        assert!(
+            Arc::ptr_eq(root_node(&map), root_node(&clone)),
+            "not copied"
+        );
+        assert_eq!(map.root_hash(), Some(root));
+
+        // Flushing a clone of a hashed map persists them for both.
+        let mut clone = map.clone();
+        assert_eq!(clone.flush(&store).unwrap(), root);
+        assert!(
+            Arc::ptr_eq(root_node(&map), root_node(&clone)),
+            "not copied"
+        );
+        let puts = store.puts();
+        assert_eq!(puts, reachable(&store, root).len());
+        assert_eq!(map.flush(&store).unwrap(), root);
+        assert_eq!(store.puts(), puts, "the original finds its nodes stored");
+
+        // Diverging afterwards copies only the written path.
+        clone.set(&store, b"key-1", b"clone only").unwrap();
+        assert_eq!(map.root_hash(), Some(root));
+        assert_eq!(map.get(&store, b"key-1").unwrap(), Some(kv(1).1));
+        assert_ne!(clone.commit(), root);
+    }
+
+    #[test]
+    fn dirty_subtrees_commit_on_any_thread() {
+        let store = MemoryBlockstore::new();
+        let build = |extra: bool| {
+            let mut map = Hamt::new();
+            for i in 0..4_000 {
+                let (k, v) = kv(i);
+                map.set(&store, &k, &v).unwrap();
+            }
+            if extra {
+                map.commit();
+                assert!(map.dirty_subtrees().is_empty(), "committed map");
+            }
+            for i in (0..4_000).step_by(13) {
+                let (k, _) = kv(i);
+                map.set(&store, &k, b"rewritten").unwrap();
+            }
+            map
+        };
+        let mut map = build(true);
+        let subtrees = map.dirty_subtrees();
+        assert!(subtrees.len() >= 2, "300 keys dirty many of 32 subtrees");
+        std::thread::scope(|scope| {
+            for subtree in subtrees {
+                scope.spawn(move || subtree.commit());
+            }
+        });
+        assert!(map.dirty_subtrees().is_empty(), "only the root is left");
+        assert_eq!(map.root_hash(), None);
+        assert_eq!(map.commit(), build(false).commit());
+        // A map small enough to live in its root's buckets has none.
+        let mut tiny = Hamt::new();
+        tiny.set(&store, b"k", b"v").unwrap();
+        assert!(tiny.dirty_subtrees().is_empty());
     }
 
     /// A malicious store that returns attacker-chosen bytes for any hash —

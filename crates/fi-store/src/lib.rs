@@ -14,6 +14,9 @@
 //!   key-value pairs have bit-identical roots no matter the insert/delete
 //!   order that produced them — which is what lets engines with different
 //!   shard counts, ingest widths and store backends agree on one root.
+//!   Naming a root ([`Hamt::commit`]) only hashes; [`Hamt::flush`] also
+//!   writes the named version's nodes, so a store holds exactly the
+//!   versions somebody asked to read.
 //!
 //! Because blocks are keyed by their own hash, structural sharing is free:
 //! a map mutation re-writes only the path from the changed leaf to the
@@ -50,4 +53,4 @@ mod blockstore;
 mod hamt;
 
 pub use blockstore::{block_hash, Blockstore, DiskBlockstore, MemoryBlockstore, StoreError};
-pub use hamt::Hamt;
+pub use hamt::{DirtySubtree, Hamt};
