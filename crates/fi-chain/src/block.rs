@@ -12,8 +12,11 @@
 //! 3. a per-height **beacon value** feeding protocol randomness, and
 //! 4. a **state commitment** chaining block to block.
 
+use std::sync::Arc;
+
 use fi_crypto::{keyed_hash, Hash256, RandomBeacon};
 
+use crate::log::SharedLog;
 use crate::tasks::Time;
 
 /// An event recorded in a block. The payload is a human-readable tag plus
@@ -68,6 +71,12 @@ pub struct Block {
 /// The chain: produces blocks at a fixed cadence, exposes the beacon and
 /// the event sink for the current (open) block.
 ///
+/// Sealed blocks are immutable, so the chain keeps them in a
+/// [`SharedLog`] of `Arc<Block>`: cloning a chain (every engine clone
+/// does) shares its whole history by pointer — the cost of a clone does
+/// not depend on the height — and sealing on one clone never touches
+/// another's blocks.
+///
 /// # Example
 ///
 /// ```
@@ -90,7 +99,7 @@ pub struct BlockChain {
     open_events: Vec<ChainEvent>,
     /// `(op digest, receipt digest)` pairs applied since the last seal.
     open_ops: Vec<(Hash256, Hash256)>,
-    blocks: Vec<Block>,
+    blocks: SharedLog<Arc<Block>>,
     /// Parent hash of `blocks[0]` — [`Hash256::ZERO`] for a chain built
     /// from genesis; the restored head for a chain rebuilt from a snapshot
     /// (whose `blocks` then only holds post-restore seals).
@@ -126,7 +135,7 @@ impl BlockChain {
             head_hash: genesis_hash,
             open_events: Vec::new(),
             open_ops: Vec::new(),
-            blocks: vec![genesis],
+            blocks: std::iter::once(Arc::new(genesis)).collect(),
             history_base_hash: Hash256::ZERO,
         }
     }
@@ -168,7 +177,7 @@ impl BlockChain {
             head_hash,
             open_events,
             open_ops,
-            blocks: Vec::new(),
+            blocks: SharedLog::new(),
             history_base_hash: head_hash,
         }
     }
@@ -226,8 +235,9 @@ impl BlockChain {
         &self.open_ops
     }
 
-    /// All sealed blocks, genesis first.
-    pub fn blocks(&self) -> &[Block] {
+    /// All sealed blocks, genesis first — shared with every clone of this
+    /// chain, never copied.
+    pub fn blocks(&self) -> &SharedLog<Arc<Block>> {
         &self.blocks
     }
 
@@ -290,7 +300,7 @@ impl BlockChain {
                     state_root.as_ref(),
                 ],
             );
-            self.blocks.push(Block {
+            self.blocks.push(Arc::new(Block {
                 height: self.height,
                 timestamp: self.now,
                 parent: self.head_hash,
@@ -299,7 +309,7 @@ impl BlockChain {
                 events,
                 op_digests: ops.into_iter().map(|(op, _)| op).collect(),
                 receipt_root,
-            });
+            }));
             self.head_hash = block_hash;
             sealed.push(self.height);
         }
@@ -419,7 +429,9 @@ mod tests {
         chain.advance_time(30, Hash256::ZERO);
         assert!(chain.verify_chain());
         // Rewriting history breaks the hash links.
-        chain.blocks[1].parent = fi_crypto::sha256(b"forged parent");
+        let mut forged: Vec<Block> = chain.blocks.iter().map(|b| (**b).clone()).collect();
+        forged[1].parent = fi_crypto::sha256(b"forged parent");
+        chain.blocks = forged.into_iter().map(Arc::new).collect();
         assert!(!chain.verify_chain());
     }
 

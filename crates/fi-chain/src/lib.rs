@@ -15,7 +15,9 @@
 //! * [`tasks`] — the pending list (`time → [task]`, Fig. 1) executed
 //!   automatically when block time reaches each entry;
 //! * [`block`] — block production: height, timestamp, event log, state
-//!   commitment, and a per-height random beacon.
+//!   commitment, and a per-height random beacon;
+//! * [`log`] — the persistent append-only log immutable history (sealed
+//!   blocks, applied-op records) is kept in, so clones share it.
 //!
 //! The chain is single-producer and deterministic: every honest replica of
 //! the simulation derives identical state. That is precisely the abstraction
@@ -38,9 +40,11 @@
 pub mod account;
 pub mod block;
 pub mod gas;
+pub mod log;
 pub mod tasks;
 
 pub use account::{AccountId, Ledger, LedgerError, TokenAmount};
 pub use block::{Block, BlockChain, ChainEvent};
 pub use gas::{GasError, GasMeter, GasSchedule, Op};
+pub use log::SharedLog;
 pub use tasks::{PendingList, Scheduler, SchedulerKind, TaskWheel};

@@ -717,9 +717,13 @@ impl Engine {
     /// pool run — fee/validation/erasure-geometry work overlaps the shard
     /// workers, and only the sampler/rng draws remain for the serialized
     /// barrier commit. Returns one prestage slot per barrier op.
+    ///
+    /// `digests`, when given, holds `ops`' canonical digests; otherwise
+    /// each worker hashes its own share.
     pub(super) fn stage_segment(
         &self,
         ops: &[Op],
+        digests: Option<&[Hash256]>,
         upcoming_barriers: &[Op],
     ) -> (Vec<StagedOp>, Vec<Option<FileAddPrestage>>) {
         let shard_count = self.shards.shards.len();
@@ -770,12 +774,17 @@ impl Engine {
                         staged.push((i, receipt_digest, effects));
                     }
                 }
-                // The canonical op digests for this worker's ops in
-                // one multi-lane sweep — each worker batches its own
-                // share, so the hashing is both parallel across
+                // The canonical op digests for this worker's ops: the
+                // caller's, or one multi-lane sweep — each worker batches
+                // its own share, so the hashing is both parallel across
                 // workers and SIMD-wide within one.
-                let op_refs: Vec<&Op> = staged.iter().map(|&(i, ..)| &ops[i]).collect();
-                let op_digests = Op::digest_many(&op_refs);
+                let op_digests = match digests {
+                    Some(known) => staged.iter().map(|&(i, ..)| known[i]).collect(),
+                    None => {
+                        let op_refs: Vec<&Op> = staged.iter().map(|&(i, ..)| &ops[i]).collect();
+                        Op::digest_many(&op_refs)
+                    }
+                };
                 *slot = staged
                     .into_iter()
                     .zip(op_digests)

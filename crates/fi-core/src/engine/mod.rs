@@ -72,6 +72,7 @@ use std::time::Instant;
 use fi_chain::account::{AccountId, Ledger, TokenAmount};
 use fi_chain::block::{BlockChain, ChainEvent};
 use fi_chain::gas::{GasSchedule, Op as GasOp};
+use fi_chain::log::SharedLog;
 use fi_chain::tasks::Time;
 use fi_crypto::{DetRng, Hash256};
 use fi_store::{Blockstore, DiskBlockstore, Hamt, MemoryBlockstore};
@@ -323,6 +324,19 @@ pub struct PhaseTimes {
 
 /// The FileInsurer consensus engine.
 ///
+/// # Cloning
+///
+/// `Engine::clone` copies **live state** — the ledger, the tracked maps,
+/// the sampler, the task wheels — and *shares* everything immutable: the
+/// sealed blocks and the op log live in [`SharedLog`]s (a clone copies a
+/// pointer and an open tail of fewer than 64 items), the blockstore, the
+/// committed HAMT nodes and the worker pool sit behind `Arc`. A clone
+/// therefore costs the same at height 20 000 as at height 1, and a
+/// verifier can afford one per block. The one thing that still grows
+/// with use is the [`StateView::events`] buffer: a long-lived holder
+/// drains it with [`Engine::take_events`] (a node's chain tracker does,
+/// after every block).
+///
 /// # Example
 ///
 /// ```
@@ -394,7 +408,9 @@ pub struct Engine {
     /// state root: asserting root equality across shard counts and
     /// ingest paths pins the parallel verification results bit-for-bit.
     audit_root: Hash256,
-    op_log: Vec<OpRecord>,
+    /// Applied-op records since the last checkpoint: immutable history in
+    /// a [`SharedLog`], shared (not copied) by every clone.
+    op_log: SharedLog<OpRecord>,
     last_checkpoint: Option<Checkpoint>,
     /// Lazily spawned persistent worker pool backing every parallel phase
     /// (ingest staging, audit verify fan-out, audit write-batch flushes).
@@ -479,7 +495,7 @@ impl Engine {
             ops_applied: 0,
             task_seq: 0,
             audit_root: Hash256::ZERO,
-            op_log: Vec::new(),
+            op_log: SharedLog::new(),
             last_checkpoint: None,
             pool: PoolHandle::new(),
             phase: PhaseTimes::default(),
@@ -515,6 +531,20 @@ impl Engine {
     pub fn apply(&mut self, op: Op) -> Result<Receipt, EngineError> {
         let op_digest = op.digest();
         self.apply_prehashed(op, op_digest, None)
+    }
+
+    /// [`Engine::apply`] for a caller that already holds the op's
+    /// canonical digest — a node hashes every op of a block it is handed
+    /// to identify the block, and must not pay for that hash again on each
+    /// replay. `digest` MUST be `op.digest()` (checked in debug builds),
+    /// or the block commitment diverges from every other replica's.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::apply`].
+    pub fn apply_digested(&mut self, op: Op, digest: Hash256) -> Result<Receipt, EngineError> {
+        debug_assert_eq!(digest, op.digest(), "digest of another op");
+        self.apply_prehashed(op, digest, None)
     }
 
     /// [`Engine::apply`] with the op's canonical digest precomputed.
@@ -637,15 +667,50 @@ impl Engine {
     /// receipts, same block hashes, same op log (see DESIGN.md §10 and the
     /// randomized equivalence tests in `tests/batch_ingest.rs`).
     pub fn apply_batch(&mut self, ops: Vec<Op>) -> Vec<Result<Receipt, EngineError>> {
-        // Pre-stage the barrier ops' canonical digests in one multi-lane
-        // sweep; the segments' op digests are batched inside the staging
-        // workers, and the barriers' `File_Add` prestages ride along in the
-        // same pool runs. Consumed in submission order below.
-        let barriers: Vec<&Op> = ops
-            .iter()
-            .filter(|op| shard_local_file(op).is_none())
-            .collect();
-        let mut barrier_digests = Op::digest_many(&barriers).into_iter();
+        self.apply_batch_with(ops, None)
+    }
+
+    /// [`Engine::apply_batch`] for a caller that already holds every op's
+    /// canonical digest (`digests[i]` MUST be `ops[i].digest()`, checked in
+    /// debug builds) — the batch form of [`Engine::apply_digested`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `digests.len() != ops.len()`.
+    pub fn apply_batch_digested(
+        &mut self,
+        ops: Vec<Op>,
+        digests: &[Hash256],
+    ) -> Vec<Result<Receipt, EngineError>> {
+        assert_eq!(digests.len(), ops.len(), "one digest per op");
+        debug_assert!(
+            ops.iter().zip(digests).all(|(op, d)| op.digest() == *d),
+            "digest of another op"
+        );
+        self.apply_batch_with(ops, Some(digests))
+    }
+
+    fn apply_batch_with(
+        &mut self,
+        ops: Vec<Op>,
+        digests: Option<&[Hash256]>,
+    ) -> Vec<Result<Receipt, EngineError>> {
+        // Without caller-supplied digests, pre-stage the barrier ops'
+        // canonical digests in one multi-lane sweep; the segments' op
+        // digests are batched inside the staging workers, and the barriers'
+        // `File_Add` prestages ride along in the same pool runs. Consumed
+        // in submission order below.
+        let mut barrier_digests = match digests {
+            Some(_) => Vec::new(),
+            None => {
+                let barriers: Vec<&Op> = ops
+                    .iter()
+                    .filter(|op| shard_local_file(op).is_none())
+                    .collect();
+                Op::digest_many(&barriers)
+            }
+        }
+        .into_iter();
         let mut results = Vec::with_capacity(ops.len());
         let mut i = 0;
         while i < ops.len() {
@@ -665,13 +730,17 @@ impl Engine {
             // `File_Add` pure halves, concurrently with the shard workers.
             let mut prestages = self.commit_segment(
                 &ops[seg_start..seg_end],
+                digests.map(|d| &d[seg_start..seg_end]),
                 &ops[bar_start..bar_end],
                 &mut results,
             );
             for (k, op) in ops[bar_start..bar_end].iter().enumerate() {
-                let digest = barrier_digests
-                    .next()
-                    .expect("one pre-staged digest per barrier op");
+                let digest = match digests {
+                    Some(d) => d[bar_start + k],
+                    None => barrier_digests
+                        .next()
+                        .expect("one pre-staged digest per barrier op"),
+                };
                 let pre = prestages.get_mut(k).and_then(Option::take);
                 results.push(self.apply_prehashed(op.clone(), digest, pre));
             }
@@ -690,9 +759,13 @@ impl Engine {
     /// concurrently with the shard workers), one slot per barrier op;
     /// empty when the segment committed sequentially — the dispatcher then
     /// computes each prestage inline through the same pure function.
+    ///
+    /// `digests`, when given, holds the segment ops' canonical digests
+    /// (nothing is hashed again); otherwise they are computed here.
     fn commit_segment(
         &mut self,
         segment: &[Op],
+        digests: Option<&[Hash256]>,
         upcoming_barriers: &[Op],
         results: &mut Vec<Result<Receipt, EngineError>>,
     ) -> Vec<Option<FileAddPrestage>> {
@@ -703,13 +776,16 @@ impl Engine {
             || self.params.ingest_threads <= 1
             || self.shards.shards.len() <= 1
         {
-            for op in segment {
-                results.push(self.apply(op.clone()));
+            for (i, op) in segment.iter().enumerate() {
+                results.push(match digests {
+                    Some(d) => self.apply_prehashed(op.clone(), d[i], None),
+                    None => self.apply(op.clone()),
+                });
             }
             return Vec::new();
         }
         let stage_start = Instant::now();
-        let (staged, prestages) = self.stage_segment(segment, upcoming_barriers);
+        let (staged, prestages) = self.stage_segment(segment, digests, upcoming_barriers);
         self.phase.stage_s += stage_start.elapsed().as_secs_f64();
         self.stats_global.batches_staged_parallel += 1;
 
@@ -738,7 +814,7 @@ impl Engine {
                 // on this shard) is stale. Fall back to sequential apply.
                 dirty[shard_idx] = true;
                 fell_back = true;
-                results.push(self.apply(op.clone()));
+                results.push(self.apply_prehashed(op.clone(), staged_op.op_digest, None));
             }
         }
         if fell_back {
@@ -748,8 +824,9 @@ impl Engine {
         prestages
     }
 
-    /// The op log: every applied op in order, successes and failures alike.
-    pub fn op_log(&self) -> &[OpRecord] {
+    /// The op log: every applied op in order, successes and failures
+    /// alike. A [`SharedLog`]: clones of this engine share it by pointer.
+    pub fn op_log(&self) -> &SharedLog<OpRecord> {
         &self.op_log
     }
 
@@ -764,7 +841,10 @@ impl Engine {
     /// failures are *expected* to recur (failed ops are logged too); in
     /// debug builds a divergence between logged and replayed outcomes
     /// panics.
-    pub fn replay(params: ProtocolParams, log: &[OpRecord]) -> Result<Engine, ParamError> {
+    pub fn replay<'a>(
+        params: ProtocolParams,
+        log: impl IntoIterator<Item = &'a OpRecord>,
+    ) -> Result<Engine, ParamError> {
         let mut engine = Engine::new(params)?;
         engine.replay_records(log);
         Ok(engine)
@@ -816,10 +896,10 @@ impl Engine {
     ///
     /// [`EngineError::InvalidState`] when `base` does not match the
     /// checkpoint (wrong state root, height, or op count).
-    pub fn replay_from(
+    pub fn replay_from<'a>(
         base: &Engine,
         checkpoint: &Checkpoint,
-        log: &[OpRecord],
+        log: impl IntoIterator<Item = &'a OpRecord>,
     ) -> Result<Engine, EngineError> {
         if base.state_root() != checkpoint.state_root
             || base.chain.height() != checkpoint.height
@@ -838,7 +918,7 @@ impl Engine {
         Ok(engine)
     }
 
-    fn replay_records(&mut self, log: &[OpRecord]) {
+    fn replay_records<'a>(&mut self, log: impl IntoIterator<Item = &'a OpRecord>) {
         for record in log {
             let outcome = self.apply(record.op.clone());
             debug_assert_eq!(

@@ -1109,7 +1109,7 @@ impl Engine {
             ops_applied,
             task_seq,
             audit_root,
-            op_log: Vec::new(),
+            op_log: Default::default(),
             last_checkpoint,
             pool: super::pool::PoolHandle::new(),
             phase: super::PhaseTimes::default(),
@@ -1352,7 +1352,7 @@ impl Engine {
             ops_applied: counters.ops_applied,
             task_seq: counters.task_seq,
             audit_root: counters.audit_root,
-            op_log: Vec::new(),
+            op_log: Default::default(),
             last_checkpoint,
             pool: super::pool::PoolHandle::new(),
             phase: super::PhaseTimes::default(),

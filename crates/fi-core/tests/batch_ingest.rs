@@ -324,11 +324,38 @@ fn barriers_preserve_submission_order_in_the_op_log() {
     engine.apply_batch(ops);
     let log = engine.op_log();
     assert_eq!(log.len(), before + n, "every batch op logged");
-    for pair in log.windows(2) {
+    for pair in log.to_vec().windows(2) {
         assert_eq!(pair[1].seq, pair[0].seq + 1, "seq gap in op log");
     }
     // Replay the whole log: the batch path commits replay-compatible records.
     let replayed = Engine::replay(engine.params().clone(), engine.op_log()).expect("valid params");
     assert_eq!(replayed.state_root(), engine.state_root());
     assert_eq!(replayed.chain().head_hash(), engine.chain().head_hash());
+}
+
+/// A caller that already holds the ops' digests (a node hashed them to
+/// identify the block) commits the identical batch without hashing again —
+/// through the staged parallel path, the small-segment path and op by op.
+#[test]
+fn caller_supplied_digests_commit_the_same_batch() {
+    for (shards, threads) in [(1, 1), (8, 4)] {
+        let base = engine_with_files(params(shards, threads), 80);
+        let ops = build_batch(&base, 5);
+        let digests: Vec<_> = ops.iter().map(Op::digest).collect();
+
+        let mut hashed = base.clone();
+        let expect = hashed.apply_batch(ops.clone());
+        let mut batch = base.clone();
+        assert_eq!(batch.apply_batch_digested(ops.clone(), &digests), expect);
+        let mut one_by_one = base.clone();
+        let results: Vec<_> = ops
+            .iter()
+            .zip(&digests)
+            .map(|(op, digest)| one_by_one.apply_digested(op.clone(), *digest))
+            .collect();
+        assert_eq!(results, expect);
+        let what = format!("{shards}x{threads}");
+        assert_bit_identical(&batch, &hashed, &what);
+        assert_bit_identical(&one_by_one, &hashed, &what);
+    }
 }

@@ -160,6 +160,8 @@ pub struct MempoolStats {
 #[derive(Debug, Clone)]
 struct QueuedTx {
     tx: Tx,
+    /// `tx.op.digest()`, computed once at admission.
+    digest: Hash256,
     arrival: u64,
     gas_bound: u64,
     cost: TokenAmount,
@@ -403,6 +405,7 @@ impl Mempool {
             nonce,
             QueuedTx {
                 tx,
+                digest,
                 arrival: self.arrivals,
                 gas_bound: bound,
                 cost,
@@ -464,7 +467,7 @@ impl Mempool {
             queue.normalize(); // step over nonces burned by rejections
             queue.pending_cost = queue.pending_cost.saturating_sub(head.cost);
             gas_used += head.gas_bound;
-            self.queued_digests.remove(&head.tx.op.digest());
+            self.queued_digests.remove(&head.digest);
             self.len -= 1;
             self.stats.selected += 1;
             picked.push(head.tx);
@@ -484,8 +487,15 @@ impl Mempool {
         self.accounts.values().map(|q| q.tombstones.len()).sum()
     }
 
-    /// Follows the chain: call with every adopted block's ops and height
-    /// (own proposals *and* blocks adopted from other proposers).
+    /// Digests of the queued transactions' ops, in no particular order.
+    pub fn queued_digests(&self) -> impl Iterator<Item = &Hash256> {
+        self.queued_digests.keys()
+    }
+
+    /// Follows the chain: call with the op digests and height of every
+    /// adopted block (own proposals *and* blocks adopted from other
+    /// proposers). It takes digests, not ops: the node's tracker computed
+    /// them when it hashed the block, and nothing here needs more.
     ///
     /// Transactions whose op a committed block already carries are dropped
     /// from the pool and their nonces folded into the frontier — without
@@ -494,10 +504,10 @@ impl Mempool {
     /// stalled on items older than
     /// [`ProtocolParams::tombstone_retention_blocks`] step over the aged
     /// gap (see `evict_expired`), which is what bounds the tombstone set.
-    pub fn observe_committed(&mut self, ops: &[Op], height: u64) {
+    pub fn observe_committed(&mut self, digests: &[Hash256], height: u64) {
         self.height = self.height.max(height);
-        for op in ops {
-            let Some((from, nonce)) = self.queued_digests.remove(&op.digest()) else {
+        for digest in digests {
+            let Some((from, nonce)) = self.queued_digests.remove(digest) else {
                 continue;
             };
             let queue = self.accounts.get_mut(&from).expect("indexed account");
@@ -992,7 +1002,7 @@ mod tests {
         pool.admit(tx1, &ledger).unwrap();
         // Another proposer's block carries tx0's op: the pool drops it and
         // advances the frontier so nonce 1 is immediately selectable.
-        pool.observe_committed(std::slice::from_ref(&tx0.op), 1);
+        pool.observe_committed(&[tx0.op.digest()], 1);
         assert_eq!(pool.len(), 1);
         assert_eq!(pool.stats().observed_committed, 1);
         assert_eq!(pool.height(), 1);

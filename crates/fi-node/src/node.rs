@@ -42,7 +42,7 @@ use fi_crypto::Hash256;
 use fi_net::sim::SimTime;
 use fi_net::world::{Ctx, NodeIdx, Process, Retransmitter, RetryEvent};
 
-use crate::chain::{ChainTracker, InsertOutcome, ReplayMode, SealedBlock};
+use crate::chain::{ChainTracker, InsertOutcome, ReplayMode, SealedBlock, TrackerWork};
 use crate::mempool::{Mempool, Tx};
 use crate::schedule::ProposerSchedule;
 
@@ -231,6 +231,9 @@ pub struct ValidatorReport {
     /// `(height, hash)` of every block on the final adopted chain above
     /// the node's anchor, oldest first — the canonical spine
     /// [`fi_sim::robustness::heights_to_reconvergence`] measures against.
+    /// Kept current on every head change by truncating at the fork point
+    /// and appending the adopted blocks; it is also the chain the node's
+    /// mempool has been reconciled with.
     pub final_chain: Vec<(u64, Hash256)>,
     /// Final engine state root.
     pub final_state_root: Option<Hash256>,
@@ -253,10 +256,17 @@ pub struct ValidatorReport {
     /// Execution-strategy counter.
     pub audit_commit_batches: u64,
     /// Full op log of the head engine (only when
-    /// [`ConsensusConfig::record_op_log`]).
+    /// [`ConsensusConfig::record_op_log`]) — like `final_chain`, moved by
+    /// truncate-at-fork + append on every head change.
     pub final_op_log: Vec<OpRecord>,
     /// The node's mempool counters (updated on every head change).
     pub final_mempool: Option<crate::mempool::MempoolStats>,
+    /// What the node's chain tracker has done so far, as counts
+    /// ([`ChainTracker::work`]).
+    pub work: TrackerWork,
+    /// Protocol events buffered on the head engine. Zero: the tracker
+    /// drains them after every block it applies.
+    pub engine_events_held: u64,
 }
 
 /// The unified node process. See the module docs.
@@ -272,9 +282,10 @@ pub struct Validator {
     broadcast: Vec<NodeIdx>,
     /// Peers the periodic status exchange rotates over.
     sync_targets: Vec<NodeIdx>,
-    /// Consensus-side op injections: `(slot, op)` — included by whichever
-    /// node leads the first slot `>= slot` (deduped through the chain).
-    injections: Vec<(u64, Op)>,
+    /// Consensus-side op injections: `(slot, op, op digest)` — included by
+    /// whichever node leads the first slot `>= slot` (deduped through the
+    /// chain by digest).
+    injections: Vec<(u64, Op, Hash256)>,
     retx: Retransmitter<NodeMsg>,
     next_key: u64,
     proposed_slots: HashSet<u64>,
@@ -293,9 +304,6 @@ pub struct Validator {
     sync_armed: bool,
     /// Last head recorded in the report (dedup for the adoption log).
     last_head: Option<Hash256>,
-    /// Height through which the mempool has observed committed ops.
-    observed_height: u64,
-    seen_reorgs: u64,
     start: Option<NodeStart>,
     report: Rc<RefCell<ValidatorReport>>,
 }
@@ -342,7 +350,13 @@ impl Validator {
             mempool,
             broadcast,
             sync_targets,
-            injections,
+            injections: injections
+                .into_iter()
+                .map(|(slot, op)| {
+                    let digest = op.digest();
+                    (slot, op, digest)
+                })
+                .collect(),
             retx: Retransmitter::new(retry, 24, RETX_TAG_BASE),
             next_key: 1,
             proposed_slots: HashSet::new(),
@@ -354,8 +368,6 @@ impl Validator {
             cold_joiner,
             sync_armed: false,
             last_head: None,
-            observed_height: 0,
-            seen_reorgs: 0,
             start: Some(start),
             report,
         }
@@ -401,8 +413,8 @@ impl Validator {
         // Due consensus-side injections, deduped through the adopted
         // chain (a rotating peer may have injected them already).
         let mut injected = 0;
-        for (due_slot, op) in &self.injections {
-            if *due_slot <= slot && !tracker.op_committed(&op.digest()) {
+        for (due_slot, op, digest) in &self.injections {
+            if *due_slot <= slot && !tracker.op_committed(digest) {
                 ops.push(op.clone());
                 injected += 1;
             }
@@ -436,7 +448,10 @@ impl Validator {
 
     /// Reconciles the mempool and the report after fork-choice possibly
     /// moved the head. Idempotent: does nothing when the head is
-    /// unchanged since the last call.
+    /// unchanged since the last call. Everything here is a delta from the
+    /// fork point — `report.final_chain` is the chain last reconciled
+    /// with, so the blocks to observe are the ones above the prefix it
+    /// shares with the tracker's best chain.
     fn after_head_change(&mut self, ctx: &mut Ctx<'_, NodeMsg>) {
         let Some(tracker) = self.tracker.as_ref() else {
             return;
@@ -444,23 +459,65 @@ impl Validator {
         if self.last_head == Some(tracker.head()) {
             return;
         }
-        // Feed every newly-adopted block to the mempool; after a reorg,
-        // re-walk the whole branch (observe_committed is idempotent).
-        let from = if tracker.reorgs() != self.seen_reorgs {
-            self.seen_reorgs = tracker.reorgs();
-            0
-        } else {
-            self.observed_height.min(tracker.head_height())
-        };
-        let adopted = tracker.blocks_above(from, usize::MAX);
-        if let Some(mempool) = self.mempool.as_mut() {
-            for block in &adopted {
-                mempool.observe_committed(&block.ops, block.height);
-            }
-        }
-        self.observed_height = tracker.head_height();
         self.last_head = Some(tracker.head());
         let mut report = self.report.borrow_mut();
+        let chain = tracker.best_chain();
+        let anchor_height = tracker.head_height() - chain.len() as u64;
+        let mut kept = report.final_chain.len().min(chain.len());
+        while kept > 0 && report.final_chain[kept - 1].1 != chain[kept - 1] {
+            kept -= 1;
+        }
+        let digests_at = |i: usize| tracker.op_digests(&chain[i]).expect("best-chain block");
+        if let Some(mempool) = self.mempool.as_mut() {
+            if kept < report.final_chain.len() {
+                // A reorg also drops every queued tx whose op a block of
+                // the *kept* prefix commits (a recurring proof re-admitted
+                // after its earlier copy committed) — what re-observing
+                // the whole branch used to do. Those blocks are found
+                // through the tracker's committed-op index instead of by
+                // walking the chain; re-observing any other kept block
+                // would change nothing.
+                let fork_height = anchor_height + kept as u64;
+                let mut stale: Vec<u64> = mempool
+                    .queued_digests()
+                    .filter_map(|digest| tracker.committed_height(digest))
+                    .filter(|&height| height <= fork_height)
+                    .collect();
+                stale.sort_unstable();
+                stale.dedup();
+                for height in stale {
+                    let at = (height - anchor_height - 1) as usize;
+                    mempool.observe_committed(digests_at(at), height);
+                }
+            }
+            for i in kept..chain.len() {
+                mempool.observe_committed(digests_at(i), anchor_height + 1 + i as u64);
+            }
+        }
+        report.final_chain.truncate(kept);
+        report
+            .final_chain
+            .extend((anchor_height + 1 + kept as u64..).zip(chain[kept..].iter().copied()));
+        if self.cfg.record_op_log {
+            // Every op of an adopted block is one record at the end of the
+            // head engine's log; the records below the fork are already in
+            // the report. When they are not (a checkpoint, or a restart
+            // from an engine with another log base, moved the log's
+            // start), copy the log whole.
+            let log = tracker.engine().op_log();
+            let adopted: usize = (kept..chain.len()).map(|i| digests_at(i).len()).sum();
+            match log.len().checked_sub(adopted) {
+                Some(shared)
+                    if report.final_op_log.len() >= shared
+                        && (shared == 0 || report.final_op_log[0].seq == log[0].seq) =>
+                {
+                    report.final_op_log.truncate(shared);
+                    report.final_op_log.extend(log.iter_from(shared).cloned());
+                }
+                _ => report.final_op_log = log.to_vec(),
+            }
+            debug_assert!(report.final_op_log.iter().eq(log.iter()));
+        }
         report
             .heads
             .push((ctx.now(), tracker.head_height(), tracker.head()));
@@ -469,7 +526,6 @@ impl Validator {
         report.final_height = tracker.head_height();
         report.final_slot = tracker.head_slot();
         report.final_head = Some(tracker.head());
-        report.final_chain = tracker.chain_ids();
         report.final_state_root = Some(tracker.engine().state_root());
         report.final_files = tracker.engine().file_ids().len() as u64;
         report.final_receipt_root = tracker
@@ -482,9 +538,8 @@ impl Validator {
         report.batches_staged_parallel = stats.batches_staged_parallel;
         report.batches_fell_back_sequential = stats.batches_fell_back_sequential;
         report.audit_commit_batches = stats.audit_commit_batches;
-        if self.cfg.record_op_log {
-            report.final_op_log = tracker.engine().op_log().to_vec();
-        }
+        report.work = tracker.work();
+        report.engine_events_held = tracker.engine().events().len() as u64;
         if let Some(mempool) = self.mempool.as_ref() {
             report.final_mempool = Some(mempool.stats().clone());
         }
@@ -589,8 +644,6 @@ impl Validator {
         self.mempool = None;
         self.orphan_streak = 0;
         self.last_head = None;
-        self.observed_height = 0;
-        self.seen_reorgs = 0;
         ctx.set_timer(1, TAG_JOIN_RETRY);
     }
 
@@ -696,7 +749,6 @@ impl Validator {
             height,
             slot,
         ));
-        self.observed_height = height;
         self.report.borrow_mut().joined_at_height = Some(height);
         self.after_head_change(ctx);
         if !self.sync_armed {

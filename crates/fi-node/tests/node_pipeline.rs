@@ -20,7 +20,10 @@ use fi_core::engine::{Engine, StateView};
 use fi_core::ops::Op;
 use fi_core::params::ProtocolParams;
 use fi_net::link::LinkModel;
-use fi_node::{genesis_engine, run_cluster, AdmitError, ClusterConfig, Mempool, Tx};
+use fi_node::{
+    build_cluster, cluster_horizon, genesis_engine, run_cluster, AdmitError, ClusterConfig,
+    Mempool, Tx,
+};
 
 /// Base seed, offset by the CI matrix's `FI_NODE_TEST_SEED`.
 fn seed(base: u64) -> u64 {
@@ -162,6 +165,58 @@ fn cold_start_watcher_converges_from_snapshot() {
         watcher.blocks_proposed, 0,
         "a watcher never proposes (the schedule does not rank it)"
     );
+}
+
+#[test]
+fn head_engines_hold_no_events_and_report_their_work() {
+    // `Engine::events` is a buffer for whoever drains it, and nothing in a
+    // node does: left alone it grew — and was cloned with the engine — for
+    // the life of the validator. Stepped slot by slot over 300 slots, with
+    // the delta-updated report fields checked at every pause.
+    let slots = 300;
+    let mut cfg = chaos_cluster(0xE7E7, slots, 0.1);
+    cfg.cold_join_at = Some(slots / 2 * cfg.params.block_interval);
+    cfg.record_op_log = true;
+    let (mut world, reports) = build_cluster(&cfg);
+    let nodes = || reports.validators.iter().chain(&reports.watcher);
+    for slot in 1..=slots + 40 {
+        world.run_until((slot * cfg.params.block_interval).min(cluster_horizon(&cfg)));
+        for report in nodes() {
+            let report = report.borrow();
+            assert_eq!(report.engine_events_held, 0, "events at slot {slot}");
+            // The spine in the report is the adopted chain, whenever the
+            // world is paused.
+            if let Some(&(height, hash)) = report.final_chain.last() {
+                assert_eq!(
+                    (height, Some(hash)),
+                    (report.final_height, report.final_head)
+                );
+            }
+            assert!(report
+                .final_chain
+                .windows(2)
+                .all(|pair| pair[1].0 == pair[0].0 + 1));
+        }
+    }
+    let (height, root) = assert_converged(&reports);
+    assert!(height >= slots - 10);
+    for report in &reports.validators {
+        let report = report.borrow();
+        let work = report.work;
+        assert!(
+            work.blocks_replayed >= height,
+            "every adopted block replayed"
+        );
+        assert!(work.ops_digested > work.blocks_replayed);
+        assert!(work.engine_clones > 0 && work.fork_choice_steps > 0);
+        // A validator that never checkpointed for a joiner holds the whole
+        // log: the deltas added up to the run. (Debug builds also assert
+        // the report's log equals the head engine's on every head change.)
+        if report.snapshots_taken == 0 {
+            let replayed = Engine::replay(cfg.params.clone(), &report.final_op_log).expect("valid");
+            assert_eq!(replayed.state_root(), root);
+        }
+    }
 }
 
 #[test]
