@@ -971,19 +971,16 @@ fn main() {
         .collect();
 
     let rows: Vec<String> = results.iter().map(ScaleResult::json).collect();
-    let backend_list = hash
-        .backends
-        .iter()
-        .map(|b| format!("\"{b}\""))
-        .collect::<Vec<_>>()
-        .join(", ");
+    // One string, not an array: the snapshot's set of JSON paths must not
+    // depend on how many backends the runner's CPU has.
+    let backend_list = hash.backends.join(",");
     let json = format!(
         "{{\n  \"suite\": \"fi-core op-layer throughput: Engine::apply + advance_to, epoch wheel vs BTreeMap pending list, sharded audit pipeline, pipelined batch ingest, multi-lane SHA-256\",\n  \
            \"unit_note\": \"per-file regime: n live files, one Auto_CheckProof per timestamp across an n-tick proof cycle; advance_full_cycle = one ProofCycle advance executing every file's Auto_CheckProof (protocol work included); scheduler_churn = same task population against the bare scheduler (3 cycles, median of 3 runs) — the isolated like-for-like scheduling cost\",\n  \
            \"available_parallelism\": {parallelism},\n  \
            \"results\": [\n{}\n  ],\n  \
            \"sharded_audit\": {{\n    \"note\": \"batch regime: 100k size-1 files, every Auto_CheckProof in one wheel bucket; advance = one full proof cycle (batched multi-lane Merkle verify at audit_path_len 64 + batched per-shard audit commit when sharded), median of 3 fresh-engine runs per shard count; state and audit roots asserted identical across shard counts and vs the forced-scalar run; shard count is asserted noise-neutral (<= 2x median spread) on 1-core hosts, the >=4x 8v1 bar is gated when >=4 cores are available, and the >=3x scalar-vs-SIMD bar is gated when a SIMD backend is detected\",\n    \"available_parallelism\": {parallelism},\n    \"sha_backend\": \"{}\",\n    \"shard_spread_max_over_min\": {:.2},\n    \"scalar_sha_advance_full_cycle_ms\": {:.3},\n    \"simd_speedup_vs_scalar\": {:.2},\n    \"runs\": [\n{}\n    ]\n  }},\n  \
-           \"hash\": {{\n    \"note\": \"multi-lane SHA-256 micro: digest_many over 8192 x 1KiB messages (MB/s) and lockstep Merkle authentication-path verification over 4096 proofs against a 4096-leaf tree (paths/s), frozen scalar reference vs best detected backend, median of 3; digests asserted identical before timing\",\n    \"backends_available\": [{backend_list}],\n    \"best_backend\": \"{}\",\n    \"digest_many_scalar_mb_s\": {:.1},\n    \"digest_many_best_mb_s\": {:.1},\n    \"digest_many_speedup\": {:.2},\n    \"merkle_paths_scalar_per_sec\": {:.0},\n    \"merkle_paths_best_per_sec\": {:.0},\n    \"merkle_paths_speedup\": {:.2}\n  }},\n  \
+           \"hash\": {{\n    \"note\": \"multi-lane SHA-256 micro: digest_many over 8192 x 1KiB messages (MB/s) and lockstep Merkle authentication-path verification over 4096 proofs against a 4096-leaf tree (paths/s), frozen scalar reference vs best detected backend, median of 3; digests asserted identical before timing\",\n    \"backends_available\": \"{backend_list}\",\n    \"best_backend\": \"{}\",\n    \"digest_many_scalar_mb_s\": {:.1},\n    \"digest_many_best_mb_s\": {:.1},\n    \"digest_many_speedup\": {:.2},\n    \"merkle_paths_scalar_per_sec\": {:.0},\n    \"merkle_paths_best_per_sec\": {:.0},\n    \"merkle_paths_speedup\": {:.2}\n  }},\n  \
            \"ingest\": {{\n    \"note\": \"batch ingest: 50k File_Prove ops (modeled WindowPoSt verification, audit_path_len 64) as one shard-local segment; apply = op-by-op sequential loop, apply_batch = parallel staging + sequential in-order commit; state roots and block hashes asserted identical between both paths and across all configs; the >=4x bar on the last (8-shard/4-thread) row is gated when >=4 cores are available\",\n    \"available_parallelism\": {parallelism},\n    \"runs\": [\n{}\n    ]\n  }},\n  \
            \"parallel\": {{\n    \"note\": \"end-to-end parallel engine: the 100k-file one-bucket full-cycle advance at (1 shard, 1 ingest thread) vs (8 shards, 4 ingest threads) on the persistent worker pool — verify fan-out plus batched per-shard audit commit; phase_* are Engine::phase_times wall-clock ms for one sampled advance; state and audit roots asserted bit-identical between the cells; the >=4x speedup bar is gated when >=4 cores are available\",\n    \"available_parallelism\": {parallelism},\n    \"speedup_8x4_vs_1x1\": {parallel_speedup:.2},\n    \"runs\": [\n{}\n    ]\n  }},\n  \
            \"store\": {{\n    \"note\": \"content-addressed state commitment (DESIGN.md \\u00a715): 100k size-1 files filled with the five HAMT state trees on each blockstore backend; commit = the state_roots() flush that drains every dirty key and folds the root; full = FISNAPSH save/restore, delta = FIDELTA1 against a base 1k files back (only the trie nodes on changed paths ship); state roots asserted bit-identical across backends and after both round-trips, and the delta asserted strictly smaller than the full snapshot\",\n    \"roots_identical\": true,\n    \"runs\": [\n{}\n    ]\n  }}\n}}\n",

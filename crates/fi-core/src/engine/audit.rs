@@ -38,19 +38,20 @@
 //!
 //! Inside one slice, [`verify_slice`] batches the work: every audited
 //! replica becomes a *lane*, and all lanes walk their authentication paths
-//! in lockstep through the multi-lane SHA-256 backends
-//! ([`fi_crypto::KeyedDomain::hash_many`]). A single path walk is an
-//! inherently sequential hash chain, but independent paths are not — the
-//! batched walk hashes 8 (AVX2) or more lanes per compression sweep. The
-//! per-task reference path [`verify_check_proof`] is kept verbatim on plain
-//! [`keyed_hash`]; small slices use it directly and the differential test
-//! pins the batched pipeline against it bit for bit.
+//! in lockstep through the fused path-walk kernel
+//! ([`fi_crypto::KeyedDomain::walk_paths`], shared with `File_Prove`
+//! staging through [`walk_replicas`]). A single path walk is an inherently
+//! sequential hash chain, but independent paths are not — the walker
+//! carries 16 (AVX-512) lanes, or 2 interleaved SHA-NI streams, through
+//! all their levels in registers. Slices of every size take this path;
+//! the per-task walk on plain [`keyed_hash`] (`verify_check_proof`) is the
+//! test oracle the differential test pins it against bit for bit.
 
 use std::collections::HashSet;
 
 use fi_chain::account::{AccountId, Ledger, TokenAmount};
 use fi_chain::tasks::Time;
-use fi_crypto::{cached_domain, keyed_hash, DetRng, Hash256};
+use fi_crypto::{cached_domain, keyed_hash, DetRng, Hash256, KeyedDomain};
 
 use crate::params::ProtocolParams;
 use crate::types::{
@@ -981,13 +982,61 @@ cached_domain!(fn audit_leaf_domain, "fileinsurer/audit-leaf");
 cached_domain!(fn audit_node_domain, "fileinsurer/audit-node");
 cached_domain!(fn audit_fold_domain, "fileinsurer/audit-fold");
 
+/// One replica whose modeled proof is to be checked: the file's Merkle
+/// commitment, the big-endian replica index, and a big-endian tag — the
+/// timestamp of the proof on record when `Auto_CheckProof` audits, the
+/// holding sector when `File_Prove` submits.
+pub(super) type ReplicaLane = (Hash256, [u8; 4], [u8; 8]);
+
+/// Lanes whose leaves are derived per `hash_many` sweep: bounds the
+/// sweep's message and block buffers (~250 B a lane) to about 1 MiB however
+/// many replicas a slice audits. The walk itself needs no tiling — it holds
+/// a register group of lanes at a time.
+const LEAF_TILE: usize = 4096;
+
+/// The modeled WindowPoSt verification, one lane per replica: derive each
+/// challenged leaf — `leaf_domain` over the lane's commitment, index and
+/// tag, and `now` — then walk every lane up a `path_len`-node
+/// authentication path under `node_domain`, all lanes in lockstep. Returns
+/// the walked node of each lane, in lane order. Pure.
+pub(super) fn walk_replicas(
+    leaf_domain: &KeyedDomain,
+    node_domain: &KeyedDomain,
+    replicas: &[ReplicaLane],
+    now: Time,
+    path_len: u32,
+) -> Vec<Hash256> {
+    let now_be = now.to_be_bytes();
+    let mut nodes: Vec<Hash256> = Vec::with_capacity(replicas.len());
+    for tile in replicas.chunks(LEAF_TILE) {
+        let leaf_lanes: Vec<[&[u8]; 4]> = tile
+            .iter()
+            .map(|(root, index_be, tag_be)| {
+                [
+                    root.as_bytes().as_slice(),
+                    index_be.as_slice(),
+                    tag_be.as_slice(),
+                    now_be.as_slice(),
+                ]
+            })
+            .collect();
+        let leaf_refs: Vec<&[&[u8]]> = leaf_lanes.iter().map(|l| l.as_slice()).collect();
+        nodes.extend(leaf_domain.hash_many(&leaf_refs));
+    }
+    node_domain.walk_paths(&mut nodes, path_len);
+    nodes
+}
+
 /// Verifies the storage proofs on record for every `Auto_CheckProof` task
 /// in one shard's slice. Pure and shard-local: it reads the shard's file
 /// descriptors and allocation rows, nothing else.
 ///
-/// Slices with at least [`tuning::batch_verify_threshold`] audit tasks run
-/// the batched pipeline: per-replica path walks become lockstep SIMD hash
-/// lanes, bit-identical to calling [`verify_check_proof`] per task.
+/// For each replica with a proof on record (a `last` timestamp and a
+/// non-corrupted entry) the challenged leaf is derived from the file's
+/// Merkle commitment and the proof timestamp and walked up a
+/// `path_len`-node authentication path; the walked nodes fold in replica
+/// order into one per-task commitment. All replicas of the slice walk as
+/// lockstep lanes ([`walk_replicas`]).
 fn verify_slice(
     shard: &Shard,
     slice: &ShardSlice,
@@ -1003,12 +1052,6 @@ fn verify_slice(
         })
         .collect();
     let mut out: Vec<Option<ProofAudit>> = vec![None; slice.len()];
-    if tasks.len() < tuning::batch_verify_threshold() {
-        for &(slot, file) in &tasks {
-            out[slot] = Some(verify_check_proof(shard, file, now, path_len));
-        }
-        return out;
-    }
     let now_be = now.to_be_bytes();
 
     // Phase 0: the per-task base digest, one lane per audit task.
@@ -1022,9 +1065,10 @@ fn verify_slice(
 
     // Phase 1: collect one lane per replica with a proof on record,
     // task-major so the phase-3 folds replay each task's replicas in
-    // replica order — the exact fold sequence of the reference path.
+    // replica order — the exact fold sequence of the per-task walk.
     let mut replicas_checked = vec![0u64; tasks.len()];
-    let mut lanes: Vec<(usize, Hash256, [u8; 4], [u8; 8])> = Vec::new();
+    let mut lane_tasks: Vec<usize> = Vec::new();
+    let mut lanes: Vec<ReplicaLane> = Vec::new();
     for (t, &(_, file)) in tasks.iter().enumerate() {
         let Some(desc) = shard.files.get(&file) else {
             continue;
@@ -1037,44 +1081,24 @@ fn verify_slice(
                 continue;
             }
             let Some(last) = e.last else { continue };
-            lanes.push((t, desc.merkle_root, i.to_be_bytes(), last.to_be_bytes()));
+            lane_tasks.push(t);
+            lanes.push((desc.merkle_root, i.to_be_bytes(), last.to_be_bytes()));
             replicas_checked[t] += 1;
         }
     }
 
     // Phase 2: leaf derivation plus the lockstep authentication-path walk.
-    // Each lane's chain is sequential, but the lanes are independent, so
-    // every level is one multi-lane sweep across the whole tile.
-    let mut nodes: Vec<Hash256> = Vec::with_capacity(lanes.len());
-    for tile in lanes.chunks(tuning::lane_tile()) {
-        let leaf_lanes: Vec<[&[u8]; 4]> = tile
-            .iter()
-            .map(|(_, root, i_be, last_be)| {
-                [
-                    root.as_bytes().as_slice(),
-                    i_be.as_slice(),
-                    last_be.as_slice(),
-                    now_be.as_slice(),
-                ]
-            })
-            .collect();
-        let leaf_refs: Vec<&[&[u8]]> = leaf_lanes.iter().map(|l| l.as_slice()).collect();
-        let mut walk = audit_leaf_domain().hash_many(&leaf_refs);
-        for level in 0..path_len {
-            let level_be = level.to_be_bytes();
-            let node_lanes: Vec<[&[u8]; 2]> = walk
-                .iter()
-                .map(|n| [n.as_bytes().as_slice(), level_be.as_slice()])
-                .collect();
-            let node_refs: Vec<&[&[u8]]> = node_lanes.iter().map(|l| l.as_slice()).collect();
-            walk = audit_node_domain().hash_many(&node_refs);
-        }
-        nodes.extend(walk);
-    }
+    let nodes = walk_replicas(
+        audit_leaf_domain(),
+        audit_node_domain(),
+        &lanes,
+        now,
+        path_len,
+    );
 
     // Phase 3: fold each walked node into its task digest, in lane order.
     let fold = audit_fold_domain();
-    for (&(t, ..), node) in lanes.iter().zip(&nodes) {
+    for (&t, node) in lane_tasks.iter().zip(&nodes) {
         digests[t] = fold.hash(&[digests[t].as_bytes(), node.as_bytes()]);
     }
     for (t, &(slot, _)) in tasks.iter().enumerate() {
@@ -1086,64 +1110,66 @@ fn verify_slice(
     out
 }
 
-/// The modeled WindowPoSt verification for one file: for each replica with
-/// a proof on record (a `last` timestamp and a non-corrupted entry), derive
-/// the challenged leaf from the file's Merkle commitment and the proof
-/// timestamp, then walk a `path_len`-node authentication path. The digests
-/// fold in replica order into one per-task commitment.
-fn verify_check_proof(shard: &Shard, file: FileId, now: Time, path_len: u32) -> ProofAudit {
-    let mut digest = keyed_hash(
-        "fileinsurer/audit-task",
-        &[&file.0.to_be_bytes(), &now.to_be_bytes()],
-    );
-    let mut replicas_checked = 0u64;
-    let Some(desc) = shard.files.get(&file) else {
-        return ProofAudit {
-            digest,
-            replicas_checked,
-        };
-    };
-    for i in 0..desc.cp {
-        let Some(e) = shard.alloc.get(&(file, i)) else {
-            continue;
-        };
-        if e.state == AllocState::Corrupted {
-            continue;
-        }
-        let Some(last) = e.last else { continue };
-        let mut node = keyed_hash(
-            "fileinsurer/audit-leaf",
-            &[
-                desc.merkle_root.as_bytes(),
-                &i.to_be_bytes(),
-                &last.to_be_bytes(),
-                &now.to_be_bytes(),
-            ],
-        );
-        for level in 0..path_len {
-            node = keyed_hash(
-                "fileinsurer/audit-node",
-                &[node.as_bytes(), &level.to_be_bytes()],
-            );
-        }
-        digest = keyed_hash(
-            "fileinsurer/audit-fold",
-            &[digest.as_bytes(), node.as_bytes()],
-        );
-        replicas_checked += 1;
-    }
-    ProofAudit {
-        digest,
-        replicas_checked,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::types::{AllocEntry, FileDescriptor, FileState};
     use fi_chain::account::AccountId;
     use fi_chain::tasks::SchedulerKind;
+
+    /// The differential oracle: the modeled WindowPoSt verification for one
+    /// file, walked one replica at a time on plain [`keyed_hash`]. For each
+    /// replica with a proof on record (a `last` timestamp and a
+    /// non-corrupted entry), derive the challenged leaf from the file's
+    /// Merkle commitment and the proof timestamp, then walk a
+    /// `path_len`-node authentication path. The digests fold in replica
+    /// order into one per-task commitment.
+    fn verify_check_proof(shard: &Shard, file: FileId, now: Time, path_len: u32) -> ProofAudit {
+        let mut digest = keyed_hash(
+            "fileinsurer/audit-task",
+            &[&file.0.to_be_bytes(), &now.to_be_bytes()],
+        );
+        let mut replicas_checked = 0u64;
+        let Some(desc) = shard.files.get(&file) else {
+            return ProofAudit {
+                digest,
+                replicas_checked,
+            };
+        };
+        for i in 0..desc.cp {
+            let Some(e) = shard.alloc.get(&(file, i)) else {
+                continue;
+            };
+            if e.state == AllocState::Corrupted {
+                continue;
+            }
+            let Some(last) = e.last else { continue };
+            let mut node = keyed_hash(
+                "fileinsurer/audit-leaf",
+                &[
+                    desc.merkle_root.as_bytes(),
+                    &i.to_be_bytes(),
+                    &last.to_be_bytes(),
+                    &now.to_be_bytes(),
+                ],
+            );
+            for level in 0..path_len {
+                node = keyed_hash(
+                    "fileinsurer/audit-node",
+                    &[node.as_bytes(), &level.to_be_bytes()],
+                );
+            }
+            digest = keyed_hash(
+                "fileinsurer/audit-fold",
+                &[digest.as_bytes(), node.as_bytes()],
+            );
+            replicas_checked += 1;
+        }
+        ProofAudit {
+            digest,
+            replicas_checked,
+        }
+    }
 
     /// A shard with `files` synthetic descriptors mixing replica counts and
     /// entry states: normal proofs on record, never-proved, corrupted, and
@@ -1204,7 +1230,7 @@ mod tests {
         let shard = synthetic_shard(40);
         let now: Time = 1_000;
         let path_len = 16;
-        let slice: ShardSlice = (0..40u64)
+        let whole: ShardSlice = (0..40u64)
             .map(|f| {
                 let task = match f % 5 {
                     // Non-audit tasks interleave and must stay `None`.
@@ -1216,24 +1242,29 @@ mod tests {
                 (now, (f, task))
             })
             .collect();
-        let got = verify_slice(&shard, &slice, now, path_len);
-        assert_eq!(got.len(), slice.len());
-        for (slot, (_, (_, task))) in slice.iter().enumerate() {
-            match task {
-                Task::CheckProof(f) => assert_eq!(
-                    got[slot].as_ref(),
-                    Some(&verify_check_proof(&shard, *f, now, path_len)),
-                    "slot {slot}"
-                ),
-                _ => assert!(got[slot].is_none(), "slot {slot}"),
+        // Every slice size takes the lane walk: the empty slice, one task,
+        // and each lane count up to a few register groups.
+        for size in 0..=whole.len() {
+            let slice: ShardSlice = whole[..size].to_vec();
+            let got = verify_slice(&shard, &slice, now, path_len);
+            assert_eq!(got.len(), slice.len());
+            for (slot, (_, (_, task))) in slice.iter().enumerate() {
+                match task {
+                    Task::CheckProof(f) => assert_eq!(
+                        got[slot].as_ref(),
+                        Some(&verify_check_proof(&shard, *f, now, path_len)),
+                        "size {size} slot {slot}"
+                    ),
+                    _ => assert!(got[slot].is_none(), "size {size} slot {slot}"),
+                }
             }
         }
     }
 
     #[test]
     fn small_slice_reference_path_matches_batch_output_shape() {
-        // Below the threshold the reference path runs; verdicts must agree
-        // with what the batched path produces for the same two tasks.
+        // A task's verdict does not depend on which other tasks share its
+        // slice, i.e. on which lanes its replicas walk in.
         let shard = synthetic_shard(8);
         let now: Time = 77;
         let small: ShardSlice = vec![

@@ -36,9 +36,15 @@
 //!    bit-identical — they just don't get the speedup.
 //!
 //! The expensive parts of ingest — the modeled `File_Prove` WindowPoSt
-//! verification ([`prove_replica_digest`], `audit_path_len` Merkle nodes
-//! per proof, folded into the engine's audit root in commit order) and the
-//! canonical op/receipt digests — all happen in the parallel phase.
+//! verification (`audit_path_len` Merkle nodes per proof, folded into the
+//! engine's audit root in commit order) and the canonical op/receipt
+//! digests — all happen in the parallel phase. The verification is
+//! *deferred within* that phase: executing a `File_Prove` only records the
+//! replica to check, and once a worker has executed all its ops
+//! [`verify_staged_proofs`] walks every recorded replica as one batch of
+//! lockstep lanes and patches the digests in. That is order-safe because
+//! the digest feeds nothing but the commit-time audit-root fold: no check,
+//! receipt, shard write or ledger step of any op reads it.
 
 use std::collections::HashMap;
 
@@ -54,6 +60,7 @@ use crate::types::{
     SectorState,
 };
 
+use super::audit::{walk_replicas, ReplicaLane};
 use super::lifecycle::FileAddPrestage;
 use super::pool::JobBatch;
 use super::shard::Shard;
@@ -141,6 +148,16 @@ pub(super) enum ShardWrite {
     ProofAccepted,
 }
 
+/// The audit-root contribution of an accepted `File_Prove`.
+#[derive(Debug, Clone)]
+pub(super) enum ProofFold {
+    /// The op passed every check; the replica's modeled proof still has to
+    /// be walked ([`verify_staged_proofs`]).
+    Unverified(ReplicaLane),
+    /// The verification digest.
+    Verified(Hash256),
+}
+
 /// Everything one shard-local op does, staged: the typed outcome, the
 /// ledger program, the shard writes, the audit-root fold of a verified
 /// proof, and the op-counter increment. Applying these to live state (in
@@ -154,10 +171,11 @@ pub(super) struct StagedEffects {
     pub(super) ledger: Vec<LedgerStep>,
     /// Shard mutations in execution order.
     pub(super) writes: Vec<ShardWrite>,
-    /// Digest of a verified `File_Prove` proof, folded into the engine's
-    /// audit root at commit (in submission order — the fold is part of the
-    /// state root, which pins the parallel verification results).
-    pub(super) audit_fold: Option<Hash256>,
+    /// The proof of an accepted `File_Prove`: verified before the effects
+    /// leave the staging phase, then folded into the engine's audit root at
+    /// commit (in submission order — the fold is part of the state root,
+    /// which pins the parallel verification results).
+    pub(super) audit_fold: Option<ProofFold>,
     /// `Engine::op_counter` increment.
     pub(super) op_counter_inc: u64,
 }
@@ -361,37 +379,43 @@ cached_domain!(fn prove_leaf_domain, "fileinsurer/prove-leaf");
 cached_domain!(fn prove_node_domain, "fileinsurer/prove-node");
 cached_domain!(pub(super) fn prove_root_domain, "fileinsurer/prove-root");
 
-/// The modeled WindowPoSt verification a `File_Prove` carries: derive the
-/// challenged leaf from the file's Merkle commitment, the replica index,
-/// the holding sector and the proof time, then walk an
-/// `audit_path_len`-node authentication path. Pure — the digest is folded
+/// Runs the modeled WindowPoSt verification of every accepted `File_Prove`
+/// among `staged`, all of them as one batch of lockstep lanes: each leaf is
+/// derived from the file's Merkle commitment, the replica index, the
+/// holding sector and the proof time, then walked up an
+/// `audit_path_len`-node authentication path. Pure — the digests are folded
 /// into the engine's audit root in commit order, so the state root pins
 /// every parallel verification bit-for-bit.
-fn prove_replica_digest(
-    merkle_root: &Hash256,
-    index: u32,
-    sector: SectorId,
-    now: Time,
-    path_len: u32,
-) -> Hash256 {
-    let mut node = prove_leaf_domain().hash(&[
-        merkle_root.as_bytes(),
-        &index.to_be_bytes(),
-        &sector.0.to_be_bytes(),
-        &now.to_be_bytes(),
-    ]);
-    let node_domain = prove_node_domain();
-    for level in 0..path_len {
-        node = node_domain.hash(&[node.as_bytes(), &level.to_be_bytes()]);
+pub(super) fn verify_staged_proofs<'a>(
+    staged: impl IntoIterator<Item = &'a mut StagedEffects>,
+    ctx: &OpCtx<'_>,
+) {
+    let mut folds: Vec<&mut ProofFold> = Vec::new();
+    let mut lanes: Vec<ReplicaLane> = Vec::new();
+    for fold in staged.into_iter().filter_map(|e| e.audit_fold.as_mut()) {
+        if let ProofFold::Unverified(lane) = fold {
+            lanes.push(*lane);
+            folds.push(fold);
+        }
     }
-    node
+    let digests = walk_replicas(
+        prove_leaf_domain(),
+        prove_node_domain(),
+        &lanes,
+        ctx.now,
+        ctx.params.audit_path_len,
+    );
+    for (fold, digest) in folds.into_iter().zip(digests) {
+        *fold = ProofFold::Verified(digest);
+    }
 }
 
 /// Executes one shard-local op against a shard view and the frozen global
 /// context, producing staged effects. This is the single implementation of
 /// the five ops' semantics: the sequential dispatch path runs it against
 /// the live shard and applies the effects immediately; the batch path runs
-/// it in a staging worker and commits later.
+/// it in a staging worker and commits later. Either caller finishes with
+/// [`verify_staged_proofs`] over everything it staged.
 pub(super) fn stage_shard_local(
     op: &Op,
     ctx: &OpCtx<'_>,
@@ -462,9 +486,10 @@ fn stage_file_confirm(
     }
 }
 
-/// `File_Prove` (Fig. 5): verify the modeled storage proof for a held
-/// replica and record its timestamp. The verification digest is folded
-/// into the engine's audit root at commit.
+/// `File_Prove` (Fig. 5): accept the storage proof for a held replica and
+/// record its timestamp. The modeled verification is left to
+/// [`verify_staged_proofs`]; its digest is folded into the engine's audit
+/// root at commit.
 fn stage_file_prove(
     ctx: &OpCtx<'_>,
     view: &ShardOverlay<'_>,
@@ -502,13 +527,6 @@ fn stage_file_prove(
         .file(file)
         .map(|f| f.merkle_root)
         .expect("allocation entries never outlive their descriptor");
-    let digest = prove_replica_digest(
-        &merkle_root,
-        index,
-        sector,
-        ctx.now,
-        ctx.params.audit_path_len,
-    );
     let mut entry = e.clone();
     entry.last = Some(ctx.now);
     StagedEffects {
@@ -518,7 +536,11 @@ fn stage_file_prove(
             ShardWrite::Entry { file, index, entry },
             ShardWrite::ProofAccepted,
         ],
-        audit_fold: Some(digest),
+        audit_fold: Some(ProofFold::Unverified((
+            merkle_root,
+            index.to_be_bytes(),
+            sector.0.to_be_bytes(),
+        ))),
         op_counter_inc: 1,
     }
 }
@@ -635,7 +657,9 @@ impl Engine {
             now: self.chain.now(),
         };
         let view = ShardOverlay::new(&self.shards.shards[shard_idx]);
-        stage_shard_local(op, &ctx, &view)
+        let mut effects = stage_shard_local(op, &ctx, &view);
+        verify_staged_proofs([&mut effects], &ctx);
+        effects
     }
 
     /// The sequential execution of a shard-local op — dispatch routes the
@@ -697,9 +721,15 @@ impl Engine {
                 }
             }
         }
-        if let Some(digest) = effects.audit_fold {
-            self.audit_root =
-                prove_root_domain().hash(&[self.audit_root.as_bytes(), digest.as_bytes()]);
+        match effects.audit_fold {
+            Some(ProofFold::Verified(digest)) => {
+                self.audit_root =
+                    prove_root_domain().hash(&[self.audit_root.as_bytes(), digest.as_bytes()]);
+            }
+            Some(ProofFold::Unverified(_)) => {
+                unreachable!("staged proofs are verified before their effects are handed back")
+            }
+            None => {}
         }
         self.op_counter += effects.op_counter_inc;
         effects.outcome
@@ -774,6 +804,7 @@ impl Engine {
                         staged.push((i, receipt_digest, effects));
                     }
                 }
+                verify_staged_proofs(staged.iter_mut().map(|(_, _, effects)| effects), ctx);
                 // The canonical op digests for this worker's ops: the
                 // caller's, or one multi-lane sweep — each worker batches
                 // its own share, so the hashing is both parallel across

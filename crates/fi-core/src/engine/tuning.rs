@@ -17,11 +17,13 @@
 //! | [`parallel_ingest_threshold`] | `FI_TUNE_PARALLEL_INGEST_THRESHOLD` | 64 |
 //! | [`parallel_verify_threshold`] | `FI_TUNE_PARALLEL_VERIFY_THRESHOLD` | 64 |
 //! | [`parallel_audit_commit_threshold`] | `FI_TUNE_PARALLEL_AUDIT_COMMIT_THRESHOLD` | 64 |
-//! | [`batch_verify_threshold`] | `FI_TUNE_BATCH_VERIFY_THRESHOLD` | 4 |
-//! | [`lane_tile`] | `FI_TUNE_LANE_TILE` | 4096 |
 //!
-//! Example sweep: `FI_TUNE_LANE_TILE=1024 cargo run --release --bin
-//! engine_snapshot`.
+//! Example sweep: `FI_TUNE_PARALLEL_VERIFY_THRESHOLD=16 cargo run --release
+//! --bin engine_snapshot`.
+//!
+//! How the path walks batch is not a knob: the walker in `fi-crypto` takes
+//! any number of lanes, one included, and sizes its register groups and
+//! tiles itself.
 
 use std::sync::OnceLock;
 
@@ -61,23 +63,6 @@ pub fn parallel_audit_commit_threshold() -> usize {
     *V.get_or_init(|| env_knob("FI_TUNE_PARALLEL_AUDIT_COMMIT_THRESHOLD", 64))
 }
 
-/// Shard slices with fewer audit tasks than this verify through the
-/// per-task reference path (`verify_check_proof`): assembling multi-lane
-/// buffers costs more than a couple of Merkle walks.
-pub fn batch_verify_threshold() -> usize {
-    static V: OnceLock<usize> = OnceLock::new();
-    *V.get_or_init(|| env_knob("FI_TUNE_BATCH_VERIFY_THRESHOLD", 4))
-}
-
-/// Lane-tile size for the batched audit path walk. Each level
-/// re-materialises ~100 bytes of message buffer per lane, so tiling bounds
-/// the working set (a few hundred KiB) and keeps it cache-resident
-/// regardless of how many replicas a slice audits.
-pub fn lane_tile() -> usize {
-    static V: OnceLock<usize> = OnceLock::new();
-    *V.get_or_init(|| env_knob("FI_TUNE_LANE_TILE", 4096))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,8 +74,6 @@ mod tests {
         assert_eq!(parallel_ingest_threshold(), 64);
         assert_eq!(parallel_verify_threshold(), 64);
         assert_eq!(parallel_audit_commit_threshold(), 64);
-        assert_eq!(batch_verify_threshold(), 4);
-        assert_eq!(lane_tile(), 4096);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! wall-clock time may differ (measured by `engine_snapshot`).
 
 use fi_chain::account::{AccountId, TokenAmount};
-use fi_core::engine::{Engine, StateView};
-use fi_core::ops::Op;
+use fi_core::engine::{Engine, EngineError, StateView};
+use fi_core::ops::{Op, Receipt};
 use fi_core::params::ProtocolParams;
+use fi_core::types::FileId;
 use fi_crypto::{sha256, DetRng};
 
 const CLIENT: AccountId = AccountId(900);
@@ -357,5 +358,163 @@ fn caller_supplied_digests_commit_the_same_batch() {
         let what = format!("{shards}x{threads}");
         assert_bit_identical(&batch, &hashed, &what);
         assert_bit_identical(&one_by_one, &hashed, &what);
+    }
+}
+
+/// `File_Prove` verification is deferred: a staging worker walks all of its
+/// segment's accepted proofs as one lane batch *after* executing the ops,
+/// then patches the digests in. One shard-local segment that interleaves
+/// accepted proofs with everything a digest could be misattributed across
+/// — rejected proofs (wrong sector, unknown file, a caller that runs out
+/// of gas mid-segment), confirms, and discards of files proved earlier in
+/// the segment and proved again after — must commit exactly as the
+/// one-by-one `apply` loop does: same receipts, `audit_root` (which folds
+/// the digests in commit order), `state_root` and block hashes.
+#[test]
+fn deferred_proof_digests_land_on_their_own_ops() {
+    /// A second provider, burned down to a few proofs' worth of gas.
+    const THIN: AccountId = AccountId(701);
+    let proofs_affordable = 9u128;
+    let prove_fee = 60u128; // RequestBase (10) + ProofVerify (50) at default prices
+    let build = |shards, threads| {
+        let p = params(shards, threads);
+        let min_value = p.min_value;
+        let mut e = Engine::new(p).expect("valid params");
+        for provider in [PROVIDER, THIN] {
+            e.fund(provider, TokenAmount(u128::MAX / 4));
+            for _ in 0..4 {
+                e.sector_register(provider, 256).expect("register");
+            }
+        }
+        e.fund(CLIENT, TokenAmount(u128::MAX / 4));
+        let confirm_all = |e: &mut Engine, f: FileId| {
+            for (idx, s) in e.pending_confirms(f) {
+                let owner = e.sector(s).expect("allocated sector").owner;
+                e.file_confirm(owner, f, idx, s).expect("confirm");
+            }
+        };
+        for i in 0..120u64 {
+            let f = e
+                .file_add(CLIENT, 1, min_value, sha256(&i.to_be_bytes()))
+                .expect("file add");
+            confirm_all(&mut e, f);
+        }
+        e.advance_to(e.now() + e.params().transfer_window(1) + 1);
+        // Three more files, allocated but not yet confirmed.
+        for i in 120..123u64 {
+            e.file_add(CLIENT, 1, min_value, sha256(&i.to_be_bytes()))
+                .expect("file add");
+        }
+        let spare = e.ledger().balance(THIN).0 - proofs_affordable * prove_fee;
+        e.apply(Op::Burn {
+            account: THIN,
+            amount: TokenAmount(spare),
+        })
+        .expect("burn");
+        e
+    };
+    let ops_for = |e: &Engine| -> Vec<Op> {
+        let sectors = e.sector_ids();
+        let mut ops = Vec::new();
+        // Newest first, so the confirms land before THIN runs dry.
+        for (n, f) in e.file_ids().into_iter().rev().enumerate() {
+            let pending = e.pending_confirms(f);
+            for &(index, sector) in &pending {
+                // An accepted confirm, then a proof of the replica it just
+                // confirmed: rejected, the sector does not hold it yet.
+                let caller = e.sector(sector).expect("allocated sector").owner;
+                ops.push(Op::FileConfirm {
+                    caller,
+                    file: f,
+                    index,
+                    sector,
+                });
+                ops.push(Op::FileProve {
+                    caller,
+                    file: f,
+                    index,
+                    sector,
+                });
+            }
+            if !pending.is_empty() {
+                continue;
+            }
+            let cp = e.file(f).map(|d| d.cp).unwrap_or(0);
+            let held: Vec<(u32, _)> = (0..cp)
+                .filter_map(|i| Some((i, e.alloc_entry(f, i)?.prev?)))
+                .collect();
+            for &(index, sector) in &held {
+                let caller = e.sector(sector).expect("holding sector").owner;
+                ops.push(Op::FileProve {
+                    caller,
+                    file: f,
+                    index,
+                    sector,
+                });
+                if n % 7 == 0 {
+                    // Wrong sector: another one of the same owner's.
+                    let other = sectors
+                        .iter()
+                        .copied()
+                        .find(|&s| s != sector && e.sector(s).is_some_and(|x| x.owner == caller))
+                        .expect("each provider owns four sectors");
+                    ops.push(Op::FileProve {
+                        caller,
+                        file: f,
+                        index,
+                        sector: other,
+                    });
+                }
+            }
+            if n % 11 == 0 {
+                ops.push(Op::FileProve {
+                    caller: PROVIDER,
+                    file: FileId(u64::MAX / 2 + n as u64),
+                    index: 0,
+                    sector: sectors[0],
+                });
+            }
+            if n % 13 == 0 {
+                // Discard a file proved just above, then prove it again.
+                ops.push(Op::FileDiscard {
+                    caller: CLIENT,
+                    file: f,
+                });
+                let (index, sector) = held[0];
+                ops.push(Op::FileProve {
+                    caller: e.sector(sector).expect("holding sector").owner,
+                    file: f,
+                    index,
+                    sector,
+                });
+            }
+        }
+        ops
+    };
+
+    let mut reference = build(1, 1);
+    let ops = ops_for(&reference);
+    let expect: Vec<_> = ops.iter().map(|op| reference.apply(op.clone())).collect();
+    let count =
+        |pred: fn(&Result<Receipt, EngineError>) -> bool| expect.iter().filter(|r| pred(r)).count();
+    assert!(count(|r| matches!(r, Ok(Receipt::Proved { .. }))) > 64);
+    assert_eq!(count(|r| matches!(r, Ok(Receipt::Confirmed { .. }))), 6);
+    assert!(count(|r| matches!(r, Ok(Receipt::Discarded { .. }))) >= 9);
+    assert!(count(|r| matches!(r, Err(EngineError::InvalidState(_)))) >= 20);
+    assert!(count(|r| matches!(r, Err(EngineError::UnknownFile(_)))) >= 10);
+    assert!(count(|r| matches!(r, Err(EngineError::InsufficientFunds))) >= 20);
+
+    for (shards, threads) in [(1, 1), (4, 2), (8, 4)] {
+        let mut batched = build(shards, threads);
+        let ops = ops_for(&batched);
+        assert_eq!(batched.apply_batch(ops), expect, "{shards}x{threads}");
+        let what = format!("deferred proofs, {shards}x{threads}");
+        assert_eq!(reference.audit_root(), batched.audit_root(), "{what}");
+        assert_bit_identical(&reference, &batched, &what);
+        if shards > 1 {
+            let stats = batched.stats();
+            assert!(stats.batches_staged_parallel > 0, "{what}: staged");
+            assert!(stats.batches_fell_back_sequential > 0, "{what}: fell back");
+        }
     }
 }

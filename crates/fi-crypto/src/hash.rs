@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::sha256::{self, Backend, Sha256};
+use crate::sha256::{self, Backend, PathWalk, Sha256};
 
 /// A 32-byte digest (SHA-256 output).
 ///
@@ -19,6 +19,7 @@ use crate::sha256::{self, Backend, Sha256};
 /// assert_eq!(h, restored);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[repr(transparent)]
 pub struct Hash256([u8; 32]);
 
 impl Hash256 {
@@ -140,18 +141,27 @@ pub fn keyed_hash(domain: &str, parts: &[&[u8]]) -> Hash256 {
     h.finalize()
 }
 
-/// A [`keyed_hash`] domain with its prefix pre-absorbed (midstate caching).
+/// A [`keyed_hash`] domain prepared once for repeated use.
 ///
 /// Hot protocol loops hash millions of messages under a handful of fixed
 /// domain strings (`"fileinsurer/audit-node"`, ...). [`keyed_hash`] re-feeds
 /// the length-prefixed domain to a fresh hasher on every call; a
-/// `KeyedDomain` does that work once, and each [`KeyedDomain::hash`] clones
-/// the prepared midstate instead. Callers keep one in a `OnceLock` static
-/// per domain.
+/// `KeyedDomain` serialises that prefix once, and each
+/// [`KeyedDomain::hash`] clones a hasher that has already buffered it.
+/// Every protocol prefix is shorter than one 64-byte block, so the clone
+/// saves the two prefix `update` calls and no compression: nothing is
+/// pre-compressed until a prefix reaches 64 bytes. Callers keep one
+/// `KeyedDomain` in a `OnceLock` static per domain ([`cached_domain!`](crate::cached_domain)).
 ///
 /// [`KeyedDomain::hash_many`] is the batched form: it hashes N independent
 /// messages of the same domain through the multi-lane SIMD backends
-/// ([`sha256::digest_many`]), one lane per message.
+/// ([`sha256::digest_many`]), one lane per message, serialising each lane's
+/// whole message (prefix included).
+///
+/// [`KeyedDomain::walk_paths`] is where preparing per domain pays: the
+/// chain `node ← hash(&[node, level_be])` has a fixed message shape, so
+/// the padded blocks are laid out once here and the walk touches only the
+/// digest and level bytes per level (see [`KeyedDomain::walk_paths`]).
 ///
 /// # Example
 ///
@@ -171,17 +181,24 @@ pub struct KeyedDomain {
     /// Serialized domain prefix (`len(domain) || domain`), re-used when
     /// assembling batched lane messages.
     prefix: Vec<u8>,
+    /// Block template of the `(node, level)` path-walk message.
+    walk: PathWalk,
 }
 
 impl KeyedDomain {
-    /// Prepares the midstate for `domain`.
+    /// Prepares `domain`.
     pub fn new(domain: &str) -> Self {
         let mut prefix = Vec::with_capacity(8 + domain.len());
         prefix.extend_from_slice(&(domain.len() as u64).to_be_bytes());
         prefix.extend_from_slice(domain.as_bytes());
         let mut midstate = Sha256::new();
         midstate.update(&prefix);
-        KeyedDomain { midstate, prefix }
+        let walk = PathWalk::new(&prefix);
+        KeyedDomain {
+            midstate,
+            prefix,
+            walk,
+        }
     }
 
     /// Equivalent to `keyed_hash(domain, parts)` without re-absorbing the
@@ -224,12 +241,54 @@ impl KeyedDomain {
         let messages: Vec<&[u8]> = ranges.iter().map(|r| &buf[r.clone()]).collect();
         sha256::digest_many_with(backend, &messages)
     }
+
+    /// Walks every lane of `nodes` up a modeled authentication path of
+    /// `levels` nodes, in place and in lockstep:
+    /// `node ← self.hash(&[node, &level.to_be_bytes()])` for `level` in
+    /// `0..levels`.
+    ///
+    /// One lane's walk is a dependent chain, but the lanes are independent,
+    /// so the active backend advances a register group of them together (16
+    /// in AVX-512 registers, 2 interleaved SHA-NI streams) and carries each
+    /// group through all its levels without leaving the backend's native
+    /// layout. Any number of lanes is fine, one included.
+    ///
+    /// ```
+    /// use fi_crypto::{keyed_hash, sha256, KeyedDomain};
+    ///
+    /// let domain = KeyedDomain::new("fileinsurer/audit-node");
+    /// let mut nodes = [sha256(b"leaf 0"), sha256(b"leaf 1"), sha256(b"leaf 2")];
+    /// let mut expect = nodes;
+    /// for level in 0..4u32 {
+    ///     for node in &mut expect {
+    ///         *node = keyed_hash(
+    ///             "fileinsurer/audit-node",
+    ///             &[node.as_bytes(), &level.to_be_bytes()],
+    ///         );
+    ///     }
+    /// }
+    /// domain.walk_paths(&mut nodes, 4);
+    /// assert_eq!(nodes, expect);
+    /// ```
+    pub fn walk_paths(&self, nodes: &mut [Hash256], levels: u32) {
+        self.walk_paths_with(sha256::active_backend(), nodes, levels);
+    }
+
+    /// [`KeyedDomain::walk_paths`] with an explicit backend (differential
+    /// tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `backend` is not available on this host.
+    pub fn walk_paths_with(&self, backend: Backend, nodes: &mut [Hash256], levels: u32) {
+        self.walk.walk(backend, nodes, levels);
+    }
 }
 
 /// Defines a zero-argument function returning a process-wide cached
 /// [`KeyedDomain`] for a fixed domain string.
 ///
-/// Hot protocol loops keep one prepared midstate per domain; this macro is
+/// Hot protocol loops keep one prepared [`KeyedDomain`] per domain; this macro is
 /// the one-liner for that pattern (a `OnceLock` static behind an accessor).
 ///
 /// # Example
@@ -302,7 +361,7 @@ mod tests {
 
     #[test]
     fn keyed_domain_matches_naive_path() {
-        // Midstate caching must be invisible: same digests as keyed_hash.
+        // Preparing a domain must be invisible: same digests as keyed_hash.
         for domain in ["fileinsurer/audit-task", "x", &"long".repeat(40)] {
             let cached = KeyedDomain::new(domain);
             let cases: &[&[&[u8]]] = &[&[], &[b"a"], &[b"file", b"sector-1"], &[&[0u8; 100]]];
@@ -335,6 +394,69 @@ mod tests {
             }
         }
         assert!(domain.hash_many(&[]).is_empty());
+    }
+
+    /// The fused walker against a plain `keyed_hash` chain: every backend,
+    /// lane counts around each register-group width, and domains whose
+    /// prefix puts the node at every byte alignment, in the first block or
+    /// behind pre-compressed ones, with a one- or two-block tail (domain
+    /// lengths 48..=51 leave a one-block tail; the shortest possible
+    /// message is 60 bytes, so no walk fits a single block in all).
+    ///
+    /// An optimized build runs the whole product. A debug build (intrinsics
+    /// not inlined, several µs a hash) keeps the 4 097-lane walks to the
+    /// protocol's domain length and 8 levels.
+    #[test]
+    fn walk_paths_matches_keyed_hash_chain() {
+        const WIDE: usize = 4097;
+        const NARROW: usize = 33;
+        let lane_counts = [0usize, 1, 2, 3, 15, 16, 17, NARROW, WIDE];
+        let level_counts = [0u32, 1, 8, 64];
+        let domain_lens = [
+            0usize, 1, 2, 3, 22, 47, 48, 49, 50, 51, 52, 59, 60, 113, 130,
+        ];
+        for len in domain_lens {
+            let name: String = "fileinsurer/audit-node".chars().cycle().take(len).collect();
+            let domain = KeyedDomain::new(&name);
+            let wide_levels = match (cfg!(debug_assertions), len) {
+                (false, _) => 64,
+                (true, 22) => 8,
+                (true, _) => 0,
+            };
+            // The reference chain once per domain: `chain[l]` holds every
+            // lane after `l` levels, `WIDE` lanes up to `wide_levels` and
+            // `NARROW` beyond. Each backend's walk of fewer lanes is
+            // compared with a prefix.
+            let leaves: Vec<Hash256> = (0..WIDE as u32)
+                .map(|lane| sha256(&lane.to_be_bytes()))
+                .collect();
+            let mut chain = vec![leaves.clone()];
+            for level in 0..64u32 {
+                let width = if level < wide_levels { WIDE } else { NARROW };
+                let next = chain[level as usize][..width]
+                    .iter()
+                    .map(|node| keyed_hash(&name, &[node.as_bytes(), &level.to_be_bytes()]))
+                    .collect();
+                chain.push(next);
+            }
+            for &backend in sha256::available_backends() {
+                for lanes in lane_counts {
+                    for levels in level_counts {
+                        if lanes == WIDE && levels > wide_levels {
+                            continue;
+                        }
+                        let mut nodes = leaves[..lanes].to_vec();
+                        domain.walk_paths_with(backend, &mut nodes, levels);
+                        assert_eq!(
+                            nodes,
+                            chain[levels as usize][..lanes],
+                            "backend {} domain length {len} lanes {lanes} levels {levels}",
+                            backend.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,23 +7,31 @@
 //! CAVP are checked in the unit tests below, against every backend the host
 //! supports.
 //!
-//! Two interfaces are exposed:
+//! Three interfaces are exposed:
 //!
 //! * the streaming [`Sha256`] hasher (and one-shot [`sha256`]) for single
-//!   messages — accelerated transparently by SHA-NI when available, and
+//!   messages — accelerated transparently by SHA-NI when available,
 //! * the multi-lane [`digest_many`]/[`compress_many`] entry points, which
-//!   hash batches of *independent* messages in lockstep so the 8-wide AVX2
-//!   kernel (or back-to-back SHA-NI) can be applied. The audit pipeline
-//!   feeds 100k+ independent Merkle path walks per bucket through this.
+//!   hash batches of *independent* messages in lockstep so the 16-wide
+//!   AVX-512 or 8-wide AVX2 kernel (or interleaved SHA-NI streams) can be
+//!   applied, and
+//! * the fused path-walk kernel behind
+//!   [`KeyedDomain::walk_paths`](crate::KeyedDomain::walk_paths): chains of
+//!   keyed hashes over many independent lanes, each lane's digest staying
+//!   in registers from one level to the next. The audit pipeline feeds
+//!   100k+ independent Merkle path walks per bucket through this.
 //!
-//! Backend selection is runtime-dispatched ([`active_backend`]): x86 SHA-NI
-//! when detected, else the 8-wide AVX2 kernel, else portable scalar code.
-//! The scalar implementation is the frozen differential-test reference and
-//! `FI_FORCE_SCALAR_SHA=1` pins it.
+//! Backend selection is runtime-dispatched ([`active_backend`]): the
+//! AVX-512 kernel when detected, else x86 SHA-NI, else the 8-wide AVX2
+//! kernel, else portable scalar code. The scalar implementation is the
+//! frozen differential-test reference and `FI_FORCE_SCALAR_SHA=1` pins it.
 
 use crate::hash::Hash256;
 
 mod simd;
+mod walk;
+
+pub(crate) use walk::PathWalk;
 
 pub use simd::{active_backend, available_backends, force_backend, select_backend, Backend};
 
@@ -438,8 +446,8 @@ mod tests {
     }
 
     /// NIST CAVP vectors through every backend the host supports, with
-    /// enough lanes (9) that the AVX2 kernel's 8-wide body *and* its scalar
-    /// tail both run.
+    /// enough lanes (19) that each wide kernel's body (16-wide AVX-512,
+    /// 8-wide AVX2, SHA-NI pairs) *and* its leftover-lane path both run.
     #[test]
     fn cavp_vectors_every_backend() {
         let cases: &[(&[u8], &str)] = &[
@@ -462,7 +470,7 @@ mod tests {
         ];
         for &backend in available_backends() {
             for (input, expect) in cases {
-                let lanes: Vec<&[u8]> = vec![input; 9];
+                let lanes: Vec<&[u8]> = vec![input; 19];
                 for (lane, digest) in digest_many_with(backend, &lanes).iter().enumerate() {
                     assert_eq!(
                         digest.to_hex(),
@@ -480,7 +488,7 @@ mod tests {
     /// lengths, and padding-boundary tails.
     #[test]
     fn digest_many_differential() {
-        let lane_counts = [1usize, 3, 7, 8, 9, 17, 33];
+        let lane_counts = [1usize, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33];
         let tricky_lens = [0usize, 1, 55, 56, 63, 64, 65, 119, 127, 128, 200];
         for &backend in available_backends() {
             for (case, &lanes) in lane_counts.iter().enumerate() {
@@ -510,7 +518,7 @@ mod tests {
     #[test]
     fn compress_many_differential() {
         for &backend in available_backends() {
-            for lanes in [1usize, 5, 8, 16, 19] {
+            for lanes in [1usize, 2, 5, 8, 15, 16, 17, 19, 32, 35] {
                 let mut states: Vec<[u32; 8]> = (0..lanes)
                     .map(|i| {
                         let b = prng_bytes(7000 + i as u64, 32);
@@ -534,12 +542,17 @@ mod tests {
     fn select_backend_rules() {
         use Backend::*;
         // Priority order with everything available.
+        assert_eq!(
+            select_backend(&[Scalar, Avx2, ShaNi, Avx512], false),
+            Avx512
+        );
+        assert_eq!(select_backend(&[Avx512, Scalar, Avx2], false), Avx512);
         assert_eq!(select_backend(&[Scalar, Avx2, ShaNi], false), ShaNi);
         assert_eq!(select_backend(&[Scalar, ShaNi, Avx2], false), ShaNi);
         assert_eq!(select_backend(&[Scalar, Avx2], false), Avx2);
         assert_eq!(select_backend(&[Scalar], false), Scalar);
         // FI_FORCE_SCALAR_SHA pins the portable fallback regardless.
-        assert_eq!(select_backend(&[Scalar, Avx2, ShaNi], true), Scalar);
+        assert_eq!(select_backend(&[Scalar, Avx2, ShaNi, Avx512], true), Scalar);
         assert_eq!(select_backend(&[Scalar], true), Scalar);
     }
 
@@ -550,13 +563,16 @@ mod tests {
         assert!(available_backends().contains(&active_backend()));
     }
 
-    /// The global override redirects `active_backend`. Safe to run alongside
-    /// other tests: all backends produce identical digests, so concurrent
-    /// tests observing the temporary override still pass.
+    /// The global override redirects `active_backend` to every backend the
+    /// host has (one code table serves both directions). Safe to run
+    /// alongside other tests: all backends produce identical digests, so
+    /// concurrent tests observing the temporary override still pass.
     #[test]
     fn force_backend_overrides_selection() {
-        force_backend(Some(Backend::Scalar));
-        assert_eq!(active_backend(), Backend::Scalar);
+        for &backend in available_backends() {
+            force_backend(Some(backend));
+            assert_eq!(active_backend(), backend);
+        }
         force_backend(None);
         assert!(available_backends().contains(&active_backend()));
     }
