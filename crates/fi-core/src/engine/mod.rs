@@ -66,7 +66,7 @@ pub mod tuning;
 mod view;
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use fi_chain::account::{AccountId, Ledger, TokenAmount};
@@ -89,7 +89,7 @@ use self::batch::{ledger_steps_match, shard_local_file};
 use self::lifecycle::FileAddPrestage;
 use self::pool::{JobBatch, PoolHandle, WorkerPool};
 use self::shard::ShardedState;
-use self::statemap::{CommitCell, TrackedMap};
+use self::statemap::{CommitCell, StateMaps, TrackedMap};
 
 pub use self::snapshot::SnapshotError;
 pub use self::statemap::{StateHeader, StateRoots};
@@ -1062,17 +1062,26 @@ impl Engine {
     /// Syncs the state maps, seals them — persisting the version when
     /// `persist` — and folds the roots with the header.
     fn commit_state(&self, persist: bool) -> StateRoots {
-        let map_roots = self.sync_commitment(persist);
+        self.commit_state_locked(persist).0
+    }
+
+    /// [`Engine::commit_state`], handing back the commit lock with the
+    /// roots: the tries under it are exactly the version the roots name,
+    /// for the callers that go on to read it (pins, proofs, deltas).
+    fn commit_state_locked(&self, persist: bool) -> (StateRoots, MutexGuard<'_, StateMaps>) {
+        let mut maps = self.commit.lock();
+        let map_roots = self.sync_commitment(&mut maps, persist);
         let state_root =
             statemap::fold_state_root(&self.state_header(), statemap::fold_maps_root(&map_roots));
-        StateRoots {
+        let roots = StateRoots {
             state_root,
             files: map_roots[0],
             alloc: map_roots[1],
             discard: map_roots[2],
             sectors: map_roots[3],
             cr: map_roots[4],
-        }
+        };
+        (roots, maps)
     }
 
     /// Drains every tracked map's dirty keys into the five state HAMTs,
@@ -1085,12 +1094,12 @@ impl Engine {
     /// a large enough commit hashes them as one batch on the worker pool
     /// before the five root nodes are sealed here. Whether to is decided
     /// from the commit's own shape — the roots are the same either way.
-    fn sync_commitment(&self, persist: bool) -> [Hash256; 5] {
+    fn sync_commitment(&self, maps: &mut StateMaps, persist: bool) -> [Hash256; 5] {
         let store = self.store.as_ref();
-        let mut maps = self.commit.lock();
         let mut dirty_keys = 0usize;
         // The engine's tries are built in memory and never unloaded, so
         // `set`/`delete` find every node resident and never read the store.
+        // A node a live pin still shares is copied before it is written.
         let mut put = |trie: &mut Hamt, key: &[u8], leaf: Option<Vec<u8>>| {
             let ok = "state trie nodes are resident";
             match leaf {

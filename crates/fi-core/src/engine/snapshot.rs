@@ -1136,16 +1136,16 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`variant@Error::Store`] when the base roots are not resident in this
-    /// engine's blockstore (an unrelated or pruned base) or on store I/O
-    /// failure.
+    /// [`variant@Error::Store`] when a base node the diff needs — one on a
+    /// path that changed since `base` — is not in this engine's blockstore
+    /// (an unrelated or pruned base), or on store I/O failure.
     ///
     /// # Panics
     ///
     /// As [`Engine::state_roots`]: on backing-store write failure while
     /// syncing the current commitment.
     pub fn snapshot_delta(&self, base: &StateRoots) -> Result<Vec<u8>, Error> {
-        let roots = self.state_roots();
+        let (roots, maps) = self.commit_state_locked(true);
         let mut e = Enc::with_header(DELTA_MAGIC, DELTA_VERSION);
 
         // Identity: which base this delta applies to, and what it yields.
@@ -1168,10 +1168,11 @@ impl Engine {
         enc_checkpoint(&mut e, &self.last_checkpoint);
 
         // Per-map node deltas: exactly the blocks a holder of the base
-        // trees is missing.
+        // trees is missing. The new side is the live tries, in memory;
+        // the base side is read from the store along the changed paths.
         let store = self.store.as_ref();
-        for (new_root, base_root) in roots.map_roots().into_iter().zip(base.map_roots()) {
-            let nodes = Hamt::diff_new_nodes(store, new_root, base_root)?;
+        for (new, base_root) in maps.tries().into_iter().zip(base.map_roots()) {
+            let nodes = new.diff_new_nodes(store, &Hamt::load(base_root))?;
             e.usize(nodes.len());
             for (hash, bytes) in nodes {
                 e.hash(&hash);

@@ -122,7 +122,13 @@ impl<K: Eq + Hash + Copy, V> TrackedMap<K, V> {
     /// Drains the dirty-key set (callable from `&self`; the state-root
     /// sync is the only consumer).
     pub(super) fn take_dirty(&self) -> Vec<K> {
-        self.dirty.lock().expect("dirty set lock").drain().collect()
+        let mut dirty = self.dirty.lock().expect("dirty set lock");
+        // Draining walks the set's whole capacity — the largest commit
+        // ever made — even when it holds nothing.
+        if dirty.is_empty() {
+            return Vec::new();
+        }
+        dirty.drain().collect()
     }
 }
 
@@ -492,10 +498,8 @@ pub(super) struct StateMaps {
 }
 
 impl StateMaps {
-    /// The dirty top-level subtrees of all five maps: the independent
-    /// part of a commit, which the engine may spread over its pool before
-    /// [`StateMaps::seal`] finishes the five root nodes.
-    pub(super) fn dirty_subtrees(&self) -> Vec<DirtySubtree<'_>> {
+    /// The five tries in fold order ([`StateRoots::map_roots`]).
+    pub(super) fn tries(&self) -> [&Hamt; 5] {
         [
             &self.files,
             &self.alloc,
@@ -503,9 +507,16 @@ impl StateMaps {
             &self.sectors,
             &self.cr,
         ]
-        .into_iter()
-        .flat_map(Hamt::dirty_subtrees)
-        .collect()
+    }
+
+    /// The dirty top-level subtrees of all five maps: the independent
+    /// part of a commit, which the engine may spread over its pool before
+    /// [`StateMaps::seal`] finishes the five root nodes.
+    pub(super) fn dirty_subtrees(&self) -> Vec<DirtySubtree<'_>> {
+        self.tries()
+            .into_iter()
+            .flat_map(Hamt::dirty_subtrees)
+            .collect()
     }
 
     /// Commits all five maps and returns their roots in fold order. With

@@ -6,18 +6,22 @@
 //! reaching into the engine's in-memory layout. Two implementations:
 //!
 //! * [`Engine`] itself — reads the live tracked maps; always current.
-//! * [`PinnedState`] — reads the content-addressed state HAMTs at a
-//!   pinned [`StateRoots`], so a historical version stays readable after
-//!   the live engine has moved on (the blockstore is append-only;
-//!   nothing is overwritten).
+//! * [`PinnedState`] — holds the five state HAMTs at one version, so a
+//!   historical version stays readable after the live engine has moved
+//!   on. A pin taken from an engine ([`Engine::pin_state`]) shares the
+//!   engine's own trie nodes in memory — the engine copies a shared node
+//!   before writing to it, so the pin never sees a later version and
+//!   never reads the store; a pin made from bare roots
+//!   ([`PinnedState::new`]) loads nodes from the blockstore as reads
+//!   reach them (the store is append-only; nothing is overwritten).
 //!
 //! [`StateProof`] is the light-client piece: a proof that one file
 //! descriptor is committed by a given `state_root`, verifiable with no
 //! store and no engine — just the proof bytes and the trusted root.
 //!
 //! The trait returns owned values, not references: a pinned view decodes
-//! leaves out of the store on demand and has nothing to borrow from.
-//! Methods that can fail on a store (`PinnedState`'s) have inherent
+//! each leaf out of its trie bucket on demand and has no decoded value to
+//! borrow from. Methods that can fail on a store (`PinnedState`'s) have inherent
 //! `try_*` forms returning [`enum@Error`]; the trait impl maps failures to
 //! `None`/empty, which keeps the trait ergonomic for the common
 //! in-memory case.
@@ -31,7 +35,7 @@ use crate::drep::CrAccounting;
 use crate::error::Error;
 use crate::types::{AllocEntry, FileDescriptor, FileId, ProtocolEvent, Sector, SectorId};
 
-use super::statemap::{self, StateHeader, StateRoots};
+use super::statemap::{self, StateHeader, StateMaps, StateRoots};
 use super::{Engine, EngineError};
 
 /// Read-only access to consensus-visible protocol state.
@@ -99,17 +103,22 @@ impl StateView for Engine {
 
 impl Engine {
     /// Pins the current state for historical reads: persists the current
-    /// version and returns a [`PinnedState`] over this engine's blockstore
-    /// at its [`StateRoots`]. The pin stays readable as the live engine
-    /// mutates — the store is content-addressed and append-only.
+    /// version ([`Engine::state_roots`]) and returns a [`PinnedState`]
+    /// holding O(1) clones of this engine's five state tries at it. Reads
+    /// through the pin walk those nodes in memory; the pin stays at its
+    /// version as the live engine mutates, because the engine copies a
+    /// node the pin still shares before writing to it (and writes in
+    /// place again once the pin is dropped).
     ///
     /// # Panics
     ///
     /// As [`Engine::state_roots`]: on backing-store write failure.
     pub fn pin_state(&self) -> PinnedState {
+        let (roots, maps) = self.commit_state_locked(true);
         PinnedState {
             store: Arc::clone(&self.store),
-            roots: self.state_roots(),
+            roots,
+            maps: maps.clone(),
         }
     }
 
@@ -126,8 +135,13 @@ impl Engine {
     ///
     /// As [`Engine::state_roots`]: on backing-store write failure.
     pub fn prove_file(&self, file: FileId) -> Result<StateProof, Error> {
-        let roots = self.state_roots();
-        let path = Hamt::prove(self.store.as_ref(), roots.files, &statemap::key_file(file))?
+        // The live trie is the committed version while the lock is held:
+        // the path is encoded from its nodes, byte for byte what the
+        // store holds under `roots.files`.
+        let (roots, maps) = self.commit_state_locked(true);
+        let path = maps
+            .files
+            .prove(self.store.as_ref(), &statemap::key_file(file))?
             .ok_or(EngineError::UnknownFile(file))?;
         Ok(StateProof {
             header: self.state_header(),
@@ -138,16 +152,20 @@ impl Engine {
     }
 }
 
-/// A read-only view over the state HAMTs at a pinned [`StateRoots`] —
-/// the historical reader behind [`StateView`].
+/// A read-only view of the five state HAMTs at one [`StateRoots`] — the
+/// historical reader behind [`StateView`].
 ///
-/// Obtained from [`Engine::pin_state`], or constructed directly from any
-/// blockstore holding the referenced nodes (e.g. one restored from a
-/// delta snapshot).
+/// Obtained from [`Engine::pin_state`] (the tries share the engine's
+/// nodes in memory), or constructed directly from any blockstore holding
+/// the referenced nodes (e.g. one restored from a delta snapshot; nodes
+/// are read from the store as lookups reach them). Either way every read
+/// is the same trie walk, and clones are O(1).
 #[derive(Debug, Clone)]
 pub struct PinnedState {
     store: Arc<dyn Blockstore>,
     roots: StateRoots,
+    /// The tries at `roots`.
+    maps: StateMaps,
 }
 
 impl PinnedState {
@@ -155,7 +173,14 @@ impl PinnedState {
     /// node reachable from the five map roots; missing nodes surface as
     /// [`StoreError::NotFound`] on access, not here.
     pub fn new(store: Arc<dyn Blockstore>, roots: StateRoots) -> Self {
-        PinnedState { store, roots }
+        let maps = StateMaps {
+            files: Hamt::load(roots.files),
+            alloc: Hamt::load(roots.alloc),
+            discard: Hamt::load(roots.discard),
+            sectors: Hamt::load(roots.sectors),
+            cr: Hamt::load(roots.cr),
+        };
+        PinnedState { store, roots, maps }
     }
 
     /// The pinned roots.
@@ -170,7 +195,7 @@ impl PinnedState {
     /// Store failures and corrupt leaf bytes as [`variant@Error::Store`].
     pub fn try_file(&self, id: FileId) -> Result<Option<FileDescriptor>, Error> {
         self.leaf(
-            self.roots.files,
+            &self.maps.files,
             &statemap::key_file(id),
             statemap::dec_file,
         )
@@ -183,7 +208,7 @@ impl PinnedState {
     /// Store failures and corrupt leaf bytes as [`variant@Error::Store`].
     pub fn try_sector(&self, id: SectorId) -> Result<Option<Sector>, Error> {
         self.leaf(
-            self.roots.sectors,
+            &self.maps.sectors,
             &statemap::key_sector(id),
             statemap::dec_sector,
         )
@@ -196,7 +221,7 @@ impl PinnedState {
     /// Store failures and corrupt leaf bytes as [`variant@Error::Store`].
     pub fn try_alloc_entry(&self, file: FileId, index: u32) -> Result<Option<AllocEntry>, Error> {
         self.leaf(
-            self.roots.alloc,
+            &self.maps.alloc,
             &statemap::key_alloc(file, index),
             statemap::dec_alloc_entry,
         )
@@ -208,7 +233,7 @@ impl PinnedState {
     ///
     /// Store failures and corrupt leaf bytes as [`variant@Error::Store`].
     pub fn try_cr_accounting(&self, id: SectorId) -> Result<Option<CrAccounting>, Error> {
-        self.leaf(self.roots.cr, &statemap::key_sector(id), statemap::dec_cr)
+        self.leaf(&self.maps.cr, &statemap::key_sector(id), statemap::dec_cr)
     }
 
     /// Fallible form of [`StateView::file_ids`].
@@ -217,7 +242,7 @@ impl PinnedState {
     ///
     /// Store failures and corrupt nodes/keys as [`variant@Error::Store`].
     pub fn try_file_ids(&self) -> Result<Vec<FileId>, Error> {
-        Ok(self.walk_u64_keys(self.roots.files)?.map(FileId).collect())
+        Ok(self.walk_u64_keys(&self.maps.files)?.map(FileId).collect())
     }
 
     /// Fallible form of [`StateView::sector_ids`].
@@ -227,31 +252,29 @@ impl PinnedState {
     /// Store failures and corrupt nodes/keys as [`variant@Error::Store`].
     pub fn try_sector_ids(&self) -> Result<Vec<SectorId>, Error> {
         Ok(self
-            .walk_u64_keys(self.roots.sectors)?
+            .walk_u64_keys(&self.maps.sectors)?
             .map(SectorId)
             .collect())
     }
 
-    /// Reads and decodes one leaf out of the map rooted at `root`.
+    /// Reads and decodes one leaf out of `trie`.
     fn leaf<T>(
         &self,
-        root: Hash256,
+        trie: &Hamt,
         key: &[u8],
         dec: impl FnOnce(&[u8]) -> Result<T, StoreError>,
     ) -> Result<Option<T>, Error> {
-        Hamt::load(root)
-            .get(self.store.as_ref(), key)?
+        trie.get(self.store.as_ref(), key)?
             .map(|bytes| dec(&bytes))
             .transpose()
             .map_err(Error::from)
     }
 
-    /// Collects the 8-byte big-endian keys of the map rooted at `root`,
-    /// sorted ascending.
-    fn walk_u64_keys(&self, root: Hash256) -> Result<impl Iterator<Item = u64>, Error> {
+    /// Collects the 8-byte big-endian keys of `trie`, sorted ascending.
+    fn walk_u64_keys(&self, trie: &Hamt) -> Result<impl Iterator<Item = u64>, Error> {
         let mut ids = Vec::new();
         let mut malformed = false;
-        Hamt::load(root).walk(
+        trie.walk(
             self.store.as_ref(),
             &mut |key, _| match <[u8; 8]>::try_from(key) {
                 Ok(k) => ids.push(u64::from_be_bytes(k)),

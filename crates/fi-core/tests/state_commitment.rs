@@ -5,7 +5,10 @@
 //!   blockstore is deployment configuration, sharding partitions only
 //!   per-file state, and ingest width only schedules work.
 //! * **Pinned reads** — [`Engine::pin_state`] keeps a historical version
-//!   readable through [`StateView`] after the live engine moves on.
+//!   readable through [`StateView`] after the live engine moves on, out
+//!   of the engine's own trie nodes: a pin, a proof and the new side of a
+//!   delta read no store, and a delta's base side reads the changed
+//!   paths only.
 //! * **Incremental snapshots** — `base + snapshot_delta == full restore`,
 //!   byte-deterministic, with typed rejection of tampered deltas.
 //! * **Light-client proofs** — [`Engine::prove_file`] verifies against
@@ -16,15 +19,16 @@
 //!   that persists always.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use std::collections::HashSet;
 
 use fi_chain::account::{AccountId, TokenAmount};
+use fi_core::drep::CrAccounting;
 use fi_core::engine::{Engine, PinnedState, StateRoots, StateView};
 use fi_core::ops::Op;
 use fi_core::params::ProtocolParams;
-use fi_core::types::{FileId, SectorState};
+use fi_core::types::{AllocEntry, FileDescriptor, FileId, Sector, SectorId, SectorState};
 use fi_core::Error;
 use fi_crypto::{sha256, DetRng, Hash256};
 use fi_store::{Blockstore, DiskBlockstore, Hamt, MemoryBlockstore, StoreError};
@@ -121,11 +125,12 @@ fn drive(engine: &mut Engine, seed: u64, steps: u64) {
     engine.advance_to(engine.now() + engine.params().proof_cycle * 2);
 }
 
-/// A blockstore of either backend that counts its `put` calls.
+/// A blockstore of either backend that counts its `put` and `get` calls.
 #[derive(Debug)]
 struct CountingStore {
     inner: Box<dyn Blockstore>,
     puts: AtomicU64,
+    gets: AtomicU64,
     _log: Option<DropFile>,
 }
 
@@ -141,6 +146,7 @@ impl CountingStore {
         Arc::new(CountingStore {
             inner,
             puts: AtomicU64::new(0),
+            gets: AtomicU64::new(0),
             _log: log,
         })
     }
@@ -148,10 +154,15 @@ impl CountingStore {
     fn puts(&self) -> u64 {
         self.puts.load(Ordering::Relaxed)
     }
+
+    fn gets(&self) -> u64 {
+        self.gets.load(Ordering::Relaxed)
+    }
 }
 
 impl Blockstore for CountingStore {
     fn get(&self, hash: &Hash256) -> Result<Option<Arc<[u8]>>, StoreError> {
+        self.gets.fetch_add(1, Ordering::Relaxed);
         self.inner.get(hash)
     }
 
@@ -247,6 +258,240 @@ fn pinned_state_reads_a_frozen_version() {
     assert_eq!(stale.file_ids(), Vec::new());
 }
 
+/// Everything a [`StateView`] answers over a fixed probe set — ids the
+/// version holds and ids it does not — so two views, or one view at two
+/// moments, compare with one `assert_eq!`.
+#[derive(Debug, PartialEq)]
+struct Answers {
+    file_ids: Vec<FileId>,
+    sector_ids: Vec<SectorId>,
+    files: Vec<Option<FileDescriptor>>,
+    rows: Vec<Option<AllocEntry>>,
+    sectors: Vec<Option<Sector>>,
+    cr: Vec<Option<CrAccounting>>,
+}
+
+const PROBE_FILES: u64 = 400;
+const PROBE_SECTORS: u64 = 40;
+
+fn answers(view: &impl StateView) -> Answers {
+    let files = (0..PROBE_FILES).map(FileId);
+    let sectors = (0..PROBE_SECTORS).map(SectorId);
+    Answers {
+        file_ids: view.file_ids(),
+        sector_ids: view.sector_ids(),
+        files: files.clone().map(|f| view.file(f)).collect(),
+        rows: files
+            .flat_map(|f| (0..4).map(move |i| (f, i)))
+            .map(|(f, i)| view.alloc_entry(f, i))
+            .collect(),
+        sectors: sectors.clone().map(|s| view.sector(s)).collect(),
+        cr: sectors.map(|s| view.cr_accounting(s)).collect(),
+    }
+}
+
+/// The `try_*` surface of a pin: every probe must come back `Ok`, so the
+/// trait's error-to-`None` mapping cannot be what made [`answers`] agree.
+fn assert_pin_readable(pin: &PinnedState) {
+    pin.try_file_ids().expect("file ids");
+    pin.try_sector_ids().expect("sector ids");
+    for f in (0..PROBE_FILES).map(FileId) {
+        pin.try_file(f).expect("file");
+        pin.try_alloc_entry(f, 0).expect("alloc row");
+    }
+    for s in (0..PROBE_SECTORS).map(SectorId) {
+        pin.try_sector(s).expect("sector");
+        pin.try_cr_accounting(s).expect("cr row");
+    }
+}
+
+/// A pin *is* the tries at its version. Taken at v1, it answers every
+/// read as the live engine did at v1 and as a store-only pin of the same
+/// roots does — after the engine has moved three commits on (adds,
+/// confirms, discards, a checkpoint), and while it is moving: a second
+/// thread reads the pin during each of those commits (a barrier pairs
+/// reader pass `i` with mutation `i`). The engine's copy-on-write keeps
+/// the shared nodes at v1.
+#[test]
+fn a_pin_stays_at_its_version_while_the_engine_moves_on() {
+    const MOVES: u64 = 3;
+    for disk in [false, true] {
+        for shards in [1usize, 8] {
+            let cell = format!("disk={disk} shards={shards}");
+            let store = CountingStore::new(disk, &format!("pin-{shards}"));
+            let as_dyn = Arc::clone(&store) as Arc<dyn Blockstore>;
+            let mut engine =
+                Engine::new_with_store(params(shards, 1), as_dyn.clone()).expect("params");
+            let mut rng = DetRng::from_seed_label(7, "state-commitment");
+            setup(&mut engine, &mut rng);
+            for block in 0..10 {
+                differential_block(&mut engine, &mut rng, 7, block);
+            }
+
+            let at_v1 = answers(&engine);
+            assert!(at_v1.file_ids.len() > 20, "{cell}: v1 must hold files");
+            assert!(
+                at_v1.file_ids.iter().all(|f| f.0 < PROBE_FILES - 100),
+                "{cell}: the probe range must reach past v1 into ids added later"
+            );
+            let pin = engine.pin_state();
+            assert_eq!(answers(&pin), at_v1, "{cell}: fresh pin");
+
+            let turn = Barrier::new(2);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for pass in 0..MOVES {
+                        assert_eq!(answers(&pin), at_v1, "{cell}: reader pass {pass}");
+                        assert_pin_readable(&pin);
+                        turn.wait();
+                    }
+                });
+                for i in 0..MOVES {
+                    for block in 0..2 {
+                        differential_block(&mut engine, &mut rng, 7, 10 + 2 * i + block);
+                    }
+                    let doomed = engine.file_ids()[0];
+                    engine.file_discard(CLIENT, doomed).expect("discard");
+                    engine.honest_providers_act();
+                    engine.advance_to(engine.now() + engine.params().block_interval);
+                    if i == 1 {
+                        engine.checkpoint();
+                    }
+                    engine.state_root();
+                    turn.wait();
+                }
+            });
+
+            assert_ne!(answers(&engine), at_v1, "{cell}: the engine moved on");
+            assert_eq!(answers(&pin), at_v1, "{cell}: the pin did not");
+            assert_eq!(answers(&pin.clone()), at_v1, "{cell}: nor does its clone");
+            let from_store = PinnedState::new(as_dyn.clone(), *pin.roots());
+            assert_eq!(answers(&from_store), at_v1, "{cell}: store-only pin");
+            assert_pin_readable(&from_store);
+            // And a pin taken now is the new version.
+            assert_eq!(answers(&engine.pin_state()), answers(&engine), "{cell}");
+        }
+    }
+}
+
+/// Proofs are encoded from the live trie, and those are the stored
+/// bytes: `prove_file`'s path equals the path a reader proves out of the
+/// store alone at the same root.
+#[test]
+fn live_proofs_are_byte_equal_to_proofs_from_the_store() {
+    for disk in [false, true] {
+        for shards in [1usize, 8] {
+            let store = CountingStore::new(disk, &format!("prove-{shards}"));
+            let as_dyn = Arc::clone(&store) as Arc<dyn Blockstore>;
+            let mut engine = Engine::new_with_store(params(shards, 1), as_dyn).expect("params");
+            let mut rng = DetRng::from_seed_label(51, "state-commitment");
+            setup(&mut engine, &mut rng);
+            for block in 0..3 {
+                for i in 0..40 {
+                    step(&mut engine, &mut rng, 51, block * 40 + i);
+                }
+                let roots = engine.state_roots();
+                let files = engine.file_ids();
+                assert!(!files.is_empty(), "workload must leave live files");
+                for f in files {
+                    let proof = engine.prove_file(f).expect("prove");
+                    let stored = Hamt::load(roots.files)
+                        .prove(store.as_ref(), &f.0.to_be_bytes())
+                        .expect("readable from the store")
+                        .expect("file present");
+                    assert_eq!(proof.path, stored, "disk={disk} shards={shards} {f}");
+                    assert_eq!(proof.map_roots, roots.map_roots());
+                    proof.verify(roots.state_root).expect("verify");
+                }
+            }
+        }
+    }
+}
+
+/// Adds and confirms one size-1 file per id in `ids`.
+fn fill_confirmed(engine: &mut Engine, ids: std::ops::Range<u64>) {
+    for i in ids {
+        let root = sha256(&i.to_be_bytes());
+        let f = engine
+            .file_add(CLIENT, 1, engine.params().min_value, root)
+            .expect("add");
+        for (idx, s) in engine.pending_confirms(f) {
+            engine
+                .file_confirm(PROVIDERS[0], f, idx, s)
+                .expect("confirm");
+        }
+    }
+}
+
+/// The mechanism, in store reads. On a live engine a pin's reads and
+/// `prove_file` touch no store at all, and `snapshot_delta` reads only
+/// the base version's nodes along the changed paths: the same handful of
+/// changed keys costs no more reads on a state ten times larger than one
+/// more level per path, and a small fraction of the base's nodes (which
+/// a walk of the whole base would read).
+#[test]
+fn pinned_reads_and_proofs_read_no_store_and_deltas_read_changed_paths() {
+    const CHANGED_FILES: u64 = 4;
+    // One descriptor and `k` rows per file, plus the sector and DRep rows.
+    const CHANGED_KEYS: u64 = CHANGED_FILES * 4 + 2 * 6;
+    let mut delta_gets = Vec::new();
+    for (disk, shards, files) in [(false, 1usize, 300u64), (true, 8, 3_000)] {
+        let cell = format!("disk={disk} shards={shards} files={files}");
+        let store = CountingStore::new(disk, &format!("reads-{shards}"));
+        let as_dyn = Arc::clone(&store) as Arc<dyn Blockstore>;
+        let mut engine = Engine::new_with_store(params(shards, 1), as_dyn).expect("params");
+        engine.fund(CLIENT, TokenAmount(u128::MAX / 4));
+        engine.fund(PROVIDERS[0], TokenAmount(u128::MAX / 4));
+        for _ in 0..6 {
+            engine
+                .sector_register(PROVIDERS[0], 640_000)
+                .expect("register");
+        }
+        fill_confirmed(&mut engine, 0..files);
+        let base_roots = engine.state_roots();
+        let base_nodes = store.puts();
+
+        // 1 000 pinned reads and 100 proofs: not one `get`.
+        let live = engine.file_ids();
+        let mut rng = DetRng::from_seed_label(3, "state-commitment/reads");
+        let pin = engine.pin_state();
+        let before = store.gets();
+        for _ in 0..1_000 {
+            let f = live[rng.below(live.len() as u64) as usize];
+            assert_eq!(pin.try_file(f).expect("read"), engine.file(f), "{cell}");
+        }
+        for _ in 0..100 {
+            let f = live[rng.below(live.len() as u64) as usize];
+            let proof = engine.prove_file(f).expect("prove");
+            proof.verify(base_roots.state_root).expect("verify");
+        }
+        assert_eq!(store.gets(), before, "{cell}: reads went to the store");
+        drop(pin);
+
+        // A few changed keys, then the delta against the base.
+        fill_confirmed(&mut engine, files..files + CHANGED_FILES);
+        let before = store.gets();
+        let delta = engine.snapshot_delta(&base_roots).expect("delta");
+        let gets = store.gets() - before;
+        assert!(gets > 0, "{cell}: the base side is read from the store");
+        assert!(
+            gets <= CHANGED_KEYS * 4,
+            "{cell}: {gets} gets for {CHANGED_KEYS} changed keys"
+        );
+        assert!(
+            gets * 10 <= base_nodes,
+            "{cell}: {gets} gets against a base of {base_nodes} nodes"
+        );
+        // Same bytes as ever: the delta still round-trips.
+        assert!(delta.len() < engine.snapshot_save().len(), "{cell}");
+        delta_gets.push(gets);
+    }
+    assert!(
+        delta_gets[1] <= delta_gets[0] + CHANGED_KEYS,
+        "ten times the state must not cost more than a level per changed path: {delta_gets:?}"
+    );
+}
+
 /// The incremental-snapshot contract: restoring `base + delta` equals
 /// restoring a full snapshot of the new state, bit for bit — and both
 /// ends of the transport are deterministic.
@@ -262,20 +507,7 @@ fn delta_snapshot_round_trips_against_a_base() {
             .sector_register(PROVIDERS[0], 64_000)
             .expect("register");
     }
-    let fill = |engine: &mut Engine, ids: std::ops::Range<u64>| {
-        for i in ids {
-            let root = sha256(&i.to_be_bytes());
-            let f = engine
-                .file_add(CLIENT, 1, engine.params().min_value, root)
-                .expect("add");
-            for (idx, s) in engine.pending_confirms(f) {
-                engine
-                    .file_confirm(PROVIDERS[0], f, idx, s)
-                    .expect("confirm");
-            }
-        }
-    };
-    fill(&mut engine, 0..300);
+    fill_confirmed(&mut engine, 0..300);
     engine.advance_to(engine.now() + engine.params().proof_cycle);
     engine.honest_providers_act();
     let full_base = engine.snapshot_save();
@@ -284,7 +516,7 @@ fn delta_snapshot_round_trips_against_a_base() {
     // A small targeted change on top of that base. (No proof-cycle
     // advance: that would touch every descriptor's cntdown and dirty the
     // whole files tree.)
-    fill(&mut engine, 1_000..1_003);
+    fill_confirmed(&mut engine, 1_000..1_003);
     engine.honest_providers_act();
     assert_ne!(engine.state_root(), base_roots.state_root);
 
@@ -552,7 +784,9 @@ fn the_store_grows_only_by_the_versions_that_are_named() {
     let nodes_of = |roots: &StateRoots| -> HashSet<Hash256> {
         let mut nodes = HashSet::from([empty]);
         for root in roots.map_roots() {
-            let tree = Hamt::diff_new_nodes(store.as_ref(), root, empty).expect("persisted tree");
+            let tree = Hamt::load(root)
+                .diff_new_nodes(store.as_ref(), &Hamt::load(empty))
+                .expect("persisted tree");
             nodes.extend(tree.into_iter().map(|(hash, _)| hash));
         }
         nodes

@@ -289,15 +289,17 @@ impl Blockstore for DiskBlockstore {
         let Some(&(offset, len)) = self.index.read().expect("store lock").get(hash) else {
             return Ok(None);
         };
-        let mut buf = vec![0u8; len as usize];
-        if let Err(e) = self.file.read_exact_at(&mut buf, offset) {
+        // Read into the allocation that is handed out: no second copy.
+        let mut block: Arc<[u8]> = std::iter::repeat_n(0u8, len as usize).collect();
+        let buf = Arc::get_mut(&mut block).expect("not shared yet");
+        if let Err(e) = self.file.read_exact_at(buf, offset) {
             self.drop_torn_tail()?;
             return Err(e.into());
         }
-        if block_hash(&buf) != *hash {
+        if block_hash(buf) != *hash {
             return Err(StoreError::Corrupt("disk block bytes mismatch its hash"));
         }
-        Ok(Some(buf.into()))
+        Ok(Some(block))
     }
 
     fn put(&self, bytes: &[u8]) -> Result<Hash256, StoreError> {

@@ -52,14 +52,19 @@
 //!
 //! In-memory nodes are held behind [`Arc`]s; cloning a [`Hamt`] is O(1)
 //! and mutation copies only the path being written
-//! ([`Arc::make_mut`]). Nodes reached through an unflushed map stay
-//! purely in memory, so read traffic never touches the store. Leaf
-//! buckets are kept in their encoded form, so encoding a node is a copy
-//! per slot into one scratch buffer reused along the walk.
+//! ([`Arc::make_mut`]) — and copies a node only while a clone still
+//! shares it, so a clone is a pinned version and a map nobody has cloned
+//! is written in place. Every read — [`Hamt::get`], [`Hamt::walk`],
+//! [`Hamt::prove`], [`Hamt::diff_new_nodes`] — uses a resident node where
+//! it is and goes to the store only through a link that was never
+//! loaded; a resident node's block is re-encoded on demand, and those
+//! are the bytes a flush stores. Leaf buckets are kept in their encoded
+//! form, so encoding a node is a copy per slot.
 //!
 //! # Defensive decoding
 //!
-//! Node bytes loaded from a store are untrusted: truncation, bit flips,
+//! Node bytes loaded from a store or carried in a proof are untrusted and
+//! go through one parser (`SlotScanner`): truncation, bit flips,
 //! unsorted buckets and over-deep paths (the only way a malicious store
 //! can express a link cycle, since honest links are hashes of the child's
 //! bytes) all surface as typed [`StoreError`]s, never a panic or an
@@ -137,7 +142,7 @@ impl Bucket {
     }
 
     fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        self.pairs().find(|(k, _)| *k == key).map(|(_, v)| v)
+        bucket_get(&self.0, key)
     }
 
     /// This bucket with `key` set to `value`, or removed.
@@ -149,6 +154,13 @@ impl Bucket {
         }
         Bucket::from_sorted(&pairs)
     }
+}
+
+/// The value under `key` in a bucket's canonical encoded form.
+fn bucket_get<'a>(bucket: &'a [u8], key: &[u8]) -> Option<&'a [u8]> {
+    Pairs(&bucket[BUCKET_HEADER..])
+        .find(|(k, _)| *k == key)
+        .map(|(_, v)| v)
 }
 
 /// A bucket's pairs in key order: what is left of its bytes to read.
@@ -232,6 +244,34 @@ impl Node {
         Some((self.bitmap & ((1u32 << nib) - 1)).count_ones() as usize)
     }
 
+    /// The slot at `nib`, if occupied.
+    fn slot(&self, nib: u32) -> Option<&Slot> {
+        self.slot_index(nib).map(|i| &self.slots[i])
+    }
+
+    /// The occupied slots with their slot numbers, ascending.
+    fn occupied(&self) -> impl Iterator<Item = (u32, &Slot)> {
+        (0..FANOUT)
+            .filter(|nib| self.bitmap & (1 << nib) != 0)
+            .zip(&self.slots)
+    }
+
+    /// The node's hash, if a commit walk has nothing left to do here:
+    /// the node is hashed and — when the walk is `persist`ing — stored.
+    fn sealed(&self, persist: bool) -> Option<Hash256> {
+        let hash = *self.hash.get()?;
+        (!persist || self.stored.load(Ordering::Acquire)).then_some(hash)
+    }
+
+    /// The length of [`encode_node`]'s output for this node.
+    fn encoded_len(&self) -> usize {
+        let slots = self.slots.iter().map(|slot| match slot {
+            Slot::Bucket(bucket) => bucket.0.len(),
+            Slot::Child(_) => 1 + 32,
+        });
+        4 + slots.sum::<usize>()
+    }
+
     /// Where slot `nib` would be inserted.
     fn insert_index(&self, nib: u32) -> usize {
         (self.bitmap & ((1u32 << nib) - 1)).count_ones() as usize
@@ -273,65 +313,158 @@ fn encode_node(node: &Node, out: &mut Vec<u8>) {
     }
 }
 
-/// Parses untrusted node bytes, validating every structural invariant the
-/// encoder maintains. Child links come back as [`Link::Stored`].
-fn decode_node(bytes: &[u8]) -> Result<Node, StoreError> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8], StoreError> {
-        if *pos + n > bytes.len() {
+/// One occupied slot of a node's encoding, borrowed from the node bytes.
+enum RawSlot<'a> {
+    /// A validated bucket in its canonical encoded form — the bytes a
+    /// [`Bucket`] wraps.
+    Bucket(&'a [u8]),
+    Child(Hash256),
+}
+
+/// The one parser of untrusted node bytes: hands out a node's occupied
+/// slots one at a time, borrowed, validating every structural invariant
+/// the encoder maintains on the way. A node is valid only once
+/// [`SlotScanner::next_slot`] has returned `Ok(None)`.
+struct SlotScanner<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    bitmap: u32,
+    /// The bitmap bits whose slots are still to be scanned.
+    rest: u32,
+}
+
+impl<'a> SlotScanner<'a> {
+    fn new(bytes: &'a [u8]) -> Result<Self, StoreError> {
+        let mut scan = SlotScanner {
+            bytes,
+            pos: 0,
+            bitmap: 0,
+            rest: 0,
+        };
+        scan.bitmap = scan.u32()?;
+        scan.rest = scan.bitmap;
+        Ok(scan)
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
+        if self.pos + n > self.bytes.len() {
             return Err(StoreError::Corrupt("truncated node bytes"));
         }
-        let s = &bytes[*pos..*pos + n];
-        *pos += n;
+        let s = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
         Ok(s)
-    };
-    let bitmap = u32::from_be_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes"));
-    let mut slots = Vec::with_capacity(bitmap.count_ones() as usize);
-    for _ in 0..bitmap.count_ones() {
-        let start = pos;
-        match take(&mut pos, 1)?[0] {
+    }
+
+    fn u32(&mut self) -> Result<u32, StoreError> {
+        Ok(u32::from_be_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+
+    /// The next occupied slot and its slot number; `None` after the last
+    /// one, once nothing is left of the bytes.
+    fn next_slot(&mut self) -> Result<Option<(u32, RawSlot<'a>)>, StoreError> {
+        if self.rest == 0 {
+            if self.pos != self.bytes.len() {
+                return Err(StoreError::Corrupt("trailing bytes after node"));
+            }
+            return Ok(None);
+        }
+        let nib = self.rest.trailing_zeros();
+        self.rest &= self.rest - 1;
+        let start = self.pos;
+        let slot = match self.take(1)?[0] {
             TAG_BUCKET => {
-                let count = u32::from_be_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes"));
+                let count = self.u32()?;
                 if count == 0 {
                     return Err(StoreError::Corrupt("empty bucket slot"));
                 }
                 let mut prev: Option<&[u8]> = None;
                 for _ in 0..count {
-                    let klen = u32::from_be_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes"));
-                    let k = take(&mut pos, klen as usize)?;
-                    let vlen = u32::from_be_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes"));
-                    take(&mut pos, vlen as usize)?;
+                    let klen = self.u32()?;
+                    let k = self.take(klen as usize)?;
+                    let vlen = self.u32()?;
+                    self.take(vlen as usize)?;
                     if prev.is_some_and(|prev| prev >= k) {
                         return Err(StoreError::Corrupt("bucket keys out of order"));
                     }
                     prev = Some(k);
                 }
-                slots.push(Slot::Bucket(Bucket(bytes[start..pos].to_vec())));
+                RawSlot::Bucket(&self.bytes[start..self.pos])
             }
-            TAG_CHILD => {
-                let hash = Hash256::from_bytes(take(&mut pos, 32)?.try_into().expect("32 bytes"));
-                slots.push(Slot::Child(Link::Stored(hash)));
-            }
+            TAG_CHILD => RawSlot::Child(Hash256::from_bytes(
+                self.take(32)?.try_into().expect("32 bytes"),
+            )),
             _ => return Err(StoreError::Corrupt("unknown slot tag")),
-        }
+        };
+        Ok(Some((nib, slot)))
     }
-    if pos != bytes.len() {
-        return Err(StoreError::Corrupt("trailing bytes after node"));
+}
+
+/// Parses untrusted node bytes into a node of its own. Child links come
+/// back as [`Link::Stored`].
+fn decode_node(bytes: &[u8]) -> Result<Node, StoreError> {
+    let mut scan = SlotScanner::new(bytes)?;
+    let mut slots = Vec::with_capacity(scan.bitmap.count_ones() as usize);
+    while let Some((_, slot)) = scan.next_slot()? {
+        slots.push(match slot {
+            RawSlot::Bucket(bucket) => Slot::Bucket(Bucket(bucket.to_vec())),
+            RawSlot::Child(hash) => Slot::Child(Link::Stored(hash)),
+        });
     }
     Ok(Node {
-        bitmap,
+        bitmap: scan.bitmap,
         slots,
         ..Node::default()
     })
 }
 
-/// Loads the node behind a link for reading.
-fn link_node(link: &Link, store: &dyn Blockstore) -> Result<Arc<Node>, StoreError> {
+/// A node reached for reading: borrowed from the trie when its link is
+/// resident, decoded out of the store when it is not.
+enum NodeRef<'a> {
+    Resident(&'a Node),
+    Loaded(Node),
+}
+
+impl std::ops::Deref for NodeRef<'_> {
+    type Target = Node;
+
+    fn deref(&self) -> &Node {
+        match self {
+            NodeRef::Resident(node) => node,
+            NodeRef::Loaded(node) => node,
+        }
+    }
+}
+
+/// The node behind a link, for reading. Only a [`Link::Stored`] touches
+/// the store.
+fn link_node<'a>(link: &'a Link, store: &dyn Blockstore) -> Result<NodeRef<'a>, StoreError> {
     match link {
-        Link::Resident(n) => Ok(Arc::clone(n)),
-        Link::Stored(h) => {
-            let bytes = store.get(h)?.ok_or(StoreError::NotFound(*h))?;
-            Ok(Arc::new(decode_node(&bytes)?))
+        Link::Resident(node) => Ok(NodeRef::Resident(node)),
+        Link::Stored(hash) => {
+            let bytes = store.get(hash)?.ok_or(StoreError::NotFound(*hash))?;
+            Ok(NodeRef::Loaded(decode_node(&bytes)?))
+        }
+    }
+}
+
+/// The node behind a sealed link together with its block — the bytes the
+/// store holds, or would hold, under the link's hash: a resident node is
+/// encoded, a stored one is read.
+fn link_block<'a>(
+    link: &'a Link,
+    store: &dyn Blockstore,
+) -> Result<(NodeRef<'a>, Vec<u8>), StoreError> {
+    match link {
+        Link::Resident(node) => {
+            let mut bytes = Vec::with_capacity(node.encoded_len());
+            encode_node(node, &mut bytes);
+            Ok((NodeRef::Resident(node), bytes))
+        }
+        Link::Stored(hash) => {
+            let bytes = store.get(hash)?.ok_or(StoreError::NotFound(*hash))?;
+            Ok((NodeRef::Loaded(decode_node(&bytes)?), bytes.to_vec()))
         }
     }
 }
@@ -371,8 +504,7 @@ fn node_get(
     if depth >= MAX_DEPTH {
         return Err(StoreError::Corrupt("trie deeper than the key hash"));
     }
-    let nib = nibble(hash, depth);
-    match node.slot_index(nib).map(|i| &node.slots[i]) {
+    match node.slot(nibble(hash, depth)) {
         None => Ok(None),
         Some(Slot::Bucket(bucket)) => Ok(bucket.get(key).map(<[u8]>::to_vec)),
         Some(Slot::Child(link)) => {
@@ -500,10 +632,8 @@ fn seal(
     store: Option<&dyn Blockstore>,
     buf: &mut Vec<u8>,
 ) -> Result<Hash256, StoreError> {
-    if let Some(&hash) = node.hash.get() {
-        if store.is_none() || node.stored.load(Ordering::Acquire) {
-            return Ok(hash);
-        }
+    if let Some(hash) = node.sealed(store.is_some()) {
+        return Ok(hash);
     }
     for slot in &node.slots {
         if let Slot::Child(Link::Resident(child)) = slot {
@@ -548,7 +678,74 @@ fn walk_link(
     Ok(())
 }
 
+/// Appends to `nodes` the blocks on `key`'s path from `link` down to the
+/// leaf slot, and reports whether that slot holds the key.
+fn prove_link(
+    link: &Link,
+    store: &dyn Blockstore,
+    hash: &Hash256,
+    depth: usize,
+    key: &[u8],
+    nodes: &mut Vec<Vec<u8>>,
+) -> Result<bool, StoreError> {
+    if depth >= MAX_DEPTH {
+        return Err(StoreError::Corrupt("trie deeper than the key hash"));
+    }
+    let (node, bytes) = link_block(link, store)?;
+    nodes.push(bytes);
+    match node.slot(nibble(hash, depth)) {
+        None => Ok(false),
+        Some(Slot::Bucket(bucket)) => Ok(bucket.get(key).is_some()),
+        Some(Slot::Child(child)) => prove_link(child, store, hash, depth + 1, key, nodes),
+    }
+}
+
+/// Appends to `out`, in pre-order, the blocks under `new` that a holder
+/// of the tree under `base` — the link at the same position of the base
+/// version, if it has a child there — is missing. The two sides descend
+/// in lockstep and stop wherever their hashes agree: content addressing
+/// means identical hash ⇒ identical subtree, and the canonical layout
+/// means a subtree can only ever recur at its own position.
+fn diff_link(
+    new: &Link,
+    base: Option<&Link>,
+    store: &dyn Blockstore,
+    depth: usize,
+    seen: &mut HashSet<Hash256>,
+    out: &mut Vec<(Hash256, Vec<u8>)>,
+) -> Result<(), StoreError> {
+    if depth >= MAX_DEPTH {
+        return Err(StoreError::Corrupt("trie deeper than the key hash"));
+    }
+    let hash = new.hash().expect("both versions are committed first");
+    if base.and_then(Link::hash) == Some(hash) || !seen.insert(hash) {
+        return Ok(());
+    }
+    let (node, bytes) = link_block(new, store)?;
+    out.push((hash, bytes));
+    let mut children = node
+        .occupied()
+        .filter_map(|(nib, slot)| match slot {
+            Slot::Child(child) => Some((nib, child)),
+            Slot::Bucket(_) => None,
+        })
+        .peekable();
+    if children.peek().is_none() {
+        return Ok(()); // nothing below to compare: leave the base side unread
+    }
+    let base = base.map(|link| link_node(link, store)).transpose()?;
+    for (nib, child) in children {
+        let under = match base.as_deref().and_then(|node| node.slot(nib)) {
+            Some(Slot::Child(link)) => Some(link),
+            _ => None,
+        };
+        diff_link(child, under, store, depth + 1, seen, out)?;
+    }
+    Ok(())
+}
+
 /// Collects every node hash reachable from `root` into `out`.
+#[cfg(test)]
 fn reachable_hashes(
     store: &dyn Blockstore,
     root: Hash256,
@@ -571,6 +768,10 @@ fn reachable_hashes(
     Ok(())
 }
 
+/// The set-based diff [`Hamt::diff_new_nodes`] is tested against: every
+/// node reachable from `root`, in pre-order, whose hash is not in `base`
+/// (the whole base tree's [`reachable_hashes`]).
+#[cfg(test)]
 fn collect_new_nodes(
     store: &dyn Blockstore,
     root: Hash256,
@@ -582,8 +783,6 @@ fn collect_new_nodes(
     if depth >= MAX_DEPTH {
         return Err(StoreError::Corrupt("trie deeper than the key hash"));
     }
-    // A node already in the base is shared along with its whole subtree:
-    // content addressing means identical hash ⇒ identical reachable set.
     if base.contains(&root) || !seen.insert(root) {
         return Ok(());
     }
@@ -716,7 +915,11 @@ impl Hamt {
     fn seal(&self, store: Option<&dyn Blockstore>) -> Result<Hash256, StoreError> {
         match &self.root {
             Link::Stored(hash) => Ok(*hash),
-            Link::Resident(root) => seal(root, store, &mut scratch()),
+            // The common idle case, answered before any scratch is set up.
+            Link::Resident(root) => match root.sealed(store.is_some()) {
+                Some(hash) => Ok(hash),
+                None => seal(root, store, &mut scratch()),
+            },
         }
     }
 
@@ -756,58 +959,51 @@ impl Hamt {
         walk_link(&self.root, store, 0, f)
     }
 
-    /// The nodes reachable from `new_root` but not from `base_root` — an
+    /// The nodes of this version that `base` does not have — an
     /// incremental snapshot's payload: a reader holding every node of
-    /// `base_root` needs exactly these `(hash, bytes)` blocks to read
-    /// `new_root` in full. Both roots must be flushed into `store`.
+    /// `base` needs exactly these `(hash, bytes)` blocks, listed parents
+    /// first, to read this version in full. Both maps are committed
+    /// first (hash-only). Nodes resident in either map are read in
+    /// memory; the rest — every node on a changed path of a
+    /// [`Hamt::load`]ed base — come out of `store`, so the cost follows
+    /// the size of the change, not of the maps.
     ///
     /// # Errors
     ///
-    /// [`StoreError::NotFound`] when either tree is incomplete in
-    /// `store`; corrupt node bytes as [`StoreError::Corrupt`].
+    /// [`StoreError::NotFound`] when a node needed from `store` is not
+    /// there; corrupt node bytes as [`StoreError::Corrupt`].
     pub fn diff_new_nodes(
+        &self,
         store: &dyn Blockstore,
-        new_root: Hash256,
-        base_root: Hash256,
+        base: &Hamt,
     ) -> Result<Vec<(Hash256, Vec<u8>)>, StoreError> {
-        let mut base = HashSet::new();
-        reachable_hashes(store, base_root, 0, &mut base)?;
+        self.seal(None)?;
+        base.seal(None)?;
         let mut seen = HashSet::new();
         let mut out = Vec::new();
-        collect_new_nodes(store, new_root, 0, &base, &mut seen, &mut out)?;
+        diff_link(&self.root, Some(&base.root), store, 0, &mut seen, &mut out)?;
         Ok(out)
     }
 
-    /// An inclusion proof for `key` against the flushed `root`: the node
-    /// bytes along the path from the root to the leaf bucket holding the
-    /// key. `Ok(None)` when the key is absent (absence is not proven).
+    /// An inclusion proof for `key` against this version's root (the map
+    /// is committed first, hash-only): the node bytes along the path
+    /// from the root to the leaf bucket holding the key. `Ok(None)` when
+    /// the key is absent (absence is not proven). Resident nodes are
+    /// encoded from memory — the bytes a flush stores — and only nodes
+    /// that were never loaded are read from `store`.
     ///
     /// # Errors
     ///
     /// Store failures and corrupt node bytes ([`StoreError`]).
     pub fn prove(
+        &self,
         store: &dyn Blockstore,
-        root: Hash256,
         key: &[u8],
     ) -> Result<Option<Vec<Vec<u8>>>, StoreError> {
-        let hash = sha256(key);
+        self.seal(None)?;
         let mut nodes = Vec::new();
-        let mut current = root;
-        for depth in 0..MAX_DEPTH {
-            let bytes = store.get(&current)?.ok_or(StoreError::NotFound(current))?;
-            let node = decode_node(&bytes)?;
-            nodes.push(bytes.to_vec());
-            let nib = nibble(&hash, depth);
-            match node.slot_index(nib).map(|i| &node.slots[i]) {
-                None => return Ok(None),
-                Some(Slot::Bucket(bucket)) => {
-                    return Ok(bucket.get(key).map(|_| nodes));
-                }
-                Some(Slot::Child(Link::Stored(h))) => current = *h,
-                Some(Slot::Child(_)) => unreachable!("decode_node yields Stored links"),
-            }
-        }
-        Err(StoreError::Corrupt("trie deeper than the key hash"))
+        let found = prove_link(&self.root, store, &sha256(key), 0, key, &mut nodes)?;
+        Ok(found.then_some(nodes))
     }
 
     /// Verifies a [`Hamt::prove`] path against `root` and returns the
@@ -836,21 +1032,26 @@ impl Hamt {
             if block_hash(bytes) != want {
                 return Err(StoreError::Proof("node hash breaks the commitment chain"));
             }
-            let node = decode_node(bytes)?;
+            // Every slot of the node is validated; the path's is kept.
             let nib = nibble(&hash, depth);
-            match node.slot_index(nib).map(|i| &node.slots[i]) {
+            let mut scan = SlotScanner::new(bytes)?;
+            let mut on_path = None;
+            while let Some((at, slot)) = scan.next_slot()? {
+                if at == nib {
+                    on_path = Some(slot);
+                }
+            }
+            match on_path {
                 None => return Err(StoreError::Proof("path reaches an empty slot")),
-                Some(Slot::Bucket(bucket)) => {
+                Some(RawSlot::Bucket(bucket)) => {
                     if depth + 1 != nodes.len() {
                         return Err(StoreError::Proof("extra nodes after the leaf"));
                     }
-                    return bucket
-                        .get(key)
+                    return bucket_get(bucket, key)
                         .map(<[u8]>::to_vec)
                         .ok_or(StoreError::Proof("key absent from the leaf bucket"));
                 }
-                Some(Slot::Child(Link::Stored(h))) => want = *h,
-                Some(Slot::Child(_)) => unreachable!("decode_node yields Stored links"),
+                Some(RawSlot::Child(child)) => want = child,
             }
         }
         Err(StoreError::Proof("proof path ends at a child link"))
@@ -861,6 +1062,7 @@ impl Hamt {
 mod tests {
     use super::*;
     use crate::blockstore::MemoryBlockstore;
+    use fi_crypto::DetRng;
 
     fn kv(i: u64) -> (Vec<u8>, Vec<u8>) {
         (
@@ -1019,7 +1221,9 @@ mod tests {
         map.delete(&store, b"key-3").unwrap();
         let new_root = map.flush(&store).unwrap();
 
-        let delta = Hamt::diff_new_nodes(&store, new_root, base_root).unwrap();
+        let delta = Hamt::load(new_root)
+            .diff_new_nodes(&store, &Hamt::load(base_root))
+            .unwrap();
         // Minimality: far fewer nodes than the whole tree.
         let mut whole = HashSet::new();
         reachable_hashes(&store, new_root, 0, &mut whole).unwrap();
@@ -1058,13 +1262,19 @@ mod tests {
 
         for i in (0..300).step_by(17) {
             let (k, v) = kv(i);
-            let proof = Hamt::prove(&store, root, &k).unwrap().expect("key present");
+            let proof = Hamt::load(root)
+                .prove(&store, &k)
+                .unwrap()
+                .expect("key present");
             assert_eq!(Hamt::verify_proof(root, &k, &proof).unwrap(), v);
         }
-        assert!(Hamt::prove(&store, root, b"missing").unwrap().is_none());
+        assert!(Hamt::load(root)
+            .prove(&store, b"missing")
+            .unwrap()
+            .is_none());
 
         let (k, _) = kv(42);
-        let proof = Hamt::prove(&store, root, &k).unwrap().unwrap();
+        let proof = Hamt::load(root).prove(&store, &k).unwrap().unwrap();
 
         // Wrong root.
         let bad_root = sha256(b"not the root");
@@ -1163,21 +1373,27 @@ mod tests {
         );
     }
 
-    /// A memory store that counts `put` calls.
+    /// A memory store that counts `put` and `get` calls.
     #[derive(Debug, Default)]
     struct CountingStore {
         inner: MemoryBlockstore,
         puts: std::sync::atomic::AtomicUsize,
+        gets: std::sync::atomic::AtomicUsize,
     }
 
     impl CountingStore {
         fn puts(&self) -> usize {
             self.puts.load(Ordering::Relaxed)
         }
+
+        fn gets(&self) -> usize {
+            self.gets.load(Ordering::Relaxed)
+        }
     }
 
     impl Blockstore for CountingStore {
         fn get(&self, hash: &Hash256) -> Result<Option<Arc<[u8]>>, StoreError> {
+            self.gets.fetch_add(1, Ordering::Relaxed);
             self.inner.get(hash)
         }
 
@@ -1362,6 +1578,156 @@ mod tests {
         let mut tiny = Hamt::new();
         tiny.set(&store, b"k", b"v").unwrap();
         assert!(tiny.dirty_subtrees().is_empty());
+    }
+
+    /// The set-based diff of two flushed roots: the oracle.
+    fn oracle_diff(
+        store: &dyn Blockstore,
+        new_root: Hash256,
+        base_root: Hash256,
+    ) -> Vec<(Hash256, Vec<u8>)> {
+        let base = reachable(store, base_root);
+        let mut out = Vec::new();
+        collect_new_nodes(store, new_root, 0, &base, &mut HashSet::new(), &mut out).unwrap();
+        out
+    }
+
+    /// The lockstep diff lists the nodes the set-based oracle lists — the
+    /// same nodes, in the same order, with the same bytes — over random
+    /// histories that grow (buckets split), shrink (subtrees collapse)
+    /// and empty the map, against the previous version, an older one and
+    /// the empty map; whether each side is resident, loaded from a root,
+    /// or (the new side) not even flushed yet.
+    #[test]
+    fn lockstep_diff_matches_the_set_based_oracle() {
+        let log = std::env::temp_dir().join(format!("fi-hamt-diff-{}.log", std::process::id()));
+        let disk = crate::DiskBlockstore::open(&log).unwrap();
+        let memory = MemoryBlockstore::new();
+        let stores: [&dyn Blockstore; 2] = [&memory, &disk];
+        for (seed, store) in stores.into_iter().enumerate() {
+            let mut rng = DetRng::from_seed_label(seed as u64, "hamt/diff");
+            let mut map = Hamt::new();
+            let mut live: Vec<u64> = Vec::new();
+            // (root, a resident clone) of every flushed version.
+            let mut versions = vec![(map.flush(store).unwrap(), map.clone())];
+            for round in 0..40u64 {
+                // Grow for a while, shrink hard, empty out, grow again.
+                let (sets, deletes) = match round % 10 {
+                    0..=4 => (40 + rng.below(400), rng.below(20)),
+                    5..=7 => (rng.below(10), live.len() as u64 * 2 / 3),
+                    8 => (0, live.len() as u64),
+                    _ => (1 + rng.below(4), 0),
+                };
+                for _ in 0..sets {
+                    let id = rng.below(3_000);
+                    let value = vec![round as u8; 1 + rng.index(60)];
+                    map.set(store, &kv(id).0, &value).unwrap();
+                    if !live.contains(&id) {
+                        live.push(id);
+                    }
+                }
+                for _ in 0..deletes.min(live.len() as u64) {
+                    let id = live.swap_remove(rng.index(live.len()));
+                    assert!(map.delete(store, &kv(id).0).unwrap());
+                }
+
+                let (prev_root, prev) = versions.last().unwrap();
+                let unflushed = map.diff_new_nodes(store, prev).unwrap();
+                let root = map.flush(store).unwrap();
+                assert_eq!(
+                    unflushed,
+                    oracle_diff(store, root, *prev_root),
+                    "round {round}: a committed-only version diffs like a flushed one"
+                );
+                let older = rng.index(versions.len());
+                for (base_root, base) in [&versions[older], &versions[0], versions.last().unwrap()]
+                {
+                    let want = oracle_diff(store, root, *base_root);
+                    for (new, base) in [
+                        (&map, base),
+                        (&map, &Hamt::load(*base_root)),
+                        (&Hamt::load(root), base),
+                        (&Hamt::load(root), &Hamt::load(*base_root)),
+                    ] {
+                        assert_eq!(
+                            new.diff_new_nodes(store, base).unwrap(),
+                            want,
+                            "round {round}"
+                        );
+                    }
+                }
+                assert!(map.diff_new_nodes(store, &map).unwrap().is_empty());
+                if round % 10 == 8 {
+                    assert!(live.is_empty());
+                    assert_eq!(root, versions[0].0, "emptied back to the empty root");
+                }
+                versions.push((root, map.clone()));
+            }
+        }
+        drop(disk);
+        let _ = std::fs::remove_file(log);
+    }
+
+    /// A clone is a pin: it reads, walks and proves the version it was
+    /// taken at out of the shared resident nodes — no store reads — while
+    /// the original is mutated, and what it proves is byte for byte what
+    /// a reader of the store proves at the same root.
+    #[test]
+    fn a_clone_reads_and_proves_its_version_without_the_store() {
+        let store = CountingStore::default();
+        let mut rng = DetRng::from_seed_label(1, "hamt/pin");
+        let mut map = Hamt::new();
+        for i in 0..3_000 {
+            let (k, v) = kv(i);
+            map.set(&store, &k, &v).unwrap();
+        }
+        let root = map.flush(&store).unwrap();
+        let pin = map.clone();
+
+        // The writer moves on: overwrites, deletes (collapses), inserts.
+        for i in 0..3_000 {
+            let (k, _) = kv(i);
+            match rng.below(3) {
+                0 => map.set(&store, &k, b"later").unwrap(),
+                1 => assert!(map.delete(&store, &k).unwrap()),
+                _ => map.set(&store, &kv(10_000 + i).0, b"new").unwrap(),
+            }
+            if i % 500 == 0 {
+                map.commit();
+            }
+        }
+        assert_ne!(map.commit(), root);
+
+        assert_eq!(pin.root_hash(), Some(root));
+        for i in 0..3_000 {
+            let (k, v) = kv(i);
+            assert_eq!(pin.get(&store, &k).unwrap(), Some(v));
+        }
+        assert_eq!(pin.get(&store, &kv(10_001).0).unwrap(), None);
+        let mut count = 0;
+        pin.walk(&store, &mut |_, _| count += 1).unwrap();
+        assert_eq!(count, 3_000);
+        let proofs: Vec<_> = (0..3_000)
+            .step_by(29)
+            .map(|i| (i, pin.prove(&store, &kv(i).0).unwrap().expect("present")))
+            .collect();
+        assert_eq!(pin.prove(&store, b"missing").unwrap(), None);
+        assert_eq!(store.gets(), 0, "a resident version reads no store");
+
+        for (i, proof) in proofs {
+            let (k, v) = kv(i);
+            assert_eq!(Hamt::verify_proof(root, &k, &proof).unwrap(), v);
+            assert_eq!(Hamt::load(root).prove(&store, &k).unwrap(), Some(proof));
+        }
+        assert!(store.gets() > 0, "a loaded version reads it");
+    }
+
+    /// Resident tries are made of these: growing one grows every engine's
+    /// memory (DESIGN.md §15).
+    #[test]
+    fn slot_and_link_layouts_are_pinned() {
+        assert_eq!(std::mem::size_of::<Slot>(), 40);
+        assert_eq!(std::mem::size_of::<Link>(), 40);
     }
 
     /// A malicious store that returns attacker-chosen bytes for any hash —

@@ -23,13 +23,20 @@
 //! root (`O(log n)` new nodes), the rest is shared with the previous
 //! version. That makes three things cheap by construction:
 //!
-//! * **time travel** — any flushed root pins a readable historical map;
+//! * **time travel** — any flushed root pins a readable historical map,
+//!   and a clone of a live map *is* a pin: it shares the nodes in memory
+//!   and stays at its version while the original is written to;
 //! * **incremental snapshots** — the delta between two versions is just
-//!   the set of nodes reachable from the new root but not the old one
-//!   ([`Hamt::diff_new_nodes`]);
+//!   the set of nodes reachable from the new root but not the old one,
+//!   found by walking the two in lockstep and skipping every subtree
+//!   whose hashes agree ([`Hamt::diff_new_nodes`]);
 //! * **inclusion proofs** — the node path from root to leaf proves one
 //!   key's value against the root hash ([`Hamt::prove`] /
 //!   [`Hamt::verify_proof`]) without shipping the map.
+//!
+//! Reads, proofs and diffs share one rule: a node that is resident is
+//! used where it is, and only a link that was never loaded goes to the
+//! store.
 //!
 //! Everything decodes defensively: truncated, bit-flipped or
 //! cycle-forming node bytes surface as typed [`StoreError`]s, never a
@@ -44,9 +51,13 @@
 //! map.set(&store, b"bob", b"3").unwrap();
 //! let root = map.flush(&store).unwrap();
 //!
-//! // Any later reader can pin the root and prove a single entry.
-//! let proof = Hamt::prove(&store, root, b"alice").unwrap().unwrap();
+//! // The map proves a single entry out of the nodes it holds in memory;
+//! // any later reader can pin the root and get the same bytes out of
+//! // the store.
+//! let proof = map.prove(&store, b"alice").unwrap().unwrap();
 //! assert_eq!(Hamt::verify_proof(root, b"alice", &proof).unwrap(), b"7");
+//! let pinned = Hamt::load(root);
+//! assert_eq!(pinned.prove(&store, b"alice").unwrap(), Some(proof));
 //! ```
 
 mod blockstore;
