@@ -77,6 +77,36 @@ impl ShardedState {
         }
     }
 
+    /// Copies `base`'s file, allocation and discard rows into these shards
+    /// — empty so far — routed by *this* shard count, none marked dirty:
+    /// for an engine whose state tries already commit to every one of them
+    /// (a delta restore starts from its base's tries). Task wheels and
+    /// stats are not rows and stay as they are.
+    pub(super) fn copy_rows_clean(&mut self, base: &ShardedState) {
+        // Same routing: each map is cloned whole, which copies the hash
+        // table as it lies instead of re-hashing every row into a new one.
+        if self.shards.len() == base.shards.len() {
+            for (shard, from) in self.shards.iter_mut().zip(&base.shards) {
+                shard.files = from.files.clone_clean();
+                shard.alloc = from.alloc.clone_clean();
+                shard.discard_reasons = from.discard_reasons.clone_clean();
+            }
+            return;
+        }
+        for from in &base.shards {
+            for (&id, desc) in from.files.iter() {
+                self.shard_mut(id).files.insert_clean(id, desc.clone());
+            }
+            for (&(file, index), entry) in from.alloc.iter() {
+                let alloc = &mut self.shard_mut(file).alloc;
+                alloc.insert_clean((file, index), entry.clone());
+            }
+            for (&id, &reason) in from.discard_reasons.iter() {
+                self.shard_mut(id).discard_reasons.insert_clean(id, reason);
+            }
+        }
+    }
+
     /// The route-by-file-id invariant: everything about `file` lives in
     /// shard `file % shards`, forever (files never migrate between shards).
     #[inline]

@@ -47,8 +47,9 @@
 //! instead of the five map tables — only the content-addressed HAMT
 //! nodes *new since the base roots*. A holder of the base state applies
 //! it with [`Engine::snapshot_restore_delta`], which verifies every
-//! node block against its id and cross-checks the reassembled engine's
-//! `state_root` against the recorded one (DESIGN.md §15).
+//! node block against its id, patches a copy-on-write copy of the base
+//! with the pairs the new nodes change, and checks the patched engine's
+//! own `state_root` against the recorded one (DESIGN.md §15).
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -58,7 +59,7 @@ use fi_chain::block::{BlockChain, ChainEvent};
 use fi_chain::gas::GasSchedule;
 use fi_chain::tasks::{SchedulerKind, Time};
 use fi_crypto::{sha256, DetRng, DetRngState, Hash256};
-use fi_store::{Hamt, StoreError};
+use fi_store::{Blockstore, Hamt, StoreError};
 
 use crate::params::{ParamError, ProtocolParams};
 use crate::sampler::WeightedSampler;
@@ -271,9 +272,13 @@ impl<'a> Dec<'a> {
         Ok(Hash256::from_bytes(self.take(32)?.try_into().unwrap()))
     }
 
-    fn bytes_vec(&mut self) -> Result<Vec<u8>, SnapshotError> {
+    fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
         let n = self.len()?;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
+    }
+
+    fn bytes_vec(&mut self) -> Result<Vec<u8>, SnapshotError> {
+        Ok(self.bytes()?.to_vec())
     }
 
     fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
@@ -799,6 +804,37 @@ fn dec_checkpoint(d: &mut Dec<'_>) -> Result<Option<Checkpoint>, SnapshotError> 
     })
 }
 
+/// Takes the next row key of a table section. [`Engine::snapshot_save`]
+/// writes every table sorted by key, so a restore accepts keys only in
+/// strictly ascending order — a repeated key would otherwise overwrite
+/// the earlier row without a trace.
+fn ascending<K: Ord + Copy>(
+    last: &mut Option<K>,
+    key: K,
+    what: &'static str,
+) -> Result<K, SnapshotError> {
+    if last.is_some_and(|last| last >= key) {
+        return Err(SnapshotError::Malformed(what));
+    }
+    *last = Some(key);
+    Ok(key)
+}
+
+/// Reads a delta's five per-map node lists, checks every block against
+/// the id it was shipped under, and puts it into `store`.
+fn put_delta_nodes(d: &mut Dec<'_>, store: &dyn Blockstore) -> Result<(), Error> {
+    for _ in 0..5 {
+        let n_nodes = d.len()?;
+        for _ in 0..n_nodes {
+            let want = d.hash()?;
+            if store.put(d.bytes()?)? != want {
+                return Err(SnapshotError::Malformed("delta node bytes mismatch their id").into());
+            }
+        }
+    }
+    Ok(())
+}
+
 impl Engine {
     /// Serializes the engine's complete consensus state into the versioned,
     /// self-hashed snapshot format (see the module docs for what is and
@@ -963,8 +999,13 @@ impl Engine {
 
         // Files.
         let n_files = d.len()?;
+        let mut last = None;
         for _ in 0..n_files {
-            let id = FileId(d.u64()?);
+            let id = ascending(
+                &mut last,
+                FileId(d.u64()?),
+                "file ids out of order or duplicated",
+            )?;
             let desc = FileDescriptor {
                 id,
                 owner: AccountId(d.u64()?),
@@ -988,9 +1029,13 @@ impl Engine {
 
         // Allocation table.
         let n_alloc = d.len()?;
+        let mut last = None;
         for _ in 0..n_alloc {
-            let file = FileId(d.u64()?);
-            let index = d.u32()?;
+            let (file, index) = ascending(
+                &mut last,
+                (FileId(d.u64()?), d.u32()?),
+                "allocation rows out of order or duplicated",
+            )?;
             let entry = AllocEntry {
                 prev: d.opt_u64()?.map(SectorId),
                 next: d.opt_u64()?.map(SectorId),
@@ -1011,8 +1056,13 @@ impl Engine {
 
         // Discard reasons.
         let n_reasons = d.len()?;
+        let mut last = None;
         for _ in 0..n_reasons {
-            let file = FileId(d.u64()?);
+            let file = ascending(
+                &mut last,
+                FileId(d.u64()?),
+                "discard reasons out of order or duplicated",
+            )?;
             let reason = match d.u8()? {
                 0 => RemovalReason::ClientDiscard,
                 1 => RemovalReason::InsufficientFunds,
@@ -1032,8 +1082,13 @@ impl Engine {
         // state_root after restore rebuilds the full HAMT commitment
         // (canonical layout ⇒ roots identical to the snapshotted engine's).
         let mut sectors = TrackedMap::new();
+        let mut last = None;
         for _ in 0..n_sectors {
-            let id = SectorId(d.u64()?);
+            let id = ascending(
+                &mut last,
+                SectorId(d.u64()?),
+                "sector ids out of order or duplicated",
+            )?;
             let sector = Sector {
                 owner: AccountId(d.u64()?),
                 id,
@@ -1055,16 +1110,19 @@ impl Engine {
             if sector.free_cap > sector.capacity {
                 return Err(SnapshotError::Malformed("sector free_cap above capacity"));
             }
-            if sectors.insert(id, sector).is_some() {
-                return Err(SnapshotError::Malformed("duplicate sector id"));
-            }
+            sectors.insert(id, sector);
         }
 
         // DRep accounting.
         let n_cr = d.len()?;
         let mut cr = TrackedMap::new();
+        let mut last = None;
         for _ in 0..n_cr {
-            let id = SectorId(d.u64()?);
+            let id = ascending(
+                &mut last,
+                SectorId(d.u64()?),
+                "CR rows out of order or duplicated",
+            )?;
             let parts = (d.u64()?, d.u64()?, d.u64()?, d.u64()?, d.u64()?);
             let acct =
                 crate::drep::CrAccounting::from_parts(parts).map_err(SnapshotError::Malformed)?;
@@ -1184,40 +1242,60 @@ impl Engine {
     }
 
     /// Rebuilds an engine from [`Engine::snapshot_delta`] bytes plus the
-    /// `base` engine the delta was taken against.
+    /// `base` engine the delta was taken against, for the cost of the
+    /// change: the result *starts as the base* and is patched.
     ///
-    /// The delta's node blocks are verified (each must hash to its
-    /// recorded block id) and added to the base's blockstore; the five
-    /// state maps are then read back out of the trees at the delta's new
-    /// roots, and the result is cross-checked end-to-end: the restored
-    /// engine must reproduce the delta's recorded `state_root`
-    /// bit-for-bit, or restore fails. `base + delta` is therefore
-    /// equivalent to restoring a full snapshot of the new state —
+    /// It takes O(1) copy-on-write clones of the base's five committed
+    /// tries and a copy of its flat file / alloc / discard / sector / CR
+    /// rows (re-routed if the delta names another shard count), and
+    /// everything else — parameters, chain, ledger, counters, stats,
+    /// tasks, replica index, sampler, rng, checkpoint — from the delta;
+    /// gas schedule, event log, op log and phase times start fresh, as
+    /// after [`Engine::snapshot_restore`]. The delta's node blocks are
+    /// verified (each must hash to its recorded id) and put into the
+    /// base's blockstore; [`fi_store::Hamt::diff_keys`] then descends the
+    /// delta's new roots against the base's tries, reading exactly the
+    /// shipped nodes, and every changed, added or removed pair goes
+    /// through the leaf decoders into the copied rows — which marks
+    /// exactly those keys dirty.
+    ///
+    /// The end-to-end check is the restored engine's own `state_root()`:
+    /// its ordinary incremental commit writes the dirty keys into the
+    /// shared tries with `Hamt::set` / `delete`, so the tries it hashes
+    /// are the canonical ones of its rows whatever shape the shipped
+    /// nodes had, and that root — and each of the five map roots — must
+    /// equal what the delta recorded, or restore fails. A delta that is
+    /// truncated, mis-routed, non-canonical, short of a node or lying in
+    /// a leaf cannot pass it, so `base + delta` is equivalent to
+    /// restoring a full snapshot of the new state in every byte —
     /// asserted by the state-commitment differential suite.
     ///
-    /// The restored engine shares the base's blockstore (content
-    /// addressing makes that harmless) but is otherwise independent.
+    /// `base` is left as it was (its tries are shared, never written) and
+    /// nothing of it is persisted: its root is learned by hashing alone.
+    /// A base that was never committed — fresh from
+    /// [`Engine::snapshot_restore`] — pays its one full trie build here,
+    /// once, and shares it with the result. The restored engine shares
+    /// the base's blockstore (content addressing makes that harmless) but
+    /// is otherwise independent.
     ///
     /// # Errors
     ///
     /// [`variant@Error::Snapshot`] for anything wrong with the bytes
     /// (truncation, magic, self-hash, version, malformed fields, a base
-    /// root that doesn't match `base`, or a final state-root mismatch);
-    /// [`variant@Error::Store`] when the combined store still can't resolve
-    /// the new trees or a leaf fails to decode.
-    ///
-    /// # Panics
-    ///
-    /// As [`Engine::state_roots`]: on backing-store write failure while
-    /// persisting the base's version, which the delta's nodes link into.
+    /// root that doesn't match `base`, or a final root mismatch);
+    /// [`variant@Error::Store`] when a node of a changed path is neither
+    /// shipped nor in the store, is linked twice, or a leaf fails to
+    /// decode.
     pub fn snapshot_restore_delta(bytes: &[u8], base: &Engine) -> Result<Engine, Error> {
         let mut d = open_envelope(bytes, DELTA_MAGIC, DELTA_VERSION)?;
 
         let base_root = d.hash().map_err(Error::Snapshot)?;
-        let base_roots = base.state_roots();
+        let (base_roots, base_maps) = base.commit_state_locked(false);
         if base_roots.state_root != base_root {
             return Err(SnapshotError::Malformed("delta base does not match this engine").into());
         }
+        let maps = base_maps.clone();
+        drop(base_maps);
         let new_state_root = d.hash().map_err(Error::Snapshot)?;
         let mut map_roots = [Hash256::from_bytes([0; 32]); 5];
         for root in &mut map_roots {
@@ -1241,97 +1319,89 @@ impl Engine {
         let rng = dec_rng(&mut d)?;
         let last_checkpoint = dec_checkpoint(&mut d)?;
 
-        // Node blocks: verify each against its recorded id, then make it
-        // resident. After this, the new trees are fully readable from the
-        // shared store (base nodes + delta nodes).
+        // The new tries are the base's nodes plus the shipped ones.
         let store = Arc::clone(&base.store);
-        for _ in 0..5 {
-            let n_nodes = d.len()?;
-            for _ in 0..n_nodes {
-                let want = d.hash()?;
-                let node = d.bytes_vec()?;
-                if store.put(&node)? != want {
-                    return Err(
-                        SnapshotError::Malformed("delta node bytes mismatch their id").into(),
-                    );
-                }
-            }
-        }
+        put_delta_nodes(&mut d, store.as_ref())?;
         if !d.done() {
             return Err(SnapshotError::TrailingBytes.into());
         }
 
-        // Read the five maps back out of the trees. TrackedMap inserts
-        // mark every key dirty, so the restored engine's first
-        // state_root rebuilds its own commitment from scratch — which the
-        // final cross-check below then compares against the recorded root.
-        let s = store.as_ref();
-        type KvList = Vec<(Vec<u8>, Vec<u8>)>;
-        let entries = |root: Hash256| -> Result<KvList, StoreError> {
-            let mut kvs = Vec::new();
-            Hamt::load(root).walk(s, &mut |k, v| kvs.push((k.to_vec(), v.to_vec())))?;
-            Ok(kvs)
-        };
+        // The map rows: the base's, then every pair the new tries say
+        // differs. Only those keys are marked dirty, so the root check at
+        // the end is an incremental commit over the shared tries.
+        shards.copy_rows_clean(&base.shards);
+        let mut sectors = base.sectors.clone_clean();
+        let mut cr = base.cr.clone_clean();
+        let changes =
+            |map: usize| Hamt::load(map_roots[map]).diff_keys(store.as_ref(), maps.tries()[map]);
 
-        for (key, value) in entries(map_roots[0])? {
-            let desc = statemap::dec_file(&value)?;
-            if key != statemap::key_file(desc.id) {
+        for (key, leaf) in changes(0)? {
+            let id = FileId(statemap::dec_key_id(&key, "file key width")?);
+            let Some(leaf) = leaf else {
+                shards.remove_file(id);
+                continue;
+            };
+            let desc = statemap::dec_file(&leaf)?;
+            if desc.id != id {
                 return Err(StoreError::Corrupt("file leaf under a foreign key").into());
             }
-            if desc.id.0 >= counters.next_file_id {
+            if id.0 >= counters.next_file_id {
                 return Err(SnapshotError::Malformed("file id above the id counter").into());
             }
             shards.insert_file(desc);
         }
-        for (key, value) in entries(map_roots[1])? {
-            let entry = statemap::dec_alloc_entry(&value)?;
-            let key: [u8; 12] = key
-                .try_into()
-                .map_err(|_| StoreError::Corrupt("alloc key width"))?;
-            let file = FileId(u64::from_be_bytes(key[..8].try_into().expect("8B")));
-            let index = u32::from_be_bytes(key[8..].try_into().expect("4B"));
-            if shards.file(file).is_none() {
-                return Err(SnapshotError::Malformed("allocation row without a file").into());
+        for (key, leaf) in changes(1)? {
+            let (file, index) = statemap::dec_key_alloc(&key)?;
+            match leaf {
+                Some(leaf) => shards.insert_entry(file, index, statemap::dec_alloc_entry(&leaf)?),
+                None => drop(shards.remove_entry(file, index)),
             }
-            shards.insert_entry(file, index, entry);
         }
-        for (key, value) in entries(map_roots[2])? {
-            let reason = statemap::dec_reason(&value)?;
-            let key: [u8; 8] = key
-                .try_into()
-                .map_err(|_| StoreError::Corrupt("discard key width"))?;
-            shards.set_discard_reason(FileId(u64::from_be_bytes(key)), reason);
+        for (key, leaf) in changes(2)? {
+            let file = FileId(statemap::dec_key_id(&key, "discard key width")?);
+            match leaf {
+                Some(leaf) => shards.set_discard_reason(file, statemap::dec_reason(&leaf)?),
+                None => drop(shards.take_discard_reason(file)),
+            }
         }
-        let mut sectors = TrackedMap::new();
-        for (key, value) in entries(map_roots[3])? {
-            let sector = statemap::dec_sector(&value)?;
-            if key != statemap::key_sector(sector.id) {
+        for (key, leaf) in changes(3)? {
+            let id = SectorId(statemap::dec_key_id(&key, "sector key width")?);
+            let Some(leaf) = leaf else {
+                sectors.remove(&id);
+                continue;
+            };
+            let sector = statemap::dec_sector(&leaf)?;
+            if sector.id != id {
                 return Err(StoreError::Corrupt("sector leaf under a foreign key").into());
             }
-            if sector.id.0 >= counters.next_sector_id {
+            if id.0 >= counters.next_sector_id {
                 return Err(SnapshotError::Malformed("sector id above the id counter").into());
             }
             if sector.free_cap > sector.capacity {
                 return Err(SnapshotError::Malformed("sector free_cap above capacity").into());
             }
-            sectors.insert(sector.id, sector);
+            sectors.insert(id, sector);
         }
-        let mut cr = TrackedMap::new();
-        for (key, value) in entries(map_roots[4])? {
-            let acct = statemap::dec_cr(&value)?;
-            let key: [u8; 8] = key
-                .try_into()
-                .map_err(|_| StoreError::Corrupt("cr key width"))?;
-            let id = SectorId(u64::from_be_bytes(key));
-            if !sectors.contains_key(&id) {
-                return Err(SnapshotError::Malformed("CR accounting without a sector").into());
+        for (key, leaf) in changes(4)? {
+            let id = SectorId(statemap::dec_key_id(&key, "cr key width")?);
+            match leaf {
+                Some(leaf) => drop(cr.insert(id, statemap::dec_cr(&leaf)?)),
+                None => drop(cr.remove(&id)),
             }
-            cr.insert(id, acct);
         }
-        for id in sector_replicas.keys() {
-            if !sectors.contains_key(id) {
-                return Err(SnapshotError::Malformed("replica index without a sector").into());
-            }
+
+        // Cross-map consistency, over the final rows.
+        if shards
+            .alloc_iter()
+            .any(|(&(file, _), _)| shards.file(file).is_none())
+        {
+            return Err(SnapshotError::Malformed("allocation row without a file").into());
+        }
+        if cr.keys().any(|id| !sectors.contains_key(id)) {
+            return Err(SnapshotError::Malformed("CR accounting without a sector").into());
+        }
+        if sector_replicas.keys().any(|id| !sectors.contains_key(id)) {
+            return Err(SnapshotError::Malformed("replica index without a sector").into());
         }
 
         let engine = Engine {
@@ -1358,14 +1428,393 @@ impl Engine {
             pool: super::pool::PoolHandle::new(),
             phase: super::PhaseTimes::default(),
             store,
-            commit: CommitCell::new(),
+            commit: CommitCell::with_maps(maps),
         };
 
-        // End-to-end commitment check: the reassembled engine must fold
-        // to exactly the state root the delta promised.
-        if engine.state_root() != new_state_root {
+        // End-to-end commitment check: the patched engine's own commit —
+        // canonical tries of its rows — must fold to exactly the roots the
+        // delta promised.
+        let roots = engine.commit_state(false);
+        if roots.state_root != new_state_root || roots.map_roots() != map_roots {
             return Err(SnapshotError::Malformed("restored state root mismatch").into());
         }
         Ok(engine)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fi_store::MemoryBlockstore;
+
+    const CLIENT: AccountId = AccountId(900);
+    const PROVIDER: AccountId = AccountId(700);
+
+    fn add_confirmed(engine: &mut Engine, ids: std::ops::Range<u64>) {
+        for i in ids {
+            let root = sha256(&i.to_be_bytes());
+            let min_value = engine.params().min_value;
+            let file = engine.file_add(CLIENT, 1, min_value, root).expect("add");
+            for (index, sector) in engine.pending_confirms(file) {
+                engine
+                    .file_confirm(PROVIDER, file, index, sector)
+                    .expect("confirm");
+            }
+        }
+    }
+
+    /// An engine on a memory store of its own with six sectors, `files`
+    /// confirmed files and one pending discard: a row in every table.
+    /// Deterministic, so two calls build the same state on two stores.
+    fn engine_with(files: u64) -> Engine {
+        let params = ProtocolParams {
+            k: 3,
+            ..ProtocolParams::default()
+        };
+        let mut engine =
+            Engine::new_with_store(params, Arc::new(MemoryBlockstore::new())).expect("params");
+        engine.fund(CLIENT, TokenAmount(u128::MAX / 4));
+        engine.fund(PROVIDER, TokenAmount(u128::MAX / 4));
+        for _ in 0..6 {
+            engine.sector_register(PROVIDER, 640_000).expect("register");
+        }
+        add_confirmed(&mut engine, 0..files);
+        engine.file_discard(CLIENT, FileId(0)).expect("discard");
+        engine
+    }
+
+    /// Decodes the sections every format opens with, up to the first one
+    /// that differs, and returns the counters.
+    fn skip_head(d: &mut Dec<'_>) -> (ProtocolParams, Counters) {
+        let params = dec_params(d).expect("params");
+        dec_chain(d, &params).expect("chain");
+        dec_ledger(d).expect("ledger");
+        let counters = dec_counters(d).expect("counters");
+        dec_all_stats(d, params.shards).expect("stats");
+        (params, counters)
+    }
+
+    fn skip_tasks(d: &mut Dec<'_>, params: &ProtocolParams, counters: &Counters) {
+        let mut wheels = ShardedState::new(params.shards, params.scheduler, params.block_interval);
+        dec_tasks(d, counters.task_seq, &mut wheels).expect("tasks");
+    }
+
+    /// `snapshot` re-sealed with the first row of table `table` (payload
+    /// order: files, alloc rows, discard reasons, sectors, CR) written
+    /// twice and the table's row count raised to match.
+    fn with_first_row_twice(snapshot: &[u8], table: usize) -> Vec<u8> {
+        let body = &snapshot[..snapshot.len() - HASH_LEN];
+        let payload = MAGIC.len() + 2;
+        let mut d = Dec {
+            bytes: &body[payload..],
+            pos: 0,
+        };
+        let (params, counters) = skip_head(&mut d);
+        let skip_row = |d: &mut Dec<'_>, table: usize| match table {
+            0 => drop(d.take(85).expect("file row")),
+            1 => {
+                d.take(12).expect("alloc key");
+                for _ in 0..3 {
+                    d.opt_u64().expect("alloc row");
+                }
+                d.u8().expect("alloc state");
+            }
+            2 => drop(d.take(9).expect("reason row")),
+            3 => drop(d.take(54).expect("sector row")),
+            _ => drop(d.take(48).expect("cr row")),
+        };
+        for earlier in 0..table {
+            for _ in 0..d.len().expect("row count") {
+                skip_row(&mut d, earlier);
+            }
+            if earlier == 2 {
+                skip_tasks(&mut d, &params, &counters);
+            }
+        }
+        let count_at = payload + d.pos;
+        let rows = d.len().expect("row count");
+        assert!(rows >= 1, "table {table} is empty");
+        let row_at = payload + d.pos;
+        skip_row(&mut d, table);
+        let row_end = payload + d.pos;
+
+        let mut out = body[..count_at].to_vec();
+        out.extend_from_slice(&(rows as u64 + 1).to_be_bytes());
+        out.extend_from_slice(&body[row_at..row_end]);
+        out.extend_from_slice(&body[row_at..]);
+        let seal = sha256(&out);
+        out.extend_from_slice(seal.as_bytes());
+        out
+    }
+
+    #[test]
+    fn restore_rejects_a_repeated_row_in_every_table() {
+        let snapshot = engine_with(12).snapshot_save();
+        Engine::snapshot_restore(&snapshot).expect("the honest snapshot restores");
+        let tables = [
+            "file ids out of order or duplicated",
+            "allocation rows out of order or duplicated",
+            "discard reasons out of order or duplicated",
+            "sector ids out of order or duplicated",
+            "CR rows out of order or duplicated",
+        ];
+        for (table, what) in tables.into_iter().enumerate() {
+            assert_eq!(
+                Engine::snapshot_restore(&with_first_row_twice(&snapshot, table)).err(),
+                Some(SnapshotError::Malformed(what)),
+                "table {table}"
+            );
+        }
+    }
+
+    /// A trie node's slots as its block spells them (`fi_store::hamt`'s
+    /// canonical encoding), for building blocks no honest trie has.
+    #[derive(Debug, Clone)]
+    enum RawSlot {
+        Bucket(Vec<(Vec<u8>, Vec<u8>)>),
+        Child(Hash256),
+    }
+
+    fn parse_node(block: &[u8]) -> Vec<(u32, RawSlot)> {
+        let mut d = Dec {
+            bytes: block,
+            pos: 0,
+        };
+        let bitmap = d.u32().expect("bitmap");
+        let field = |d: &mut Dec<'_>| {
+            let len = d.u32().expect("length") as usize;
+            d.take(len).expect("field").to_vec()
+        };
+        let slots = (0..32).filter(|nib| bitmap & (1 << nib) != 0).map(|nib| {
+            let slot = match d.u8().expect("tag") {
+                0 => {
+                    let pairs = d.u32().expect("pair count");
+                    RawSlot::Bucket((0..pairs).map(|_| (field(&mut d), field(&mut d))).collect())
+                }
+                _ => RawSlot::Child(d.hash().expect("child hash")),
+            };
+            (nib, slot)
+        });
+        let slots = slots.collect();
+        assert!(d.done(), "trailing node bytes");
+        slots
+    }
+
+    fn encode_node(slots: &[(u32, RawSlot)]) -> Vec<u8> {
+        let bitmap = slots.iter().fold(0u32, |bits, (nib, _)| bits | 1 << nib);
+        let mut out = bitmap.to_be_bytes().to_vec();
+        for (_, slot) in slots {
+            match slot {
+                RawSlot::Bucket(pairs) => {
+                    out.push(0);
+                    out.extend_from_slice(&(pairs.len() as u32).to_be_bytes());
+                    for field in pairs.iter().flat_map(|(k, v)| [k, v]) {
+                        out.extend_from_slice(&(field.len() as u32).to_be_bytes());
+                        out.extend_from_slice(field);
+                    }
+                }
+                RawSlot::Child(hash) => {
+                    out.push(1);
+                    out.extend_from_slice(hash.as_bytes());
+                }
+            }
+        }
+        out
+    }
+
+    /// A `FIDELTA1` taken apart, to be put back together wrong.
+    struct Delta {
+        base_root: Hash256,
+        map_roots: [Hash256; 5],
+        /// The non-map sections, verbatim.
+        sections: Vec<u8>,
+        nodes: [Vec<(Hash256, Vec<u8>)>; 5],
+    }
+
+    impl Delta {
+        fn open(bytes: &[u8]) -> Delta {
+            let mut d = open_envelope(bytes, DELTA_MAGIC, DELTA_VERSION).expect("envelope");
+            let base_root = d.hash().expect("base root");
+            d.hash().expect("new root");
+            let map_roots = [(); 5].map(|()| d.hash().expect("map root"));
+            let start = d.pos;
+            let (params, counters) = skip_head(&mut d);
+            skip_tasks(&mut d, &params, &counters);
+            dec_replicas(&mut d).expect("replicas");
+            dec_sampler(&mut d).expect("sampler");
+            dec_rng(&mut d).expect("rng");
+            dec_checkpoint(&mut d).expect("checkpoint");
+            let sections = d.bytes[start..d.pos].to_vec();
+            let nodes = [(); 5].map(|()| {
+                let n = d.len().expect("node count");
+                (0..n)
+                    .map(|_| (d.hash().expect("id"), d.bytes_vec().expect("block")))
+                    .collect()
+            });
+            assert!(d.done());
+            Delta {
+                base_root,
+                map_roots,
+                sections,
+                nodes,
+            }
+        }
+
+        /// A valid envelope around the parts as they now are, recording
+        /// the state root their map roots fold to under `header`.
+        fn seal(&self, header: &statemap::StateHeader) -> Vec<u8> {
+            let mut e = Enc::with_header(DELTA_MAGIC, DELTA_VERSION);
+            e.hash(&self.base_root);
+            let maps_root = statemap::fold_maps_root(&self.map_roots);
+            e.hash(&statemap::fold_state_root(header, maps_root));
+            for root in &self.map_roots {
+                e.hash(root);
+            }
+            e.buf.extend_from_slice(&self.sections);
+            for nodes in &self.nodes {
+                e.usize(nodes.len());
+                for (hash, block) in nodes {
+                    e.hash(hash);
+                    e.bytes(block);
+                }
+            }
+            e.finish()
+        }
+
+        /// Swaps the block of node `old` of the files map for `block` and
+        /// re-hashes every id above it, up to the map root.
+        fn replace_node(&mut self, old: Hash256, block: Vec<u8>) {
+            let new = sha256(&block);
+            let files = &mut self.nodes[0];
+            let at = files.iter().position(|(hash, _)| *hash == old);
+            files[at.expect("a shipped node")] = (new, block);
+            if self.map_roots[0] == old {
+                self.map_roots[0] = new;
+                return;
+            }
+            let links_old = |slot: &(u32, RawSlot)| matches!(slot.1, RawSlot::Child(h) if h == old);
+            let (parent, mut slots) = files
+                .iter()
+                .map(|(hash, block)| (*hash, parse_node(block)))
+                .find(|(_, slots)| slots.iter().any(links_old))
+                .expect("a changed node's parent is shipped");
+            for slot in slots.iter_mut().filter(|slot| links_old(slot)) {
+                slot.1 = RawSlot::Child(new);
+            }
+            self.replace_node(parent, encode_node(&slots));
+        }
+    }
+
+    /// Deltas no honest engine writes, each under a valid envelope hash
+    /// and with every node id matching its bytes: restore answers each
+    /// with a typed error.
+    #[test]
+    fn hostile_deltas_fail_with_typed_errors() {
+        let base = engine_with(300);
+        let mut server = engine_with(300);
+        let base_roots = server.state_roots();
+        assert_eq!(base.state_root(), base_roots.state_root);
+        add_confirmed(&mut server, 300..400);
+        let header = server.state_header();
+        let honest = server.snapshot_delta(&base_roots).expect("delta");
+        assert_eq!(
+            Delta::open(&honest).seal(&header),
+            honest,
+            "the scaffolding"
+        );
+
+        let shipped = |delta: &Delta| -> Vec<(Hash256, Vec<(u32, RawSlot)>)> {
+            let nodes = delta.nodes[0].iter();
+            nodes
+                .map(|(hash, block)| (*hash, parse_node(block)))
+                .collect()
+        };
+        let is_leaf_node = |slots: &[(u32, RawSlot)]| {
+            slots
+                .iter()
+                .all(|(_, slot)| matches!(slot, RawSlot::Bucket(_)))
+        };
+        let restore = |delta: &Delta| Engine::snapshot_restore_delta(&delta.seal(&header), &base);
+
+        // (a) One referenced node left out. First: every restore leaves the
+        // nodes it was shipped in the base's store.
+        let mut delta = Delta::open(&honest);
+        let (missing, _) = delta.nodes[0].pop().expect("files nodes");
+        assert_eq!(
+            restore(&delta).err(),
+            Some(Error::Store(StoreError::NotFound(missing)))
+        );
+
+        // (b) A pair moved into a slot its key hash does not route to.
+        let mut delta = Delta::open(&honest);
+        let (hash, mut slots) = shipped(&delta)
+            .into_iter()
+            .find(|(hash, slots)| *hash != delta.map_roots[0] && is_leaf_node(slots))
+            .expect("a shipped leaf node");
+        let free = (0..32).find(|nib| slots.iter().all(|(at, _)| at != nib));
+        let free = free.expect("a sparse node has a free slot");
+        let RawSlot::Bucket(pairs) = &mut slots[0].1 else {
+            unreachable!("a leaf node");
+        };
+        let moved = pairs.pop().expect("no bucket is empty");
+        if pairs.is_empty() {
+            slots.remove(0);
+        }
+        slots.push((free, RawSlot::Bucket(vec![moved])));
+        slots.sort_by_key(|(nib, _)| *nib);
+        delta.replace_node(hash, encode_node(&slots));
+        assert!(matches!(
+            restore(&delta),
+            Err(Error::Snapshot(SnapshotError::Malformed(_)))
+        ));
+
+        // (c) One child linked from two slots.
+        let mut delta = Delta::open(&honest);
+        let root = delta.map_roots[0];
+        let mut slots = parse_node(&delta.nodes[0][0].1);
+        assert_eq!(delta.nodes[0][0].0, root, "parents first");
+        let is_shipped = |hash: &Hash256| delta.nodes[0].iter().any(|(h, _)| h == hash);
+        let children: Vec<usize> = (0..slots.len())
+            .filter(|&i| matches!(&slots[i].1, RawSlot::Child(h) if is_shipped(h)))
+            .collect();
+        assert!(children.len() >= 2, "a hundred adds change many subtrees");
+        slots[children[1]].1 = slots[children[0]].1.clone();
+        delta.replace_node(root, encode_node(&slots));
+        assert_eq!(
+            restore(&delta).err(),
+            Some(Error::Store(StoreError::Corrupt("trie node linked twice")))
+        );
+
+        // (d) A bucket of four or more pairs where a child is due.
+        let mut delta = Delta::open(&honest);
+        let (hash, slots) = shipped(&delta)
+            .into_iter()
+            .find(|(hash, slots)| *hash != delta.map_roots[0] && is_leaf_node(slots))
+            .expect("a shipped leaf node");
+        let mut pairs: Vec<_> = slots
+            .into_iter()
+            .flat_map(|(_, slot)| match slot {
+                RawSlot::Bucket(pairs) => pairs,
+                RawSlot::Child(_) => unreachable!("a leaf node"),
+            })
+            .collect();
+        assert!(pairs.len() >= 4, "a child holds more than a bucket may");
+        pairs.sort();
+        let mut root_slots = parse_node(&delta.nodes[0][0].1);
+        let link = root_slots
+            .iter_mut()
+            .find(|(_, slot)| matches!(slot, RawSlot::Child(h) if *h == hash));
+        link.expect("the files trie is two levels deep").1 = RawSlot::Bucket(pairs);
+        delta.replace_node(delta.map_roots[0], encode_node(&root_slots));
+        assert_eq!(
+            restore(&delta).err(),
+            Some(Error::Snapshot(SnapshotError::Malformed(
+                "restored state root mismatch"
+            )))
+        );
+
+        // The honest delta still applies after all that.
+        let restored = Engine::snapshot_restore_delta(&honest, &base).expect("honest delta");
+        assert_eq!(restored.state_root(), server.state_root());
     }
 }

@@ -89,6 +89,11 @@ impl<K: Eq + Hash + Copy, V> TrackedMap<K, V> {
         self.map.insert(key, value)
     }
 
+    /// Adds an entry the owner's commitment already covers: not marked.
+    pub(super) fn insert_clean(&mut self, key: K, value: V) {
+        self.map.insert(key, value);
+    }
+
     pub(super) fn remove(&mut self, key: &K) -> Option<V> {
         let removed = self.map.remove(key);
         if removed.is_some() {
@@ -137,6 +142,17 @@ impl<K: Eq + Hash + Copy, V> Index<&K> for TrackedMap<K, V> {
 
     fn index(&self, key: &K) -> &V {
         &self.map[key]
+    }
+}
+
+impl<K: Eq + Hash + Copy, V: Clone> TrackedMap<K, V> {
+    /// A copy with no key marked dirty, for an owner whose commitment
+    /// already covers every entry (a plain clone carries the dirty set).
+    pub(super) fn clone_clean(&self) -> Self {
+        TrackedMap {
+            map: self.map.clone(),
+            dirty: Mutex::default(),
+        }
     }
 }
 
@@ -244,6 +260,23 @@ pub(super) fn key_alloc(file: FileId, index: u32) -> [u8; 12] {
 /// HAMT key of a sector-keyed map entry.
 pub(super) fn key_sector(id: SectorId) -> [u8; 8] {
     id.0.to_be_bytes()
+}
+
+/// The id in an untrusted file- or sector-keyed map key ([`key_file`] /
+/// [`key_sector`] undone); `what` names the map in the error.
+pub(super) fn dec_key_id(key: &[u8], what: &'static str) -> Result<u64, StoreError> {
+    let key: [u8; 8] = key.try_into().map_err(|_| StoreError::Corrupt(what))?;
+    Ok(u64::from_be_bytes(key))
+}
+
+/// [`key_alloc`] undone, for an untrusted key.
+pub(super) fn dec_key_alloc(key: &[u8]) -> Result<(FileId, u32), StoreError> {
+    let key: [u8; 12] = key
+        .try_into()
+        .map_err(|_| StoreError::Corrupt("alloc key width"))?;
+    let file = u64::from_be_bytes(key[..8].try_into().expect("8B"));
+    let index = u32::from_be_bytes(key[8..].try_into().expect("4B"));
+    Ok((FileId(file), index))
 }
 
 pub(super) fn enc_file(f: &FileDescriptor) -> Vec<u8> {
@@ -552,6 +585,11 @@ impl CommitCell {
         CommitCell::default()
     }
 
+    /// A cell over tries that already commit to their owner's maps.
+    pub(super) fn with_maps(maps: StateMaps) -> Self {
+        CommitCell(Mutex::new(maps))
+    }
+
     pub(super) fn lock(&self) -> std::sync::MutexGuard<'_, StateMaps> {
         self.0.lock().expect("state commitment lock")
     }
@@ -597,8 +635,13 @@ mod tests {
         // Clones carry their own dirty set.
         m.insert(5, "e".into());
         let clone = m.clone();
+        let mut clean = m.clone_clean();
         assert_eq!(clone.take_dirty(), vec![5]);
         assert_eq!(m.take_dirty(), vec![5]);
+        // A clean copy has the entries and none of the marks.
+        clean.insert_clean(6, "f".into());
+        assert_eq!((clean.len(), clean[&6].as_str()), (m.len() + 1, "f"));
+        assert!(clean.take_dirty().is_empty());
     }
 
     #[test]
@@ -685,5 +728,10 @@ mod tests {
         assert_eq!(&k[..8], &1u64.to_be_bytes());
         assert_eq!(&k[8..], &2u32.to_be_bytes());
         assert_eq!(key_sector(SectorId(5)), 5u64.to_be_bytes());
+        // And back, with typed errors for keys of the wrong width.
+        assert_eq!(dec_key_id(&key_file(FileId(0x0102)), "w"), Ok(0x0102));
+        assert_eq!(dec_key_alloc(&k), Ok((FileId(1), 2)));
+        assert_eq!(dec_key_id(&k, "w"), Err(StoreError::Corrupt("w")));
+        assert!(dec_key_alloc(&k[..8]).is_err());
     }
 }

@@ -423,6 +423,23 @@ fn fill_confirmed(engine: &mut Engine, ids: std::ops::Range<u64>) {
     }
 }
 
+/// An engine on a counting store with six large sectors and `files`
+/// confirmed files: state that is almost all map rows.
+fn filled(disk: bool, shards: usize, files: u64, tag: &str) -> (Arc<CountingStore>, Engine) {
+    let store = CountingStore::new(disk, &format!("{tag}-{shards}"));
+    let as_dyn = Arc::clone(&store) as Arc<dyn Blockstore>;
+    let mut engine = Engine::new_with_store(params(shards, 1), as_dyn).expect("params");
+    engine.fund(CLIENT, TokenAmount(u128::MAX / 4));
+    engine.fund(PROVIDERS[0], TokenAmount(u128::MAX / 4));
+    for _ in 0..6 {
+        engine
+            .sector_register(PROVIDERS[0], 640_000)
+            .expect("register");
+    }
+    fill_confirmed(&mut engine, 0..files);
+    (store, engine)
+}
+
 /// The mechanism, in store reads. On a live engine a pin's reads and
 /// `prove_file` touch no store at all, and `snapshot_delta` reads only
 /// the base version's nodes along the changed paths: the same handful of
@@ -437,17 +454,7 @@ fn pinned_reads_and_proofs_read_no_store_and_deltas_read_changed_paths() {
     let mut delta_gets = Vec::new();
     for (disk, shards, files) in [(false, 1usize, 300u64), (true, 8, 3_000)] {
         let cell = format!("disk={disk} shards={shards} files={files}");
-        let store = CountingStore::new(disk, &format!("reads-{shards}"));
-        let as_dyn = Arc::clone(&store) as Arc<dyn Blockstore>;
-        let mut engine = Engine::new_with_store(params(shards, 1), as_dyn).expect("params");
-        engine.fund(CLIENT, TokenAmount(u128::MAX / 4));
-        engine.fund(PROVIDERS[0], TokenAmount(u128::MAX / 4));
-        for _ in 0..6 {
-            engine
-                .sector_register(PROVIDERS[0], 640_000)
-                .expect("register");
-        }
-        fill_confirmed(&mut engine, 0..files);
+        let (store, mut engine) = filled(disk, shards, files, "reads");
         let base_roots = engine.state_roots();
         let base_nodes = store.puts();
 
@@ -490,6 +497,159 @@ fn pinned_reads_and_proofs_read_no_store_and_deltas_read_changed_paths() {
         delta_gets[1] <= delta_gets[0] + CHANGED_KEYS,
         "ten times the state must not cost more than a level per changed path: {delta_gets:?}"
     );
+}
+
+/// The mechanism of a delta restore, in store calls. The follower starts
+/// from its base's resident tries, so it puts the blocks the delta
+/// carries and reads back, at most once each, the blocks it ships —
+/// whatever the size of the base: a restore that persisted the base to
+/// learn its root, or rebuilt the maps from a walk, would grow with it.
+#[test]
+fn a_delta_restore_costs_store_calls_by_the_delta_not_the_base() {
+    const CHANGED_FILES: u64 = 4;
+    const CHANGED_KEYS: u64 = CHANGED_FILES * 4 + 2 * 6;
+    let mut calls = Vec::new();
+    for (disk, shards, files) in [(false, 1usize, 300u64), (true, 8, 3_000)] {
+        let cell = format!("disk={disk} shards={shards} files={files}");
+        let (store, mut engine) = filled(disk, shards, files, "restore");
+        // Cloned before the first commit: the base builds tries of its own,
+        // which nothing has persisted.
+        let base = engine.clone();
+        let base_roots = engine.state_roots();
+        fill_confirmed(&mut engine, files..files + CHANGED_FILES);
+        // Persisting the new version puts exactly the nodes the base
+        // version lacks — the delta's payload.
+        let before = store.puts();
+        let delta = engine.snapshot_delta(&base_roots).expect("delta");
+        let shipped = store.puts() - before;
+        assert!(
+            shipped > 0 && shipped <= CHANGED_KEYS * 4,
+            "{cell}: {shipped}"
+        );
+
+        let (puts, gets) = (store.puts(), store.gets());
+        let restored = Engine::snapshot_restore_delta(&delta, &base).expect("delta restore");
+        let (puts, gets) = (store.puts() - puts, store.gets() - gets);
+        assert_eq!(restored.state_root(), engine.state_root(), "{cell}");
+        assert_eq!(puts, shipped, "{cell}: puts beyond the delta's blocks");
+        assert!(
+            gets > 0 && gets <= shipped,
+            "{cell}: {gets} gets, {shipped} blocks shipped"
+        );
+        calls.push(puts + gets);
+    }
+    assert!(
+        calls[1] <= calls[0] + 2 * CHANGED_KEYS,
+        "ten times the base must not cost more than a level per changed path: {calls:?}"
+    );
+}
+
+/// `base + delta` is a full restore of the new state **in every byte** of
+/// a re-saved snapshot — so no section can have been inherited from the
+/// base by mistake — for either store backend, with the delta naming the
+/// base's shard count or another one (rows are re-routed). The base keeps
+/// answering at its own root while the result moves on (the shared tries
+/// are copy-on-write), and the two restored engines stay in consensus,
+/// block for block.
+#[test]
+fn delta_restore_equals_full_restore_in_every_byte() {
+    const SEED: u64 = 61;
+    for disk in [false, true] {
+        for (base_shards, delta_shards) in [(1usize, 1usize), (1, 4), (8, 8), (8, 3)] {
+            let cell = format!("disk={disk} base={base_shards} delta={delta_shards}");
+            let tag = format!("equal-{base_shards}-{delta_shards}");
+            let base_store = CountingStore::new(disk, &tag) as Arc<dyn Blockstore>;
+            let mut base =
+                Engine::new_with_store(params(base_shards, 1), base_store).expect("params");
+            let mut server = Engine::new(params(delta_shards, 1)).expect("params");
+
+            // The same ops take both to the base version…
+            for engine in [&mut base, &mut server] {
+                let mut rng = DetRng::from_seed_label(SEED, "state-commitment");
+                setup(engine, &mut rng);
+                for block in 0..12 {
+                    differential_block(engine, &mut rng, SEED, block);
+                }
+                let oldest = engine.file_ids()[0];
+                engine.file_discard(CLIENT, oldest).expect("discard");
+            }
+            let base_roots = server.state_roots();
+            assert_eq!(base.state_root(), base_roots.state_root, "{cell}");
+            // …and the server alone on to the new one, every map changed.
+            let mut rng = DetRng::from_seed_label(SEED + 1, "state-commitment");
+            for block in 12..18 {
+                differential_block(&mut server, &mut rng, SEED, block);
+            }
+            let newest = *server.file_ids().last().expect("live files");
+            server.file_discard(CLIENT, newest).expect("discard");
+            server.checkpoint();
+            let new_roots = server.state_roots();
+            for (map, (new, old)) in new_roots
+                .map_roots()
+                .iter()
+                .zip(base_roots.map_roots())
+                .enumerate()
+            {
+                assert_ne!(*new, old, "{cell}: map {map} unchanged");
+            }
+            let delta = server.snapshot_delta(&base_roots).expect("delta");
+            let full_new = server.snapshot_save();
+
+            let base_before = (answers(&base), base.snapshot_save());
+            let mut via_delta =
+                Engine::snapshot_restore_delta(&delta, &base).expect("delta restore");
+            let mut via_full = Engine::snapshot_restore(&full_new).expect("full restore");
+            assert_eq!(via_delta.snapshot_save(), full_new, "{cell}");
+            assert_eq!(via_full.snapshot_save(), full_new, "{cell}");
+            assert_eq!(via_delta.state_roots(), new_roots, "{cell}");
+            assert_eq!(via_delta.params().shards, delta_shards, "{cell}");
+            // What a snapshot does not carry starts fresh, not as the base's.
+            assert!(!base.op_log().is_empty() && via_delta.op_log().is_empty());
+            assert!(via_delta.events().is_empty(), "{cell}");
+            assert_eq!(via_delta.phase_times(), Default::default(), "{cell}");
+
+            // Both reconstructions stay in consensus at every block…
+            for engine in [&mut via_delta, &mut via_full] {
+                engine.fund(CLIENT, TokenAmount(500_000_000));
+            }
+            let mut rngs = [(); 2].map(|()| DetRng::from_seed_label(SEED + 2, "state-commitment"));
+            for block in 18..42 {
+                for (engine, rng) in [&mut via_delta, &mut via_full].into_iter().zip(&mut rngs) {
+                    differential_block(engine, rng, SEED, block);
+                    engine.advance_to(engine.now() + engine.params().block_interval);
+                }
+                assert_eq!(
+                    via_delta.state_root(),
+                    via_full.state_root(),
+                    "{cell} {block}"
+                );
+                assert_eq!(
+                    via_delta.audit_root(),
+                    via_full.audit_root(),
+                    "{cell} {block}"
+                );
+                assert_eq!(
+                    via_delta.chain().head_hash(),
+                    via_full.chain().head_hash(),
+                    "{cell} {block}"
+                );
+            }
+            assert!(via_delta.chain().height() >= server.chain().height() + 24);
+
+            // …and none of it reached the base.
+            assert_eq!(base.state_root(), base_roots.state_root, "{cell}");
+            assert_eq!(
+                (answers(&base), base.snapshot_save()),
+                base_before,
+                "{cell}"
+            );
+            assert_eq!(
+                answers(&PinnedState::new(base.store().clone(), base.state_roots())),
+                base_before.0,
+                "{cell}: the base's own tries, persisted now, still spell its version"
+            );
+        }
+    }
 }
 
 /// The incremental-snapshot contract: restoring `base + delta` equals

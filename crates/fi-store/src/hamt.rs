@@ -55,11 +55,11 @@
 //! ([`Arc::make_mut`]) — and copies a node only while a clone still
 //! shares it, so a clone is a pinned version and a map nobody has cloned
 //! is written in place. Every read — [`Hamt::get`], [`Hamt::walk`],
-//! [`Hamt::prove`], [`Hamt::diff_new_nodes`] — uses a resident node where
-//! it is and goes to the store only through a link that was never
-//! loaded; a resident node's block is re-encoded on demand, and those
-//! are the bytes a flush stores. Leaf buckets are kept in their encoded
-//! form, so encoding a node is a copy per slot.
+//! [`Hamt::prove`], [`Hamt::diff_new_nodes`], [`Hamt::diff_keys`] — uses a
+//! resident node where it is and goes to the store only through a link
+//! that was never loaded; a resident node's block is re-encoded on
+//! demand, and those are the bytes a flush stores. Leaf buckets are kept
+//! in their encoded form, so encoding a node is a copy per slot.
 //!
 //! # Defensive decoding
 //!
@@ -744,6 +744,133 @@ fn diff_link(
     Ok(())
 }
 
+/// A key whose value differs between two versions of a map, with its value
+/// in the newer one: `None` where that version no longer has the key.
+type KeyChange = (Vec<u8>, Option<Vec<u8>>);
+
+/// The pairs a slot holds itself, in key order: none for an empty slot,
+/// the bucket's for a bucket. `None` for a child link — its pairs are a
+/// subtree away ([`subtree_pairs`]).
+fn leaf_pairs(slot: Option<&Slot>) -> Option<Pairs<'_>> {
+    match slot {
+        None => Some(Pairs(&[])),
+        Some(Slot::Bucket(bucket)) => Some(bucket.pairs()),
+        Some(Slot::Child(_)) => None,
+    }
+}
+
+/// Appends every pair at or under `slot` to `out` (hash-path order), `slot`
+/// being a slot of a node `depth` levels down. With `seen` — the untrusted
+/// side of a diff — a node linked a second time is an error, so the walk
+/// costs at most one visit per node whatever the links say.
+fn subtree_pairs(
+    slot: Option<&Slot>,
+    store: &dyn Blockstore,
+    depth: usize,
+    mut seen: Option<&mut HashSet<Hash256>>,
+    out: &mut Vec<(Vec<u8>, Vec<u8>)>,
+) -> Result<(), StoreError> {
+    let link = match slot {
+        None => return Ok(()),
+        Some(Slot::Bucket(bucket)) => {
+            out.extend(bucket.pairs().map(|(k, v)| (k.to_vec(), v.to_vec())));
+            return Ok(());
+        }
+        Some(Slot::Child(link)) => link,
+    };
+    if depth + 1 >= MAX_DEPTH {
+        return Err(StoreError::Corrupt("trie deeper than the key hash"));
+    }
+    if let Some(seen) = seen.as_deref_mut() {
+        let hash = link.hash().expect("both versions are committed first");
+        if !seen.insert(hash) {
+            return Err(StoreError::Corrupt("trie node linked twice"));
+        }
+    }
+    let node = link_node(link, store)?;
+    for slot in &node.slots {
+        subtree_pairs(Some(slot), store, depth + 1, seen.as_deref_mut(), out)?;
+    }
+    Ok(())
+}
+
+/// Merges two key-ordered pair lists into the changes that turn `base`
+/// into `new`.
+fn diff_sorted<'a>(
+    new: impl Iterator<Item = (&'a [u8], &'a [u8])>,
+    base: impl Iterator<Item = (&'a [u8], &'a [u8])>,
+    out: &mut Vec<KeyChange>,
+) {
+    let (mut new, mut base) = (new.peekable(), base.peekable());
+    loop {
+        let order = match (new.peek(), base.peek()) {
+            (None, None) => return,
+            (Some(_), None) => std::cmp::Ordering::Less,
+            (None, Some(_)) => std::cmp::Ordering::Greater,
+            (Some((n, _)), Some((b, _))) => n.cmp(b),
+        };
+        let (set, old) = match order {
+            std::cmp::Ordering::Less => (new.next(), None),
+            std::cmp::Ordering::Greater => (None, base.next()),
+            std::cmp::Ordering::Equal => (new.next(), base.next()),
+        };
+        match (set, old) {
+            (Some((_, value)), Some((_, was))) if value == was => {}
+            (Some((key, value)), _) => out.push((key.to_vec(), Some(value.to_vec()))),
+            (None, Some((key, _))) => out.push((key.to_vec(), None)),
+            (None, None) => unreachable!("one side was peeked"),
+        }
+    }
+}
+
+/// Appends to `out` the key-level changes between the nodes behind `new`
+/// and `base`, which sit at the same position `depth` levels down — the
+/// lockstep rule of [`diff_link`], carried to the pairs: equal hashes end
+/// the descent, two buckets are merged in place, and where one version
+/// has a bucket (or nothing) and the other a subtree — a split or a
+/// collapse — the subtree is enumerated from the side that has it. `new`
+/// is the untrusted side: `seen` holds each of its nodes visited.
+fn diff_keys_link(
+    new: &Link,
+    base: &Link,
+    store: &dyn Blockstore,
+    depth: usize,
+    seen: &mut HashSet<Hash256>,
+    out: &mut Vec<KeyChange>,
+) -> Result<(), StoreError> {
+    if depth >= MAX_DEPTH {
+        return Err(StoreError::Corrupt("trie deeper than the key hash"));
+    }
+    let hash = new.hash().expect("both versions are committed first");
+    if base.hash() == Some(hash) {
+        return Ok(());
+    }
+    if !seen.insert(hash) {
+        return Err(StoreError::Corrupt("trie node linked twice"));
+    }
+    let (new_node, base_node) = (link_node(new, store)?, link_node(base, store)?);
+    for nib in 0..FANOUT {
+        let (new, base) = (new_node.slot(nib), base_node.slot(nib));
+        if let (Some(Slot::Child(new)), Some(Slot::Child(base))) = (new, base) {
+            diff_keys_link(new, base, store, depth + 1, seen, out)?;
+        } else if let (Some(new), Some(base)) = (leaf_pairs(new), leaf_pairs(base)) {
+            diff_sorted(new, base, out);
+        } else {
+            let (mut set, mut old) = (Vec::new(), Vec::new());
+            subtree_pairs(new, store, depth, Some(seen), &mut set)?;
+            subtree_pairs(base, store, depth, None, &mut old)?;
+            set.sort_unstable();
+            old.sort_unstable();
+            diff_sorted(
+                set.iter().map(|(k, v)| (&k[..], &v[..])),
+                old.iter().map(|(k, v)| (&k[..], &v[..])),
+                out,
+            );
+        }
+    }
+    Ok(())
+}
+
 /// Collects every node hash reachable from `root` into `out`.
 #[cfg(test)]
 fn reachable_hashes(
@@ -985,6 +1112,50 @@ impl Hamt {
         Ok(out)
     }
 
+    /// The key-level difference from `base` to this version — what a
+    /// holder of `base`'s pairs must change to hold this version's:
+    /// `(key, Some(value))` for every pair added or changed, with its
+    /// value here, and `(key, None)` for every key `base` has and this
+    /// version does not. The companion of [`Hamt::diff_new_nodes`] on the
+    /// receiving side, and found the same way: both maps are committed
+    /// first (hash-only), the two tries are descended in lockstep, and
+    /// the descent stops wherever the hashes agree, so with `base`
+    /// resident and this version [`Hamt::load`]ed over a store holding a
+    /// delta's nodes, exactly the delta's nodes are read — each at most
+    /// once — and the cost follows the size of the change.
+    ///
+    /// This version's nodes are treated as untrusted: the lists are what
+    /// its nodes *say*, bounded in work by the number of distinct nodes,
+    /// and say nothing about whether its pairs sit where their key hashes
+    /// route them. A caller that needs that applies the changes to its
+    /// own copy of `base` with [`Hamt::set`] / [`Hamt::delete`] and
+    /// compares root hashes: only the canonical trie of the resulting
+    /// pairs has this version's root.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::NotFound`] when a node needed from `store` is not
+    /// there; [`StoreError::Corrupt`] for undecodable node bytes, a node
+    /// linked from two places, or links deeper than a key hash.
+    pub fn diff_keys(
+        &self,
+        store: &dyn Blockstore,
+        base: &Hamt,
+    ) -> Result<Vec<KeyChange>, StoreError> {
+        self.seal(None)?;
+        base.seal(None)?;
+        let mut out = Vec::new();
+        diff_keys_link(
+            &self.root,
+            &base.root,
+            store,
+            0,
+            &mut HashSet::new(),
+            &mut out,
+        )?;
+        Ok(out)
+    }
+
     /// An inclusion proof for `key` against this version's root (the map
     /// is committed first, hash-only): the node bytes along the path
     /// from the root to the leaf bucket holding the key. `Ok(None)` when
@@ -1063,6 +1234,7 @@ mod tests {
     use super::*;
     use crate::blockstore::MemoryBlockstore;
     use fi_crypto::DetRng;
+    use std::collections::BTreeMap;
 
     fn kv(i: u64) -> (Vec<u8>, Vec<u8>) {
         (
@@ -1592,12 +1764,42 @@ mod tests {
         out
     }
 
-    /// The lockstep diff lists the nodes the set-based oracle lists — the
-    /// same nodes, in the same order, with the same bytes — over random
-    /// histories that grow (buckets split), shrink (subtrees collapse)
-    /// and empty the map, against the previous version, an older one and
-    /// the empty map; whether each side is resident, loaded from a root,
-    /// or (the new side) not even flushed yet.
+    /// Every pair under a flushed root, by key: a full walk.
+    fn walked(store: &dyn Blockstore, root: Hash256) -> BTreeMap<Vec<u8>, Vec<u8>> {
+        let mut pairs = BTreeMap::new();
+        Hamt::load(root)
+            .walk(store, &mut |k, v| {
+                drop(pairs.insert(k.to_vec(), v.to_vec()))
+            })
+            .unwrap();
+        pairs
+    }
+
+    /// The set difference of two full walks, by key: the key-level oracle.
+    fn oracle_key_diff(
+        store: &dyn Blockstore,
+        new_root: Hash256,
+        base_root: Hash256,
+    ) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
+        let (new, base) = (walked(store, new_root), walked(store, base_root));
+        let set = new.iter().filter(|(k, v)| base.get(*k) != Some(*v));
+        let gone = base.keys().filter(|k| !new.contains_key(*k));
+        let mut changes: Vec<_> = set
+            .map(|(k, v)| (k.clone(), Some(v.clone())))
+            .chain(gone.map(|k| (k.clone(), None)))
+            .collect();
+        changes.sort();
+        changes
+    }
+
+    /// The lockstep diffs against their oracles. `diff_new_nodes` lists
+    /// the nodes the set-based oracle lists — the same nodes, in the same
+    /// order, with the same bytes — and `diff_keys` the set difference of
+    /// two full walks, each key once, over random histories that grow
+    /// (buckets split), shrink (subtrees collapse into buckets) and empty
+    /// the map, against the previous version, an older one and the empty
+    /// map; whether each side is resident, loaded from a root, or (the
+    /// new side) not even flushed yet.
     #[test]
     fn lockstep_diff_matches_the_set_based_oracle() {
         let log = std::env::temp_dir().join(format!("fi-hamt-diff-{}.log", std::process::id()));
@@ -1643,6 +1845,7 @@ mod tests {
                 for (base_root, base) in [&versions[older], &versions[0], versions.last().unwrap()]
                 {
                     let want = oracle_diff(store, root, *base_root);
+                    let want_keys = oracle_key_diff(store, root, *base_root);
                     for (new, base) in [
                         (&map, base),
                         (&map, &Hamt::load(*base_root)),
@@ -1654,9 +1857,13 @@ mod tests {
                             want,
                             "round {round}"
                         );
+                        let mut keys = new.diff_keys(store, base).unwrap();
+                        keys.sort();
+                        assert_eq!(keys, want_keys, "round {round}");
                     }
                 }
                 assert!(map.diff_new_nodes(store, &map).unwrap().is_empty());
+                assert!(map.diff_keys(store, &map).unwrap().is_empty());
                 if round % 10 == 8 {
                     assert!(live.is_empty());
                     assert_eq!(root, versions[0].0, "emptied back to the empty root");
@@ -1768,6 +1975,23 @@ mod tests {
         assert_eq!(
             Hamt::load(root).walk(&store, &mut |_, _| {}).unwrap_err(),
             StoreError::Corrupt("trie deeper than the key hash")
+        );
+        // The key-level diff visits a node once: the second link to it is
+        // the error, whichever side a subtree is enumerated from.
+        let linked_twice = StoreError::Corrupt("trie node linked twice");
+        assert_eq!(
+            Hamt::load(root)
+                .diff_keys(&store, &Hamt::new())
+                .unwrap_err(),
+            linked_twice
+        );
+        let mut grown = Hamt::new();
+        for i in 0..200 {
+            grown.set(&store, &kv(i).0, &kv(i).1).unwrap();
+        }
+        assert_eq!(
+            Hamt::load(root).diff_keys(&store, &grown).unwrap_err(),
+            linked_twice
         );
         let mut out = HashSet::new();
         // reachable_hashes dedups by hash, so the self-link terminates via

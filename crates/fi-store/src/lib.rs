@@ -29,7 +29,9 @@
 //! * **incremental snapshots** — the delta between two versions is just
 //!   the set of nodes reachable from the new root but not the old one,
 //!   found by walking the two in lockstep and skipping every subtree
-//!   whose hashes agree ([`Hamt::diff_new_nodes`]);
+//!   whose hashes agree ([`Hamt::diff_new_nodes`]); the receiver turns
+//!   those nodes into the changed key-value pairs by the same walk
+//!   against the version it holds ([`Hamt::diff_keys`]);
 //! * **inclusion proofs** — the node path from root to leaf proves one
 //!   key's value against the root hash ([`Hamt::prove`] /
 //!   [`Hamt::verify_proof`]) without shipping the map.
