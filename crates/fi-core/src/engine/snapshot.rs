@@ -71,7 +71,7 @@ use crate::types::{
 use crate::error::Error;
 
 use super::shard::ShardedState;
-use super::statemap::{self, CommitCell, StateRoots, TrackedMap};
+use super::statemap::{self, CommitCell, StateMaps, StateRoots, TrackedMap};
 use super::{Checkpoint, Engine, EngineStats, Task};
 
 const MAGIC: &[u8; 8] = b"FISNAPSH";
@@ -820,6 +820,12 @@ fn ascending<K: Ord + Copy>(
     Ok(key)
 }
 
+/// The committed trie of one state map's `(key, leaf)` rows.
+fn state_trie<K: AsRef<[u8]>>(rows: Vec<(K, Vec<u8>)>) -> Result<Hamt, SnapshotError> {
+    // Every table is read strictly ascending, so no key can repeat.
+    Hamt::from_pairs(rows).map_err(|_| SnapshotError::Malformed("state map key repeated"))
+}
+
 /// Reads a delta's five per-map node lists, checks every block against
 /// the id it was shipped under, and puts it into `store`.
 fn put_delta_nodes(d: &mut Dec<'_>, store: &dyn Blockstore) -> Result<(), Error> {
@@ -960,6 +966,13 @@ impl Engine {
 
     /// Rebuilds an engine from [`Engine::snapshot_save`] bytes.
     ///
+    /// The returned engine's commitment is already built: the five state
+    /// tries are built bottom-up from the map tables as they are decoded
+    /// ([`fi_store::Hamt::from_pairs`]), committed (hashed; nothing is
+    /// written to its blockstore) and clean, so its first `state_root()`
+    /// hashes nothing. The layout is canonical, so they are the tries the
+    /// saved engine had, node for node.
+    ///
     /// The restored engine reproduces the saved engine's `state_root()`
     /// and — fed the same subsequent ops — every later receipt and block
     /// hash exactly (asserted by the snapshot durability tests). Its op
@@ -997,8 +1010,14 @@ impl Engine {
             shard.stats = stats;
         }
 
+        // The five map tables. Each row goes into its flat map clean and,
+        // as its trie leaf, into the pairs that map's trie is built from
+        // at the end of the table, so the engine comes back committed with
+        // nothing dirty. The pairs are dropped table by table.
+
         // Files.
         let n_files = d.len()?;
+        let mut rows = Vec::new();
         let mut last = None;
         for _ in 0..n_files {
             let id = ascending(
@@ -1024,11 +1043,14 @@ impl Engine {
             if id.0 >= next_file_id {
                 return Err(SnapshotError::Malformed("file id above the id counter"));
             }
-            shards.insert_file(desc);
+            rows.push((statemap::key_file(id), statemap::enc_file(&desc)));
+            shards.shard_mut(id).files.insert_clean(id, desc);
         }
+        let files = state_trie(rows)?;
 
         // Allocation table.
         let n_alloc = d.len()?;
+        let mut rows = Vec::new();
         let mut last = None;
         for _ in 0..n_alloc {
             let (file, index) = ascending(
@@ -1051,11 +1073,20 @@ impl Engine {
             if shards.file(file).is_none() {
                 return Err(SnapshotError::Malformed("allocation row without a file"));
             }
-            shards.insert_entry(file, index, entry);
+            rows.push((
+                statemap::key_alloc(file, index),
+                statemap::enc_alloc_entry(&entry),
+            ));
+            shards
+                .shard_mut(file)
+                .alloc
+                .insert_clean((file, index), entry);
         }
+        let alloc = state_trie(rows)?;
 
         // Discard reasons.
         let n_reasons = d.len()?;
+        let mut rows = Vec::new();
         let mut last = None;
         for _ in 0..n_reasons {
             let file = ascending(
@@ -1070,18 +1101,21 @@ impl Engine {
                 3 => RemovalReason::Lost,
                 _ => return Err(SnapshotError::Malformed("removal reason tag")),
             };
-            shards.set_discard_reason(file, reason);
+            rows.push((statemap::key_file(file), statemap::enc_reason(reason)));
+            shards
+                .shard_mut(file)
+                .discard_reasons
+                .insert_clean(file, reason);
         }
+        let discard = state_trie(rows)?;
 
         // Pending tasks (already in canonical (time, seq) order).
         dec_tasks(&mut d, task_seq, &mut shards)?;
 
         // Sectors.
         let n_sectors = d.len()?;
-        // A TrackedMap insert marks the key dirty, so the first
-        // state_root after restore rebuilds the full HAMT commitment
-        // (canonical layout ⇒ roots identical to the snapshotted engine's).
         let mut sectors = TrackedMap::new();
+        let mut rows = Vec::new();
         let mut last = None;
         for _ in 0..n_sectors {
             let id = ascending(
@@ -1110,12 +1144,15 @@ impl Engine {
             if sector.free_cap > sector.capacity {
                 return Err(SnapshotError::Malformed("sector free_cap above capacity"));
             }
-            sectors.insert(id, sector);
+            rows.push((statemap::key_sector(id), statemap::enc_sector(&sector)));
+            sectors.insert_clean(id, sector);
         }
+        let sector_trie = state_trie(rows)?;
 
         // DRep accounting.
         let n_cr = d.len()?;
         let mut cr = TrackedMap::new();
+        let mut rows = Vec::new();
         let mut last = None;
         for _ in 0..n_cr {
             let id = ascending(
@@ -1129,8 +1166,10 @@ impl Engine {
             if !sectors.contains_key(&id) {
                 return Err(SnapshotError::Malformed("CR accounting without a sector"));
             }
-            cr.insert(id, acct);
+            rows.push((statemap::key_sector(id), statemap::enc_cr(&acct)));
+            cr.insert_clean(id, acct);
         }
+        let cr_trie = state_trie(rows)?;
 
         // Sector replica index.
         let sector_replicas = dec_replicas(&mut d)?;
@@ -1172,7 +1211,13 @@ impl Engine {
             pool: super::pool::PoolHandle::new(),
             phase: super::PhaseTimes::default(),
             store: super::default_store(),
-            commit: CommitCell::new(),
+            commit: CommitCell::with_maps(StateMaps {
+                files,
+                alloc,
+                discard,
+                sectors: sector_trie,
+                cr: cr_trie,
+            }),
         })
     }
 
@@ -1271,10 +1316,9 @@ impl Engine {
     /// asserted by the state-commitment differential suite.
     ///
     /// `base` is left as it was (its tries are shared, never written) and
-    /// nothing of it is persisted: its root is learned by hashing alone.
-    /// A base that was never committed — fresh from
-    /// [`Engine::snapshot_restore`] — pays its one full trie build here,
-    /// once, and shares it with the result. The restored engine shares
+    /// nothing of it is persisted: its root is learned by hashing alone,
+    /// which for a base fresh from [`Engine::snapshot_restore`] — built
+    /// committed — hashes nothing. The restored engine shares
     /// the base's blockstore (content addressing makes that harmless) but
     /// is otherwise independent.
     ///
@@ -1565,6 +1609,74 @@ mod tests {
                 "table {table}"
             );
         }
+    }
+
+    /// A blockstore that counts every call reaching it.
+    #[derive(Debug)]
+    struct CountingStore {
+        inner: Box<dyn Blockstore>,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CountingStore {
+        fn calls(&self) -> usize {
+            self.calls.load(std::sync::atomic::Ordering::Relaxed)
+        }
+
+        fn count(&self) {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    impl Blockstore for CountingStore {
+        fn get(&self, hash: &Hash256) -> Result<Option<Arc<[u8]>>, StoreError> {
+            self.count();
+            self.inner.get(hash)
+        }
+
+        fn put(&self, bytes: &[u8]) -> Result<Hash256, StoreError> {
+            self.count();
+            self.inner.put(bytes)
+        }
+    }
+
+    /// A full restore hands back an engine whose commitment is built:
+    /// all five tries carry their roots, no flat map holds a dirty key,
+    /// and its first `state_root()` — the saver's — reaches no store.
+    #[test]
+    fn a_restored_engine_is_committed_and_clean() {
+        let saver = engine_with(300);
+        let log = std::env::temp_dir().join(format!("fi-restore-clean-{}.log", std::process::id()));
+        for disk in [false, true] {
+            let mut restored = Engine::snapshot_restore(&saver.snapshot_save()).expect("restore");
+            assert!(restored
+                .commit
+                .lock()
+                .tries()
+                .iter()
+                .all(|trie| trie.root_hash().is_some()));
+            for shard in &restored.shards.shards {
+                assert!(shard.files.take_dirty().is_empty());
+                assert!(shard.alloc.take_dirty().is_empty());
+                assert!(shard.discard_reasons.take_dirty().is_empty());
+            }
+            assert!(restored.sectors.take_dirty().is_empty());
+            assert!(restored.cr.take_dirty().is_empty());
+
+            let inner: Box<dyn Blockstore> = match disk {
+                true => Box::new(fi_store::DiskBlockstore::open(&log).expect("disk store")),
+                false => Box::new(MemoryBlockstore::new()),
+            };
+            let store = Arc::new(CountingStore {
+                inner,
+                calls: Default::default(),
+            });
+            restored.store = Arc::clone(&store) as Arc<dyn Blockstore>;
+            assert_eq!(restored.state_root(), saver.state_root(), "disk={disk}");
+            assert_eq!(store.calls(), 0, "disk={disk}");
+        }
+        let _ = std::fs::remove_file(log);
     }
 
     /// A trie node's slots as its block spells them (`fi_store::hamt`'s

@@ -544,6 +544,83 @@ fn a_delta_restore_costs_store_calls_by_the_delta_not_the_base() {
     );
 }
 
+/// A full restore hands back an engine whose commitment is already
+/// built, at any pair of shard counts: the saver's engine, and a twin at
+/// the restorer's shard count that applied the same ops and wrote the
+/// snapshot. Restored, it names the saver's roots map by map before any
+/// op is applied, and a proof from it verifies against the saver's root.
+/// (That the restore and its first `state_root()` reach no store is
+/// counted in `engine::snapshot`'s tests, which can swap the store of a
+/// restored engine.)
+#[test]
+fn a_full_restore_is_committed_to_the_savers_roots() {
+    for disk in [false, true] {
+        for (saver_shards, restorer_shards) in [(1usize, 1usize), (1, 8), (8, 3)] {
+            let cell = format!("disk={disk} saver={saver_shards} restorer={restorer_shards}");
+            let (_, mut saver) = filled(disk, saver_shards, 300, "full");
+            let (_, mut twin) = filled(disk, restorer_shards, 300, "full-twin");
+            for engine in [&mut saver, &mut twin] {
+                engine.file_discard(CLIENT, FileId(7)).expect("discard");
+            }
+            let want = saver.state_roots();
+
+            let restored = Engine::snapshot_restore(&twin.snapshot_save()).expect("restore");
+            assert_eq!(restored.params().shards, restorer_shards, "{cell}");
+            assert_eq!(restored.state_root(), want.state_root, "{cell}");
+            let roots = restored.state_roots();
+            for (map, (got, want)) in roots.map_roots().iter().zip(want.map_roots()).enumerate() {
+                assert_eq!(*got, want, "{cell}: map {map}");
+            }
+            assert_eq!(roots, want, "{cell}");
+            for f in (0..300).step_by(37).map(FileId) {
+                let proof = restored.prove_file(f).expect("prove");
+                let proven = proof.verify(want.state_root).expect("verify");
+                assert_eq!(Some(proven), saver.file(f), "{cell}: {f}");
+            }
+        }
+    }
+}
+
+/// `PinnedState` over an untrusted store: a files trie whose nodes each
+/// link one child from all 32 slots would make an id walk visit 32^depth
+/// nodes. The second link to a node is refused, typed, before it is read.
+#[test]
+fn a_pin_over_a_store_linking_one_node_twice_fails_fast() {
+    let store = MemoryBlockstore::new();
+    let empty = Hamt::new().flush(&store).expect("memory store");
+    let mut below = {
+        let mut leaf = 1u32.to_be_bytes().to_vec();
+        leaf.push(0); // one bucket…
+        leaf.extend_from_slice(&1u32.to_be_bytes()); // …of one pair
+        for field in [&7u64.to_be_bytes()[..], b"leaf"] {
+            leaf.extend_from_slice(&(field.len() as u32).to_be_bytes());
+            leaf.extend_from_slice(field);
+        }
+        store.put(&leaf).expect("memory store")
+    };
+    for _ in 0..16 {
+        let mut node = u32::MAX.to_be_bytes().to_vec();
+        for _ in 0..32 {
+            node.push(1);
+            node.extend_from_slice(below.as_bytes());
+        }
+        below = store.put(&node).expect("memory store");
+    }
+    let roots = StateRoots {
+        state_root: empty,
+        files: below,
+        alloc: empty,
+        discard: empty,
+        sectors: below,
+        cr: empty,
+    };
+    let pin = PinnedState::new(Arc::new(store), roots);
+    let linked_twice = Error::Store(StoreError::Corrupt("trie node linked twice"));
+    assert_eq!(pin.try_file_ids().unwrap_err(), linked_twice);
+    assert_eq!(pin.try_sector_ids().unwrap_err(), linked_twice);
+    assert!(pin.file_ids().is_empty());
+}
+
 /// `base + delta` is a full restore of the new state **in every byte** of
 /// a re-saved snapshot — so no section can have been inherited from the
 /// base by mistake — for either store backend, with the delta naming the

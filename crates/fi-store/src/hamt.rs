@@ -19,9 +19,12 @@
 //! not of the insert/delete order that produced it, nor of when it was
 //! committed or flushed in between. Two engines that mutate their maps in
 //! different orders (different shard counts, different ingest
-//! interleavings) still converge on bit-identical roots. The property
-//! tests in this module shuffle and interleave mutation orders to pin
-//! this down.
+//! interleavings) still converge on bit-identical roots, and a map can be
+//! built from its pairs directly ([`Hamt::from_pairs`]: sorted by nibble
+//! path, each node emitted once, deepest first) rather than replayed one
+//! insert at a time. The property tests in this module shuffle and
+//! interleave mutation orders, and compare the direct build, to pin this
+//! down.
 //!
 //! # Commit is not persist
 //!
@@ -68,7 +71,9 @@
 //! unsorted buckets and over-deep paths (the only way a malicious store
 //! can express a link cycle, since honest links are hashes of the child's
 //! bytes) all surface as typed [`StoreError`]s, never a panic or an
-//! unbounded traversal.
+//! unbounded traversal. The walks that enumerate a subtree — [`Hamt::walk`]
+//! and [`Hamt::diff_keys`] — also refuse a stored node linked twice, so a
+//! store cannot make them revisit one.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -659,20 +664,199 @@ fn scratch() -> Vec<u8> {
     Vec::with_capacity(4096)
 }
 
+// ----------------------------------------------------------------------
+// Bottom-up build
+// ----------------------------------------------------------------------
+
+/// Nibbles of a key hash that [`path_prefix`] packs into one `u128`.
+const PREFIX_NIBBLES: usize = 25;
+
+/// The first [`PREFIX_NIBBLES`] nibbles of `hash`, first nibble highest,
+/// so that comparing prefixes compares nibble paths. [`nibble`] reads the
+/// hash as a little-endian integer five bits at a time, which is why raw
+/// hash-byte order is not path order.
+fn path_prefix(hash: &Hash256) -> u128 {
+    let bits = u128::from_le_bytes(hash.as_bytes()[..16].try_into().expect("16 bytes"));
+    let prefix = (0..PREFIX_NIBBLES).fold(0u128, |acc, d| (acc << 5) | ((bits >> (5 * d)) & 31));
+    prefix << (128 - 5 * PREFIX_NIBBLES)
+}
+
+/// The nibble paths of two keys past the packed prefix, compared.
+fn path_tail_cmp(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
+    let (a, b) = (sha256(a), sha256(b));
+    (PREFIX_NIBBLES..MAX_DEPTH)
+        .map(|d| nibble(&a, d).cmp(&nibble(&b, d)))
+        .find(|order| order.is_ne())
+        .unwrap_or(std::cmp::Ordering::Equal)
+}
+
+/// One pair of a [`Hamt::from_pairs`] build: its key hash's
+/// [`path_prefix`] and where its key and value sit, back to back, in the
+/// build's arena. Field lengths are `u32`, as in a bucket's encoding.
+#[derive(Clone, Copy, Default)]
+struct Entry {
+    prefix: u128,
+    start: usize,
+    key_len: u32,
+    value_len: u32,
+}
+
+/// The first nibble of a [`path_prefix`]: its group in [`Build::new`].
+fn first_nibble(prefix: u128) -> usize {
+    (prefix >> 123) as usize
+}
+
+/// The pairs of a [`Hamt::from_pairs`] build, copied into one arena and
+/// listed in the order the build reads them: by nibble path, then key.
+struct Build {
+    arena: Vec<u8>,
+    entries: Vec<Entry>,
+}
+
+impl Build {
+    /// Hashes every key of `pairs` once, copies the pairs into an arena
+    /// grouped by first nibble — one pass over the input in its own order,
+    /// appending to 32 groups — and sorts each group, a thirty-second of
+    /// the pairs, in place. Sorting first and copying in path order would
+    /// read the input at random.
+    fn new<K: AsRef<[u8]>, V: AsRef<[u8]>>(pairs: &[(K, V)]) -> Result<Build, StoreError> {
+        let prefixes: Vec<u128> = pairs
+            .iter()
+            .map(|(key, _)| path_prefix(&sha256(key.as_ref())))
+            .collect();
+        // Each group's size, then where it starts, in entries and in
+        // arena bytes.
+        let mut next = [0usize; FANOUT as usize];
+        let mut next_byte = [0usize; FANOUT as usize];
+        for ((k, v), &prefix) in pairs.iter().zip(&prefixes) {
+            next[first_nibble(prefix)] += 1;
+            next_byte[first_nibble(prefix)] += k.as_ref().len() + v.as_ref().len();
+        }
+        let (mut len, mut bytes) = (0, 0);
+        for nib in 0..FANOUT as usize {
+            let (count, size) = (next[nib], next_byte[nib]);
+            (next[nib], next_byte[nib]) = (len, bytes);
+            len += count;
+            bytes += size;
+        }
+        let mut arena = vec![0; bytes];
+        let mut entries = vec![Entry::default(); len];
+        let field_len = |field: &[u8]| {
+            u32::try_from(field.len()).map_err(|_| StoreError::Corrupt("trie field over 4 GiB"))
+        };
+        for ((k, v), &prefix) in pairs.iter().zip(&prefixes) {
+            let (k, v, nib) = (k.as_ref(), v.as_ref(), first_nibble(prefix));
+            let start = next_byte[nib];
+            let key_end = start + k.len();
+            arena[start..key_end].copy_from_slice(k);
+            arena[key_end..key_end + v.len()].copy_from_slice(v);
+            entries[next[nib]] = Entry {
+                prefix,
+                start,
+                key_len: field_len(k)?,
+                value_len: field_len(v)?,
+            };
+            next[nib] += 1;
+            next_byte[nib] = key_end + v.len();
+        }
+        // Each group now ends where `next` points.
+        let mut start = 0;
+        for end in next {
+            entries[start..end].sort_unstable_by_key(|entry| entry.prefix);
+            start = end;
+        }
+        // Paths that agree on the packed prefix — in practice only a key
+        // given twice — are ordered by their other nibbles, then by key.
+        let key = |entry: &Entry| &arena[entry.start..][..entry.key_len as usize];
+        for tie in entries.chunk_by_mut(|a, b| a.prefix == b.prefix) {
+            if tie.len() > 1 {
+                tie.sort_by(|a, b| path_tail_cmp(key(a), key(b)).then_with(|| key(a).cmp(key(b))));
+                if tie.windows(2).any(|w| key(&w[0]) == key(&w[1])) {
+                    return Err(StoreError::Corrupt("key given twice to a trie build"));
+                }
+            }
+        }
+        Ok(Build { arena, entries })
+    }
+
+    fn key(&self, entry: &Entry) -> &[u8] {
+        &self.arena[entry.start..][..entry.key_len as usize]
+    }
+
+    fn value(&self, entry: &Entry) -> &[u8] {
+        let start = entry.start + entry.key_len as usize;
+        &self.arena[start..][..entry.value_len as usize]
+    }
+
+    fn nibble(&self, entry: &Entry, depth: usize) -> u32 {
+        if depth < PREFIX_NIBBLES {
+            (entry.prefix >> (123 - 5 * depth)) as u32 & (FANOUT - 1)
+        } else {
+            nibble(&sha256(self.key(entry)), depth)
+        }
+    }
+
+    /// The sealed node `depth` levels down holding `entries` — a run that
+    /// shares its first `depth` nibbles — with every node below it built
+    /// and sealed first. The rules are [`node_set`]'s: a slot of at most
+    /// [`BUCKET_SIZE`] pairs, or any number at the deepest level, is a
+    /// bucket; a larger one is a child.
+    fn node(&self, mut entries: &[Entry], depth: usize, buf: &mut Vec<u8>) -> Node {
+        let bitmap = entries
+            .iter()
+            .fold(0u32, |bits, e| bits | 1 << self.nibble(e, depth));
+        let mut slots = Vec::with_capacity(bitmap.count_ones() as usize);
+        while let Some(first) = entries.first() {
+            let nib = self.nibble(first, depth);
+            let (run, rest) =
+                entries.split_at(entries.partition_point(|e| self.nibble(e, depth) == nib));
+            slots.push(match run {
+                // Most buckets hold one pair: nothing to sort.
+                [one] => Slot::Bucket(Bucket::from_sorted(&[(self.key(one), self.value(one))])),
+                _ if run.len() <= BUCKET_SIZE || depth + 1 >= MAX_DEPTH => {
+                    let mut pairs: Vec<_> =
+                        run.iter().map(|e| (self.key(e), self.value(e))).collect();
+                    pairs.sort_unstable_by_key(|&(key, _)| key);
+                    Slot::Bucket(Bucket::from_sorted(&pairs))
+                }
+                _ => Slot::Child(Link::Resident(Arc::new(self.node(run, depth + 1, buf)))),
+            });
+            entries = rest;
+        }
+        let node = Node {
+            bitmap,
+            slots,
+            ..Node::default()
+        };
+        encode_node(&node, buf);
+        let _ = node.hash.set(block_hash(buf));
+        node
+    }
+}
+
+/// Visits every pair under `link`. `seen` holds every stored node
+/// visited, so a node an untrusted store links twice is an error and the
+/// walk costs at most one visit per node whatever the links say.
 fn walk_link(
     link: &Link,
     store: &dyn Blockstore,
     depth: usize,
+    seen: &mut HashSet<Hash256>,
     f: &mut dyn FnMut(&[u8], &[u8]),
 ) -> Result<(), StoreError> {
     if depth >= MAX_DEPTH {
         return Err(StoreError::Corrupt("trie deeper than the key hash"));
     }
+    if let Link::Stored(hash) = link {
+        if !seen.insert(*hash) {
+            return Err(StoreError::Corrupt("trie node linked twice"));
+        }
+    }
     let node = link_node(link, store)?;
     for slot in &node.slots {
         match slot {
             Slot::Bucket(bucket) => bucket.pairs().for_each(|(k, v)| f(k, v)),
-            Slot::Child(child) => walk_link(child, store, depth + 1, f)?,
+            Slot::Child(child) => walk_link(child, store, depth + 1, seen, f)?,
         }
     }
     Ok(())
@@ -973,6 +1157,31 @@ impl Hamt {
         }
     }
 
+    /// A committed map holding exactly `pairs`, given in any order, built
+    /// bottom-up in one pass: each key is hashed once, the pairs are
+    /// sorted by nibble path once, and each node is emitted and sealed
+    /// (hashed, not stored) once, deepest first — no path copies and no
+    /// dirty walk. The layout is canonical, so the result is the trie that
+    /// [`Hamt::set`]ting every pair into an empty map and committing gives,
+    /// node for node. A later [`Hamt::flush`] persists it.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] when a key is given twice, or a key or
+    /// value is too long for a bucket's `u32` length fields.
+    pub fn from_pairs<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+        pairs: impl IntoIterator<Item = (K, V)>,
+    ) -> Result<Hamt, StoreError> {
+        let pairs: Vec<(K, V)> = pairs.into_iter().collect();
+        let build = Build::new(&pairs)?;
+        // Copied into the arena: free the input before the nodes grow.
+        drop(pairs);
+        let root = build.node(&build.entries, 0, &mut scratch());
+        Ok(Hamt {
+            root: Link::Resident(Arc::new(root)),
+        })
+    }
+
     /// The root hash, if the map is committed (`None` while dirty).
     pub fn root_hash(&self) -> Option<Hash256> {
         self.root.hash()
@@ -1074,16 +1283,20 @@ impl Hamt {
     }
 
     /// Visits every key-value pair (in hash-path order, not key order).
+    /// Each stored node is read at most once: a node linked from two
+    /// places is corrupt, so an untrusted store cannot make the walk
+    /// revisit a subtree.
     ///
     /// # Errors
     ///
-    /// Store failures and corrupt node bytes ([`StoreError`]).
+    /// Store failures and corrupt node bytes ([`StoreError`]), including
+    /// a stored node linked twice.
     pub fn walk(
         &self,
         store: &dyn Blockstore,
         f: &mut dyn FnMut(&[u8], &[u8]),
     ) -> Result<(), StoreError> {
-        walk_link(&self.root, store, 0, f)
+        walk_link(&self.root, store, 0, &mut HashSet::new(), f)
     }
 
     /// The nodes of this version that `base` does not have — an
@@ -1316,11 +1529,16 @@ mod tests {
             c.set(&store, &k, &v).unwrap();
         }
 
+        // Built bottom-up in one pass, from pairs given in descending order.
+        let mut d = Hamt::from_pairs((0..n).rev().map(kv)).unwrap();
+
         let ra = a.flush(&store).unwrap();
         let rb = b.flush(&store).unwrap();
         let rc = c.flush(&store).unwrap();
         assert_eq!(ra, rb, "insertion order changed the root");
         assert_eq!(ra, rc, "delete/overwrite history changed the root");
+        assert_eq!(d.root_hash(), Some(ra), "the one-pass build differs");
+        assert_eq!(d.flush(&store).unwrap(), ra);
 
         // And emptying the map from different orders agrees too.
         for i in 0..n {
@@ -1331,8 +1549,10 @@ mod tests {
             let (k, _) = kv(i);
             assert!(b.delete(&store, &k).unwrap());
         }
+        let empty = Hamt::from_pairs(Vec::<(Vec<u8>, Vec<u8>)>::new()).unwrap();
         assert_eq!(a.flush(&store).unwrap(), Hamt::new().flush(&store).unwrap());
         assert_eq!(b.flush(&store).unwrap(), Hamt::new().flush(&store).unwrap());
+        assert_eq!(empty.root_hash(), Some(Hamt::new().commit()));
     }
 
     #[test]
@@ -1972,13 +2192,14 @@ mod tests {
             Hamt::load(root).get(&store, b"key").unwrap_err(),
             StoreError::Corrupt("trie deeper than the key hash")
         );
+        // The walk and the key-level diff visit a node once: the second
+        // link to it is the error, whichever side a subtree is enumerated
+        // from.
+        let linked_twice = StoreError::Corrupt("trie node linked twice");
         assert_eq!(
             Hamt::load(root).walk(&store, &mut |_, _| {}).unwrap_err(),
-            StoreError::Corrupt("trie deeper than the key hash")
+            linked_twice
         );
-        // The key-level diff visits a node once: the second link to it is
-        // the error, whichever side a subtree is enumerated from.
-        let linked_twice = StoreError::Corrupt("trie node linked twice");
         assert_eq!(
             Hamt::load(root)
                 .diff_keys(&store, &Hamt::new())
@@ -1997,6 +2218,173 @@ mod tests {
         // reachable_hashes dedups by hash, so the self-link terminates via
         // the seen-set rather than the depth cap — either way, no loop.
         reachable_hashes(&store, root, 0, &mut out).unwrap();
+    }
+
+    /// An honest-hash store holding a chain of `levels` nodes, each of
+    /// which links the next from all 32 slots, above one leaf bucket: a
+    /// walk that followed every link would visit 32^`levels` nodes.
+    fn fan_in_chain(store: &dyn Blockstore, levels: usize) -> Hash256 {
+        let leaf = Node {
+            bitmap: 1,
+            slots: vec![Slot::Bucket(Bucket::from_sorted(&[(b"k", b"v")]))],
+            ..Node::default()
+        };
+        let mut buf = Vec::new();
+        encode_node(&leaf, &mut buf);
+        let mut below = store.put(&buf).unwrap();
+        for _ in 0..levels {
+            let node = Node {
+                bitmap: u32::MAX,
+                slots: vec![Slot::Child(Link::Stored(below)); FANOUT as usize],
+                ..Node::default()
+            };
+            encode_node(&node, &mut buf);
+            below = store.put(&buf).unwrap();
+        }
+        below
+    }
+
+    #[test]
+    fn a_walk_rejects_a_node_linked_twice_without_following_it() {
+        let store = CountingStore::default();
+        let levels = 12;
+        let root = fan_in_chain(&store, levels);
+        let mut visited = 0;
+        assert_eq!(
+            Hamt::load(root)
+                .walk(&store, &mut |_, _| visited += 1)
+                .unwrap_err(),
+            StoreError::Corrupt("trie node linked twice")
+        );
+        // One descent to the leaf, then the second link of the lowest
+        // fan-in node is refused before it is read.
+        assert_eq!(visited, 1);
+        assert_eq!(store.gets(), levels + 1);
+    }
+
+    /// Keys found by search whose hashes share their first `shared`
+    /// nibbles with `anchor`'s.
+    fn keys_sharing(anchor: &[u8], shared: usize, count: usize, rng: &mut DetRng) -> Vec<Vec<u8>> {
+        let want = sha256(anchor);
+        let mut found = Vec::new();
+        while found.len() < count {
+            let key = format!("near-{}", rng.next_u64()).into_bytes();
+            let hash = sha256(&key);
+            if (0..shared).all(|d| nibble(&hash, d) == nibble(&want, d)) {
+                found.push(key);
+            }
+        }
+        found
+    }
+
+    /// `Hamt::from_pairs` against the set-by-set build, the oracle: over
+    /// key sets from empty to 50 000, led by a cluster of keys that share
+    /// one to three leading nibbles (so splits nest), with values from
+    /// empty to 100 bytes. Same root; no node of one missing from the
+    /// other; and the same random sets, overwrites and deletes applied to
+    /// both afterwards — splits and collapses starting from a built trie —
+    /// keep the roots equal.
+    #[test]
+    fn from_pairs_builds_the_set_by_set_trie() {
+        let store = CountingStore::default();
+        let mut rng = DetRng::from_seed_label(3, "hamt/from_pairs");
+        let anchor = b"anchor".to_vec();
+        let mut cluster = vec![anchor.clone()];
+        for shared in [3, 2, 1] {
+            cluster.extend(keys_sharing(&anchor, shared, 4, &mut rng));
+        }
+        for n in [0usize, 1, 2, 3, 4, 32, 33, 1_000, 50_000] {
+            let mut pairs: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+            let value = |rng: &mut DetRng| vec![rng.below(256) as u8; rng.index(101)];
+            for key in cluster.iter().take(n) {
+                pairs.insert(key.clone(), value(&mut rng));
+            }
+            while pairs.len() < n {
+                let len = 1 + rng.index(16);
+                let key: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+                pairs.insert(key, value(&mut rng));
+            }
+            let mut order: Vec<_> = pairs.into_iter().collect();
+            rng.shuffle(&mut order);
+            let mut oracle = Hamt::new();
+            for (k, v) in &order {
+                oracle.set(&store, k, v).unwrap();
+            }
+            rng.shuffle(&mut order);
+            let mut built = Hamt::from_pairs(order.iter().map(|(k, v)| (k, v))).unwrap();
+
+            let root = oracle.commit();
+            assert_eq!(built.root_hash(), Some(root), "n = {n}");
+            assert!(built.dirty_subtrees().is_empty(), "n = {n}: built sealed");
+            assert!(built.diff_new_nodes(&store, &oracle).unwrap().is_empty());
+            assert!(oracle.diff_new_nodes(&store, &built).unwrap().is_empty());
+            for (k, v) in order.iter().step_by(1 + n / 64) {
+                assert_eq!(built.get(&store, k).unwrap().as_ref(), Some(v));
+            }
+
+            let mut live: Vec<Vec<u8>> = order.into_iter().map(|(k, _)| k).collect();
+            for step in 0..400u64 {
+                match rng.below(3) {
+                    0 if !live.is_empty() => {
+                        let key = live.swap_remove(rng.index(live.len()));
+                        assert!(oracle.delete(&store, &key).unwrap());
+                        assert!(built.delete(&store, &key).unwrap());
+                    }
+                    1 if !live.is_empty() => {
+                        let key = live[rng.index(live.len())].clone();
+                        oracle.set(&store, &key, &step.to_be_bytes()).unwrap();
+                        built.set(&store, &key, &step.to_be_bytes()).unwrap();
+                    }
+                    _ => {
+                        let key = format!("later-{step}").into_bytes();
+                        oracle.set(&store, &key, b"v").unwrap();
+                        built.set(&store, &key, b"v").unwrap();
+                        live.push(key);
+                    }
+                }
+                if step % 50 == 0 {
+                    assert_eq!(built.commit(), oracle.commit(), "n = {n}, step {step}");
+                }
+            }
+            assert_eq!(built.flush(&store).unwrap(), oracle.flush(&store).unwrap());
+        }
+        assert_eq!(store.gets(), 0, "building and mutating read no store");
+    }
+
+    /// The builder's packed path prefix spells the nibbles [`nibble`]
+    /// routes by, and orders hashes as their nibble paths do, which raw
+    /// hash-byte order does not.
+    #[test]
+    fn path_prefixes_order_hashes_by_nibble_path() {
+        let path = |hash: &Hash256| (0..MAX_DEPTH).map(|d| nibble(hash, d)).collect::<Vec<_>>();
+        let mut hashes: Vec<Hash256> = (0..2_000u64).map(|i| sha256(&i.to_le_bytes())).collect();
+        let build = Build {
+            arena: Vec::new(),
+            entries: Vec::new(),
+        };
+        for hash in &hashes {
+            let entry = Entry {
+                prefix: path_prefix(hash),
+                ..Entry::default()
+            };
+            for depth in 0..PREFIX_NIBBLES {
+                assert_eq!(build.nibble(&entry, depth), nibble(hash, depth));
+            }
+        }
+        hashes.sort_by_key(path_prefix);
+        assert!(hashes.windows(2).all(|w| path(&w[0]) < path(&w[1])));
+        hashes.sort_by_key(|hash| *hash.as_bytes());
+        assert!(!hashes.windows(2).all(|w| path(&w[0]) < path(&w[1])));
+    }
+
+    #[test]
+    fn from_pairs_rejects_a_key_given_twice() {
+        let twice = StoreError::Corrupt("key given twice to a trie build");
+        let small = [(&b"a"[..], &b"1"[..]), (b"b", b"2"), (b"a", b"3")];
+        assert_eq!(Hamt::from_pairs(small).unwrap_err(), twice);
+        let large = (0..5_000).map(kv).chain([kv(4_321)]);
+        assert_eq!(Hamt::from_pairs(large).unwrap_err(), twice);
+        assert!(Hamt::from_pairs((0..5_000).map(kv)).is_ok());
     }
 
     #[test]

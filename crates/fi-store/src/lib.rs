@@ -16,7 +16,9 @@
 //!   shard counts, ingest widths and store backends agree on one root.
 //!   Naming a root ([`Hamt::commit`]) only hashes; [`Hamt::flush`] also
 //!   writes the named version's nodes, so a store holds exactly the
-//!   versions somebody asked to read.
+//!   versions somebody asked to read. Because the shape depends only on
+//!   the pairs, a whole map can also be built directly, bottom-up and
+//!   committed, in one pass ([`Hamt::from_pairs`]).
 //!
 //! Because blocks are keyed by their own hash, structural sharing is free:
 //! a map mutation re-writes only the path from the changed leaf to the
@@ -42,7 +44,7 @@
 //!
 //! Everything decodes defensively: truncated, bit-flipped or
 //! cycle-forming node bytes surface as typed [`StoreError`]s, never a
-//! panic or an infinite loop.
+//! panic or an infinite loop, and no walk visits a stored node twice.
 //!
 //! ```
 //! use fi_store::{Blockstore, Hamt, MemoryBlockstore};
