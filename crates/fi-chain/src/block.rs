@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use fi_crypto::{keyed_hash, Hash256, RandomBeacon};
+use fi_crypto::{cached_domain, keyed_hash, Hash256, RandomBeacon};
 
 use crate::log::SharedLog;
 use crate::tasks::Time;
@@ -40,9 +40,11 @@ impl ChainEvent {
     }
 
     fn digest(&self) -> Hash256 {
-        keyed_hash("chain/event", &[self.kind.as_bytes(), &self.payload])
+        event_domain().hash(&[self.kind.as_bytes(), &self.payload])
     }
 }
+
+cached_domain!(fn event_domain, "chain/event");
 
 /// A sealed block.
 #[derive(Debug, Clone)]

@@ -44,14 +44,14 @@
 //! sequential hash chain, but independent paths are not — the walker
 //! carries 16 (AVX-512) lanes, or 2 interleaved SHA-NI streams, through
 //! all their levels in registers. Slices of every size take this path;
-//! the per-task walk on plain [`keyed_hash`] (`verify_check_proof`) is the
+//! the per-task walk on plain [`fi_crypto::keyed_hash`] (`verify_check_proof`) is the
 //! test oracle the differential test pins it against bit for bit.
 
 use std::collections::HashSet;
 
 use fi_chain::account::{AccountId, Ledger, TokenAmount};
 use fi_chain::tasks::Time;
-use fi_crypto::{cached_domain, keyed_hash, DetRng, Hash256, KeyedDomain};
+use fi_crypto::{cached_domain, DetRng, Hash256, KeyedDomain};
 
 use crate::params::ProtocolParams;
 use crate::types::{
@@ -305,10 +305,8 @@ impl Engine {
     ) {
         let file = plan.file;
         if let Some(a) = &audit {
-            self.audit_root = keyed_hash(
-                "fileinsurer/audit-root",
-                &[self.audit_root.as_bytes(), a.digest.as_bytes()],
-            );
+            self.audit_root =
+                audit_root_domain().hash(&[self.audit_root.as_bytes(), a.digest.as_bytes()]);
             self.shards.shard_mut(file).stats.proofs_audited += a.replicas_checked;
         }
         match plan.kind {
@@ -509,10 +507,8 @@ impl Engine {
     /// verification results in canonical order.
     pub(super) fn auto_check_proof(&mut self, file: FileId, audit: Option<ProofAudit>) {
         if let Some(a) = &audit {
-            self.audit_root = keyed_hash(
-                "fileinsurer/audit-root",
-                &[self.audit_root.as_bytes(), a.digest.as_bytes()],
-            );
+            self.audit_root =
+                audit_root_domain().hash(&[self.audit_root.as_bytes(), a.digest.as_bytes()]);
             self.shards.shard_mut(file).stats.proofs_audited += a.replicas_checked;
         }
         let Some(desc) = self.shards.file(file) else {
@@ -981,6 +977,7 @@ cached_domain!(fn audit_task_domain, "fileinsurer/audit-task");
 cached_domain!(fn audit_leaf_domain, "fileinsurer/audit-leaf");
 cached_domain!(fn audit_node_domain, "fileinsurer/audit-node");
 cached_domain!(fn audit_fold_domain, "fileinsurer/audit-fold");
+cached_domain!(fn audit_root_domain, "fileinsurer/audit-root");
 
 /// One replica whose modeled proof is to be checked: the file's Merkle
 /// commitment, the big-endian replica index, and a big-endian tag — the
@@ -1116,6 +1113,7 @@ mod tests {
     use crate::types::{AllocEntry, FileDescriptor, FileState};
     use fi_chain::account::AccountId;
     use fi_chain::tasks::SchedulerKind;
+    use fi_crypto::keyed_hash;
 
     /// The differential oracle: the modeled WindowPoSt verification for one
     /// file, walked one replica at a time on plain [`keyed_hash`]. For each

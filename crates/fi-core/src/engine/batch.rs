@@ -806,15 +806,10 @@ impl Engine {
                 }
                 verify_staged_proofs(staged.iter_mut().map(|(_, _, effects)| effects), ctx);
                 // The canonical op digests for this worker's ops: the
-                // caller's, or one multi-lane sweep — each worker batches
-                // its own share, so the hashing is both parallel across
-                // workers and SIMD-wide within one.
-                let op_digests = match digests {
+                // caller's, or hashed here, in parallel across workers.
+                let op_digests: Vec<Hash256> = match digests {
                     Some(known) => staged.iter().map(|&(i, ..)| known[i]).collect(),
-                    None => {
-                        let op_refs: Vec<&Op> = staged.iter().map(|&(i, ..)| &ops[i]).collect();
-                        Op::digest_many(&op_refs)
-                    }
+                    None => staged.iter().map(|&(i, ..)| ops[i].digest()).collect(),
                 };
                 *slot = staged
                     .into_iter()

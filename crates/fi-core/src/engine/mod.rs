@@ -77,6 +77,7 @@ use fi_chain::tasks::Time;
 use fi_crypto::{DetRng, Hash256};
 use fi_store::{Blockstore, DiskBlockstore, Hamt, MemoryBlockstore};
 
+use crate::codec::Enc;
 use crate::drep::CrAccounting;
 use crate::ops::{Op, OpRecord, Receipt};
 use crate::params::{ParamError, ProtocolParams};
@@ -158,6 +159,57 @@ impl std::fmt::Display for EngineError {
                 )
             }
         }
+    }
+}
+
+impl EngineError {
+    /// The error's canonical bytes, which [`Receipt::error_digest`]
+    /// commits to (DESIGN.md §7): a variant tag (`UnknownFile` = 0 through
+    /// `FileTooLarge` = 7), then the fields — ids and sizes as `u64`, a
+    /// `&'static str` reason as a length-prefixed UTF-8 string, and a
+    /// [`ParamError`] as its own tag (`NotAMultiple` = 0, `OutOfRange`
+    /// = 1) followed by its fields (`u128` values). Never the `Display`
+    /// text.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut e = Enc::with_capacity(48);
+        match self {
+            EngineError::UnknownFile(id) => {
+                e.u8(0);
+                e.u64(id.0);
+            }
+            EngineError::UnknownSector(id) => {
+                e.u8(1);
+                e.u64(id.0);
+            }
+            EngineError::NotOwner => e.u8(2),
+            EngineError::InvalidState(what) => {
+                e.u8(3);
+                e.bytes(what.as_bytes());
+            }
+            EngineError::Param(err) => {
+                e.u8(4);
+                match err {
+                    ParamError::NotAMultiple { what, value, of } => {
+                        e.u8(0);
+                        e.bytes(what.as_bytes());
+                        e.u128(*value);
+                        e.u128(*of);
+                    }
+                    ParamError::OutOfRange { what } => {
+                        e.u8(1);
+                        e.bytes(what.as_bytes());
+                    }
+                }
+            }
+            EngineError::InsufficientFunds => e.u8(5),
+            EngineError::NoCapacity => e.u8(6),
+            EngineError::FileTooLarge { size, limit } => {
+                e.u8(7);
+                e.u64(*size);
+                e.u64(*limit);
+            }
+        }
+        e.into_bytes()
     }
 }
 
@@ -547,11 +599,11 @@ impl Engine {
         self.apply_prehashed(op, digest, None)
     }
 
-    /// [`Engine::apply`] with the op's canonical digest precomputed.
-    /// [`Engine::apply_batch`] hashes a block's barrier ops in one
-    /// multi-lane sweep ([`Op::digest_many`]) and commits each through
-    /// here; the digest MUST be `op.digest()` or the block commitment
-    /// diverges from replay. `prestage` optionally carries a `File_Add`'s
+    /// [`Engine::apply`] with the op's canonical digest precomputed — by
+    /// the caller ([`Engine::apply_digested`],
+    /// [`Engine::apply_batch_digested`]) or by [`Engine::apply_batch`];
+    /// the digest MUST be `op.digest()` or the block commitment diverges
+    /// from replay. `prestage` optionally carries a `File_Add`'s
     /// precomputed pure half (validation, fees, geometry) — the pipelined
     /// batch path computes it concurrently with segment staging; `None`
     /// computes it inline through the identical pure function.
@@ -695,22 +747,9 @@ impl Engine {
         ops: Vec<Op>,
         digests: Option<&[Hash256]>,
     ) -> Vec<Result<Receipt, EngineError>> {
-        // Without caller-supplied digests, pre-stage the barrier ops'
-        // canonical digests in one multi-lane sweep; the segments' op
-        // digests are batched inside the staging workers, and the barriers'
-        // `File_Add` prestages ride along in the same pool runs. Consumed
-        // in submission order below.
-        let mut barrier_digests = match digests {
-            Some(_) => Vec::new(),
-            None => {
-                let barriers: Vec<&Op> = ops
-                    .iter()
-                    .filter(|op| shard_local_file(op).is_none())
-                    .collect();
-                Op::digest_many(&barriers)
-            }
-        }
-        .into_iter();
+        // The segments' op digests are taken inside the staging workers,
+        // and the barriers' `File_Add` prestages ride along in the same
+        // pool runs.
         let mut results = Vec::with_capacity(ops.len());
         let mut i = 0;
         while i < ops.len() {
@@ -737,9 +776,7 @@ impl Engine {
             for (k, op) in ops[bar_start..bar_end].iter().enumerate() {
                 let digest = match digests {
                     Some(d) => d[bar_start + k],
-                    None => barrier_digests
-                        .next()
-                        .expect("one pre-staged digest per barrier op"),
+                    None => op.digest(),
                 };
                 let pre = prestages.get_mut(k).and_then(Option::take);
                 results.push(self.apply_prehashed(op.clone(), digest, pre));
@@ -1309,10 +1346,8 @@ impl Engine {
     }
 
     pub(super) fn log(&mut self, event: ProtocolEvent) {
-        self.chain.log(ChainEvent::new(
-            event.kind(),
-            format!("{event:?}").into_bytes(),
-        ));
+        self.chain
+            .log(ChainEvent::new(event.kind(), event.encode()));
         self.events.push(event);
         self.op_counter += 1;
     }

@@ -27,9 +27,10 @@
 //!
 //! ```text
 //! magic   8 bytes  b"FISNAPSH"
-//! version u16      currently 4 (1 predates the PR 5 node/mempool params,
-//!                  2 predates the PR 6 tombstone-retention param,
-//!                  3 predates the PR 8 audit-batch stats)
+//! version u16      currently 5 (1 predates the node/mempool params,
+//!                  2 the tombstone-retention param, 3 the audit-batch
+//!                  stats; 4 carries the open block's event payloads and
+//!                  op digests in the old `Debug`-text encoding)
 //! payload ...      field-by-field engine state (see encode())
 //! hash    32 bytes sha256 over magic ‖ version ‖ payload
 //! ```
@@ -61,6 +62,7 @@ use fi_chain::tasks::{SchedulerKind, Time};
 use fi_crypto::{sha256, DetRng, DetRngState, Hash256};
 use fi_store::{Blockstore, Hamt, StoreError};
 
+use crate::codec::Enc;
 use crate::params::{ParamError, ProtocolParams};
 use crate::sampler::WeightedSampler;
 use crate::types::{
@@ -75,11 +77,12 @@ use super::statemap::{self, CommitCell, StateMaps, StateRoots, TrackedMap};
 use super::{Checkpoint, Engine, EngineStats, Task};
 
 const MAGIC: &[u8; 8] = b"FISNAPSH";
-const VERSION: u16 = 4;
+const VERSION: u16 = 5;
 /// Incremental-snapshot envelope: same self-hash discipline as FISNAPSH,
-/// its own magic and version lineage.
+/// its own magic and version lineage (1 carried the open block in the
+/// old `Debug`-text encoding, like FISNAPSH 4).
 const DELTA_MAGIC: &[u8; 8] = b"FIDELTA1";
-const DELTA_VERSION: u16 = 1;
+const DELTA_VERSION: u16 = 2;
 const HASH_LEN: usize = 32;
 
 /// Typed failures of [`Engine::snapshot_restore`]. Corrupted or
@@ -132,82 +135,22 @@ impl From<ParamError> for SnapshotError {
 }
 
 // ----------------------------------------------------------------------
-// Byte codec
+// Envelope and reader (fields are written through the shared `codec::Enc`)
 // ----------------------------------------------------------------------
 
-struct Enc {
-    buf: Vec<u8>,
+/// A writer positioned after a snapshot envelope's magic and version.
+fn envelope(magic: &[u8; 8], version: u16) -> Enc {
+    let mut e = Enc::with_capacity(4096);
+    e.raw(magic);
+    e.u16(version);
+    e
 }
 
-impl Enc {
-    fn new() -> Self {
-        Enc::with_header(MAGIC, VERSION)
-    }
-
-    fn with_header(magic: &[u8; 8], version: u16) -> Self {
-        let mut buf = Vec::with_capacity(4096);
-        buf.extend_from_slice(magic);
-        buf.extend_from_slice(&version.to_be_bytes());
-        Enc { buf }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn hash(&mut self, h: &Hash256) {
-        self.buf.extend_from_slice(h.as_bytes());
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        self.usize(b.len());
-        self.buf.extend_from_slice(b);
-    }
-
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-
-    /// Seals the snapshot: appends the self-hash over everything so far.
-    fn finish(mut self) -> Vec<u8> {
-        let digest = sha256(&self.buf);
-        self.buf.extend_from_slice(digest.as_bytes());
-        self.buf
-    }
+/// Seals a snapshot: appends the self-hash over everything written.
+fn seal(mut e: Enc) -> Vec<u8> {
+    let digest = sha256(e.as_bytes());
+    e.hash(&digest);
+    e.into_bytes()
 }
 
 struct Dec<'a> {
@@ -734,7 +677,7 @@ fn enc_rng(e: &mut Enc, rng: &DetRng) {
         e.u32(w);
     }
     e.u32(rng.counter);
-    e.buf.extend_from_slice(&rng.buf);
+    e.raw(&rng.buf);
     e.u8(rng.offset);
     match rng.gauss_spare {
         Some(v) => {
@@ -848,7 +791,7 @@ impl Engine {
     /// produce byte-identical snapshots, whatever the shard count or hash
     /// map iteration order.
     pub fn snapshot_save(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut e = envelope(MAGIC, VERSION);
 
         enc_params(&mut e, &self.params);
         enc_chain(&mut e, &self.chain);
@@ -909,12 +852,7 @@ impl Engine {
         e.usize(reasons.len());
         for (file, reason) in reasons {
             e.u64(file.0);
-            e.u8(match reason {
-                RemovalReason::ClientDiscard => 0,
-                RemovalReason::InsufficientFunds => 1,
-                RemovalReason::UploadFailed => 2,
-                RemovalReason::Lost => 3,
-            });
+            e.u8(reason.tag());
         }
 
         enc_tasks(&mut e, &self.shards);
@@ -961,7 +899,7 @@ impl Engine {
         enc_rng(&mut e, &self.rng);
         enc_checkpoint(&mut e, &self.last_checkpoint);
 
-        e.finish()
+        seal(e)
     }
 
     /// Rebuilds an engine from [`Engine::snapshot_save`] bytes.
@@ -1249,7 +1187,7 @@ impl Engine {
     /// syncing the current commitment.
     pub fn snapshot_delta(&self, base: &StateRoots) -> Result<Vec<u8>, Error> {
         let (roots, maps) = self.commit_state_locked(true);
-        let mut e = Enc::with_header(DELTA_MAGIC, DELTA_VERSION);
+        let mut e = envelope(DELTA_MAGIC, DELTA_VERSION);
 
         // Identity: which base this delta applies to, and what it yields.
         e.hash(&base.state_root);
@@ -1283,7 +1221,7 @@ impl Engine {
             }
         }
 
-        Ok(e.finish())
+        Ok(seal(e))
     }
 
     /// Rebuilds an engine from [`Engine::snapshot_delta`] bytes plus the
@@ -1775,14 +1713,14 @@ mod tests {
         /// A valid envelope around the parts as they now are, recording
         /// the state root their map roots fold to under `header`.
         fn seal(&self, header: &statemap::StateHeader) -> Vec<u8> {
-            let mut e = Enc::with_header(DELTA_MAGIC, DELTA_VERSION);
+            let mut e = envelope(DELTA_MAGIC, DELTA_VERSION);
             e.hash(&self.base_root);
             let maps_root = statemap::fold_maps_root(&self.map_roots);
             e.hash(&statemap::fold_state_root(header, maps_root));
             for root in &self.map_roots {
                 e.hash(root);
             }
-            e.buf.extend_from_slice(&self.sections);
+            e.raw(&self.sections);
             for nodes in &self.nodes {
                 e.usize(nodes.len());
                 for (hash, block) in nodes {
@@ -1790,7 +1728,7 @@ mod tests {
                     e.bytes(block);
                 }
             }
-            e.finish()
+            seal(e)
         }
 
         /// Swaps the block of node `old` of the files map for `block` and

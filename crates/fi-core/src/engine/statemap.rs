@@ -29,6 +29,7 @@ use fi_chain::tasks::Time;
 use fi_crypto::{keyed_hash, Hash256};
 use fi_store::{Blockstore, DirtySubtree, Hamt, StoreError};
 
+use crate::codec::Enc;
 use crate::drep::CrAccounting;
 use crate::types::{
     AllocEntry, AllocState, FileDescriptor, FileId, FileState, RemovalReason, Sector, SectorId,
@@ -169,8 +170,9 @@ impl<K: Eq + Hash + Copy + Clone, V: Clone> Clone for TrackedMap<K, V> {
 // Leaf codecs
 // ----------------------------------------------------------------------
 //
-// Deterministic big-endian encodings, field order mirroring the FISNAPSH
-// sections so the two serializations stay trivially cross-checkable.
+// Deterministic big-endian encodings written through the shared
+// `codec::Enc`, field order mirroring the FISNAPSH sections so the two
+// serializations stay trivially cross-checkable.
 // Decoders are defensive: HAMT leaves read from a store (or carried in a
 // proof) are untrusted bytes.
 
@@ -234,16 +236,6 @@ impl<'a> Leaf<'a> {
     }
 }
 
-fn push_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            out.push(1);
-            out.extend_from_slice(&x.to_be_bytes());
-        }
-        None => out.push(0),
-    }
-}
-
 /// HAMT key of a file-keyed map entry.
 pub(super) fn key_file(id: FileId) -> [u8; 8] {
     id.0.to_be_bytes()
@@ -280,20 +272,20 @@ pub(super) fn dec_key_alloc(key: &[u8]) -> Result<(FileId, u32), StoreError> {
 }
 
 pub(super) fn enc_file(f: &FileDescriptor) -> Vec<u8> {
-    let mut out = Vec::with_capacity(85);
-    out.extend_from_slice(&f.id.0.to_be_bytes());
-    out.extend_from_slice(&f.owner.0.to_be_bytes());
-    out.extend_from_slice(&f.size.to_be_bytes());
-    out.extend_from_slice(&f.value.0.to_be_bytes());
-    out.extend_from_slice(f.merkle_root.as_bytes());
-    out.extend_from_slice(&f.cp.to_be_bytes());
-    out.extend_from_slice(&f.cntdown.to_be_bytes());
-    out.push(match f.state {
+    let mut e = Enc::with_capacity(85);
+    e.u64(f.id.0);
+    e.u64(f.owner.0);
+    e.u64(f.size);
+    e.u128(f.value.0);
+    e.hash(&f.merkle_root);
+    e.u32(f.cp);
+    e.i64(f.cntdown);
+    e.u8(match f.state {
         FileState::Allocating => 0,
         FileState::Normal => 1,
         FileState::Discarded => 2,
     });
-    out
+    e.into_bytes()
 }
 
 pub(super) fn dec_file(bytes: &[u8]) -> Result<FileDescriptor, StoreError> {
@@ -318,17 +310,17 @@ pub(super) fn dec_file(bytes: &[u8]) -> Result<FileDescriptor, StoreError> {
 }
 
 pub(super) fn enc_alloc_entry(e: &AllocEntry) -> Vec<u8> {
-    let mut out = Vec::with_capacity(28);
-    push_opt_u64(&mut out, e.prev.map(|s| s.0));
-    push_opt_u64(&mut out, e.next.map(|s| s.0));
-    push_opt_u64(&mut out, e.last);
-    out.push(match e.state {
+    let mut out = Enc::with_capacity(28);
+    out.opt_u64(e.prev.map(|s| s.0));
+    out.opt_u64(e.next.map(|s| s.0));
+    out.opt_u64(e.last);
+    out.u8(match e.state {
         AllocState::Alloc => 0,
         AllocState::Confirm => 1,
         AllocState::Normal => 2,
         AllocState::Corrupted => 3,
     });
-    out
+    out.into_bytes()
 }
 
 pub(super) fn dec_alloc_entry(bytes: &[u8]) -> Result<AllocEntry, StoreError> {
@@ -350,12 +342,7 @@ pub(super) fn dec_alloc_entry(bytes: &[u8]) -> Result<AllocEntry, StoreError> {
 }
 
 pub(super) fn enc_reason(r: RemovalReason) -> Vec<u8> {
-    vec![match r {
-        RemovalReason::ClientDiscard => 0,
-        RemovalReason::InsufficientFunds => 1,
-        RemovalReason::UploadFailed => 2,
-        RemovalReason::Lost => 3,
-    }]
+    vec![r.tag()]
 }
 
 pub(super) fn dec_reason(bytes: &[u8]) -> Result<RemovalReason, StoreError> {
@@ -372,20 +359,20 @@ pub(super) fn dec_reason(bytes: &[u8]) -> Result<RemovalReason, StoreError> {
 }
 
 pub(super) fn enc_sector(s: &Sector) -> Vec<u8> {
-    let mut out = Vec::with_capacity(54);
-    out.extend_from_slice(&s.id.0.to_be_bytes());
-    out.extend_from_slice(&s.owner.0.to_be_bytes());
-    out.extend_from_slice(&s.capacity.to_be_bytes());
-    out.extend_from_slice(&s.free_cap.to_be_bytes());
-    out.push(match s.state {
+    let mut e = Enc::with_capacity(54);
+    e.u64(s.id.0);
+    e.u64(s.owner.0);
+    e.u64(s.capacity);
+    e.u64(s.free_cap);
+    e.u8(match s.state {
         SectorState::Normal => 0,
         SectorState::Disabled => 1,
         SectorState::Corrupted => 2,
     });
-    out.extend_from_slice(&s.deposit.0.to_be_bytes());
-    out.extend_from_slice(&s.replica_count.to_be_bytes());
-    out.push(s.physically_failed as u8);
-    out
+    e.u128(s.deposit.0);
+    e.u32(s.replica_count);
+    e.bool(s.physically_failed);
+    e.into_bytes()
 }
 
 pub(super) fn dec_sector(bytes: &[u8]) -> Result<Sector, StoreError> {
@@ -416,11 +403,11 @@ pub(super) fn dec_sector(bytes: &[u8]) -> Result<Sector, StoreError> {
 
 pub(super) fn enc_cr(acct: &CrAccounting) -> Vec<u8> {
     let (capacity, cr_size, file_bytes, regenerated, discarded) = acct.snapshot_parts();
-    let mut out = Vec::with_capacity(40);
+    let mut e = Enc::with_capacity(40);
     for v in [capacity, cr_size, file_bytes, regenerated, discarded] {
-        out.extend_from_slice(&v.to_be_bytes());
+        e.u64(v);
     }
-    out
+    e.into_bytes()
 }
 
 pub(super) fn dec_cr(bytes: &[u8]) -> Result<CrAccounting, StoreError> {

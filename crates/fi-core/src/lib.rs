@@ -56,6 +56,7 @@
 //! # let _ = file;
 //! ```
 
+mod codec;
 pub mod drep;
 pub mod engine;
 pub mod error;

@@ -37,6 +37,7 @@ use fi_chain::account::{AccountId, TokenAmount};
 use fi_chain::tasks::Time;
 use fi_crypto::{cached_domain, Hash256};
 
+use crate::codec::Enc;
 use crate::types::{FileId, SectorId};
 
 /// A typed protocol transaction — the single entry point into the engine.
@@ -171,25 +172,105 @@ impl Op {
         }
     }
 
-    /// Canonical digest of the op, committed into the containing block's
-    /// op batch.
-    pub fn digest(&self) -> Hash256 {
-        op_domain().hash(&[self.kind().as_bytes(), format!("{self:?}").as_bytes()])
+    /// The op's canonical bytes (DESIGN.md §7): a one-byte variant tag —
+    /// the declaration index, `SectorRegister` = 0 through `AdvanceTo` =
+    /// 12 — then every field big-endian in declaration order: account,
+    /// file and sector ids, sizes and `Time` as `u64`, replica indices as
+    /// `u32`, `TokenAmount`s as `u128`, `merkle_root` as all 32 bytes.
+    /// [`Op::digest`] hashes exactly these bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut e = Enc::with_capacity(65);
+        match *self {
+            Op::SectorRegister { owner, capacity } => {
+                e.u8(0);
+                e.u64(owner.0);
+                e.u64(capacity);
+            }
+            Op::SectorDisable { caller, sector } => {
+                e.u8(1);
+                e.u64(caller.0);
+                e.u64(sector.0);
+            }
+            Op::FileAdd {
+                client,
+                size,
+                value,
+                merkle_root,
+            } => {
+                e.u8(2);
+                e.u64(client.0);
+                e.u64(size);
+                e.u128(value.0);
+                e.hash(&merkle_root);
+            }
+            Op::FileConfirm {
+                caller,
+                file,
+                index,
+                sector,
+            } => {
+                e.u8(3);
+                e.u64(caller.0);
+                e.u64(file.0);
+                e.u32(index);
+                e.u64(sector.0);
+            }
+            Op::FileProve {
+                caller,
+                file,
+                index,
+                sector,
+            } => {
+                e.u8(4);
+                e.u64(caller.0);
+                e.u64(file.0);
+                e.u32(index);
+                e.u64(sector.0);
+            }
+            Op::FileGet { caller, file } => {
+                e.u8(5);
+                e.u64(caller.0);
+                e.u64(file.0);
+            }
+            Op::FileDiscard { caller, file } => {
+                e.u8(6);
+                e.u64(caller.0);
+                e.u64(file.0);
+            }
+            Op::ForceDiscard { file } => {
+                e.u8(7);
+                e.u64(file.0);
+            }
+            Op::Fund { account, amount } => {
+                e.u8(8);
+                e.u64(account.0);
+                e.u128(amount.0);
+            }
+            Op::Burn { account, amount } => {
+                e.u8(9);
+                e.u64(account.0);
+                e.u128(amount.0);
+            }
+            Op::FailSector { sector } => {
+                e.u8(10);
+                e.u64(sector.0);
+            }
+            Op::CorruptSector { sector } => {
+                e.u8(11);
+                e.u64(sector.0);
+            }
+            Op::AdvanceTo { target } => {
+                e.u8(12);
+                e.u64(target);
+            }
+        }
+        e.into_bytes()
     }
 
-    /// Canonical digests of many ops in one multi-lane sweep — bit-identical
-    /// to mapping [`Op::digest`], but the SHA-256 work runs through the
-    /// batched backend. The batch-ingest path pre-stages whole blocks of op
-    /// digests this way.
-    pub fn digest_many(ops: &[&Op]) -> Vec<Hash256> {
-        let texts: Vec<String> = ops.iter().map(|op| format!("{op:?}")).collect();
-        let lanes: Vec<[&[u8]; 2]> = ops
-            .iter()
-            .zip(&texts)
-            .map(|(op, text)| [op.kind().as_bytes(), text.as_bytes()])
-            .collect();
-        let refs: Vec<&[&[u8]]> = lanes.iter().map(|l| l.as_slice()).collect();
-        op_domain().hash_many(&refs)
+    /// Canonical digest of the op, committed into the containing block's
+    /// op batch: the `"fileinsurer/op"` keyed hash of [`Op::encode`].
+    pub fn digest(&self) -> Hash256 {
+        op_domain().hash(&[&self.encode()])
     }
 }
 
@@ -263,16 +344,80 @@ pub enum Receipt {
 }
 
 impl Receipt {
+    /// The receipt's canonical bytes (DESIGN.md §7), laid out like
+    /// [`Op::encode`]: a variant tag (`SectorRegistered` = 0 through
+    /// `TimeAdvanced` = 9), then the fields big-endian in declaration
+    /// order; `Holders` writes its pair count as a `u64`, then each
+    /// `(sector, owner)` pair.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut e = Enc::with_capacity(25);
+        match self {
+            Receipt::SectorRegistered { sector } => {
+                e.u8(0);
+                e.u64(sector.0);
+            }
+            Receipt::SectorDisabled { sector } => {
+                e.u8(1);
+                e.u64(sector.0);
+            }
+            Receipt::FileAdded { file, cp } => {
+                e.u8(2);
+                e.u64(file.0);
+                e.u32(*cp);
+            }
+            Receipt::Confirmed { file, index } => {
+                e.u8(3);
+                e.u64(file.0);
+                e.u32(*index);
+            }
+            Receipt::Proved { file, index } => {
+                e.u8(4);
+                e.u64(file.0);
+                e.u32(*index);
+            }
+            Receipt::Holders { holders } => {
+                e.u8(5);
+                e.usize(holders.len());
+                for (sector, owner) in holders {
+                    e.u64(sector.0);
+                    e.u64(owner.0);
+                }
+            }
+            Receipt::Discarded { file } => {
+                e.u8(6);
+                e.u64(file.0);
+            }
+            Receipt::Balance { account, balance } => {
+                e.u8(7);
+                e.u64(account.0);
+                e.u128(balance.0);
+            }
+            Receipt::Faulted { sector } => {
+                e.u8(8);
+                e.u64(sector.0);
+            }
+            Receipt::TimeAdvanced { now, height } => {
+                e.u8(9);
+                e.u64(*now);
+                e.u64(*height);
+            }
+        }
+        e.into_bytes()
+    }
+
     /// Canonical digest of the receipt, folded into the block's
-    /// `receipt_root`.
+    /// `receipt_root`: the `"fileinsurer/receipt"` keyed hash of
+    /// [`Receipt::encode`].
     pub fn digest(&self) -> Hash256 {
-        receipt_domain().hash(&[format!("{self:?}").as_bytes()])
+        receipt_domain().hash(&[&self.encode()])
     }
 
     /// Digest recorded for a *failed* op (failed requests still burn gas
-    /// and occupy the batch, so their outcome is committed too).
+    /// and occupy the batch, so their outcome is committed too): the
+    /// `"fileinsurer/receipt-err"` keyed hash of
+    /// [`EngineError::encode`](crate::engine::EngineError::encode).
     pub fn error_digest(err: &crate::engine::EngineError) -> Hash256 {
-        receipt_err_domain().hash(&[format!("{err}").as_bytes()])
+        receipt_err_domain().hash(&[&err.encode()])
     }
 }
 
@@ -320,26 +465,6 @@ mod tests {
         assert_eq!(a.kind(), "op.file_add");
         assert_ne!(a.digest(), b.digest(), "payload is committed");
         assert_eq!(a.digest(), a.clone().digest(), "digest is deterministic");
-    }
-
-    #[test]
-    fn digest_many_matches_per_op_digests() {
-        let ops: Vec<Op> = (0..9u64)
-            .map(|i| Op::FileProve {
-                caller: AccountId(i),
-                file: FileId(i),
-                index: i as u32,
-                sector: SectorId(i),
-            })
-            .chain(std::iter::once(Op::AdvanceTo { target: 42 }))
-            .collect();
-        let refs: Vec<&Op> = ops.iter().collect();
-        let batched = Op::digest_many(&refs);
-        assert_eq!(batched.len(), ops.len());
-        for (op, digest) in ops.iter().zip(&batched) {
-            assert_eq!(*digest, op.digest());
-        }
-        assert!(Op::digest_many(&[]).is_empty());
     }
 
     #[test]

@@ -5,6 +5,8 @@ use fi_chain::account::{AccountId, TokenAmount};
 use fi_chain::tasks::Time;
 use fi_crypto::Hash256;
 
+use crate::codec::Enc;
+
 /// Identifies a stored file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(pub u64);
@@ -153,6 +155,19 @@ pub enum RemovalReason {
     Lost,
 }
 
+impl RemovalReason {
+    /// The reason's one-byte code in every canonical encoding (state
+    /// leaves, snapshots, events): the declaration index.
+    pub(crate) fn tag(self) -> u8 {
+        match self {
+            RemovalReason::ClientDiscard => 0,
+            RemovalReason::InsufficientFunds => 1,
+            RemovalReason::UploadFailed => 2,
+            RemovalReason::Lost => 3,
+        }
+    }
+}
+
 /// Typed protocol events; mirrored into the chain event log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtocolEvent {
@@ -262,6 +277,97 @@ impl ProtocolEvent {
             ProtocolEvent::RefreshCollision { .. } => "refresh.collision",
             ProtocolEvent::RentDistributed { .. } => "rent.distributed",
         }
+    }
+
+    /// The event's canonical bytes — the `ChainEvent` payload its block
+    /// hash commits to (DESIGN.md §7): a variant tag (`SectorRegistered`
+    /// = 0 through `RentDistributed` = 11), then every field big-endian
+    /// in declaration order: ids as `u64`, `TokenAmount`s as `u128`,
+    /// `cp` and replica indices as `u32`, a [`RemovalReason`] as its
+    /// one-byte code (declaration index), and `ReplicaSwap::from` as a
+    /// presence byte followed by the sector id when present.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut e = Enc::with_capacity(41);
+        match *self {
+            ProtocolEvent::SectorRegistered {
+                sector,
+                owner,
+                deposit,
+            } => {
+                e.u8(0);
+                e.u64(sector.0);
+                e.u64(owner.0);
+                e.u128(deposit.0);
+            }
+            ProtocolEvent::SectorDisabled { sector } => {
+                e.u8(1);
+                e.u64(sector.0);
+            }
+            ProtocolEvent::SectorRemoved { sector, refunded } => {
+                e.u8(2);
+                e.u64(sector.0);
+                e.u128(refunded.0);
+            }
+            ProtocolEvent::SectorCorrupted {
+                sector,
+                confiscated,
+            } => {
+                e.u8(3);
+                e.u64(sector.0);
+                e.u128(confiscated.0);
+            }
+            ProtocolEvent::ProviderPunished { sector, amount } => {
+                e.u8(4);
+                e.u64(sector.0);
+                e.u128(amount.0);
+            }
+            ProtocolEvent::FileAdded { file, cp } => {
+                e.u8(5);
+                e.u64(file.0);
+                e.u32(cp);
+            }
+            ProtocolEvent::FileStored { file } => {
+                e.u8(6);
+                e.u64(file.0);
+            }
+            ProtocolEvent::FileRemoved { file, reason } => {
+                e.u8(7);
+                e.u64(file.0);
+                e.u8(reason.tag());
+            }
+            ProtocolEvent::FileLost {
+                file,
+                value,
+                compensated,
+            } => {
+                e.u8(8);
+                e.u64(file.0);
+                e.u128(value.0);
+                e.u128(compensated.0);
+            }
+            ProtocolEvent::ReplicaSwap {
+                file,
+                index,
+                from,
+                to,
+            } => {
+                e.u8(9);
+                e.u64(file.0);
+                e.u32(index);
+                e.opt_u64(from.map(|s| s.0));
+                e.u64(to.0);
+            }
+            ProtocolEvent::RefreshCollision { file, index } => {
+                e.u8(10);
+                e.u64(file.0);
+                e.u32(index);
+            }
+            ProtocolEvent::RentDistributed { total } => {
+                e.u8(11);
+                e.u128(total.0);
+            }
+        }
+        e.into_bytes()
     }
 }
 

@@ -250,3 +250,46 @@ fn wrong_version_foreign_magic_and_trailing_bytes_are_typed() {
     // And the pristine bytes still restore.
     assert!(Engine::snapshot_restore(&bytes).is_ok());
 }
+
+/// `bytes` with its version field set to `version` and a fresh self-hash.
+fn resealed_as(bytes: &[u8], version: u16) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[8..10].copy_from_slice(&version.to_be_bytes());
+    let body_len = out.len() - 32;
+    let digest = sha256(&out[..body_len]);
+    out[body_len..].copy_from_slice(digest.as_bytes());
+    out
+}
+
+/// Full snapshot 4 and delta 1 carried the open block's event payloads
+/// and op digests in the old `Debug`-text encoding; a node must refuse
+/// them at the version gate rather than seal blocks from them.
+#[test]
+fn snapshots_from_the_debug_text_encoding_are_refused() {
+    let mut live = Engine::new(snap_params(2)).expect("valid params");
+    drive_workload(&mut live, 53, 25);
+    let base = Engine::snapshot_restore(&live.snapshot_save()).expect("restore");
+    let base_roots = live.state_roots();
+    drive_workload(&mut live, 54, 10);
+    let full = live.snapshot_save();
+    let delta = live.snapshot_delta(&base_roots).expect("delta");
+    assert!(
+        !live.chain().open_ops().is_empty(),
+        "the open block is carried"
+    );
+
+    assert_eq!(
+        Engine::snapshot_restore(&resealed_as(&full, 4)).expect_err("full v4"),
+        SnapshotError::UnsupportedVersion(4)
+    );
+    match Engine::snapshot_restore_delta(&resealed_as(&delta, 1), &base) {
+        Err(fi_core::Error::Snapshot(err)) => {
+            assert_eq!(err, SnapshotError::UnsupportedVersion(1))
+        }
+        Err(other) => panic!("delta v1: unexpected {other:?}"),
+        Ok(_) => panic!("delta v1 restored"),
+    }
+    // The current versions of the same bytes restore.
+    assert!(Engine::snapshot_restore(&full).is_ok());
+    assert!(Engine::snapshot_restore_delta(&delta, &base).is_ok());
+}

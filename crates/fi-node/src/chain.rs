@@ -901,9 +901,9 @@ impl ChainTracker {
     }
 }
 
-/// `Op::digest` of every op, in order, in one multi-lane sweep.
+/// `Op::digest` of every op, in order.
 fn digest_ops(ops: &[Op]) -> Vec<Hash256> {
-    Op::digest_many(&ops.iter().collect::<Vec<_>>())
+    ops.iter().map(Op::digest).collect()
 }
 
 /// The better of the best `(height, tip)` so far and `candidate`: the

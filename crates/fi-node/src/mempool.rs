@@ -756,6 +756,35 @@ mod tests {
         pool.admit(Tx { nonce: 1, ..tx }, &ledger).unwrap();
     }
 
+    /// Two `File_Add`s for contents whose Merkle roots differ only in the
+    /// last byte are two requests: the op digest binds all 32 bytes, so
+    /// the second is not mistaken for a duplicate of the first.
+    #[test]
+    fn file_adds_differing_in_the_last_root_byte_are_not_duplicates() {
+        let mut pool = pool(100, 1_000_000, 100);
+        let ledger = rich_ledger();
+        let add = |nonce, last: u8| {
+            let mut root = [0x5a; 32];
+            root[31] = last;
+            Tx {
+                from: A,
+                nonce,
+                fee: TokenAmount(1),
+                op: Op::FileAdd {
+                    client: A,
+                    size: 10,
+                    value: ProtocolParams::default().min_value,
+                    merkle_root: Hash256::from_bytes(root),
+                },
+            }
+        };
+        pool.admit(add(0, 1), &ledger).unwrap();
+        pool.admit(add(1, 2), &ledger).unwrap();
+        assert_eq!(pool.stats().admitted, 2);
+        assert_eq!(pool.stats().rejected_duplicate, 0);
+        assert_eq!(pool.select_block().0.len(), 2);
+    }
+
     #[test]
     fn block_gas_limit_boundary() {
         let gas = GasSchedule::default();
