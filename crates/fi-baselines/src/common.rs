@@ -185,10 +185,12 @@ pub fn corrupt_nodes(
                     node_files[n].push(f);
                 }
             }
-            let mut remaining: HashSet<usize> = entities.iter().copied().collect();
+            // Scanned in ascending entity order under a strict `>`, so the
+            // lowest entity id wins a tie and a sweep is reproducible.
+            let mut remaining = entities;
             loop {
                 let mut best: Option<(f64, usize)> = None;
-                for &e in &remaining {
+                for (i, &e) in remaining.iter().enumerate() {
                     let cost = entity_cost(e);
                     if spent + cost > budget || cost == 0 {
                         continue;
@@ -204,11 +206,11 @@ pub fn corrupt_nodes(
                     }
                     let score = pressure / cost as f64;
                     if best.map(|(s, _)| score > s).unwrap_or(true) {
-                        best = Some((score, e));
+                        best = Some((score, i));
                     }
                 }
-                let Some((_, e)) = best else { break };
-                remaining.remove(&e);
+                let Some((_, i)) = best else { break };
+                let e = remaining.remove(i);
                 spent += entity_cost(e);
                 for &n in &entity_nodes[&e] {
                     if corrupted.insert(n) {
@@ -417,6 +419,37 @@ mod tests {
             loss_greedy.lost_value,
             loss_random.lost_value
         );
+    }
+
+    #[test]
+    fn greedy_kill_breaks_ties_by_lowest_entity() {
+        // Two entities with identical holdings and a budget for one: the
+        // scores tie, so entity 0 must be chosen, on every call.
+        let net = NetworkSpec::uniform(2, 64);
+        let files = vec![
+            FileSpec {
+                size: 1,
+                value: 1.0,
+            };
+            2
+        ];
+        let placement = Placement {
+            locations: vec![vec![0], vec![1]],
+            survivors_needed: vec![1, 1],
+        };
+        for _ in 0..16 {
+            let mut rng = DetRng::from_seed_label(55, "tie");
+            let corrupted = corrupt_nodes(
+                &net,
+                &placement,
+                &files,
+                0.5,
+                AdversaryStrategy::GreedyKill,
+                false,
+                &mut rng,
+            );
+            assert_eq!(corrupted, HashSet::from([0]));
+        }
     }
 
     #[test]

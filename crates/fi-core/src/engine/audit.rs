@@ -61,7 +61,10 @@ use crate::types::{
 use super::pool::JobBatch;
 use super::shard::{Shard, ShardSlice, ShardedState};
 use super::statemap::TrackedMap;
-use super::{tuning, Engine, Task, COMPENSATION_POOL, DEPOSIT_ESCROW, RENT_POOL, TRAFFIC_ESCROW};
+use super::{
+    Engine, Task, COMPENSATION_POOL, DEPOSIT_ESCROW, PARALLEL_FANOUT_MIN_ITEMS, RENT_POOL,
+    TRAFFIC_ESCROW,
+};
 
 /// The read-only verdict of auditing one `Auto_CheckProof` task: a
 /// commitment over every verified replica proof, later folded into the
@@ -105,7 +108,7 @@ impl Engine {
                 })
                 .sum()
         };
-        if shards.len() > 1 && audit_tasks() >= tuning::parallel_verify_threshold() {
+        if shards.len() > 1 && audit_tasks() >= PARALLEL_FANOUT_MIN_ITEMS {
             // Shards are chunked over at most the pool's worker count — a
             // 256-shard engine on a 4-core host gets 4 jobs of 64 shards
             // each, not 256 one-audit jobs. Chunks are contiguous and
@@ -345,7 +348,7 @@ impl Engine {
         if total == 0 {
             return;
         }
-        if total >= tuning::parallel_audit_commit_threshold() {
+        if total >= PARALLEL_FANOUT_MIN_ITEMS {
             let pool = self.pool();
             let mut jobs: JobBatch<'_> = Vec::new();
             for (shard, writes) in self.shards.shards.iter_mut().zip(pending.iter_mut()) {

@@ -62,7 +62,6 @@ mod pool;
 mod shard;
 mod snapshot;
 mod statemap;
-pub mod tuning;
 mod view;
 
 use std::collections::{BTreeSet, HashMap};
@@ -114,6 +113,13 @@ pub const TRAFFIC_ESCROW: AccountId = AccountId(4);
 /// commit stays inline, and an engine that only ever makes small commits
 /// never spawns a pool for them.
 const COMMIT_FANOUT_MIN_DIRTY_KEYS: usize = 2048;
+
+/// Fewest items (shard-local ops of an ingest segment, `Auto_CheckProof`
+/// tasks of a due bucket, deferred `cntdown` writes) worth handing to the
+/// worker pool; below it the work runs inline on the calling thread. The
+/// outcome is bit-identical either way (`tests/parallel_commit.rs`,
+/// `tests/batch_ingest.rs`): the floor only decides when dispatch pays.
+const PARALLEL_FANOUT_MIN_ITEMS: usize = 64;
 
 /// Errors returned by engine request handlers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -809,7 +815,7 @@ impl Engine {
         if segment.is_empty() && upcoming_barriers.is_empty() {
             return Vec::new();
         }
-        if segment.len() < tuning::parallel_ingest_threshold()
+        if segment.len() < PARALLEL_FANOUT_MIN_ITEMS
             || self.params.ingest_threads <= 1
             || self.shards.shards.len() <= 1
         {
@@ -1277,8 +1283,7 @@ impl Engine {
             .iter()
             .filter(|(_, _, task, _)| matches!(task, Task::CheckProof(_)))
             .count();
-        if self.shards.shards.len() > 1 && check_proofs >= tuning::parallel_audit_commit_threshold()
-        {
+        if self.shards.shards.len() > 1 && check_proofs >= PARALLEL_FANOUT_MIN_ITEMS {
             self.commit_bucket_batched(now, batch);
             self.stats_global.audit_commit_batches += 1;
         } else {

@@ -7,10 +7,6 @@
 //! implementation must support O(log n) insert / remove / re-weight /
 //! sample. We use a Fenwick (binary indexed) tree over weights with slot
 //! recycling; sampling descends the tree bit by bit.
-//!
-//! The ablation benchmark `fi-bench/benches/sampler.rs` compares this
-//! against a linear scan and a rebuilt alias table to justify the choice
-//! (see DESIGN.md §5).
 
 use std::collections::HashMap;
 use std::hash::Hash;

@@ -4,7 +4,7 @@
 //! head, same op log — at every `(shards, ingest_threads)` combination.
 //! The parallel staging, the per-shard overlays, the barrier segmentation
 //! and the ledger-conflict fallback are all semantically invisible; only
-//! wall-clock time may differ (measured by `engine_snapshot`).
+//! wall-clock time may differ.
 
 use fi_chain::account::{AccountId, TokenAmount};
 use fi_core::engine::{Engine, EngineError, StateView};

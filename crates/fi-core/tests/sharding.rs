@@ -5,16 +5,15 @@
 //! phase; the commit phase merges per-shard slices back into the global
 //! `(time, schedule-seq)` order a single wheel would pop (DESIGN.md §9).
 //!
-//! The 100k-file version of the equality assertion runs in the
-//! `engine_snapshot` bench (CI-gated); here randomized workloads with
-//! faults, refreshes, punishments and losses cover the protocol surface at
-//! test-friendly scale.
+//! Randomized workloads with faults, refreshes, punishments and losses
+//! cover the protocol surface at test-friendly scale.
 
 use fi_chain::account::{AccountId, TokenAmount};
 use fi_core::engine::{Engine, EngineError, EngineStats, StateView};
 use fi_core::params::ProtocolParams;
 use fi_core::types::SectorState;
-use fi_crypto::{sha256, DetRng};
+use fi_crypto::sha256::{self, sha256};
+use fi_crypto::DetRng;
 
 const CLIENT: AccountId = AccountId(900);
 const PROVIDERS: [AccountId; 3] = [AccountId(700), AccountId(701), AccountId(702)];
@@ -91,6 +90,7 @@ fn assert_consensus_identical(a: &Engine, b: &Engine) {
         a.shard_count(),
         b.shard_count()
     );
+    assert_eq!(a.audit_root(), b.audit_root(), "audit roots diverged");
     assert_eq!(a.chain().head_hash(), b.chain().head_hash());
     // Execution-strategy counters (parallel staging, batched audit
     // commits) legitimately differ with the shard count; consensus state
@@ -123,7 +123,8 @@ fn random_workloads_identical_across_shard_counts() {
 
 /// A bucket big enough to cross the parallel-verify threshold (64
 /// `Auto_CheckProof` tasks on one timestamp) must still produce identical
-/// state: the scoped-thread fan-out is semantically invisible.
+/// state: the pool fan-out is semantically invisible, and so is the
+/// SHA-256 backend that walks the audit paths.
 #[test]
 fn large_same_timestamp_bucket_parallel_verify_is_identical() {
     let run = |shards: usize| -> Engine {
@@ -165,6 +166,14 @@ fn large_same_timestamp_bucket_parallel_verify_is_identical() {
     );
     for shards in [4usize, 8] {
         assert_consensus_identical(&one, &run(shards));
+    }
+    // The override is process-wide; tests running alongside observe it
+    // harmlessly, since every backend produces identical digests.
+    for &backend in sha256::available_backends() {
+        sha256::force_backend(Some(backend));
+        let forced = run(8);
+        sha256::force_backend(None);
+        assert_consensus_identical(&one, &forced);
     }
 }
 

@@ -155,7 +155,7 @@ pub fn keyed_hash(domain: &str, parts: &[&[u8]]) -> Hash256 {
 ///
 /// [`KeyedDomain::hash_many`] is the batched form: it hashes N independent
 /// messages of the same domain through the multi-lane SIMD backends
-/// ([`sha256::digest_many`]), one lane per message, serialising each lane's
+/// (`sha256::digest_many_with`), one lane per message, serialising each lane's
 /// whole message (prefix included).
 ///
 /// [`KeyedDomain::walk_paths`] is where preparing per domain pays: the

@@ -11,10 +11,11 @@
 //!
 //! * the streaming [`Sha256`] hasher (and one-shot [`sha256`]) for single
 //!   messages — accelerated transparently by SHA-NI when available,
-//! * the multi-lane [`digest_many`]/[`compress_many`] entry points, which
-//!   hash batches of *independent* messages in lockstep so the 16-wide
-//!   AVX-512 or 8-wide AVX2 kernel (or interleaved SHA-NI streams) can be
-//!   applied, and
+//! * the multi-lane batch hasher behind
+//!   [`KeyedDomain::hash_many`](crate::KeyedDomain::hash_many) and the
+//!   Merkle leaf and node batches, which hashes *independent* messages in
+//!   lockstep so the 16-wide AVX-512 or 8-wide AVX2 kernel (or
+//!   interleaved SHA-NI streams) can be applied, and
 //! * the fused path-walk kernel behind
 //!   [`KeyedDomain::walk_paths`](crate::KeyedDomain::walk_paths): chains of
 //!   keyed hashes over many independent lanes, each lane's digest staying
@@ -239,60 +240,18 @@ pub fn sha256(data: &[u8]) -> Hash256 {
     h.finalize()
 }
 
-/// The FIPS 180-4 initial hash state, exposed for [`compress_many`] callers
-/// and benchmarks that drive the compression function directly.
-pub const INITIAL_STATE: [u32; 8] = H0;
-
-/// Runs the SHA-256 compression function on `blocks[i]` into `states[i]`
-/// for every lane, using the active backend.
-///
-/// This is the raw multi-lane primitive: no padding or finalization is
-/// applied. Most callers want [`digest_many`] instead.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn compress_many(states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-    simd::compress_many_impl(simd::active_backend(), states, blocks);
-}
-
-/// [`compress_many`] with an explicit backend (differential tests).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or `backend` is unavailable here.
-pub fn compress_many_with(backend: Backend, states: &mut [[u32; 8]], blocks: &[[u8; 64]]) {
-    simd::compress_many_impl(backend, states, blocks);
-}
-
-/// Hashes a batch of independent messages in lockstep, one SIMD lane per
-/// message, and returns one digest per message (same order).
+/// Hashes a batch of independent messages in lockstep on `backend`, one
+/// SIMD lane per message, and returns one digest per message (same order).
 ///
 /// Equivalent to `messages.iter().map(|m| sha256(m)).collect()` but batched:
 /// lane `i`'s `b`-th block is fed to the multi-lane compression backend
 /// alongside every other lane's `b`-th block. Messages may have unequal
 /// lengths; lanes that run out of blocks simply drop out of later rounds.
 ///
-/// ```
-/// use fi_crypto::sha256::{digest_many, sha256};
-///
-/// let msgs: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 3 + i as usize * 31]).collect();
-/// let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-/// let batch = digest_many(&refs);
-/// for (m, d) in msgs.iter().zip(&batch) {
-///     assert_eq!(*d, sha256(m));
-/// }
-/// ```
-pub fn digest_many(messages: &[&[u8]]) -> Vec<Hash256> {
-    digest_many_with(simd::active_backend(), messages)
-}
-
-/// [`digest_many`] with an explicit backend (differential tests).
-///
 /// # Panics
 ///
 /// Panics if `backend` is not available on this host.
-pub fn digest_many_with(backend: Backend, messages: &[&[u8]]) -> Vec<Hash256> {
+pub(crate) fn digest_many_with(backend: Backend, messages: &[&[u8]]) -> Vec<Hash256> {
     let n = messages.len();
     if n == 0 {
         return Vec::new();
@@ -531,8 +490,8 @@ mod tests {
                     .map(|i| prng_bytes(9000 + i as u64, 64).try_into().unwrap())
                     .collect();
                 let mut expect = states.clone();
-                compress_many_with(Backend::Scalar, &mut expect, &blocks);
-                compress_many_with(backend, &mut states, &blocks);
+                simd::compress_many_impl(Backend::Scalar, &mut expect, &blocks);
+                simd::compress_many_impl(backend, &mut states, &blocks);
                 assert_eq!(states, expect, "backend {} lanes {lanes}", backend.name());
             }
         }
@@ -580,7 +539,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one message block per state lane")]
     fn compress_many_length_mismatch_panics() {
-        let mut states = vec![INITIAL_STATE; 2];
-        compress_many(&mut states, &[[0u8; 64]]);
+        let mut states = vec![H0; 2];
+        simd::compress_many_impl(active_backend(), &mut states, &[[0u8; 64]]);
     }
 }

@@ -38,7 +38,7 @@
 //! * `Scalar`/`Avx2` — no dedicated kernel: a [`TILE`]-lane tile of byte
 //!   blocks on the stack, initialised from the template once, in which only
 //!   the node and level bytes are rewritten between the
-//!   `compress_many` sweeps.
+//!   `compress_many_impl` sweeps.
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;

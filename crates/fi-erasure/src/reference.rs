@@ -9,8 +9,8 @@
 //! 1. **Differential testing** — `tests/differential.rs` pins the fast path
 //!    byte-for-byte against this code across random payloads, coefficients,
 //!    and erasure patterns.
-//! 2. **Honest benchmarking** — `fi-bench` measures speedups against this
-//!    code rather than asserting them.
+//! 2. **Honest benchmarking** — `examples/erasure_table.rs` measures
+//!    speedups against this code rather than asserting them.
 //!
 //! It deliberately rebuilds its own private tables so a bug in the shared
 //! [`crate::Gf256`] tables cannot cancel out of the comparison.

@@ -1,8 +1,7 @@
 //! Spec-driven chaos harness: turns a plain-data
 //! [`NetworkRobustnessSpec`] into a running cluster with its fault
 //! script scheduled, and digests the run into the recovery metrics the
-//! acceptance gate checks (`tests/fault_recovery.rs` asserts on them,
-//! `fi-bench` records them into `BENCH_node.json`'s `faults` section).
+//! acceptance gate checks (`tests/fault_recovery.rs` asserts on them).
 //!
 //! The §V fault model rides along as consensus-side injections:
 //! `FailSector` (silent loss, discovered when the audit cycle hits the

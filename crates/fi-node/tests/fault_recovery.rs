@@ -7,10 +7,8 @@
 //! The acceptance bar: every surviving node ends bit-identical
 //! (`state_root`, head hash, receipt root at the final height), and every
 //! fault has a finite recovery latency — measured in heights past the
-//! frozen head via [`fi_sim::robustness::heights_to_reconvergence`], the
-//! same metric `fi-bench` records into `BENCH_node.json`'s `faults`
-//! section. The harness itself lives in `fi_node::chaos`, shared with
-//! the bench.
+//! frozen head via [`fi_sim::robustness::heights_to_reconvergence`]. The
+//! harness itself lives in `fi_node::chaos`.
 //!
 //! Knobs (the CI chaos matrix drives both):
 //! - `FI_NODE_TEST_SEED` offsets every world seed.

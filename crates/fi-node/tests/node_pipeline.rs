@@ -22,7 +22,7 @@ use fi_core::params::ProtocolParams;
 use fi_net::link::LinkModel;
 use fi_node::{
     build_cluster, cluster_horizon, genesis_engine, run_cluster, AdmitError, ClusterConfig,
-    Mempool, Tx,
+    Mempool, Tx, WorkloadConfig,
 };
 
 /// Base seed, offset by the CI matrix's `FI_NODE_TEST_SEED`.
@@ -232,6 +232,40 @@ fn same_seed_runs_reproduce_identical_consensus() {
         )
     };
     assert_eq!(run(), run());
+}
+
+/// `shards` and `ingest_threads` are performance settings, never
+/// consensus ones: the same cluster run at every cell of {1, 8} × {1, 4}
+/// adopts the same `(height, block hash)` history (DESIGN.md §9–10).
+#[test]
+fn cluster_history_is_identical_across_shards_and_threads() {
+    let slots = 120;
+    let run = |shards: usize, threads: usize| {
+        let mut cfg = chaos_cluster(0xBE9C4, slots, 0.1);
+        cfg.params.shards = shards;
+        cfg.params.ingest_threads = threads;
+        cfg.workload = WorkloadConfig {
+            max_files: 120,
+            get_prob: 0.5,
+            ..WorkloadConfig::default()
+        };
+        let (_world, reports) = run_cluster(&cfg);
+        let (height, _root) = assert_converged(&reports);
+        assert!(
+            height >= slots - 10,
+            "({shards},{threads}): chain stalled at {height} of {slots}"
+        );
+        let chain = reports.validators[0].borrow().final_chain.clone();
+        chain
+    };
+    let reference = run(1, 1);
+    for (shards, threads) in [(1, 4), (8, 1), (8, 4)] {
+        assert_eq!(
+            run(shards, threads),
+            reference,
+            "({shards},{threads}) history diverged from (1,1)"
+        );
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@ use fi_sim::ablation::{render_pacing, subnet_replicas};
 fn main() {
     println!(
         "{}",
-        fi_bench::banner(
+        fi_sim::banner(
             "Ablations — refresh pacing and value-level subnets",
             "FileInsurer (ICDCS'22), Fig. 7 (SampleExp) and §VI-D"
         )

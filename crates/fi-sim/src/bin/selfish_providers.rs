@@ -5,7 +5,7 @@ use fi_sim::selfish::render_comparison;
 fn main() {
     println!(
         "{}",
-        fi_bench::banner(
+        fi_sim::banner(
             "Selfish storage providers vs the refresh mechanism",
             "FileInsurer (ICDCS'22), §VI-E"
         )

@@ -8,7 +8,7 @@ fn main() {
     let scale = Scale::from_args(&args);
     println!(
         "{}",
-        fi_bench::banner(
+        fi_sim::banner(
             "Table III — maximum capacity usage of sectors",
             "FileInsurer (ICDCS'22), Table III / §V-B.2"
         )

@@ -8,7 +8,7 @@ fn main() {
     let scale = Scale::from_args(&args);
     println!(
         "{}",
-        fi_bench::banner(
+        fi_sim::banner(
             "Table IV — comparison of DSN protocols",
             "FileInsurer (ICDCS'22), Table IV / §V-C"
         )

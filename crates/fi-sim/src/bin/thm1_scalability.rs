@@ -5,7 +5,7 @@ use fi_sim::scalability::{render, run_all, ScalabilityConfig};
 fn main() {
     println!(
         "{}",
-        fi_bench::banner(
+        fi_sim::banner(
             "Theorem 1 — capacity scalability",
             "FileInsurer (ICDCS'22), Theorem 1 / §V-B.1"
         )

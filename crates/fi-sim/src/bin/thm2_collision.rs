@@ -12,7 +12,7 @@ fn main() {
     };
     println!(
         "{}",
-        fi_bench::banner(
+        fi_sim::banner(
             "Theorem 2 — collision probability",
             "FileInsurer (ICDCS'22), Theorem 2 / §V-B.2"
         )

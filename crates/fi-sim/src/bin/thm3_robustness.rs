@@ -9,7 +9,7 @@ fn main() {
     let config = RobustnessConfig::for_scale(scale);
     println!(
         "{}",
-        fi_bench::banner(
+        fi_sim::banner(
             "Theorem 3 — provable robustness",
             "FileInsurer (ICDCS'22), Theorem 3 / §V-B.3"
         )

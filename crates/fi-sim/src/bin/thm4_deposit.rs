@@ -10,7 +10,7 @@ fn main() {
     let config = RobustnessConfig::for_scale(scale);
     println!(
         "{}",
-        fi_bench::banner(
+        fi_sim::banner(
             "Theorem 4 — deposit ratio for full compensation",
             "FileInsurer (ICDCS'22), Theorem 4 / §V-B.4"
         )

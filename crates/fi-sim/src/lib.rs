@@ -12,6 +12,12 @@
 //! | [`harness`] | full-protocol timeline scenarios (Fig. 3) over `fi-core` | Fig. 3 |
 //! | [`report`] | text/markdown table rendering shared by the binaries | — |
 //!
+//! `src/bin/` has one binary per table or theorem — `table3`, `table4`,
+//! `thm1_scalability` … `thm4_deposit`, `ablations`, `selfish_providers`
+//! — each printing the regenerated rows next to the paper's claims
+//! (`cargo run --release -q -p fi-sim --bin thm3_robustness`). They are
+//! seeded and deterministic: two runs print the same bytes.
+//!
 //! Every experiment takes an explicit seed and a [`Scale`] knob: `Paper`
 //! reproduces the paper's grid verbatim (hours of CPU at the top rows);
 //! `Default` scales row sizes down while preserving every qualitative
@@ -47,5 +53,22 @@ impl Scale {
         } else {
             Scale::Default
         }
+    }
+}
+
+/// Shared banner printed by the experiment binaries.
+pub fn banner(title: &str, paper_ref: &str) -> String {
+    format!(
+        "== {title} ==\nreproduces: {paper_ref}\n(seeded, deterministic; pass --full for paper-scale grids)\n"
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn banner_contains_title() {
+        let b = super::banner("Table III", "FileInsurer Table III");
+        assert!(b.contains("Table III"));
+        assert!(b.contains("--full"));
     }
 }

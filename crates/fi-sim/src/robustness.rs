@@ -176,8 +176,8 @@ pub fn render(rows: &[RobustnessRow]) -> String {
 // message loss, a crashed leader every K slots, and one partition/heal
 // cycle. This module only carries the *plain-data* contract (the spec
 // and the recovery-latency metric); `fi-node` builds the cluster and
-// `fi-bench` records the results, so the definition of "recovered" lives
-// in exactly one place.
+// asserts on the results, so the definition of "recovered" lives in
+// exactly one place.
 // ----------------------------------------------------------------------
 
 /// The fault script a networked robustness run executes. Times are in
