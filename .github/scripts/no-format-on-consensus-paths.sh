@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Fails if `format!(` appears on a consensus path: the non-test code of
-# the op/receipt encoders (fi-core/src/ops.rs) and of the block layer
+# the op/receipt encoders (fi-core/src/ops.rs), of the byte codec
+# (fi-core/src/codec.rs), of the state-leaf codecs every state root
+# hashes (fi-core/src/engine/statemap.rs) and of the block layer
 # (fi-chain/src/block.rs), the `ProtocolEvent` impl (fi-core/src/types.rs)
-# and `Engine::log` (fi-core/src/engine/mod.rs). Digests, block hashes and
-# `ChainEvent` payloads hash canonical bytes, never formatted text.
+# and `Engine::log` (fi-core/src/engine/mod.rs). Digests, state roots,
+# block hashes and `ChainEvent` payloads hash canonical bytes, never
+# formatted text.
 #
 # Run from the repository root: .github/scripts/no-format-on-consensus-paths.sh
 set -euo pipefail
@@ -37,6 +40,8 @@ scan() {
 }
 
 scan non_test crates/fi-core/src/ops.rs
+scan non_test crates/fi-core/src/codec.rs
+scan non_test crates/fi-core/src/engine/statemap.rs
 scan non_test crates/fi-chain/src/block.rs
 scan item crates/fi-core/src/types.rs '^impl ProtocolEvent \{'
 scan item crates/fi-core/src/engine/mod.rs '^    pub\(super\) fn log\('

@@ -31,9 +31,17 @@
 //!                  2 the tombstone-retention param, 3 the audit-batch
 //!                  stats; 4 carries the open block's event payloads and
 //!                  op digests in the old `Debug`-text encoding)
-//! payload ...      field-by-field engine state (see encode())
+//! payload ...      the sections, in the order `snapshot_save` writes them
 //! hash    32 bytes sha256 over magic ‖ version ‖ payload
 //! ```
+//!
+//! Every keyed section — the ledger, the five map tables, the pending
+//! tasks, the replica index — is a row count and then its rows in
+//! strictly ascending key order; a restore refuses a key out of order or
+//! repeated. A map table's rows are the state tries' own bytes (the leaf
+//! codecs of `statemap`): a file or sector row is its leaf, which opens
+//! with its 8-byte key; an alloc, discard or CR row is key ‖ leaf. A
+//! restore builds each trie from those slices as they stand.
 //!
 //! The trailing self-hash makes corruption detection unconditional:
 //! truncation, bit flips and trailing garbage all surface as typed
@@ -58,17 +66,15 @@ use std::sync::Arc;
 use fi_chain::account::{AccountId, Ledger, TokenAmount};
 use fi_chain::block::{BlockChain, ChainEvent};
 use fi_chain::gas::GasSchedule;
-use fi_chain::tasks::{SchedulerKind, Time};
+use fi_chain::tasks::SchedulerKind;
 use fi_crypto::{sha256, DetRng, DetRngState, Hash256};
-use fi_store::{Blockstore, Hamt, StoreError};
+use fi_store::{Blockstore, Hamt};
 
-use crate::codec::Enc;
+use crate::codec::{Dec, DecError, Enc};
+use crate::drep::CrAccounting;
 use crate::params::{ParamError, ProtocolParams};
 use crate::sampler::WeightedSampler;
-use crate::types::{
-    AllocEntry, AllocState, FileDescriptor, FileId, FileState, RemovalReason, Sector, SectorId,
-    SectorState,
-};
+use crate::types::{FileDescriptor, FileId, Sector, SectorId};
 
 use crate::error::Error;
 
@@ -134,8 +140,17 @@ impl From<ParamError> for SnapshotError {
     }
 }
 
+impl From<DecError> for SnapshotError {
+    fn from(e: DecError) -> Self {
+        match e {
+            DecError::Truncated => SnapshotError::Truncated,
+            DecError::Malformed(what) => SnapshotError::Malformed(what),
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
-// Envelope and reader (fields are written through the shared `codec::Enc`)
+// Envelope (fields go through the shared `codec::Enc` and `codec::Dec`)
 // ----------------------------------------------------------------------
 
 /// A writer positioned after a snapshot envelope's magic and version.
@@ -151,90 +166,6 @@ fn seal(mut e: Enc) -> Vec<u8> {
     let digest = sha256(e.as_bytes());
     e.hash(&digest);
     e.into_bytes()
-}
-
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn u128(&mut self) -> Result<u128, SnapshotError> {
-        Ok(u128::from_be_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, SnapshotError> {
-        Ok(i64::from_be_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Malformed("boolean tag")),
-        }
-    }
-
-    /// A length prefix used to size a following allocation: bounded by the
-    /// bytes actually remaining so corrupt lengths cannot trigger huge
-    /// allocations (each encoded element is at least one byte).
-    fn len(&mut self) -> Result<usize, SnapshotError> {
-        let n = self.u64()?;
-        if n as usize > self.bytes.len() - self.pos {
-            return Err(SnapshotError::Truncated);
-        }
-        Ok(n as usize)
-    }
-
-    fn hash(&mut self) -> Result<Hash256, SnapshotError> {
-        Ok(Hash256::from_bytes(self.take(32)?.try_into().unwrap()))
-    }
-
-    fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
-        let n = self.len()?;
-        self.take(n)
-    }
-
-    fn bytes_vec(&mut self) -> Result<Vec<u8>, SnapshotError> {
-        Ok(self.bytes()?.to_vec())
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            _ => Err(SnapshotError::Malformed("option tag")),
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -406,10 +337,7 @@ fn open_envelope<'a>(
     if got != version {
         return Err(SnapshotError::UnsupportedVersion(got));
     }
-    Ok(Dec {
-        bytes: &body[magic.len() + 2..],
-        pos: 0,
-    })
+    Ok(Dec::new(&body[magic.len() + 2..]))
 }
 
 fn enc_chain(e: &mut Enc, chain: &BlockChain) {
@@ -450,10 +378,9 @@ fn dec_chain(d: &mut Dec<'_>, params: &ProtocolParams) -> Result<BlockChain, Sna
     let n_events = d.len()?;
     let mut open_events = Vec::with_capacity(n_events);
     for _ in 0..n_events {
-        let kind = String::from_utf8(d.bytes_vec()?)
+        let kind = String::from_utf8(d.bytes()?.to_vec())
             .map_err(|_| SnapshotError::Malformed("event kind not UTF-8"))?;
-        let payload = d.bytes_vec()?;
-        open_events.push(ChainEvent::new(kind, payload));
+        open_events.push(ChainEvent::new(kind, d.bytes()?.to_vec()));
     }
     let n_ops = d.len()?;
     let mut open_ops = Vec::with_capacity(n_ops);
@@ -473,23 +400,18 @@ fn dec_chain(d: &mut Dec<'_>, params: &ProtocolParams) -> Result<BlockChain, Sna
 
 fn enc_ledger(e: &mut Enc, ledger: &Ledger) {
     // Non-zero balances, canonical account order.
-    let mut balances: Vec<(AccountId, TokenAmount)> = ledger.iter().collect();
-    balances.sort_unstable_by_key(|(a, _)| *a);
-    e.usize(balances.len());
-    for (account, amount) in balances {
+    put_sorted(e, ledger.iter().collect(), |e, account, amount| {
         e.u64(account.0);
         e.u128(amount.0);
-    }
+    });
     e.u128(ledger.total_supply().0);
     e.u128(ledger.total_burned().0);
 }
 
 fn dec_ledger(d: &mut Dec<'_>) -> Result<Ledger, SnapshotError> {
-    let n_balances = d.len()?;
-    let mut balances = Vec::with_capacity(n_balances);
-    for _ in 0..n_balances {
-        balances.push((AccountId(d.u64()?), TokenAmount(d.u128()?)));
-    }
+    let balances = get_sorted(d, "ledger accounts out of order or duplicated", |d| {
+        Ok((AccountId(d.u64()?), TokenAmount(d.u128()?)))
+    })?;
     let total_supply = TokenAmount(d.u128()?);
     let total_burned = TokenAmount(d.u128()?);
     Ledger::restore(balances, total_supply, total_burned).map_err(SnapshotError::Malformed)
@@ -514,6 +436,59 @@ fn enc_counters(e: &mut Enc, engine: &Engine) {
     e.hash(&engine.audit_root);
 }
 
+impl Counters {
+    /// The checks a file row passes in either restore: it sits under its
+    /// own key, and the id counter has issued its id.
+    fn check_file(&self, key: &[u8], desc: FileDescriptor) -> Result<FileDescriptor, DecError> {
+        if key != statemap::key_file(desc.id) {
+            return Err(DecError::Malformed("file leaf under a foreign key"));
+        }
+        if desc.id.0 >= self.next_file_id {
+            return Err(DecError::Malformed("file id above the id counter"));
+        }
+        Ok(desc)
+    }
+
+    /// [`Counters::check_file`] for a sector row, whose free capacity
+    /// must also fit in its capacity.
+    fn check_sector(&self, key: &[u8], sector: Sector) -> Result<Sector, DecError> {
+        if key != statemap::key_sector(sector.id) {
+            return Err(DecError::Malformed("sector leaf under a foreign key"));
+        }
+        if sector.id.0 >= self.next_sector_id {
+            return Err(DecError::Malformed("sector id above the id counter"));
+        }
+        if sector.free_cap > sector.capacity {
+            return Err(DecError::Malformed("sector free_cap above capacity"));
+        }
+        Ok(sector)
+    }
+}
+
+/// The checks across maps both restores make once every row is in:
+/// each allocation row has its file, and each CR row and replica set
+/// its sector.
+fn check_links(
+    shards: &ShardedState,
+    sectors: &TrackedMap<SectorId, Sector>,
+    cr: &TrackedMap<SectorId, CrAccounting>,
+    sector_replicas: &ReplicaIndex,
+) -> Result<(), SnapshotError> {
+    if shards
+        .alloc_iter()
+        .any(|(&(file, _), _)| shards.file(file).is_none())
+    {
+        return Err(SnapshotError::Malformed("allocation row without a file"));
+    }
+    if cr.keys().any(|id| !sectors.contains_key(id)) {
+        return Err(SnapshotError::Malformed("CR accounting without a sector"));
+    }
+    if sector_replicas.keys().any(|id| !sectors.contains_key(id)) {
+        return Err(SnapshotError::Malformed("replica index without a sector"));
+    }
+    Ok(())
+}
+
 fn dec_counters(d: &mut Dec<'_>) -> Result<Counters, SnapshotError> {
     Ok(Counters {
         next_file_id: d.u64()?,
@@ -534,44 +509,36 @@ fn enc_all_stats(e: &mut Enc, global: &EngineStats, shards: &ShardedState) {
     }
 }
 
+/// The global stats, and the empty shards `params` lays out, each with
+/// its stats.
 fn dec_all_stats(
     d: &mut Dec<'_>,
-    expected_shards: usize,
-) -> Result<(EngineStats, Vec<EngineStats>), SnapshotError> {
+    params: &ProtocolParams,
+) -> Result<(EngineStats, ShardedState), SnapshotError> {
     let global = dec_stats(d)?;
-    let n_shard_stats = d.len()?;
-    if n_shard_stats != expected_shards {
+    if d.len()? != params.shards {
         return Err(SnapshotError::Malformed(
             "per-shard stats count does not match the shard parameter",
         ));
     }
-    let mut shard_stats = Vec::with_capacity(n_shard_stats);
-    for _ in 0..n_shard_stats {
-        shard_stats.push(dec_stats(d)?);
+    let mut shards = ShardedState::new(params.shards, params.scheduler, params.block_interval);
+    for shard in &mut shards.shards {
+        shard.stats = dec_stats(d)?;
     }
-    Ok((global, shard_stats))
+    Ok((global, shards))
 }
 
 fn enc_tasks(e: &mut Enc, shards: &ShardedState) {
     // Pending Auto_* tasks, canonically ordered by (time, seq). Tasks
     // are scheduled with a monotonic global sequence, so re-scheduling
     // in this order reproduces every wheel's pop order exactly.
-    let mut tasks: Vec<(Time, u64, &Task)> = shards
-        .shards
-        .iter()
-        .flat_map(|s| {
-            s.pending
-                .iter()
-                .map(|(time, (seq, task))| (time, *seq, task))
-        })
-        .collect();
-    tasks.sort_unstable_by_key(|&(time, seq, _)| (time, seq));
-    e.usize(tasks.len());
-    for (time, seq, task) in tasks {
+    let pending = shards.shards.iter().flat_map(|s| s.pending.iter());
+    let tasks = pending.map(|(time, (seq, task))| ((time, *seq), task));
+    put_sorted(e, tasks.collect(), |e, (time, seq), task| {
         e.u64(time);
         e.u64(seq);
         enc_task(e, task);
-    }
+    });
 }
 
 fn dec_tasks(
@@ -579,38 +546,28 @@ fn dec_tasks(
     task_seq: u64,
     shards: &mut ShardedState,
 ) -> Result<(), SnapshotError> {
-    let n_tasks = d.len()?;
-    let mut last_key = None;
-    for _ in 0..n_tasks {
-        let time = d.u64()?;
-        let seq = d.u64()?;
-        if last_key.is_some_and(|k| k >= (time, seq)) {
-            return Err(SnapshotError::Malformed("tasks out of canonical order"));
-        }
-        last_key = Some((time, seq));
+    let tasks = get_sorted(d, "tasks out of canonical order", |d| {
+        Ok(((d.u64()?, d.u64()?), dec_task(d)?))
+    })?;
+    for ((time, seq), task) in tasks {
         if seq >= task_seq {
             return Err(SnapshotError::Malformed("task seq above the seq counter"));
         }
-        let task = dec_task(d)?;
         shards.schedule(seq, time, task);
     }
     Ok(())
 }
 
-fn enc_replicas(e: &mut Enc, sector_replicas: &HashMap<SectorId, BTreeSet<(FileId, u32)>>) {
-    // Sorted; BTreeSet iterates sorted already.
-    let mut replicas: Vec<(SectorId, &BTreeSet<(FileId, u32)>)> =
-        sector_replicas.iter().map(|(id, set)| (*id, set)).collect();
-    replicas.sort_unstable_by_key(|(id, _)| *id);
-    e.usize(replicas.len());
-    for (id, set) in replicas {
+fn enc_replicas(e: &mut Enc, sector_replicas: &ReplicaIndex) {
+    put_sorted(e, sector_replicas.iter().collect(), |e, id, set| {
         e.u64(id.0);
+        // A BTreeSet iterates sorted.
         e.usize(set.len());
         for &(file, index) in set {
             e.u64(file.0);
             e.u32(index);
         }
-    }
+    });
 }
 
 /// Decodes the replica index. Sector existence is checked by the caller
@@ -618,18 +575,14 @@ fn enc_replicas(e: &mut Enc, sector_replicas: &HashMap<SectorId, BTreeSet<(FileI
 type ReplicaIndex = HashMap<SectorId, BTreeSet<(FileId, u32)>>;
 
 fn dec_replicas(d: &mut Dec<'_>) -> Result<ReplicaIndex, SnapshotError> {
-    let n_replicas = d.len()?;
-    let mut sector_replicas = HashMap::with_capacity(n_replicas);
-    for _ in 0..n_replicas {
+    let index = get_sorted(d, "replica index out of order or duplicated", |d| {
         let id = SectorId(d.u64()?);
-        let n = d.len()?;
-        let mut set = BTreeSet::new();
-        for _ in 0..n {
-            set.insert((FileId(d.u64()?), d.u32()?));
-        }
-        sector_replicas.insert(id, set);
-    }
-    Ok(sector_replicas)
+        let set = get_sorted(d, "replica set out of order or duplicated", |d| {
+            Ok(((FileId(d.u64()?), d.u32()?), ()))
+        })?;
+        Ok((id, set.into_iter().map(|(pair, ())| pair).collect()))
+    })?;
+    Ok(index.into_iter().collect())
 }
 
 fn enc_sampler(e: &mut Enc, sampler: &WeightedSampler<SectorId>) {
@@ -679,13 +632,7 @@ fn enc_rng(e: &mut Enc, rng: &DetRng) {
     e.u32(rng.counter);
     e.raw(&rng.buf);
     e.u8(rng.offset);
-    match rng.gauss_spare {
-        Some(v) => {
-            e.u8(1);
-            e.f64(v);
-        }
-        None => e.u8(0),
-    }
+    e.opt_u64(rng.gauss_spare.map(f64::to_bits));
 }
 
 fn dec_rng(d: &mut Dec<'_>) -> Result<DetRng, SnapshotError> {
@@ -698,19 +645,12 @@ fn dec_rng(d: &mut Dec<'_>) -> Result<DetRng, SnapshotError> {
         *w = d.u32()?;
     }
     let counter = d.u32()?;
-    let buf: [u8; 64] = d
-        .take(64)?
-        .try_into()
-        .expect("take returns exactly 64 bytes");
+    let buf = d.array::<64>()?;
     let offset = d.u8()?;
     if offset > 64 {
         return Err(SnapshotError::Malformed("rng offset beyond its buffer"));
     }
-    let gauss_spare = match d.u8()? {
-        0 => None,
-        1 => Some(d.f64()?),
-        _ => return Err(SnapshotError::Malformed("rng spare tag")),
-    };
+    let gauss_spare = d.opt_u64()?.map(f64::from_bits);
     Ok(DetRng::from_state(DetRngState {
         key,
         nonce,
@@ -747,26 +687,47 @@ fn dec_checkpoint(d: &mut Dec<'_>) -> Result<Option<Checkpoint>, SnapshotError> 
     })
 }
 
-/// Takes the next row key of a table section. [`Engine::snapshot_save`]
-/// writes every table sorted by key, so a restore accepts keys only in
-/// strictly ascending order — a repeated key would otherwise overwrite
-/// the earlier row without a trace.
-fn ascending<K: Ord + Copy>(
-    last: &mut Option<K>,
-    key: K,
-    what: &'static str,
-) -> Result<K, SnapshotError> {
-    if last.is_some_and(|last| last >= key) {
-        return Err(SnapshotError::Malformed(what));
+/// Writes a sorted section: the row count, then each row through `put`,
+/// in ascending key order.
+fn put_sorted<K: Ord + Copy, V>(e: &mut Enc, mut rows: Vec<(K, V)>, put: impl Fn(&mut Enc, K, V)) {
+    rows.sort_unstable_by_key(|(key, _)| *key);
+    e.usize(rows.len());
+    for (key, value) in rows {
+        put(e, key, value);
     }
-    *last = Some(key);
-    Ok(key)
 }
 
-/// The committed trie of one state map's `(key, leaf)` rows.
-fn state_trie<K: AsRef<[u8]>>(rows: Vec<(K, Vec<u8>)>) -> Result<Hamt, SnapshotError> {
-    // Every table is read strictly ascending, so no key can repeat.
-    Hamt::from_pairs(rows).map_err(|_| SnapshotError::Malformed("state map key repeated"))
+/// Reads a section [`put_sorted`] wrote, each row through `row`. Keys
+/// must strictly ascend — a repeated key would otherwise overwrite the
+/// earlier entry without a trace; `what` names the section.
+fn get_sorted<'a, K: Ord + Copy, V>(
+    d: &mut Dec<'a>,
+    what: &'static str,
+    mut row: impl FnMut(&mut Dec<'a>) -> Result<(K, V), SnapshotError>,
+) -> Result<Vec<(K, V)>, SnapshotError> {
+    let n_rows = d.len()?;
+    let mut rows: Vec<(K, V)> = Vec::with_capacity(n_rows);
+    for _ in 0..n_rows {
+        let (key, value) = row(d)?;
+        if rows.last().is_some_and(|&(last, _)| last >= key) {
+            return Err(SnapshotError::Malformed(what));
+        }
+        rows.push((key, value));
+    }
+    Ok(rows)
+}
+
+/// Reads one map table and returns the committed trie of its rows.
+/// `row` decodes a row into the flat maps and returns its key and leaf,
+/// both slices of the snapshot: no leaf is re-encoded.
+fn table<'a>(
+    d: &mut Dec<'a>,
+    what: &'static str,
+    row: impl FnMut(&mut Dec<'a>) -> Result<(&'a [u8], &'a [u8]), SnapshotError>,
+) -> Result<Hamt, SnapshotError> {
+    // The keys strictly ascend, so none repeats.
+    let pairs = get_sorted(d, what, row)?;
+    Hamt::from_pairs(pairs).map_err(|_| SnapshotError::Malformed("state map key repeated"))
 }
 
 /// Reads a delta's five per-map node lists, checks every block against
@@ -799,100 +760,32 @@ impl Engine {
         enc_counters(&mut e, self);
         enc_all_stats(&mut e, &self.stats_global, &self.shards);
 
-        // Files (sorted by id; the shard routing re-derives on restore).
-        let mut files: Vec<&FileDescriptor> = self
-            .shards
-            .shards
-            .iter()
-            .flat_map(|s| s.files.values())
-            .collect();
-        files.sort_unstable_by_key(|f| f.id);
-        e.usize(files.len());
-        for f in files {
-            e.u64(f.id.0);
-            e.u64(f.owner.0);
-            e.u64(f.size);
-            e.u128(f.value.0);
-            e.hash(&f.merkle_root);
-            e.u32(f.cp);
-            e.i64(f.cntdown);
-            e.u8(match f.state {
-                FileState::Allocating => 0,
-                FileState::Normal => 1,
-                FileState::Discarded => 2,
-            });
-        }
-
-        // Allocation table (sorted by (file, index)).
-        let mut alloc: Vec<(&(FileId, u32), &AllocEntry)> = self.shards.alloc_iter().collect();
-        alloc.sort_unstable_by_key(|(k, _)| **k);
-        e.usize(alloc.len());
-        for (&(file, index), entry) in alloc {
-            e.u64(file.0);
-            e.u32(index);
-            e.opt_u64(entry.prev.map(|s| s.0));
-            e.opt_u64(entry.next.map(|s| s.0));
-            e.opt_u64(entry.last);
-            e.u8(match entry.state {
-                AllocState::Alloc => 0,
-                AllocState::Confirm => 1,
-                AllocState::Normal => 2,
-                AllocState::Corrupted => 3,
-            });
-        }
-
-        // Discard reasons (sorted by file).
-        let mut reasons: Vec<(FileId, RemovalReason)> = self
-            .shards
-            .shards
-            .iter()
-            .flat_map(|s| s.discard_reasons.iter().map(|(f, r)| (*f, *r)))
-            .collect();
-        reasons.sort_unstable_by_key(|(f, _)| *f);
-        e.usize(reasons.len());
-        for (file, reason) in reasons {
-            e.u64(file.0);
-            e.u8(reason.tag());
-        }
-
+        // The five map tables (module docs). A file's shard routing
+        // re-derives on restore.
+        let shards = &self.shards.shards;
+        let files = shards.iter().flat_map(|s| s.files.iter()).collect();
+        put_sorted(&mut e, files, |e, _, f| statemap::put_file(e, f));
+        put_sorted(
+            &mut e,
+            self.shards.alloc_iter().collect(),
+            |e, key, entry| {
+                e.raw(&statemap::key_alloc(key.0, key.1));
+                statemap::put_alloc_entry(e, entry);
+            },
+        );
+        let reasons = shards.iter().flat_map(|s| s.discard_reasons.iter());
+        put_sorted(&mut e, reasons.collect(), |e, &file, &reason| {
+            e.raw(&statemap::key_file(file));
+            statemap::put_reason(e, reason);
+        });
         enc_tasks(&mut e, &self.shards);
-
-        // Sectors (sorted by id).
-        let mut sectors: Vec<&Sector> = self.sectors.values().collect();
-        sectors.sort_unstable_by_key(|s| s.id);
-        e.usize(sectors.len());
-        for s in sectors {
-            e.u64(s.id.0);
-            e.u64(s.owner.0);
-            e.u64(s.capacity);
-            e.u64(s.free_cap);
-            e.u8(match s.state {
-                SectorState::Normal => 0,
-                SectorState::Disabled => 1,
-                SectorState::Corrupted => 2,
-            });
-            e.u128(s.deposit.0);
-            e.u32(s.replica_count);
-            e.bool(s.physically_failed);
-        }
-
-        // DRep accounting (sorted by sector id).
-        type CrParts = (u64, u64, u64, u64, u64);
-        let mut cr: Vec<(SectorId, CrParts)> = self
-            .cr
-            .iter()
-            .map(|(id, acct)| (*id, acct.snapshot_parts()))
-            .collect();
-        cr.sort_unstable_by_key(|(id, _)| *id);
-        e.usize(cr.len());
-        for (id, (capacity, cr_size, file_bytes, regenerated, discarded)) in cr {
-            e.u64(id.0);
-            e.u64(capacity);
-            e.u64(cr_size);
-            e.u64(file_bytes);
-            e.u64(regenerated);
-            e.u64(discarded);
-        }
+        put_sorted(&mut e, self.sectors.iter().collect(), |e, _, s| {
+            statemap::put_sector(e, s);
+        });
+        put_sorted(&mut e, self.cr.iter().collect(), |e, &id, acct| {
+            e.raw(&statemap::key_sector(id));
+            statemap::put_cr(e, acct);
+        });
 
         enc_replicas(&mut e, &self.sector_replicas);
         enc_sampler(&mut e, &self.sampler);
@@ -933,197 +826,63 @@ impl Engine {
         let chain = dec_chain(&mut d, &params)?;
         let ledger = dec_ledger(&mut d)?;
         let counters = dec_counters(&mut d)?;
-        let Counters {
-            next_file_id,
-            next_sector_id,
-            op_counter,
-            ops_applied,
-            task_seq,
-            audit_root,
-        } = counters;
-        let (stats_global, shard_stats) = dec_all_stats(&mut d, params.shards)?;
+        let (stats_global, mut shards) = dec_all_stats(&mut d, &params)?;
 
-        let mut shards = ShardedState::new(params.shards, params.scheduler, params.block_interval);
-        for (shard, stats) in shards.shards.iter_mut().zip(shard_stats) {
-            shard.stats = stats;
-        }
-
-        // The five map tables. Each row goes into its flat map clean and,
-        // as its trie leaf, into the pairs that map's trie is built from
-        // at the end of the table, so the engine comes back committed with
-        // nothing dirty. The pairs are dropped table by table.
-
-        // Files.
-        let n_files = d.len()?;
-        let mut rows = Vec::new();
-        let mut last = None;
-        for _ in 0..n_files {
-            let id = ascending(
-                &mut last,
-                FileId(d.u64()?),
-                "file ids out of order or duplicated",
-            )?;
-            let desc = FileDescriptor {
-                id,
-                owner: AccountId(d.u64()?),
-                size: d.u64()?,
-                value: TokenAmount(d.u128()?),
-                merkle_root: d.hash()?,
-                cp: d.u32()?,
-                cntdown: d.i64()?,
-                state: match d.u8()? {
-                    0 => FileState::Allocating,
-                    1 => FileState::Normal,
-                    2 => FileState::Discarded,
-                    _ => return Err(SnapshotError::Malformed("file state tag")),
-                },
-            };
-            if id.0 >= next_file_id {
-                return Err(SnapshotError::Malformed("file id above the id counter"));
-            }
-            rows.push((statemap::key_file(id), statemap::enc_file(&desc)));
-            shards.shard_mut(id).files.insert_clean(id, desc);
-        }
-        let files = state_trie(rows)?;
-
-        // Allocation table.
-        let n_alloc = d.len()?;
-        let mut rows = Vec::new();
-        let mut last = None;
-        for _ in 0..n_alloc {
-            let (file, index) = ascending(
-                &mut last,
-                (FileId(d.u64()?), d.u32()?),
-                "allocation rows out of order or duplicated",
-            )?;
-            let entry = AllocEntry {
-                prev: d.opt_u64()?.map(SectorId),
-                next: d.opt_u64()?.map(SectorId),
-                last: d.opt_u64()?,
-                state: match d.u8()? {
-                    0 => AllocState::Alloc,
-                    1 => AllocState::Confirm,
-                    2 => AllocState::Normal,
-                    3 => AllocState::Corrupted,
-                    _ => return Err(SnapshotError::Malformed("alloc state tag")),
-                },
-            };
-            if shards.file(file).is_none() {
-                return Err(SnapshotError::Malformed("allocation row without a file"));
-            }
-            rows.push((
-                statemap::key_alloc(file, index),
-                statemap::enc_alloc_entry(&entry),
-            ));
-            shards
-                .shard_mut(file)
-                .alloc
-                .insert_clean((file, index), entry);
-        }
-        let alloc = state_trie(rows)?;
-
-        // Discard reasons.
-        let n_reasons = d.len()?;
-        let mut rows = Vec::new();
-        let mut last = None;
-        for _ in 0..n_reasons {
-            let file = ascending(
-                &mut last,
-                FileId(d.u64()?),
-                "discard reasons out of order or duplicated",
-            )?;
-            let reason = match d.u8()? {
-                0 => RemovalReason::ClientDiscard,
-                1 => RemovalReason::InsufficientFunds,
-                2 => RemovalReason::UploadFailed,
-                3 => RemovalReason::Lost,
-                _ => return Err(SnapshotError::Malformed("removal reason tag")),
-            };
-            rows.push((statemap::key_file(file), statemap::enc_reason(reason)));
-            shards
-                .shard_mut(file)
-                .discard_reasons
-                .insert_clean(file, reason);
-        }
-        let discard = state_trie(rows)?;
+        // The five map tables. Each row goes into its flat map clean, and
+        // its key and leaf into the pairs its map's trie is built from, so
+        // the engine comes back committed with nothing dirty. A file or
+        // sector row is its leaf, which opens with its 8-byte key; an
+        // alloc, discard or CR row is key ‖ leaf.
+        let files = table(&mut d, "file ids out of order or duplicated", |d| {
+            let (desc, leaf) = d.with_bytes(statemap::get_file)?;
+            let desc = counters.check_file(&leaf[..8], desc)?;
+            shards.shard_mut(desc.id).files.insert_clean(desc.id, desc);
+            Ok((&leaf[..8], leaf))
+        })?;
+        let alloc = table(&mut d, "allocation rows out of order or duplicated", |d| {
+            let key = d.take(12)?;
+            let (file, index) = statemap::dec_key_alloc(key)?;
+            let (entry, leaf) = d.with_bytes(statemap::get_alloc_entry)?;
+            let alloc = &mut shards.shard_mut(file).alloc;
+            alloc.insert_clean((file, index), entry);
+            Ok((key, leaf))
+        })?;
+        let discard = table(&mut d, "discard reasons out of order or duplicated", |d| {
+            let key = d.take(8)?;
+            let file = FileId(statemap::dec_key_id(key, "discard key width")?);
+            let (reason, leaf) = d.with_bytes(statemap::get_reason)?;
+            let reasons = &mut shards.shard_mut(file).discard_reasons;
+            reasons.insert_clean(file, reason);
+            Ok((key, leaf))
+        })?;
 
         // Pending tasks (already in canonical (time, seq) order).
-        dec_tasks(&mut d, task_seq, &mut shards)?;
+        dec_tasks(&mut d, counters.task_seq, &mut shards)?;
 
-        // Sectors.
-        let n_sectors = d.len()?;
         let mut sectors = TrackedMap::new();
-        let mut rows = Vec::new();
-        let mut last = None;
-        for _ in 0..n_sectors {
-            let id = ascending(
-                &mut last,
-                SectorId(d.u64()?),
-                "sector ids out of order or duplicated",
-            )?;
-            let sector = Sector {
-                owner: AccountId(d.u64()?),
-                id,
-                capacity: d.u64()?,
-                free_cap: d.u64()?,
-                state: match d.u8()? {
-                    0 => SectorState::Normal,
-                    1 => SectorState::Disabled,
-                    2 => SectorState::Corrupted,
-                    _ => return Err(SnapshotError::Malformed("sector state tag")),
-                },
-                deposit: TokenAmount(d.u128()?),
-                replica_count: d.u32()?,
-                physically_failed: d.bool()?,
-            };
-            if id.0 >= next_sector_id {
-                return Err(SnapshotError::Malformed("sector id above the id counter"));
-            }
-            if sector.free_cap > sector.capacity {
-                return Err(SnapshotError::Malformed("sector free_cap above capacity"));
-            }
-            rows.push((statemap::key_sector(id), statemap::enc_sector(&sector)));
-            sectors.insert_clean(id, sector);
-        }
-        let sector_trie = state_trie(rows)?;
-
-        // DRep accounting.
-        let n_cr = d.len()?;
+        let sector_trie = table(&mut d, "sector ids out of order or duplicated", |d| {
+            let (sector, leaf) = d.with_bytes(statemap::get_sector)?;
+            let sector = counters.check_sector(&leaf[..8], sector)?;
+            sectors.insert_clean(sector.id, sector);
+            Ok((&leaf[..8], leaf))
+        })?;
         let mut cr = TrackedMap::new();
-        let mut rows = Vec::new();
-        let mut last = None;
-        for _ in 0..n_cr {
-            let id = ascending(
-                &mut last,
-                SectorId(d.u64()?),
-                "CR rows out of order or duplicated",
-            )?;
-            let parts = (d.u64()?, d.u64()?, d.u64()?, d.u64()?, d.u64()?);
-            let acct =
-                crate::drep::CrAccounting::from_parts(parts).map_err(SnapshotError::Malformed)?;
-            if !sectors.contains_key(&id) {
-                return Err(SnapshotError::Malformed("CR accounting without a sector"));
-            }
-            rows.push((statemap::key_sector(id), statemap::enc_cr(&acct)));
+        let cr_trie = table(&mut d, "CR rows out of order or duplicated", |d| {
+            let key = d.take(8)?;
+            let id = SectorId(statemap::dec_key_id(key, "cr key width")?);
+            let (acct, leaf) = d.with_bytes(statemap::get_cr)?;
             cr.insert_clean(id, acct);
-        }
-        let cr_trie = state_trie(rows)?;
+            Ok((key, leaf))
+        })?;
 
-        // Sector replica index.
         let sector_replicas = dec_replicas(&mut d)?;
-        for id in sector_replicas.keys() {
-            if !sectors.contains_key(id) {
-                return Err(SnapshotError::Malformed("replica index without a sector"));
-            }
-        }
-
         let sampler = dec_sampler(&mut d)?;
         let rng = dec_rng(&mut d)?;
         let last_checkpoint = dec_checkpoint(&mut d)?;
-
         if !d.done() {
             return Err(SnapshotError::TrailingBytes);
         }
+        check_links(&shards, &sectors, &cr, &sector_replicas)?;
 
         Ok(Engine {
             params,
@@ -1136,14 +895,14 @@ impl Engine {
             sector_replicas,
             sampler,
             rng,
-            next_file_id,
-            next_sector_id,
+            next_file_id: counters.next_file_id,
+            next_sector_id: counters.next_sector_id,
             events: Vec::new(),
             stats_global,
-            op_counter,
-            ops_applied,
-            task_seq,
-            audit_root,
+            op_counter: counters.op_counter,
+            ops_applied: counters.ops_applied,
+            task_seq: counters.task_seq,
+            audit_root: counters.audit_root,
             op_log: Default::default(),
             last_checkpoint,
             pool: super::pool::PoolHandle::new(),
@@ -1271,30 +1030,26 @@ impl Engine {
     pub fn snapshot_restore_delta(bytes: &[u8], base: &Engine) -> Result<Engine, Error> {
         let mut d = open_envelope(bytes, DELTA_MAGIC, DELTA_VERSION)?;
 
-        let base_root = d.hash().map_err(Error::Snapshot)?;
+        let base_root = d.hash()?;
         let (base_roots, base_maps) = base.commit_state_locked(false);
         if base_roots.state_root != base_root {
             return Err(SnapshotError::Malformed("delta base does not match this engine").into());
         }
         let maps = base_maps.clone();
         drop(base_maps);
-        let new_state_root = d.hash().map_err(Error::Snapshot)?;
+        let new_state_root = d.hash()?;
         let mut map_roots = [Hash256::from_bytes([0; 32]); 5];
         for root in &mut map_roots {
-            *root = d.hash().map_err(Error::Snapshot)?;
+            *root = d.hash()?;
         }
 
         // Non-map sections.
-        let params = dec_params(&mut d).map_err(Error::Snapshot)?;
+        let params = dec_params(&mut d)?;
         params.validate().map_err(SnapshotError::from)?;
         let chain = dec_chain(&mut d, &params)?;
         let ledger = dec_ledger(&mut d)?;
         let counters = dec_counters(&mut d)?;
-        let (stats_global, shard_stats) = dec_all_stats(&mut d, params.shards)?;
-        let mut shards = ShardedState::new(params.shards, params.scheduler, params.block_interval);
-        for (shard, stats) in shards.shards.iter_mut().zip(shard_stats) {
-            shard.stats = stats;
-        }
+        let (stats_global, mut shards) = dec_all_stats(&mut d, &params)?;
         dec_tasks(&mut d, counters.task_seq, &mut shards)?;
         let sector_replicas = dec_replicas(&mut d)?;
         let sampler = dec_sampler(&mut d)?;
@@ -1319,18 +1074,12 @@ impl Engine {
 
         for (key, leaf) in changes(0)? {
             let id = FileId(statemap::dec_key_id(&key, "file key width")?);
-            let Some(leaf) = leaf else {
-                shards.remove_file(id);
-                continue;
-            };
-            let desc = statemap::dec_file(&leaf)?;
-            if desc.id != id {
-                return Err(StoreError::Corrupt("file leaf under a foreign key").into());
+            match leaf {
+                Some(leaf) => {
+                    shards.insert_file(counters.check_file(&key, statemap::dec_file(&leaf)?)?)
+                }
+                None => drop(shards.remove_file(id)),
             }
-            if id.0 >= counters.next_file_id {
-                return Err(SnapshotError::Malformed("file id above the id counter").into());
-            }
-            shards.insert_file(desc);
         }
         for (key, leaf) in changes(1)? {
             let (file, index) = statemap::dec_key_alloc(&key)?;
@@ -1348,21 +1097,13 @@ impl Engine {
         }
         for (key, leaf) in changes(3)? {
             let id = SectorId(statemap::dec_key_id(&key, "sector key width")?);
-            let Some(leaf) = leaf else {
-                sectors.remove(&id);
-                continue;
-            };
-            let sector = statemap::dec_sector(&leaf)?;
-            if sector.id != id {
-                return Err(StoreError::Corrupt("sector leaf under a foreign key").into());
+            match leaf {
+                Some(leaf) => drop(sectors.insert(
+                    id,
+                    counters.check_sector(&key, statemap::dec_sector(&leaf)?)?,
+                )),
+                None => drop(sectors.remove(&id)),
             }
-            if id.0 >= counters.next_sector_id {
-                return Err(SnapshotError::Malformed("sector id above the id counter").into());
-            }
-            if sector.free_cap > sector.capacity {
-                return Err(SnapshotError::Malformed("sector free_cap above capacity").into());
-            }
-            sectors.insert(id, sector);
         }
         for (key, leaf) in changes(4)? {
             let id = SectorId(statemap::dec_key_id(&key, "cr key width")?);
@@ -1371,20 +1112,7 @@ impl Engine {
                 None => drop(cr.remove(&id)),
             }
         }
-
-        // Cross-map consistency, over the final rows.
-        if shards
-            .alloc_iter()
-            .any(|(&(file, _), _)| shards.file(file).is_none())
-        {
-            return Err(SnapshotError::Malformed("allocation row without a file").into());
-        }
-        if cr.keys().any(|id| !sectors.contains_key(id)) {
-            return Err(SnapshotError::Malformed("CR accounting without a sector").into());
-        }
-        if sector_replicas.keys().any(|id| !sectors.contains_key(id)) {
-            return Err(SnapshotError::Malformed("replica index without a sector").into());
-        }
+        check_links(&shards, &sectors, &cr, &sector_replicas)?;
 
         let engine = Engine {
             params,
@@ -1427,7 +1155,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fi_store::MemoryBlockstore;
+    use fi_store::{MemoryBlockstore, StoreError};
 
     const CLIENT: AccountId = AccountId(900);
     const PROVIDER: AccountId = AccountId(700);
@@ -1465,65 +1193,113 @@ mod tests {
         engine
     }
 
-    /// Decodes the sections every format opens with, up to the first one
-    /// that differs, and returns the counters.
-    fn skip_head(d: &mut Dec<'_>) -> (ProtocolParams, Counters) {
-        let params = dec_params(d).expect("params");
-        dec_chain(d, &params).expect("chain");
-        dec_ledger(d).expect("ledger");
-        let counters = dec_counters(d).expect("counters");
-        dec_all_stats(d, params.shards).expect("stats");
-        (params, counters)
+    /// The keyed sections of a full snapshot, in payload order: each is a
+    /// row count, then rows in strictly ascending key order.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Rows {
+        Ledger,
+        Files,
+        Alloc,
+        Discard,
+        Sectors,
+        Cr,
+        Replicas,
+        /// The pairs of the replica index's first sector.
+        ReplicaSet,
     }
 
-    fn skip_tasks(d: &mut Dec<'_>, params: &ProtocolParams, counters: &Counters) {
-        let mut wheels = ShardedState::new(params.shards, params.scheduler, params.block_interval);
-        dec_tasks(d, counters.task_seq, &mut wheels).expect("tasks");
-    }
-
-    /// `snapshot` re-sealed with the first row of table `table` (payload
-    /// order: files, alloc rows, discard reasons, sectors, CR) written
-    /// twice and the table's row count raised to match.
-    fn with_first_row_twice(snapshot: &[u8], table: usize) -> Vec<u8> {
-        let body = &snapshot[..snapshot.len() - HASH_LEN];
-        let payload = MAGIC.len() + 2;
-        let mut d = Dec {
-            bytes: &body[payload..],
-            pos: 0,
-        };
-        let (params, counters) = skip_head(&mut d);
-        let skip_row = |d: &mut Dec<'_>, table: usize| match table {
-            0 => drop(d.take(85).expect("file row")),
-            1 => {
-                d.take(12).expect("alloc key");
-                for _ in 0..3 {
-                    d.opt_u64().expect("alloc row");
+    /// Reads one row of `rows` through the shared decoders.
+    fn skip_row(d: &mut Dec<'_>, rows: Rows) -> Result<(), DecError> {
+        match rows {
+            Rows::Ledger => {
+                d.u64()?;
+                d.u128()?;
+            }
+            Rows::Files => {
+                statemap::get_file(d)?;
+            }
+            Rows::Alloc => {
+                statemap::dec_key_alloc(d.take(12)?)?;
+                statemap::get_alloc_entry(d)?;
+            }
+            Rows::Discard => {
+                statemap::dec_key_id(d.take(8)?, "discard key")?;
+                statemap::get_reason(d)?;
+            }
+            Rows::Sectors => {
+                statemap::get_sector(d)?;
+            }
+            Rows::Cr => {
+                statemap::dec_key_id(d.take(8)?, "cr key")?;
+                statemap::get_cr(d)?;
+            }
+            Rows::Replicas => {
+                d.u64()?;
+                for _ in 0..d.len()? {
+                    skip_row(d, Rows::ReplicaSet)?;
                 }
-                d.u8().expect("alloc state");
             }
-            2 => drop(d.take(9).expect("reason row")),
-            3 => drop(d.take(54).expect("sector row")),
-            _ => drop(d.take(48).expect("cr row")),
-        };
-        for earlier in 0..table {
-            for _ in 0..d.len().expect("row count") {
-                skip_row(&mut d, earlier);
-            }
-            if earlier == 2 {
-                skip_tasks(&mut d, &params, &counters);
+            Rows::ReplicaSet => {
+                d.u64()?;
+                d.u32()?;
             }
         }
-        let count_at = payload + d.pos;
-        let rows = d.len().expect("row count");
-        assert!(rows >= 1, "table {table} is empty");
-        let row_at = payload + d.pos;
-        skip_row(&mut d, table);
-        let row_end = payload + d.pos;
+        Ok(())
+    }
 
-        let mut out = body[..count_at].to_vec();
-        out.extend_from_slice(&(rows as u64 + 1).to_be_bytes());
-        out.extend_from_slice(&body[row_at..row_end]);
-        out.extend_from_slice(&body[row_at..]);
+    /// Reads a full snapshot's payload up to the row count of `rows`.
+    fn skip_to(d: &mut Dec<'_>, rows: Rows) {
+        let params = dec_params(d).expect("params");
+        dec_chain(d, &params).expect("chain");
+        if rows == Rows::Ledger {
+            return;
+        }
+        dec_ledger(d).expect("ledger");
+        let counters = dec_counters(d).expect("counters");
+        let (_, mut shards) = dec_all_stats(d, &params).expect("stats");
+        for table in [
+            Rows::Files,
+            Rows::Alloc,
+            Rows::Discard,
+            Rows::Sectors,
+            Rows::Cr,
+        ] {
+            if table == rows {
+                return;
+            }
+            for _ in 0..d.len().expect("row count") {
+                skip_row(d, table).expect("row");
+            }
+            if table == Rows::Discard {
+                dec_tasks(d, counters.task_seq, &mut shards).expect("tasks");
+            }
+        }
+        if rows == Rows::ReplicaSet {
+            d.len().expect("sector count");
+            d.u64().expect("first sector");
+        }
+    }
+
+    /// `snapshot` re-sealed with the first row of `rows` written twice and
+    /// the row count raised to match.
+    fn with_first_row_twice(snapshot: &[u8], rows: Rows) -> Vec<u8> {
+        let body = &snapshot[..snapshot.len() - HASH_LEN];
+        let (head, payload) = body.split_at(MAGIC.len() + 2);
+        let mut d = Dec::new(payload);
+        let ((), before) = d
+            .with_bytes(|d| {
+                skip_to(d, rows);
+                Ok::<_, DecError>(())
+            })
+            .unwrap();
+        let n = d.len().expect("row count");
+        assert!(n >= 1, "{rows:?} is empty");
+        let ((), row) = d.with_bytes(|d| skip_row(d, rows)).expect("first row");
+
+        let mut out = [head, before].concat();
+        out.extend_from_slice(&(n as u64 + 1).to_be_bytes());
+        out.extend_from_slice(row);
+        out.extend_from_slice(&payload[before.len() + 8..]);
         let seal = sha256(&out);
         out.extend_from_slice(seal.as_bytes());
         out
@@ -1533,18 +1309,21 @@ mod tests {
     fn restore_rejects_a_repeated_row_in_every_table() {
         let snapshot = engine_with(12).snapshot_save();
         Engine::snapshot_restore(&snapshot).expect("the honest snapshot restores");
-        let tables = [
-            "file ids out of order or duplicated",
-            "allocation rows out of order or duplicated",
-            "discard reasons out of order or duplicated",
-            "sector ids out of order or duplicated",
-            "CR rows out of order or duplicated",
+        let cases = [
+            (Rows::Ledger, "ledger accounts out of order or duplicated"),
+            (Rows::Files, "file ids out of order or duplicated"),
+            (Rows::Alloc, "allocation rows out of order or duplicated"),
+            (Rows::Discard, "discard reasons out of order or duplicated"),
+            (Rows::Sectors, "sector ids out of order or duplicated"),
+            (Rows::Cr, "CR rows out of order or duplicated"),
+            (Rows::Replicas, "replica index out of order or duplicated"),
+            (Rows::ReplicaSet, "replica set out of order or duplicated"),
         ];
-        for (table, what) in tables.into_iter().enumerate() {
+        for (rows, what) in cases {
             assert_eq!(
-                Engine::snapshot_restore(&with_first_row_twice(&snapshot, table)).err(),
+                Engine::snapshot_restore(&with_first_row_twice(&snapshot, rows)).err(),
                 Some(SnapshotError::Malformed(what)),
-                "table {table}"
+                "{rows:?}"
             );
         }
     }
@@ -1626,10 +1405,7 @@ mod tests {
     }
 
     fn parse_node(block: &[u8]) -> Vec<(u32, RawSlot)> {
-        let mut d = Dec {
-            bytes: block,
-            pos: 0,
-        };
+        let mut d = Dec::new(block);
         let bitmap = d.u32().expect("bitmap");
         let field = |d: &mut Dec<'_>| {
             let len = d.u32().expect("length") as usize;
@@ -1687,18 +1463,25 @@ mod tests {
             let base_root = d.hash().expect("base root");
             d.hash().expect("new root");
             let map_roots = [(); 5].map(|()| d.hash().expect("map root"));
-            let start = d.pos;
-            let (params, counters) = skip_head(&mut d);
-            skip_tasks(&mut d, &params, &counters);
-            dec_replicas(&mut d).expect("replicas");
-            dec_sampler(&mut d).expect("sampler");
-            dec_rng(&mut d).expect("rng");
-            dec_checkpoint(&mut d).expect("checkpoint");
-            let sections = d.bytes[start..d.pos].to_vec();
+            let ((), sections) = d
+                .with_bytes(|d| {
+                    let params = dec_params(d)?;
+                    dec_chain(d, &params)?;
+                    dec_ledger(d)?;
+                    let counters = dec_counters(d)?;
+                    let (_, mut shards) = dec_all_stats(d, &params)?;
+                    dec_tasks(d, counters.task_seq, &mut shards)?;
+                    dec_replicas(d)?;
+                    dec_sampler(d)?;
+                    dec_rng(d)?;
+                    dec_checkpoint(d).map(drop)
+                })
+                .expect("non-map sections");
+            let sections = sections.to_vec();
             let nodes = [(); 5].map(|()| {
                 let n = d.len().expect("node count");
                 (0..n)
-                    .map(|_| (d.hash().expect("id"), d.bytes_vec().expect("block")))
+                    .map(|_| (d.hash().expect("id"), d.bytes().expect("block").to_vec()))
                     .collect()
             });
             assert!(d.done());

@@ -12,7 +12,8 @@
 //! * leaf codecs — deterministic big-endian encodings of the five
 //!   consensus-visible value types (file descriptors, alloc rows,
 //!   discard reasons, sectors, DRep accounting), the byte language of
-//!   the HAMT leaves and of [`StateProof`](super::StateProof) payloads.
+//!   the HAMT leaves, of [`StateProof`](super::StateProof) payloads and
+//!   of the snapshot's map tables.
 //! * [`StateMaps`] / [`CommitCell`] — the five engine-level HAMTs (one
 //!   per logical map, *not* per shard: a per-shard trie forest would bake
 //!   the shard count into the root) behind a mutex, so
@@ -29,7 +30,7 @@ use fi_chain::tasks::Time;
 use fi_crypto::{keyed_hash, Hash256};
 use fi_store::{Blockstore, DirtySubtree, Hamt, StoreError};
 
-use crate::codec::Enc;
+use crate::codec::{Dec, DecError, Enc};
 use crate::drep::CrAccounting;
 use crate::types::{
     AllocEntry, AllocState, FileDescriptor, FileId, FileState, RemovalReason, Sector, SectorId,
@@ -170,71 +171,11 @@ impl<K: Eq + Hash + Copy + Clone, V: Clone> Clone for TrackedMap<K, V> {
 // Leaf codecs
 // ----------------------------------------------------------------------
 //
-// Deterministic big-endian encodings written through the shared
-// `codec::Enc`, field order mirroring the FISNAPSH sections so the two
-// serializations stay trivially cross-checkable.
-// Decoders are defensive: HAMT leaves read from a store (or carried in a
-// proof) are untrusted bytes.
-
-/// A bounds-checked reader over untrusted leaf bytes.
-struct Leaf<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Leaf<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Leaf { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(StoreError::Corrupt("truncated state leaf"));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("4B")))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("8B")))
-    }
-
-    fn u128(&mut self) -> Result<u128, StoreError> {
-        Ok(u128::from_be_bytes(self.take(16)?.try_into().expect("16B")))
-    }
-
-    fn i64(&mut self) -> Result<i64, StoreError> {
-        Ok(i64::from_be_bytes(self.take(8)?.try_into().expect("8B")))
-    }
-
-    fn hash(&mut self) -> Result<Hash256, StoreError> {
-        Ok(Hash256::from_bytes(self.take(32)?.try_into().expect("32B")))
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, StoreError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            _ => Err(StoreError::Corrupt("option tag in state leaf")),
-        }
-    }
-
-    fn finish(&self) -> Result<(), StoreError> {
-        if self.pos != self.bytes.len() {
-            return Err(StoreError::Corrupt("trailing bytes in state leaf"));
-        }
-        Ok(())
-    }
-}
+// Each leaf type has a stream codec (`put_*` into an `Enc`, `get_*` out of
+// a `Dec`), which the snapshot tables use too, and whole-leaf wrappers
+// (`enc_*` / `dec_*`) for the tries. Decoders are defensive: HAMT leaves
+// read from a store, carried in a proof or shipped in a snapshot are
+// untrusted bytes, and a decoder accepts only bytes its encoder writes.
 
 /// HAMT key of a file-keyed map entry.
 pub(super) fn key_file(id: FileId) -> [u8; 8] {
@@ -256,23 +197,42 @@ pub(super) fn key_sector(id: SectorId) -> [u8; 8] {
 
 /// The id in an untrusted file- or sector-keyed map key ([`key_file`] /
 /// [`key_sector`] undone); `what` names the map in the error.
-pub(super) fn dec_key_id(key: &[u8], what: &'static str) -> Result<u64, StoreError> {
-    let key: [u8; 8] = key.try_into().map_err(|_| StoreError::Corrupt(what))?;
+pub(super) fn dec_key_id(key: &[u8], what: &'static str) -> Result<u64, DecError> {
+    let key: [u8; 8] = key.try_into().map_err(|_| DecError::Malformed(what))?;
     Ok(u64::from_be_bytes(key))
 }
 
 /// [`key_alloc`] undone, for an untrusted key.
-pub(super) fn dec_key_alloc(key: &[u8]) -> Result<(FileId, u32), StoreError> {
+pub(super) fn dec_key_alloc(key: &[u8]) -> Result<(FileId, u32), DecError> {
     let key: [u8; 12] = key
         .try_into()
-        .map_err(|_| StoreError::Corrupt("alloc key width"))?;
+        .map_err(|_| DecError::Malformed("alloc key width"))?;
     let file = u64::from_be_bytes(key[..8].try_into().expect("8B"));
     let index = u32::from_be_bytes(key[8..].try_into().expect("4B"));
     Ok((FileId(file), index))
 }
 
-pub(super) fn enc_file(f: &FileDescriptor) -> Vec<u8> {
-    let mut e = Enc::with_capacity(85);
+/// One whole leaf of `capacity` bytes, written by `put`.
+fn leaf(capacity: usize, put: impl FnOnce(&mut Enc)) -> Vec<u8> {
+    let mut e = Enc::with_capacity(capacity);
+    put(&mut e);
+    e.into_bytes()
+}
+
+/// One whole leaf read by `get`: bytes left over are corrupt.
+fn whole<'a, T>(
+    bytes: &'a [u8],
+    get: fn(&mut Dec<'a>) -> Result<T, DecError>,
+) -> Result<T, StoreError> {
+    let mut d = Dec::new(bytes);
+    let value = get(&mut d)?;
+    if !d.done() {
+        return Err(StoreError::Corrupt("trailing bytes in state leaf"));
+    }
+    Ok(value)
+}
+
+pub(super) fn put_file(e: &mut Enc, f: &FileDescriptor) {
     e.u64(f.id.0);
     e.u64(f.owner.0);
     e.u64(f.size);
@@ -285,81 +245,92 @@ pub(super) fn enc_file(f: &FileDescriptor) -> Vec<u8> {
         FileState::Normal => 1,
         FileState::Discarded => 2,
     });
-    e.into_bytes()
 }
 
-pub(super) fn dec_file(bytes: &[u8]) -> Result<FileDescriptor, StoreError> {
-    let mut l = Leaf::new(bytes);
-    let desc = FileDescriptor {
-        id: FileId(l.u64()?),
-        owner: AccountId(l.u64()?),
-        size: l.u64()?,
-        value: TokenAmount(l.u128()?),
-        merkle_root: l.hash()?,
-        cp: l.u32()?,
-        cntdown: l.i64()?,
-        state: match l.u8()? {
+pub(super) fn get_file(d: &mut Dec<'_>) -> Result<FileDescriptor, DecError> {
+    Ok(FileDescriptor {
+        id: FileId(d.u64()?),
+        owner: AccountId(d.u64()?),
+        size: d.u64()?,
+        value: TokenAmount(d.u128()?),
+        merkle_root: d.hash()?,
+        cp: d.u32()?,
+        cntdown: d.i64()?,
+        state: match d.u8()? {
             0 => FileState::Allocating,
             1 => FileState::Normal,
             2 => FileState::Discarded,
-            _ => return Err(StoreError::Corrupt("file state tag in state leaf")),
+            _ => return Err(DecError::Malformed("file state tag")),
         },
-    };
-    l.finish()?;
-    Ok(desc)
+    })
 }
 
-pub(super) fn enc_alloc_entry(e: &AllocEntry) -> Vec<u8> {
-    let mut out = Enc::with_capacity(28);
-    out.opt_u64(e.prev.map(|s| s.0));
-    out.opt_u64(e.next.map(|s| s.0));
-    out.opt_u64(e.last);
-    out.u8(match e.state {
+pub(super) fn enc_file(f: &FileDescriptor) -> Vec<u8> {
+    leaf(85, |e| put_file(e, f))
+}
+
+pub(super) fn dec_file(bytes: &[u8]) -> Result<FileDescriptor, StoreError> {
+    whole(bytes, get_file)
+}
+
+pub(super) fn put_alloc_entry(e: &mut Enc, entry: &AllocEntry) {
+    e.opt_u64(entry.prev.map(|s| s.0));
+    e.opt_u64(entry.next.map(|s| s.0));
+    e.opt_u64(entry.last);
+    e.u8(match entry.state {
         AllocState::Alloc => 0,
         AllocState::Confirm => 1,
         AllocState::Normal => 2,
         AllocState::Corrupted => 3,
     });
-    out.into_bytes()
 }
 
-pub(super) fn dec_alloc_entry(bytes: &[u8]) -> Result<AllocEntry, StoreError> {
-    let mut l = Leaf::new(bytes);
-    let entry = AllocEntry {
-        prev: l.opt_u64()?.map(SectorId),
-        next: l.opt_u64()?.map(SectorId),
-        last: l.opt_u64()?,
-        state: match l.u8()? {
+pub(super) fn get_alloc_entry(d: &mut Dec<'_>) -> Result<AllocEntry, DecError> {
+    Ok(AllocEntry {
+        prev: d.opt_u64()?.map(SectorId),
+        next: d.opt_u64()?.map(SectorId),
+        last: d.opt_u64()?,
+        state: match d.u8()? {
             0 => AllocState::Alloc,
             1 => AllocState::Confirm,
             2 => AllocState::Normal,
             3 => AllocState::Corrupted,
-            _ => return Err(StoreError::Corrupt("alloc state tag in state leaf")),
+            _ => return Err(DecError::Malformed("alloc state tag")),
         },
-    };
-    l.finish()?;
-    Ok(entry)
+    })
 }
 
-pub(super) fn enc_reason(r: RemovalReason) -> Vec<u8> {
-    vec![r.tag()]
+pub(super) fn enc_alloc_entry(entry: &AllocEntry) -> Vec<u8> {
+    leaf(28, |e| put_alloc_entry(e, entry))
 }
 
-pub(super) fn dec_reason(bytes: &[u8]) -> Result<RemovalReason, StoreError> {
-    let mut l = Leaf::new(bytes);
-    let reason = match l.u8()? {
+pub(super) fn dec_alloc_entry(bytes: &[u8]) -> Result<AllocEntry, StoreError> {
+    whole(bytes, get_alloc_entry)
+}
+
+pub(super) fn put_reason(e: &mut Enc, r: RemovalReason) {
+    e.u8(r.tag());
+}
+
+pub(super) fn get_reason(d: &mut Dec<'_>) -> Result<RemovalReason, DecError> {
+    Ok(match d.u8()? {
         0 => RemovalReason::ClientDiscard,
         1 => RemovalReason::InsufficientFunds,
         2 => RemovalReason::UploadFailed,
         3 => RemovalReason::Lost,
-        _ => return Err(StoreError::Corrupt("removal reason tag in state leaf")),
-    };
-    l.finish()?;
-    Ok(reason)
+        _ => return Err(DecError::Malformed("removal reason tag")),
+    })
 }
 
-pub(super) fn enc_sector(s: &Sector) -> Vec<u8> {
-    let mut e = Enc::with_capacity(54);
+pub(super) fn enc_reason(r: RemovalReason) -> Vec<u8> {
+    leaf(1, |e| put_reason(e, r))
+}
+
+pub(super) fn dec_reason(bytes: &[u8]) -> Result<RemovalReason, StoreError> {
+    whole(bytes, get_reason)
+}
+
+pub(super) fn put_sector(e: &mut Enc, s: &Sector) {
     e.u64(s.id.0);
     e.u64(s.owner.0);
     e.u64(s.capacity);
@@ -372,49 +343,52 @@ pub(super) fn enc_sector(s: &Sector) -> Vec<u8> {
     e.u128(s.deposit.0);
     e.u32(s.replica_count);
     e.bool(s.physically_failed);
-    e.into_bytes()
 }
 
-pub(super) fn dec_sector(bytes: &[u8]) -> Result<Sector, StoreError> {
-    let mut l = Leaf::new(bytes);
-    let id = SectorId(l.u64()?);
-    let sector = Sector {
-        id,
-        owner: AccountId(l.u64()?),
-        capacity: l.u64()?,
-        free_cap: l.u64()?,
-        state: match l.u8()? {
+pub(super) fn get_sector(d: &mut Dec<'_>) -> Result<Sector, DecError> {
+    Ok(Sector {
+        id: SectorId(d.u64()?),
+        owner: AccountId(d.u64()?),
+        capacity: d.u64()?,
+        free_cap: d.u64()?,
+        state: match d.u8()? {
             0 => SectorState::Normal,
             1 => SectorState::Disabled,
             2 => SectorState::Corrupted,
-            _ => return Err(StoreError::Corrupt("sector state tag in state leaf")),
+            _ => return Err(DecError::Malformed("sector state tag")),
         },
-        deposit: TokenAmount(l.u128()?),
-        replica_count: l.u32()?,
-        physically_failed: match l.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(StoreError::Corrupt("bool tag in state leaf")),
-        },
-    };
-    l.finish()?;
-    Ok(sector)
+        deposit: TokenAmount(d.u128()?),
+        replica_count: d.u32()?,
+        physically_failed: d.bool()?,
+    })
 }
 
-pub(super) fn enc_cr(acct: &CrAccounting) -> Vec<u8> {
+pub(super) fn enc_sector(s: &Sector) -> Vec<u8> {
+    leaf(54, |e| put_sector(e, s))
+}
+
+pub(super) fn dec_sector(bytes: &[u8]) -> Result<Sector, StoreError> {
+    whole(bytes, get_sector)
+}
+
+pub(super) fn put_cr(e: &mut Enc, acct: &CrAccounting) {
     let (capacity, cr_size, file_bytes, regenerated, discarded) = acct.snapshot_parts();
-    let mut e = Enc::with_capacity(40);
     for v in [capacity, cr_size, file_bytes, regenerated, discarded] {
         e.u64(v);
     }
-    e.into_bytes()
+}
+
+pub(super) fn get_cr(d: &mut Dec<'_>) -> Result<CrAccounting, DecError> {
+    let parts = (d.u64()?, d.u64()?, d.u64()?, d.u64()?, d.u64()?);
+    CrAccounting::from_parts(parts).map_err(DecError::Malformed)
+}
+
+pub(super) fn enc_cr(acct: &CrAccounting) -> Vec<u8> {
+    leaf(40, |e| put_cr(e, acct))
 }
 
 pub(super) fn dec_cr(bytes: &[u8]) -> Result<CrAccounting, StoreError> {
-    let mut l = Leaf::new(bytes);
-    let parts = (l.u64()?, l.u64()?, l.u64()?, l.u64()?, l.u64()?);
-    l.finish()?;
-    CrAccounting::from_parts(parts).map_err(StoreError::Corrupt)
+    whole(bytes, get_cr)
 }
 
 // ----------------------------------------------------------------------
@@ -706,6 +680,93 @@ mod tests {
             .map(|(i, &b)| if i < 8 { 0 } else { b })
             .collect::<Vec<_>>();
         assert!(dec_cr(&bad).is_err(), "cr_size > capacity rejected");
+
+        // Canonical bytes only, over random rows of every type: a snapshot
+        // keeps the bytes it was given as trie leaves, so any bytes a
+        // decoder accepts must be the ones its encoder writes.
+        let mut rng = fi_crypto::DetRng::from_seed_label(11, "leaf-codecs");
+        let sector_id = |rng: &mut fi_crypto::DetRng| match rng.below(2) {
+            0 => None,
+            _ => Some(SectorId(rng.next_u64())),
+        };
+        for _ in 0..16 {
+            let desc = FileDescriptor {
+                id: FileId(rng.next_u64()),
+                owner: AccountId(rng.next_u64()),
+                size: rng.next_u64(),
+                value: TokenAmount(u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64())),
+                merkle_root: fi_crypto::sha256(&rng.next_u64().to_be_bytes()),
+                cp: rng.next_u32(),
+                cntdown: rng.next_u64() as i64,
+                state: [
+                    FileState::Allocating,
+                    FileState::Normal,
+                    FileState::Discarded,
+                ][rng.index(3)],
+            };
+            assert_canonical(&enc_file(&desc), dec_file, enc_file);
+            let entry = AllocEntry {
+                prev: sector_id(&mut rng),
+                next: sector_id(&mut rng),
+                last: sector_id(&mut rng).map(|s| s.0),
+                state: [
+                    AllocState::Alloc,
+                    AllocState::Confirm,
+                    AllocState::Normal,
+                    AllocState::Corrupted,
+                ][rng.index(4)],
+            };
+            assert_canonical(&enc_alloc_entry(&entry), dec_alloc_entry, enc_alloc_entry);
+            let reason = dec_reason(&[rng.below(4) as u8]).unwrap();
+            assert_canonical(&enc_reason(reason), dec_reason, |r| enc_reason(*r));
+            let capacity = rng.next_u64();
+            let sector = Sector {
+                id: SectorId(rng.next_u64()),
+                owner: AccountId(rng.next_u64()),
+                capacity,
+                free_cap: rng.below(capacity),
+                state: [
+                    SectorState::Normal,
+                    SectorState::Disabled,
+                    SectorState::Corrupted,
+                ][rng.index(3)],
+                deposit: TokenAmount(u128::from(rng.next_u64())),
+                replica_count: rng.next_u32(),
+                physically_failed: rng.below(2) == 1,
+            };
+            assert_canonical(&enc_sector(&sector), dec_sector, enc_sector);
+            let cr_size = 1 + rng.below(capacity);
+            let parts = (
+                capacity,
+                cr_size,
+                rng.below(capacity),
+                rng.next_u64(),
+                rng.next_u64(),
+            );
+            let cr = CrAccounting::from_parts(parts).unwrap();
+            assert_canonical(&enc_cr(&cr), dec_cr, enc_cr);
+        }
+    }
+
+    /// `leaf` decodes to a value that encodes back to it, and so does
+    /// every truncation or single-bit flip of it that decodes at all.
+    fn assert_canonical<T>(
+        leaf: &[u8],
+        dec: fn(&[u8]) -> Result<T, StoreError>,
+        enc: impl Fn(&T) -> Vec<u8>,
+    ) {
+        assert_eq!(enc(&dec(leaf).expect("an honest leaf decodes")), leaf);
+        let flips = (0..leaf.len() * 8).map(|bit| {
+            let mut flipped = leaf.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            flipped
+        });
+        let cuts = (0..leaf.len()).map(|len| leaf[..len].to_vec());
+        for damaged in cuts.chain(flips) {
+            if let Ok(value) = dec(&damaged) {
+                assert_eq!(enc(&value), damaged, "accepted non-canonical bytes");
+            }
+        }
     }
 
     #[test]
@@ -718,7 +779,7 @@ mod tests {
         // And back, with typed errors for keys of the wrong width.
         assert_eq!(dec_key_id(&key_file(FileId(0x0102)), "w"), Ok(0x0102));
         assert_eq!(dec_key_alloc(&k), Ok((FileId(1), 2)));
-        assert_eq!(dec_key_id(&k, "w"), Err(StoreError::Corrupt("w")));
+        assert_eq!(dec_key_id(&k, "w"), Err(DecError::Malformed("w")));
         assert!(dec_key_alloc(&k[..8]).is_err());
     }
 }

@@ -8,6 +8,7 @@
 //! proofs) return this umbrella [`Error`]. `From` impls make `?`
 //! conversion seamless in both directions of the layering.
 
+use crate::codec::DecError;
 use crate::engine::{EngineError, SnapshotError};
 use crate::params::ParamError;
 use fi_store::StoreError;
@@ -62,6 +63,12 @@ impl From<EngineError> for Error {
 impl From<SnapshotError> for Error {
     fn from(e: SnapshotError) -> Self {
         Error::Snapshot(e)
+    }
+}
+
+impl From<DecError> for Error {
+    fn from(e: DecError) -> Self {
+        Error::Snapshot(e.into())
     }
 }
 

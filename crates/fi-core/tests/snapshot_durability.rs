@@ -293,3 +293,26 @@ fn snapshots_from_the_debug_text_encoding_are_refused() {
     assert!(Engine::snapshot_restore(&full).is_ok());
     assert!(Engine::snapshot_restore_delta(&delta, &base).is_ok());
 }
+
+/// The sha256 of one full snapshot and of one delta of a fixed engine.
+/// Any change to either byte layout moves these and must come with a
+/// `FISNAPSH` / `FIDELTA1` version bump.
+#[test]
+fn snapshot_bytes_match_their_golden_digests() {
+    let mut live = Engine::new(snap_params(2)).expect("valid params");
+    drive_workload(&mut live, 59, 40);
+    let base_roots = live.state_roots();
+    drive_workload(&mut live, 60, 15);
+    let full = live.snapshot_save();
+    let delta = live.snapshot_delta(&base_roots).expect("delta");
+    assert_eq!(
+        sha256(&full).to_hex(),
+        "09f68d81f302cd989fc0ad41402e36e6b49d6d06dc385b2ba5c9a64e57638bc1",
+        "FISNAPSH bytes"
+    );
+    assert_eq!(
+        sha256(&delta).to_hex(),
+        "27b15459fd59940308700f021c92536572bffb0a959790b9f7d6df3ef20320c5",
+        "FIDELTA1 bytes"
+    );
+}
