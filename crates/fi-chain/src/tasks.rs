@@ -353,32 +353,6 @@ impl<T> Scheduler<T> {
     }
 }
 
-// ----------------------------------------------------------------------
-// Sharded drain: one scheduler per shard, popped as per-shard slices
-// ----------------------------------------------------------------------
-
-/// Earliest scheduled time across a set of per-shard schedulers — the
-/// sharded counterpart of [`Scheduler::next_time`]. Because sharding only
-/// partitions the task population, this equals what a single scheduler
-/// holding every task would report.
-pub fn next_time_across<T>(shards: &[Scheduler<T>]) -> Option<Time> {
-    shards.iter().filter_map(Scheduler::next_time).min()
-}
-
-/// Pops every task due at or before `now` from each scheduler, yielding
-/// one slice per shard (each in that shard's `(time, insertion)` order).
-///
-/// This is the standalone form of the bucket-drain contract the engine's
-/// sharded audit relies on (its shards embed one wheel each and drain
-/// them the same way): the slices can be verified concurrently (they
-/// partition disjoint state), then merged back into a single
-/// deterministic commit order by a shard-independent key the caller
-/// embedded in `T` (the engine uses a global schedule sequence number) —
-/// the randomized merge-equivalence test below pins that contract.
-pub fn pop_due_across<T>(shards: &mut [Scheduler<T>], now: Time) -> Vec<Vec<(Time, T)>> {
-    shards.iter_mut().map(|s| s.pop_due(now)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,50 +567,6 @@ mod tests {
             assert_eq!(wheel.pop_due(u64::MAX / 2), list.pop_due(u64::MAX / 2));
             assert!(wheel.is_empty() && list.is_empty());
         }
-    }
-
-    /// Tasks spread round-robin over per-shard schedulers and tagged with a
-    /// global sequence number must, after a sharded drain + merge on
-    /// `(time, seq)`, reproduce exactly what one scheduler holding the whole
-    /// population pops — the invariant the engine's sharded commit phase
-    /// relies on.
-    #[test]
-    fn sharded_drain_merged_by_seq_matches_single_scheduler() {
-        for kind in [SchedulerKind::Wheel, SchedulerKind::BTree] {
-            for seed in 0..32u64 {
-                let mut rng = fi_crypto::DetRng::from_seed_label(seed, "shard-drain");
-                let nshards = 1 + rng.below(7) as usize;
-                let mut shards: Vec<Scheduler<(u64, u64)>> =
-                    (0..nshards).map(|_| Scheduler::new(kind, 10)).collect();
-                let mut single: Scheduler<(u64, u64)> = Scheduler::new(kind, 10);
-                let mut clock = 0u64;
-                let mut seq = 0u64;
-                for _ in 0..150 {
-                    if rng.below(3) < 2 {
-                        let t = clock + rng.below(90);
-                        let task = rng.below(1000);
-                        shards[(task % nshards as u64) as usize].schedule(t, (seq, task));
-                        single.schedule(t, (seq, task));
-                        seq += 1;
-                    } else {
-                        clock += rng.below(35);
-                        assert_eq!(next_time_across(&shards), single.next_time(), "seed {seed}");
-                        let slices = pop_due_across(&mut shards, clock);
-                        let mut merged: Vec<(Time, (u64, u64))> =
-                            slices.into_iter().flatten().collect();
-                        merged.sort_by_key(|&(t, (s, _))| (t, s));
-                        assert_eq!(merged, single.pop_due(clock), "seed {seed}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_drain_empty_set() {
-        let mut shards: Vec<Scheduler<u32>> = Vec::new();
-        assert_eq!(next_time_across(&shards), None);
-        assert!(pop_due_across(&mut shards, 100).is_empty());
     }
 
     #[test]

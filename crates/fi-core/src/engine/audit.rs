@@ -12,12 +12,12 @@
 //! ([`Engine::verify_bucket`]) cryptographically checks the storage proofs
 //! on record for a popped bucket — a modeled Merkle path walk per audited
 //! replica, the simulated WindowPoSt verification cost. It reads only the
-//! task's shard (files + alloc rows) and the parameters, so a bucket's
-//! slices verify concurrently on the engine's persistent worker pool. The
-//! **commit** phase (the `auto_*` handlers below) then runs in canonical
-//! `(time, schedule-seq)` order, folding each audit digest into the
-//! engine's `audit_root` before applying rent, punishments and refreshes —
-//! bit-identical to a 1-shard engine.
+//! audited file's rows and the parameters, so contiguous ranges of a
+//! bucket's audit tasks verify concurrently on the engine's persistent
+//! worker pool. The **commit** phase (the `auto_*` handlers below) then
+//! runs in the pending list's `(time, schedule-seq)` pop order, folding
+//! each audit digest into the engine's `audit_root` before applying rent,
+//! punishments and refreshes — bit-identical to a 1-shard engine.
 //!
 //! On large multi-shard buckets the commit phase itself is parallelized
 //! ([`Engine::commit_bucket_batched`]): a read-only **plan** phase fans
@@ -36,14 +36,14 @@
 //! differential tests in `tests/parallel_commit.rs` pin both strategies
 //! to bit-identical `state_root`/`audit_root`/event streams.
 //!
-//! Inside one slice, [`verify_slice`] batches the work: every audited
+//! Inside one range, [`verify_audits`] batches the work: every audited
 //! replica becomes a *lane*, and all lanes walk their authentication paths
 //! in lockstep through the fused path-walk kernel
 //! ([`fi_crypto::KeyedDomain::walk_paths`], shared with `File_Prove`
 //! staging through [`walk_replicas`]). A single path walk is an inherently
 //! sequential hash chain, but independent paths are not — the walker
 //! carries 16 (AVX-512) lanes, or 2 interleaved SHA-NI streams, through
-//! all their levels in registers. Slices of every size take this path;
+//! all their levels in registers. Ranges of every size take this path;
 //! the per-task walk on plain [`fi_crypto::keyed_hash`] (`verify_check_proof`) is the
 //! test oracle the differential test pins it against bit for bit.
 
@@ -58,11 +58,11 @@ use crate::types::{
     AllocState, FileId, FileState, ProtocolEvent, RemovalReason, Sector, SectorId, SectorState,
 };
 
-use super::pool::JobBatch;
-use super::shard::{Shard, ShardSlice, ShardedState};
+use super::pool::fan_out;
+use super::shard::{Shard, ShardedState};
 use super::statemap::TrackedMap;
 use super::{
-    Engine, Task, COMPENSATION_POOL, DEPOSIT_ESCROW, PARALLEL_FANOUT_MIN_ITEMS, RENT_POOL,
+    Engine, SeqTask, Task, COMPENSATION_POOL, DEPOSIT_ESCROW, PARALLEL_FANOUT_MIN_ITEMS, RENT_POOL,
     TRAFFIC_ESCROW,
 };
 
@@ -80,75 +80,30 @@ pub(super) struct ProofAudit {
 
 impl Engine {
     // ------------------------------------------------------------------
-    // Verify phase (read-only, parallel across shards)
+    // Verify phase (read-only, parallel across audit tasks)
     // ------------------------------------------------------------------
 
     /// Audits every `Auto_CheckProof` task in a popped bucket, one verdict
-    /// slot per popped task (non-audit tasks get `None`). Each shard's
-    /// slice touches only that shard's state, so large buckets fan out
-    /// across the persistent worker pool.
-    pub(super) fn verify_bucket(
-        &self,
-        slices: &[ShardSlice],
-        now: Time,
-    ) -> Vec<Vec<Option<ProofAudit>>> {
-        let path_len = self.params.audit_path_len;
-        let shards = &self.shards.shards;
-        // Count audit tasks only when fan-out is even possible: the
-        // single-shard engine (the default) skips this per-bucket scan on
-        // the hot `advance_to` path.
-        let audit_tasks = || -> usize {
-            slices
-                .iter()
-                .map(|slice| {
-                    slice
-                        .iter()
-                        .filter(|(_, (_, task))| matches!(task, Task::CheckProof(_)))
-                        .count()
-                })
-                .sum()
-        };
-        if shards.len() > 1 && audit_tasks() >= PARALLEL_FANOUT_MIN_ITEMS {
-            // Shards are chunked over at most the pool's worker count — a
-            // 256-shard engine on a 4-core host gets 4 jobs of 64 shards
-            // each, not 256 one-audit jobs. Chunks are contiguous and
-            // rejoined in order, so the output is the same per-shard Vec
-            // the inline path produces.
-            let pairs: Vec<(&Shard, &ShardSlice)> = shards.iter().zip(slices.iter()).collect();
-            let pool = self.pool();
-            let workers = pool.workers().clamp(1, pairs.len());
-            let chunk_len = pairs.len().div_ceil(workers);
-            let chunks: Vec<&[(&Shard, &ShardSlice)]> = pairs.chunks(chunk_len).collect();
-            let mut chunk_out: Vec<Vec<Vec<Option<ProofAudit>>>> =
-                chunks.iter().map(|_| Vec::new()).collect();
-            let jobs: JobBatch<'_> = chunks
-                .into_iter()
-                .zip(chunk_out.iter_mut())
-                .map(|(group, slot)| {
-                    Box::new(move || {
-                        *slot = group
-                            .iter()
-                            .map(|(shard, slice)| verify_slice(shard, slice, now, path_len))
-                            .collect();
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run(jobs);
-            chunk_out.into_iter().flatten().collect()
-        } else {
-            shards
-                .iter()
-                .zip(slices.iter())
-                .map(|(shard, slice)| verify_slice(shard, slice, now, path_len))
-                .collect()
-        }
+    /// per audit task, in bucket order. Audits are independent per (file,
+    /// replica), so a large bucket on a multi-shard engine splits its
+    /// audit tasks into contiguous ranges verified across the worker pool.
+    pub(super) fn verify_bucket(&self, bucket: &[(Time, SeqTask)], now: Time) -> Vec<ProofAudit> {
+        let files: Vec<FileId> = bucket
+            .iter()
+            .filter_map(|(_, (_, t))| t.audited())
+            .collect();
+        let parallel = self.shards.shards.len() > 1 && files.len() >= PARALLEL_FANOUT_MIN_ITEMS;
+        let (shards, path_len) = (&self.shards, self.params.audit_path_len);
+        fan_out(self.pool_for(parallel).as_deref(), files, |files| {
+            verify_audits(shards, &files, now, path_len)
+        })
     }
 
     // ------------------------------------------------------------------
     // Batched commit phase (plan in parallel, apply validated)
     // ------------------------------------------------------------------
 
-    /// Commits a merged, canonically ordered bucket through the batched
+    /// Commits a popped, canonically ordered bucket through the batched
     /// strategy: a read-only plan phase fans the `Auto_CheckProof` tasks
     /// across the worker pool, then a serial walk applies each task in
     /// the exact `(time, schedule-seq)` order the sequential fold uses —
@@ -185,22 +140,25 @@ impl Engine {
     pub(super) fn commit_bucket_batched(
         &mut self,
         now: Time,
-        batch: Vec<(Time, u64, Task, Option<ProofAudit>)>,
+        batch: Vec<(Task, Option<ProofAudit>)>,
     ) {
-        let plans = self.plan_bucket(now, &batch);
+        let mut plans = self.plan_bucket(now, &batch).into_iter();
         let shard_count = self.shards.shards.len();
-        let mut pending: Vec<Vec<(FileId, i64)>> = vec![Vec::new(); shard_count];
+        let mut deferred: Vec<Vec<(FileId, i64)>> = vec![Vec::new(); shard_count];
         let mut mutated_sectors: HashSet<SectorId> = HashSet::new();
         let mut mutated_files: HashSet<FileId> = HashSet::new();
-        for ((_, _, task, audit), plan) in batch.into_iter().zip(plans) {
+        for (task, audit) in batch {
+            let plan = task
+                .audited()
+                .map(|_| plans.next().expect("one plan per audit task"));
             let fast = plan
                 .as_ref()
                 .is_some_and(|p| self.plan_valid(p, &mutated_sectors, &mutated_files));
             if fast {
                 let plan = plan.expect("checked above");
-                self.apply_check_proof_plan(now, plan, audit, &mut mutated_sectors, &mut pending);
+                self.apply_check_proof_plan(now, plan, audit, &mut mutated_sectors, &mut deferred);
             } else {
-                self.flush_cntdown_writes(&mut pending);
+                self.flush_cntdown_writes(&mut deferred);
                 note_fallback_footprint(
                     &self.shards,
                     &task,
@@ -210,64 +168,21 @@ impl Engine {
                 self.execute(task, audit);
             }
         }
-        self.flush_cntdown_writes(&mut pending);
+        self.flush_cntdown_writes(&mut deferred);
     }
 
     /// The read-only plan phase: one [`CheckProofPlan`] per
-    /// `Auto_CheckProof` task (other tasks get `None`), computed across
-    /// the worker pool. Each plan touches only its file's shard, the
-    /// sector table, the ledger and the parameters — all immutable here.
-    fn plan_bucket(
-        &self,
-        now: Time,
-        batch: &[(Time, u64, Task, Option<ProofAudit>)],
-    ) -> Vec<Option<CheckProofPlan>> {
-        let mut plans: Vec<Option<CheckProofPlan>> = batch.iter().map(|_| None).collect();
-        let audits: Vec<usize> = batch
-            .iter()
-            .enumerate()
-            .filter_map(|(i, (_, _, task, _))| matches!(task, Task::CheckProof(_)).then_some(i))
-            .collect();
-        if audits.is_empty() {
-            return plans;
-        }
-        let pool = self.pool();
-        let workers = pool.workers().clamp(1, audits.len());
-        let chunk_len = audits.len().div_ceil(workers);
-        let shards = &self.shards;
-        let sectors = &self.sectors;
-        let ledger = &self.ledger;
-        let params = &self.params;
-
-        let chunks: Vec<&[usize]> = audits.chunks(chunk_len).collect();
-        let mut chunk_out: Vec<Vec<(usize, CheckProofPlan)>> =
-            chunks.iter().map(|_| Vec::new()).collect();
-        let jobs: JobBatch<'_> = chunks
-            .into_iter()
-            .zip(chunk_out.iter_mut())
-            .map(|(idxs, slot)| {
-                Box::new(move || {
-                    *slot = idxs
-                        .iter()
-                        .map(|&i| {
-                            let Task::CheckProof(f) = batch[i].2 else {
-                                unreachable!("filtered to CheckProof above")
-                            };
-                            let plan =
-                                plan_check_proof(shards.shard(f), sectors, ledger, params, f, now);
-                            (i, plan)
-                        })
-                        .collect();
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run(jobs);
-        for chunk in chunk_out {
-            for (i, plan) in chunk {
-                plans[i] = Some(plan);
-            }
-        }
-        plans
+    /// `Auto_CheckProof` task, in bucket order, computed across the worker
+    /// pool. Each plan touches only its file's shard, the sector table,
+    /// the ledger and the parameters — all immutable here.
+    fn plan_bucket(&self, now: Time, batch: &[(Task, Option<ProofAudit>)]) -> Vec<CheckProofPlan> {
+        let files: Vec<FileId> = batch.iter().filter_map(|(t, _)| t.audited()).collect();
+        let (shards, sectors, ledger, params) =
+            (&self.shards, &self.sectors, &self.ledger, &self.params);
+        fan_out(self.pool_for(true).as_deref(), files, |files| {
+            let plan = |f| plan_check_proof(shards.shard(f), sectors, ledger, params, f, now);
+            files.into_iter().map(plan).collect()
+        })
     }
 
     /// Whether a plan's assumptions still hold at its turn in the serial
@@ -304,7 +219,7 @@ impl Engine {
         plan: CheckProofPlan,
         audit: Option<ProofAudit>,
         mutated_sectors: &mut HashSet<SectorId>,
-        pending: &mut [Vec<(FileId, i64)>],
+        deferred: &mut [Vec<(FileId, i64)>],
     ) {
         let file = plan.file;
         if let Some(a) = &audit {
@@ -331,7 +246,7 @@ impl Engine {
                     mutated_sectors.insert(holder);
                 }
                 self.schedule_task(now + self.params.proof_cycle, Task::CheckProof(file));
-                pending[self.shards.shard_of(file)].push((file, new_cntdown));
+                deferred[self.shards.shard_of(file)].push((file, new_cntdown));
             }
             PlanKind::Sequential => unreachable!("plan_valid rejects Sequential"),
         }
@@ -340,44 +255,34 @@ impl Engine {
     }
 
     /// Flushes the deferred per-shard `cntdown` write batches — through
-    /// the pool when large enough to pay for the dispatch (each job owns
-    /// one shard's file table, so the writes are disjoint by
-    /// construction), inline otherwise.
-    fn flush_cntdown_writes(&mut self, pending: &mut [Vec<(FileId, i64)>]) {
-        let total: usize = pending.iter().map(Vec::len).sum();
+    /// the pool when large enough to pay for the dispatch (each shard's
+    /// batch writes only that shard's file table, so the writes are
+    /// disjoint by construction), inline otherwise.
+    fn flush_cntdown_writes(&mut self, deferred: &mut [Vec<(FileId, i64)>]) {
+        let total: usize = deferred.iter().map(Vec::len).sum();
         if total == 0 {
             return;
         }
-        if total >= PARALLEL_FANOUT_MIN_ITEMS {
-            let pool = self.pool();
-            let mut jobs: JobBatch<'_> = Vec::new();
-            for (shard, writes) in self.shards.shards.iter_mut().zip(pending.iter_mut()) {
-                if writes.is_empty() {
-                    continue;
-                }
-                let writes = std::mem::take(writes);
-                jobs.push(Box::new(move || {
-                    for (file, cntdown) in writes {
-                        shard
-                            .files
-                            .get_mut(&file)
-                            .expect("deferred cntdown write targets a live file")
-                            .cntdown = cntdown;
-                    }
-                }));
-            }
-            pool.run(jobs);
-        } else {
-            for (idx, writes) in pending.iter_mut().enumerate() {
-                for (file, cntdown) in std::mem::take(writes) {
-                    self.shards.shards[idx]
+        let pool = self.pool_for(total >= PARALLEL_FANOUT_MIN_ITEMS);
+        let batches: Vec<(&mut Shard, Vec<(FileId, i64)>)> = self
+            .shards
+            .shards
+            .iter_mut()
+            .zip(deferred.iter_mut().map(std::mem::take))
+            .filter(|(_, writes)| !writes.is_empty())
+            .collect();
+        let _: Vec<()> = fan_out(pool.as_deref(), batches, |batches| {
+            for (shard, writes) in batches {
+                for (file, cntdown) in writes {
+                    shard
                         .files
                         .get_mut(&file)
                         .expect("deferred cntdown write targets a live file")
                         .cntdown = cntdown;
                 }
             }
-        }
+            Vec::new()
+        });
     }
 
     // ------------------------------------------------------------------
@@ -990,7 +895,7 @@ pub(super) type ReplicaLane = (Hash256, [u8; 4], [u8; 8]);
 
 /// Lanes whose leaves are derived per `hash_many` sweep: bounds the
 /// sweep's message and block buffers (~250 B a lane) to about 1 MiB however
-/// many replicas a slice audits. The walk itself needs no tiling — it holds
+/// many replicas a range audits. The walk itself needs no tiling — it holds
 /// a register group of lanes at a time.
 const LEAF_TILE: usize = 4096;
 
@@ -1027,35 +932,26 @@ pub(super) fn walk_replicas(
     nodes
 }
 
-/// Verifies the storage proofs on record for every `Auto_CheckProof` task
-/// in one shard's slice. Pure and shard-local: it reads the shard's file
-/// descriptors and allocation rows, nothing else.
+/// Verifies the storage proofs on record for the audited `files`, one
+/// verdict per file, in order. Pure: it reads the files' descriptors and
+/// allocation rows, nothing else.
 ///
 /// For each replica with a proof on record (a `last` timestamp and a
 /// non-corrupted entry) the challenged leaf is derived from the file's
 /// Merkle commitment and the proof timestamp and walked up a
 /// `path_len`-node authentication path; the walked nodes fold in replica
-/// order into one per-task commitment. All replicas of the slice walk as
+/// order into one per-task commitment. All replicas of `files` walk as
 /// lockstep lanes ([`walk_replicas`]).
-fn verify_slice(
-    shard: &Shard,
-    slice: &ShardSlice,
+fn verify_audits(
+    shards: &ShardedState,
+    files: &[FileId],
     now: Time,
     path_len: u32,
-) -> Vec<Option<ProofAudit>> {
-    let tasks: Vec<(usize, FileId)> = slice
-        .iter()
-        .enumerate()
-        .filter_map(|(slot, (_, (_, task)))| match task {
-            Task::CheckProof(f) => Some((slot, *f)),
-            _ => None,
-        })
-        .collect();
-    let mut out: Vec<Option<ProofAudit>> = vec![None; slice.len()];
+) -> Vec<ProofAudit> {
     let now_be = now.to_be_bytes();
 
     // Phase 0: the per-task base digest, one lane per audit task.
-    let file_bes: Vec<[u8; 8]> = tasks.iter().map(|(_, f)| f.0.to_be_bytes()).collect();
+    let file_bes: Vec<[u8; 8]> = files.iter().map(|f| f.0.to_be_bytes()).collect();
     let task_lanes: Vec<[&[u8]; 2]> = file_bes
         .iter()
         .map(|fb| [fb.as_slice(), now_be.as_slice()])
@@ -1066,15 +962,15 @@ fn verify_slice(
     // Phase 1: collect one lane per replica with a proof on record,
     // task-major so the phase-3 folds replay each task's replicas in
     // replica order — the exact fold sequence of the per-task walk.
-    let mut replicas_checked = vec![0u64; tasks.len()];
+    let mut replicas_checked = vec![0u64; files.len()];
     let mut lane_tasks: Vec<usize> = Vec::new();
     let mut lanes: Vec<ReplicaLane> = Vec::new();
-    for (t, &(_, file)) in tasks.iter().enumerate() {
-        let Some(desc) = shard.files.get(&file) else {
+    for (t, &file) in files.iter().enumerate() {
+        let Some(desc) = shards.file(file) else {
             continue;
         };
         for i in 0..desc.cp {
-            let Some(e) = shard.alloc.get(&(file, i)) else {
+            let Some(e) = shards.entry(file, i) else {
                 continue;
             };
             if e.state == AllocState::Corrupted {
@@ -1101,13 +997,14 @@ fn verify_slice(
     for (&t, node) in lane_tasks.iter().zip(&nodes) {
         digests[t] = fold.hash(&[digests[t].as_bytes(), node.as_bytes()]);
     }
-    for (t, &(slot, _)) in tasks.iter().enumerate() {
-        out[slot] = Some(ProofAudit {
-            digest: digests[t],
-            replicas_checked: replicas_checked[t],
-        });
-    }
-    out
+    digests
+        .into_iter()
+        .zip(replicas_checked)
+        .map(|(digest, replicas_checked)| ProofAudit {
+            digest,
+            replicas_checked,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1115,7 +1012,6 @@ mod tests {
     use super::*;
     use crate::types::{AllocEntry, FileDescriptor, FileState};
     use fi_chain::account::AccountId;
-    use fi_chain::tasks::SchedulerKind;
     use fi_crypto::keyed_hash;
 
     /// The differential oracle: the modeled WindowPoSt verification for one
@@ -1125,20 +1021,25 @@ mod tests {
     /// Merkle commitment and the proof timestamp, then walk a
     /// `path_len`-node authentication path. The digests fold in replica
     /// order into one per-task commitment.
-    fn verify_check_proof(shard: &Shard, file: FileId, now: Time, path_len: u32) -> ProofAudit {
+    fn verify_check_proof(
+        shards: &ShardedState,
+        file: FileId,
+        now: Time,
+        path_len: u32,
+    ) -> ProofAudit {
         let mut digest = keyed_hash(
             "fileinsurer/audit-task",
             &[&file.0.to_be_bytes(), &now.to_be_bytes()],
         );
         let mut replicas_checked = 0u64;
-        let Some(desc) = shard.files.get(&file) else {
+        let Some(desc) = shards.file(file) else {
             return ProofAudit {
                 digest,
                 replicas_checked,
             };
         };
         for i in 0..desc.cp {
-            let Some(e) = shard.alloc.get(&(file, i)) else {
+            let Some(e) = shards.entry(file, i) else {
                 continue;
             };
             if e.state == AllocState::Corrupted {
@@ -1172,27 +1073,25 @@ mod tests {
         }
     }
 
-    /// A shard with `files` synthetic descriptors mixing replica counts and
-    /// entry states: normal proofs on record, never-proved, corrupted, and
-    /// mid-transfer rows — every skip branch of the verifier.
-    fn synthetic_shard(files: u64) -> Shard {
-        let mut shard = Shard::new(SchedulerKind::Wheel, 1);
+    /// Three shards with `files` synthetic descriptors mixing replica
+    /// counts and entry states: normal proofs on record, never-proved,
+    /// corrupted, and mid-transfer rows — every skip branch of the
+    /// verifier.
+    fn synthetic_shards(files: u64) -> ShardedState {
+        let mut shards = ShardedState::new(3);
         for f in 0..files {
             let file = FileId(f);
             let cp = 1 + (f % 4) as u32;
-            shard.files.insert(
-                file,
-                FileDescriptor {
-                    id: file,
-                    owner: AccountId(1),
-                    size: 4,
-                    value: TokenAmount(1_000),
-                    merkle_root: keyed_hash("test/root", &[&f.to_be_bytes()]),
-                    cp,
-                    cntdown: 3,
-                    state: FileState::Normal,
-                },
-            );
+            shards.insert_file(FileDescriptor {
+                id: file,
+                owner: AccountId(1),
+                size: 4,
+                value: TokenAmount(1_000),
+                merkle_root: keyed_hash("test/root", &[&f.to_be_bytes()]),
+                cp,
+                cntdown: 3,
+                state: FileState::Normal,
+            });
             for i in 0..cp {
                 let entry = match (f + i as u64) % 4 {
                     0 => AllocEntry {
@@ -1220,44 +1119,38 @@ mod tests {
                         state: AllocState::Alloc,
                     },
                 };
-                shard.alloc.insert((file, i), entry);
+                shards.insert_entry(file, i, entry);
             }
         }
-        shard
+        shards
     }
 
     #[test]
     fn batched_verify_slice_matches_reference() {
-        let shard = synthetic_shard(40);
+        let shards = synthetic_shards(40);
         let now: Time = 1_000;
         let path_len = 16;
-        let whole: ShardSlice = (0..40u64)
-            .map(|f| {
-                let task = match f % 5 {
-                    // Non-audit tasks interleave and must stay `None`.
-                    4 => Task::CheckRefresh(FileId(f), 0),
-                    // One audited file that does not exist in the shard.
-                    _ if f == 33 => Task::CheckProof(FileId(f + 100)),
-                    _ => Task::CheckProof(FileId(f)),
-                };
-                (now, (f, task))
+        let whole: Vec<Task> = (0..40u64)
+            .map(|f| match f % 5 {
+                // Non-audit tasks interleave and get no verdict.
+                4 => Task::CheckRefresh(FileId(f), 0),
+                // One audited file that does not exist.
+                _ if f == 33 => Task::CheckProof(FileId(f + 100)),
+                _ => Task::CheckProof(FileId(f)),
             })
             .collect();
-        // Every slice size takes the lane walk: the empty slice, one task,
-        // and each lane count up to a few register groups.
+        // Every range size takes the lane walk: the empty range, one task,
+        // and each lane count up to a few register groups, across shards.
         for size in 0..=whole.len() {
-            let slice: ShardSlice = whole[..size].to_vec();
-            let got = verify_slice(&shard, &slice, now, path_len);
-            assert_eq!(got.len(), slice.len());
-            for (slot, (_, (_, task))) in slice.iter().enumerate() {
-                match task {
-                    Task::CheckProof(f) => assert_eq!(
-                        got[slot].as_ref(),
-                        Some(&verify_check_proof(&shard, *f, now, path_len)),
-                        "size {size} slot {slot}"
-                    ),
-                    _ => assert!(got[slot].is_none(), "size {size} slot {slot}"),
-                }
+            let files: Vec<FileId> = whole[..size].iter().filter_map(Task::audited).collect();
+            let got = verify_audits(&shards, &files, now, path_len);
+            assert_eq!(got.len(), files.len());
+            for (slot, (&f, audit)) in files.iter().zip(&got).enumerate() {
+                assert_eq!(
+                    audit,
+                    &verify_check_proof(&shards, f, now, path_len),
+                    "size {size} slot {slot}"
+                );
             }
         }
     }
@@ -1265,18 +1158,13 @@ mod tests {
     #[test]
     fn small_slice_reference_path_matches_batch_output_shape() {
         // A task's verdict does not depend on which other tasks share its
-        // slice, i.e. on which lanes its replicas walk in.
-        let shard = synthetic_shard(8);
+        // range, i.e. on which lanes its replicas walk in.
+        let shards = synthetic_shards(8);
         let now: Time = 77;
-        let small: ShardSlice = vec![
-            (now, (0, Task::CheckProof(FileId(2)))),
-            (now, (1, Task::CheckProof(FileId(5)))),
-        ];
-        let large: ShardSlice = (0..8u64)
-            .map(|f| (now, (f, Task::CheckProof(FileId(f)))))
-            .collect();
-        let small_out = verify_slice(&shard, &small, now, 8);
-        let large_out = verify_slice(&shard, &large, now, 8);
+        let small = [FileId(2), FileId(5)];
+        let large: Vec<FileId> = (0..8).map(FileId).collect();
+        let small_out = verify_audits(&shards, &small, now, 8);
+        let large_out = verify_audits(&shards, &large, now, 8);
         assert_eq!(small_out[0], large_out[2]);
         assert_eq!(small_out[1], large_out[5]);
     }

@@ -6,9 +6,9 @@
 //! writes are confined to one file's shard plus the ledger) separated by
 //! **barrier** ops (everything else: sector admin, `File_Add`'s
 //! sampler/rng draws, funds, fault injection, `AdvanceTo`). Each segment is
-//! staged concurrently — one worker per group of shards, up to
-//! [`ProtocolParams::ingest_threads`] — and then committed sequentially in
-//! the original submission order, so consensus state is bit-identical to
+//! staged concurrently — one worker per contiguous range of shards, one
+//! range per worker of the engine's pool — and then committed sequentially
+//! in the original submission order, so consensus state is bit-identical to
 //! feeding the same ops one by one through `Engine::apply`.
 //!
 //! Determinism rests on three pillars:
@@ -61,8 +61,7 @@ use crate::types::{
 };
 
 use super::audit::{walk_replicas, ReplicaLane};
-use super::lifecycle::FileAddPrestage;
-use super::pool::JobBatch;
+use super::pool::fan_out;
 use super::shard::Shard;
 use super::statemap::TrackedMap;
 use super::{Engine, EngineError, TRAFFIC_ESCROW};
@@ -736,124 +735,72 @@ impl Engine {
     }
 
     /// Stages a segment of shard-local ops concurrently: ops are grouped by
-    /// target shard, shard groups are chunked over up to
-    /// [`ProtocolParams::ingest_threads`] persistent pool workers, and each
-    /// worker executes its shards' ops in submission order against a
-    /// [`ShardOverlay`]. Pure with respect to the engine — all effects are
-    /// returned, none applied.
-    ///
-    /// The `File_Add` ops among `upcoming_barriers` (the barrier run that
-    /// ends this segment) have their pure halves pre-staged in the same
-    /// pool run — fee/validation/erasure-geometry work overlaps the shard
-    /// workers, and only the sampler/rng draws remain for the serialized
-    /// barrier commit. Returns one prestage slot per barrier op.
+    /// target shard, the occupied shards are cut into one contiguous range
+    /// per pool worker, and each worker executes its shards' ops in
+    /// submission order against a [`ShardOverlay`]. Pure with respect to
+    /// the engine — all effects are returned, none applied.
     ///
     /// `digests`, when given, holds `ops`' canonical digests; otherwise
     /// each worker hashes its own share.
-    pub(super) fn stage_segment(
-        &self,
-        ops: &[Op],
-        digests: Option<&[Hash256]>,
-        upcoming_barriers: &[Op],
-    ) -> (Vec<StagedOp>, Vec<Option<FileAddPrestage>>) {
-        let shard_count = self.shards.shards.len();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
+    pub(super) fn stage_segment(&self, ops: &[Op], digests: Option<&[Hash256]>) -> Vec<StagedOp> {
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.shards.len()];
         for (i, op) in ops.iter().enumerate() {
             let file = shard_local_file(op).expect("segment holds shard-local ops");
             groups[self.shards.shard_of(file)].push(i);
         }
-        let occupied: Vec<usize> = (0..shard_count)
-            .filter(|&s| !groups[s].is_empty())
+        let occupied: Vec<(&Shard, Vec<usize>)> = self
+            .shards
+            .shards
+            .iter()
+            .zip(groups)
+            .filter(|(_, group)| !group.is_empty())
             .collect();
-        let workers = self.params.ingest_threads.clamp(1, occupied.len().max(1));
-        let chunk_len = occupied.len().div_ceil(workers).max(1);
-        let ctx = OpCtx {
+        let ctx = &OpCtx {
             params: &self.params,
             gas: &self.gas,
             sectors: &self.sectors,
             ledger: &self.ledger,
             now: self.chain.now(),
         };
-        let shards = &self.shards.shards;
-        let groups = &groups;
-        let ctx = &ctx;
-
-        let chunks: Vec<&[usize]> = occupied.chunks(chunk_len).collect();
-        let mut chunk_out: Vec<Vec<(usize, StagedOp)>> =
-            chunks.iter().map(|_| Vec::new()).collect();
-        let mut prestages: Vec<Option<FileAddPrestage>> =
-            upcoming_barriers.iter().map(|_| None).collect();
-
-        let pool = self.pool();
-        let mut jobs: JobBatch<'_> = Vec::with_capacity(chunks.len() + 1);
-        for (shard_ids, slot) in chunks.into_iter().zip(chunk_out.iter_mut()) {
-            jobs.push(Box::new(move || {
-                let mut staged: Vec<(usize, Hash256, StagedEffects)> = Vec::new();
-                for &s in shard_ids {
-                    let mut view = ShardOverlay::new(&shards[s]);
-                    for &i in &groups[s] {
-                        let op = &ops[i];
-                        let effects = stage_shard_local(op, ctx, &view);
-                        for write in &effects.writes {
-                            view.note_write(write);
-                        }
-                        let receipt_digest = match &effects.outcome {
-                            Ok(receipt) => receipt.digest(),
-                            Err(err) => Receipt::error_digest(err),
-                        };
-                        staged.push((i, receipt_digest, effects));
+        let staged = fan_out(self.pool_for(true).as_deref(), occupied, |occupied| {
+            let mut staged: Vec<(usize, Hash256, StagedEffects)> = Vec::new();
+            for (shard, group) in occupied {
+                let mut view = ShardOverlay::new(shard);
+                for i in group {
+                    let effects = stage_shard_local(&ops[i], ctx, &view);
+                    for write in &effects.writes {
+                        view.note_write(write);
                     }
+                    let receipt_digest = match &effects.outcome {
+                        Ok(receipt) => receipt.digest(),
+                        Err(err) => Receipt::error_digest(err),
+                    };
+                    staged.push((i, receipt_digest, effects));
                 }
-                verify_staged_proofs(staged.iter_mut().map(|(_, _, effects)| effects), ctx);
-                // The canonical op digests for this worker's ops: the
-                // caller's, or hashed here, in parallel across workers.
-                let op_digests: Vec<Hash256> = match digests {
-                    Some(known) => staged.iter().map(|&(i, ..)| known[i]).collect(),
-                    None => staged.iter().map(|&(i, ..)| ops[i].digest()).collect(),
-                };
-                *slot = staged
-                    .into_iter()
-                    .zip(op_digests)
-                    .map(|((i, receipt_digest, effects), op_digest)| {
-                        (
-                            i,
-                            StagedOp {
-                                op_digest,
-                                receipt_digest,
-                                effects,
-                            },
-                        )
-                    })
-                    .collect();
-            }));
-        }
-        if upcoming_barriers
-            .iter()
-            .any(|op| matches!(op, Op::FileAdd { .. }))
-        {
-            let params = &self.params;
-            let gas = &self.gas;
-            let slots = &mut prestages;
-            jobs.push(Box::new(move || {
-                for (op, out) in upcoming_barriers.iter().zip(slots.iter_mut()) {
-                    if let Op::FileAdd { size, value, .. } = op {
-                        *out = Some(FileAddPrestage::compute(params, gas, *size, *value));
-                    }
-                }
-            }));
-        }
-        pool.run(jobs);
+            }
+            verify_staged_proofs(staged.iter_mut().map(|(_, _, effects)| effects), ctx);
+            staged
+                .into_iter()
+                .map(|(i, receipt_digest, effects)| {
+                    // The caller's digest, or hashed here, in parallel
+                    // across workers.
+                    let op_digest = digests.map_or_else(|| ops[i].digest(), |known| known[i]);
+                    let staged = StagedOp {
+                        op_digest,
+                        receipt_digest,
+                        effects,
+                    };
+                    (i, staged)
+                })
+                .collect()
+        });
 
         let mut out: Vec<Option<StagedOp>> = ops.iter().map(|_| None).collect();
-        for chunk in chunk_out {
-            for (i, staged) in chunk {
-                out[i] = Some(staged);
-            }
+        for (i, staged) in staged {
+            out[i] = Some(staged);
         }
-        let staged = out
-            .into_iter()
+        out.into_iter()
             .map(|staged| staged.expect("every segment op staged exactly once"))
-            .collect();
-        (staged, prestages)
+            .collect()
     }
 }

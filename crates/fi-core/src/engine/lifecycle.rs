@@ -7,12 +7,10 @@
 //! the actual state transitions and are reached only via dispatch.
 
 use fi_chain::account::{AccountId, TokenAmount};
-use fi_chain::gas::{GasSchedule, Op as GasOp};
-use fi_chain::tasks::Time;
+use fi_chain::gas::Op as GasOp;
 use fi_crypto::Hash256;
 
 use crate::ops::{Op, Receipt};
-use crate::params::ProtocolParams;
 use crate::segment::{reassemble_file, segment_file, SegmentError};
 use crate::types::{
     AllocEntry, AllocState, FileDescriptor, FileId, FileState, ProtocolEvent, Sector, SectorId,
@@ -20,55 +18,6 @@ use crate::types::{
 };
 
 use super::{Engine, EngineError, SegmentedUpload, Task, DEPOSIT_ESCROW, TRAFFIC_ESCROW};
-
-/// The pure half of `File_Add`, split out so `apply_batch` can pre-stage
-/// it on the worker pool concurrently with shard-local segment staging:
-/// size/value validation, the replica count, the gas fee, the traffic-fee
-/// escrow amount and the transfer window are all functions of
-/// `(params, gas, size, value)` alone. Everything stateful — balance
-/// checks, sector sampling and its rng draws, id allocation, task
-/// scheduling — stays serialized at commit in `Engine::file_add_op`, so a
-/// pre-staged `File_Add` is bit-identical to a sequentially dispatched
-/// one (the dispatcher computes this same pure function inline when no
-/// prestage is supplied).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(super) struct FileAddPrestage {
-    /// `(cp, gas_fee, escrow, transfer_window)` on success, or the exact
-    /// validation error the sequential path would have returned.
-    pub(super) validated: Result<(u32, TokenAmount, TokenAmount, Time), EngineError>,
-}
-
-impl FileAddPrestage {
-    pub(super) fn compute(
-        params: &ProtocolParams,
-        gas: &GasSchedule,
-        size: u64,
-        value: TokenAmount,
-    ) -> Self {
-        let validated = (|| {
-            if size == 0 {
-                return Err(EngineError::InvalidState("file size must be positive"));
-            }
-            if size > params.size_limit {
-                return Err(EngineError::FileTooLarge {
-                    size,
-                    limit: params.size_limit,
-                });
-            }
-            let cp = params.backup_count(value)?;
-            let gas_units: u64 = [GasOp::RequestBase, GasOp::AllocWrite, GasOp::TaskSchedule]
-                .iter()
-                .map(|&op| gas.price(op))
-                .sum();
-            let gas_fee = gas.to_tokens(gas_units);
-            // Traffic fees for all replicas, committed before transmission
-            // (§IV-A.1).
-            let escrow = TokenAmount(params.traffic_fee(size).0 * cp as u128);
-            Ok((cp, gas_fee, escrow, params.transfer_window(size)))
-        })();
-        FileAddPrestage { validated }
-    }
-}
 
 impl Engine {
     // ------------------------------------------------------------------
@@ -310,20 +259,25 @@ impl Engine {
         size: u64,
         value: TokenAmount,
         merkle_root: Hash256,
-        pre: FileAddPrestage,
     ) -> Result<(FileId, u32), EngineError> {
-        debug_assert_eq!(
-            pre.validated,
-            FileAddPrestage::compute(&self.params, &self.gas, size, value).validated,
-            "a File_Add prestage is a pure function of (params, gas, size, value)"
-        );
-        let (cp, gas_fee, escrow, transfer_window) = pre.validated?;
-        self.ledger
-            .burn(client, gas_fee)
-            .map_err(|_| EngineError::InsufficientFunds)?;
+        if size == 0 {
+            return Err(EngineError::InvalidState("file size must be positive"));
+        }
+        if size > self.params.size_limit {
+            return Err(EngineError::FileTooLarge {
+                size,
+                limit: self.params.size_limit,
+            });
+        }
+        let cp = self.params.backup_count(value)?;
+        self.charge_gas(
+            client,
+            &[GasOp::RequestBase, GasOp::AllocWrite, GasOp::TaskSchedule],
+        )?;
 
         // Escrow traffic fees for all replicas up front (§IV-A.1: committed
         // before transmission).
+        let escrow = TokenAmount(self.params.traffic_fee(size).0 * cp as u128);
         self.ledger
             .transfer(client, TRAFFIC_ESCROW, escrow)
             .map_err(|_| EngineError::InsufficientFunds)?;
@@ -375,7 +329,7 @@ impl Engine {
                 .expect("sector index")
                 .insert((id, i as u32));
         }
-        let deadline = self.now() + transfer_window;
+        let deadline = self.now() + self.params.transfer_window(size);
         self.schedule_task(deadline, Task::CheckAlloc(id));
         self.log(ProtocolEvent::FileAdded { file: id, cp });
         Ok((id, cp))

@@ -13,8 +13,8 @@
 //!
 //! * [`mod@self`] — dispatch, time advancement, gas, the op log,
 //!   checkpoints;
-//! * `shard` — the sharded per-file core: file descriptors, allocation
-//!   rows, discard reasons, per-shard task wheels and stats, routed by
+//! * `shard` — the sharded per-file rows: file descriptors, allocation
+//!   rows, discard reasons and per-shard stats, routed by
 //!   `FileId % shards` (ids are allocated from one global counter, so
 //!   shard `s` owns the strided ids `s, s + n, s + 2n, …`);
 //! * `lifecycle` — client/provider requests (Figs. 4–6): add, confirm,
@@ -26,18 +26,18 @@
 //!   retry, reservations and rollback, sector draining, the §VI-B Poisson
 //!   swap-in.
 //!
-//! `Auto_` tasks execute from per-shard epoch-bucketed wheels
-//! ([`fi_chain::tasks::TaskWheel`]) when [`Engine::advance_to`] moves time
-//! past their deadline. Each due bucket runs in two phases: a read-only
+//! `Auto_` tasks wait on the engine's one pending list, an epoch-bucketed
+//! wheel ([`fi_chain::tasks::TaskWheel`]), and execute when
+//! [`Engine::advance_to`] moves time past their deadline. A due bucket
+//! pops in `(time, schedule order)` and runs in two phases: a read-only
 //! **verify** phase (the modeled Merkle storage-proof checks of
 //! `Auto_CheckProof`, fanned out across the persistent worker pool in
 //! `pool` — audits are independent per (file, replica), the heart of the
-//! paper's scalability claim) and a **commit** phase that merges the
-//! per-shard slices back into global `(time, schedule-seq)` order and
-//! applies rent, punishments and refreshes — batched through per-shard
+//! paper's scalability claim) and a **commit** phase that applies rent,
+//! punishments and refreshes in pop order — batched through per-shard
 //! write plans on large multi-shard buckets, sequentially otherwise, with
-//! bit-identical results either way. The merge key is
-//! shard-count-invariant, so consensus state is bit-identical whether the
+//! bit-identical results either way. Nothing in either phase depends on
+//! the shard count, so consensus state is bit-identical whether the
 //! engine runs 1 shard or 8 (see DESIGN.md §9 and §14).
 //!
 //! Money flows exactly as §IV-A/§IV-B prescribe:
@@ -72,7 +72,7 @@ use fi_chain::account::{AccountId, Ledger, TokenAmount};
 use fi_chain::block::{BlockChain, ChainEvent};
 use fi_chain::gas::{GasSchedule, Op as GasOp};
 use fi_chain::log::SharedLog;
-use fi_chain::tasks::Time;
+use fi_chain::tasks::{Scheduler, Time};
 use fi_crypto::{DetRng, Hash256};
 use fi_store::{Blockstore, DiskBlockstore, Hamt, MemoryBlockstore};
 
@@ -86,7 +86,6 @@ use crate::types::{FileId, ProtocolEvent, Sector, SectorId};
 
 use self::audit::ProofAudit;
 use self::batch::{ledger_steps_match, shard_local_file};
-use self::lifecycle::FileAddPrestage;
 use self::pool::{JobBatch, PoolHandle, WorkerPool};
 use self::shard::ShardedState;
 use self::statemap::{CommitCell, StateMaps, TrackedMap};
@@ -247,6 +246,21 @@ pub(super) enum Task {
     DistributeRent,
 }
 
+impl Task {
+    /// The file an `Auto_CheckProof` task audits; `None` for the others.
+    pub(super) fn audited(&self) -> Option<FileId> {
+        match self {
+            Task::CheckProof(file) => Some(*file),
+            _ => None,
+        }
+    }
+}
+
+/// A task tagged with its schedule sequence number: the order it was
+/// scheduled in, which snapshots carry so a restore re-schedules in the
+/// same order.
+pub(super) type SeqTask = (u64, Task);
+
 /// Counters exposed for experiments and tests.
 ///
 /// The engine keeps one instance per shard (for file-attributable
@@ -367,8 +381,7 @@ impl EngineStats {
 /// replayed engine starts from zero).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {
-    /// Batch-ingest staging: concurrent shard-overlay execution plus the
-    /// barrier `File_Add` prestaging riding in the same pool run.
+    /// Batch-ingest staging: concurrent shard-overlay execution.
     pub stage_s: f64,
     /// Batch-ingest commit: in-order ledger revalidation and effect
     /// application (including sequential fallbacks).
@@ -385,7 +398,7 @@ pub struct PhaseTimes {
 /// # Cloning
 ///
 /// `Engine::clone` copies **live state** — the ledger, the tracked maps,
-/// the sampler, the task wheels — and *shares* everything immutable: the
+/// the sampler, the task wheel — and *shares* everything immutable: the
 /// sealed blocks and the op log live in [`SharedLog`]s (a clone copies a
 /// pointer and an open tail of fewer than 64 items), the blockstore, the
 /// committed HAMT nodes and the worker pool sit behind `Arc`. A clone
@@ -436,9 +449,11 @@ pub struct Engine {
     chain: BlockChain,
     ledger: Ledger,
     gas: GasSchedule,
-    /// The per-file core, partitioned by `FileId % shards`: descriptors,
-    /// allocation rows, discard reasons, task wheels, per-shard stats.
+    /// The per-file rows, partitioned by `FileId % shards`: descriptors,
+    /// allocation rows, discard reasons, per-shard stats.
     shards: ShardedState,
+    /// The pending list of every scheduled `Auto_*` task (Fig. 1).
+    pending: Scheduler<SeqTask>,
     sectors: TrackedMap<SectorId, Sector>,
     cr: TrackedMap<SectorId, CrAccounting>,
     /// `(file, index)` pairs touching each sector (as holder or as
@@ -457,8 +472,8 @@ pub struct Engine {
     /// truncation, so it (not `op_log.len()`) feeds `seq` and the state
     /// root.
     ops_applied: u64,
-    /// Global schedule sequence — the shard-count-invariant merge key for
-    /// the commit phase (assigned in apply order).
+    /// The schedule sequence number the next task gets (assigned in
+    /// apply order).
     task_seq: u64,
     /// Running commitment over every verification digest — the
     /// `Auto_CheckProof` verify-phase digests and the `File_Prove`
@@ -539,7 +554,8 @@ impl Engine {
             chain,
             ledger: Ledger::new(),
             gas: GasSchedule::default(),
-            shards: ShardedState::new(params.shards, params.scheduler, params.block_interval),
+            shards: ShardedState::new(params.shards),
+            pending: Scheduler::new(params.scheduler, params.block_interval),
             sectors: TrackedMap::new(),
             cr: TrackedMap::new(),
             sector_replicas: HashMap::new(),
@@ -588,39 +604,16 @@ impl Engine {
     /// [`Op`] variant's wrapper method).
     pub fn apply(&mut self, op: Op) -> Result<Receipt, EngineError> {
         let op_digest = op.digest();
-        self.apply_prehashed(op, op_digest, None)
-    }
-
-    /// [`Engine::apply`] for a caller that already holds the op's
-    /// canonical digest — a node hashes every op of a block it is handed
-    /// to identify the block, and must not pay for that hash again on each
-    /// replay. `digest` MUST be `op.digest()` (checked in debug builds),
-    /// or the block commitment diverges from every other replica's.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::apply`].
-    pub fn apply_digested(&mut self, op: Op, digest: Hash256) -> Result<Receipt, EngineError> {
-        debug_assert_eq!(digest, op.digest(), "digest of another op");
-        self.apply_prehashed(op, digest, None)
+        self.apply_prehashed(op, op_digest)
     }
 
     /// [`Engine::apply`] with the op's canonical digest precomputed — by
-    /// the caller ([`Engine::apply_digested`],
-    /// [`Engine::apply_batch_digested`]) or by [`Engine::apply_batch`];
-    /// the digest MUST be `op.digest()` or the block commitment diverges
-    /// from replay. `prestage` optionally carries a `File_Add`'s
-    /// precomputed pure half (validation, fees, geometry) — the pipelined
-    /// batch path computes it concurrently with segment staging; `None`
-    /// computes it inline through the identical pure function.
-    fn apply_prehashed(
-        &mut self,
-        op: Op,
-        op_digest: Hash256,
-        prestage: Option<FileAddPrestage>,
-    ) -> Result<Receipt, EngineError> {
+    /// the caller ([`Engine::apply_batch_digested`]) or by
+    /// [`Engine::apply_batch`]; the digest MUST be `op.digest()` or the
+    /// block commitment diverges from replay.
+    fn apply_prehashed(&mut self, op: Op, op_digest: Hash256) -> Result<Receipt, EngineError> {
         let at = self.now();
-        let result = self.dispatch(&op, prestage);
+        let result = self.dispatch(&op);
         let receipt_digest = match &result {
             Ok(receipt) => receipt.digest(),
             Err(err) => Receipt::error_digest(err),
@@ -636,11 +629,7 @@ impl Engine {
         result
     }
 
-    fn dispatch(
-        &mut self,
-        op: &Op,
-        prestage: Option<FileAddPrestage>,
-    ) -> Result<Receipt, EngineError> {
+    fn dispatch(&mut self, op: &Op) -> Result<Receipt, EngineError> {
         match op {
             Op::SectorRegister { owner, capacity } => self
                 .sector_register_op(*owner, *capacity)
@@ -653,16 +642,9 @@ impl Engine {
                 size,
                 value,
                 merkle_root,
-            } => {
-                // One pure function computes the prestage on both paths:
-                // pipelined batches hand it in, sequential dispatch
-                // computes it here — bit-identical by construction.
-                let pre = prestage.unwrap_or_else(|| {
-                    FileAddPrestage::compute(&self.params, &self.gas, *size, *value)
-                });
-                self.file_add_op(*client, *size, *value, *merkle_root, pre)
-                    .map(|(file, cp)| Receipt::FileAdded { file, cp })
-            }
+            } => self
+                .file_add_op(*client, *size, *value, *merkle_root)
+                .map(|(file, cp)| Receipt::FileAdded { file, cp }),
             // The five shard-local ops share one staged executor with the
             // batch-ingest path (`engine/batch.rs`): sequential dispatch is
             // staging against live state plus an immediate commit.
@@ -712,12 +694,12 @@ impl Engine {
     /// (`File_Confirm` / `File_Prove` / `File_Get` / `File_Discard` /
     /// `ForceDiscard`) separated by **barrier** ops (sector admin,
     /// `File_Add`, funds, fault injection, `AdvanceTo` — anything touching
-    /// global state beyond the ledger). Segments of at least 64 ops on a
-    /// multi-shard, multi-thread engine are *staged* concurrently — up to
-    /// [`ProtocolParams::ingest_threads`] scoped workers, one shard's ops
-    /// per overlay — and then *committed* sequentially in submission
-    /// order; smaller segments and barriers go through [`Engine::apply`]
-    /// directly.
+    /// global state beyond the ledger). Segments of at least 64 ops, on an
+    /// engine with more than one shard and [`ProtocolParams::ingest_threads`]
+    /// above one, are *staged* concurrently on the engine's worker pool —
+    /// one shard's ops per overlay — and then *committed* sequentially in
+    /// submission order; smaller segments and barriers go through
+    /// [`Engine::apply`] directly.
     ///
     /// Consensus state after `apply_batch(ops)` is **bit-identical** to
     /// `for op in ops { engine.apply(op); }` at every
@@ -730,7 +712,8 @@ impl Engine {
 
     /// [`Engine::apply_batch`] for a caller that already holds every op's
     /// canonical digest (`digests[i]` MUST be `ops[i].digest()`, checked in
-    /// debug builds) — the batch form of [`Engine::apply_digested`].
+    /// debug builds). A node hashes every op of a block it is handed to
+    /// identify the block, and must not pay for that hash again on replay.
     ///
     /// # Panics
     ///
@@ -753,9 +736,7 @@ impl Engine {
         ops: Vec<Op>,
         digests: Option<&[Hash256]>,
     ) -> Vec<Result<Receipt, EngineError>> {
-        // The segments' op digests are taken inside the staging workers,
-        // and the barriers' `File_Add` prestages ride along in the same
-        // pool runs.
+        // The segments' op digests are taken inside the staging workers.
         let mut results = Vec::with_capacity(ops.len());
         let mut i = 0;
         while i < ops.len() {
@@ -771,12 +752,9 @@ impl Engine {
                 i += 1;
             }
             let bar_end = i;
-            // Staging the segment also prestages the upcoming barriers'
-            // `File_Add` pure halves, concurrently with the shard workers.
-            let mut prestages = self.commit_segment(
+            self.commit_segment(
                 &ops[seg_start..seg_end],
                 digests.map(|d| &d[seg_start..seg_end]),
-                &ops[bar_start..bar_end],
                 &mut results,
             );
             for (k, op) in ops[bar_start..bar_end].iter().enumerate() {
@@ -784,8 +762,7 @@ impl Engine {
                     Some(d) => d[bar_start + k],
                     None => op.digest(),
                 };
-                let pre = prestages.get_mut(k).and_then(Option::take);
-                results.push(self.apply_prehashed(op.clone(), digest, pre));
+                results.push(self.apply_prehashed(op.clone(), digest));
             }
         }
         results
@@ -797,38 +774,28 @@ impl Engine {
     /// a shard already invalidated this segment — re-execute sequentially,
     /// which preserves bit-identical semantics in every interleaving.
     ///
-    /// Returns the prestaged pure halves of the `File_Add` ops among
-    /// `upcoming_barriers` (computed inside the staging pool run, i.e.
-    /// concurrently with the shard workers), one slot per barrier op;
-    /// empty when the segment committed sequentially — the dispatcher then
-    /// computes each prestage inline through the same pure function.
-    ///
     /// `digests`, when given, holds the segment ops' canonical digests
     /// (nothing is hashed again); otherwise they are computed here.
     fn commit_segment(
         &mut self,
         segment: &[Op],
         digests: Option<&[Hash256]>,
-        upcoming_barriers: &[Op],
         results: &mut Vec<Result<Receipt, EngineError>>,
-    ) -> Vec<Option<FileAddPrestage>> {
-        if segment.is_empty() && upcoming_barriers.is_empty() {
-            return Vec::new();
-        }
+    ) {
         if segment.len() < PARALLEL_FANOUT_MIN_ITEMS
             || self.params.ingest_threads <= 1
             || self.shards.shards.len() <= 1
         {
             for (i, op) in segment.iter().enumerate() {
                 results.push(match digests {
-                    Some(d) => self.apply_prehashed(op.clone(), d[i], None),
+                    Some(d) => self.apply_prehashed(op.clone(), d[i]),
                     None => self.apply(op.clone()),
                 });
             }
-            return Vec::new();
+            return;
         }
         let stage_start = Instant::now();
-        let (staged, prestages) = self.stage_segment(segment, digests, upcoming_barriers);
+        let staged = self.stage_segment(segment, digests);
         self.phase.stage_s += stage_start.elapsed().as_secs_f64();
         self.stats_global.batches_staged_parallel += 1;
 
@@ -857,14 +824,13 @@ impl Engine {
                 // on this shard) is stale. Fall back to sequential apply.
                 dirty[shard_idx] = true;
                 fell_back = true;
-                results.push(self.apply_prehashed(op.clone(), staged_op.op_digest, None));
+                results.push(self.apply_prehashed(op.clone(), staged_op.op_digest));
             }
         }
         if fell_back {
             self.stats_global.batches_fell_back_sequential += 1;
         }
         self.phase.commit_s += commit_start.elapsed().as_secs_f64();
-        prestages
     }
 
     /// The op log: every applied op in order, successes and failures
@@ -1018,9 +984,9 @@ impl Engine {
     // file_ids / sector_ids / events — live on the [`StateView`] impl,
     // the one read surface shared with the root-pinned historical reader.
 
-    /// Scheduled `Auto_*` tasks across all shard wheels.
+    /// Scheduled `Auto_*` tasks.
     pub fn pending_task_count(&self) -> usize {
-        self.shards.pending_len()
+        self.pending.len()
     }
 
     /// Removes and returns the logged protocol events, leaving the log
@@ -1222,7 +1188,7 @@ impl Engine {
 
     pub(super) fn advance_to_op(&mut self, target: Time) {
         assert!(target >= self.now(), "time cannot rewind");
-        while let Some(t) = self.shards.next_task_time() {
+        while let Some(t) = self.pending.next_time() {
             if t > target {
                 break;
             }
@@ -1243,51 +1209,48 @@ impl Engine {
         self.chain.advance_time(t, root);
     }
 
-    /// Executes every task due at `now` in two phases:
+    /// Executes every task due at `now`, in the order the pending list
+    /// pops them — `(time, schedule-seq)` — in two phases:
     ///
     /// 1. **verify** — the read-only `Auto_CheckProof` storage-proof
-    ///    checks, computed per shard over its popped slice (each touches
-    ///    only that shard's files/alloc rows), fanned out across the
-    ///    persistent worker pool when the bucket is large enough to pay
-    ///    for the dispatch;
-    /// 2. **commit** — the per-shard slices merged back into global
-    ///    `(time, schedule-seq)` order — exactly the order a single
-    ///    unsharded wheel pops — and applied in that order: large buckets
-    ///    on multi-shard engines go through the batched commit path
+    ///    checks, fanned out across the persistent worker pool when the
+    ///    bucket is large enough to pay for the dispatch;
+    /// 2. **commit** — the tasks applied in pop order: large buckets on
+    ///    multi-shard engines go through the batched commit path
     ///    (per-shard write batches planned on the pool, applied with
     ///    validated fast paths; see `audit.rs`), everything else through
     ///    the sequential reference fold. Audit digests fold into
     ///    `audit_root`, then punishments, rent, refreshes and reschedules
-    ///    run as in the unsharded engine.
+    ///    run.
     ///
     /// Both phases are deterministic and shard-count-invariant (the
     /// commit-strategy gate reads only consensus state, never the host's
     /// core count), so the resulting state is bit-identical for any
     /// `ProtocolParams::shards` and either commit strategy.
     fn run_due_bucket(&mut self, now: Time) {
-        let slices = self.shards.pop_due(now);
+        let bucket = self.pending.pop_due(now);
         let verify_start = Instant::now();
-        let audits = self.verify_bucket(&slices, now);
+        let audits = self.verify_bucket(&bucket, now);
         self.phase.verify_s += verify_start.elapsed().as_secs_f64();
 
-        let mut batch: Vec<(Time, u64, Task, Option<ProofAudit>)> = Vec::new();
-        for (slice, shard_audits) in slices.into_iter().zip(audits) {
-            for ((time, (seq, task)), audit) in slice.into_iter().zip(shard_audits) {
-                batch.push((time, seq, task, audit));
-            }
-        }
-        batch.sort_by_key(|&(time, seq, _, _)| (time, seq));
+        let check_proofs = audits.len();
+        let mut audits = audits.into_iter();
+        let batch: Vec<(Task, Option<ProofAudit>)> = bucket
+            .into_iter()
+            .map(|(_, (_, task))| {
+                let audit = task
+                    .audited()
+                    .map(|_| audits.next().expect("one verdict per audit task"));
+                (task, audit)
+            })
+            .collect();
 
         let fold_start = Instant::now();
-        let check_proofs = batch
-            .iter()
-            .filter(|(_, _, task, _)| matches!(task, Task::CheckProof(_)))
-            .count();
         if self.shards.shards.len() > 1 && check_proofs >= PARALLEL_FANOUT_MIN_ITEMS {
             self.commit_bucket_batched(now, batch);
             self.stats_global.audit_commit_batches += 1;
         } else {
-            for (_, _, task, audit) in batch {
+            for (task, audit) in batch {
                 self.execute(task, audit);
             }
         }
@@ -1325,6 +1288,13 @@ impl Engine {
         cores.max(self.params.ingest_threads)
     }
 
+    /// The pool a phase hands to [`pool::fan_out`]: the engine's, when the
+    /// phase's own gate says `parallel` and the pool has two or more
+    /// workers; `None`, to run inline, otherwise.
+    pub(super) fn pool_for(&self, parallel: bool) -> Option<Arc<WorkerPool>> {
+        (parallel && self.pool_width() >= 2).then(|| self.pool())
+    }
+
     /// Cumulative wall-time spent in each engine phase since construction
     /// (or the last [`Engine::reset_phase_times`]). Observability only:
     /// not consensus state, not snapshotted, not compared by replay.
@@ -1337,13 +1307,12 @@ impl Engine {
         self.phase = PhaseTimes::default();
     }
 
-    /// Schedules an `Auto_*` task on its shard's wheel, tagging it with
-    /// the global schedule sequence number that later reconstructs the
-    /// canonical commit order.
+    /// Schedules an `Auto_*` task on the pending list, tagged with its
+    /// schedule sequence number.
     pub(super) fn schedule_task(&mut self, time: Time, task: Task) {
         let seq = self.task_seq;
         self.task_seq += 1;
-        self.shards.schedule(seq, time, task);
+        self.pending.schedule(time, (seq, task));
     }
 
     pub(super) fn rent_period(&self) -> Time {

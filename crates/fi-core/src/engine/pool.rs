@@ -8,6 +8,9 @@
 //! (lazily, on the first parallel phase an engine runs) and parks them on
 //! a condvar between submissions; a phase submits a batch of borrowed
 //! closures and blocks on a [`Ticket`] until the pool has run them all.
+//! The chunked phases — ingest staging, audit verify and plan, the
+//! deferred `cntdown` flush — all go through [`fan_out`]; the state
+//! commit submits one job per dirty subtree.
 //!
 //! # Scoped-job safety
 //!
@@ -221,6 +224,41 @@ impl Drop for Ticket<'_> {
     }
 }
 
+/// Runs `job` over `items` and returns its outputs in item order — the
+/// one fan-out every chunked parallel phase of the engine goes through.
+///
+/// With a pool and at least two items, `items` is cut into one contiguous
+/// chunk per worker (fewer when there are fewer items) and the chunks run
+/// as one batch; otherwise `job` runs once, inline, over all of them.
+/// Each chunk's outputs are concatenated in chunk order, so when no
+/// output depends on which chunk its item landed in, the result is the
+/// same either way. A panicking job resumes on the caller.
+pub(crate) fn fan_out<T: Send, R: Send>(
+    pool: Option<&WorkerPool>,
+    items: Vec<T>,
+    job: impl Fn(Vec<T>) -> Vec<R> + Sync,
+) -> Vec<R> {
+    let chunks = pool.map_or(1, |p| p.workers().min(items.len()));
+    let Some(pool) = pool.filter(|_| chunks >= 2) else {
+        return job(items);
+    };
+    let (base, extra) = (items.len() / chunks, items.len() % chunks);
+    let mut items = items.into_iter();
+    let mut outs: Vec<Vec<R>> = Vec::new();
+    outs.resize_with(chunks, Vec::new);
+    let job = &job;
+    let jobs: JobBatch<'_> = outs
+        .iter_mut()
+        .enumerate()
+        .map(|(c, out)| {
+            let chunk: Vec<T> = items.by_ref().take(base + usize::from(c < extra)).collect();
+            Box::new(move || *out = job(chunk)) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    pool.run(jobs);
+    outs.into_iter().flatten().collect()
+}
+
 /// The engine's lazily spawned, clone-shared pool handle.
 ///
 /// [`Engine`](super::Engine) derives `Clone`, and engines are cloned
@@ -343,6 +381,47 @@ mod tests {
     fn empty_batch_is_a_no_op() {
         let pool = WorkerPool::spawn(1);
         pool.run(Vec::new());
+    }
+
+    #[test]
+    fn fan_out_keeps_item_order_on_both_paths() {
+        let workers = 4;
+        let pool = WorkerPool::spawn(workers);
+        for n in [0, 1, 2, workers, workers + 1, 1_000] {
+            let items: Vec<usize> = (0..n).collect();
+            let calls = AtomicUsize::new(0);
+            let seen = AtomicUsize::new(0);
+            let job = |chunk: Vec<usize>| {
+                assert!(n == 0 || !chunk.is_empty(), "an empty chunk");
+                calls.fetch_add(1, Ordering::Relaxed);
+                seen.fetch_add(chunk.len(), Ordering::Relaxed);
+                chunk.into_iter().map(|i| i * 3 + 1).collect::<Vec<_>>()
+            };
+            let inline = fan_out(None, items.clone(), job);
+            assert_eq!(calls.swap(0, Ordering::Relaxed), 1, "n = {n}");
+            let parallel = fan_out(Some(&pool), items.clone(), job);
+            // One chunk per worker, none empty; one inline call below two.
+            let chunks = if n >= 2 { workers.min(n) } else { 1 };
+            assert_eq!(calls.load(Ordering::Relaxed), chunks, "n = {n}");
+            assert_eq!(seen.load(Ordering::Relaxed), 2 * n, "n = {n}");
+            let expected: Vec<usize> = items.iter().map(|i| i * 3 + 1).collect();
+            assert_eq!(inline, expected, "n = {n}");
+            assert_eq!(parallel, expected, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn fan_out_job_panic_propagates_to_caller() {
+        let pool = WorkerPool::spawn(2);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            fan_out(Some(&pool), (0..10).collect(), |chunk: Vec<u32>| {
+                assert!(!chunk.contains(&7), "boom in chunk");
+                chunk
+            })
+        }));
+        assert!(caught.is_err(), "a chunk's panic must resume on the caller");
+        let again = fan_out(Some(&pool), vec![1, 2, 3], |chunk: Vec<u32>| chunk);
+        assert_eq!(again, vec![1, 2, 3]);
     }
 
     #[test]

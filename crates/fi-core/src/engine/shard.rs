@@ -1,37 +1,26 @@
-//! The sharded per-file core of the engine.
+//! The sharded per-file rows of the engine.
 //!
 //! `Auto_CheckProof` audits are independent per (file, replica) — the
-//! paper's scalability claim rests on it — so all per-file state lives in
+//! paper's scalability claim rests on it — so the per-file rows live in
 //! a [`Shard`]: the file descriptors, the allocation table rows, the
-//! discard reasons, the shard's own `Auto_*` task wheel, and the shard's
-//! slice of the engine counters. [`ShardedState`] routes by
-//! `FileId % shards`; since file ids come from one global counter, shard
-//! `s` of `n` owns exactly the strided ids `s, s + n, s + 2n, …` — the
-//! population stays balanced and the id sequence (hence every op digest
-//! and receipt) is identical at every shard count.
+//! discard reasons, and the shard's slice of the engine counters.
+//! [`ShardedState`] routes by `FileId % shards`; since file ids come from
+//! one global counter, shard `s` of `n` owns exactly the strided ids
+//! `s, s + n, s + 2n, …` — the population stays balanced and the id
+//! sequence (hence every op digest and receipt) is identical at every
+//! shard count.
 //!
-//! Global, cross-file state — the chain, the ledger, sectors and their
-//! capacity sampler, the protocol `DetRng` — stays in
-//! [`Engine`](super::Engine); shards never touch each other, which is what
-//! lets the audit verify phase *and* the batch-ingest staging phase
-//! (`engine/batch.rs`) borrow them immutably in parallel (`Shard` is
-//! `Sync`).
-
-use fi_chain::tasks::{Scheduler, SchedulerKind, Time};
+//! Everything else — the chain, the ledger, sectors and their capacity
+//! sampler, the protocol `DetRng`, the one `Auto_*` task wheel — stays in
+//! [`Engine`](super::Engine). Shards never touch each other, which is what
+//! lets the audit verify and plan phases and the batch-ingest staging
+//! phase (`engine/batch.rs`) read them in parallel, and the audit commit
+//! write its deferred `cntdown` updates shard by shard in parallel.
 
 use crate::types::{AllocEntry, FileDescriptor, FileId, RemovalReason};
 
 use super::statemap::TrackedMap;
-use super::{EngineStats, Task};
-
-/// A task tagged with its global schedule sequence number. The tag is
-/// assigned by the engine in apply order, which is shard-count-invariant,
-/// so sorting a merged bucket by `(time, seq)` reconstructs the exact
-/// order a single unsharded scheduler would pop.
-pub(super) type SeqTask = (u64, Task);
-
-/// One shard's drained slice of a due bucket.
-pub(super) type ShardSlice = Vec<(Time, SeqTask)>;
+use super::EngineStats;
 
 /// Per-file engine state for one file-id stride.
 #[derive(Debug, Clone)]
@@ -43,26 +32,23 @@ pub(super) struct Shard {
     pub(super) alloc: TrackedMap<(FileId, u32), AllocEntry>,
     /// Pending removal reasons for this shard's files.
     pub(super) discard_reasons: TrackedMap<FileId, RemovalReason>,
-    /// This shard's `Auto_*` task wheel.
-    pub(super) pending: Scheduler<SeqTask>,
     /// This shard's slice of the engine counters (merged by
     /// [`Engine::stats`](super::Engine::stats)).
     pub(super) stats: EngineStats,
 }
 
 impl Shard {
-    pub(super) fn new(kind: SchedulerKind, granularity: Time) -> Self {
+    pub(super) fn new() -> Self {
         Shard {
             files: TrackedMap::new(),
             alloc: TrackedMap::new(),
             discard_reasons: TrackedMap::new(),
-            pending: Scheduler::new(kind, granularity),
             stats: EngineStats::default(),
         }
     }
 }
 
-/// The engine's per-file state, partitioned by `FileId` range.
+/// The engine's per-file rows, partitioned by `FileId % shards`.
 #[derive(Debug, Clone)]
 pub(super) struct ShardedState {
     pub(super) shards: Vec<Shard>,
@@ -70,18 +56,18 @@ pub(super) struct ShardedState {
 
 impl ShardedState {
     /// Creates `count` empty shards (validated ≥ 1 by `ProtocolParams`).
-    pub(super) fn new(count: usize, kind: SchedulerKind, granularity: Time) -> Self {
+    pub(super) fn new(count: usize) -> Self {
         assert!(count >= 1, "shard count must be positive");
         ShardedState {
-            shards: (0..count).map(|_| Shard::new(kind, granularity)).collect(),
+            shards: (0..count).map(|_| Shard::new()).collect(),
         }
     }
 
     /// Copies `base`'s file, allocation and discard rows into these shards
     /// — empty so far — routed by *this* shard count, none marked dirty:
     /// for an engine whose state tries already commit to every one of them
-    /// (a delta restore starts from its base's tries). Task wheels and
-    /// stats are not rows and stay as they are.
+    /// (a delta restore starts from its base's tries). Stats are not
+    /// rows and stay as they are.
     pub(super) fn copy_rows_clean(&mut self, base: &ShardedState) {
         // Same routing: each map is cloned whole, which copies the hash
         // table as it lies instead of re-hashing every row into a new one.
@@ -197,52 +183,5 @@ impl ShardedState {
 
     pub(super) fn take_discard_reason(&mut self, file: FileId) -> Option<RemovalReason> {
         self.shard_mut(file).discard_reasons.remove(&file)
-    }
-
-    // ------------------------------------------------------------------
-    // Task wheels
-    // ------------------------------------------------------------------
-
-    /// Which shard executes a task: its file's shard; global tasks
-    /// (`DistributeRent`) live on shard 0.
-    fn task_shard(&self, task: &Task) -> usize {
-        match task {
-            Task::CheckAlloc(f) | Task::CheckProof(f) | Task::CheckRefresh(f, _) => {
-                self.shard_of(*f)
-            }
-            Task::DistributeRent => 0,
-        }
-    }
-
-    /// Schedules `task` at `time` on its shard's wheel, tagged with the
-    /// caller-assigned global sequence number.
-    pub(super) fn schedule(&mut self, seq: u64, time: Time, task: Task) {
-        let idx = self.task_shard(&task);
-        self.shards[idx].pending.schedule(time, (seq, task));
-    }
-
-    /// Earliest pending task time across all shards — the sharded
-    /// equivalent of [`Scheduler::next_time`] (see
-    /// [`fi_chain::tasks::next_time_across`] for the general form).
-    pub(super) fn next_task_time(&self) -> Option<Time> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.pending.next_time())
-            .min()
-    }
-
-    /// Drains every task due at or before `now`, one slice per shard —
-    /// the wheel-embedded equivalent of
-    /// [`fi_chain::tasks::pop_due_across`].
-    pub(super) fn pop_due(&mut self, now: Time) -> Vec<ShardSlice> {
-        self.shards
-            .iter_mut()
-            .map(|s| s.pending.pop_due(now))
-            .collect()
-    }
-
-    /// Total scheduled tasks across all shards.
-    pub(super) fn pending_len(&self) -> usize {
-        self.shards.iter().map(|s| s.pending.len()).sum()
     }
 }

@@ -5,7 +5,7 @@
 //! consensus from this exact moment: parameters, the chain head (height,
 //! head hash, the open block's events and op batch — the beacon re-derives
 //! from the seed), the ledger, every shard's files / allocation rows /
-//! discard reasons / pending tasks / stats, the sector tables, the
+//! discard reasons / stats, the pending tasks, the sector tables, the
 //! capacity sampler's exact slot layout, the protocol rng's mid-stream
 //! state, and the global counters the state root commits to.
 //! [`Engine::snapshot_restore`] rebuilds a live engine from those bytes;
@@ -66,7 +66,7 @@ use std::sync::Arc;
 use fi_chain::account::{AccountId, Ledger, TokenAmount};
 use fi_chain::block::{BlockChain, ChainEvent};
 use fi_chain::gas::GasSchedule;
-use fi_chain::tasks::SchedulerKind;
+use fi_chain::tasks::{Scheduler, SchedulerKind};
 use fi_crypto::{sha256, DetRng, DetRngState, Hash256};
 use fi_store::{Blockstore, Hamt};
 
@@ -80,7 +80,7 @@ use crate::error::Error;
 
 use super::shard::ShardedState;
 use super::statemap::{self, CommitCell, StateMaps, StateRoots, TrackedMap};
-use super::{Checkpoint, Engine, EngineStats, Task};
+use super::{Checkpoint, Engine, EngineStats, SeqTask, Task};
 
 const MAGIC: &[u8; 8] = b"FISNAPSH";
 const VERSION: u16 = 5;
@@ -521,19 +521,20 @@ fn dec_all_stats(
             "per-shard stats count does not match the shard parameter",
         ));
     }
-    let mut shards = ShardedState::new(params.shards, params.scheduler, params.block_interval);
+    let mut shards = ShardedState::new(params.shards);
     for shard in &mut shards.shards {
         shard.stats = dec_stats(d)?;
     }
     Ok((global, shards))
 }
 
-fn enc_tasks(e: &mut Enc, shards: &ShardedState) {
+fn enc_tasks(e: &mut Enc, pending: &Scheduler<SeqTask>) {
     // Pending Auto_* tasks, canonically ordered by (time, seq). Tasks
-    // are scheduled with a monotonic global sequence, so re-scheduling
-    // in this order reproduces every wheel's pop order exactly.
-    let pending = shards.shards.iter().flat_map(|s| s.pending.iter());
-    let tasks = pending.map(|(time, (seq, task))| ((time, *seq), task));
+    // are scheduled with a monotonic sequence, so re-scheduling in this
+    // order reproduces the wheel's pop order exactly.
+    let tasks = pending
+        .iter()
+        .map(|(time, (seq, task))| ((time, *seq), task));
     put_sorted(e, tasks.collect(), |e, (time, seq), task| {
         e.u64(time);
         e.u64(seq);
@@ -541,21 +542,29 @@ fn enc_tasks(e: &mut Enc, shards: &ShardedState) {
     });
 }
 
+/// The pending list `params` lays out, holding the section's tasks. A
+/// task due before the chain's `now` would rewind the chain when it
+/// runs, so none is.
 fn dec_tasks(
     d: &mut Dec<'_>,
+    params: &ProtocolParams,
+    chain: &BlockChain,
     task_seq: u64,
-    shards: &mut ShardedState,
-) -> Result<(), SnapshotError> {
+) -> Result<Scheduler<SeqTask>, SnapshotError> {
     let tasks = get_sorted(d, "tasks out of canonical order", |d| {
         Ok(((d.u64()?, d.u64()?), dec_task(d)?))
     })?;
+    let mut pending = Scheduler::new(params.scheduler, params.block_interval);
     for ((time, seq), task) in tasks {
         if seq >= task_seq {
             return Err(SnapshotError::Malformed("task seq above the seq counter"));
         }
-        shards.schedule(seq, time, task);
+        if time < chain.now() {
+            return Err(SnapshotError::Malformed("task due before the chain's time"));
+        }
+        pending.schedule(time, (seq, task));
     }
-    Ok(())
+    Ok(pending)
 }
 
 fn enc_replicas(e: &mut Enc, sector_replicas: &ReplicaIndex) {
@@ -778,7 +787,7 @@ impl Engine {
             e.raw(&statemap::key_file(file));
             statemap::put_reason(e, reason);
         });
-        enc_tasks(&mut e, &self.shards);
+        enc_tasks(&mut e, &self.pending);
         put_sorted(&mut e, self.sectors.iter().collect(), |e, _, s| {
             statemap::put_sector(e, s);
         });
@@ -857,7 +866,7 @@ impl Engine {
         })?;
 
         // Pending tasks (already in canonical (time, seq) order).
-        dec_tasks(&mut d, counters.task_seq, &mut shards)?;
+        let pending = dec_tasks(&mut d, &params, &chain, counters.task_seq)?;
 
         let mut sectors = TrackedMap::new();
         let sector_trie = table(&mut d, "sector ids out of order or duplicated", |d| {
@@ -890,6 +899,7 @@ impl Engine {
             ledger,
             gas: GasSchedule::default(),
             shards,
+            pending,
             sectors,
             cr,
             sector_replicas,
@@ -961,7 +971,7 @@ impl Engine {
         enc_ledger(&mut e, &self.ledger);
         enc_counters(&mut e, self);
         enc_all_stats(&mut e, &self.stats_global, &self.shards);
-        enc_tasks(&mut e, &self.shards);
+        enc_tasks(&mut e, &self.pending);
         enc_replicas(&mut e, &self.sector_replicas);
         enc_sampler(&mut e, &self.sampler);
         enc_rng(&mut e, &self.rng);
@@ -1050,7 +1060,7 @@ impl Engine {
         let ledger = dec_ledger(&mut d)?;
         let counters = dec_counters(&mut d)?;
         let (stats_global, mut shards) = dec_all_stats(&mut d, &params)?;
-        dec_tasks(&mut d, counters.task_seq, &mut shards)?;
+        let pending = dec_tasks(&mut d, &params, &chain, counters.task_seq)?;
         let sector_replicas = dec_replicas(&mut d)?;
         let sampler = dec_sampler(&mut d)?;
         let rng = dec_rng(&mut d)?;
@@ -1120,6 +1130,7 @@ impl Engine {
             ledger,
             gas: GasSchedule::default(),
             shards,
+            pending,
             sectors,
             cr,
             sector_replicas,
@@ -1250,13 +1261,13 @@ mod tests {
     /// Reads a full snapshot's payload up to the row count of `rows`.
     fn skip_to(d: &mut Dec<'_>, rows: Rows) {
         let params = dec_params(d).expect("params");
-        dec_chain(d, &params).expect("chain");
+        let chain = dec_chain(d, &params).expect("chain");
         if rows == Rows::Ledger {
             return;
         }
         dec_ledger(d).expect("ledger");
         let counters = dec_counters(d).expect("counters");
-        let (_, mut shards) = dec_all_stats(d, &params).expect("stats");
+        dec_all_stats(d, &params).expect("stats");
         for table in [
             Rows::Files,
             Rows::Alloc,
@@ -1271,7 +1282,7 @@ mod tests {
                 skip_row(d, table).expect("row");
             }
             if table == Rows::Discard {
-                dec_tasks(d, counters.task_seq, &mut shards).expect("tasks");
+                dec_tasks(d, &params, &chain, counters.task_seq).expect("tasks");
             }
         }
         if rows == Rows::ReplicaSet {
@@ -1326,6 +1337,42 @@ mod tests {
                 "{rows:?}"
             );
         }
+    }
+
+    /// Restoring a task due before the chain's time would rewind the
+    /// chain on the first `advance_to`. Snapshots come from peers, so
+    /// restore rejects one.
+    #[test]
+    fn restore_rejects_a_task_due_before_the_chain_time() {
+        let mut engine = engine_with(12);
+        engine.advance_to(5);
+        let snapshot = engine.snapshot_save();
+        let body = &snapshot[..snapshot.len() - HASH_LEN];
+        let payload = &body[MAGIC.len() + 2..];
+        let mut d = Dec::new(payload);
+        let ((), before) = d
+            .with_bytes(|d| {
+                // The pending tasks follow the discard table.
+                skip_to(d, Rows::Discard);
+                for _ in 0..d.len()? {
+                    skip_row(d, Rows::Discard)?;
+                }
+                Ok::<_, DecError>(())
+            })
+            .unwrap();
+        assert!(d.len().expect("task count") >= 1);
+        assert!(d.u64().expect("first task's time") > engine.now());
+
+        // The first task, the earliest, moved to time 0: still sorted.
+        let mut stale = body.to_vec();
+        let at = MAGIC.len() + 2 + before.len() + 8;
+        stale[at..at + 8].copy_from_slice(&0u64.to_be_bytes());
+        let seal = sha256(&stale);
+        stale.extend_from_slice(seal.as_bytes());
+        assert_eq!(
+            Engine::snapshot_restore(&stale).err(),
+            Some(SnapshotError::Malformed("task due before the chain's time"))
+        );
     }
 
     /// A blockstore that counts every call reaching it.
@@ -1466,11 +1513,11 @@ mod tests {
             let ((), sections) = d
                 .with_bytes(|d| {
                     let params = dec_params(d)?;
-                    dec_chain(d, &params)?;
+                    let chain = dec_chain(d, &params)?;
                     dec_ledger(d)?;
                     let counters = dec_counters(d)?;
-                    let (_, mut shards) = dec_all_stats(d, &params)?;
-                    dec_tasks(d, counters.task_seq, &mut shards)?;
+                    dec_all_stats(d, &params)?;
+                    dec_tasks(d, &params, &chain, counters.task_seq)?;
                     dec_replicas(d)?;
                     dec_sampler(d)?;
                     dec_rng(d)?;

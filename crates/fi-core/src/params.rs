@@ -71,11 +71,12 @@ pub struct ProtocolParams {
     /// benchmarking and differential tests — consensus execution is
     /// identical either way.
     pub scheduler: SchedulerKind,
-    /// Engine shard count: per-file state (descriptors, allocation entries,
-    /// task wheel) is partitioned by `FileId % shards`, and the read-only
-    /// verify phase of `Auto_CheckProof` fans out across shards. Consensus
-    /// results are bit-identical for every shard count (see DESIGN.md §9),
-    /// so this is a deployment/performance knob, not a consensus parameter.
+    /// Engine shard count: per-file rows (descriptors, allocation entries,
+    /// discard reasons) are partitioned by `FileId % shards`, and an engine
+    /// with more than one shard fans its large parallel phases out over the
+    /// worker pool. Consensus results are bit-identical for every shard
+    /// count (see DESIGN.md §9), so this is a deployment/performance knob,
+    /// not a consensus parameter.
     ///
     /// Defaults to `1`, or to the `FI_TEST_SHARDS` environment variable when
     /// set (the CI matrix runs the whole test suite at 1 and 8 shards).
@@ -85,13 +86,16 @@ pub struct ProtocolParams {
     /// audited replica (the simulated WindowPoSt verification cost, the
     /// parallelizable part of an audit).
     pub audit_path_len: u32,
-    /// Worker threads for the pipelined batch-ingest path
-    /// ([`crate::engine::Engine::apply_batch`]): shard-local ops in a batch
-    /// are staged concurrently by up to this many scoped threads before the
-    /// sequential commit phase merges them back in submission order.
-    /// Consensus results are bit-identical at every thread count (see
-    /// DESIGN.md §10), so — like [`ProtocolParams::shards`] — this is a
-    /// deployment/performance knob, not a consensus parameter.
+    /// Gates the staged batch-ingest path
+    /// ([`crate::engine::Engine::apply_batch`]) and sets the worker pool's
+    /// minimum width. Above `1`, on a multi-shard engine, shard-local ops
+    /// in a batch are staged concurrently — one contiguous range of shards
+    /// per pool worker, as the audit verify and plan phases split their
+    /// tasks — before the sequential commit phase applies them in
+    /// submission order. The pool has `max(available cores, this)`
+    /// workers. Consensus results are bit-identical at every thread count
+    /// (see DESIGN.md §10), so — like [`ProtocolParams::shards`] — this is
+    /// a deployment/performance knob, not a consensus parameter.
     ///
     /// Defaults to `1`, or to the `FI_TEST_INGEST_THREADS` environment
     /// variable when set (the CI matrix runs the whole suite at 1 and 4

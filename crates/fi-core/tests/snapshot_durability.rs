@@ -299,7 +299,14 @@ fn snapshots_from_the_debug_text_encoding_are_refused() {
 /// `FISNAPSH` / `FIDELTA1` version bump.
 #[test]
 fn snapshot_bytes_match_their_golden_digests() {
-    let mut live = Engine::new(snap_params(2)).expect("valid params");
+    // The snapshot encodes the parameters, so the ingest width is pinned
+    // too: the CI thread axis (`FI_TEST_INGEST_THREADS`) must not change
+    // which engine this is.
+    let params = ProtocolParams {
+        ingest_threads: 1,
+        ..snap_params(2)
+    };
+    let mut live = Engine::new(params).expect("valid params");
     drive_workload(&mut live, 59, 40);
     let base_roots = live.state_roots();
     drive_workload(&mut live, 60, 15);

@@ -60,16 +60,6 @@ use crate::schedule::ProposerSchedule;
 /// orphans are dropped (anti-entropy re-delivers them).
 const ORPHAN_CAP: usize = 1024;
 
-/// How a node replays block ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayMode {
-    /// One `Engine::apply` per op — the canonical verifier path.
-    OpByOp,
-    /// One `Engine::apply_batch` per block — must agree bit-for-bit
-    /// (PR 4's guarantee; asserted by the node tests).
-    Batch,
-}
-
 /// A block as broadcast on the wire: its slot-schedule coordinates, chain
 /// position, the exact op sequence committed, and the proposer's claimed
 /// post-state for verify-then-prefer.
@@ -227,7 +217,6 @@ struct TreeBlock {
 /// module docs for what each operation costs.
 pub struct ChainTracker {
     schedule: ProposerSchedule,
-    mode: ReplayMode,
     /// Engine at the anchor, kept pristine for reorg rebuilds.
     base: Engine,
     anchor: Hash256,
@@ -275,12 +264,12 @@ const ENGINE_CACHE: usize = 8;
 
 impl ChainTracker {
     /// A tracker rooted at `genesis` (height 0, slot 0).
-    pub fn new(genesis: Engine, schedule: ProposerSchedule, mode: ReplayMode) -> Self {
+    pub fn new(genesis: Engine, schedule: ProposerSchedule) -> Self {
         let mut buf = Vec::with_capacity(64);
         buf.extend_from_slice(b"fi-node/genesis-anchor");
         buf.extend_from_slice(genesis.state_root().as_ref());
         let anchor = sha256(&buf);
-        ChainTracker::anchored(genesis, schedule, mode, anchor, 0, 0)
+        ChainTracker::anchored(genesis, schedule, anchor, 0, 0)
     }
 
     /// A tracker for a cold joiner: `engine` is the synced state whose
@@ -289,25 +278,22 @@ impl ChainTracker {
     pub fn from_sync(
         engine: Engine,
         schedule: ProposerSchedule,
-        mode: ReplayMode,
         head: Hash256,
         height: u64,
         slot: u64,
     ) -> Self {
-        ChainTracker::anchored(engine, schedule, mode, head, height, slot)
+        ChainTracker::anchored(engine, schedule, head, height, slot)
     }
 
     fn anchored(
         engine: Engine,
         schedule: ProposerSchedule,
-        mode: ReplayMode,
         anchor: Hash256,
         anchor_height: u64,
         anchor_slot: u64,
     ) -> Self {
         ChainTracker {
             schedule,
-            mode,
             base: engine.clone(),
             anchor,
             anchor_height,
@@ -514,7 +500,7 @@ impl ChainTracker {
             self.work.engine_clones += 1;
             self.cache_engine_at(parent, self.head_height(), at_parent);
         }
-        apply_block(&mut self.engine, self.mode, &ops, &digests);
+        apply_block(&mut self.engine, &ops, &digests);
         self.work.blocks_replayed += 1;
         let block = SealedBlock {
             slot,
@@ -850,7 +836,7 @@ impl ChainTracker {
             .collect();
         for (i, hash) in todo.iter().enumerate() {
             let tb = &self.blocks[hash];
-            apply_block(&mut engine, self.mode, &tb.block.ops, &tb.digests);
+            apply_block(&mut engine, &tb.block.ops, &tb.digests);
             self.work.blocks_replayed += 1;
             let ok = engine.state_root() == tb.block.state_root
                 && engine.chain().head_hash() == tb.block.head_hash
@@ -953,20 +939,14 @@ fn commit_digest(committed: &mut HashMap<Hash256, (u64, u32)>, digest: Hash256, 
 /// Applies one block's ops with their known digests, then drains the
 /// engine's protocol-event buffer — nothing in a node reads it, and left
 /// alone it grows (and is cloned) for the life of the validator.
-fn apply_block(engine: &mut Engine, mode: ReplayMode, ops: &[Op], digests: &[Hash256]) {
-    match mode {
-        ReplayMode::OpByOp => {
-            for (op, digest) in ops.iter().zip(digests) {
-                // Failed ops are part of history (they burn gas and
-                // carry failure receipts); outcomes surface through
-                // the roots.
-                let _ = engine.apply_digested(op.clone(), *digest);
-            }
-        }
-        ReplayMode::Batch => {
-            let _ = engine.apply_batch_digested(ops.to_vec(), digests);
-        }
-    }
+///
+/// Every node replays through [`Engine::apply_batch_digested`]: it stages
+/// a block when the engine's shape makes that pay and applies it op by op
+/// otherwise, bit-identical either way. Failed ops are part of history
+/// (they burn gas and carry failure receipts); outcomes surface through
+/// the roots.
+fn apply_block(engine: &mut Engine, ops: &[Op], digests: &[Hash256]) {
+    let _ = engine.apply_batch_digested(ops.to_vec(), digests);
     engine.take_events();
 }
 
@@ -998,7 +978,7 @@ mod tests {
     fn tracker() -> ChainTracker {
         let schedule =
             ProposerSchedule::new(RandomBeacon::new(5), VALIDATORS.to_vec(), VALIDATORS.len());
-        ChainTracker::new(genesis(), schedule, ReplayMode::OpByOp)
+        ChainTracker::new(genesis(), schedule)
     }
 
     /// A valid block for `(slot, rank)` extending `parent` (a hash in the
@@ -1422,7 +1402,7 @@ mod tests {
         !t.banned_proposers().contains(&proposer)
     }
 
-    fn differential_run(seed: u64, mode: ReplayMode) -> (ChainTracker, Seen) {
+    fn differential_run(seed: u64) -> (ChainTracker, Seen) {
         const SLOTS: u64 = 48;
         const PARTITION_AT: u64 = 16;
         let mut rng = DetRng::from_seed_label(seed, "fi-node/chain-differential");
@@ -1431,7 +1411,7 @@ mod tests {
             VALIDATORS.to_vec(),
             VALIDATORS.len(),
         );
-        let mut t = ChainTracker::new(genesis(), schedule, mode);
+        let mut t = ChainTracker::new(genesis(), schedule);
         let mut forge = Forge::new(&t);
         let mut seen = Seen::default();
         let mut handed = 0u64;
@@ -1604,12 +1584,7 @@ mod tests {
         let (mut orphaned, mut duplicate_commits) = (0, false);
         let (mut convictions, mut lies, mut reorgs, mut deep_reorgs) = (0, 0, 0, 0);
         for seed in 0..6 {
-            let mode = if seed % 2 == 0 {
-                ReplayMode::OpByOp
-            } else {
-                ReplayMode::Batch
-            };
-            let (t, seen) = differential_run(seed, mode);
+            let (t, seen) = differential_run(seed);
             orphaned += seen.orphaned;
             duplicate_commits |= seen.duplicate_commits;
             deep_reorgs += u64::from(seen.deep_reorg);

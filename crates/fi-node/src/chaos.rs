@@ -21,7 +21,6 @@ use fi_net::sim::SimTime;
 use fi_net::world::World;
 use fi_sim::robustness::{heights_to_reconvergence, NetworkRobustnessSpec};
 
-use crate::chain::ReplayMode;
 use crate::cluster::{
     build_cluster, cluster_horizon, genesis_engine, ClusterConfig, ClusterReports,
 };
@@ -41,20 +40,14 @@ pub fn sectors_of(cfg: &ClusterConfig, account: AccountId) -> Vec<SectorId> {
 }
 
 /// A 5-validator cluster configured from a [`NetworkRobustnessSpec`]:
-/// mixed replay modes, the spec's loss rate, a lazy provider (702) whose
+/// the spec's loss rate, a lazy provider (702) whose
 /// proofs the workload withholds, and the §V fault injections — mass
 /// `FailSector` on provider 703, one `CorruptSector` on 700, and the
 /// `ForceDiscard` repair of the two earliest workload files.
 pub fn cluster_for_spec(seed: u64, spec: &NetworkRobustnessSpec) -> ClusterConfig {
     let mut cfg = ClusterConfig::small(seed, spec.slots);
     assert_eq!(spec.validators, 5, "the acceptance scenario runs 5");
-    cfg.validator_modes = vec![
-        ReplayMode::OpByOp,
-        ReplayMode::Batch,
-        ReplayMode::OpByOp,
-        ReplayMode::OpByOp,
-        ReplayMode::Batch,
-    ];
+    cfg.validators = spec.validators;
     // The client's replica view lags the chain by network latency, and
     // under compound faults a confirm can take several slots of failover
     // to commit, so the transfer window (`delay_per_size × file size`)

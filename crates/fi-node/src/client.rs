@@ -35,7 +35,7 @@ use fi_net::sim::SimTime;
 use fi_net::world::{Ctx, NodeIdx, Process, Retransmitter, RetryEvent};
 use fi_sim::harness::{held_replica_candidates, pending_confirm_candidates};
 
-use crate::chain::{ChainTracker, InsertOutcome, ReplayMode};
+use crate::chain::{ChainTracker, InsertOutcome};
 use crate::node::{NodeMsg, RETX_TAG_BASE, TAG_SYNC};
 use crate::schedule::ProposerSchedule;
 
@@ -166,7 +166,7 @@ impl ClientDriver {
         let validators = schedule.validators().to_vec();
         let lazy = workload.lazy_providers.iter().copied().collect();
         ClientDriver {
-            tracker: ChainTracker::new(genesis, schedule, ReplayMode::OpByOp),
+            tracker: ChainTracker::new(genesis, schedule),
             validators,
             sync_every: sync_every.max(2),
             retx: Retransmitter::new(interval.max(2), SUBMIT_ATTEMPTS, RETX_TAG_BASE),

@@ -27,7 +27,6 @@ use fi_net::link::LinkModel;
 use fi_net::sim::SimTime;
 use fi_net::world::World;
 
-use crate::chain::ReplayMode;
 use crate::client::{ClientDriver, ClientReport, WorkloadConfig};
 use crate::node::{ConsensusConfig, NodeMsg, NodeStart, Validator, ValidatorReport};
 use crate::schedule::ProposerSchedule;
@@ -58,9 +57,8 @@ pub struct ClusterConfig {
     pub sync_every: SimTime,
     /// Fallback ranks per slot (clamped to the validator count).
     pub max_ranks: usize,
-    /// Replay mode of each genesis validator — the vector's length is the
-    /// validator count.
-    pub validator_modes: Vec<ReplayMode>,
+    /// Genesis validator count.
+    pub validators: usize,
     /// Keep full op logs on head engines (for replay-equivalence tests).
     pub record_op_log: bool,
     /// When set, a watcher node cold-starts at this time and syncs from a
@@ -76,8 +74,7 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A small, fast default: 3 validators on mixed replay modes, lossy
-    /// links, no watcher.
+    /// A small, fast default: 3 validators, lossy links, no watcher.
     pub fn small(seed: u64, slots: u64) -> Self {
         let params = ProtocolParams {
             k: 3,
@@ -98,7 +95,7 @@ impl ClusterConfig {
             skip_timeout: (interval / 3).max(2),
             sync_every: (interval / 2).max(2),
             max_ranks: 3,
-            validator_modes: vec![ReplayMode::OpByOp, ReplayMode::Batch, ReplayMode::OpByOp],
+            validators: 3,
             record_op_log: false,
             cold_join_at: None,
             workload: WorkloadConfig::default(),
@@ -110,19 +107,19 @@ impl ClusterConfig {
     pub fn schedule(&self) -> ProposerSchedule {
         ProposerSchedule::new(
             RandomBeacon::new(self.seed),
-            (0..self.validator_modes.len()).collect(),
+            (0..self.validators).collect(),
             self.max_ranks,
         )
     }
 
     /// Node index of the client driver (validators fill `0..client`).
     pub fn client_node(&self) -> usize {
-        self.validator_modes.len()
+        self.validators
     }
 
     /// Node index of the cold-start watcher, when configured.
     pub fn watcher_node(&self) -> Option<usize> {
-        self.cold_join_at.map(|_| self.validator_modes.len() + 1)
+        self.cold_join_at.map(|_| self.validators + 1)
     }
 }
 
@@ -172,12 +169,9 @@ pub fn genesis_engine(
 ///
 /// # Panics
 ///
-/// Panics when `validator_modes` is empty.
+/// Panics when `validators` is zero.
 pub fn build_cluster(cfg: &ClusterConfig) -> (World<NodeMsg>, ClusterReports) {
-    assert!(
-        !cfg.validator_modes.is_empty(),
-        "a cluster needs validators"
-    );
+    assert!(cfg.validators > 0, "a cluster needs validators");
     let mut world = World::new(cfg.link, cfg.seed);
     let (genesis, sector_owner) = genesis_engine(&cfg.params, &cfg.providers, cfg.client);
     let schedule = cfg.schedule();
@@ -190,18 +184,13 @@ pub fn build_cluster(cfg: &ClusterConfig) -> (World<NodeMsg>, ClusterReports) {
         join_retry: 20,
     };
 
-    let validator_count = cfg.validator_modes.len();
+    let validator_count = cfg.validators;
     let client_idx = cfg.client_node();
 
     let validator_reports: Vec<Rc<RefCell<ValidatorReport>>> = (0..validator_count)
         .map(|_| Rc::new(RefCell::new(ValidatorReport::default())))
         .collect();
-    for (me, (mode, report)) in cfg
-        .validator_modes
-        .iter()
-        .zip(&validator_reports)
-        .enumerate()
-    {
+    for (me, report) in validator_reports.iter().enumerate() {
         let peers: Vec<usize> = (0..validator_count).filter(|&p| p != me).collect();
         // Proposals reach every other validator and the client's replica;
         // status exchanges stay validator-to-validator.
@@ -211,7 +200,6 @@ pub fn build_cluster(cfg: &ClusterConfig) -> (World<NodeMsg>, ClusterReports) {
             me,
             NodeStart::Genesis(Box::new(genesis.clone())),
             schedule.clone(),
-            *mode,
             consensus.clone(),
             broadcast,
             peers,
@@ -240,7 +228,6 @@ pub fn build_cluster(cfg: &ClusterConfig) -> (World<NodeMsg>, ClusterReports) {
             client_idx + 1,
             NodeStart::ColdJoin { wake_at },
             schedule.clone(),
-            ReplayMode::OpByOp,
             consensus.clone(),
             Vec::new(),
             (0..validator_count).collect(),

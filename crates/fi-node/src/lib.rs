@@ -42,8 +42,7 @@ pub mod node;
 pub mod schedule;
 
 pub use chain::{
-    ChainTracker, EquivocationEvidence, InsertOutcome, RejectReason, ReplayMode, SealedBlock,
-    TrackerWork,
+    ChainTracker, EquivocationEvidence, InsertOutcome, RejectReason, SealedBlock, TrackerWork,
 };
 pub use chaos::{cluster_for_spec, run_chaos, schedule_fault_script, ChaosOutcome, FaultSchedule};
 pub use client::{ClientDriver, ClientReport, WorkloadConfig};

@@ -42,7 +42,7 @@ use fi_crypto::Hash256;
 use fi_net::sim::SimTime;
 use fi_net::world::{Ctx, NodeIdx, Process, Retransmitter, RetryEvent};
 
-use crate::chain::{ChainTracker, InsertOutcome, ReplayMode, SealedBlock, TrackerWork};
+use crate::chain::{ChainTracker, InsertOutcome, SealedBlock, TrackerWork};
 use crate::mempool::{Mempool, Tx};
 use crate::schedule::ProposerSchedule;
 
@@ -273,7 +273,6 @@ pub struct ValidatorReport {
 pub struct Validator {
     me: NodeIdx,
     schedule: ProposerSchedule,
-    mode: ReplayMode,
     cfg: ConsensusConfig,
     /// Absent until a cold joiner has synced.
     tracker: Option<ChainTracker>,
@@ -318,7 +317,6 @@ impl Validator {
         me: NodeIdx,
         start: NodeStart,
         schedule: ProposerSchedule,
-        mode: ReplayMode,
         cfg: ConsensusConfig,
         broadcast: Vec<NodeIdx>,
         sync_targets: Vec<NodeIdx>,
@@ -327,11 +325,7 @@ impl Validator {
     ) -> Self {
         let (tracker, mempool) = match &start {
             NodeStart::Genesis(engine) => (
-                Some(ChainTracker::new(
-                    (**engine).clone(),
-                    schedule.clone(),
-                    mode,
-                )),
+                Some(ChainTracker::new((**engine).clone(), schedule.clone())),
                 Some(Mempool::new(
                     engine.params().clone(),
                     GasSchedule::default(),
@@ -344,7 +338,6 @@ impl Validator {
         Validator {
             me,
             schedule,
-            mode,
             cfg,
             tracker,
             mempool,
@@ -744,7 +737,6 @@ impl Validator {
         self.tracker = Some(ChainTracker::from_sync(
             engine,
             self.schedule.clone(),
-            self.mode,
             head,
             height,
             slot,

@@ -122,10 +122,11 @@ fn rotating_validators_stay_bit_identical_across_200_slots_under_loss() {
 
 #[test]
 fn replay_modes_agree_per_height() {
-    // ClusterConfig::small mixes one apply_batch replayer among op-by-op
-    // validators: convergence across them transitively proves
-    // apply-vs-apply_batch equality on every adopted block, heavy loss,
-    // retransmits and duplicate deliveries included.
+    // Every validator replays blocks through `apply_batch_digested`, which
+    // stages them or applies them op by op as the engine's shape decides;
+    // under the CI shard and thread matrix they stage. Convergence across
+    // validators, heavy loss, retransmits and duplicate deliveries
+    // included, shows every replica replayed every adopted block alike.
     let cfg = chaos_cluster(0xA11B, 60, 0.2);
     let (world, reports) = run_cluster(&cfg);
     let (height, _root) = assert_converged(&reports);
