@@ -74,7 +74,7 @@ use fi_chain::gas::{GasSchedule, Op as GasOp};
 use fi_chain::log::SharedLog;
 use fi_chain::tasks::{Scheduler, Time};
 use fi_crypto::{DetRng, Hash256};
-use fi_store::{Blockstore, DiskBlockstore, Hamt, MemoryBlockstore};
+use fi_store::{Blockstore, DiskBlockstore, Emit, Hamt, MemoryBlockstore, Merge};
 
 use crate::codec::Enc;
 use crate::drep::CrAccounting;
@@ -86,7 +86,7 @@ use crate::types::{FileId, ProtocolEvent, Sector, SectorId};
 
 use self::audit::ProofAudit;
 use self::batch::{ledger_steps_match, shard_local_file};
-use self::pool::{JobBatch, PoolHandle, WorkerPool};
+use self::pool::{PoolHandle, WorkerPool};
 use self::shard::ShardedState;
 use self::statemap::{CommitCell, StateMaps, TrackedMap};
 
@@ -574,7 +574,7 @@ impl Engine {
             pool: PoolHandle::new(),
             phase: PhaseTimes::default(),
             store,
-            commit: CommitCell::new(),
+            commit: CommitCell::default(),
             params,
         };
         let period = engine.rent_period();
@@ -1093,64 +1093,41 @@ impl Engine {
         (roots, maps)
     }
 
-    /// Drains every tracked map's dirty keys into the five state HAMTs,
+    /// Merges every tracked map's dirty keys into the five state HAMTs,
     /// commits them — hash-only, or into the blockstore when `persist` —
-    /// and returns the map roots in canonical fold order. Keys are applied
-    /// in drain order — the HAMT layout is history-independent, so any
-    /// order yields the same roots.
+    /// and returns the map roots in canonical fold order.
     ///
-    /// The dirty top-level subtrees of the five tries are independent, so
-    /// a large enough commit hashes them as one batch on the worker pool
-    /// before the five root nodes are sealed here. Whether to is decided
-    /// from the commit's own shape — the roots are the same either way.
+    /// Only the drain of the dirty ids runs here. Reading and encoding
+    /// the leaves, hashing the keys and merging them run inside the
+    /// merges ([`Hamt::merge`]): one job per top-level group, as one batch
+    /// on the worker pool when the commit is large enough, and inline
+    /// otherwise. Whether to is decided from the commit's own shape — the
+    /// roots are the same either way. The engine's tries are built in
+    /// memory and never unloaded, so a merge never reads the store; a node
+    /// a live pin still shares is copied before it is written.
     fn sync_commitment(&self, maps: &mut StateMaps, persist: bool) -> [Hash256; 5] {
-        let store = self.store.as_ref();
-        let mut dirty_keys = 0usize;
-        // The engine's tries are built in memory and never unloaded, so
-        // `set`/`delete` find every node resident and never read the store.
-        // A node a live pin still shares is copied before it is written.
-        let mut put = |trie: &mut Hamt, key: &[u8], leaf: Option<Vec<u8>>| {
-            let ok = "state trie nodes are resident";
-            match leaf {
-                Some(bytes) => trie.set(store, key, &bytes).expect(ok),
-                None => drop(trie.delete(store, key).expect(ok)),
-            }
-            dirty_keys += 1;
-        };
-        for shard in &self.shards.shards {
-            for id in shard.files.take_dirty() {
-                let leaf = shard.files.get(&id).map(statemap::enc_file);
-                put(&mut maps.files, &statemap::key_file(id), leaf);
-            }
-            for (file, index) in shard.alloc.take_dirty() {
-                let leaf = shard.alloc.get(&(file, index));
-                let leaf = leaf.map(statemap::enc_alloc_entry);
-                put(&mut maps.alloc, &statemap::key_alloc(file, index), leaf);
-            }
-            for id in shard.discard_reasons.take_dirty() {
-                let leaf = shard.discard_reasons.get(&id);
-                let leaf = leaf.map(|r| statemap::enc_reason(*r));
-                put(&mut maps.discard, &statemap::key_file(id), leaf);
-            }
-        }
-        for id in self.sectors.take_dirty() {
-            let leaf = self.sectors.get(&id).map(statemap::enc_sector);
-            put(&mut maps.sectors, &statemap::key_sector(id), leaf);
-        }
-        for id in self.cr.take_dirty() {
-            let leaf = self.cr.get(&id).map(statemap::enc_cr);
-            put(&mut maps.cr, &statemap::key_sector(id), leaf);
-        }
-
+        use statemap::*;
+        let (store, shards) = (self.store.as_ref(), &self.shards.shards);
+        let files = shards.iter().map(|s| &s.files);
+        let alloc = shards.iter().map(|s| &s.alloc);
+        let discard = shards.iter().map(|s| &s.discard_reasons);
+        let sectors = [&self.sectors];
+        let (alloc_key, reason) = (|(f, i)| key_alloc(f, i), |r: &_| enc_reason(*r));
+        let mut merges = [
+            merge_dirty(&mut maps.files, store, files, key_file, enc_file),
+            merge_dirty(&mut maps.alloc, store, alloc, alloc_key, enc_alloc_entry),
+            merge_dirty(&mut maps.discard, store, discard, key_file, reason),
+            merge_dirty(&mut maps.sectors, store, sectors, key_sector, enc_sector),
+            merge_dirty(&mut maps.cr, store, [&self.cr], key_sector, enc_cr),
+        ];
+        let dirty_keys: usize = merges.iter().flatten().map(Merge::changes).sum();
         if dirty_keys >= COMMIT_FANOUT_MIN_DIRTY_KEYS && self.pool_width() >= 2 {
-            let subtrees = maps.dirty_subtrees();
-            if subtrees.len() >= 2 {
-                let jobs: JobBatch<'_> = subtrees
-                    .into_iter()
-                    .map(|subtree| Box::new(move || subtree.commit()) as _)
-                    .collect();
-                self.pool().run(jobs);
-            }
+            let jobs = merges.iter_mut().flatten().flat_map(Merge::jobs);
+            self.pool()
+                .run(jobs.map(|job| Box::new(job) as _).collect());
+        }
+        for merge in merges.into_iter().flatten() {
+            merge.finish().expect("state trie nodes are resident");
         }
         maps.seal(persist.then_some(store))
             .expect("state store write")
@@ -1282,10 +1259,7 @@ impl Engine {
     /// The worker count [`Engine::pool`] spawns with — known without
     /// spawning, so a phase can tell whether fanning out could help.
     fn pool_width(&self) -> usize {
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        cores.max(self.params.ingest_threads)
+        self.pool.cores.max(self.params.ingest_threads)
     }
 
     /// The pool a phase hands to [`pool::fan_out`]: the engine's, when the
@@ -1337,6 +1311,32 @@ impl Engine {
             .burn(account, fee)
             .map_err(|_| EngineError::InsufficientFunds)
     }
+}
+
+/// One map's share of a state commit: drains the dirty keys of `rows` (the
+/// map's table in each shard) and starts merging them into `trie`, unless
+/// there are none. The merge's jobs look each key's row up and encode it
+/// with `leaf`; a key whose row is gone is deleted.
+fn merge_dirty<'a, K, V, const N: usize>(
+    trie: &'a mut Hamt,
+    store: &'a dyn Blockstore,
+    rows: impl IntoIterator<Item = &'a TrackedMap<K, V>>,
+    key: fn(K) -> [u8; N],
+    leaf: fn(&V) -> Vec<u8>,
+) -> Option<Merge<'a>>
+where
+    K: Eq + std::hash::Hash + Copy + Send + Sync + 'a,
+    V: Send + Sync + 'a,
+{
+    let dirty: Vec<_> = rows
+        .into_iter()
+        .flat_map(|rows| rows.take_dirty().into_iter().map(move |id| (rows, id)))
+        .collect();
+    let read = move |&(rows, id): &(&TrackedMap<K, V>, K), emit: &mut Emit<'_>| {
+        emit(&key(id), rows.get(&id).map(leaf).as_deref());
+    };
+    let merge = (!dirty.is_empty()).then(|| trie.merge(store, dirty, read));
+    merge.map(|merge| merge.expect("state trie nodes are resident"))
 }
 
 /// The blockstore [`Engine::new`] uses: in-memory, unless

@@ -10,7 +10,7 @@
 //! closures and blocks on a [`Ticket`] until the pool has run them all.
 //! The chunked phases — ingest staging, audit verify and plan, the
 //! deferred `cntdown` flush — all go through [`fan_out`]; the state
-//! commit submits one job per dirty subtree.
+//! commit submits the jobs of its trie merges.
 //!
 //! # Scoped-job safety
 //!
@@ -267,12 +267,17 @@ pub(crate) fn fan_out<T: Send, R: Send>(
 /// clones share the already-spawned pool through an `Arc`.
 pub(crate) struct PoolHandle {
     slot: OnceLock<Arc<WorkerPool>>,
+    /// The host's available parallelism, read once: the read goes through
+    /// cgroup files and costs tens of microseconds, and the pool gates ask
+    /// for it a few hundred times per audit cycle.
+    pub(crate) cores: usize,
 }
 
 impl PoolHandle {
     pub(crate) fn new() -> Self {
         PoolHandle {
             slot: OnceLock::new(),
+            cores: thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         }
     }
 
@@ -291,7 +296,10 @@ impl Clone for PoolHandle {
         if let Some(pool) = self.slot.get() {
             let _ = slot.set(Arc::clone(pool));
         }
-        PoolHandle { slot }
+        PoolHandle {
+            slot,
+            cores: self.cores,
+        }
     }
 }
 

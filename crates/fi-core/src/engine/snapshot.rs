@@ -1013,7 +1013,7 @@ impl Engine {
     ///
     /// The end-to-end check is the restored engine's own `state_root()`:
     /// its ordinary incremental commit writes the dirty keys into the
-    /// shared tries with `Hamt::set` / `delete`, so the tries it hashes
+    /// shared tries with `Hamt::merge`, so the tries it hashes
     /// are the canonical ones of its rows whatever shape the shipped
     /// nodes had, and that root — and each of the five map roots — must
     /// equal what the delta recorded, or restore fails. A delta that is

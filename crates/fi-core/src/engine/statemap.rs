@@ -28,7 +28,7 @@ use std::sync::Mutex;
 use fi_chain::account::{AccountId, TokenAmount};
 use fi_chain::tasks::Time;
 use fi_crypto::{keyed_hash, Hash256};
-use fi_store::{Blockstore, DirtySubtree, Hamt, StoreError};
+use fi_store::{Blockstore, Hamt, StoreError};
 
 use crate::codec::{Dec, DecError, Enc};
 use crate::drep::CrAccounting;
@@ -503,16 +503,6 @@ impl StateMaps {
         ]
     }
 
-    /// The dirty top-level subtrees of all five maps: the independent
-    /// part of a commit, which the engine may spread over its pool before
-    /// [`StateMaps::seal`] finishes the five root nodes.
-    pub(super) fn dirty_subtrees(&self) -> Vec<DirtySubtree<'_>> {
-        self.tries()
-            .into_iter()
-            .flat_map(Hamt::dirty_subtrees)
-            .collect()
-    }
-
     /// Commits all five maps and returns their roots in fold order. With
     /// a store, also persists the committed version into it
     /// ([`Hamt::flush`]); without, only hashes ([`Hamt::commit`]).
@@ -542,10 +532,6 @@ impl StateMaps {
 pub(super) struct CommitCell(Mutex<StateMaps>);
 
 impl CommitCell {
-    pub(super) fn new() -> Self {
-        CommitCell::default()
-    }
-
     /// A cell over tries that already commit to their owner's maps.
     pub(super) fn with_maps(maps: StateMaps) -> Self {
         CommitCell(Mutex::new(maps))

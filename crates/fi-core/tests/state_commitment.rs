@@ -1126,3 +1126,62 @@ fn off_boundary_advances_seal_the_same_blocks() {
     assert_eq!(blocks.last().expect("blocks").to_hex(), GOLDEN_HEAD);
     assert_eq!(root.to_hex(), GOLDEN_ROOT);
 }
+
+/// A state commit merges its dirty keys on the worker pool from 2 048
+/// keys up and inline below. Three engines take the same ops: one with
+/// four ingest threads, so its pool has at least four workers and its
+/// large commits run pooled on any host; one with one, whose large
+/// commits run pooled only on a host of two or more cores; and one that
+/// commits every 64 ops, so every commit it makes stays inline. The first
+/// commit carries every row of 700 confirmed files, the next the
+/// discards of half of them among 350 new files, then an audit removes
+/// the discarded files. Roots, map roots and a delta round trip agree.
+#[test]
+fn pooled_and_inline_commits_give_the_same_roots() {
+    let run = |ingest_threads: usize, commit_every: Option<u64>| {
+        let mut engine = Engine::new(params(2, ingest_threads)).expect("params");
+        engine.fund(CLIENT, TokenAmount(u128::MAX / 4));
+        engine.fund(PROVIDERS[0], TokenAmount(u128::MAX / 4));
+        for _ in 0..6 {
+            engine
+                .sector_register(PROVIDERS[0], 640_000)
+                .expect("register");
+        }
+        let mut ops = 0u64;
+        let mut op = |engine: &Engine| {
+            ops += 1;
+            if commit_every.is_some_and(|n| ops.is_multiple_of(n)) {
+                engine.state_root();
+            }
+        };
+        for i in 0..700 {
+            fill_confirmed(&mut engine, i..i + 1);
+            op(&engine);
+        }
+        let base = engine.state_roots();
+        let full_base = engine.snapshot_save();
+        for (n, file) in engine.file_ids().into_iter().step_by(2).enumerate() {
+            engine.file_discard(CLIENT, file).expect("discard");
+            op(&engine);
+            fill_confirmed(&mut engine, 1_000 + n as u64..1_001 + n as u64);
+            op(&engine);
+        }
+        let discarded = engine.state_roots();
+        engine.honest_providers_act();
+        engine.advance_to(engine.now() + engine.params().proof_cycle * 2);
+        assert!(engine.file_ids().len() < 1_000, "discarded files removed");
+        let roots = engine.state_roots();
+        // The delta restore's own root check is a commit of every key the
+        // delta changed: pooled or inline as the saver's engine was.
+        let delta = engine.snapshot_delta(&base).expect("delta");
+        let base_engine = Engine::snapshot_restore(&full_base).expect("base restore");
+        let restored = Engine::snapshot_restore_delta(&delta, &base_engine).expect("restore");
+        assert_eq!(restored.state_roots(), roots);
+        ((base, discarded, roots), delta)
+    };
+    // A delta carries the saver's parameters: compare the roots across
+    // ingest widths, and the bytes too at one width.
+    let (pooled, one_thread) = (run(4, None), run(1, None));
+    assert_eq!(pooled.0, one_thread.0);
+    assert_eq!(run(1, Some(64)), one_thread);
+}

@@ -19,12 +19,11 @@
 //! not of the insert/delete order that produced it, nor of when it was
 //! committed or flushed in between. Two engines that mutate their maps in
 //! different orders (different shard counts, different ingest
-//! interleavings) still converge on bit-identical roots, and a map can be
-//! built from its pairs directly ([`Hamt::from_pairs`]: sorted by nibble
-//! path, each node emitted once, deepest first) rather than replayed one
-//! insert at a time. The property tests in this module shuffle and
-//! interleave mutation orders, and compare the direct build, to pin this
-//! down.
+//! interleavings) still converge on bit-identical roots, and a batch of
+//! changes can be merged in directly ([`Hamt::merge`]: sorted by nibble
+//! path, each touched node built once, deepest first) rather than
+//! replayed one write at a time. The property tests in this module
+//! shuffle mutation orders and replay merges write by write to pin this.
 //!
 //! # Commit is not persist
 //!
@@ -47,9 +46,9 @@
 //! a map seals the nodes it shares with the others instead of copying
 //! them. Mutation clears both cells along the path it writes. Both
 //! passes are one bottom-up walk ([`Hamt::flush`] is the same walk with
-//! a `put`), and the walks of disjoint subtrees are independent:
-//! [`Hamt::dirty_subtrees`] hands the dirty top-level subtrees out as
-//! [`DirtySubtree`] jobs a caller may commit on threads of its own.
+//! a `put`). A merge seals what it builds as it goes, and the top-level
+//! groups of a map are disjoint: a [`Merge`] hands them out as jobs a
+//! caller may run on threads of its own.
 //!
 //! # Copy-on-write
 //!
@@ -76,12 +75,12 @@
 //! store cannot make them revisit one.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use fi_crypto::{sha256, Hash256};
 
-use crate::blockstore::{block_hash, Blockstore, StoreError};
+use crate::blockstore::{block_hash, Blockstore, MemoryBlockstore, StoreError};
 
 /// Slots per node: 5 bits of key hash per level.
 pub const FANOUT: u32 = 32;
@@ -566,6 +565,10 @@ fn node_set(
 /// replaces the child link with a single bucket, restoring the canonical
 /// "a child exists only above `BUCKET_SIZE` pairs" invariant.
 fn collapse(node: &Node) -> Option<Bucket> {
+    // Every slot holds a pair at least: more slots than that, no collapse.
+    if node.slots.len() > BUCKET_SIZE {
+        return None;
+    }
     let mut total = 0usize;
     for slot in &node.slots {
         match slot {
@@ -665,7 +668,7 @@ fn scratch() -> Vec<u8> {
 }
 
 // ----------------------------------------------------------------------
-// Bottom-up build
+// Batched merge
 // ----------------------------------------------------------------------
 
 /// Nibbles of a key hash that [`path_prefix`] packs into one `u128`.
@@ -690,10 +693,22 @@ fn path_tail_cmp(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
         .unwrap_or(std::cmp::Ordering::Equal)
 }
 
-/// One pair of a [`Hamt::from_pairs`] build: its key hash's
-/// [`path_prefix`] and where its key and value sit, back to back, in the
-/// build's arena. Field lengths are `u32`, as in a bucket's encoding.
-#[derive(Clone, Copy, Default)]
+/// The first nibble of a [`path_prefix`]: the top-level group of its key.
+fn first_nibble(prefix: u128) -> usize {
+    (prefix >> 123) as usize
+}
+
+/// Fewest changes a [`Merge`] reads at a time, the unit its jobs claim
+/// to hash keys and copy pairs. A large merge reads in sixteen chunks, so
+/// that a group's changes come out of few arenas.
+const CHUNK: usize = 1024;
+
+/// The `value_len` of an [`Entry`] that deletes its key.
+const DELETE: u32 = u32::MAX;
+
+/// One change of a merge: its key hash's [`path_prefix`] and where its
+/// key and value sit, back to back, in its chunk's arena. Field lengths
+/// are `u32`, as in a bucket's encoding.
 struct Entry {
     prefix: u128,
     start: usize,
@@ -701,137 +716,224 @@ struct Entry {
     value_len: u32,
 }
 
-/// The first nibble of a [`path_prefix`]: its group in [`Build::new`].
-fn first_nibble(prefix: u128) -> usize {
-    (prefix >> 123) as usize
+impl Entry {
+    /// The value's length, `None` for a change that deletes its key.
+    fn value_len(&self) -> Option<usize> {
+        (self.value_len != DELETE).then_some(self.value_len as usize)
+    }
 }
 
-/// The pairs of a [`Hamt::from_pairs`] build, copied into one arena and
-/// listed in the order the build reads them: by nibble path, then key.
-struct Build {
+/// Changes of a merge copied into one arena, listed in path order.
+struct Chunk {
     arena: Vec<u8>,
     entries: Vec<Entry>,
 }
 
-impl Build {
-    /// Hashes every key of `pairs` once, copies the pairs into an arena
-    /// grouped by first nibble — one pass over the input in its own order,
-    /// appending to 32 groups — and sorts each group, a thirty-second of
-    /// the pairs, in place. Sorting first and copying in path order would
-    /// read the input at random.
-    fn new<K: AsRef<[u8]>, V: AsRef<[u8]>>(pairs: &[(K, V)]) -> Result<Build, StoreError> {
-        let prefixes: Vec<u128> = pairs
-            .iter()
-            .map(|(key, _)| path_prefix(&sha256(key.as_ref())))
-            .collect();
-        // Each group's size, then where it starts, in entries and in
-        // arena bytes.
-        let mut next = [0usize; FANOUT as usize];
-        let mut next_byte = [0usize; FANOUT as usize];
-        for ((k, v), &prefix) in pairs.iter().zip(&prefixes) {
-            next[first_nibble(prefix)] += 1;
-            next_byte[first_nibble(prefix)] += k.as_ref().len() + v.as_ref().len();
+impl Chunk {
+    /// Reads `changes` through `read`, which emits each one's key and new
+    /// value, hashing every key once.
+    fn read<T>(changes: &[T], read: &impl Fn(&T, &mut Emit<'_>)) -> Result<Chunk, StoreError> {
+        // Room for typical rows: a small merge's arena seldom grows.
+        let (mut arena, mut too_long) = (Vec::with_capacity(changes.len() * 64), false);
+        let mut entries = Vec::with_capacity(changes.len());
+        for change in changes {
+            read(change, &mut |key, value| {
+                let len = |field: &[u8]| u32::try_from(field.len()).ok().filter(|&n| n != DELETE);
+                let (Some(key_len), Some(value_len)) = (len(key), value.map_or(Some(DELETE), len))
+                else {
+                    return too_long = true;
+                };
+                let (prefix, start) = (path_prefix(&sha256(key)), arena.len());
+                entries.push(Entry {
+                    prefix,
+                    start,
+                    key_len,
+                    value_len,
+                });
+                arena.extend_from_slice(key);
+                arena.extend_from_slice(value.unwrap_or_default());
+            });
         }
-        let (mut len, mut bytes) = (0, 0);
-        for nib in 0..FANOUT as usize {
-            let (count, size) = (next[nib], next_byte[nib]);
-            (next[nib], next_byte[nib]) = (len, bytes);
-            len += count;
-            bytes += size;
+        if too_long {
+            return Err(StoreError::Corrupt("trie field over 4 GiB"));
         }
-        let mut arena = vec![0; bytes];
-        let mut entries = vec![Entry::default(); len];
-        let field_len = |field: &[u8]| {
-            u32::try_from(field.len()).map_err(|_| StoreError::Corrupt("trie field over 4 GiB"))
+        entries.sort_unstable_by_key(|entry| entry.prefix);
+        // A full chunk is copied again in path order, for a group's merge
+        // to read front to back; a smaller one stays in cache as it is.
+        if entries.len() < CHUNK {
+            return Ok(Chunk { arena, entries });
+        }
+        let mut sorted = Vec::with_capacity(arena.len());
+        for entry in &mut entries {
+            let len = entry.key_len as usize + entry.value_len().unwrap_or(0);
+            let start = std::mem::replace(&mut entry.start, sorted.len());
+            sorted.extend_from_slice(&arena[start..][..len]);
+        }
+        Ok(Chunk {
+            arena: sorted,
+            entries,
+        })
+    }
+
+    /// The changes of top-level group `nib`.
+    fn group(&self, nib: usize) -> impl Iterator<Item = Change<'_>> {
+        let first = |nib: usize| {
+            self.entries
+                .partition_point(|e| first_nibble(e.prefix) < nib)
         };
-        for ((k, v), &prefix) in pairs.iter().zip(&prefixes) {
-            let (k, v, nib) = (k.as_ref(), v.as_ref(), first_nibble(prefix));
-            let start = next_byte[nib];
-            let key_end = start + k.len();
-            arena[start..key_end].copy_from_slice(k);
-            arena[key_end..key_end + v.len()].copy_from_slice(v);
-            entries[next[nib]] = Entry {
-                prefix,
-                start,
-                key_len: field_len(k)?,
-                value_len: field_len(v)?,
-            };
-            next[nib] += 1;
-            next_byte[nib] = key_end + v.len();
-        }
-        // Each group now ends where `next` points.
-        let mut start = 0;
-        for end in next {
-            entries[start..end].sort_unstable_by_key(|entry| entry.prefix);
-            start = end;
-        }
-        // Paths that agree on the packed prefix — in practice only a key
-        // given twice — are ordered by their other nibbles, then by key.
-        let key = |entry: &Entry| &arena[entry.start..][..entry.key_len as usize];
-        for tie in entries.chunk_by_mut(|a, b| a.prefix == b.prefix) {
-            if tie.len() > 1 {
-                tie.sort_by(|a, b| path_tail_cmp(key(a), key(b)).then_with(|| key(a).cmp(key(b))));
-                if tie.windows(2).any(|w| key(&w[0]) == key(&w[1])) {
-                    return Err(StoreError::Corrupt("key given twice to a trie build"));
+        self.entries[first(nib)..first(nib + 1)]
+            .iter()
+            .map(|entry| {
+                let key_end = entry.start + entry.key_len as usize;
+                Change {
+                    prefix: entry.prefix,
+                    key: &self.arena[entry.start..key_end],
+                    value: entry.value_len().map(|len| &self.arena[key_end..][..len]),
                 }
+            })
+    }
+}
+
+/// One change as a merge applies it: a key, its hash's [`path_prefix`],
+/// and its new value, `None` to delete it.
+#[derive(Clone, Copy)]
+struct Change<'a> {
+    prefix: u128,
+    key: &'a [u8],
+    value: Option<&'a [u8]>,
+}
+
+impl Change<'_> {
+    fn nibble(&self, depth: usize) -> u32 {
+        if depth < PREFIX_NIBBLES {
+            (self.prefix >> (123 - 5 * depth)) as u32 & (FANOUT - 1)
+        } else {
+            nibble(&sha256(self.key), depth)
+        }
+    }
+}
+
+/// Sorts changes by nibble path, then key: the order a merge reads them
+/// in, every slot's changes one run. A key given twice is refused.
+fn sort_by_path(changes: &mut [Change<'_>]) -> Result<(), StoreError> {
+    changes.sort_unstable_by_key(|change| change.prefix);
+    // Paths that agree on the packed prefix — in practice only a key
+    // given twice — are ordered by their other nibbles, then by key.
+    for tie in changes.chunk_by_mut(|a, b| a.prefix == b.prefix) {
+        if tie.len() > 1 {
+            tie.sort_by(|a, b| path_tail_cmp(a.key, b.key).then_with(|| a.key.cmp(b.key)));
+            if tie.windows(2).any(|w| w[0].key == w[1].key) {
+                return Err(StoreError::Corrupt("key given twice to a trie build"));
             }
         }
-        Ok(Build { arena, entries })
     }
+    Ok(())
+}
 
-    fn key(&self, entry: &Entry) -> &[u8] {
-        &self.arena[entry.start..][..entry.key_len as usize]
+/// Merges `changes`, in path order and all routed through `node` (which
+/// sits `depth` levels down), into `node` slot by slot by the rules of
+/// [`node_set`] and [`node_delete`]. Each touched node below is built and
+/// sealed (hashed) once; `node` is left for its parent to seal or collapse.
+fn merge_node(
+    node: &mut Node,
+    store: &dyn Blockstore,
+    mut changes: &[Change<'_>],
+    depth: usize,
+    buf: &mut Vec<u8>,
+) -> Result<(), StoreError> {
+    if depth >= MAX_DEPTH {
+        return Err(StoreError::Corrupt("trie deeper than the key hash"));
     }
-
-    fn value(&self, entry: &Entry) -> &[u8] {
-        let start = entry.start + entry.key_len as usize;
-        &self.arena[start..][..entry.value_len as usize]
+    if node.slots.is_empty() {
+        let bits = changes.iter().fold(0u32, |b, c| b | 1 << c.nibble(depth));
+        node.slots.reserve(bits.count_ones() as usize);
     }
-
-    fn nibble(&self, entry: &Entry, depth: usize) -> u32 {
-        if depth < PREFIX_NIBBLES {
-            (entry.prefix >> (123 - 5 * depth)) as u32 & (FANOUT - 1)
-        } else {
-            nibble(&sha256(self.key(entry)), depth)
+    while let Some(first) = changes.first() {
+        let nib = first.nibble(depth);
+        let (run, rest) = changes.split_at(changes.partition_point(|c| c.nibble(depth) == nib));
+        changes = rest;
+        let (idx, had) = (node.insert_index(nib), node.bitmap & 1 << nib != 0);
+        let slot =
+            had.then(|| std::mem::replace(&mut node.slots[idx], Slot::Bucket(Bucket(Vec::new()))));
+        match (merge_slot(slot, store, run, depth, buf)?, had) {
+            (Some(slot), true) => node.slots[idx] = slot,
+            (Some(slot), false) => node.insert_slot(nib, slot),
+            (None, true) => node.remove_slot(nib),
+            (None, false) => {}
         }
     }
+    Ok(())
+}
 
-    /// The sealed node `depth` levels down holding `entries` — a run that
-    /// shares its first `depth` nibbles — with every node below it built
-    /// and sealed first. The rules are [`node_set`]'s: a slot of at most
-    /// [`BUCKET_SIZE`] pairs, or any number at the deepest level, is a
-    /// bucket; a larger one is a child.
-    fn node(&self, mut entries: &[Entry], depth: usize, buf: &mut Vec<u8>) -> Node {
-        let bitmap = entries
-            .iter()
-            .fold(0u32, |bits, e| bits | 1 << self.nibble(e, depth));
-        let mut slots = Vec::with_capacity(bitmap.count_ones() as usize);
-        while let Some(first) = entries.first() {
-            let nib = self.nibble(first, depth);
-            let (run, rest) =
-                entries.split_at(entries.partition_point(|e| self.nibble(e, depth) == nib));
-            slots.push(match run {
-                // Most buckets hold one pair: nothing to sort.
-                [one] => Slot::Bucket(Bucket::from_sorted(&[(self.key(one), self.value(one))])),
-                _ if run.len() <= BUCKET_SIZE || depth + 1 >= MAX_DEPTH => {
-                    let mut pairs: Vec<_> =
-                        run.iter().map(|e| (self.key(e), self.value(e))).collect();
-                    pairs.sort_unstable_by_key(|&(key, _)| key);
-                    Slot::Bucket(Bucket::from_sorted(&pairs))
-                }
-                _ => Slot::Child(Link::Resident(Arc::new(self.node(run, depth + 1, buf)))),
-            });
-            entries = rest;
+/// `slot` — a slot, occupied or not, of a node `depth` levels down — with
+/// `changes`, all routed to it, merged in; `None` once it holds no pair.
+/// A child that comes down to [`BUCKET_SIZE`] pairs or fewer collapses
+/// into a bucket, and a bucket that grows past it splits into a child,
+/// except at the deepest level.
+fn merge_slot(
+    slot: Option<Slot>,
+    store: &dyn Blockstore,
+    changes: &[Change<'_>],
+    depth: usize,
+    buf: &mut Vec<u8>,
+) -> Result<Option<Slot>, StoreError> {
+    let bucket = match slot {
+        Some(Slot::Child(mut link)) => {
+            let child = link_node_mut(&mut link, store)?;
+            merge_node(child, store, changes, depth + 1, buf)?;
+            if child.bitmap == 0 {
+                return Ok(None);
+            }
+            if let Some(bucket) = collapse(child) {
+                return Ok(Some(Slot::Bucket(bucket)));
+            }
+            seal(child, None, buf)?;
+            return Ok(Some(Slot::Child(link)));
         }
-        let node = Node {
-            bitmap,
-            slots,
-            ..Node::default()
+        Some(Slot::Bucket(bucket)) => Some(bucket),
+        None => None,
+    };
+    // The bucket's pairs no change names, then the changes that set.
+    let kept = || {
+        let pairs = bucket.iter().flat_map(Bucket::pairs);
+        pairs.filter(|(key, _)| changes.iter().all(|c| c.key != *key))
+    };
+    let sets = || changes.iter().filter(|c| c.value.is_some());
+    let kept_len = kept().count();
+    let len = kept_len + sets().count();
+    if len == 0 {
+        return Ok(None);
+    }
+    if len <= BUCKET_SIZE || depth + 1 >= MAX_DEPTH {
+        let mut pairs = kept().chain(sets().map(|c| (c.key, c.value.expect("a set"))));
+        let bucket = match len {
+            // Most buckets hold one pair: nothing to collect or sort.
+            1 => Bucket::from_sorted(&[pairs.next().expect("one pair")]),
+            _ => {
+                let mut pairs: Vec<_> = pairs.collect();
+                pairs.sort_unstable_by_key(|&(key, _)| key);
+                Bucket::from_sorted(&pairs)
+            }
         };
-        encode_node(&node, buf);
-        let _ = node.hash.set(block_hash(buf));
-        node
+        return Ok(Some(Slot::Bucket(bucket)));
     }
+    // A split: the changes build the child, joined in path order by the
+    // bucket's pairs, if any are kept.
+    let mut child = Node::default();
+    if kept_len == 0 {
+        merge_node(&mut child, store, changes, depth + 1, buf)?;
+    } else {
+        let kept = kept().map(|(key, value)| Change {
+            prefix: path_prefix(&sha256(key)),
+            key,
+            value: Some(value),
+        });
+        let mut pairs: Vec<Change<'_>> = kept.chain(sets().copied()).collect();
+        sort_by_path(&mut pairs)?;
+        merge_node(&mut child, store, &pairs, depth + 1, buf)?;
+    }
+    seal(&child, None, buf)?;
+    Ok(Some(Slot::Child(Link::Resident(Arc::new(child)))))
 }
 
 /// Visits every pair under `link`. `seen` holds every stored node
@@ -1127,19 +1229,6 @@ impl Default for Hamt {
     }
 }
 
-/// One dirty top-level subtree of a [`Hamt`], handed out by
-/// [`Hamt::dirty_subtrees`]: an independent unit of commit work that may
-/// run on any thread.
-#[derive(Debug)]
-pub struct DirtySubtree<'a>(&'a Node);
-
-impl DirtySubtree<'_> {
-    /// Hashes the subtree's dirty nodes. Touches no store.
-    pub fn commit(self) {
-        seal(self.0, None, &mut scratch()).expect("a hash-only walk cannot fail");
-    }
-}
-
 impl Hamt {
     /// An empty map (not yet flushed anywhere).
     pub fn new() -> Self {
@@ -1157,28 +1246,73 @@ impl Hamt {
         }
     }
 
-    /// A committed map holding exactly `pairs`, given in any order, built
-    /// bottom-up in one pass: each key is hashed once, the pairs are
-    /// sorted by nibble path once, and each node is emitted and sealed
-    /// (hashed, not stored) once, deepest first — no path copies and no
-    /// dirty walk. The layout is canonical, so the result is the trie that
-    /// [`Hamt::set`]ting every pair into an empty map and committing gives,
-    /// node for node. A later [`Hamt::flush`] persists it.
+    /// A committed map holding exactly `pairs`, given in any order: a
+    /// [`Hamt::merge`] into an empty map, run inline. Each key is hashed
+    /// once and each node is emitted and sealed (hashed, not stored) once,
+    /// deepest first — no path copies and no dirty walk. The layout is
+    /// canonical, so the result is the trie that [`Hamt::set`]ting every
+    /// pair into an empty map and committing gives, node for node. A later
+    /// [`Hamt::flush`] persists it.
     ///
     /// # Errors
     ///
     /// [`StoreError::Corrupt`] when a key is given twice, or a key or
     /// value is too long for a bucket's `u32` length fields.
-    pub fn from_pairs<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+    pub fn from_pairs<K: AsRef<[u8]> + Sync, V: AsRef<[u8]> + Sync>(
         pairs: impl IntoIterator<Item = (K, V)>,
     ) -> Result<Hamt, StoreError> {
+        let mut map = Hamt::new();
         let pairs: Vec<(K, V)> = pairs.into_iter().collect();
-        let build = Build::new(&pairs)?;
-        // Copied into the arena: free the input before the nodes grow.
-        drop(pairs);
-        let root = build.node(&build.entries, 0, &mut scratch());
-        Ok(Hamt {
-            root: Link::Resident(Arc::new(root)),
+        let read = |(key, value): &(K, V), emit: &mut Emit<'_>| {
+            emit(key.as_ref(), Some(value.as_ref()));
+        };
+        // An empty map reads no store.
+        map.merge(&MemoryBlockstore::new(), pairs, read)?.finish()?;
+        Ok(map)
+    }
+
+    /// Starts merging a batch of changes into the map: `read` emits each
+    /// change's key and new value, `None` to delete the key (a key the map
+    /// does not hold is left absent). The changes come in any order, each
+    /// key at most once, and the result is the map [`Hamt::set`] and
+    /// [`Hamt::delete`] would leave, one change at a time — the layout is
+    /// canonical — committed.
+    ///
+    /// The work is in the returned [`Merge`]: its jobs read the changes
+    /// (calling `read`, hashing each key once) and merge each top-level
+    /// group in one descent, building and sealing every touched node once
+    /// and sharing every untouched subtree; run them on any threads, then
+    /// [`Merge::finish`], or just finish to run it all inline. A node a
+    /// clone still shares is copied before it is written, so a clone stays
+    /// at its version, and a [`Hamt::load`]ed node loads from `store`.
+    ///
+    /// # Errors
+    ///
+    /// A store failure or corrupt bytes loading a [`Hamt::load`]ed root.
+    pub fn merge<'a, T: Sync + 'a>(
+        &'a mut self,
+        store: &'a dyn Blockstore,
+        changes: Vec<T>,
+        read: impl Fn(&T, &mut Emit<'_>) + Sync + 'a,
+    ) -> Result<Merge<'a>, StoreError> {
+        let len = changes.len();
+        if len > 0 {
+            link_node_mut(&mut self.root, store)?;
+        }
+        let size = CHUNK.max(len.div_ceil(16));
+        let read = move |c: usize| Chunk::read(&changes[c * size..len.min(c * size + size)], &read);
+        let changes = Changes {
+            read: Box::new(read),
+            next: AtomicUsize::new(0),
+            chunks: (0..len.div_ceil(size)).map(|_| OnceLock::new()).collect(),
+        };
+        Ok(Merge {
+            map: self,
+            store,
+            len,
+            changes,
+            groups: Vec::new(),
+            error: OnceLock::new(),
         })
     }
 
@@ -1248,6 +1382,15 @@ impl Hamt {
         self.seal(Some(store))
     }
 
+    /// The root node of a map [`Hamt::merge`] is merging into: loaded and
+    /// made the map's own when the merge began.
+    fn root_mut(&mut self) -> &mut Node {
+        match &mut self.root {
+            Link::Resident(root) => Arc::get_mut(root).expect("the merge owns the root"),
+            Link::Stored(_) => unreachable!("the merge loaded the root"),
+        }
+    }
+
     fn seal(&self, store: Option<&dyn Blockstore>) -> Result<Hash256, StoreError> {
         match &self.root {
             Link::Stored(hash) => Ok(*hash),
@@ -1257,29 +1400,6 @@ impl Hamt {
                 None => seal(root, store, &mut scratch()),
             },
         }
-    }
-
-    /// The dirty subtrees directly under a dirty root, as independent
-    /// jobs: committing them — in any order, on any threads — leaves only
-    /// the root node for the [`Hamt::commit`] or [`Hamt::flush`] that
-    /// must follow. Empty when the map is committed or all its pairs sit
-    /// in the root's own buckets.
-    pub fn dirty_subtrees(&self) -> Vec<DirtySubtree<'_>> {
-        let Link::Resident(root) = &self.root else {
-            return Vec::new();
-        };
-        if root.hash.get().is_some() {
-            return Vec::new();
-        }
-        root.slots
-            .iter()
-            .filter_map(|slot| match slot {
-                Slot::Child(Link::Resident(child)) if child.hash.get().is_none() => {
-                    Some(DirtySubtree(child))
-                }
-                _ => None,
-            })
-            .collect()
     }
 
     /// Visits every key-value pair (in hash-path order, not key order).
@@ -1439,6 +1559,165 @@ impl Hamt {
             }
         }
         Err(StoreError::Proof("proof path ends at a child link"))
+    }
+}
+
+/// What a [`Hamt::merge`]'s `read` emits each change through: its key and
+/// its new value, `None` to delete the key.
+pub type Emit<'a> = dyn FnMut(&[u8], Option<&[u8]>) + 'a;
+
+/// The changes of a [`Merge`], read in chunks by whoever gets to each
+/// chunk first.
+struct Changes<'a> {
+    /// Reads the changes of the numbered chunk.
+    read: Box<dyn Fn(usize) -> Result<Chunk, StoreError> + Sync + 'a>,
+    /// The next chunk nobody has claimed.
+    next: AtomicUsize,
+    chunks: Vec<OnceLock<Result<Chunk, StoreError>>>,
+}
+
+impl Changes<'_> {
+    /// Every chunk, read: first each one nobody has claimed yet, by this
+    /// caller, then the ones others are still reading, waited for.
+    fn chunks(&self) -> Result<Vec<&Chunk>, StoreError> {
+        let chunk = |c: usize| {
+            let chunk = self.chunks[c].get_or_init(|| (self.read)(c));
+            chunk.as_ref().map_err(Clone::clone)
+        };
+        // `Relaxed`: a claim only hands out a number; the cell publishes the chunk.
+        let claims = std::iter::repeat_with(|| self.next.fetch_add(1, Ordering::Relaxed));
+        for c in claims.take_while(|&c| c < self.chunks.len()) {
+            chunk(c)?;
+        }
+        (0..self.chunks.len()).map(chunk).collect()
+    }
+}
+
+/// Fills `run` with the changes of top-level group `nib`, in path order.
+fn group_run<'c>(
+    chunks: &[&'c Chunk],
+    nib: usize,
+    run: &mut Vec<Change<'c>>,
+) -> Result<(), StoreError> {
+    run.clear();
+    run.extend(chunks.iter().flat_map(|chunk| chunk.group(nib)));
+    sort_by_path(run)
+}
+
+/// A batch of changes being merged into a [`Hamt`] ([`Hamt::merge`]).
+/// Its [`Merge::jobs`] — one per top-level group — may run in any order,
+/// on any threads; [`Merge::finish`] then merges whatever no job did and
+/// commits the map.
+pub struct Merge<'a> {
+    map: &'a mut Hamt,
+    store: &'a dyn Blockstore,
+    len: usize,
+    changes: Changes<'a>,
+    /// Once jobs are handed out, each slot of the root, moved out of it,
+    /// and whether its group is merged yet.
+    groups: Vec<Mutex<(bool, Option<Slot>)>>,
+    error: OnceLock<StoreError>,
+}
+
+impl Merge<'_> {
+    /// The number of changes.
+    pub fn changes(&self) -> usize {
+        self.len
+    }
+
+    /// The merge as independent jobs, one per top-level group (none for
+    /// an empty merge). Each job first reads the chunks of changes nobody
+    /// has claimed yet — calling `read`, hashing keys — and waits for the
+    /// ones others are reading, then merges its group in one descent,
+    /// sealing what it builds while it is still in cache.
+    pub fn jobs(&mut self) -> impl Iterator<Item = impl FnOnce() + Send + '_> {
+        if self.groups.is_empty() && self.len > 0 {
+            // The root's slots move out into one cell per group.
+            let root = self.map.root_mut();
+            let bitmap = std::mem::take(&mut root.bitmap);
+            let mut slots = root.slots.drain(..);
+            let mut slot = |nib: u32| {
+                let slot = (bitmap & 1 << nib != 0).then(|| slots.next().expect("a slot per bit"));
+                Mutex::new((false, slot))
+            };
+            self.groups = (0..FANOUT).map(&mut slot).collect();
+        }
+        let this = &*self;
+        (0..this.groups.len()).map(move |nib| move || this.merge_group(nib, &mut scratch()))
+    }
+
+    /// Merges whatever no job has — all of it, straight into the root,
+    /// when no job was handed out — and commits the map.
+    ///
+    /// # Errors
+    ///
+    /// The first error met: a store failure loading a [`Hamt::load`]ed
+    /// node, corrupt node bytes, a key given twice, or a key or value too
+    /// long for a bucket's `u32` length fields. The map is then left
+    /// unusable.
+    pub fn finish(mut self) -> Result<(), StoreError> {
+        if !self.groups.is_empty() {
+            let buf = &mut scratch();
+            (0..self.groups.len()).for_each(|nib| self.merge_group(nib, buf));
+            self.put_back();
+        } else if self.len > 0 {
+            let chunks = self.changes.chunks()?;
+            // Only the groups a change routes to: a small merge skips the rest.
+            let entries = chunks.iter().flat_map(|c| &c.entries);
+            let touched = entries.fold(0u32, |bits, e| bits | 1 << first_nibble(e.prefix));
+            let (buf, run) = (&mut scratch(), &mut Vec::new());
+            for nib in (0..FANOUT as usize).filter(|nib| touched & 1 << nib != 0) {
+                group_run(&chunks, nib, run)?;
+                merge_node(self.map.root_mut(), self.store, run, 0, buf)?;
+            }
+        }
+        match self.error.take() {
+            Some(error) => Err(error),
+            None => self.map.seal(None).map(drop),
+        }
+    }
+
+    fn merge_group(&self, nib: usize, buf: &mut Vec<u8>) {
+        let mut group = self.groups[nib].lock().expect("no job panicked");
+        if std::mem::replace(&mut group.0, true) {
+            return;
+        }
+        let slot = &mut group.1;
+        let mut run = Vec::new();
+        let merged = self.changes.chunks().and_then(|chunks| {
+            group_run(&chunks, nib, &mut run)?;
+            match run.is_empty() {
+                true => Ok(slot.take()),
+                false => merge_slot(slot.take(), self.store, &run, 0, buf),
+            }
+        });
+        match merged {
+            Ok(merged) => *slot = merged,
+            Err(error) => drop(self.error.set(error)),
+        }
+    }
+
+    /// Puts the groups' slots back into the root, as far as they got.
+    fn put_back(&mut self) {
+        let groups = std::mem::take(&mut self.groups);
+        if groups.is_empty() {
+            return;
+        }
+        let root = self.map.root_mut();
+        for (nib, group) in groups.into_iter().enumerate() {
+            if let Some(slot) = group.into_inner().unwrap_or_else(|e| e.into_inner()).1 {
+                root.bitmap |= 1 << nib;
+                root.slots.push(slot);
+            }
+        }
+    }
+}
+
+/// A merge dropped unfinished leaves the map uncommitted, with each group
+/// as far as it got.
+impl Drop for Merge<'_> {
+    fn drop(&mut self) {
+        self.put_back();
     }
 }
 
@@ -1936,40 +2215,242 @@ mod tests {
         assert_ne!(clone.commit(), root);
     }
 
-    #[test]
-    fn dirty_subtrees_commit_on_any_thread() {
-        let store = MemoryBlockstore::new();
-        let build = |extra: bool| {
-            let mut map = Hamt::new();
-            for i in 0..4_000 {
-                let (k, v) = kv(i);
-                map.set(&store, &k, &v).unwrap();
-            }
-            if extra {
-                map.commit();
-                assert!(map.dirty_subtrees().is_empty(), "committed map");
-            }
-            for i in (0..4_000).step_by(13) {
-                let (k, _) = kv(i);
-                map.set(&store, &k, b"rewritten").unwrap();
-            }
-            map
+    /// A batch as `Hamt::merge` reads it: a key and its new value.
+    type Batch = Vec<(Vec<u8>, Option<Vec<u8>>)>;
+
+    /// Merges `batch` into `map`, the jobs on threads of their own when
+    /// `threaded`, all inline otherwise.
+    fn merge(map: &mut Hamt, store: &dyn Blockstore, batch: Batch, threaded: bool) {
+        let read = |(key, value): &(Vec<u8>, Option<Vec<u8>>), emit: &mut Emit<'_>| {
+            emit(key, value.as_deref());
         };
-        let mut map = build(true);
-        let subtrees = map.dirty_subtrees();
-        assert!(subtrees.len() >= 2, "300 keys dirty many of 32 subtrees");
-        std::thread::scope(|scope| {
-            for subtree in subtrees {
-                scope.spawn(move || subtree.commit());
+        let mut merge = map.merge(store, batch, read).unwrap();
+        if threaded {
+            std::thread::scope(|scope| {
+                for job in merge.jobs() {
+                    scope.spawn(job);
+                }
+            });
+        }
+        merge.finish().unwrap();
+        assert!(map.root_hash().is_some(), "a finished merge is committed");
+    }
+
+    /// The oracle: `batch` applied one `set` or `delete` at a time.
+    fn set_by_set(map: &mut Hamt, store: &dyn Blockstore, batch: &Batch) {
+        for (key, value) in batch {
+            match value {
+                Some(value) => map.set(store, key, value).unwrap(),
+                None => drop(map.delete(store, key).unwrap()),
             }
-        });
-        assert!(map.dirty_subtrees().is_empty(), "only the root is left");
-        assert_eq!(map.root_hash(), None);
-        assert_eq!(map.commit(), build(false).commit());
-        // A map small enough to live in its root's buckets has none.
-        let mut tiny = Hamt::new();
-        tiny.set(&store, b"k", b"v").unwrap();
-        assert!(tiny.dirty_subtrees().is_empty());
+        }
+    }
+
+    /// Keys whose hashes share two or three leading nibbles with one
+    /// anchor's: inserted together, their splits nest.
+    fn cluster(rng: &mut DetRng) -> Vec<Vec<u8>> {
+        let mut keys = keys_sharing(b"anchor", 3, 6, rng);
+        keys.extend(keys_sharing(b"anchor", 2, 6, rng));
+        keys
+    }
+
+    /// A seeded batch of changes to `live` — the pairs the map holds, kept
+    /// up to date: new keys, a random part of the `cluster` set or
+    /// deleted, overwrites, deletes, deletes of keys the map never held,
+    /// and every few rounds all the keys of one top-level group deleted,
+    /// so whole subtrees empty out.
+    fn random_batch(
+        rng: &mut DetRng,
+        live: &mut BTreeMap<Vec<u8>, Vec<u8>>,
+        cluster: &[Vec<u8>],
+        round: u64,
+    ) -> Batch {
+        let mut batch: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+        let value = |rng: &mut DetRng| Some(vec![rng.below(256) as u8; rng.index(40)]);
+        for _ in 0..rng.below(300) {
+            batch.insert(
+                format!("key-{}", rng.below(100_000)).into_bytes(),
+                value(rng),
+            );
+        }
+        for key in cluster {
+            match rng.below(3) {
+                0 => drop(batch.insert(key.clone(), None)),
+                1 => drop(batch.insert(key.clone(), value(rng))),
+                _ => {}
+            }
+        }
+        let keys: Vec<Vec<u8>> = live.keys().cloned().collect();
+        for _ in 0..keys.len().min(200) {
+            let key = keys[rng.index(keys.len())].clone();
+            let change = if rng.below(2) == 0 { None } else { value(rng) };
+            batch.insert(key, change);
+        }
+        for _ in 0..rng.below(20) {
+            batch.insert(format!("absent-{}", rng.next_u64()).into_bytes(), None);
+        }
+        if round % 4 == 3 {
+            let group = rng.below(u64::from(FANOUT)) as u32;
+            for key in keys.iter().filter(|key| nibble(&sha256(key), 0) == group) {
+                batch.insert(key.clone(), None);
+            }
+        }
+        for (key, value) in &batch {
+            match value {
+                Some(value) => drop(live.insert(key.clone(), value.clone())),
+                None => drop(live.remove(key)),
+            }
+        }
+        let mut batch: Batch = batch.into_iter().collect();
+        rng.shuffle(&mut batch);
+        batch
+    }
+
+    fn pairs(map: &Hamt, store: &dyn Blockstore) -> BTreeMap<Vec<u8>, Vec<u8>> {
+        let mut pairs = BTreeMap::new();
+        map.walk(store, &mut |k, v| {
+            drop(pairs.insert(k.to_vec(), v.to_vec()))
+        })
+        .unwrap();
+        pairs
+    }
+
+    /// `Hamt::merge` against set-by-set, the oracle, over seeded batches
+    /// applied to the same starting trie in three states: committed and
+    /// held by nobody else, shared with a clone (which must stay at its
+    /// version), and `Hamt::load`ed from a store (every link `Stored`).
+    /// Same root after every batch, the same number of nodes for the next
+    /// flush to put, and the walk of the merged map is the expected pairs.
+    #[test]
+    fn merge_matches_set_by_set() {
+        let mut rng = DetRng::from_seed_label(5, "hamt/merge");
+        let cluster = cluster(&mut rng);
+        let start: Vec<_> = (0..3_000).map(kv).collect();
+        for state in ["committed", "shared", "loaded"] {
+            let (store, oracle_store) = (CountingStore::default(), CountingStore::default());
+            let mut merged = Hamt::from_pairs(start.iter().map(|(k, v)| (k, v))).unwrap();
+            let mut oracle = Hamt::new();
+            set_by_set(
+                &mut oracle,
+                &oracle_store,
+                &start
+                    .iter()
+                    .map(|(k, v)| (k.clone(), Some(v.clone())))
+                    .collect(),
+            );
+            assert_eq!(
+                merged.flush(&store).unwrap(),
+                oracle.flush(&oracle_store).unwrap()
+            );
+            let mut live: BTreeMap<_, _> = start.iter().cloned().collect();
+            for round in 0..12 {
+                let batch = random_batch(&mut rng, &mut live, &cluster, round);
+                if state == "loaded" {
+                    merged = Hamt::load(merged.root_hash().unwrap());
+                }
+                let pin = (state == "shared").then(|| (merged.clone(), pairs(&merged, &store)));
+                merge(&mut merged, &store, batch.clone(), round % 2 == 0);
+                set_by_set(&mut oracle, &oracle_store, &batch);
+                let root = oracle.commit();
+                assert_eq!(merged.root_hash(), Some(root), "{state}, round {round}");
+                if let Some((pin, before)) = pin {
+                    assert_ne!(pin.root_hash(), Some(root));
+                    assert_eq!(
+                        pairs(&pin, &store),
+                        before,
+                        "{state}, round {round}: the clone moved"
+                    );
+                }
+                let (puts, oracle_puts) = (store.puts(), oracle_store.puts());
+                assert_eq!(
+                    merged.flush(&store).unwrap(),
+                    oracle.flush(&oracle_store).unwrap()
+                );
+                if state != "loaded" {
+                    assert_eq!(
+                        store.puts() - puts,
+                        oracle_store.puts() - oracle_puts,
+                        "{state}, round {round}"
+                    );
+                }
+                assert_eq!(pairs(&merged, &store), live, "{state}, round {round}");
+            }
+        }
+    }
+
+    /// The jobs of a merge run on any threads, in any number — all, some
+    /// (the finish merges the rest) or none — for one root; a merge
+    /// dropped before any job ran leaves the map as it was.
+    #[test]
+    fn merge_jobs_run_on_any_thread() {
+        let store = MemoryBlockstore::new();
+        let mut rng = DetRng::from_seed_label(6, "hamt/merge-jobs");
+        let mut live: BTreeMap<_, _> = (0..4_000).map(kv).collect();
+        let start = Hamt::from_pairs(&live).unwrap();
+        let cluster = cluster(&mut rng);
+        let batch = random_batch(&mut rng, &mut live, &cluster, 3);
+        let mut oracle = start.clone();
+        set_by_set(&mut oracle, &store, &batch);
+        let root = oracle.commit();
+        let read = |(key, value): &(Vec<u8>, Option<Vec<u8>>), emit: &mut Emit<'_>| {
+            emit(key, value.as_deref());
+        };
+        for ran in [usize::MAX, 20, 3, 0] {
+            let mut map = start.clone();
+            let mut merge = map.merge(&store, batch.clone(), read).unwrap();
+            assert_eq!(merge.jobs().count(), FANOUT as usize, "one job per group");
+            // Handed out twice: a group's second job finds it merged.
+            for _ in 0..2 {
+                std::thread::scope(|scope| {
+                    for job in merge.jobs().take(ran) {
+                        scope.spawn(job);
+                    }
+                });
+            }
+            merge.finish().unwrap();
+            assert_eq!(map.root_hash(), Some(root), "{ran} jobs run");
+        }
+        let mut small = start.clone();
+        merge(&mut small, &store, batch[..3].to_vec(), true);
+        // Dropped unfinished, before or after its jobs are handed out.
+        for hand_out in [false, true] {
+            let mut untouched = start.clone();
+            let mut merge = untouched.merge(&store, batch.clone(), read).unwrap();
+            if hand_out {
+                merge.jobs().for_each(drop);
+            }
+            drop(merge);
+            assert_eq!(untouched.commit(), start.root_hash().unwrap());
+        }
+        let mut empty = start.clone();
+        let mut merge = empty.merge(&store, Vec::<u8>::new(), |_, _| {}).unwrap();
+        assert_eq!(merge.jobs().count(), 0);
+        merge.finish().unwrap();
+        assert_eq!(empty.root_hash(), start.root_hash());
+    }
+
+    /// The merge at the size of a commit of every file row of a large
+    /// engine: 100 000 changes into a 100 000-key trie.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "200 000 trie writes: run with --release")]
+    fn a_merge_of_100k_keys_matches_set_by_set() {
+        let store = MemoryBlockstore::new();
+        let mut rng = DetRng::from_seed_label(7, "hamt/merge-100k");
+        let mut oracle = Hamt::new();
+        for i in 0..100_000 {
+            let (k, v) = kv(i);
+            oracle.set(&store, &k, &v).unwrap();
+        }
+        let mut merged = Hamt::load(oracle.flush(&store).unwrap());
+        let batch: Batch = (50_000..150_000)
+            .map(|i| match rng.below(4) {
+                0 => (kv(i).0, None),
+                _ => (kv(i).0, Some(rng.next_u64().to_be_bytes().to_vec())),
+            })
+            .collect();
+        set_by_set(&mut oracle, &store, &batch);
+        merge(&mut merged, &store, batch, true);
+        assert_eq!(merged.root_hash(), Some(oracle.commit()));
     }
 
     /// The set-based diff of two flushed roots: the oracle.
@@ -2315,7 +2796,6 @@ mod tests {
 
             let root = oracle.commit();
             assert_eq!(built.root_hash(), Some(root), "n = {n}");
-            assert!(built.dirty_subtrees().is_empty(), "n = {n}: built sealed");
             assert!(built.diff_new_nodes(&store, &oracle).unwrap().is_empty());
             assert!(oracle.diff_new_nodes(&store, &built).unwrap().is_empty());
             for (k, v) in order.iter().step_by(1 + n / 64) {
@@ -2358,17 +2838,14 @@ mod tests {
     fn path_prefixes_order_hashes_by_nibble_path() {
         let path = |hash: &Hash256| (0..MAX_DEPTH).map(|d| nibble(hash, d)).collect::<Vec<_>>();
         let mut hashes: Vec<Hash256> = (0..2_000u64).map(|i| sha256(&i.to_le_bytes())).collect();
-        let build = Build {
-            arena: Vec::new(),
-            entries: Vec::new(),
-        };
         for hash in &hashes {
-            let entry = Entry {
+            let change = Change {
                 prefix: path_prefix(hash),
-                ..Entry::default()
+                key: &[],
+                value: None,
             };
             for depth in 0..PREFIX_NIBBLES {
-                assert_eq!(build.nibble(&entry, depth), nibble(hash, depth));
+                assert_eq!(change.nibble(depth), nibble(hash, depth));
             }
         }
         hashes.sort_by_key(path_prefix);

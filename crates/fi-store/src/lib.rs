@@ -17,8 +17,10 @@
 //!   Naming a root ([`Hamt::commit`]) only hashes; [`Hamt::flush`] also
 //!   writes the named version's nodes, so a store holds exactly the
 //!   versions somebody asked to read. Because the shape depends only on
-//!   the pairs, a whole map can also be built directly, bottom-up and
-//!   committed, in one pass ([`Hamt::from_pairs`]).
+//!   the pairs, a batch of changes is merged in one descent per top-level
+//!   group, as jobs a caller may run on threads of its own
+//!   ([`Hamt::merge`]), and a whole map built bottom-up and committed in
+//!   one pass ([`Hamt::from_pairs`]).
 //!
 //! Because blocks are keyed by their own hash, structural sharing is free:
 //! a map mutation re-writes only the path from the changed leaf to the
@@ -68,4 +70,4 @@ mod blockstore;
 mod hamt;
 
 pub use blockstore::{block_hash, Blockstore, DiskBlockstore, MemoryBlockstore, StoreError};
-pub use hamt::{DirtySubtree, Hamt};
+pub use hamt::{Emit, Hamt, Merge};
