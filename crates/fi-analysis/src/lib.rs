@@ -9,6 +9,8 @@
 //! * [`dist`] — the five Table III file-size distributions,
 //! * [`stats`] — mean/variance/quantiles/histograms for result reporting.
 
+#![forbid(unsafe_code)]
+
 pub mod dist;
 pub mod prob;
 pub mod stats;

@@ -23,6 +23,8 @@
 //! value. `fi-sim`'s `table4` experiment runs all five models through
 //! identical workloads and prints the measured comparison table.
 
+#![forbid(unsafe_code)]
+
 pub mod arweave;
 pub mod common;
 pub mod filecoin;

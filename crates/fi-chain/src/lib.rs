@@ -37,6 +37,8 @@
 //! assert_eq!(ledger.total_supply(), TokenAmount(1_000));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod account;
 pub mod block;
 pub mod gas;

@@ -13,15 +13,15 @@
 //! on record for a popped bucket — a modeled Merkle path walk per audited
 //! replica, the simulated WindowPoSt verification cost. It reads only the
 //! audited file's rows and the parameters, so contiguous ranges of a
-//! bucket's audit tasks verify concurrently on the engine's persistent
-//! worker pool. The **commit** phase (the `auto_*` handlers below) then
+//! bucket's audit tasks verify concurrently on scoped threads
+//! (`pool::fan_out`). The **commit** phase (the `auto_*` handlers below) then
 //! runs in the pending list's `(time, schedule-seq)` pop order, folding
 //! each audit digest into the engine's `audit_root` before applying rent,
 //! punishments and refreshes — bit-identical to a 1-shard engine.
 //!
 //! On large multi-shard buckets the commit phase itself is parallelized
 //! ([`Engine::commit_bucket_batched`]): a read-only **plan** phase fans
-//! the `Auto_CheckProof` tasks across the pool, classifying each as a
+//! the `Auto_CheckProof` tasks out in parallel, classifying each as a
 //! *fast* plan (the steady-state rent-charge/punish/reschedule path, with
 //! every consulted sector recorded) or a *sequential* fallback
 //! (discards, confiscations, losses, refresh draws — anything touching
@@ -30,8 +30,8 @@
 //! earlier in the bucket — `read_sectors ∩ mutated_sectors = ∅`, the
 //! file untouched, and the owner's balance re-checked exactly — and
 //! re-executes everything else through the frozen sequential reference.
-//! Per-shard `cntdown` write batches are deferred and flushed through the
-//! pool (before any sequential fallback, and at bucket end), so the
+//! Per-shard `cntdown` write batches are deferred and flushed in parallel
+//! (before any sequential fallback, and at bucket end), so the
 //! file-table writes of a mostly-fast bucket land concurrently. The
 //! differential tests in `tests/parallel_commit.rs` pin both strategies
 //! to bit-identical `state_root`/`audit_root`/event streams.
@@ -86,7 +86,7 @@ impl Engine {
     /// Audits every `Auto_CheckProof` task in a popped bucket, one verdict
     /// per audit task, in bucket order. Audits are independent per (file,
     /// replica), so a large bucket on a multi-shard engine splits its
-    /// audit tasks into contiguous ranges verified across the worker pool.
+    /// audit tasks into contiguous ranges verified in parallel.
     pub(super) fn verify_bucket(&self, bucket: &[(Time, SeqTask)], now: Time) -> Vec<ProofAudit> {
         let files: Vec<FileId> = bucket
             .iter()
@@ -94,7 +94,7 @@ impl Engine {
             .collect();
         let parallel = self.shards.shards.len() > 1 && files.len() >= PARALLEL_FANOUT_MIN_ITEMS;
         let (shards, path_len) = (&self.shards, self.params.audit_path_len);
-        fan_out(self.pool_for(parallel).as_deref(), files, |files| {
+        fan_out(self.pool_for(parallel), files, |files| {
             verify_audits(shards, &files, now, path_len)
         })
     }
@@ -105,7 +105,7 @@ impl Engine {
 
     /// Commits a popped, canonically ordered bucket through the batched
     /// strategy: a read-only plan phase fans the `Auto_CheckProof` tasks
-    /// across the worker pool, then a serial walk applies each task in
+    /// out in parallel, then a serial walk applies each task in
     /// the exact `(time, schedule-seq)` order the sequential fold uses —
     /// via its fast plan when still valid, via [`Engine::execute`]
     /// otherwise. Bit-identical to folding the same bucket sequentially:
@@ -135,7 +135,7 @@ impl Engine {
     /// `next`/state fields the plan's decisions don't depend on.
     ///
     /// Fast applies defer their `cntdown` decrements into per-shard write
-    /// batches, flushed through the pool before any sequential fallback
+    /// batches, flushed in parallel before any sequential fallback
     /// (which must see the sequential file table) and at bucket end.
     pub(super) fn commit_bucket_batched(
         &mut self,
@@ -172,14 +172,14 @@ impl Engine {
     }
 
     /// The read-only plan phase: one [`CheckProofPlan`] per
-    /// `Auto_CheckProof` task, in bucket order, computed across the worker
-    /// pool. Each plan touches only its file's shard, the sector table,
+    /// `Auto_CheckProof` task, in bucket order, computed in parallel. Each
+    /// plan touches only its file's shard, the sector table,
     /// the ledger and the parameters — all immutable here.
     fn plan_bucket(&self, now: Time, batch: &[(Task, Option<ProofAudit>)]) -> Vec<CheckProofPlan> {
         let files: Vec<FileId> = batch.iter().filter_map(|(t, _)| t.audited()).collect();
         let (shards, sectors, ledger, params) =
             (&self.shards, &self.sectors, &self.ledger, &self.params);
-        fan_out(self.pool_for(true).as_deref(), files, |files| {
+        fan_out(self.pool_for(true), files, |files| {
             let plan = |f| plan_check_proof(shards.shard(f), sectors, ledger, params, f, now);
             files.into_iter().map(plan).collect()
         })
@@ -254,8 +254,8 @@ impl Engine {
         self.op_counter += 1;
     }
 
-    /// Flushes the deferred per-shard `cntdown` write batches — through
-    /// the pool when large enough to pay for the dispatch (each shard's
+    /// Flushes the deferred per-shard `cntdown` write batches — in
+    /// parallel when large enough to pay for the dispatch (each shard's
     /// batch writes only that shard's file table, so the writes are
     /// disjoint by construction), inline otherwise.
     fn flush_cntdown_writes(&mut self, deferred: &mut [Vec<(FileId, i64)>]) {
@@ -263,7 +263,7 @@ impl Engine {
         if total == 0 {
             return;
         }
-        let pool = self.pool_for(total >= PARALLEL_FANOUT_MIN_ITEMS);
+        let width = self.pool_for(total >= PARALLEL_FANOUT_MIN_ITEMS);
         let batches: Vec<(&mut Shard, Vec<(FileId, i64)>)> = self
             .shards
             .shards
@@ -271,7 +271,7 @@ impl Engine {
             .zip(deferred.iter_mut().map(std::mem::take))
             .filter(|(_, writes)| !writes.is_empty())
             .collect();
-        let _: Vec<()> = fan_out(pool.as_deref(), batches, |batches| {
+        let _: Vec<()> = fan_out(width, batches, |batches| {
             for (shard, writes) in batches {
                 for (file, cntdown) in writes {
                     shard

@@ -7,7 +7,7 @@
 //! **barrier** ops (everything else: sector admin, `File_Add`'s
 //! sampler/rng draws, funds, fault injection, `AdvanceTo`). Each segment is
 //! staged concurrently — one worker per contiguous range of shards, one
-//! range per worker of the engine's pool — and then committed sequentially
+//! range per worker of the engine's fan-out — and then committed sequentially
 //! in the original submission order, so consensus state is bit-identical to
 //! feeding the same ops one by one through `Engine::apply`.
 //!
@@ -736,7 +736,7 @@ impl Engine {
 
     /// Stages a segment of shard-local ops concurrently: ops are grouped by
     /// target shard, the occupied shards are cut into one contiguous range
-    /// per pool worker, and each worker executes its shards' ops in
+    /// per fan-out worker, and each worker executes its shards' ops in
     /// submission order against a [`ShardOverlay`]. Pure with respect to
     /// the engine — all effects are returned, none applied.
     ///
@@ -762,7 +762,7 @@ impl Engine {
             ledger: &self.ledger,
             now: self.chain.now(),
         };
-        let staged = fan_out(self.pool_for(true).as_deref(), occupied, |occupied| {
+        let staged = fan_out(self.pool_for(true), occupied, |occupied| {
             let mut staged: Vec<(usize, Hash256, StagedEffects)> = Vec::new();
             for (shard, group) in occupied {
                 let mut view = ShardOverlay::new(shard);

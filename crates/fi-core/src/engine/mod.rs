@@ -31,8 +31,8 @@
 //! [`Engine::advance_to`] moves time past their deadline. A due bucket
 //! pops in `(time, schedule order)` and runs in two phases: a read-only
 //! **verify** phase (the modeled Merkle storage-proof checks of
-//! `Auto_CheckProof`, fanned out across the persistent worker pool in
-//! `pool` — audits are independent per (file, replica), the heart of the
+//! `Auto_CheckProof`, fanned out on scoped threads by `pool::fan_out` —
+//! audits are independent per (file, replica), the heart of the
 //! paper's scalability claim) and a **commit** phase that applies rent,
 //! punishments and refreshes in pop order — batched through per-shard
 //! write plans on large multi-shard buckets, sequentially otherwise, with
@@ -86,7 +86,6 @@ use crate::types::{FileId, ProtocolEvent, Sector, SectorId};
 
 use self::audit::ProofAudit;
 use self::batch::{ledger_steps_match, shard_local_file};
-use self::pool::{PoolHandle, WorkerPool};
 use self::shard::ShardedState;
 use self::statemap::{CommitCell, StateMaps, TrackedMap};
 
@@ -103,20 +102,19 @@ pub const RENT_POOL: AccountId = AccountId(3);
 /// Traffic-fee escrow: prepaid transfer fees awaiting confirms.
 pub const TRAFFIC_ESCROW: AccountId = AccountId(4);
 
-/// Fewest dirty keys in one state commit worth fanning out over the
-/// pool. A key costs one to three microseconds of node hashing, and
-/// getting parked workers running on another core takes the better part
-/// of a millisecond on the 2-vCPU VMs this is benchmarked on: measured
-/// there, commits of about 600 keys gain nothing from two workers, and
-/// commits of 4 096 to 200 000 keys run 1.7x faster. Below the floor a
-/// commit stays inline, and an engine that only ever makes small commits
-/// never spawns a pool for them.
+/// Fewest dirty keys in one state commit worth fanning out. A key costs
+/// one to three microseconds of node hashing, and getting a worker
+/// running on another core takes the better part of a millisecond on the
+/// 2-vCPU VMs this is benchmarked on: measured there, commits of about
+/// 600 keys gain nothing from two workers, and commits of 4 096 to
+/// 200 000 keys run 1.7x faster. Below the floor a commit stays inline
+/// and spawns no thread.
 const COMMIT_FANOUT_MIN_DIRTY_KEYS: usize = 2048;
 
 /// Fewest items (shard-local ops of an ingest segment, `Auto_CheckProof`
-/// tasks of a due bucket, deferred `cntdown` writes) worth handing to the
-/// worker pool; below it the work runs inline on the calling thread. The
-/// outcome is bit-identical either way (`tests/parallel_commit.rs`,
+/// tasks of a due bucket, deferred `cntdown` writes) worth fanning out;
+/// below it the work runs inline on the calling thread. The outcome is
+/// bit-identical either way (`tests/parallel_commit.rs`,
 /// `tests/batch_ingest.rs`): the floor only decides when dispatch pays.
 const PARALLEL_FANOUT_MIN_ITEMS: usize = 64;
 
@@ -401,7 +399,7 @@ pub struct PhaseTimes {
 /// the sampler, the task wheel — and *shares* everything immutable: the
 /// sealed blocks and the op log live in [`SharedLog`]s (a clone copies a
 /// pointer and an open tail of fewer than 64 items), the blockstore, the
-/// committed HAMT nodes and the worker pool sit behind `Arc`. A clone
+/// committed HAMT nodes sit behind `Arc`. A clone
 /// therefore costs the same at height 20 000 as at height 1, and a
 /// verifier can afford one per block. The one thing that still grows
 /// with use is the [`StateView::events`] buffer: a long-lived holder
@@ -485,11 +483,6 @@ pub struct Engine {
     /// a [`SharedLog`], shared (not copied) by every clone.
     op_log: SharedLog<OpRecord>,
     last_checkpoint: Option<Checkpoint>,
-    /// Lazily spawned persistent worker pool backing every parallel phase
-    /// (ingest staging, audit verify fan-out, audit write-batch flushes).
-    /// Shared across engine clones; never part of consensus state or
-    /// snapshots.
-    pool: PoolHandle,
     /// Per-phase wall-time accumulators ([`Engine::phase_times`]).
     /// Observability only.
     phase: PhaseTimes,
@@ -571,7 +564,6 @@ impl Engine {
             audit_root: Hash256::ZERO,
             op_log: SharedLog::new(),
             last_checkpoint: None,
-            pool: PoolHandle::new(),
             phase: PhaseTimes::default(),
             store,
             commit: CommitCell::default(),
@@ -696,7 +688,7 @@ impl Engine {
     /// `File_Add`, funds, fault injection, `AdvanceTo` — anything touching
     /// global state beyond the ledger). Segments of at least 64 ops, on an
     /// engine with more than one shard and [`ProtocolParams::ingest_threads`]
-    /// above one, are *staged* concurrently on the engine's worker pool —
+    /// above one, are *staged* concurrently on scoped threads —
     /// one shard's ops per overlay — and then *committed* sequentially in
     /// submission order; smaller segments and barriers go through
     /// [`Engine::apply`] directly.
@@ -1099,9 +1091,9 @@ impl Engine {
     ///
     /// Only the drain of the dirty ids runs here. Reading and encoding
     /// the leaves, hashing the keys and merging them run inside the
-    /// merges ([`Hamt::merge`]): one job per top-level group, as one batch
-    /// on the worker pool when the commit is large enough, and inline
-    /// otherwise. Whether to is decided from the commit's own shape — the
+    /// merges ([`Hamt::merge`]): one job per top-level group, run by one
+    /// [`pool::run`] on scoped threads when the commit is large enough,
+    /// and inline otherwise. Whether to is decided from the commit's own shape — the
     /// roots are the same either way. The engine's tries are built in
     /// memory and never unloaded, so a merge never reads the store; a node
     /// a live pin still shares is copied before it is written.
@@ -1121,10 +1113,10 @@ impl Engine {
             merge_dirty(&mut maps.cr, store, [&self.cr], key_sector, enc_cr),
         ];
         let dirty_keys: usize = merges.iter().flatten().map(Merge::changes).sum();
-        if dirty_keys >= COMMIT_FANOUT_MIN_DIRTY_KEYS && self.pool_width() >= 2 {
+        let width = self.pool_for(dirty_keys >= COMMIT_FANOUT_MIN_DIRTY_KEYS);
+        if width >= 2 {
             let jobs = merges.iter_mut().flatten().flat_map(Merge::jobs);
-            self.pool()
-                .run(jobs.map(|job| Box::new(job) as _).collect());
+            pool::run(width, jobs.collect());
         }
         for merge in merges.into_iter().flatten() {
             merge.finish().expect("state trie nodes are resident");
@@ -1190,11 +1182,11 @@ impl Engine {
     /// pops them — `(time, schedule-seq)` — in two phases:
     ///
     /// 1. **verify** — the read-only `Auto_CheckProof` storage-proof
-    ///    checks, fanned out across the persistent worker pool when the
+    ///    checks, fanned out on scoped threads when the
     ///    bucket is large enough to pay for the dispatch;
     /// 2. **commit** — the tasks applied in pop order: large buckets on
     ///    multi-shard engines go through the batched commit path
-    ///    (per-shard write batches planned on the pool, applied with
+    ///    (per-shard write batches planned in parallel, applied with
     ///    validated fast paths; see `audit.rs`), everything else through
     ///    the sequential reference fold. Audit digests fold into
     ///    `audit_root`, then punishments, rent, refreshes and reschedules
@@ -1248,25 +1240,17 @@ impl Engine {
     // Shared internals
     // ------------------------------------------------------------------
 
-    /// The engine's persistent worker pool, spawned on first use and
-    /// shared across engine clones. Sized to the larger of the host's
+    /// The width a phase hands to [`pool::fan_out`] or [`pool::run`]: when
+    /// the phase's own gate says `parallel`, the larger of the host's
     /// available parallelism and the configured ingest width, so neither
-    /// the staging nor the audit fan-out ever starves for workers.
-    pub(super) fn pool(&self) -> Arc<WorkerPool> {
-        self.pool.get(self.pool_width())
-    }
-
-    /// The worker count [`Engine::pool`] spawns with — known without
-    /// spawning, so a phase can tell whether fanning out could help.
-    fn pool_width(&self) -> usize {
-        self.pool.cores.max(self.params.ingest_threads)
-    }
-
-    /// The pool a phase hands to [`pool::fan_out`]: the engine's, when the
-    /// phase's own gate says `parallel` and the pool has two or more
-    /// workers; `None`, to run inline, otherwise.
-    pub(super) fn pool_for(&self, parallel: bool) -> Option<Arc<WorkerPool>> {
-        (parallel && self.pool_width() >= 2).then(|| self.pool())
+    /// the staging nor the audit fan-out ever starves for workers; 1, to
+    /// run inline, otherwise.
+    pub(super) fn pool_for(&self, parallel: bool) -> usize {
+        if parallel {
+            pool::cores().max(self.params.ingest_threads)
+        } else {
+            1
+        }
     }
 
     /// Cumulative wall-time spent in each engine phase since construction

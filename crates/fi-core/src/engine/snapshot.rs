@@ -466,13 +466,15 @@ impl Counters {
 }
 
 /// The checks across maps both restores make once every row is in:
-/// each allocation row has its file, and each CR row and replica set
-/// its sector.
+/// each allocation row has its file, each sector exactly one CR row, each
+/// replica set its sector, and each sector the sampler can draw a replica
+/// set (a corrupted sector has left both).
 fn check_links(
     shards: &ShardedState,
     sectors: &TrackedMap<SectorId, Sector>,
     cr: &TrackedMap<SectorId, CrAccounting>,
     sector_replicas: &ReplicaIndex,
+    sampler: &WeightedSampler<SectorId>,
 ) -> Result<(), SnapshotError> {
     if shards
         .alloc_iter()
@@ -483,8 +485,19 @@ fn check_links(
     if cr.keys().any(|id| !sectors.contains_key(id)) {
         return Err(SnapshotError::Malformed("CR accounting without a sector"));
     }
+    if sectors.keys().any(|id| !cr.contains_key(id)) {
+        return Err(SnapshotError::Malformed("sector without CR accounting"));
+    }
     if sector_replicas.keys().any(|id| !sectors.contains_key(id)) {
         return Err(SnapshotError::Malformed("replica index without a sector"));
+    }
+    if sampler
+        .iter()
+        .any(|(id, weight)| weight > 0 && !sector_replicas.contains_key(id))
+    {
+        return Err(SnapshotError::Malformed(
+            "sampled sector without a replica set",
+        ));
     }
     Ok(())
 }
@@ -891,7 +904,7 @@ impl Engine {
         if !d.done() {
             return Err(SnapshotError::TrailingBytes);
         }
-        check_links(&shards, &sectors, &cr, &sector_replicas)?;
+        check_links(&shards, &sectors, &cr, &sector_replicas, &sampler)?;
 
         Ok(Engine {
             params,
@@ -915,7 +928,6 @@ impl Engine {
             audit_root: counters.audit_root,
             op_log: Default::default(),
             last_checkpoint,
-            pool: super::pool::PoolHandle::new(),
             phase: super::PhaseTimes::default(),
             store: super::default_store(),
             commit: CommitCell::with_maps(StateMaps {
@@ -1122,7 +1134,7 @@ impl Engine {
                 None => drop(cr.remove(&id)),
             }
         }
-        check_links(&shards, &sectors, &cr, &sector_replicas)?;
+        check_links(&shards, &sectors, &cr, &sector_replicas, &sampler)?;
 
         let engine = Engine {
             params,
@@ -1146,7 +1158,6 @@ impl Engine {
             audit_root: counters.audit_root,
             op_log: Default::default(),
             last_checkpoint,
-            pool: super::pool::PoolHandle::new(),
             phase: super::PhaseTimes::default(),
             store,
             commit: CommitCell::with_maps(maps),
@@ -1291,9 +1302,9 @@ mod tests {
         }
     }
 
-    /// `snapshot` re-sealed with the first row of `rows` written twice and
-    /// the row count raised to match.
-    fn with_first_row_twice(snapshot: &[u8], rows: Rows) -> Vec<u8> {
+    /// `snapshot` re-sealed with its first row of `rows` repeated `times`
+    /// times (0 drops it) and the row count changed to match.
+    fn with_first_row(snapshot: &[u8], rows: Rows, times: usize) -> Vec<u8> {
         let body = &snapshot[..snapshot.len() - HASH_LEN];
         let (head, payload) = body.split_at(MAGIC.len() + 2);
         let mut d = Dec::new(payload);
@@ -1308,12 +1319,24 @@ mod tests {
         let ((), row) = d.with_bytes(|d| skip_row(d, rows)).expect("first row");
 
         let mut out = [head, before].concat();
-        out.extend_from_slice(&(n as u64 + 1).to_be_bytes());
-        out.extend_from_slice(row);
-        out.extend_from_slice(&payload[before.len() + 8..]);
+        out.extend_from_slice(&((n + times - 1) as u64).to_be_bytes());
+        out.extend_from_slice(&row.repeat(times));
+        out.extend_from_slice(&payload[before.len() + 8 + row.len()..]);
         let seal = sha256(&out);
         out.extend_from_slice(seal.as_bytes());
         out
+    }
+
+    /// `snapshot` re-sealed with the first row of `rows` written twice and
+    /// the row count raised to match.
+    fn with_first_row_twice(snapshot: &[u8], rows: Rows) -> Vec<u8> {
+        with_first_row(snapshot, rows, 2)
+    }
+
+    /// `snapshot` re-sealed without the first row of `rows` and the row
+    /// count lowered to match.
+    fn without_first_row(snapshot: &[u8], rows: Rows) -> Vec<u8> {
+        with_first_row(snapshot, rows, 0)
     }
 
     #[test]
@@ -1333,6 +1356,26 @@ mod tests {
         for (rows, what) in cases {
             assert_eq!(
                 Engine::snapshot_restore(&with_first_row_twice(&snapshot, rows)).err(),
+                Some(SnapshotError::Malformed(what)),
+                "{rows:?}"
+            );
+        }
+    }
+
+    /// Every sector needs a CR row (a `File_Add` placing a replica on it
+    /// reserves its capacity there) and, while the sampler can draw it, a
+    /// replica set (the placement is indexed there). Restore rejects a
+    /// snapshot missing either rather than panic on the first `File_Add`.
+    #[test]
+    fn restore_rejects_a_sector_without_its_cr_row_or_replica_set() {
+        let snapshot = engine_with(12).snapshot_save();
+        let cases = [
+            (Rows::Cr, "sector without CR accounting"),
+            (Rows::Replicas, "sampled sector without a replica set"),
+        ];
+        for (rows, what) in cases {
+            assert_eq!(
+                Engine::snapshot_restore(&without_first_row(&snapshot, rows)).err(),
                 Some(SnapshotError::Malformed(what)),
                 "{rows:?}"
             );

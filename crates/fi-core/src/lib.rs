@@ -56,6 +56,8 @@
 //! # let _ = file;
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod codec;
 pub mod drep;
 pub mod engine;

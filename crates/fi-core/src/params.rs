@@ -73,8 +73,8 @@ pub struct ProtocolParams {
     pub scheduler: SchedulerKind,
     /// Engine shard count: per-file rows (descriptors, allocation entries,
     /// discard reasons) are partitioned by `FileId % shards`, and an engine
-    /// with more than one shard fans its large parallel phases out over the
-    /// worker pool. Consensus results are bit-identical for every shard
+    /// with more than one shard fans its large parallel phases out over
+    /// scoped threads. Consensus results are bit-identical for every shard
     /// count (see DESIGN.md §9), so this is a deployment/performance knob,
     /// not a consensus parameter.
     ///
@@ -87,14 +87,14 @@ pub struct ProtocolParams {
     /// parallelizable part of an audit).
     pub audit_path_len: u32,
     /// Gates the staged batch-ingest path
-    /// ([`crate::engine::Engine::apply_batch`]) and sets the worker pool's
-    /// minimum width. Above `1`, on a multi-shard engine, shard-local ops
-    /// in a batch are staged concurrently — one contiguous range of shards
-    /// per pool worker, as the audit verify and plan phases split their
-    /// tasks — before the sequential commit phase applies them in
-    /// submission order. The pool has `max(available cores, this)`
-    /// workers. Consensus results are bit-identical at every thread count
-    /// (see DESIGN.md §10), so — like [`ProtocolParams::shards`] — this is
+    /// ([`crate::engine::Engine::apply_batch`]) and sets the parallel
+    /// phases' minimum width. Above `1`, on a multi-shard engine,
+    /// shard-local ops in a batch are staged concurrently — one contiguous
+    /// range of shards per worker, as the audit verify and plan phases
+    /// split their tasks — before the sequential commit phase applies them
+    /// in submission order. A parallel phase runs `max(available cores,
+    /// this)` workers. Consensus results are bit-identical at every thread
+    /// count (see DESIGN.md §10), so — like [`ProtocolParams::shards`] — this is
     /// a deployment/performance knob, not a consensus parameter.
     ///
     /// Defaults to `1`, or to the `FI_TEST_INGEST_THREADS` environment

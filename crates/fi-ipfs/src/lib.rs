@@ -33,6 +33,8 @@
 //! assert_eq!(export_bytes(&client, root).unwrap(), data);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bitswap;
 pub mod dag;
 pub mod dht;

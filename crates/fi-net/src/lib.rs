@@ -41,6 +41,8 @@
 //! assert!(world.now() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod link;
 pub mod sim;
 pub mod world;

@@ -33,6 +33,8 @@
 //! bit-identical roots once anti-entropy delivers the blocks (asserted by
 //! `tests/node_pipeline.rs` and `tests/fault_recovery.rs`; DESIGN.md §12).
 
+#![forbid(unsafe_code)]
+
 pub mod chain;
 pub mod chaos;
 pub mod client;

@@ -53,6 +53,8 @@
 //! assert!(proof.verify(&replica.comm_r(), &challenges));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod capacity;
 pub mod cost;
 pub mod election;

@@ -23,6 +23,8 @@
 //! `Default` scales row sizes down while preserving every qualitative
 //! comparison (documented per-experiment in EXPERIMENTS.md).
 
+#![forbid(unsafe_code)]
+
 pub mod ablation;
 pub mod collision;
 pub mod deposit;

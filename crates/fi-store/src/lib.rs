@@ -66,6 +66,8 @@
 //! assert_eq!(pinned.prove(&store, b"alice").unwrap(), Some(proof));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod blockstore;
 mod hamt;
 

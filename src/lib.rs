@@ -40,6 +40,8 @@
 //! assert!(net.file(file).is_some());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use fi_analysis as analysis;
 pub use fi_baselines as baselines;
 pub use fi_chain as chain;
