@@ -2,11 +2,13 @@
 # Fails if `format!(` appears on a consensus path: the non-test code of
 # the op/receipt encoders (fi-core/src/ops.rs), of the byte codec
 # (fi-core/src/codec.rs), of the state-leaf codecs every state root
-# hashes (fi-core/src/engine/statemap.rs) and of the block layer
+# hashes (fi-core/src/engine/statemap.rs), of the snapshot formats a
+# joining node restores from (fi-core/src/engine/snapshot.rs, whose bytes
+# are pinned by golden digests) and of the block layer
 # (fi-chain/src/block.rs), the `ProtocolEvent` impl (fi-core/src/types.rs)
 # and `Engine::log` (fi-core/src/engine/mod.rs). Digests, state roots,
-# block hashes and `ChainEvent` payloads hash canonical bytes, never
-# formatted text.
+# block hashes, snapshot bytes and `ChainEvent` payloads hash canonical
+# bytes, never formatted text.
 #
 # Run from the repository root: .github/scripts/no-format-on-consensus-paths.sh
 set -euo pipefail
@@ -42,6 +44,7 @@ scan() {
 scan non_test crates/fi-core/src/ops.rs
 scan non_test crates/fi-core/src/codec.rs
 scan non_test crates/fi-core/src/engine/statemap.rs
+scan non_test crates/fi-core/src/engine/snapshot.rs
 scan non_test crates/fi-chain/src/block.rs
 scan item crates/fi-core/src/types.rs '^impl ProtocolEvent \{'
 scan item crates/fi-core/src/engine/mod.rs '^    pub\(super\) fn log\('

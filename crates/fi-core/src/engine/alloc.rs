@@ -29,7 +29,7 @@ impl Engine {
             }
             // No file exists yet at sampling time, so the collision is a
             // global (unattributed) counter.
-            self.stats_global.add_collisions += 1;
+            self.stats.add_collisions += 1;
         }
         self.rng = rng;
         result
@@ -115,8 +115,8 @@ impl Engine {
             .unwrap_or_default();
         let now = self.now();
         for (file, index) in touched {
-            let size = self.shards.file(file).map(|f| f.size).unwrap_or(0);
-            let Some(e) = self.shards.entry(file, index) else {
+            let size = self.files.get(&file).map(|f| f.size).unwrap_or(0);
+            let Some(e) = self.alloc.get(&(file, index)) else {
                 continue;
             };
             let (prev, next, state) = (e.prev, e.next, e.state);
@@ -125,7 +125,7 @@ impl Engine {
 
             if incoming && holding {
                 // Self-move inside the corrupted sector: everything gone.
-                let e = self.shards.entry_mut(file, index).expect("entry");
+                let e = self.alloc.get_mut(&(file, index)).expect("entry");
                 e.state = AllocState::Corrupted;
                 e.next = None;
                 continue;
@@ -133,7 +133,7 @@ impl Engine {
             if incoming {
                 // Reservation on the dead sector; the replica (if any)
                 // still lives at prev.
-                let e = self.shards.entry_mut(file, index).expect("entry");
+                let e = self.alloc.get_mut(&(file, index)).expect("entry");
                 e.next = None;
                 if prev.is_some() && state != AllocState::Corrupted {
                     e.state = AllocState::Normal; // revert the move
@@ -145,7 +145,7 @@ impl Engine {
             if holding {
                 match state {
                     AllocState::Normal => {
-                        let e = self.shards.entry_mut(file, index).expect("entry");
+                        let e = self.alloc.get_mut(&(file, index)).expect("entry");
                         e.state = AllocState::Corrupted;
                     }
                     AllocState::Alloc => {
@@ -155,19 +155,19 @@ impl Engine {
                         if let Some(n) = next {
                             self.release_reservation_indexed(n, file, index, size);
                         }
-                        let e = self.shards.entry_mut(file, index).expect("entry");
+                        let e = self.alloc.get_mut(&(file, index)).expect("entry");
                         e.next = None;
                         e.state = AllocState::Corrupted;
                     }
                     AllocState::Confirm => {
                         // The new sector already confirmed holding the
                         // replica: finalise the move early.
-                        let e = self.shards.entry_mut(file, index).expect("entry");
+                        let e = self.alloc.get_mut(&(file, index)).expect("entry");
                         e.prev = next;
                         e.next = None;
                         e.last = Some(now);
                         e.state = AllocState::Normal;
-                        self.shards.shard_mut(file).stats.refreshes_completed += 1;
+                        self.stats.refreshes_completed += 1;
                     }
                     AllocState::Corrupted => {}
                 }
@@ -178,12 +178,12 @@ impl Engine {
 
     /// Removes a file and releases everything it holds.
     pub(super) fn remove_file_completely(&mut self, file: FileId, reason: RemovalReason) {
-        let Some(desc) = self.shards.remove_file(file) else {
+        let Some(desc) = self.files.remove(&file) else {
             return;
         };
-        self.shards.take_discard_reason(file);
+        self.discard_reasons.remove(&file);
         for i in 0..desc.cp {
-            let Some(e) = self.shards.remove_entry(file, i) else {
+            let Some(e) = self.alloc.remove(&(file, i)) else {
                 continue;
             };
             match e.state {
@@ -218,8 +218,8 @@ impl Engine {
         // Count replicas currently placed (Normal entries only).
         let placed: Vec<(FileId, u32)> = {
             let mut v: Vec<_> = self
-                .shards
-                .alloc_iter()
+                .alloc
+                .iter()
                 .filter(|(_, e)| e.state == AllocState::Normal)
                 .map(|(&k, _)| k)
                 .collect();
@@ -244,11 +244,11 @@ impl Engine {
     /// Starts a refresh of `(file, index)` targeted at `sector` (used by
     /// the §VI-B swap-in; ordinary refreshes sample their target).
     fn forced_refresh_to(&mut self, file: FileId, index: u32, sector: SectorId) {
-        let Some(desc) = self.shards.file(file) else {
+        let Some(desc) = self.files.get(&file) else {
             return;
         };
         let size = desc.size;
-        let ok = self.shards.entry(file, index).map(|e| e.state) == Some(AllocState::Normal)
+        let ok = self.alloc.get(&(file, index)).map(|e| e.state) == Some(AllocState::Normal)
             && self
                 .sectors
                 .get(&sector)
@@ -262,13 +262,13 @@ impl Engine {
             .get_mut(&sector)
             .expect("sector index")
             .insert((file, index));
-        let e = self.shards.entry_mut(file, index).expect("entry");
+        let e = self.alloc.get_mut(&(file, index)).expect("entry");
         let from = e.prev;
         e.next = Some(sector);
         e.state = AllocState::Alloc;
         let deadline = self.now() + self.params.transfer_window(size);
         self.schedule_task(deadline, Task::CheckRefresh(file, index));
-        self.shards.shard_mut(file).stats.refreshes_started += 1;
+        self.stats.refreshes_started += 1;
         self.log(ProtocolEvent::ReplicaSwap {
             file,
             index,

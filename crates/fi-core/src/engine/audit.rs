@@ -17,24 +17,22 @@
 //! (`pool::fan_out`). The **commit** phase (the `auto_*` handlers below) then
 //! runs in the pending list's `(time, schedule-seq)` pop order, folding
 //! each audit digest into the engine's `audit_root` before applying rent,
-//! punishments and refreshes — bit-identical to a 1-shard engine.
+//! punishments and refreshes — bit-identical whichever path ran.
 //!
-//! On large multi-shard buckets the commit phase itself is parallelized
-//! ([`Engine::commit_bucket_batched`]): a read-only **plan** phase fans
-//! the `Auto_CheckProof` tasks out in parallel, classifying each as a
-//! *fast* plan (the steady-state rent-charge/punish/reschedule path, with
-//! every consulted sector recorded) or a *sequential* fallback
-//! (discards, confiscations, losses, refresh draws — anything touching
-//! rng or cross-shard money). The serial walk then applies fast plans
-//! directly when their footprints are disjoint from everything mutated
+//! On large buckets, with the parallel paths on, the commit phase itself
+//! is parallelized ([`Engine::commit_bucket_batched`]): a read-only
+//! **plan** phase fans the `Auto_CheckProof` tasks out in parallel,
+//! classifying each as a *fast* plan (the steady-state
+//! rent-charge/punish/reschedule path, with every consulted sector
+//! recorded) or a *sequential* fallback (discards, confiscations, losses,
+//! refresh draws — anything touching rng or other files' money). The
+//! serial walk then applies fast plans directly, `cntdown` write
+//! included, when their footprints are disjoint from everything mutated
 //! earlier in the bucket — `read_sectors ∩ mutated_sectors = ∅`, the
 //! file untouched, and the owner's balance re-checked exactly — and
 //! re-executes everything else through the frozen sequential reference.
-//! Per-shard `cntdown` write batches are deferred and flushed in parallel
-//! (before any sequential fallback, and at bucket end), so the
-//! file-table writes of a mostly-fast bucket land concurrently. The
-//! differential tests in `tests/parallel_commit.rs` pin both strategies
-//! to bit-identical `state_root`/`audit_root`/event streams.
+//! The differential tests in `tests/parallel_commit.rs` pin both
+//! strategies to bit-identical `state_root`/`audit_root`/event streams.
 //!
 //! Inside one range, [`verify_audits`] batches the work: every audited
 //! replica becomes a *lane*, and all lanes walk their authentication paths
@@ -49,18 +47,15 @@
 
 use std::collections::HashSet;
 
-use fi_chain::account::{AccountId, Ledger, TokenAmount};
+use fi_chain::account::{AccountId, TokenAmount};
 use fi_chain::tasks::Time;
 use fi_crypto::{cached_domain, DetRng, Hash256, KeyedDomain};
 
-use crate::params::ProtocolParams;
 use crate::types::{
-    AllocState, FileId, FileState, ProtocolEvent, RemovalReason, Sector, SectorId, SectorState,
+    AllocState, FileId, FileState, ProtocolEvent, RemovalReason, SectorId, SectorState,
 };
 
 use super::pool::fan_out;
-use super::shard::{Shard, ShardedState};
-use super::statemap::TrackedMap;
 use super::{
     Engine, SeqTask, Task, COMPENSATION_POOL, DEPOSIT_ESCROW, PARALLEL_FANOUT_MIN_ITEMS, RENT_POOL,
     TRAFFIC_ESCROW,
@@ -85,17 +80,17 @@ impl Engine {
 
     /// Audits every `Auto_CheckProof` task in a popped bucket, one verdict
     /// per audit task, in bucket order. Audits are independent per (file,
-    /// replica), so a large bucket on a multi-shard engine splits its
+    /// replica), so a large bucket, with the parallel paths on, splits its
     /// audit tasks into contiguous ranges verified in parallel.
     pub(super) fn verify_bucket(&self, bucket: &[(Time, SeqTask)], now: Time) -> Vec<ProofAudit> {
         let files: Vec<FileId> = bucket
             .iter()
             .filter_map(|(_, (_, t))| t.audited())
             .collect();
-        let parallel = self.shards.shards.len() > 1 && files.len() >= PARALLEL_FANOUT_MIN_ITEMS;
-        let (shards, path_len) = (&self.shards, self.params.audit_path_len);
+        let parallel = self.params.shards > 1 && files.len() >= PARALLEL_FANOUT_MIN_ITEMS;
+        let path_len = self.params.audit_path_len;
         fan_out(self.pool_for(parallel), files, |files| {
-            verify_audits(shards, &files, now, path_len)
+            verify_audits(self, &files, now, path_len)
         })
     }
 
@@ -133,18 +128,12 @@ impl Engine {
     /// sector into `mutated_sectors`. The remaining cascade mutations
     /// (reverting an in-flight move whose *target* died) touch only
     /// `next`/state fields the plan's decisions don't depend on.
-    ///
-    /// Fast applies defer their `cntdown` decrements into per-shard write
-    /// batches, flushed in parallel before any sequential fallback
-    /// (which must see the sequential file table) and at bucket end.
     pub(super) fn commit_bucket_batched(
         &mut self,
         now: Time,
         batch: Vec<(Task, Option<ProofAudit>)>,
     ) {
         let mut plans = self.plan_bucket(now, &batch).into_iter();
-        let shard_count = self.shards.shards.len();
-        let mut deferred: Vec<Vec<(FileId, i64)>> = vec![Vec::new(); shard_count];
         let mut mutated_sectors: HashSet<SectorId> = HashSet::new();
         let mut mutated_files: HashSet<FileId> = HashSet::new();
         for (task, audit) in batch {
@@ -156,31 +145,22 @@ impl Engine {
                 .is_some_and(|p| self.plan_valid(p, &mutated_sectors, &mutated_files));
             if fast {
                 let plan = plan.expect("checked above");
-                self.apply_check_proof_plan(now, plan, audit, &mut mutated_sectors, &mut deferred);
+                self.apply_check_proof_plan(now, plan, audit, &mut mutated_sectors);
             } else {
-                self.flush_cntdown_writes(&mut deferred);
-                note_fallback_footprint(
-                    &self.shards,
-                    &task,
-                    &mut mutated_sectors,
-                    &mut mutated_files,
-                );
+                note_fallback_footprint(self, &task, &mut mutated_sectors, &mut mutated_files);
                 self.execute(task, audit);
             }
         }
-        self.flush_cntdown_writes(&mut deferred);
     }
 
     /// The read-only plan phase: one [`CheckProofPlan`] per
     /// `Auto_CheckProof` task, in bucket order, computed in parallel. Each
-    /// plan touches only its file's shard, the sector table,
-    /// the ledger and the parameters — all immutable here.
+    /// plan reads only its file's rows, the sector table, the ledger and
+    /// the parameters — all immutable here.
     fn plan_bucket(&self, now: Time, batch: &[(Task, Option<ProofAudit>)]) -> Vec<CheckProofPlan> {
         let files: Vec<FileId> = batch.iter().filter_map(|(t, _)| t.audited()).collect();
-        let (shards, sectors, ledger, params) =
-            (&self.shards, &self.sectors, &self.ledger, &self.params);
         fan_out(self.pool_for(true), files, |files| {
-            let plan = |f| plan_check_proof(shards.shard(f), sectors, ledger, params, f, now);
+            let plan = |f| plan_check_proof(self, f, now);
             files.into_iter().map(plan).collect()
         })
     }
@@ -211,21 +191,19 @@ impl Engine {
     }
 
     /// Applies one validated fast plan — the exact effect sequence of
-    /// [`Engine::auto_check_proof`] on its steady-state path, with the
-    /// `cntdown` write deferred into its shard's batch.
+    /// [`Engine::auto_check_proof`] on its steady-state path.
     fn apply_check_proof_plan(
         &mut self,
         now: Time,
         plan: CheckProofPlan,
         audit: Option<ProofAudit>,
         mutated_sectors: &mut HashSet<SectorId>,
-        deferred: &mut [Vec<(FileId, i64)>],
     ) {
         let file = plan.file;
         if let Some(a) = &audit {
             self.audit_root =
                 audit_root_domain().hash(&[self.audit_root.as_bytes(), a.digest.as_bytes()]);
-            self.shards.shard_mut(file).stats.proofs_audited += a.replicas_checked;
+            self.stats.proofs_audited += a.replicas_checked;
         }
         match plan.kind {
             PlanKind::MissingFile => {}
@@ -246,43 +224,13 @@ impl Engine {
                     mutated_sectors.insert(holder);
                 }
                 self.schedule_task(now + self.params.proof_cycle, Task::CheckProof(file));
-                deferred[self.shards.shard_of(file)].push((file, new_cntdown));
+                let desc = self.files.get_mut(&file).expect("plan file is live");
+                desc.cntdown = new_cntdown;
             }
             PlanKind::Sequential => unreachable!("plan_valid rejects Sequential"),
         }
         // `execute`'s per-task increment.
         self.op_counter += 1;
-    }
-
-    /// Flushes the deferred per-shard `cntdown` write batches — in
-    /// parallel when large enough to pay for the dispatch (each shard's
-    /// batch writes only that shard's file table, so the writes are
-    /// disjoint by construction), inline otherwise.
-    fn flush_cntdown_writes(&mut self, deferred: &mut [Vec<(FileId, i64)>]) {
-        let total: usize = deferred.iter().map(Vec::len).sum();
-        if total == 0 {
-            return;
-        }
-        let width = self.pool_for(total >= PARALLEL_FANOUT_MIN_ITEMS);
-        let batches: Vec<(&mut Shard, Vec<(FileId, i64)>)> = self
-            .shards
-            .shards
-            .iter_mut()
-            .zip(deferred.iter_mut().map(std::mem::take))
-            .filter(|(_, writes)| !writes.is_empty())
-            .collect();
-        let _: Vec<()> = fan_out(width, batches, |batches| {
-            for (shard, writes) in batches {
-                for (file, cntdown) in writes {
-                    shard
-                        .files
-                        .get_mut(&file)
-                        .expect("deferred cntdown write targets a live file")
-                        .cntdown = cntdown;
-                }
-            }
-            Vec::new()
-        });
     }
 
     // ------------------------------------------------------------------
@@ -334,7 +282,7 @@ impl Engine {
         self.ledger
             .transfer(DEPOSIT_ESCROW, COMPENSATION_POOL, confiscated)
             .expect("deposit escrow covers pledged deposits");
-        self.stats_global.sectors_corrupted += 1;
+        self.stats.sectors_corrupted += 1;
         self.log(ProtocolEvent::SectorCorrupted {
             sector,
             confiscated,
@@ -349,7 +297,7 @@ impl Engine {
 
     /// `Auto_CheckAlloc` (Fig. 7).
     pub(super) fn auto_check_alloc(&mut self, file: FileId) {
-        let Some(desc) = self.shards.file(file) else {
+        let Some(desc) = self.files.get(&file) else {
             return;
         };
         let cp = desc.cp;
@@ -359,7 +307,7 @@ impl Engine {
         // First pass: all entries must be Confirm or Corrupted.
         let all_ok = (0..cp).all(|i| {
             matches!(
-                self.shards.entry(file, i).map(|e| e.state),
+                self.alloc.get(&(file, i)).map(|e| e.state),
                 Some(AllocState::Confirm) | Some(AllocState::Corrupted)
             )
         });
@@ -367,7 +315,7 @@ impl Engine {
             // Upload failed: refund outstanding traffic escrow for
             // unconfirmed replicas, release reservations, drop the file.
             let unconfirmed = (0..cp)
-                .filter(|&i| self.shards.entry(file, i).map(|e| e.state) == Some(AllocState::Alloc))
+                .filter(|&i| self.alloc.get(&(file, i)).map(|e| e.state) == Some(AllocState::Alloc))
                 .count() as u128;
             let refund = TokenAmount(self.params.traffic_fee(size).0 * unconfirmed);
             self.ledger.transfer_up_to(TRAFFIC_ESCROW, owner, refund);
@@ -378,7 +326,7 @@ impl Engine {
         // Second pass: finalise.
         let now = self.now();
         for i in 0..cp {
-            let e = self.shards.entry_mut(file, i).expect("entry exists");
+            let e = self.alloc.get_mut(&(file, i)).expect("entry exists");
             match e.state {
                 AllocState::Confirm => {
                     e.prev = e.next.take();
@@ -395,7 +343,7 @@ impl Engine {
         }
         let avg_refresh = self.params.avg_refresh;
         let cntdown = Self::sample_cntdown(&mut self.rng, avg_refresh);
-        let desc = self.shards.file_mut(file).expect("file exists");
+        let desc = self.files.get_mut(&file).expect("file exists");
         // A discard issued during the transfer window (File_Discard, or the
         // file_add_segmented rollback) must survive finalisation: keep the
         // state so the first Auto_CheckProof removes the file instead of it
@@ -417,9 +365,9 @@ impl Engine {
         if let Some(a) = &audit {
             self.audit_root =
                 audit_root_domain().hash(&[self.audit_root.as_bytes(), a.digest.as_bytes()]);
-            self.shards.shard_mut(file).stats.proofs_audited += a.replicas_checked;
+            self.stats.proofs_audited += a.replicas_checked;
         }
-        let Some(desc) = self.shards.file(file) else {
+        let Some(desc) = self.files.get(&file) else {
             return;
         };
         let owner = desc.owner;
@@ -431,10 +379,10 @@ impl Engine {
         if desc.state == FileState::Normal {
             let cost = self.params.cycle_cost(size, cp);
             if self.ledger.balance(owner) < cost {
-                let desc = self.shards.file_mut(file).expect("file exists");
+                let desc = self.files.get_mut(&file).expect("file exists");
                 desc.state = FileState::Discarded;
-                self.shards
-                    .set_discard_reason(file, RemovalReason::InsufficientFunds);
+                self.discard_reasons
+                    .insert(file, RemovalReason::InsufficientFunds);
             } else {
                 let rent = TokenAmount(self.params.unit_rent.0 * size as u128 * cp as u128);
                 let gas = cost - rent;
@@ -447,7 +395,7 @@ impl Engine {
 
         // 2. Late-proof checks per entry.
         for i in 0..cp {
-            let Some(e) = self.shards.entry(file, i) else {
+            let Some(e) = self.alloc.get(&(file, i)) else {
                 continue;
             };
             if e.state == AllocState::Corrupted {
@@ -471,23 +419,23 @@ impl Engine {
         }
 
         // 3. Removal / loss / reschedule.
-        let state = self.shards.file(file).map(|f| f.state);
+        let state = self.files.get(&file).map(|f| f.state);
         if state == Some(FileState::Discarded) {
             let reason = self
-                .shards
-                .take_discard_reason(file)
+                .discard_reasons
+                .remove(&file)
                 .unwrap_or(RemovalReason::ClientDiscard);
             self.remove_file_completely(file, reason);
             return;
         }
         let all_corrupted = (0..cp)
-            .all(|i| self.shards.entry(file, i).map(|e| e.state) == Some(AllocState::Corrupted));
+            .all(|i| self.alloc.get(&(file, i)).map(|e| e.state) == Some(AllocState::Corrupted));
         if all_corrupted {
             self.compensate_loss(file);
             return;
         }
         self.schedule_task(now + self.params.proof_cycle, Task::CheckProof(file));
-        let desc = self.shards.file_mut(file).expect("file exists");
+        let desc = self.files.get_mut(&file).expect("file exists");
         desc.cntdown -= 1;
         if desc.cntdown <= 0 {
             let i = self.rng.below(cp as u64) as u32; // RandomIndex(f)
@@ -497,16 +445,16 @@ impl Engine {
 
     /// `Auto_Refresh` (Fig. 9).
     pub(super) fn auto_refresh(&mut self, file: FileId, index: u32) {
-        let Some(desc) = self.shards.file(file) else {
+        let Some(desc) = self.files.get(&file) else {
             return;
         };
         let size = desc.size;
-        let entry_state = self.shards.entry(file, index).map(|e| e.state);
+        let entry_state = self.alloc.get(&(file, index)).map(|e| e.state);
         if entry_state != Some(AllocState::Normal) {
             // The chosen replica is corrupted or already mid-move; re-arm.
             let avg = self.params.avg_refresh;
             let cntdown = Self::sample_cntdown(&mut self.rng, avg);
-            if let Some(d) = self.shards.file_mut(file) {
+            if let Some(d) = self.files.get_mut(&file) {
                 d.cntdown = cntdown;
             }
             return;
@@ -524,11 +472,11 @@ impl Engine {
             .unwrap_or(false);
         if !fits {
             // Collision — "almost never happens" (Fig. 9 else-branch).
-            self.shards.shard_mut(file).stats.refresh_collisions += 1;
+            self.stats.refresh_collisions += 1;
             self.log(ProtocolEvent::RefreshCollision { file, index });
             let avg = self.params.avg_refresh;
             let cntdown = Self::sample_cntdown(&mut self.rng, avg);
-            if let Some(d) = self.shards.file_mut(file) {
+            if let Some(d) = self.files.get_mut(&file) {
                 d.cntdown = cntdown;
             }
             return;
@@ -539,13 +487,13 @@ impl Engine {
             .get_mut(&target)
             .expect("sector index")
             .insert((file, index));
-        let e = self.shards.entry_mut(file, index).expect("entry exists");
+        let e = self.alloc.get_mut(&(file, index)).expect("entry exists");
         let from = e.prev;
         e.next = Some(target);
         e.state = AllocState::Alloc;
         let deadline = self.now() + self.params.transfer_window(size);
         self.schedule_task(deadline, Task::CheckRefresh(file, index));
-        self.shards.shard_mut(file).stats.refreshes_started += 1;
+        self.stats.refreshes_started += 1;
         self.log(ProtocolEvent::ReplicaSwap {
             file,
             index,
@@ -556,14 +504,14 @@ impl Engine {
 
     /// `Auto_CheckRefresh` (Fig. 9).
     pub(super) fn auto_check_refresh(&mut self, file: FileId, index: u32) {
-        let Some(desc) = self.shards.file(file) else {
+        let Some(desc) = self.files.get(&file) else {
             return;
         };
         let size = desc.size;
         let cp = desc.cp;
         let avg = self.params.avg_refresh;
         let now = self.now();
-        let Some(entry) = self.shards.entry(file, index) else {
+        let Some(entry) = self.alloc.get(&(file, index)) else {
             return;
         };
         let (state, prev, next) = (entry.state, entry.prev, entry.next);
@@ -571,7 +519,7 @@ impl Engine {
         match state {
             AllocState::Confirm => {
                 // Transfer succeeded: release the old holder, flip over.
-                let e = self.shards.entry_mut(file, index).expect("entry");
+                let e = self.alloc.get_mut(&(file, index)).expect("entry");
                 e.prev = next;
                 e.next = None;
                 e.last = Some(now);
@@ -585,9 +533,9 @@ impl Engine {
                         self.release_replica(old_sector, file, index, size);
                     }
                 }
-                self.shards.shard_mut(file).stats.refreshes_completed += 1;
+                self.stats.refreshes_completed += 1;
                 let cntdown = Self::sample_cntdown(&mut self.rng, avg);
-                if let Some(d) = self.shards.file_mut(file) {
+                if let Some(d) = self.files.get_mut(&file) {
                     d.cntdown = cntdown;
                 }
             }
@@ -599,12 +547,12 @@ impl Engine {
                     self.punish(t);
                     self.release_reservation_indexed(t, file, index, size);
                 }
-                let e = self.shards.entry_mut(file, index).expect("entry");
+                let e = self.alloc.get_mut(&(file, index)).expect("entry");
                 e.next = None;
                 e.state = AllocState::Normal;
                 let mut holders = Vec::new();
                 for j in 0..cp {
-                    if let Some(other) = self.shards.entry(file, j) {
+                    if let Some(other) = self.alloc.get(&(file, j)) {
                         if other.state != AllocState::Corrupted {
                             if let Some(h) = other.prev {
                                 holders.push(h);
@@ -677,7 +625,7 @@ impl Engine {
         self.ledger
             .transfer(DEPOSIT_ESCROW, COMPENSATION_POOL, amount)
             .expect("escrow covers punishment");
-        self.stats_global.punishments += 1;
+        self.stats.punishments += 1;
         self.log(ProtocolEvent::ProviderPunished { sector, amount });
     }
 
@@ -697,7 +645,7 @@ impl Engine {
         self.ledger
             .transfer(DEPOSIT_ESCROW, COMPENSATION_POOL, confiscated)
             .expect("escrow covers deposit");
-        self.stats_global.sectors_corrupted += 1;
+        self.stats.sectors_corrupted += 1;
         self.log(ProtocolEvent::SectorCorrupted {
             sector,
             confiscated,
@@ -707,13 +655,13 @@ impl Engine {
 
     /// Full compensation on loss (Fig. 8, §IV-B).
     pub(super) fn compensate_loss(&mut self, file: FileId) {
-        let Some(desc) = self.shards.file(file) else {
+        let Some(desc) = self.files.get(&file) else {
             return;
         };
         let owner = desc.owner;
         let value = desc.value;
         let paid = self.ledger.transfer_up_to(COMPENSATION_POOL, owner, value);
-        let stats = &mut self.shards.shard_mut(file).stats;
+        let stats = &mut self.stats;
         stats.files_lost += 1;
         stats.value_lost += value;
         stats.compensation_paid += paid;
@@ -765,16 +713,10 @@ enum PlanKind {
 /// Mirrors the read path of [`Engine::auto_check_proof`] without mutating
 /// anything, recording every consulted sector. Pure in the engine state
 /// it is handed, so a bucket's plans compute concurrently.
-fn plan_check_proof(
-    shard: &Shard,
-    sectors: &TrackedMap<SectorId, Sector>,
-    ledger: &Ledger,
-    params: &ProtocolParams,
-    file: FileId,
-    now: Time,
-) -> CheckProofPlan {
+fn plan_check_proof(engine: &Engine, file: FileId, now: Time) -> CheckProofPlan {
+    let (params, sectors) = (&engine.params, &engine.sectors);
     let mut read_sectors: Vec<SectorId> = Vec::new();
-    let Some(desc) = shard.files.get(&file) else {
+    let Some(desc) = engine.files.get(&file) else {
         return CheckProofPlan {
             file,
             kind: PlanKind::MissingFile,
@@ -790,7 +732,7 @@ fn plan_check_proof(
         return sequential(read_sectors);
     }
     let cost = params.cycle_cost(desc.size, desc.cp);
-    if ledger.balance(desc.owner) < cost {
+    if engine.ledger.balance(desc.owner) < cost {
         // Insolvency discard: removal and refunds go sequential.
         return sequential(read_sectors);
     }
@@ -799,7 +741,7 @@ fn plan_check_proof(
 
     let mut punish: Vec<SectorId> = Vec::new();
     for i in 0..desc.cp {
-        let Some(e) = shard.alloc.get(&(file, i)) else {
+        let Some(e) = engine.alloc.get(&(file, i)) else {
             continue;
         };
         if e.state == AllocState::Corrupted {
@@ -824,7 +766,7 @@ fn plan_check_proof(
     }
 
     let all_corrupted = (0..desc.cp)
-        .all(|i| shard.alloc.get(&(file, i)).map(|e| e.state) == Some(AllocState::Corrupted));
+        .all(|i| engine.alloc.get(&(file, i)).map(|e| e.state) == Some(AllocState::Corrupted));
     if all_corrupted {
         // Compensation + removal go sequential.
         return sequential(read_sectors);
@@ -856,7 +798,7 @@ fn plan_check_proof(
 /// moves pool money to sector owners only — fast plans re-check the one
 /// balance they depend on exactly, so it needs no footprint.
 fn note_fallback_footprint(
-    shards: &ShardedState,
+    engine: &Engine,
     task: &Task,
     mutated_sectors: &mut HashSet<SectorId>,
     mutated_files: &mut HashSet<FileId>,
@@ -866,10 +808,9 @@ fn note_fallback_footprint(
         Task::DistributeRent => return,
     };
     mutated_files.insert(file);
-    let shard = shards.shard(file);
-    if let Some(desc) = shard.files.get(&file) {
+    if let Some(desc) = engine.files.get(&file) {
         for i in 0..desc.cp {
-            if let Some(e) = shard.alloc.get(&(file, i)) {
+            if let Some(e) = engine.alloc.get(&(file, i)) {
                 if let Some(s) = e.prev {
                     mutated_sectors.insert(s);
                 }
@@ -942,12 +883,7 @@ pub(super) fn walk_replicas(
 /// `path_len`-node authentication path; the walked nodes fold in replica
 /// order into one per-task commitment. All replicas of `files` walk as
 /// lockstep lanes ([`walk_replicas`]).
-fn verify_audits(
-    shards: &ShardedState,
-    files: &[FileId],
-    now: Time,
-    path_len: u32,
-) -> Vec<ProofAudit> {
+fn verify_audits(engine: &Engine, files: &[FileId], now: Time, path_len: u32) -> Vec<ProofAudit> {
     let now_be = now.to_be_bytes();
 
     // Phase 0: the per-task base digest, one lane per audit task.
@@ -966,11 +902,11 @@ fn verify_audits(
     let mut lane_tasks: Vec<usize> = Vec::new();
     let mut lanes: Vec<ReplicaLane> = Vec::new();
     for (t, &file) in files.iter().enumerate() {
-        let Some(desc) = shards.file(file) else {
+        let Some(desc) = engine.files.get(&file) else {
             continue;
         };
         for i in 0..desc.cp {
-            let Some(e) = shards.entry(file, i) else {
+            let Some(e) = engine.alloc.get(&(file, i)) else {
                 continue;
             };
             if e.state == AllocState::Corrupted {
@@ -1010,6 +946,7 @@ fn verify_audits(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::ProtocolParams;
     use crate::types::{AllocEntry, FileDescriptor, FileState};
     use fi_chain::account::AccountId;
     use fi_crypto::keyed_hash;
@@ -1021,25 +958,20 @@ mod tests {
     /// Merkle commitment and the proof timestamp, then walk a
     /// `path_len`-node authentication path. The digests fold in replica
     /// order into one per-task commitment.
-    fn verify_check_proof(
-        shards: &ShardedState,
-        file: FileId,
-        now: Time,
-        path_len: u32,
-    ) -> ProofAudit {
+    fn verify_check_proof(engine: &Engine, file: FileId, now: Time, path_len: u32) -> ProofAudit {
         let mut digest = keyed_hash(
             "fileinsurer/audit-task",
             &[&file.0.to_be_bytes(), &now.to_be_bytes()],
         );
         let mut replicas_checked = 0u64;
-        let Some(desc) = shards.file(file) else {
+        let Some(desc) = engine.files.get(&file) else {
             return ProofAudit {
                 digest,
                 replicas_checked,
             };
         };
         for i in 0..desc.cp {
-            let Some(e) = shards.entry(file, i) else {
+            let Some(e) = engine.alloc.get(&(file, i)) else {
                 continue;
             };
             if e.state == AllocState::Corrupted {
@@ -1073,25 +1005,28 @@ mod tests {
         }
     }
 
-    /// Three shards with `files` synthetic descriptors mixing replica
+    /// An engine holding `files` synthetic descriptors mixing replica
     /// counts and entry states: normal proofs on record, never-proved,
     /// corrupted, and mid-transfer rows — every skip branch of the
     /// verifier.
-    fn synthetic_shards(files: u64) -> ShardedState {
-        let mut shards = ShardedState::new(3);
+    fn synthetic_engine(files: u64) -> Engine {
+        let mut engine = Engine::new(ProtocolParams::default()).expect("valid params");
         for f in 0..files {
             let file = FileId(f);
             let cp = 1 + (f % 4) as u32;
-            shards.insert_file(FileDescriptor {
-                id: file,
-                owner: AccountId(1),
-                size: 4,
-                value: TokenAmount(1_000),
-                merkle_root: keyed_hash("test/root", &[&f.to_be_bytes()]),
-                cp,
-                cntdown: 3,
-                state: FileState::Normal,
-            });
+            engine.files.insert(
+                file,
+                FileDescriptor {
+                    id: file,
+                    owner: AccountId(1),
+                    size: 4,
+                    value: TokenAmount(1_000),
+                    merkle_root: keyed_hash("test/root", &[&f.to_be_bytes()]),
+                    cp,
+                    cntdown: 3,
+                    state: FileState::Normal,
+                },
+            );
             for i in 0..cp {
                 let entry = match (f + i as u64) % 4 {
                     0 => AllocEntry {
@@ -1119,15 +1054,15 @@ mod tests {
                         state: AllocState::Alloc,
                     },
                 };
-                shards.insert_entry(file, i, entry);
+                engine.alloc.insert((file, i), entry);
             }
         }
-        shards
+        engine
     }
 
     #[test]
     fn batched_verify_slice_matches_reference() {
-        let shards = synthetic_shards(40);
+        let engine = synthetic_engine(40);
         let now: Time = 1_000;
         let path_len = 16;
         let whole: Vec<Task> = (0..40u64)
@@ -1140,15 +1075,15 @@ mod tests {
             })
             .collect();
         // Every range size takes the lane walk: the empty range, one task,
-        // and each lane count up to a few register groups, across shards.
+        // and each lane count up to a few register groups.
         for size in 0..=whole.len() {
             let files: Vec<FileId> = whole[..size].iter().filter_map(Task::audited).collect();
-            let got = verify_audits(&shards, &files, now, path_len);
+            let got = verify_audits(&engine, &files, now, path_len);
             assert_eq!(got.len(), files.len());
             for (slot, (&f, audit)) in files.iter().zip(&got).enumerate() {
                 assert_eq!(
                     audit,
-                    &verify_check_proof(&shards, f, now, path_len),
+                    &verify_check_proof(&engine, f, now, path_len),
                     "size {size} slot {slot}"
                 );
             }
@@ -1159,12 +1094,12 @@ mod tests {
     fn small_slice_reference_path_matches_batch_output_shape() {
         // A task's verdict does not depend on which other tasks share its
         // range, i.e. on which lanes its replicas walk in.
-        let shards = synthetic_shards(8);
+        let engine = synthetic_engine(8);
         let now: Time = 77;
         let small = [FileId(2), FileId(5)];
         let large: Vec<FileId> = (0..8).map(FileId).collect();
-        let small_out = verify_audits(&shards, &small, now, 8);
-        let large_out = verify_audits(&shards, &large, now, 8);
+        let small_out = verify_audits(&engine, &small, now, 8);
+        let large_out = verify_audits(&engine, &large, now, 8);
         assert_eq!(small_out[0], large_out[2]);
         assert_eq!(small_out[1], large_out[5]);
     }

@@ -2,13 +2,13 @@
 //!
 //! [`Engine::apply_batch`](super::Engine::apply_batch) splits a block's op
 //! batch into **segments** of consecutive *shard-local* ops (`File_Confirm`,
-//! `File_Prove`, `File_Get`, `File_Discard`, `ForceDiscard` — ops whose
-//! writes are confined to one file's shard plus the ledger) separated by
+//! `File_Prove`, `File_Get`, `File_Discard`, `ForceDiscard` — ops that read
+//! and write only their own file's rows, plus the ledger) separated by
 //! **barrier** ops (everything else: sector admin, `File_Add`'s
 //! sampler/rng draws, funds, fault injection, `AdvanceTo`). Each segment is
-//! staged concurrently — one worker per contiguous range of shards, one
-//! range per worker of the engine's fan-out — and then committed sequentially
-//! in the original submission order, so consensus state is bit-identical to
+//! staged concurrently — its ops grouped by `FileId % width`, one group per
+//! worker of the engine's fan-out — and then committed sequentially in the
+//! original submission order, so consensus state is bit-identical to
 //! feeding the same ops one by one through `Engine::apply`.
 //!
 //! Determinism rests on three pillars:
@@ -18,20 +18,20 @@
 //!    path runs the same function against live state and applies its
 //!    effects immediately. There is no second copy of the op semantics
 //!    that could drift.
-//! 2. **Shard isolation.** A staging worker executes its shard's ops in
-//!    submission order against a [`ShardOverlay`] (base shard + staged
-//!    writes), while reading global state — sectors, params, gas prices,
-//!    consensus time — immutably. No shard-local op writes any of those,
-//!    so the only cross-shard data flow inside a segment is through the
-//!    ledger.
+//! 2. **File isolation.** A staging worker executes its group's ops in
+//!    submission order against a [`FileOverlay`] (the engine's rows +
+//!    the group's staged writes), while reading global state — sectors,
+//!    params, gas prices, consensus time — immutably. No shard-local op
+//!    writes any of those, or any row but its own file's, so the only
+//!    data flow between files inside a segment is through the ledger.
 //! 3. **Ledger validation at commit.** Staged balance checks are
 //!    *assumptions* against the pre-segment ledger. The commit phase
 //!    replays each op's [`LedgerStep`] program against the live ledger
 //!    first; if any assumed outcome flips (an earlier op in the segment
 //!    drained or credited an account past a threshold), the staged result
-//!    is discarded, the op re-executes sequentially, and the shard is
-//!    marked dirty for the rest of the segment (its later staged results
-//!    were computed against a stale overlay). The fallback is the normal
+//!    is discarded, the op re-executes sequentially, and its file is
+//!    marked stale for the rest of the segment (the file's later staged
+//!    results read the discarded writes). The fallback is the normal
 //!    sequential path, so even the pathological interleavings are
 //!    bit-identical — they just don't get the speedup.
 //!
@@ -44,7 +44,7 @@
 //! [`verify_staged_proofs`] walks every recorded replica as one batch of
 //! lockstep lanes and patches the digests in. That is order-safe because
 //! the digest feeds nothing but the commit-time audit-root fold: no check,
-//! receipt, shard write or ledger step of any op reads it.
+//! receipt, row write or ledger step of any op reads it.
 
 use std::collections::HashMap;
 
@@ -62,13 +62,12 @@ use crate::types::{
 
 use super::audit::{walk_replicas, ReplicaLane};
 use super::pool::fan_out;
-use super::shard::Shard;
 use super::statemap::TrackedMap;
 use super::{Engine, EngineError, TRAFFIC_ESCROW};
 
 /// The file a shard-local op targets, or `None` for barrier ops. This is
-/// the batch classifier: ops with a target stage concurrently on the
-/// target's shard; everything else serializes the pipeline.
+/// the batch classifier: ops with a target stage concurrently, grouped by
+/// it; everything else serializes the pipeline.
 pub(super) fn shard_local_file(op: &Op) -> Option<FileId> {
     match op {
         Op::FileConfirm { file, .. }
@@ -117,11 +116,12 @@ pub(super) enum LedgerStep {
     },
 }
 
-/// One staged mutation of the target shard. Writes carry whole cloned
-/// objects: the overlay the executor read from already contains every
-/// earlier same-segment write, so replacement at commit time is exact.
+/// One staged mutation of the target file's rows. Writes carry whole
+/// cloned objects: the overlay the executor read from already contains
+/// every earlier same-segment write, so replacement at commit time is
+/// exact.
 #[derive(Debug, Clone)]
-pub(super) enum ShardWrite {
+pub(super) enum RowWrite {
     /// Replace an allocation entry.
     Entry {
         /// Target file.
@@ -143,7 +143,7 @@ pub(super) enum ShardWrite {
         /// Why it is being removed.
         reason: RemovalReason,
     },
-    /// Bump the shard's `proofs_accepted` counter.
+    /// Bump the engine's `proofs_accepted` counter.
     ProofAccepted,
 }
 
@@ -158,7 +158,7 @@ pub(super) enum ProofFold {
 }
 
 /// Everything one shard-local op does, staged: the typed outcome, the
-/// ledger program, the shard writes, the audit-root fold of a verified
+/// ledger program, the row writes, the audit-root fold of a verified
 /// proof, and the op-counter increment. Applying these to live state (in
 /// submission order, after the ledger program revalidates) reproduces the
 /// sequential execution bit for bit.
@@ -168,8 +168,8 @@ pub(super) struct StagedEffects {
     pub(super) outcome: Result<Receipt, EngineError>,
     /// Ledger operations in execution order.
     pub(super) ledger: Vec<LedgerStep>,
-    /// Shard mutations in execution order.
-    pub(super) writes: Vec<ShardWrite>,
+    /// Row mutations in execution order.
+    pub(super) writes: Vec<RowWrite>,
     /// The proof of an accepted `File_Prove`: verified before the effects
     /// leave the staging phase, then folded into the engine's audit root at
     /// commit (in submission order — the fold is part of the state root,
@@ -216,47 +216,53 @@ pub(super) struct OpCtx<'a> {
     pub(super) now: Time,
 }
 
-/// A shard read view: the live shard plus every staged write of earlier
-/// same-segment ops on this shard, so in-segment dependencies (a second
-/// confirm of the same replica, a prove after a discard) resolve exactly
-/// as they would sequentially.
-pub(super) struct ShardOverlay<'a> {
-    base: &'a Shard,
+/// A read view of the file rows: the engine's descriptors and allocation
+/// rows plus every staged write of earlier same-segment ops in this
+/// overlay's group, so in-segment dependencies (a second confirm of the
+/// same replica, a prove after a discard) resolve exactly as they would
+/// sequentially.
+pub(super) struct FileOverlay<'a> {
+    base_files: &'a TrackedMap<FileId, FileDescriptor>,
+    base_alloc: &'a TrackedMap<(FileId, u32), AllocEntry>,
     files: HashMap<FileId, FileDescriptor>,
     entries: HashMap<(FileId, u32), AllocEntry>,
 }
 
-impl<'a> ShardOverlay<'a> {
-    pub(super) fn new(base: &'a Shard) -> Self {
-        ShardOverlay {
-            base,
+impl<'a> FileOverlay<'a> {
+    pub(super) fn new(
+        base_files: &'a TrackedMap<FileId, FileDescriptor>,
+        base_alloc: &'a TrackedMap<(FileId, u32), AllocEntry>,
+    ) -> Self {
+        FileOverlay {
+            base_files,
+            base_alloc,
             files: HashMap::new(),
             entries: HashMap::new(),
         }
     }
 
     fn file(&self, file: FileId) -> Option<&FileDescriptor> {
-        self.files.get(&file).or_else(|| self.base.files.get(&file))
+        self.files.get(&file).or_else(|| self.base_files.get(&file))
     }
 
     fn entry(&self, file: FileId, index: u32) -> Option<&AllocEntry> {
         self.entries
             .get(&(file, index))
-            .or_else(|| self.base.alloc.get(&(file, index)))
+            .or_else(|| self.base_alloc.get(&(file, index)))
     }
 
     /// Mirrors a staged write into the overlay so later ops in the same
     /// segment read it. Discard reasons and stats are write-only for
     /// shard-local ops, so only files and entries need overlaying.
-    pub(super) fn note_write(&mut self, write: &ShardWrite) {
+    pub(super) fn note_write(&mut self, write: &RowWrite) {
         match write {
-            ShardWrite::Entry { file, index, entry } => {
+            RowWrite::Entry { file, index, entry } => {
                 self.entries.insert((*file, *index), entry.clone());
             }
-            ShardWrite::File { desc } => {
+            RowWrite::File { desc } => {
                 self.files.insert(desc.id, desc.clone());
             }
-            ShardWrite::DiscardReason { .. } | ShardWrite::ProofAccepted => {}
+            RowWrite::DiscardReason { .. } | RowWrite::ProofAccepted => {}
         }
     }
 }
@@ -409,17 +415,14 @@ pub(super) fn verify_staged_proofs<'a>(
     }
 }
 
-/// Executes one shard-local op against a shard view and the frozen global
-/// context, producing staged effects. This is the single implementation of
-/// the five ops' semantics: the sequential dispatch path runs it against
-/// the live shard and applies the effects immediately; the batch path runs
+/// Executes one shard-local op against a file-row view and the frozen
+/// global context, producing staged effects. This is the single
+/// implementation of the five ops' semantics: the sequential dispatch path
+/// runs it against the live rows and applies the effects immediately; the
+/// batch path runs
 /// it in a staging worker and commits later. Either caller finishes with
 /// [`verify_staged_proofs`] over everything it staged.
-pub(super) fn stage_shard_local(
-    op: &Op,
-    ctx: &OpCtx<'_>,
-    view: &ShardOverlay<'_>,
-) -> StagedEffects {
+pub(super) fn stage_shard_local(op: &Op, ctx: &OpCtx<'_>, view: &FileOverlay<'_>) -> StagedEffects {
     match op {
         Op::FileConfirm {
             caller,
@@ -444,7 +447,7 @@ pub(super) fn stage_shard_local(
 /// receiving the replica; the traffic fee for it is released.
 fn stage_file_confirm(
     ctx: &OpCtx<'_>,
-    view: &ShardOverlay<'_>,
+    view: &FileOverlay<'_>,
     caller: AccountId,
     file: FileId,
     index: u32,
@@ -479,7 +482,7 @@ fn stage_file_confirm(
     StagedEffects {
         outcome: Ok(Receipt::Confirmed { file, index }),
         ledger: sim.steps,
-        writes: vec![ShardWrite::Entry { file, index, entry }],
+        writes: vec![RowWrite::Entry { file, index, entry }],
         audit_fold: None,
         op_counter_inc: 1,
     }
@@ -491,7 +494,7 @@ fn stage_file_confirm(
 /// root at commit.
 fn stage_file_prove(
     ctx: &OpCtx<'_>,
-    view: &ShardOverlay<'_>,
+    view: &FileOverlay<'_>,
     caller: AccountId,
     file: FileId,
     index: u32,
@@ -532,8 +535,8 @@ fn stage_file_prove(
         outcome: Ok(Receipt::Proved { file, index }),
         ledger: sim.steps,
         writes: vec![
-            ShardWrite::Entry { file, index, entry },
-            ShardWrite::ProofAccepted,
+            RowWrite::Entry { file, index, entry },
+            RowWrite::ProofAccepted,
         ],
         audit_fold: Some(ProofFold::Unverified((
             merkle_root,
@@ -547,7 +550,7 @@ fn stage_file_prove(
 /// `File_Get` (§III-E): gas-charged live-holder lookup.
 fn stage_file_get(
     ctx: &OpCtx<'_>,
-    view: &ShardOverlay<'_>,
+    view: &FileOverlay<'_>,
     caller: AccountId,
     file: FileId,
 ) -> StagedEffects {
@@ -585,7 +588,7 @@ fn stage_file_get(
 /// next `Auto_CheckProof`.
 fn stage_file_discard(
     ctx: &OpCtx<'_>,
-    view: &ShardOverlay<'_>,
+    view: &FileOverlay<'_>,
     caller: AccountId,
     file: FileId,
 ) -> StagedEffects {
@@ -605,8 +608,8 @@ fn stage_file_discard(
         outcome: Ok(Receipt::Discarded { file }),
         ledger: sim.steps,
         writes: vec![
-            ShardWrite::File { desc },
-            ShardWrite::DiscardReason {
+            RowWrite::File { desc },
+            RowWrite::DiscardReason {
                 file,
                 reason: RemovalReason::ClientDiscard,
             },
@@ -617,14 +620,14 @@ fn stage_file_discard(
 }
 
 /// Consensus-side rollback discard (§VI-C): no ownership check, no gas.
-fn stage_force_discard(view: &ShardOverlay<'_>, file: FileId) -> StagedEffects {
+fn stage_force_discard(view: &FileOverlay<'_>, file: FileId) -> StagedEffects {
     let writes = match view.file(file) {
         Some(f) => {
             let mut desc = f.clone();
             desc.state = FileState::Discarded;
             vec![
-                ShardWrite::File { desc },
-                ShardWrite::DiscardReason {
+                RowWrite::File { desc },
+                RowWrite::DiscardReason {
                     file,
                     reason: RemovalReason::ClientDiscard,
                 },
@@ -646,8 +649,6 @@ impl Engine {
     /// ledger). In this single-op setting every ledger assumption holds by
     /// construction, so the staged effects are exact.
     pub(super) fn stage_vs_live(&self, op: &Op) -> StagedEffects {
-        let file = shard_local_file(op).expect("shard-local op");
-        let shard_idx = self.shards.shard_of(file);
         let ctx = OpCtx {
             params: &self.params,
             gas: &self.gas,
@@ -655,7 +656,7 @@ impl Engine {
             ledger: &self.ledger,
             now: self.chain.now(),
         };
-        let view = ShardOverlay::new(&self.shards.shards[shard_idx]);
+        let view = FileOverlay::new(&self.files, &self.alloc);
         let mut effects = stage_shard_local(op, &ctx, &view);
         verify_staged_proofs([&mut effects], &ctx);
         effects
@@ -665,24 +666,18 @@ impl Engine {
     /// five ops here. Staging against live state plus an immediate commit
     /// is exactly the pre-pipeline handler semantics.
     pub(super) fn apply_shard_local(&mut self, op: &Op) -> Result<Receipt, EngineError> {
-        let file = shard_local_file(op).expect("shard-local op");
-        let shard_idx = self.shards.shard_of(file);
         let effects = self.stage_vs_live(op);
         debug_assert!(
             ledger_steps_match(&self.ledger, &effects.ledger),
             "live staging cannot mis-assume balances"
         );
-        self.apply_effects(shard_idx, effects)
+        self.apply_effects(effects)
     }
 
     /// Applies staged effects to live state: the ledger program (with
-    /// assumptions already revalidated by the caller), the shard writes,
+    /// assumptions already revalidated by the caller), the row writes,
     /// the audit-root fold, the op counter. Returns the staged outcome.
-    pub(super) fn apply_effects(
-        &mut self,
-        shard_idx: usize,
-        effects: StagedEffects,
-    ) -> Result<Receipt, EngineError> {
+    pub(super) fn apply_effects(&mut self, effects: StagedEffects) -> Result<Receipt, EngineError> {
         for step in &effects.ledger {
             match step {
                 LedgerStep::Burn {
@@ -703,20 +698,19 @@ impl Engine {
                 }
             }
         }
-        let shard = &mut self.shards.shards[shard_idx];
         for write in effects.writes {
             match write {
-                ShardWrite::Entry { file, index, entry } => {
-                    shard.alloc.insert((file, index), entry);
+                RowWrite::Entry { file, index, entry } => {
+                    self.alloc.insert((file, index), entry);
                 }
-                ShardWrite::File { desc } => {
-                    shard.files.insert(desc.id, desc);
+                RowWrite::File { desc } => {
+                    self.files.insert(desc.id, desc);
                 }
-                ShardWrite::DiscardReason { file, reason } => {
-                    shard.discard_reasons.insert(file, reason);
+                RowWrite::DiscardReason { file, reason } => {
+                    self.discard_reasons.insert(file, reason);
                 }
-                ShardWrite::ProofAccepted => {
-                    shard.stats.proofs_accepted += 1;
+                RowWrite::ProofAccepted => {
+                    self.stats.proofs_accepted += 1;
                 }
             }
         }
@@ -735,26 +729,21 @@ impl Engine {
     }
 
     /// Stages a segment of shard-local ops concurrently: ops are grouped by
-    /// target shard, the occupied shards are cut into one contiguous range
-    /// per fan-out worker, and each worker executes its shards' ops in
-    /// submission order against a [`ShardOverlay`]. Pure with respect to
-    /// the engine — all effects are returned, none applied.
+    /// `FileId % width` over the fan-out's width, one group per worker, and
+    /// each worker executes its group's ops in submission order against
+    /// one [`FileOverlay`]. Pure with respect to the engine — all effects
+    /// are returned, none applied.
     ///
     /// `digests`, when given, holds `ops`' canonical digests; otherwise
     /// each worker hashes its own share.
     pub(super) fn stage_segment(&self, ops: &[Op], digests: Option<&[Hash256]>) -> Vec<StagedOp> {
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.shards.len()];
+        let width = self.pool_for(true);
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); width];
         for (i, op) in ops.iter().enumerate() {
             let file = shard_local_file(op).expect("segment holds shard-local ops");
-            groups[self.shards.shard_of(file)].push(i);
+            groups[(file.0 % width as u64) as usize].push(i);
         }
-        let occupied: Vec<(&Shard, Vec<usize>)> = self
-            .shards
-            .shards
-            .iter()
-            .zip(groups)
-            .filter(|(_, group)| !group.is_empty())
-            .collect();
+        groups.retain(|group| !group.is_empty());
         let ctx = &OpCtx {
             params: &self.params,
             gas: &self.gas,
@@ -762,10 +751,11 @@ impl Engine {
             ledger: &self.ledger,
             now: self.chain.now(),
         };
-        let staged = fan_out(self.pool_for(true), occupied, |occupied| {
+        let (files, alloc) = (&self.files, &self.alloc);
+        let staged = fan_out(width, groups, |groups| {
             let mut staged: Vec<(usize, Hash256, StagedEffects)> = Vec::new();
-            for (shard, group) in occupied {
-                let mut view = ShardOverlay::new(shard);
+            for group in groups {
+                let mut view = FileOverlay::new(files, alloc);
                 for i in group {
                     let effects = stage_shard_local(&ops[i], ctx, &view);
                     for write in &effects.writes {

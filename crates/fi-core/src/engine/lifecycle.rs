@@ -45,12 +45,12 @@ impl Engine {
     /// `(index, target sector)` pairs — what an honest provider would
     /// confirm next for `file`.
     pub fn pending_confirms(&self, file: FileId) -> Vec<(u32, SectorId)> {
-        let Some(desc) = self.shards.file(file) else {
+        let Some(desc) = self.files.get(&file) else {
             return Vec::new();
         };
         (0..desc.cp)
             .filter_map(|i| {
-                let e = self.shards.entry(file, i)?;
+                let e = self.alloc.get(&(file, i))?;
                 if e.state == AllocState::Alloc {
                     e.next.map(|s| (i, s))
                 } else {
@@ -68,8 +68,8 @@ impl Engine {
         let mut proofs = 0u64;
         // Confirms.
         let pending: Vec<(FileId, u32, SectorId)> = self
-            .shards
-            .alloc_iter()
+            .alloc
+            .iter()
             .filter(|(_, e)| e.state == AllocState::Alloc)
             .filter_map(|(&(f, i), e)| e.next.map(|s| (f, i, s)))
             .collect();
@@ -89,8 +89,8 @@ impl Engine {
         }
         // Proofs.
         let held: Vec<(FileId, u32, SectorId)> = self
-            .shards
-            .alloc_iter()
+            .alloc
+            .iter()
             .filter(|(_, e)| {
                 matches!(
                     e.state,
@@ -305,25 +305,26 @@ impl Engine {
             }
         }
 
-        // Ids come from one global counter, so with n shards the router
-        // (`id % n`) hands shard s exactly the strided ids s, s+n, s+2n, …
-        // — balanced by construction, and the id sequence (hence every op
-        // and receipt digest) is identical at every shard count.
+        // Ids come from one global counter, so the id sequence (hence
+        // every op and receipt digest) is the same at every configuration,
+        // and staging's `id % width` groups stay balanced.
         let id = FileId(self.next_file_id);
         self.next_file_id += 1;
-        self.shards.insert_file(FileDescriptor {
+        self.files.insert(
             id,
-            owner: client,
-            size,
-            value,
-            merkle_root,
-            cp,
-            cntdown: -1,
-            state: FileState::Allocating,
-        });
+            FileDescriptor {
+                id,
+                owner: client,
+                size,
+                value,
+                merkle_root,
+                cp,
+                cntdown: -1,
+                state: FileState::Allocating,
+            },
+        );
         for (i, &s) in targets.iter().enumerate() {
-            self.shards
-                .insert_entry(id, i as u32, AllocEntry::allocating(s));
+            self.alloc.insert((id, i as u32), AllocEntry::allocating(s));
             self.sector_replicas
                 .get_mut(&s)
                 .expect("sector index")

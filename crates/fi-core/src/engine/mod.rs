@@ -12,13 +12,12 @@
 //! The engine is split by concern:
 //!
 //! * [`mod@self`] — dispatch, time advancement, gas, the op log,
-//!   checkpoints;
-//! * `shard` — the sharded per-file rows: file descriptors, allocation
-//!   rows, discard reasons and per-shard stats, routed by
-//!   `FileId % shards` (ids are allocated from one global counter, so
-//!   shard `s` owns the strided ids `s, s + n, s + 2n, …`);
+//!   checkpoints, and the engine's tables: the per-file rows (file
+//!   descriptors, allocation rows, discard reasons), sectors, DRep
+//!   accounting and the counters;
 //! * `lifecycle` — client/provider requests (Figs. 4–6): add, confirm,
 //!   prove, get, discard, sector admin, segmented uploads;
+//! * `batch` — staged execution of the per-file ops of a block batch;
 //! * `audit` — the `Auto_*` consensus tasks (Figs. 7–9): `CheckAlloc`,
 //!   `CheckProof`, `Refresh`, `CheckRefresh`, rent distribution,
 //!   punishment and confiscation, fault injection;
@@ -34,11 +33,10 @@
 //! `Auto_CheckProof`, fanned out on scoped threads by `pool::fan_out` —
 //! audits are independent per (file, replica), the heart of the
 //! paper's scalability claim) and a **commit** phase that applies rent,
-//! punishments and refreshes in pop order — batched through per-shard
-//! write plans on large multi-shard buckets, sequentially otherwise, with
-//! bit-identical results either way. Nothing in either phase depends on
-//! the shard count, so consensus state is bit-identical whether the
-//! engine runs 1 shard or 8 (see DESIGN.md §9 and §14).
+//! punishments and refreshes in pop order — batched through validated
+//! write plans on large buckets when the parallel paths are on
+//! (`ProtocolParams::shards > 1`), sequentially otherwise, with
+//! bit-identical results either way (see DESIGN.md §9 and §14).
 //!
 //! Money flows exactly as §IV-A/§IV-B prescribe:
 //!
@@ -59,12 +57,11 @@ mod audit;
 mod batch;
 mod lifecycle;
 mod pool;
-mod shard;
 mod snapshot;
 mod statemap;
 mod view;
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -82,11 +79,12 @@ use crate::ops::{Op, OpRecord, Receipt};
 use crate::params::{ParamError, ProtocolParams};
 use crate::sampler::WeightedSampler;
 use crate::segment::SegmentedFile;
-use crate::types::{FileId, ProtocolEvent, Sector, SectorId};
+use crate::types::{
+    AllocEntry, FileDescriptor, FileId, ProtocolEvent, RemovalReason, Sector, SectorId,
+};
 
 use self::audit::ProofAudit;
 use self::batch::{ledger_steps_match, shard_local_file};
-use self::shard::ShardedState;
 use self::statemap::{CommitCell, StateMaps, TrackedMap};
 
 pub use self::snapshot::SnapshotError;
@@ -112,7 +110,7 @@ pub const TRAFFIC_ESCROW: AccountId = AccountId(4);
 const COMMIT_FANOUT_MIN_DIRTY_KEYS: usize = 2048;
 
 /// Fewest items (shard-local ops of an ingest segment, `Auto_CheckProof`
-/// tasks of a due bucket, deferred `cntdown` writes) worth fanning out;
+/// tasks of a due bucket) worth fanning out;
 /// below it the work runs inline on the calling thread. The outcome is
 /// bit-identical either way (`tests/parallel_commit.rs`,
 /// `tests/batch_ingest.rs`): the floor only decides when dispatch pays.
@@ -259,13 +257,9 @@ impl Task {
 /// same order.
 pub(super) type SeqTask = (u64, Task);
 
-/// Counters exposed for experiments and tests.
-///
-/// The engine keeps one instance per shard (for file-attributable
-/// counters) plus one global instance (for sector-attributable counters
-/// incremented outside any file context); [`Engine::stats`] returns the
-/// [`EngineStats::merge`] of all of them, which equals what a 1-shard
-/// engine counts on the same workload.
+/// Counters exposed for experiments and tests, one instance per engine.
+/// Its consensus counters ([`EngineStats::consensus`]) are the same at
+/// every `ProtocolParams::shards` and ingest width.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// `File_Add` sampling retries that hit an over-full sector.
@@ -304,55 +298,13 @@ pub struct EngineStats {
     /// silent. Execution-strategy counter — see
     /// [`EngineStats::consensus`].
     pub batches_fell_back_sequential: u64,
-    /// Due audit buckets committed through the parallel per-shard
-    /// write-batch path instead of the sequential fold.
+    /// Due audit buckets committed through the batched plan-and-apply
+    /// path instead of the sequential fold.
     /// Execution-strategy counter — see [`EngineStats::consensus`].
     pub audit_commit_batches: u64,
 }
 
 impl EngineStats {
-    /// Accumulates `other` into `self`, field by field. Counters are
-    /// disjoint across shards (every increment happens on exactly one
-    /// shard, or on the engine's global instance), so merging the
-    /// per-shard stats reproduces the unsharded totals exactly.
-    pub fn merge(&mut self, other: &EngineStats) {
-        // Exhaustive destructuring (no `..`): adding a field to
-        // EngineStats without merging it is a compile error, not a
-        // silently under-reported counter at shards > 1.
-        let EngineStats {
-            add_collisions,
-            refresh_collisions,
-            refreshes_started,
-            refreshes_completed,
-            proofs_accepted,
-            punishments,
-            sectors_corrupted,
-            files_lost,
-            value_lost,
-            compensation_paid,
-            compensation_shortfall,
-            proofs_audited,
-            batches_staged_parallel,
-            batches_fell_back_sequential,
-            audit_commit_batches,
-        } = other;
-        self.add_collisions += add_collisions;
-        self.refresh_collisions += refresh_collisions;
-        self.refreshes_started += refreshes_started;
-        self.refreshes_completed += refreshes_completed;
-        self.proofs_accepted += proofs_accepted;
-        self.punishments += punishments;
-        self.sectors_corrupted += sectors_corrupted;
-        self.files_lost += files_lost;
-        self.value_lost += *value_lost;
-        self.compensation_paid += *compensation_paid;
-        self.compensation_shortfall += *compensation_shortfall;
-        self.proofs_audited += proofs_audited;
-        self.batches_staged_parallel += batches_staged_parallel;
-        self.batches_fell_back_sequential += batches_fell_back_sequential;
-        self.audit_commit_batches += audit_commit_batches;
-    }
-
     /// This stats object with the execution-strategy counters zeroed,
     /// leaving only the consensus-observable counters.
     ///
@@ -379,7 +331,7 @@ impl EngineStats {
 /// replayed engine starts from zero).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {
-    /// Batch-ingest staging: concurrent shard-overlay execution.
+    /// Batch-ingest staging: concurrent execution over per-group overlays.
     pub stage_s: f64,
     /// Batch-ingest commit: in-order ledger revalidation and effect
     /// application (including sequential fallbacks).
@@ -387,7 +339,7 @@ pub struct PhaseTimes {
     /// Audit verify: the read-only storage-proof checks of a due bucket.
     pub verify_s: f64,
     /// Audit commit: the canonical-order fold plus rent/punishment/
-    /// reschedule application and per-shard write-batch flushes.
+    /// reschedule application.
     pub fold_s: f64,
 }
 
@@ -447,24 +399,26 @@ pub struct Engine {
     chain: BlockChain,
     ledger: Ledger,
     gas: GasSchedule,
-    /// The per-file rows, partitioned by `FileId % shards`: descriptors,
-    /// allocation rows, discard reasons, per-shard stats.
-    shards: ShardedState,
+    /// Live file descriptors. Like every table below, dirty-tracked: the
+    /// keys touched since the last state commit feed its trie.
+    files: TrackedMap<FileId, FileDescriptor>,
+    /// Allocation table rows, keyed `(file, replica index)`.
+    alloc: TrackedMap<(FileId, u32), AllocEntry>,
+    /// Pending removal reasons of discarded files.
+    discard_reasons: TrackedMap<FileId, RemovalReason>,
     /// The pending list of every scheduled `Auto_*` task (Fig. 1).
     pending: Scheduler<SeqTask>,
     sectors: TrackedMap<SectorId, Sector>,
     cr: TrackedMap<SectorId, CrAccounting>,
     /// `(file, index)` pairs touching each sector (as holder or as
-    /// reservation target). Kept consistent with the shards' alloc tables.
+    /// reservation target). Kept consistent with the alloc table.
     sector_replicas: HashMap<SectorId, BTreeSet<(FileId, u32)>>,
     sampler: WeightedSampler<SectorId>,
     rng: DetRng,
     next_file_id: u64,
     next_sector_id: u64,
     events: Vec<ProtocolEvent>,
-    /// Sector-attributable counters with no file context; merged with the
-    /// per-shard stats by [`Engine::stats`].
-    stats_global: EngineStats,
+    stats: EngineStats,
     op_counter: u64,
     /// Total ops ever applied — survives [`Engine::checkpoint`] op-log
     /// truncation, so it (not `op_log.len()`) feeds `seq` and the state
@@ -547,7 +501,9 @@ impl Engine {
             chain,
             ledger: Ledger::new(),
             gas: GasSchedule::default(),
-            shards: ShardedState::new(params.shards),
+            files: TrackedMap::new(),
+            alloc: TrackedMap::new(),
+            discard_reasons: TrackedMap::new(),
             pending: Scheduler::new(params.scheduler, params.block_interval),
             sectors: TrackedMap::new(),
             cr: TrackedMap::new(),
@@ -557,7 +513,7 @@ impl Engine {
             next_file_id: 0,
             next_sector_id: 0,
             events: Vec::new(),
-            stats_global: EngineStats::default(),
+            stats: EngineStats::default(),
             op_counter: 0,
             ops_applied: 0,
             task_seq: 0,
@@ -686,10 +642,11 @@ impl Engine {
     /// (`File_Confirm` / `File_Prove` / `File_Get` / `File_Discard` /
     /// `ForceDiscard`) separated by **barrier** ops (sector admin,
     /// `File_Add`, funds, fault injection, `AdvanceTo` — anything touching
-    /// global state beyond the ledger). Segments of at least 64 ops, on an
-    /// engine with more than one shard and [`ProtocolParams::ingest_threads`]
-    /// above one, are *staged* concurrently on scoped threads —
-    /// one shard's ops per overlay — and then *committed* sequentially in
+    /// global state beyond the ledger). Segments of at least 64 ops, with
+    /// the parallel paths on ([`ProtocolParams::shards`] and
+    /// [`ProtocolParams::ingest_threads`] both above one), are *staged*
+    /// concurrently on scoped threads — ops grouped by target file, one
+    /// overlay per group — and then *committed* sequentially in
     /// submission order; smaller segments and barriers go through
     /// [`Engine::apply`] directly.
     ///
@@ -763,7 +720,7 @@ impl Engine {
     /// Drains one pipeline segment: stages it in parallel when large
     /// enough to pay for the fan-out, then commits in submission order.
     /// Ops whose staged ledger assumptions no longer hold — or that target
-    /// a shard already invalidated this segment — re-execute sequentially,
+    /// a file already invalidated this segment — re-execute sequentially,
     /// which preserves bit-identical semantics in every interleaving.
     ///
     /// `digests`, when given, holds the segment ops' canonical digests
@@ -776,7 +733,7 @@ impl Engine {
     ) {
         if segment.len() < PARALLEL_FANOUT_MIN_ITEMS
             || self.params.ingest_threads <= 1
-            || self.shards.shards.len() <= 1
+            || self.params.shards <= 1
         {
             for (i, op) in segment.iter().enumerate() {
                 results.push(match digests {
@@ -789,17 +746,19 @@ impl Engine {
         let stage_start = Instant::now();
         let staged = self.stage_segment(segment, digests);
         self.phase.stage_s += stage_start.elapsed().as_secs_f64();
-        self.stats_global.batches_staged_parallel += 1;
+        self.stats.batches_staged_parallel += 1;
 
         let commit_start = Instant::now();
-        let mut dirty = vec![false; self.shards.shards.len()];
-        let mut fell_back = false;
+        // Files whose staged results went stale. A shard-local op reads
+        // and writes only its own file's rows, so a fallback on one file
+        // leaves every other file's staged results exact.
+        let mut stale: HashSet<FileId> = HashSet::new();
         for (op, staged_op) in segment.iter().zip(staged) {
             let file = shard_local_file(op).expect("segment holds shard-local ops");
-            let shard_idx = self.shards.shard_of(file);
-            if !dirty[shard_idx] && ledger_steps_match(&self.ledger, &staged_op.effects.ledger) {
+            let fresh = !stale.contains(&file);
+            if fresh && ledger_steps_match(&self.ledger, &staged_op.effects.ledger) {
                 let at = self.now();
-                let outcome = self.apply_effects(shard_idx, staged_op.effects);
+                let outcome = self.apply_effects(staged_op.effects);
                 self.chain
                     .log_op(staged_op.op_digest, staged_op.receipt_digest);
                 self.op_log.push(OpRecord {
@@ -812,15 +771,15 @@ impl Engine {
                 results.push(outcome);
             } else {
                 // A same-segment op moved money past a threshold this op's
-                // staging assumed; its overlay (and every later staged op
-                // on this shard) is stale. Fall back to sequential apply.
-                dirty[shard_idx] = true;
-                fell_back = true;
+                // staging assumed; its staged writes (and every later
+                // staged op on this file) are stale. Fall back to
+                // sequential apply.
+                stale.insert(file);
                 results.push(self.apply_prehashed(op.clone(), staged_op.op_digest));
             }
         }
-        if fell_back {
-            self.stats_global.batches_fell_back_sequential += 1;
+        if !stale.is_empty() {
+            self.stats.batches_fell_back_sequential += 1;
         }
         self.phase.commit_s += commit_start.elapsed().as_secs_f64();
     }
@@ -956,20 +915,9 @@ impl Engine {
         &self.chain
     }
 
-    /// Counters for tests and experiments: the merge of the engine's
-    /// global (sector-attributable) counters with every shard's slice.
-    /// The merged totals are identical at every shard count.
+    /// Counters for tests and experiments.
     pub fn stats(&self) -> EngineStats {
-        let mut merged = self.stats_global.clone();
-        for shard in &self.shards.shards {
-            merged.merge(&shard.stats);
-        }
-        merged
-    }
-
-    /// The configured shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards.shards.len()
+        self.stats.clone()
     }
 
     // State reads — file / sector / alloc_entry / cr_accounting /
@@ -1008,13 +956,12 @@ impl Engine {
     /// ([`Engine::prove_file`]) and read historical state through
     /// ([`Engine::pin_state`]).
     ///
-    /// Every input is shard-count-invariant: the maps are committed at
-    /// engine level (never per shard), their HAMT layout is canonical
-    /// (history-independent), the audit root is folded in canonical commit
-    /// order, and the counters follow global apply order. So engines
-    /// differing only in `ProtocolParams::shards`, ingest width or store
-    /// backend produce identical roots — asserted by the
-    /// `(store × shards × threads)` differential matrix. Checkpoint
+    /// Every input is independent of the execution strategy: the HAMT
+    /// layout is canonical (history-independent), the audit root is folded
+    /// in canonical commit order, and the counters follow global apply
+    /// order. So engines differing only in `ProtocolParams::shards`,
+    /// ingest width or store backend produce identical roots — asserted by
+    /// the `(store × shards × threads)` differential matrix. Checkpoint
     /// truncation is likewise invisible: the root commits to the monotonic
     /// ops-applied counter, not the op log's length.
     ///
@@ -1031,7 +978,7 @@ impl Engine {
     pub fn state_header(&self) -> StateHeader {
         StateHeader {
             now: self.chain.now(),
-            files_len: self.shards.files_len() as u64,
+            files_len: self.files.len() as u64,
             sectors_len: self.sectors.len() as u64,
             total_supply: self.ledger.total_supply().0,
             op_counter: self.op_counter,
@@ -1099,18 +1046,16 @@ impl Engine {
     /// a live pin still shares is copied before it is written.
     fn sync_commitment(&self, maps: &mut StateMaps, persist: bool) -> [Hash256; 5] {
         use statemap::*;
-        let (store, shards) = (self.store.as_ref(), &self.shards.shards);
-        let files = shards.iter().map(|s| &s.files);
-        let alloc = shards.iter().map(|s| &s.alloc);
-        let discard = shards.iter().map(|s| &s.discard_reasons);
-        let sectors = [&self.sectors];
+        let store = self.store.as_ref();
         let (alloc_key, reason) = (|(f, i)| key_alloc(f, i), |r: &_| enc_reason(*r));
+        let (files, alloc, discard) = (&self.files, &self.alloc, &self.discard_reasons);
+        let (sectors, cr) = (&self.sectors, &self.cr);
         let mut merges = [
             merge_dirty(&mut maps.files, store, files, key_file, enc_file),
             merge_dirty(&mut maps.alloc, store, alloc, alloc_key, enc_alloc_entry),
             merge_dirty(&mut maps.discard, store, discard, key_file, reason),
             merge_dirty(&mut maps.sectors, store, sectors, key_sector, enc_sector),
-            merge_dirty(&mut maps.cr, store, [&self.cr], key_sector, enc_cr),
+            merge_dirty(&mut maps.cr, store, cr, key_sector, enc_cr),
         ];
         let dirty_keys: usize = merges.iter().flatten().map(Merge::changes).sum();
         let width = self.pool_for(dirty_keys >= COMMIT_FANOUT_MIN_DIRTY_KEYS);
@@ -1184,18 +1129,18 @@ impl Engine {
     /// 1. **verify** — the read-only `Auto_CheckProof` storage-proof
     ///    checks, fanned out on scoped threads when the
     ///    bucket is large enough to pay for the dispatch;
-    /// 2. **commit** — the tasks applied in pop order: large buckets on
-    ///    multi-shard engines go through the batched commit path
-    ///    (per-shard write batches planned in parallel, applied with
-    ///    validated fast paths; see `audit.rs`), everything else through
+    /// 2. **commit** — the tasks applied in pop order: large buckets, with
+    ///    the parallel paths on, go through the batched commit path
+    ///    (write plans computed in parallel, applied with validated fast
+    ///    paths; see `audit.rs`), everything else through
     ///    the sequential reference fold. Audit digests fold into
     ///    `audit_root`, then punishments, rent, refreshes and reschedules
     ///    run.
     ///
-    /// Both phases are deterministic and shard-count-invariant (the
-    /// commit-strategy gate reads only consensus state, never the host's
-    /// core count), so the resulting state is bit-identical for any
-    /// `ProtocolParams::shards` and either commit strategy.
+    /// Both phases are deterministic (the commit-strategy gate reads only
+    /// the parameters and the bucket, never the host's core count), so the
+    /// resulting state is bit-identical for any `ProtocolParams::shards`
+    /// and either commit strategy.
     fn run_due_bucket(&mut self, now: Time) {
         let bucket = self.pending.pop_due(now);
         let verify_start = Instant::now();
@@ -1215,9 +1160,9 @@ impl Engine {
             .collect();
 
         let fold_start = Instant::now();
-        if self.shards.shards.len() > 1 && check_proofs >= PARALLEL_FANOUT_MIN_ITEMS {
+        if self.params.shards > 1 && check_proofs >= PARALLEL_FANOUT_MIN_ITEMS {
             self.commit_bucket_batched(now, batch);
-            self.stats_global.audit_commit_batches += 1;
+            self.stats.audit_commit_batches += 1;
         } else {
             for (task, audit) in batch {
                 self.execute(task, audit);
@@ -1297,14 +1242,14 @@ impl Engine {
     }
 }
 
-/// One map's share of a state commit: drains the dirty keys of `rows` (the
-/// map's table in each shard) and starts merging them into `trie`, unless
-/// there are none. The merge's jobs look each key's row up and encode it
-/// with `leaf`; a key whose row is gone is deleted.
+/// One map's share of a state commit: drains the dirty keys of `rows` and
+/// starts merging them into `trie`, unless there are none. The merge's
+/// jobs look each key's row up and encode it with `leaf`; a key whose row
+/// is gone is deleted.
 fn merge_dirty<'a, K, V, const N: usize>(
     trie: &'a mut Hamt,
     store: &'a dyn Blockstore,
-    rows: impl IntoIterator<Item = &'a TrackedMap<K, V>>,
+    rows: &'a TrackedMap<K, V>,
     key: fn(K) -> [u8; N],
     leaf: fn(&V) -> Vec<u8>,
 ) -> Option<Merge<'a>>
@@ -1312,11 +1257,8 @@ where
     K: Eq + std::hash::Hash + Copy + Send + Sync + 'a,
     V: Send + Sync + 'a,
 {
-    let dirty: Vec<_> = rows
-        .into_iter()
-        .flat_map(|rows| rows.take_dirty().into_iter().map(move |id| (rows, id)))
-        .collect();
-    let read = move |&(rows, id): &(&TrackedMap<K, V>, K), emit: &mut Emit<'_>| {
+    let dirty = rows.take_dirty();
+    let read = move |&id: &K, emit: &mut Emit<'_>| {
         emit(&key(id), rows.get(&id).map(leaf).as_deref());
     };
     let merge = (!dirty.is_empty()).then(|| trie.merge(store, dirty, read));

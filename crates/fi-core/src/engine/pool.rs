@@ -1,8 +1,7 @@
 //! Scoped fan-out for the engine's parallel phases.
 //!
 //! The chunked phases — ingest staging (`engine/batch.rs`), audit verify
-//! and plan and the deferred `cntdown` flush (`engine/audit.rs`) — go
-//! through [`fan_out`]; the state commit hands [`run`] the jobs of its
+//! and plan (`engine/audit.rs`) — go through [`fan_out`]; the state commit hands [`run`] the jobs of its
 //! trie merges. Both run on `std::thread::scope`: the calling thread and
 //! `width − 1` threads spawned for the call pull jobs from one shared
 //! queue, so jobs may borrow from the caller's frame (`&Engine` fields,

@@ -4,10 +4,10 @@
 //! [`Engine::snapshot_save`] serializes everything a node needs to resume
 //! consensus from this exact moment: parameters, the chain head (height,
 //! head hash, the open block's events and op batch — the beacon re-derives
-//! from the seed), the ledger, every shard's files / allocation rows /
-//! discard reasons / stats, the pending tasks, the sector tables, the
-//! capacity sampler's exact slot layout, the protocol rng's mid-stream
-//! state, and the global counters the state root commits to.
+//! from the seed), the ledger, the stats, every file, allocation row and
+//! discard reason, the pending tasks, the sector tables, the capacity
+//! sampler's exact slot layout, the protocol rng's mid-stream state, and
+//! the global counters the state root commits to.
 //! [`Engine::snapshot_restore`] rebuilds a live engine from those bytes;
 //! together with [`Engine::replay_from`] this replaces the "keep a live
 //! clone at the checkpoint" pattern with bytes on disk (DESIGN.md §10).
@@ -27,10 +27,11 @@
 //!
 //! ```text
 //! magic   8 bytes  b"FISNAPSH"
-//! version u16      currently 5 (1 predates the node/mempool params,
+//! version u16      currently 6 (1 predates the node/mempool params,
 //!                  2 the tombstone-retention param, 3 the audit-batch
 //!                  stats; 4 carries the open block's event payloads and
-//!                  op digests in the old `Debug`-text encoding)
+//!                  op digests in the old `Debug`-text encoding; 5 one
+//!                  stats record per shard after a global one)
 //! payload ...      the sections, in the order `snapshot_save` writes them
 //! hash    32 bytes sha256 over magic ‖ version ‖ payload
 //! ```
@@ -74,21 +75,21 @@ use crate::codec::{Dec, DecError, Enc};
 use crate::drep::CrAccounting;
 use crate::params::{ParamError, ProtocolParams};
 use crate::sampler::WeightedSampler;
-use crate::types::{FileDescriptor, FileId, Sector, SectorId};
+use crate::types::{AllocEntry, FileDescriptor, FileId, Sector, SectorId};
 
 use crate::error::Error;
 
-use super::shard::ShardedState;
 use super::statemap::{self, CommitCell, StateMaps, StateRoots, TrackedMap};
 use super::{Checkpoint, Engine, EngineStats, SeqTask, Task};
 
 const MAGIC: &[u8; 8] = b"FISNAPSH";
-const VERSION: u16 = 5;
+const VERSION: u16 = 6;
 /// Incremental-snapshot envelope: same self-hash discipline as FISNAPSH,
 /// its own magic and version lineage (1 carried the open block in the
-/// old `Debug`-text encoding, like FISNAPSH 4).
+/// old `Debug`-text encoding, like FISNAPSH 4; 2 a stats record per
+/// shard, like FISNAPSH 5).
 const DELTA_MAGIC: &[u8; 8] = b"FIDELTA1";
-const DELTA_VERSION: u16 = 2;
+const DELTA_VERSION: u16 = 3;
 const HASH_LEN: usize = 32;
 
 /// Typed failures of [`Engine::snapshot_restore`]. Corrupted or
@@ -470,16 +471,14 @@ impl Counters {
 /// replica set its sector, and each sector the sampler can draw a replica
 /// set (a corrupted sector has left both).
 fn check_links(
-    shards: &ShardedState,
+    files: &TrackedMap<FileId, FileDescriptor>,
+    alloc: &TrackedMap<(FileId, u32), AllocEntry>,
     sectors: &TrackedMap<SectorId, Sector>,
     cr: &TrackedMap<SectorId, CrAccounting>,
     sector_replicas: &ReplicaIndex,
     sampler: &WeightedSampler<SectorId>,
 ) -> Result<(), SnapshotError> {
-    if shards
-        .alloc_iter()
-        .any(|(&(file, _), _)| shards.file(file).is_none())
-    {
+    if alloc.keys().any(|(file, _)| !files.contains_key(file)) {
         return Err(SnapshotError::Malformed("allocation row without a file"));
     }
     if cr.keys().any(|id| !sectors.contains_key(id)) {
@@ -511,34 +510,6 @@ fn dec_counters(d: &mut Dec<'_>) -> Result<Counters, SnapshotError> {
         task_seq: d.u64()?,
         audit_root: d.hash()?,
     })
-}
-
-fn enc_all_stats(e: &mut Enc, global: &EngineStats, shards: &ShardedState) {
-    // The global instance, then one per shard in shard order.
-    enc_stats(e, global);
-    e.usize(shards.shards.len());
-    for shard in &shards.shards {
-        enc_stats(e, &shard.stats);
-    }
-}
-
-/// The global stats, and the empty shards `params` lays out, each with
-/// its stats.
-fn dec_all_stats(
-    d: &mut Dec<'_>,
-    params: &ProtocolParams,
-) -> Result<(EngineStats, ShardedState), SnapshotError> {
-    let global = dec_stats(d)?;
-    if d.len()? != params.shards {
-        return Err(SnapshotError::Malformed(
-            "per-shard stats count does not match the shard parameter",
-        ));
-    }
-    let mut shards = ShardedState::new(params.shards);
-    for shard in &mut shards.shards {
-        shard.stats = dec_stats(d)?;
-    }
-    Ok((global, shards))
 }
 
 fn enc_tasks(e: &mut Enc, pending: &Scheduler<SeqTask>) {
@@ -771,8 +742,8 @@ impl Engine {
     /// Serializes the engine's complete consensus state into the versioned,
     /// self-hashed snapshot format (see the module docs for what is and
     /// isn't included). The encoding is deterministic: equal engine states
-    /// produce byte-identical snapshots, whatever the shard count or hash
-    /// map iteration order.
+    /// produce byte-identical snapshots, whatever the hash map iteration
+    /// order.
     pub fn snapshot_save(&self) -> Vec<u8> {
         let mut e = envelope(MAGIC, VERSION);
 
@@ -780,23 +751,18 @@ impl Engine {
         enc_chain(&mut e, &self.chain);
         enc_ledger(&mut e, &self.ledger);
         enc_counters(&mut e, self);
-        enc_all_stats(&mut e, &self.stats_global, &self.shards);
+        enc_stats(&mut e, &self.stats);
 
-        // The five map tables (module docs). A file's shard routing
-        // re-derives on restore.
-        let shards = &self.shards.shards;
-        let files = shards.iter().flat_map(|s| s.files.iter()).collect();
-        put_sorted(&mut e, files, |e, _, f| statemap::put_file(e, f));
-        put_sorted(
-            &mut e,
-            self.shards.alloc_iter().collect(),
-            |e, key, entry| {
-                e.raw(&statemap::key_alloc(key.0, key.1));
-                statemap::put_alloc_entry(e, entry);
-            },
-        );
-        let reasons = shards.iter().flat_map(|s| s.discard_reasons.iter());
-        put_sorted(&mut e, reasons.collect(), |e, &file, &reason| {
+        // The five map tables (module docs).
+        put_sorted(&mut e, self.files.iter().collect(), |e, _, f| {
+            statemap::put_file(e, f);
+        });
+        put_sorted(&mut e, self.alloc.iter().collect(), |e, key, entry| {
+            e.raw(&statemap::key_alloc(key.0, key.1));
+            statemap::put_alloc_entry(e, entry);
+        });
+        let reasons = self.discard_reasons.iter().collect();
+        put_sorted(&mut e, reasons, |e, &file, &reason| {
             e.raw(&statemap::key_file(file));
             statemap::put_reason(e, reason);
         });
@@ -848,33 +814,34 @@ impl Engine {
         let chain = dec_chain(&mut d, &params)?;
         let ledger = dec_ledger(&mut d)?;
         let counters = dec_counters(&mut d)?;
-        let (stats_global, mut shards) = dec_all_stats(&mut d, &params)?;
+        let stats = dec_stats(&mut d)?;
 
         // The five map tables. Each row goes into its flat map clean, and
         // its key and leaf into the pairs its map's trie is built from, so
         // the engine comes back committed with nothing dirty. A file or
         // sector row is its leaf, which opens with its 8-byte key; an
         // alloc, discard or CR row is key ‖ leaf.
-        let files = table(&mut d, "file ids out of order or duplicated", |d| {
+        let mut files = TrackedMap::new();
+        let file_trie = table(&mut d, "file ids out of order or duplicated", |d| {
             let (desc, leaf) = d.with_bytes(statemap::get_file)?;
             let desc = counters.check_file(&leaf[..8], desc)?;
-            shards.shard_mut(desc.id).files.insert_clean(desc.id, desc);
+            files.insert_clean(desc.id, desc);
             Ok((&leaf[..8], leaf))
         })?;
-        let alloc = table(&mut d, "allocation rows out of order or duplicated", |d| {
+        let mut alloc = TrackedMap::new();
+        let alloc_trie = table(&mut d, "allocation rows out of order or duplicated", |d| {
             let key = d.take(12)?;
             let (file, index) = statemap::dec_key_alloc(key)?;
             let (entry, leaf) = d.with_bytes(statemap::get_alloc_entry)?;
-            let alloc = &mut shards.shard_mut(file).alloc;
             alloc.insert_clean((file, index), entry);
             Ok((key, leaf))
         })?;
-        let discard = table(&mut d, "discard reasons out of order or duplicated", |d| {
+        let mut discard_reasons = TrackedMap::new();
+        let discard_trie = table(&mut d, "discard reasons out of order or duplicated", |d| {
             let key = d.take(8)?;
             let file = FileId(statemap::dec_key_id(key, "discard key width")?);
             let (reason, leaf) = d.with_bytes(statemap::get_reason)?;
-            let reasons = &mut shards.shard_mut(file).discard_reasons;
-            reasons.insert_clean(file, reason);
+            discard_reasons.insert_clean(file, reason);
             Ok((key, leaf))
         })?;
 
@@ -904,14 +871,16 @@ impl Engine {
         if !d.done() {
             return Err(SnapshotError::TrailingBytes);
         }
-        check_links(&shards, &sectors, &cr, &sector_replicas, &sampler)?;
+        check_links(&files, &alloc, &sectors, &cr, &sector_replicas, &sampler)?;
 
         Ok(Engine {
             params,
             chain,
             ledger,
             gas: GasSchedule::default(),
-            shards,
+            files,
+            alloc,
+            discard_reasons,
             pending,
             sectors,
             cr,
@@ -921,7 +890,7 @@ impl Engine {
             next_file_id: counters.next_file_id,
             next_sector_id: counters.next_sector_id,
             events: Vec::new(),
-            stats_global,
+            stats,
             op_counter: counters.op_counter,
             ops_applied: counters.ops_applied,
             task_seq: counters.task_seq,
@@ -931,9 +900,9 @@ impl Engine {
             phase: super::PhaseTimes::default(),
             store: super::default_store(),
             commit: CommitCell::with_maps(StateMaps {
-                files,
-                alloc,
-                discard,
+                files: file_trie,
+                alloc: alloc_trie,
+                discard: discard_trie,
                 sectors: sector_trie,
                 cr: cr_trie,
             }),
@@ -982,7 +951,7 @@ impl Engine {
         enc_chain(&mut e, &self.chain);
         enc_ledger(&mut e, &self.ledger);
         enc_counters(&mut e, self);
-        enc_all_stats(&mut e, &self.stats_global, &self.shards);
+        enc_stats(&mut e, &self.stats);
         enc_tasks(&mut e, &self.pending);
         enc_replicas(&mut e, &self.sector_replicas);
         enc_sampler(&mut e, &self.sampler);
@@ -1011,7 +980,7 @@ impl Engine {
     ///
     /// It takes O(1) copy-on-write clones of the base's five committed
     /// tries and a copy of its flat file / alloc / discard / sector / CR
-    /// rows (re-routed if the delta names another shard count), and
+    /// rows, and
     /// everything else — parameters, chain, ledger, counters, stats,
     /// tasks, replica index, sampler, rng, checkpoint — from the delta;
     /// gas schedule, event log, op log and phase times start fresh, as
@@ -1071,7 +1040,7 @@ impl Engine {
         let chain = dec_chain(&mut d, &params)?;
         let ledger = dec_ledger(&mut d)?;
         let counters = dec_counters(&mut d)?;
-        let (stats_global, mut shards) = dec_all_stats(&mut d, &params)?;
+        let stats = dec_stats(&mut d)?;
         let pending = dec_tasks(&mut d, &params, &chain, counters.task_seq)?;
         let sector_replicas = dec_replicas(&mut d)?;
         let sampler = dec_sampler(&mut d)?;
@@ -1088,7 +1057,9 @@ impl Engine {
         // The map rows: the base's, then every pair the new tries say
         // differs. Only those keys are marked dirty, so the root check at
         // the end is an incremental commit over the shared tries.
-        shards.copy_rows_clean(&base.shards);
+        let mut files = base.files.clone_clean();
+        let mut alloc = base.alloc.clone_clean();
+        let mut discard_reasons = base.discard_reasons.clone_clean();
         let mut sectors = base.sectors.clone_clean();
         let mut cr = base.cr.clone_clean();
         let changes =
@@ -1098,23 +1069,34 @@ impl Engine {
             let id = FileId(statemap::dec_key_id(&key, "file key width")?);
             match leaf {
                 Some(leaf) => {
-                    shards.insert_file(counters.check_file(&key, statemap::dec_file(&leaf)?)?)
+                    let desc = counters.check_file(&key, statemap::dec_file(&leaf)?)?;
+                    files.insert(id, desc);
                 }
-                None => drop(shards.remove_file(id)),
+                None => {
+                    files.remove(&id);
+                }
             }
         }
         for (key, leaf) in changes(1)? {
             let (file, index) = statemap::dec_key_alloc(&key)?;
             match leaf {
-                Some(leaf) => shards.insert_entry(file, index, statemap::dec_alloc_entry(&leaf)?),
-                None => drop(shards.remove_entry(file, index)),
+                Some(leaf) => {
+                    alloc.insert((file, index), statemap::dec_alloc_entry(&leaf)?);
+                }
+                None => {
+                    alloc.remove(&(file, index));
+                }
             }
         }
         for (key, leaf) in changes(2)? {
             let file = FileId(statemap::dec_key_id(&key, "discard key width")?);
             match leaf {
-                Some(leaf) => shards.set_discard_reason(file, statemap::dec_reason(&leaf)?),
-                None => drop(shards.take_discard_reason(file)),
+                Some(leaf) => {
+                    discard_reasons.insert(file, statemap::dec_reason(&leaf)?);
+                }
+                None => {
+                    discard_reasons.remove(&file);
+                }
             }
         }
         for (key, leaf) in changes(3)? {
@@ -1134,14 +1116,16 @@ impl Engine {
                 None => drop(cr.remove(&id)),
             }
         }
-        check_links(&shards, &sectors, &cr, &sector_replicas, &sampler)?;
+        check_links(&files, &alloc, &sectors, &cr, &sector_replicas, &sampler)?;
 
         let engine = Engine {
             params,
             chain,
             ledger,
             gas: GasSchedule::default(),
-            shards,
+            files,
+            alloc,
+            discard_reasons,
             pending,
             sectors,
             cr,
@@ -1151,7 +1135,7 @@ impl Engine {
             next_file_id: counters.next_file_id,
             next_sector_id: counters.next_sector_id,
             events: Vec::new(),
-            stats_global,
+            stats,
             op_counter: counters.op_counter,
             ops_applied: counters.ops_applied,
             task_seq: counters.task_seq,
@@ -1278,7 +1262,7 @@ mod tests {
         }
         dec_ledger(d).expect("ledger");
         let counters = dec_counters(d).expect("counters");
-        dec_all_stats(d, &params).expect("stats");
+        dec_stats(d).expect("stats");
         for table in [
             Rows::Files,
             Rows::Alloc,
@@ -1463,11 +1447,9 @@ mod tests {
                 .tries()
                 .iter()
                 .all(|trie| trie.root_hash().is_some()));
-            for shard in &restored.shards.shards {
-                assert!(shard.files.take_dirty().is_empty());
-                assert!(shard.alloc.take_dirty().is_empty());
-                assert!(shard.discard_reasons.take_dirty().is_empty());
-            }
+            assert!(restored.files.take_dirty().is_empty());
+            assert!(restored.alloc.take_dirty().is_empty());
+            assert!(restored.discard_reasons.take_dirty().is_empty());
             assert!(restored.sectors.take_dirty().is_empty());
             assert!(restored.cr.take_dirty().is_empty());
 
@@ -1559,7 +1541,7 @@ mod tests {
                     let chain = dec_chain(d, &params)?;
                     dec_ledger(d)?;
                     let counters = dec_counters(d)?;
-                    dec_all_stats(d, &params)?;
+                    dec_stats(d)?;
                     dec_tasks(d, &params, &chain, counters.task_seq)?;
                     dec_replicas(d)?;
                     dec_sampler(d)?;

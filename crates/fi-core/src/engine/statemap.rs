@@ -5,18 +5,16 @@
 //!
 //! * [`TrackedMap`] — a `HashMap` wrapper that records which keys were
 //!   touched by mutation. The engine's request handlers and audit tasks
-//!   keep their O(1) map accesses (including the parallel per-shard
-//!   `cntdown` write batches, which mutate disjoint `&mut Shard`s
-//!   concurrently — dirty marking from `&mut self` is lock-free); the
-//!   dirty sets are drained only when a commitment is needed.
+//!   keep their O(1) map accesses (dirty marking from `&mut self` is
+//!   lock-free); the dirty sets are drained only when a commitment is
+//!   needed.
 //! * leaf codecs — deterministic big-endian encodings of the five
 //!   consensus-visible value types (file descriptors, alloc rows,
 //!   discard reasons, sectors, DRep accounting), the byte language of
 //!   the HAMT leaves, of [`StateProof`](super::StateProof) payloads and
 //!   of the snapshot's map tables.
 //! * [`StateMaps`] / [`CommitCell`] — the five engine-level HAMTs (one
-//!   per logical map, *not* per shard: a per-shard trie forest would bake
-//!   the shard count into the root) behind a mutex, so
+//!   per logical map) behind a mutex, so
 //!   [`Engine::state_root`](super::Engine::state_root) can sync dirty
 //!   keys and commit from `&self`.
 
@@ -50,10 +48,9 @@ use crate::types::{
 /// key dirty whether or not the caller writes through the reference.
 ///
 /// The dirty set lives behind a `Mutex` only so it can be *drained* from
-/// `&self` (the state-root path); every marking happens through
-/// `&mut self` via the lock-free `Mutex::get_mut`, so the hot path never
-/// contends — which is also what keeps the parallel audit phases safe:
-/// jobs own disjoint `&mut Shard`s and never touch a shared lock.
+/// `&self`: [`Engine::state_root`](super::Engine::state_root) commits
+/// through a shared reference. Every marking happens through `&mut self`
+/// via the lock-free `Mutex::get_mut`, so the hot path never contends.
 #[derive(Debug, Default)]
 pub(super) struct TrackedMap<K, V> {
     map: HashMap<K, V>,
@@ -478,10 +475,7 @@ pub(super) fn fold_state_root(header: &StateHeader, maps_root: Hash256) -> Hash2
     )
 }
 
-/// The five engine-level HAMTs. Engine-level, not per-shard, on purpose:
-/// per-shard tries would make the commitment a function of
-/// `ProtocolParams::shards`, breaking the shard-count invariance of
-/// `state_root` (DESIGN.md §15).
+/// The five engine-level HAMTs, one per state map (DESIGN.md §15).
 #[derive(Debug, Clone, Default)]
 pub(super) struct StateMaps {
     pub(super) files: Hamt,

@@ -71,7 +71,7 @@ pub trait StateView {
 
 impl StateView for Engine {
     fn file(&self, id: FileId) -> Option<FileDescriptor> {
-        self.shards.file(id).cloned()
+        self.files.get(&id).cloned()
     }
 
     fn sector(&self, id: SectorId) -> Option<Sector> {
@@ -79,7 +79,7 @@ impl StateView for Engine {
     }
 
     fn alloc_entry(&self, file: FileId, index: u32) -> Option<AllocEntry> {
-        self.shards.entry(file, index).cloned()
+        self.alloc.get(&(file, index)).cloned()
     }
 
     fn cr_accounting(&self, id: SectorId) -> Option<CrAccounting> {
@@ -87,7 +87,9 @@ impl StateView for Engine {
     }
 
     fn file_ids(&self) -> Vec<FileId> {
-        self.shards.file_ids()
+        let mut ids: Vec<FileId> = self.files.keys().copied().collect();
+        ids.sort_unstable();
+        ids
     }
 
     fn sector_ids(&self) -> Vec<SectorId> {

@@ -71,15 +71,18 @@ pub struct ProtocolParams {
     /// benchmarking and differential tests — consensus execution is
     /// identical either way.
     pub scheduler: SchedulerKind,
-    /// Engine shard count: per-file rows (descriptors, allocation entries,
-    /// discard reasons) are partitioned by `FileId % shards`, and an engine
-    /// with more than one shard fans its large parallel phases out over
-    /// scoped threads. Consensus results are bit-identical for every shard
-    /// count (see DESIGN.md §9), so this is a deployment/performance knob,
-    /// not a consensus parameter.
+    /// The parallel switch: above `1`, the engine fans its large phases
+    /// out over scoped threads — the audit verify phase, the batched audit
+    /// commit and (with [`ProtocolParams::ingest_threads`] above `1` too)
+    /// staged ingest; at `1` they all run sequentially. Only whether it
+    /// exceeds `1` matters: the engine holds one set of per-file rows
+    /// whatever the value. Consensus results are bit-identical either way
+    /// (see DESIGN.md §9), so this is a deployment/performance knob, not a
+    /// consensus parameter.
     ///
     /// Defaults to `1`, or to the `FI_TEST_SHARDS` environment variable when
-    /// set (the CI matrix runs the whole test suite at 1 and 8 shards).
+    /// set (the CI matrix runs the whole test suite at 1 and 8, i.e. with
+    /// the parallel paths off and on).
     pub shards: usize,
     /// Modeled Merkle path length of one storage-proof verification: the
     /// number of path nodes `Auto_CheckProof`'s verify phase walks per
@@ -88,18 +91,17 @@ pub struct ProtocolParams {
     pub audit_path_len: u32,
     /// Gates the staged batch-ingest path
     /// ([`crate::engine::Engine::apply_batch`]) and sets the parallel
-    /// phases' minimum width. Above `1`, on a multi-shard engine,
-    /// shard-local ops in a batch are staged concurrently — one contiguous
-    /// range of shards per worker, as the audit verify and plan phases
-    /// split their tasks — before the sequential commit phase applies them
-    /// in submission order. A parallel phase runs `max(available cores,
-    /// this)` workers. Consensus results are bit-identical at every thread
+    /// phases' minimum width. Above `1`, with [`ProtocolParams::shards`]
+    /// above `1` too, shard-local ops in a batch are staged concurrently —
+    /// grouped by `FileId % width`, one group per worker — before the
+    /// sequential commit phase applies them in submission order. A
+    /// parallel phase runs `width = max(available cores, this)` workers. Consensus results are bit-identical at every thread
     /// count (see DESIGN.md §10), so — like [`ProtocolParams::shards`] — this is
     /// a deployment/performance knob, not a consensus parameter.
     ///
     /// Defaults to `1`, or to the `FI_TEST_INGEST_THREADS` environment
     /// variable when set (the CI matrix runs the whole suite at 1 and 4
-    /// ingest threads crossed with 1 and 8 shards).
+    /// ingest threads crossed with the parallel switch off and on).
     pub ingest_threads: usize,
     /// Maximum transactions a node's mempool holds; submissions beyond the
     /// cap are rejected at admission. Node-local backpressure, not a
@@ -123,13 +125,15 @@ pub struct ProtocolParams {
     pub tombstone_retention_blocks: u64,
 }
 
-/// Largest permitted [`ProtocolParams::shards`] value.
+/// Largest permitted [`ProtocolParams::shards`] value. Every value above
+/// `1` acts alike; the bound only keeps configurations sane.
 pub const MAX_SHARDS: usize = 256;
 
 /// Largest permitted [`ProtocolParams::ingest_threads`] value.
 pub const MAX_INGEST_THREADS: usize = 64;
 
-/// `FI_TEST_SHARDS` override for `Default`. Any unusable value —
+/// `FI_TEST_SHARDS` override for `Default`: the test suite's switch for
+/// the parallel paths (above 1 turns them on). Any unusable value —
 /// non-numeric, zero, above [`MAX_SHARDS`] — falls back to 1, so
 /// `ProtocolParams::default()` always validates regardless of the
 /// environment (explicitly-set `shards` fields are still range-checked by

@@ -2,7 +2,7 @@
 //! **bit-identical** to feeding the same ops one by one through
 //! `Engine::apply` — same per-op results, same state root, same chain
 //! head, same op log — at every `(shards, ingest_threads)` combination.
-//! The parallel staging, the per-shard overlays, the barrier segmentation
+//! The parallel staging, the per-group overlays, the barrier segmentation
 //! and the ledger-conflict fallback are all semantically invisible; only
 //! wall-clock time may differ.
 
@@ -10,7 +10,7 @@ use fi_chain::account::{AccountId, TokenAmount};
 use fi_core::engine::{Engine, EngineError, StateView};
 use fi_core::ops::{Op, Receipt};
 use fi_core::params::ProtocolParams;
-use fi_core::types::FileId;
+use fi_core::types::{AllocState, FileId};
 use fi_crypto::{sha256, DetRng};
 
 const CLIENT: AccountId = AccountId(900);
@@ -310,6 +310,90 @@ fn mid_batch_insolvency_falls_back_identically() {
             "the insolvency flip must be visible in the fallback counter"
         );
     }
+}
+
+/// The per-file fallback. In one staged segment the pauper's `File_Get`
+/// drains its balance, so its `File_Confirm` of a replica swapped into
+/// its sector (op A, on file `f`) flips to `InsufficientFunds` at commit
+/// and re-executes sequentially. A solvent client's later `File_Get` on
+/// `f` was staged over A's discarded write (the replica confirmed, so no
+/// longer listed as a holder): it must fall back too, although its own
+/// ledger program still holds. The gets on every other file commit
+/// staged. Results, open-block receipts, state and head all match
+/// op-by-op `apply`.
+#[test]
+fn a_fallback_invalidates_the_later_ops_on_its_file() {
+    let fee = 11u128; // RequestBase (10) + AllocRead (1): a get or a confirm
+    let build = || {
+        let p = ProtocolParams {
+            poisson_rebalance: true,
+            ..params(4, 4)
+        };
+        let mut e = engine_with_files(p, 100);
+        e.fund(PAUPER, TokenAmount(u128::MAX / 8));
+        // The swap-in moves a Poisson share of the placed replicas here.
+        let sector = e.sector_register(PAUPER, 256).expect("register");
+        let spare = e.ledger().balance(PAUPER) - TokenAmount(fee);
+        e.apply(Op::Burn {
+            account: PAUPER,
+            amount: spare,
+        })
+        .expect("burn");
+        (e, sector)
+    };
+    let ops_for = |e: &Engine, sector| -> Vec<Op> {
+        let files = e.file_ids();
+        let (f, index) = files
+            .iter()
+            .find_map(|&f| {
+                let swapped = |i: &u32| {
+                    e.alloc_entry(f, *i).is_some_and(|entry| {
+                        entry.state == AllocState::Alloc
+                            && entry.next == Some(sector)
+                            && entry.prev.is_some()
+                    })
+                };
+                (0..2).find(swapped).map(|i| (f, i))
+            })
+            .expect("a replica swapped into the pauper's sector");
+        let others: Vec<FileId> = files.into_iter().filter(|&g| g != f).collect();
+        let get = |caller, file| Op::FileGet { caller, file };
+        let mut ops = vec![
+            get(PAUPER, others[0]),
+            Op::FileConfirm {
+                caller: PAUPER,
+                file: f,
+                index,
+                sector,
+            },
+            get(CLIENT, f),
+        ];
+        ops.extend(others.iter().map(|&g| get(CLIENT, g)));
+        ops
+    };
+
+    let (mut reference, sector) = build();
+    let ops = ops_for(&reference, sector);
+    assert!(ops.len() >= 64, "one segment past the staging threshold");
+    let ref_results: Vec<_> = ops.iter().map(|op| reference.apply(op.clone())).collect();
+    assert_eq!(
+        ref_results[1],
+        Err(EngineError::InsufficientFunds),
+        "the confirm is unaffordable"
+    );
+
+    let (mut batched, sector) = build();
+    let ops = ops_for(&batched, sector);
+    let results = batched.apply_batch(ops);
+    assert_eq!(ref_results, results, "per-op results");
+    assert_eq!(
+        reference.chain().open_ops(),
+        batched.chain().open_ops(),
+        "open-block op and receipt digests"
+    );
+    assert_bit_identical(&reference, &batched, "per-file fallback");
+    assert_eq!(batched.stats().batches_staged_parallel, 1);
+    assert_eq!(batched.stats().batches_fell_back_sequential, 1);
 }
 
 /// Barrier ops inside a batch split the pipeline: state after a batch

@@ -1,7 +1,6 @@
 //! Parallel audit-commit consensus equivalence: a due `Auto_CheckProof`
-//! bucket big enough to cross the batched-commit threshold is planned on
-//! the worker pool and committed through per-shard write batches
-//! (DESIGN.md §14) — and the result must be **bit-identical** to the
+//! bucket big enough to cross the batched-commit threshold is planned in
+//! parallel and committed through validated fast plans (DESIGN.md §14) — and the result must be **bit-identical** to the
 //! sequential canonical-order fold at every `(shards, ingest_threads)`
 //! combination: same state root, same audit root, same chain head, same
 //! consensus stats.

@@ -1,15 +1,16 @@
-//! Sharded-engine consensus equivalence: the engine partitioned over any
-//! number of shards must be *bit-identical* to the 1-shard engine — same
-//! state roots, same chain head, same stats — because sharding only
-//! partitions per-file state and parallelizes the read-only audit verify
-//! phase; the commit phase merges per-shard slices back into the global
-//! `(time, schedule-seq)` order a single wheel would pop (DESIGN.md §9).
+//! Parallel-vs-sequential consensus equivalence: an engine with
+//! `ProtocolParams::shards > 1`, which turns on the parallel audit verify,
+//! batched audit commit and staged ingest paths, must be *bit-identical*
+//! to the 1-shard engine, which runs them all sequentially — same state
+//! roots, same chain head, same stats — because every parallel phase is
+//! pure and the commit runs in the one wheel's `(time, schedule-seq)` pop
+//! order (DESIGN.md §9).
 //!
 //! Randomized workloads with faults, refreshes, punishments and losses
 //! cover the protocol surface at test-friendly scale.
 
 use fi_chain::account::{AccountId, TokenAmount};
-use fi_core::engine::{Engine, EngineError, EngineStats, StateView};
+use fi_core::engine::{Engine, EngineError, StateView};
 use fi_core::params::ProtocolParams;
 use fi_core::types::SectorState;
 use fi_crypto::sha256::{self, sha256};
@@ -87,8 +88,8 @@ fn assert_consensus_identical(a: &Engine, b: &Engine) {
         a.state_root(),
         b.state_root(),
         "state roots diverged between {} and {} shards",
-        a.shard_count(),
-        b.shard_count()
+        a.params().shards,
+        b.params().shards
     );
     assert_eq!(a.audit_root(), b.audit_root(), "audit roots diverged");
     assert_eq!(a.chain().head_hash(), b.chain().head_hash());
@@ -177,12 +178,11 @@ fn large_same_timestamp_bucket_parallel_verify_is_identical() {
     }
 }
 
-/// `shards = 1` degenerates to the unsharded engine: a single shard owns
-/// every file and the audit verify phase runs inline.
+/// `shards = 1` runs every phase sequentially: the audit verify phase
+/// runs inline and still audits and counts.
 #[test]
 fn single_shard_degenerates_to_unsharded_behavior() {
     let mut engine = Engine::new(sharded_params(1)).expect("valid params");
-    assert_eq!(engine.shard_count(), 1);
     drive_random_workload(&mut engine, 5, 40);
     // Everything still routes: files live, tasks pending, stats counted.
     assert!(engine.pending_task_count() > 0);
@@ -191,9 +191,9 @@ fn single_shard_degenerates_to_unsharded_behavior() {
     assert!(stats.proofs_audited > 0, "audits run at one shard too");
 }
 
-/// Strided id allocation: ids come from one global counter, so shard `s`
-/// of `n` owns exactly the ids `≡ s (mod n)` — no two files ever collide
-/// on an id, and the population stays balanced across shards.
+/// Strided id allocation: ids come from one global counter, so no two
+/// files ever collide on an id, and the `FileId % n` groups batch staging
+/// cuts a segment into stay balanced.
 #[test]
 fn strided_file_ids_never_collide_and_stay_balanced() {
     let params = ProtocolParams {
@@ -219,7 +219,7 @@ fn strided_file_ids_never_collide_and_stay_balanced() {
     }
     let unique: std::collections::HashSet<_> = ids.iter().collect();
     assert_eq!(unique.len(), ids.len(), "file ids must never collide");
-    // Consecutive allocations walk the shards round-robin, so per-shard
+    // Consecutive allocations walk the groups round-robin, so per-group
     // counts differ by at most one.
     let mut per_shard = [0u64; 5];
     for f in &ids {
@@ -289,45 +289,4 @@ fn removed_file_errors_identical_across_shard_counts() {
             "typed errors diverged at {shards} shards"
         );
     }
-}
-
-/// The satellite stats invariant: per-shard stats merged equal the
-/// sequential (1-shard) engine's stats on the same workload, and `merge`
-/// itself is plain field-wise addition.
-#[test]
-fn merged_shard_stats_equal_sequential_stats() {
-    let mut sequential = Engine::new(sharded_params(1)).expect("valid params");
-    drive_random_workload(&mut sequential, 13, 60);
-    let mut sharded = Engine::new(sharded_params(4)).expect("valid params");
-    drive_random_workload(&mut sharded, 13, 60);
-    // `stats()` *is* the merge of the global + per-shard instances (up to
-    // the execution-strategy counters, which depend on the shard count).
-    assert_eq!(sequential.stats().consensus(), sharded.stats().consensus());
-
-    // And merge arithmetic is field-wise addition.
-    let mut a = EngineStats {
-        add_collisions: 1,
-        refreshes_started: 2,
-        proofs_accepted: 3,
-        files_lost: 4,
-        value_lost: TokenAmount(10),
-        ..EngineStats::default()
-    };
-    let b = EngineStats {
-        add_collisions: 10,
-        refreshes_started: 20,
-        proofs_accepted: 30,
-        files_lost: 40,
-        value_lost: TokenAmount(100),
-        proofs_audited: 7,
-        ..EngineStats::default()
-    };
-    a.merge(&b);
-    assert_eq!(a.add_collisions, 11);
-    assert_eq!(a.refreshes_started, 22);
-    assert_eq!(a.proofs_accepted, 33);
-    assert_eq!(a.files_lost, 44);
-    assert_eq!(a.value_lost, TokenAmount(110));
-    assert_eq!(a.proofs_audited, 7);
-    assert_eq!(a.refresh_collisions, 0);
 }

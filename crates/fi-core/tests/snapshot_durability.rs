@@ -103,7 +103,7 @@ fn snapshot_round_trip_preserves_state_root_across_shard_counts() {
         drive_workload(&mut live, 17, 60);
         let bytes = live.snapshot_save();
         let mut restored = Engine::snapshot_restore(&bytes).expect("restore succeeds");
-        assert_eq!(restored.shard_count(), shards);
+        assert_eq!(restored.params().shards, shards);
         assert_future_identical(&mut live, &mut restored, 18);
     }
 }
@@ -261,11 +261,9 @@ fn resealed_as(bytes: &[u8], version: u16) -> Vec<u8> {
     out
 }
 
-/// Full snapshot 4 and delta 1 carried the open block's event payloads
-/// and op digests in the old `Debug`-text encoding; a node must refuse
-/// them at the version gate rather than seal blocks from them.
-#[test]
-fn snapshots_from_the_debug_text_encoding_are_refused() {
+/// A base engine, then a full snapshot and a delta against that base of
+/// the same later state, with an open block to carry.
+fn current_full_and_delta() -> (Engine, Vec<u8>, Vec<u8>) {
     let mut live = Engine::new(snap_params(2)).expect("valid params");
     drive_workload(&mut live, 53, 25);
     let base = Engine::snapshot_restore(&live.snapshot_save()).expect("restore");
@@ -277,21 +275,43 @@ fn snapshots_from_the_debug_text_encoding_are_refused() {
         !live.chain().open_ops().is_empty(),
         "the open block is carried"
     );
+    (base, full, delta)
+}
 
+/// Resealed as full version `full_version` and delta version
+/// `delta_version`, the current bytes fail at the version gate; as they
+/// are, they restore.
+fn assert_versions_refused(full_version: u16, delta_version: u16) {
+    let (base, full, delta) = current_full_and_delta();
     assert_eq!(
-        Engine::snapshot_restore(&resealed_as(&full, 4)).expect_err("full v4"),
-        SnapshotError::UnsupportedVersion(4)
+        Engine::snapshot_restore(&resealed_as(&full, full_version)).expect_err("old full"),
+        SnapshotError::UnsupportedVersion(full_version)
     );
-    match Engine::snapshot_restore_delta(&resealed_as(&delta, 1), &base) {
+    match Engine::snapshot_restore_delta(&resealed_as(&delta, delta_version), &base) {
         Err(fi_core::Error::Snapshot(err)) => {
-            assert_eq!(err, SnapshotError::UnsupportedVersion(1))
+            assert_eq!(err, SnapshotError::UnsupportedVersion(delta_version))
         }
-        Err(other) => panic!("delta v1: unexpected {other:?}"),
-        Ok(_) => panic!("delta v1 restored"),
+        Err(other) => panic!("delta v{delta_version}: unexpected {other:?}"),
+        Ok(_) => panic!("delta v{delta_version} restored"),
     }
-    // The current versions of the same bytes restore.
     assert!(Engine::snapshot_restore(&full).is_ok());
     assert!(Engine::snapshot_restore_delta(&delta, &base).is_ok());
+}
+
+/// Full snapshot 4 and delta 1 carried the open block's event payloads
+/// and op digests in the old `Debug`-text encoding; a node must refuse
+/// them at the version gate rather than seal blocks from them.
+#[test]
+fn snapshots_from_the_debug_text_encoding_are_refused() {
+    assert_versions_refused(4, 1);
+}
+
+/// Full snapshot 5 and delta 2 carried a global stats record plus one
+/// per shard; a node must refuse them rather than read one record's
+/// counters as the next section.
+#[test]
+fn snapshots_with_per_shard_stats_are_refused() {
+    assert_versions_refused(5, 2);
 }
 
 /// The sha256 of one full snapshot and of one delta of a fixed engine.
@@ -314,12 +334,12 @@ fn snapshot_bytes_match_their_golden_digests() {
     let delta = live.snapshot_delta(&base_roots).expect("delta");
     assert_eq!(
         sha256(&full).to_hex(),
-        "09f68d81f302cd989fc0ad41402e36e6b49d6d06dc385b2ba5c9a64e57638bc1",
+        "114043228d9e03bb504e5b0645348fc71145b1b94a4df68ad7770ac8c05a02a0",
         "FISNAPSH bytes"
     );
     assert_eq!(
         sha256(&delta).to_hex(),
-        "27b15459fd59940308700f021c92536572bffb0a959790b9f7d6df3ef20320c5",
+        "301d99f169b31a336316e03d14e52c531419a98f4f67b4b0fc3f26d77c0ceeb8",
         "FIDELTA1 bytes"
     );
 }

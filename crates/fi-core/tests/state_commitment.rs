@@ -2,8 +2,8 @@
 //!
 //! * **Consensus rule** — `state_root()` is bit-identical across every
 //!   `(store backend × shards × ingest threads)` combination: the
-//!   blockstore is deployment configuration, sharding partitions only
-//!   per-file state, and ingest width only schedules work.
+//!   blockstore is deployment configuration, and the parallel switch
+//!   and ingest width only schedule work.
 //! * **Pinned reads** — [`Engine::pin_state`] keeps a historical version
 //!   readable through [`StateView`] after the live engine moves on, out
 //!   of the engine's own trie nodes: a pin, a proof and the new side of a

@@ -252,7 +252,7 @@ pub struct ValidatorReport {
     /// head engine. Execution-strategy counter.
     pub batches_fell_back_sequential: u64,
     /// Due audit buckets the head engine committed through the batched
-    /// per-shard write path instead of the sequential fold.
+    /// plan-and-apply path instead of the sequential fold.
     /// Execution-strategy counter.
     pub audit_commit_batches: u64,
     /// Full op log of the head engine (only when

@@ -14,9 +14,9 @@
 //! punishments, compensation included — are replayable from the op log via
 //! `Engine::replay` (asserted in the tests below).
 //!
-//! The engine's shard count is configured through
-//! [`ProtocolParams::shards`]; scenario outcomes are shard-count-invariant
-//! (asserted below), so scenarios can drive any shard configuration.
+//! [`ProtocolParams::shards`] above 1 turns the engine's parallel paths
+//! on; scenario outcomes are the same either way (asserted below), so
+//! scenarios can drive either configuration.
 
 use fi_chain::account::{AccountId, TokenAmount};
 use fi_core::engine::{Engine, StateView};
@@ -166,8 +166,8 @@ impl Scenario {
         // Confirms: every live provider confirms pending transfers to its
         // sectors (failing/dark providers don't). The whole sweep goes
         // through the pipelined ingest path — `File_Confirm` is
-        // shard-local, so a big sweep stages across shards concurrently
-        // while staying bit-identical to one-by-one application.
+        // shard-local, so a big sweep stages concurrently, grouped by
+        // file, while staying bit-identical to one-by-one application.
         let confirms: Vec<Op> = pending_confirm_candidates(&self.engine)
             .into_iter()
             .filter_map(|(f, i, s)| {
@@ -376,7 +376,8 @@ mod tests {
 
     /// A full scenario — lazy and failing providers, punishments,
     /// compensation — reaches bit-identical consensus state at any shard
-    /// count: sharding is a performance knob, not a consensus parameter.
+    /// count: the parallel paths it switches on are a performance knob,
+    /// not a consensus parameter.
     #[test]
     fn scenario_outcomes_are_shard_count_invariant() {
         let run = |shards: usize| {

@@ -98,10 +98,6 @@ pub struct ScalabilityConfig {
     pub cap_para: u64,
     /// Seed.
     pub seed: u64,
-    /// Engine shard count for [`run_engine_fill`] — consensus results are
-    /// shard-count-invariant, so this only changes how the engine
-    /// partitions state and parallelizes audits.
-    pub shards: usize,
 }
 
 impl Default for ScalabilityConfig {
@@ -112,7 +108,6 @@ impl Default for ScalabilityConfig {
             k: 10,
             cap_para: 2,
             seed: 0x5CA1E,
-            shards: 1,
         }
     }
 }
@@ -210,7 +205,6 @@ pub fn run_engine_fill(config: &ScalabilityConfig) -> EngineFillRow {
         min_capacity: config.min_capacity,
         cap_para: config.cap_para,
         seed: config.seed,
-        shards: config.shards,
         ..ProtocolParams::default()
     };
     let min_value = params.min_value;
@@ -340,27 +334,6 @@ mod tests {
         assert_eq!(row.binding, "capacity");
     }
 
-    /// The engine-backed fill is shard-count-invariant: the same network
-    /// accepts the same files and reaches the same utilization whether the
-    /// engine runs 1 shard or 8.
-    #[test]
-    fn engine_fill_is_shard_count_invariant() {
-        let base = ScalabilityConfig {
-            ns: 40,
-            min_capacity: 64,
-            k: 4,
-            cap_para: 2,
-            seed: 0xF112,
-            shards: 1,
-        };
-        let unsharded = run_engine_fill(&base);
-        for shards in [4usize, 8] {
-            let row = run_engine_fill(&ScalabilityConfig { shards, ..base });
-            assert_eq!(row.files_stored, unsharded.files_stored);
-            assert_eq!(row.replica_size, unsharded.replica_size);
-        }
-    }
-
     #[test]
     fn engine_fill_through_op_layer_beats_theorem_bound() {
         // Small network: 40 sectors × 64 units, k = 4 replicas per file.
@@ -370,7 +343,6 @@ mod tests {
             k: 4,
             cap_para: 2,
             seed: 0xF111,
-            shards: 1,
         };
         let row = run_engine_fill(&config);
         assert!(row.files_stored > 0);
