@@ -4,11 +4,13 @@
 # (fi-core/src/codec.rs), of the state-leaf codecs every state root
 # hashes (fi-core/src/engine/statemap.rs), of the snapshot formats a
 # joining node restores from (fi-core/src/engine/snapshot.rs, whose bytes
-# are pinned by golden digests) and of the block layer
-# (fi-chain/src/block.rs), the `ProtocolEvent` impl (fi-core/src/types.rs)
-# and `Engine::log` (fi-core/src/engine/mod.rs). Digests, state roots,
-# block hashes, snapshot bytes and `ChainEvent` payloads hash canonical
-# bytes, never formatted text.
+# are pinned by golden digests), of the op and `Auto_*` task handlers
+# that produce the receipts, events and rows every root hashes
+# (fi-core/src/engine/{audit,batch,lifecycle,alloc}.rs) and of the block
+# layer (fi-chain/src/block.rs), the `ProtocolEvent` impl
+# (fi-core/src/types.rs) and `Engine::log` (fi-core/src/engine/mod.rs).
+# Digests, state roots, block hashes, snapshot bytes and `ChainEvent`
+# payloads hash canonical bytes, never formatted text.
 #
 # Run from the repository root: .github/scripts/no-format-on-consensus-paths.sh
 set -euo pipefail
@@ -45,6 +47,10 @@ scan non_test crates/fi-core/src/ops.rs
 scan non_test crates/fi-core/src/codec.rs
 scan non_test crates/fi-core/src/engine/statemap.rs
 scan non_test crates/fi-core/src/engine/snapshot.rs
+scan non_test crates/fi-core/src/engine/audit.rs
+scan non_test crates/fi-core/src/engine/batch.rs
+scan non_test crates/fi-core/src/engine/lifecycle.rs
+scan non_test crates/fi-core/src/engine/alloc.rs
 scan non_test crates/fi-chain/src/block.rs
 scan item crates/fi-core/src/types.rs '^impl ProtocolEvent \{'
 scan item crates/fi-core/src/engine/mod.rs '^    pub\(super\) fn log\('

@@ -15,24 +15,12 @@
 //! audited file's rows and the parameters, so contiguous ranges of a
 //! bucket's audit tasks verify concurrently on scoped threads
 //! (`pool::fan_out`). The **commit** phase (the `auto_*` handlers below) then
-//! runs in the pending list's `(time, schedule-seq)` pop order, folding
-//! each audit digest into the engine's `audit_root` before applying rent,
-//! punishments and refreshes — bit-identical whichever path ran.
-//!
-//! On large buckets, with the parallel paths on, the commit phase itself
-//! is parallelized ([`Engine::commit_bucket_batched`]): a read-only
-//! **plan** phase fans the `Auto_CheckProof` tasks out in parallel,
-//! classifying each as a *fast* plan (the steady-state
-//! rent-charge/punish/reschedule path, with every consulted sector
-//! recorded) or a *sequential* fallback (discards, confiscations, losses,
-//! refresh draws — anything touching rng or other files' money). The
-//! serial walk then applies fast plans directly, `cntdown` write
-//! included, when their footprints are disjoint from everything mutated
-//! earlier in the bucket — `read_sectors ∩ mutated_sectors = ∅`, the
-//! file untouched, and the owner's balance re-checked exactly — and
-//! re-executes everything else through the frozen sequential reference.
-//! The differential tests in `tests/parallel_commit.rs` pin both
-//! strategies to bit-identical `state_root`/`audit_root`/event streams.
+//! runs every task of the bucket in the pending list's `(time,
+//! schedule-seq)` pop order, folding each audit digest into the engine's
+//! `audit_root` before applying rent, punishments and refreshes. It is the
+//! paper's `Auto_CheckProof` loop (Fig. 8) as written: one task at a time,
+//! on the calling thread, so the result cannot depend on how many threads
+//! verified.
 //!
 //! Inside one range, [`verify_audits`] batches the work: every audited
 //! replica becomes a *lane*, and all lanes walk their authentication paths
@@ -45,9 +33,7 @@
 //! the per-task walk on plain [`fi_crypto::keyed_hash`] (`verify_check_proof`) is the
 //! test oracle the differential test pins it against bit for bit.
 
-use std::collections::HashSet;
-
-use fi_chain::account::{AccountId, TokenAmount};
+use fi_chain::account::TokenAmount;
 use fi_chain::tasks::Time;
 use fi_crypto::{cached_domain, DetRng, Hash256, KeyedDomain};
 
@@ -92,145 +78,6 @@ impl Engine {
         fan_out(self.pool_for(parallel), files, |files| {
             verify_audits(self, &files, now, path_len)
         })
-    }
-
-    // ------------------------------------------------------------------
-    // Batched commit phase (plan in parallel, apply validated)
-    // ------------------------------------------------------------------
-
-    /// Commits a popped, canonically ordered bucket through the batched
-    /// strategy: a read-only plan phase fans the `Auto_CheckProof` tasks
-    /// out in parallel, then a serial walk applies each task in
-    /// the exact `(time, schedule-seq)` order the sequential fold uses —
-    /// via its fast plan when still valid, via [`Engine::execute`]
-    /// otherwise. Bit-identical to folding the same bucket sequentially:
-    /// fast plans draw no rng, log the same events in the same order, and
-    /// fall back whenever anything they read was mutated earlier in the
-    /// bucket.
-    ///
-    /// The disjointness rule guarding a fast apply:
-    ///
-    /// * `read_sectors ∩ mutated_sectors = ∅` — every sector the plan
-    ///   consulted (each entry's holder, for the punish/confiscate
-    ///   decisions) is untouched by earlier punishments, confiscations and
-    ///   fallback footprints;
-    /// * the plan's file is not in `mutated_files` — no earlier fallback
-    ///   ran a task of the same file (`Auto_CheckRefresh` mutates entry
-    ///   states, `last` stamps and `cntdown` of its file);
-    /// * the owner's balance still covers the cycle cost — re-checked
-    ///   exactly at apply time, so cross-file money movement (same owner,
-    ///   rent distribution, compensation) can never smuggle a stale
-    ///   insolvency decision through.
-    ///
-    /// Corrupted-sector cascades (`void_sector_content`) are covered by
-    /// the first rule: a victim file's plan recorded the corrupted holder
-    /// in `read_sectors`, and the confiscating task's footprint put that
-    /// sector into `mutated_sectors`. The remaining cascade mutations
-    /// (reverting an in-flight move whose *target* died) touch only
-    /// `next`/state fields the plan's decisions don't depend on.
-    pub(super) fn commit_bucket_batched(
-        &mut self,
-        now: Time,
-        batch: Vec<(Task, Option<ProofAudit>)>,
-    ) {
-        let mut plans = self.plan_bucket(now, &batch).into_iter();
-        let mut mutated_sectors: HashSet<SectorId> = HashSet::new();
-        let mut mutated_files: HashSet<FileId> = HashSet::new();
-        for (task, audit) in batch {
-            let plan = task
-                .audited()
-                .map(|_| plans.next().expect("one plan per audit task"));
-            let fast = plan
-                .as_ref()
-                .is_some_and(|p| self.plan_valid(p, &mutated_sectors, &mutated_files));
-            if fast {
-                let plan = plan.expect("checked above");
-                self.apply_check_proof_plan(now, plan, audit, &mut mutated_sectors);
-            } else {
-                note_fallback_footprint(self, &task, &mut mutated_sectors, &mut mutated_files);
-                self.execute(task, audit);
-            }
-        }
-    }
-
-    /// The read-only plan phase: one [`CheckProofPlan`] per
-    /// `Auto_CheckProof` task, in bucket order, computed in parallel. Each
-    /// plan reads only its file's rows, the sector table, the ledger and
-    /// the parameters — all immutable here.
-    fn plan_bucket(&self, now: Time, batch: &[(Task, Option<ProofAudit>)]) -> Vec<CheckProofPlan> {
-        let files: Vec<FileId> = batch.iter().filter_map(|(t, _)| t.audited()).collect();
-        fan_out(self.pool_for(true), files, |files| {
-            let plan = |f| plan_check_proof(self, f, now);
-            files.into_iter().map(plan).collect()
-        })
-    }
-
-    /// Whether a plan's assumptions still hold at its turn in the serial
-    /// walk (the disjointness rule; see [`Engine::commit_bucket_batched`]).
-    fn plan_valid(
-        &self,
-        plan: &CheckProofPlan,
-        mutated_sectors: &HashSet<SectorId>,
-        mutated_files: &HashSet<FileId>,
-    ) -> bool {
-        if mutated_files.contains(&plan.file) {
-            return false;
-        }
-        if plan
-            .read_sectors
-            .iter()
-            .any(|s| mutated_sectors.contains(s))
-        {
-            return false;
-        }
-        match &plan.kind {
-            PlanKind::MissingFile => true,
-            PlanKind::Fast { owner, cost, .. } => self.ledger.balance(*owner) >= *cost,
-            PlanKind::Sequential => false,
-        }
-    }
-
-    /// Applies one validated fast plan — the exact effect sequence of
-    /// [`Engine::auto_check_proof`] on its steady-state path.
-    fn apply_check_proof_plan(
-        &mut self,
-        now: Time,
-        plan: CheckProofPlan,
-        audit: Option<ProofAudit>,
-        mutated_sectors: &mut HashSet<SectorId>,
-    ) {
-        let file = plan.file;
-        if let Some(a) = &audit {
-            self.audit_root =
-                audit_root_domain().hash(&[self.audit_root.as_bytes(), a.digest.as_bytes()]);
-            self.stats.proofs_audited += a.replicas_checked;
-        }
-        match plan.kind {
-            PlanKind::MissingFile => {}
-            PlanKind::Fast {
-                owner,
-                rent,
-                gas,
-                punish,
-                new_cntdown,
-                ..
-            } => {
-                self.ledger
-                    .transfer(owner, RENT_POOL, rent)
-                    .expect("balance re-checked by plan_valid");
-                self.ledger.burn(owner, gas).expect("balance re-checked");
-                for holder in punish {
-                    self.punish(holder);
-                    mutated_sectors.insert(holder);
-                }
-                self.schedule_task(now + self.params.proof_cycle, Task::CheckProof(file));
-                let desc = self.files.get_mut(&file).expect("plan file is live");
-                desc.cntdown = new_cntdown;
-            }
-            PlanKind::Sequential => unreachable!("plan_valid rejects Sequential"),
-        }
-        // `execute`'s per-task increment.
-        self.op_counter += 1;
     }
 
     // ------------------------------------------------------------------
@@ -675,153 +522,6 @@ impl Engine {
     }
 }
 
-/// The read-only classification of one `Auto_CheckProof` task, computed
-/// in parallel by [`Engine::plan_bucket`] and applied (or discarded) by
-/// the serial walk in [`Engine::commit_bucket_batched`].
-struct CheckProofPlan {
-    file: FileId,
-    kind: PlanKind,
-    /// Every sector whose state the plan consulted (each non-corrupted
-    /// entry's holder): the plan is invalid once any of them is mutated
-    /// earlier in the bucket.
-    read_sectors: Vec<SectorId>,
-}
-
-enum PlanKind {
-    /// No descriptor: the commit is a no-op beyond the audit fold.
-    MissingFile,
-    /// The steady-state path — charge rent + prepaid gas, punish the
-    /// recorded late holders in entry order, reschedule, decrement
-    /// `cntdown` (still positive, so no refresh draw). Draws no rng.
-    Fast {
-        owner: AccountId,
-        /// Full cycle cost, re-checked against the live balance at apply.
-        cost: TokenAmount,
-        rent: TokenAmount,
-        gas: TokenAmount,
-        /// Holders past `proof_due`, in entry order (duplicates kept:
-        /// sequential punishment recomputes on the reduced deposit).
-        punish: Vec<SectorId>,
-        new_cntdown: i64,
-    },
-    /// Anything else — insolvency discard, deadline confiscation, full
-    /// loss, refresh draw, non-Normal file state — re-executes through
-    /// the frozen sequential reference.
-    Sequential,
-}
-
-/// Mirrors the read path of [`Engine::auto_check_proof`] without mutating
-/// anything, recording every consulted sector. Pure in the engine state
-/// it is handed, so a bucket's plans compute concurrently.
-fn plan_check_proof(engine: &Engine, file: FileId, now: Time) -> CheckProofPlan {
-    let (params, sectors) = (&engine.params, &engine.sectors);
-    let mut read_sectors: Vec<SectorId> = Vec::new();
-    let Some(desc) = engine.files.get(&file) else {
-        return CheckProofPlan {
-            file,
-            kind: PlanKind::MissingFile,
-            read_sectors,
-        };
-    };
-    let sequential = |read_sectors| CheckProofPlan {
-        file,
-        kind: PlanKind::Sequential,
-        read_sectors,
-    };
-    if desc.state != FileState::Normal {
-        return sequential(read_sectors);
-    }
-    let cost = params.cycle_cost(desc.size, desc.cp);
-    if engine.ledger.balance(desc.owner) < cost {
-        // Insolvency discard: removal and refunds go sequential.
-        return sequential(read_sectors);
-    }
-    let rent = TokenAmount(params.unit_rent.0 * desc.size as u128 * desc.cp as u128);
-    let gas = cost - rent;
-
-    let mut punish: Vec<SectorId> = Vec::new();
-    for i in 0..desc.cp {
-        let Some(e) = engine.alloc.get(&(file, i)) else {
-            continue;
-        };
-        if e.state == AllocState::Corrupted {
-            continue;
-        }
-        let Some(holder) = e.prev else { continue };
-        read_sectors.push(holder);
-        let holder_corrupted = sectors
-            .get(&holder)
-            .map(|s| s.state == SectorState::Corrupted)
-            .unwrap_or(true);
-        if holder_corrupted {
-            continue;
-        }
-        let last = e.last.unwrap_or(0);
-        if now >= last + params.proof_deadline {
-            // Confiscation cascades through void_sector_content.
-            return sequential(read_sectors);
-        } else if now >= last + params.proof_due {
-            punish.push(holder);
-        }
-    }
-
-    let all_corrupted = (0..desc.cp)
-        .all(|i| engine.alloc.get(&(file, i)).map(|e| e.state) == Some(AllocState::Corrupted));
-    if all_corrupted {
-        // Compensation + removal go sequential.
-        return sequential(read_sectors);
-    }
-    let new_cntdown = desc.cntdown - 1;
-    if new_cntdown <= 0 {
-        // The refresh draw consumes rng; keep the whole task sequential.
-        return sequential(read_sectors);
-    }
-    CheckProofPlan {
-        file,
-        kind: PlanKind::Fast {
-            owner: desc.owner,
-            cost,
-            rent,
-            gas,
-            punish,
-            new_cntdown,
-        },
-        read_sectors,
-    }
-}
-
-/// Records what a sequential fallback may mutate, *before* it runs: its
-/// file (entry states, `last` stamps, `cntdown`, possibly removal) and
-/// every sector its entries reference (punishments, confiscations and
-/// their `void_sector_content` cascades, replica releases, drained-sector
-/// removal all start from an entry's `prev`/`next`). `DistributeRent`
-/// moves pool money to sector owners only — fast plans re-check the one
-/// balance they depend on exactly, so it needs no footprint.
-fn note_fallback_footprint(
-    engine: &Engine,
-    task: &Task,
-    mutated_sectors: &mut HashSet<SectorId>,
-    mutated_files: &mut HashSet<FileId>,
-) {
-    let file = match task {
-        Task::CheckAlloc(f) | Task::CheckProof(f) | Task::CheckRefresh(f, _) => *f,
-        Task::DistributeRent => return,
-    };
-    mutated_files.insert(file);
-    if let Some(desc) = engine.files.get(&file) {
-        for i in 0..desc.cp {
-            if let Some(e) = engine.alloc.get(&(file, i)) {
-                if let Some(s) = e.prev {
-                    mutated_sectors.insert(s);
-                }
-                if let Some(s) = e.next {
-                    mutated_sectors.insert(s);
-                }
-            }
-        }
-    }
-}
-
 cached_domain!(fn audit_task_domain, "fileinsurer/audit-task");
 cached_domain!(fn audit_leaf_domain, "fileinsurer/audit-leaf");
 cached_domain!(fn audit_node_domain, "fileinsurer/audit-node");
@@ -834,11 +534,29 @@ cached_domain!(fn audit_root_domain, "fileinsurer/audit-root");
 /// holding sector when `File_Prove` submits.
 pub(super) type ReplicaLane = (Hash256, [u8; 4], [u8; 8]);
 
-/// Lanes whose leaves are derived per `hash_many` sweep: bounds the
-/// sweep's message and block buffers (~250 B a lane) to about 1 MiB however
-/// many replicas a range audits. The walk itself needs no tiling — it holds
-/// a register group of lanes at a time.
-const LEAF_TILE: usize = 4096;
+/// Messages hashed per `hash_many` sweep — the audit tasks' base
+/// digests and the replicas' challenged leaves. A sweep's message and
+/// block buffers (~250 B a lane) then stay cache-resident, where the
+/// multi-lane kernels beat one SHA-NI stream; at 4 096 lanes they lost to
+/// it. The path walk itself needs no tiling — it holds a register group
+/// of lanes at a time.
+const LEAF_TILE: usize = 256;
+
+/// `domain.hash_many` over one message per item, `LEAF_TILE` items per
+/// sweep: the digests of `parts(item)` for every item, in item order.
+fn hash_tiled<'a, T, const N: usize>(
+    domain: &KeyedDomain,
+    items: &'a [T],
+    parts: impl Fn(&'a T) -> [&'a [u8]; N],
+) -> Vec<Hash256> {
+    let mut digests = Vec::with_capacity(items.len());
+    for tile in items.chunks(LEAF_TILE) {
+        let lanes: Vec<[&[u8]; N]> = tile.iter().map(&parts).collect();
+        let refs: Vec<&[&[u8]]> = lanes.iter().map(|l| l.as_slice()).collect();
+        digests.extend(domain.hash_many(&refs));
+    }
+    digests
+}
 
 /// The modeled WindowPoSt verification, one lane per replica: derive each
 /// challenged leaf — `leaf_domain` over the lane's commitment, index and
@@ -853,22 +571,9 @@ pub(super) fn walk_replicas(
     path_len: u32,
 ) -> Vec<Hash256> {
     let now_be = now.to_be_bytes();
-    let mut nodes: Vec<Hash256> = Vec::with_capacity(replicas.len());
-    for tile in replicas.chunks(LEAF_TILE) {
-        let leaf_lanes: Vec<[&[u8]; 4]> = tile
-            .iter()
-            .map(|(root, index_be, tag_be)| {
-                [
-                    root.as_bytes().as_slice(),
-                    index_be.as_slice(),
-                    tag_be.as_slice(),
-                    now_be.as_slice(),
-                ]
-            })
-            .collect();
-        let leaf_refs: Vec<&[&[u8]]> = leaf_lanes.iter().map(|l| l.as_slice()).collect();
-        nodes.extend(leaf_domain.hash_many(&leaf_refs));
-    }
+    let mut nodes = hash_tiled(leaf_domain, replicas, |(root, index_be, tag_be)| {
+        [root.as_bytes(), index_be, tag_be, &now_be]
+    });
     node_domain.walk_paths(&mut nodes, path_len);
     nodes
 }
@@ -888,12 +593,7 @@ fn verify_audits(engine: &Engine, files: &[FileId], now: Time, path_len: u32) ->
 
     // Phase 0: the per-task base digest, one lane per audit task.
     let file_bes: Vec<[u8; 8]> = files.iter().map(|f| f.0.to_be_bytes()).collect();
-    let task_lanes: Vec<[&[u8]; 2]> = file_bes
-        .iter()
-        .map(|fb| [fb.as_slice(), now_be.as_slice()])
-        .collect();
-    let task_refs: Vec<&[&[u8]]> = task_lanes.iter().map(|l| l.as_slice()).collect();
-    let mut digests = audit_task_domain().hash_many(&task_refs);
+    let mut digests = hash_tiled(audit_task_domain(), &file_bes, |fb| [fb, &now_be]);
 
     // Phase 1: collect one lane per replica with a proof on record,
     // task-major so the phase-3 folds replay each task's replicas in
@@ -1088,6 +788,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Enough tasks and replicas to cross several `LEAF_TILE` sweeps in
+    /// both hashed phases: exactly `3 · LEAF_TILE + 1` replica lanes (the
+    /// last tile holds one) over more than `2 · LEAF_TILE` audit tasks.
+    #[test]
+    fn tiled_verify_matches_reference_across_tiles() {
+        let engine = synthetic_engine(4 * LEAF_TILE as u64);
+        let (now, path_len) = (5_000, 8);
+        let lanes = |f: FileId| verify_check_proof(&engine, f, now, path_len).replicas_checked;
+        let mut files = Vec::new();
+        let mut total = 0;
+        for f in (0..4 * LEAF_TILE as u64).map(FileId) {
+            let n = lanes(f);
+            if total + n <= 3 * LEAF_TILE as u64 + 1 {
+                files.push(f);
+                total += n;
+            }
+        }
+        assert_eq!(total, 3 * LEAF_TILE as u64 + 1);
+        assert!(files.len() > 2 * LEAF_TILE, "{} tasks", files.len());
+        let got = verify_audits(&engine, &files, now, path_len);
+        let want: Vec<ProofAudit> = files
+            .iter()
+            .map(|&f| verify_check_proof(&engine, f, now, path_len))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -33,10 +33,8 @@
 //! `Auto_CheckProof`, fanned out on scoped threads by `pool::fan_out` —
 //! audits are independent per (file, replica), the heart of the
 //! paper's scalability claim) and a **commit** phase that applies rent,
-//! punishments and refreshes in pop order — batched through validated
-//! write plans on large buckets when the parallel paths are on
-//! (`ProtocolParams::shards > 1`), sequentially otherwise, with
-//! bit-identical results either way (see DESIGN.md §9 and §14).
+//! punishments and refreshes one task at a time in pop order (see
+//! DESIGN.md §9).
 //!
 //! Money flows exactly as §IV-A/§IV-B prescribe:
 //!
@@ -101,12 +99,15 @@ pub const RENT_POOL: AccountId = AccountId(3);
 pub const TRAFFIC_ESCROW: AccountId = AccountId(4);
 
 /// Fewest dirty keys in one state commit worth fanning out. A key costs
-/// one to three microseconds of node hashing, and getting a worker
-/// running on another core takes the better part of a millisecond on the
-/// 2-vCPU VMs this is benchmarked on: measured there, commits of about
-/// 600 keys gain nothing from two workers, and commits of 4 096 to
-/// 200 000 keys run 1.7x faster. Below the floor a commit stays inline
-/// and spawns no thread.
+/// one to three microseconds of node hashing, and on the 2-vCPU VMs this
+/// is benchmarked on a scoped worker spawns and joins in about 25 µs
+/// (p99 under 150 µs), so the spawn is not what the floor guards: commits
+/// of 4 096 to 200 000 keys run 1.7x faster on two workers. The floor
+/// guards tail latency. At a 128-key floor, `ingest_mix`'s block commits
+/// of about 550 keys fanned out; over 8 alternating pairs its
+/// `step_ms_p50` fell in all 8, but its median `step_ms_p95` rose from
+/// 10.4 to 13.2 ms (+27 %). Below the floor a commit stays inline and
+/// spawns no thread.
 const COMMIT_FANOUT_MIN_DIRTY_KEYS: usize = 2048;
 
 /// Fewest items (shard-local ops of an ingest segment, `Auto_CheckProof`
@@ -298,9 +299,10 @@ pub struct EngineStats {
     /// silent. Execution-strategy counter — see
     /// [`EngineStats::consensus`].
     pub batches_fell_back_sequential: u64,
-    /// Due audit buckets committed through the batched plan-and-apply
-    /// path instead of the sequential fold.
-    /// Execution-strategy counter — see [`EngineStats::consensus`].
+    /// Always zero: every due audit bucket commits through the one
+    /// sequential fold. The field stays because the `FISNAPSH` stats
+    /// record carries it (an older snapshot may restore a non-zero
+    /// count); it goes with the next format bump.
     pub audit_commit_batches: u64,
 }
 
@@ -309,12 +311,13 @@ impl EngineStats {
     /// leaving only the consensus-observable counters.
     ///
     /// The strategy counters (`batches_staged_parallel`,
-    /// `batches_fell_back_sequential`, `audit_commit_batches`) record
-    /// *which code path* ran, and legitimately differ across
-    /// `(shards, ingest_threads)` configurations and between op-by-op
-    /// `apply` and `apply_batch` — while the state they produce is
-    /// bit-identical. Differential tests comparing engines across
-    /// configurations compare `a.stats().consensus()`, not raw stats.
+    /// `batches_fell_back_sequential`) record *which ingest path* ran,
+    /// and legitimately differ across `(shards, ingest_threads)`
+    /// configurations and between op-by-op `apply` and `apply_batch` —
+    /// while the state they produce is bit-identical. The retired
+    /// `audit_commit_batches` is zeroed with them. Differential tests
+    /// comparing engines across configurations compare
+    /// `a.stats().consensus()`, not raw stats.
     pub fn consensus(&self) -> EngineStats {
         EngineStats {
             batches_staged_parallel: 0,
@@ -943,8 +946,8 @@ impl Engine {
 
     /// The audit-root commitment: the canonical-order fold of every
     /// `Auto_CheckProof` verification digest (also folded into
-    /// [`Engine::state_root`]). Identical across shard counts, ingest
-    /// widths and commit strategies.
+    /// [`Engine::state_root`]). Identical across shard counts and
+    /// ingest widths.
     pub fn audit_root(&self) -> Hash256 {
         self.audit_root
     }
@@ -1127,46 +1130,29 @@ impl Engine {
     /// pops them — `(time, schedule-seq)` — in two phases:
     ///
     /// 1. **verify** — the read-only `Auto_CheckProof` storage-proof
-    ///    checks, fanned out on scoped threads when the
-    ///    bucket is large enough to pay for the dispatch;
-    /// 2. **commit** — the tasks applied in pop order: large buckets, with
-    ///    the parallel paths on, go through the batched commit path
-    ///    (write plans computed in parallel, applied with validated fast
-    ///    paths; see `audit.rs`), everything else through
-    ///    the sequential reference fold. Audit digests fold into
+    ///    checks, fanned out on scoped threads when the parallel paths are
+    ///    on and the bucket is large enough to pay for the dispatch;
+    /// 2. **commit** — every task through [`Engine::execute`], in pop
+    ///    order, on the calling thread: audit digests fold into
     ///    `audit_root`, then punishments, rent, refreshes and reschedules
     ///    run.
     ///
-    /// Both phases are deterministic (the commit-strategy gate reads only
-    /// the parameters and the bucket, never the host's core count), so the
-    /// resulting state is bit-identical for any `ProtocolParams::shards`
-    /// and either commit strategy.
+    /// Only the verify phase fans out, and its verdicts come back in
+    /// bucket order, so the resulting state is bit-identical for any
+    /// `ProtocolParams::shards` and any host core count.
     fn run_due_bucket(&mut self, now: Time) {
         let bucket = self.pending.pop_due(now);
         let verify_start = Instant::now();
         let audits = self.verify_bucket(&bucket, now);
         self.phase.verify_s += verify_start.elapsed().as_secs_f64();
 
-        let check_proofs = audits.len();
-        let mut audits = audits.into_iter();
-        let batch: Vec<(Task, Option<ProofAudit>)> = bucket
-            .into_iter()
-            .map(|(_, (_, task))| {
-                let audit = task
-                    .audited()
-                    .map(|_| audits.next().expect("one verdict per audit task"));
-                (task, audit)
-            })
-            .collect();
-
         let fold_start = Instant::now();
-        if self.params.shards > 1 && check_proofs >= PARALLEL_FANOUT_MIN_ITEMS {
-            self.commit_bucket_batched(now, batch);
-            self.stats.audit_commit_batches += 1;
-        } else {
-            for (task, audit) in batch {
-                self.execute(task, audit);
-            }
+        let mut audits = audits.into_iter();
+        for (_, (_, task)) in bucket {
+            let audit = task
+                .audited()
+                .map(|_| audits.next().expect("one verdict per audit task"));
+            self.execute(task, audit);
         }
         self.phase.fold_s += fold_start.elapsed().as_secs_f64();
     }

@@ -1,14 +1,17 @@
 //! Scoped fan-out for the engine's parallel phases.
 //!
-//! The chunked phases — ingest staging (`engine/batch.rs`), audit verify
-//! and plan (`engine/audit.rs`) — go through [`fan_out`]; the state commit hands [`run`] the jobs of its
-//! trie merges. Both run on `std::thread::scope`: the calling thread and
-//! `width − 1` threads spawned for the call pull jobs from one shared
-//! queue, so jobs may borrow from the caller's frame (`&Engine` fields,
-//! segment slices, per-chunk output slots) and nothing outlives the call.
-//! The gates in front of each phase keep dispatches few and large — a
-//! few hundred per `audit_cycle` pass, none on the other workloads — so
-//! a thread spawned per call costs nothing measurable.
+//! The two chunked phases — ingest staging (`engine/batch.rs`) and audit
+//! verify (`engine/audit.rs`) — go through [`fan_out`]; the state commit
+//! hands [`run`] the jobs of its trie merges. Both run on
+//! `std::thread::scope`: the calling thread and `width − 1` threads
+//! spawned for the call pull jobs from one shared queue, so jobs may
+//! borrow from the caller's frame (`&Engine` fields, segment slices,
+//! per-chunk output slots) and nothing outlives the call. The gates in
+//! front of each phase keep dispatches few and large. A 10-second
+//! `audit_cycle` pass makes 255 (125 staging and 5 verify fan-outs, 125
+//! commit merges), `state_sync` 18 commit merges, and `ingest_mix` and
+//! `node_cluster` none, so a thread spawned per call (about 25 µs on a
+//! 2-vCPU host) costs nothing measurable.
 
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};

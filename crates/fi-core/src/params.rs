@@ -71,12 +71,12 @@ pub struct ProtocolParams {
     /// benchmarking and differential tests — consensus execution is
     /// identical either way.
     pub scheduler: SchedulerKind,
-    /// The parallel switch: above `1`, the engine fans its large phases
-    /// out over scoped threads — the audit verify phase, the batched audit
-    /// commit and (with [`ProtocolParams::ingest_threads`] above `1` too)
-    /// staged ingest; at `1` they all run sequentially. Only whether it
-    /// exceeds `1` matters: the engine holds one set of per-file rows
-    /// whatever the value. Consensus results are bit-identical either way
+    /// The parallel switch: above `1`, the engine fans its two large
+    /// phases out over scoped threads — the audit verify phase and (with
+    /// [`ProtocolParams::ingest_threads`] above `1` too) staged ingest; at
+    /// `1` both run sequentially. Audit commits are sequential either way.
+    /// Only whether it exceeds `1` matters: the engine holds one set of
+    /// per-file rows whatever the value. Consensus results are bit-identical either way
     /// (see DESIGN.md §9), so this is a deployment/performance knob, not a
     /// consensus parameter.
     ///

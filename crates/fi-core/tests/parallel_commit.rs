@@ -1,17 +1,18 @@
-//! Parallel audit-commit consensus equivalence: a due `Auto_CheckProof`
-//! bucket big enough to cross the batched-commit threshold is planned in
-//! parallel and committed through validated fast plans (DESIGN.md §14) — and the result must be **bit-identical** to the
-//! sequential canonical-order fold at every `(shards, ingest_threads)`
-//! combination: same state root, same audit root, same chain head, same
-//! consensus stats.
+//! Audit-cycle consensus equivalence across verify fan-out widths: a due
+//! `Auto_CheckProof` bucket of at least 64 tasks verifies on scoped
+//! threads when `ProtocolParams::shards > 1` — `max(cores,
+//! ingest_threads)` of them — and then commits one task at a time in pop
+//! order. The result must be **bit-identical** at every `(shards,
+//! ingest_threads)` combination: same state root, same audit root, same
+//! chain head, same consensus stats. (The scenarios submit single ops, so
+//! staged ingest is pinned elsewhere: `tests/batch_ingest.rs`.)
 //!
-//! Each scenario stresses a different corner of the disjointness rule:
-//! the all-fast steady state, punishment bursts where many tasks touch
-//! the same sector (and therefore must serialize), a mid-bucket
-//! insolvency flip that invalidates pre-planned fast applies, and a
-//! corruption cascade that forces sequential fallbacks with refresh rng
-//! draws. The `audit_commit_batches` strategy counter pins down which
-//! path actually ran.
+//! Each scenario drives the commit through a different corner of the
+//! protocol behind the fanned-out verify: the honest steady state,
+//! punishment bursts where many tasks of one bucket slash the same
+//! sector, a mid-bucket insolvency flip that discards the unaffordable
+//! tail, and a corruption cascade with refresh rng draws and
+//! compensation.
 
 use fi_chain::account::{AccountId, TokenAmount};
 use fi_core::engine::{Engine, StateView};
@@ -35,7 +36,7 @@ fn params(shards: usize, ingest_threads: usize) -> ProtocolParams {
 /// Builds an engine with `n` live (confirmed, finalized) size-1 files
 /// spread over `sectors` sectors. All files are added at the same
 /// instant, so every subsequent `Auto_CheckProof` cycle pops as one
-/// `n`-task bucket — past the batched-commit threshold for `n ≥ 64`.
+/// `n`-task bucket — past the verify fan-out threshold for `n ≥ 64`.
 fn engine_with_files(p: ProtocolParams, n: u64, sectors: usize) -> Engine {
     let min_value = p.min_value;
     let mut engine = Engine::new(p).expect("valid params");
@@ -86,18 +87,13 @@ fn assert_bit_identical(a: &Engine, b: &Engine, what: &str) {
 }
 
 /// Runs one scenario at the sequential reference configuration and at
-/// every parallel cell of the `(shards, ingest_threads) ∈ {1,8}×{1,4}`
-/// matrix, asserts bit-identity throughout, and checks the batched
-/// commit path engaged exactly on the sharded engines (every scenario
-/// drives at least one ≥64-task `Auto_CheckProof` bucket). Returns the
-/// reference engine for scenario-specific assertions.
+/// every other cell of the `(shards, ingest_threads) ∈ {1,8}×{1,4}`
+/// matrix and asserts bit-identity throughout. Every scenario drives at
+/// least one ≥64-task `Auto_CheckProof` bucket, so the sharded cells
+/// verify it on the fan-out. Returns the reference engine for
+/// scenario-specific assertions.
 fn run_matrix(build: impl Fn(usize, usize) -> Engine, what: &str) -> Engine {
     let reference = build(1, 1);
-    assert_eq!(
-        reference.stats().audit_commit_batches,
-        0,
-        "{what}: the 1-shard reference must use the sequential fold"
-    );
     for (shards, threads) in [(1usize, 4usize), (8, 1), (8, 4)] {
         let engine = build(shards, threads);
         assert_bit_identical(
@@ -105,19 +101,12 @@ fn run_matrix(build: impl Fn(usize, usize) -> Engine, what: &str) -> Engine {
             &engine,
             &format!("{what} at {shards} shards / {threads} threads"),
         );
-        assert_eq!(
-            engine.stats().audit_commit_batches > 0,
-            shards > 1,
-            "{what}: batched commit engages exactly on sharded engines \
-             ({shards} shards / {threads} threads)"
-        );
     }
     reference
 }
 
-/// Steady state: every provider proves every cycle, so every plan is a
-/// fast plan (rent transfer + gas burn, zero rng, no sector mutations)
-/// and the whole bucket commits without a single sequential fallback.
+/// Steady state: every provider proves every cycle, so every task of the
+/// bucket charges rent and gas, draws no rng and mutates no sector.
 #[test]
 fn honest_steady_state_commits_batched_and_identically() {
     let reference = run_matrix(
@@ -139,10 +128,9 @@ fn honest_steady_state_commits_batched_and_identically() {
 
 /// Punishment burst on shared sectors: nobody proves, and the replicas
 /// of 80 files crowd onto 4 sectors — so inside one due bucket many
-/// `CheckProof` tasks punish the *same* sector. The first fast apply
-/// that slashes a sector adds it to the mutated set; every later task
-/// reading that sector must abandon its plan and serialize. Later
-/// cycles cross the proof deadline and cascade into corruption.
+/// `CheckProof` tasks punish the *same* sector, each on the deposit the
+/// previous one left. Later cycles cross the proof deadline and cascade
+/// into corruption.
 #[test]
 fn shared_sector_punishments_serialize_identically() {
     let reference = run_matrix(
@@ -169,11 +157,9 @@ fn shared_sector_punishments_serialize_identically() {
 }
 
 /// Mid-bucket insolvency flip: after one paid cycle the client is
-/// drained down to 10½ files' worth of cycle cost. The plan phase —
-/// reading the pre-bucket ledger — marks every task fast, but the live
-/// balance recheck at apply time flips once ten fast applies have
-/// drained the account: the remaining tasks must fall back to the
-/// sequential executor, which discards the files as insolvent.
+/// drained down to 10½ files' worth of cycle cost. The first ten tasks
+/// of the next bucket pay; the balance then falls short, and every
+/// later task discards its file as insolvent.
 #[test]
 fn mid_bucket_insolvency_flip_is_identical() {
     let reference = run_matrix(
@@ -205,9 +191,8 @@ fn mid_bucket_insolvency_flip_is_identical() {
 }
 
 /// Corruption cascade with refresh draws: randomly injected sector
-/// faults force sequential fallbacks (void_sector_content, refresh
-/// scheduling, compensation) inside otherwise-batched buckets, across
-/// several cycles of honest proving.
+/// faults void sector content, schedule refreshes and pay compensation
+/// inside otherwise-honest buckets, across several cycles of proving.
 #[test]
 fn corruption_cascade_is_identical() {
     for seed in [9u64, 31] {

@@ -1,10 +1,10 @@
 //! Parallel-vs-sequential consensus equivalence: an engine with
-//! `ProtocolParams::shards > 1`, which turns on the parallel audit verify,
-//! batched audit commit and staged ingest paths, must be *bit-identical*
-//! to the 1-shard engine, which runs them all sequentially — same state
-//! roots, same chain head, same stats — because every parallel phase is
-//! pure and the commit runs in the one wheel's `(time, schedule-seq)` pop
-//! order (DESIGN.md §9).
+//! `ProtocolParams::shards > 1`, which turns on the parallel audit verify
+//! and staged ingest paths, must be *bit-identical* to the 1-shard
+//! engine, which runs them sequentially — same state roots, same chain
+//! head, same stats — because every parallel phase is pure and the
+//! commit runs in the one wheel's `(time, schedule-seq)` pop order
+//! (DESIGN.md §9).
 //!
 //! Randomized workloads with faults, refreshes, punishments and losses
 //! cover the protocol surface at test-friendly scale.
@@ -93,9 +93,9 @@ fn assert_consensus_identical(a: &Engine, b: &Engine) {
     );
     assert_eq!(a.audit_root(), b.audit_root(), "audit roots diverged");
     assert_eq!(a.chain().head_hash(), b.chain().head_hash());
-    // Execution-strategy counters (parallel staging, batched audit
-    // commits) legitimately differ with the shard count; consensus state
-    // and protocol counters must not.
+    // Execution-strategy counters (parallel staging and its fallbacks)
+    // legitimately differ with the shard count; consensus state and
+    // protocol counters must not.
     assert_eq!(a.stats().consensus(), b.stats().consensus());
     assert_eq!(a.file_ids(), b.file_ids());
     assert_eq!(a.sector_ids(), b.sector_ids());

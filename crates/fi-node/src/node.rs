@@ -251,10 +251,6 @@ pub struct ValidatorReport {
     /// commit-time revalidation and re-executed sequentially on the
     /// head engine. Execution-strategy counter.
     pub batches_fell_back_sequential: u64,
-    /// Due audit buckets the head engine committed through the batched
-    /// plan-and-apply path instead of the sequential fold.
-    /// Execution-strategy counter.
-    pub audit_commit_batches: u64,
     /// Full op log of the head engine (only when
     /// [`ConsensusConfig::record_op_log`]) — like `final_chain`, moved by
     /// truncate-at-fork + append on every head change.
@@ -530,7 +526,6 @@ impl Validator {
         let stats = tracker.engine().stats();
         report.batches_staged_parallel = stats.batches_staged_parallel;
         report.batches_fell_back_sequential = stats.batches_fell_back_sequential;
-        report.audit_commit_batches = stats.audit_commit_batches;
         report.work = tracker.work();
         report.engine_events_held = tracker.engine().events().len() as u64;
         if let Some(mempool) = self.mempool.as_ref() {
