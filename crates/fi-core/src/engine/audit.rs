@@ -26,7 +26,7 @@
 //! replica becomes a *lane*, and all lanes walk their authentication paths
 //! in lockstep through the fused path-walk kernel
 //! ([`fi_crypto::KeyedDomain::walk_paths`], shared with `File_Prove`
-//! staging through [`walk_replicas`]). A single path walk is an inherently
+//! through [`walk_replicas`]). A single path walk is an inherently
 //! sequential hash chain, but independent paths are not — the walker
 //! carries 16 (AVX-512) lanes, or 2 interleaved SHA-NI streams, through
 //! all their levels in registers. Ranges of every size take this path;

@@ -13,10 +13,11 @@ use fi_crypto::Hash256;
 use crate::ops::{Op, Receipt};
 use crate::segment::{reassemble_file, segment_file, SegmentError};
 use crate::types::{
-    AllocEntry, AllocState, FileDescriptor, FileId, FileState, ProtocolEvent, Sector, SectorId,
-    SectorState,
+    AllocEntry, AllocState, FileDescriptor, FileId, FileState, ProtocolEvent, RemovalReason,
+    Sector, SectorId, SectorState,
 };
 
+use super::batch::{prove_lane, prove_root_domain, walk_proofs};
 use super::{Engine, EngineError, SegmentedUpload, Task, DEPOSIT_ESCROW, TRAFFIC_ESCROW};
 
 impl Engine {
@@ -306,8 +307,7 @@ impl Engine {
         }
 
         // Ids come from one global counter, so the id sequence (hence
-        // every op and receipt digest) is the same at every configuration,
-        // and staging's `id % width` groups stay balanced.
+        // every op and receipt digest) is the same at every configuration.
         let id = FileId(self.next_file_id);
         self.next_file_id += 1;
         self.files.insert(
@@ -424,6 +424,34 @@ impl Engine {
         self.apply(Op::FileDiscard { caller, file }).map(|_| ())
     }
 
+    pub(super) fn file_discard_op(
+        &mut self,
+        caller: AccountId,
+        file: FileId,
+    ) -> Result<(), EngineError> {
+        self.charge_gas(caller, &[GasOp::RequestBase])?;
+        let f = self
+            .files
+            .get(&file)
+            .ok_or(EngineError::UnknownFile(file))?;
+        if f.owner != caller {
+            return Err(EngineError::NotOwner);
+        }
+        self.force_discard_op(file);
+        self.op_counter += 1;
+        Ok(())
+    }
+
+    /// `ForceDiscard`, the consensus-side rollback discard (§VI-C): no
+    /// ownership check, no gas, nothing on an unknown file.
+    pub(super) fn force_discard_op(&mut self, file: FileId) {
+        if let Some(desc) = self.files.get_mut(&file) {
+            desc.state = FileState::Discarded;
+            self.discard_reasons
+                .insert(file, RemovalReason::ClientDiscard);
+        }
+    }
+
     /// `File_Confirm` (Fig. 5): the provider of the target sector
     /// acknowledges receiving replica `index` of `file`; the traffic fee
     /// for this replica is released to the provider.
@@ -445,6 +473,43 @@ impl Engine {
             sector,
         })
         .map(|_| ())
+    }
+
+    pub(super) fn file_confirm_op(
+        &mut self,
+        caller: AccountId,
+        file: FileId,
+        index: u32,
+        sector: SectorId,
+    ) -> Result<(), EngineError> {
+        self.charge_gas(caller, &[GasOp::RequestBase, GasOp::AllocRead])?;
+        let s = self
+            .sectors
+            .get(&sector)
+            .ok_or(EngineError::UnknownSector(sector))?;
+        if s.owner != caller {
+            return Err(EngineError::NotOwner);
+        }
+        let size = self
+            .files
+            .get(&file)
+            .ok_or(EngineError::UnknownFile(file))?
+            .size;
+        let e = self
+            .alloc
+            .get(&(file, index))
+            .ok_or(EngineError::UnknownFile(file))?;
+        if e.next != Some(sector) || e.state != AllocState::Alloc {
+            return Err(EngineError::InvalidState(
+                "allocation is not awaiting this sector's confirm",
+            ));
+        }
+        let entry = self.alloc.get_mut(&(file, index)).expect("checked above");
+        entry.state = AllocState::Confirm;
+        let fee = self.params.traffic_fee(size);
+        self.ledger.transfer_up_to(TRAFFIC_ESCROW, caller, fee);
+        self.op_counter += 1;
+        Ok(())
     }
 
     /// `File_Prove` (Fig. 5): records a storage proof for replica `index`
@@ -474,6 +539,55 @@ impl Engine {
         .map(|_| ())
     }
 
+    /// `walked` is the proof walk when a batch's hashing pass already took
+    /// it; `None` walks the one lane here.
+    pub(super) fn file_prove_op(
+        &mut self,
+        caller: AccountId,
+        file: FileId,
+        index: u32,
+        sector: SectorId,
+        walked: Option<Hash256>,
+    ) -> Result<(), EngineError> {
+        self.charge_gas(caller, &[GasOp::RequestBase, GasOp::ProofVerify])?;
+        let s = self
+            .sectors
+            .get(&sector)
+            .ok_or(EngineError::UnknownSector(sector))?;
+        if s.owner != caller {
+            return Err(EngineError::NotOwner);
+        }
+        if s.physically_failed || s.state == SectorState::Corrupted {
+            return Err(EngineError::InvalidState("sector cannot produce proofs"));
+        }
+        let e = self
+            .alloc
+            .get(&(file, index))
+            .ok_or(EngineError::UnknownFile(file))?;
+        if e.prev != Some(sector) {
+            return Err(EngineError::InvalidState(
+                "sector does not hold this replica",
+            ));
+        }
+        let now = self.now();
+        let digest = walked.unwrap_or_else(|| {
+            let merkle_root = self
+                .files
+                .get(&file)
+                .expect("allocation entries never outlive their descriptor")
+                .merkle_root;
+            let lane = prove_lane(merkle_root, index, sector);
+            walk_proofs(&[lane], now, self.params.audit_path_len)[0]
+        });
+        let entry = self.alloc.get_mut(&(file, index)).expect("checked above");
+        entry.last = Some(now);
+        self.stats.proofs_accepted += 1;
+        self.audit_root =
+            prove_root_domain().hash(&[self.audit_root.as_bytes(), digest.as_bytes()]);
+        self.op_counter += 1;
+        Ok(())
+    }
+
     /// `File_Get`: returns the live holders of `file` — the retrieval
     /// market then proceeds off-chain (§III-E).
     ///
@@ -489,5 +603,28 @@ impl Engine {
             Receipt::Holders { holders } => Ok(holders),
             other => unreachable!("FileGet yields Holders, got {other:?}"),
         }
+    }
+
+    pub(super) fn file_get_op(
+        &mut self,
+        caller: AccountId,
+        file: FileId,
+    ) -> Result<Vec<(SectorId, AccountId)>, EngineError> {
+        self.charge_gas(caller, &[GasOp::RequestBase, GasOp::AllocRead])?;
+        let f = self
+            .files
+            .get(&file)
+            .ok_or(EngineError::UnknownFile(file))?;
+        let holders = (0..f.cp)
+            .filter_map(|i| self.alloc.get(&(file, i)))
+            .filter(|e| matches!(e.state, AllocState::Normal | AllocState::Alloc))
+            .filter_map(|e| {
+                let sid = e.prev?;
+                let s = self.sectors.get(&sid)?;
+                let live = s.state != SectorState::Corrupted && !s.physically_failed;
+                live.then_some((sid, s.owner))
+            })
+            .collect();
+        Ok(holders)
     }
 }

@@ -17,7 +17,7 @@
 //!   accounting and the counters;
 //! * `lifecycle` — client/provider requests (Figs. 4–6): add, confirm,
 //!   prove, get, discard, sector admin, segmented uploads;
-//! * `batch` — staged execution of the per-file ops of a block batch;
+//! * `batch` — the parallel hashing pass of a block batch's per-file ops;
 //! * `audit` — the `Auto_*` consensus tasks (Figs. 7–9): `CheckAlloc`,
 //!   `CheckProof`, `Refresh`, `CheckRefresh`, rent distribution,
 //!   punishment and confiscation, fault injection;
@@ -59,7 +59,7 @@ mod snapshot;
 mod statemap;
 mod view;
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -82,7 +82,7 @@ use crate::types::{
 };
 
 use self::audit::ProofAudit;
-use self::batch::{ledger_steps_match, shard_local_file};
+use self::batch::is_shard_local;
 use self::statemap::{CommitCell, StateMaps, TrackedMap};
 
 pub use self::snapshot::SnapshotError;
@@ -289,15 +289,14 @@ pub struct EngineStats {
     /// Replica storage proofs cryptographically checked by
     /// `Auto_CheckProof`'s read-only verify phase.
     pub proofs_audited: u64,
-    /// Ingest segments staged through the parallel pipeline
-    /// (`Engine::apply_batch`). Execution-strategy counter, not a
-    /// consensus one — see [`EngineStats::consensus`].
+    /// Ingest segments of `Engine::apply_batch` whose hashing pass (op
+    /// digests and `File_Prove` walks) fanned out. Execution-strategy
+    /// counter, not a consensus one — see [`EngineStats::consensus`].
     pub batches_staged_parallel: u64,
-    /// Staged ingest segments in which at least one op's ledger
-    /// assumptions failed commit-time revalidation and re-executed
-    /// sequentially. Makes the fallback path observable instead of
-    /// silent. Execution-strategy counter — see
-    /// [`EngineStats::consensus`].
+    /// Always zero: every op executes once, in submission order, so no
+    /// segment falls back. The field stays because the `FISNAPSH` stats
+    /// record carries it (an older snapshot may restore a non-zero
+    /// count); it goes with the next format bump.
     pub batches_fell_back_sequential: u64,
     /// Always zero: every due audit bucket commits through the one
     /// sequential fold. The field stays because the `FISNAPSH` stats
@@ -310,12 +309,12 @@ impl EngineStats {
     /// This stats object with the execution-strategy counters zeroed,
     /// leaving only the consensus-observable counters.
     ///
-    /// The strategy counters (`batches_staged_parallel`,
-    /// `batches_fell_back_sequential`) record *which ingest path* ran,
-    /// and legitimately differ across `(shards, ingest_threads)`
-    /// configurations and between op-by-op `apply` and `apply_batch` —
-    /// while the state they produce is bit-identical. The retired
-    /// `audit_commit_batches` is zeroed with them. Differential tests
+    /// The strategy counter `batches_staged_parallel` records whether an
+    /// ingest segment's hashing fanned out, and legitimately differs
+    /// across `(shards, ingest_threads)` configurations and between
+    /// op-by-op `apply` and `apply_batch` — while the state they produce
+    /// is bit-identical. The retired `batches_fell_back_sequential` and
+    /// `audit_commit_batches` are zeroed with it. Differential tests
     /// comparing engines across configurations compare
     /// `a.stats().consensus()`, not raw stats.
     pub fn consensus(&self) -> EngineStats {
@@ -334,10 +333,12 @@ impl EngineStats {
 /// replayed engine starts from zero).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {
-    /// Batch-ingest staging: concurrent execution over per-group overlays.
+    /// Batch-ingest hashing pass: the op digests and `File_Prove` walks
+    /// of the segments that fan out.
     pub stage_s: f64,
-    /// Batch-ingest commit: in-order ledger revalidation and effect
-    /// application (including sequential fallbacks).
+    /// Batch-ingest execution of those segments: every op through its
+    /// handler, in submission order, plus its receipt digest and log
+    /// entry.
     pub commit_s: f64,
     /// Audit verify: the read-only storage-proof checks of a due bucket.
     pub verify_s: f64,
@@ -555,16 +556,22 @@ impl Engine {
     /// [`Op`] variant's wrapper method).
     pub fn apply(&mut self, op: Op) -> Result<Receipt, EngineError> {
         let op_digest = op.digest();
-        self.apply_prehashed(op, op_digest)
+        self.apply_hashed(op, op_digest, None)
     }
 
     /// [`Engine::apply`] with the op's canonical digest precomputed — by
     /// the caller ([`Engine::apply_batch_digested`]) or by
     /// [`Engine::apply_batch`]; the digest MUST be `op.digest()` or the
-    /// block commitment diverges from replay.
-    fn apply_prehashed(&mut self, op: Op, op_digest: Hash256) -> Result<Receipt, EngineError> {
+    /// block commitment diverges from replay. `walked` is a `File_Prove`'s
+    /// proof walk when the hashing pass took it (`None` walks it here).
+    fn apply_hashed(
+        &mut self,
+        op: Op,
+        op_digest: Hash256,
+        walked: Option<Hash256>,
+    ) -> Result<Receipt, EngineError> {
         let at = self.now();
-        let result = self.dispatch(&op);
+        let result = self.dispatch(&op, walked);
         let receipt_digest = match &result {
             Ok(receipt) => receipt.digest(),
             Err(err) => Receipt::error_digest(err),
@@ -580,7 +587,7 @@ impl Engine {
         result
     }
 
-    fn dispatch(&mut self, op: &Op) -> Result<Receipt, EngineError> {
+    fn dispatch(&mut self, op: &Op, walked: Option<Hash256>) -> Result<Receipt, EngineError> {
         match op {
             Op::SectorRegister { owner, capacity } => self
                 .sector_register_op(*owner, *capacity)
@@ -596,14 +603,38 @@ impl Engine {
             } => self
                 .file_add_op(*client, *size, *value, *merkle_root)
                 .map(|(file, cp)| Receipt::FileAdded { file, cp }),
-            // The five shard-local ops share one staged executor with the
-            // batch-ingest path (`engine/batch.rs`): sequential dispatch is
-            // staging against live state plus an immediate commit.
-            Op::FileConfirm { .. }
-            | Op::FileProve { .. }
-            | Op::FileGet { .. }
-            | Op::FileDiscard { .. }
-            | Op::ForceDiscard { .. } => self.apply_shard_local(op),
+            Op::FileConfirm {
+                caller,
+                file,
+                index,
+                sector,
+            } => self
+                .file_confirm_op(*caller, *file, *index, *sector)
+                .map(|()| Receipt::Confirmed {
+                    file: *file,
+                    index: *index,
+                }),
+            Op::FileProve {
+                caller,
+                file,
+                index,
+                sector,
+            } => self
+                .file_prove_op(*caller, *file, *index, *sector, walked)
+                .map(|()| Receipt::Proved {
+                    file: *file,
+                    index: *index,
+                }),
+            Op::FileGet { caller, file } => self
+                .file_get_op(*caller, *file)
+                .map(|holders| Receipt::Holders { holders }),
+            Op::FileDiscard { caller, file } => self
+                .file_discard_op(*caller, *file)
+                .map(|()| Receipt::Discarded { file: *file }),
+            Op::ForceDiscard { file } => {
+                self.force_discard_op(*file);
+                Ok(Receipt::Discarded { file: *file })
+            }
             Op::Fund { account, amount } => {
                 self.ledger.mint(*account, *amount);
                 Ok(Receipt::Balance {
@@ -641,23 +672,23 @@ impl Engine {
     /// Applies a whole block batch of ops through the pipelined ingest
     /// path, returning one result per op in submission order.
     ///
-    /// The batch is split into segments of consecutive **shard-local** ops
-    /// (`File_Confirm` / `File_Prove` / `File_Get` / `File_Discard` /
-    /// `ForceDiscard`) separated by **barrier** ops (sector admin,
-    /// `File_Add`, funds, fault injection, `AdvanceTo` — anything touching
-    /// global state beyond the ledger). Segments of at least 64 ops, with
-    /// the parallel paths on ([`ProtocolParams::shards`] and
-    /// [`ProtocolParams::ingest_threads`] both above one), are *staged*
-    /// concurrently on scoped threads — ops grouped by target file, one
-    /// overlay per group — and then *committed* sequentially in
-    /// submission order; smaller segments and barriers go through
-    /// [`Engine::apply`] directly.
+    /// Every op executes once, in submission order, through the same
+    /// handler [`Engine::apply`] runs. The batch is split into segments of
+    /// consecutive **shard-local** ops (`File_Confirm` / `File_Prove` /
+    /// `File_Get` / `File_Discard` / `ForceDiscard`) separated by
+    /// **barrier** ops (sector admin, `File_Add`, funds, fault injection,
+    /// `AdvanceTo` — anything touching global state beyond the ledger).
+    /// For a segment of at least 64 ops, with the parallel paths on
+    /// ([`ProtocolParams::shards`] and [`ProtocolParams::ingest_threads`]
+    /// both above one), a hashing pass on scoped threads first takes every
+    /// op digest and every `File_Prove`'s proof walk from pre-segment
+    /// state; the ops then run sequentially with those digests handed in.
     ///
     /// Consensus state after `apply_batch(ops)` is **bit-identical** to
     /// `for op in ops { engine.apply(op); }` at every
     /// `(shards, ingest_threads)` combination: same state root, same
-    /// receipts, same block hashes, same op log (see DESIGN.md §10 and the
-    /// randomized equivalence tests in `tests/batch_ingest.rs`).
+    /// receipts, events and block hashes, same op log (see DESIGN.md §10
+    /// and the randomized equivalence tests in `tests/batch_ingest.rs`).
     pub fn apply_batch(&mut self, ops: Vec<Op>) -> Vec<Result<Receipt, EngineError>> {
         self.apply_batch_with(ops, None)
     }
@@ -688,19 +719,19 @@ impl Engine {
         ops: Vec<Op>,
         digests: Option<&[Hash256]>,
     ) -> Vec<Result<Receipt, EngineError>> {
-        // The segments' op digests are taken inside the staging workers.
+        // A large segment's op digests are taken by its hashing pass.
         let mut results = Vec::with_capacity(ops.len());
         let mut i = 0;
         while i < ops.len() {
             // A (possibly empty) run of shard-local ops …
             let seg_start = i;
-            while i < ops.len() && shard_local_file(&ops[i]).is_some() {
+            while i < ops.len() && is_shard_local(&ops[i]) {
                 i += 1;
             }
             let seg_end = i;
             // … followed by the (possibly empty) barrier run that ends it.
             let bar_start = i;
-            while i < ops.len() && shard_local_file(&ops[i]).is_none() {
+            while i < ops.len() && !is_shard_local(&ops[i]) {
                 i += 1;
             }
             let bar_end = i;
@@ -714,17 +745,17 @@ impl Engine {
                     Some(d) => d[bar_start + k],
                     None => op.digest(),
                 };
-                results.push(self.apply_prehashed(op.clone(), digest));
+                results.push(self.apply_hashed(op.clone(), digest, None));
             }
         }
         results
     }
 
-    /// Drains one pipeline segment: stages it in parallel when large
-    /// enough to pay for the fan-out, then commits in submission order.
-    /// Ops whose staged ledger assumptions no longer hold — or that target
-    /// a file already invalidated this segment — re-execute sequentially,
-    /// which preserves bit-identical semantics in every interleaving.
+    /// Applies one segment of shard-local ops in submission order. A
+    /// segment large enough to pay for the fan-out, with the parallel
+    /// paths on, first runs its hashing pass ([`Engine::hash_segment`]):
+    /// every op digest and proof walk, in parallel, from pre-segment
+    /// state.
     ///
     /// `digests`, when given, holds the segment ops' canonical digests
     /// (nothing is hashed again); otherwise they are computed here.
@@ -740,49 +771,20 @@ impl Engine {
         {
             for (i, op) in segment.iter().enumerate() {
                 results.push(match digests {
-                    Some(d) => self.apply_prehashed(op.clone(), d[i]),
+                    Some(d) => self.apply_hashed(op.clone(), d[i], None),
                     None => self.apply(op.clone()),
                 });
             }
             return;
         }
         let stage_start = Instant::now();
-        let staged = self.stage_segment(segment, digests);
+        let hashed = self.hash_segment(segment, digests);
         self.phase.stage_s += stage_start.elapsed().as_secs_f64();
         self.stats.batches_staged_parallel += 1;
 
         let commit_start = Instant::now();
-        // Files whose staged results went stale. A shard-local op reads
-        // and writes only its own file's rows, so a fallback on one file
-        // leaves every other file's staged results exact.
-        let mut stale: HashSet<FileId> = HashSet::new();
-        for (op, staged_op) in segment.iter().zip(staged) {
-            let file = shard_local_file(op).expect("segment holds shard-local ops");
-            let fresh = !stale.contains(&file);
-            if fresh && ledger_steps_match(&self.ledger, &staged_op.effects.ledger) {
-                let at = self.now();
-                let outcome = self.apply_effects(staged_op.effects);
-                self.chain
-                    .log_op(staged_op.op_digest, staged_op.receipt_digest);
-                self.op_log.push(OpRecord {
-                    seq: self.ops_applied,
-                    at,
-                    op: op.clone(),
-                    ok: outcome.is_ok(),
-                });
-                self.ops_applied += 1;
-                results.push(outcome);
-            } else {
-                // A same-segment op moved money past a threshold this op's
-                // staging assumed; its staged writes (and every later
-                // staged op on this file) are stale. Fall back to
-                // sequential apply.
-                stale.insert(file);
-                results.push(self.apply_prehashed(op.clone(), staged_op.op_digest));
-            }
-        }
-        if !stale.is_empty() {
-            self.stats.batches_fell_back_sequential += 1;
+        for (op, (op_digest, walked)) in segment.iter().zip(hashed) {
+            results.push(self.apply_hashed(op.clone(), op_digest, walked));
         }
         self.phase.commit_s += commit_start.elapsed().as_secs_f64();
     }
@@ -1174,8 +1176,8 @@ impl Engine {
     /// The width a phase hands to [`pool::fan_out`] or [`pool::run`]: when
     /// the phase's own gate says `parallel`, the larger of the host's
     /// available parallelism and the configured ingest width, so neither
-    /// the staging nor the audit fan-out ever starves for workers; 1, to
-    /// run inline, otherwise.
+    /// the ingest hashing pass nor the audit fan-out ever starves for
+    /// workers; 1, to run inline, otherwise.
     pub(super) fn pool_for(&self, parallel: bool) -> usize {
         if parallel {
             pool::cores().max(self.params.ingest_threads)

@@ -1,6 +1,7 @@
 //! Scoped fan-out for the engine's parallel phases.
 //!
-//! The two chunked phases — ingest staging (`engine/batch.rs`) and audit
+//! The two chunked phases — the batch-ingest hashing pass
+//! (`engine/batch.rs`: op digests and `File_Prove` walks) and audit
 //! verify (`engine/audit.rs`) — go through [`fan_out`]; the state commit
 //! hands [`run`] the jobs of its trie merges. Both run on
 //! `std::thread::scope`: the calling thread and `width − 1` threads
@@ -8,8 +9,8 @@
 //! borrow from the caller's frame (`&Engine` fields, segment slices,
 //! per-chunk output slots) and nothing outlives the call. The gates in
 //! front of each phase keep dispatches few and large. A 10-second
-//! `audit_cycle` pass makes 255 (125 staging and 5 verify fan-outs, 125
-//! commit merges), `state_sync` 18 commit merges, and `ingest_mix` and
+//! `audit_cycle` pass makes 255 (125 hashing-pass and 5 verify fan-outs,
+//! 125 commit merges), `state_sync` 18 commit merges, and `ingest_mix` and
 //! `node_cluster` none, so a thread spawned per call (about 25 µs on a
 //! 2-vCPU host) costs nothing measurable.
 

@@ -73,10 +73,11 @@ pub struct ProtocolParams {
     pub scheduler: SchedulerKind,
     /// The parallel switch: above `1`, the engine fans its two large
     /// phases out over scoped threads — the audit verify phase and (with
-    /// [`ProtocolParams::ingest_threads`] above `1` too) staged ingest; at
-    /// `1` both run sequentially. Audit commits are sequential either way.
-    /// Only whether it exceeds `1` matters: the engine holds one set of
-    /// per-file rows whatever the value. Consensus results are bit-identical either way
+    /// [`ProtocolParams::ingest_threads`] above `1` too) the batch-ingest
+    /// hashing pass; at `1` both run sequentially. Audit commits and op
+    /// execution are sequential either way. Only whether it exceeds `1`
+    /// matters: the engine holds one set of per-file rows whatever the
+    /// value. Consensus results are bit-identical either way
     /// (see DESIGN.md §9), so this is a deployment/performance knob, not a
     /// consensus parameter.
     ///
@@ -89,12 +90,12 @@ pub struct ProtocolParams {
     /// audited replica (the simulated WindowPoSt verification cost, the
     /// parallelizable part of an audit).
     pub audit_path_len: u32,
-    /// Gates the staged batch-ingest path
+    /// Gates the batch-ingest hashing pass
     /// ([`crate::engine::Engine::apply_batch`]) and sets the parallel
     /// phases' minimum width. Above `1`, with [`ProtocolParams::shards`]
-    /// above `1` too, shard-local ops in a batch are staged concurrently —
-    /// grouped by `FileId % width`, one group per worker — before the
-    /// sequential commit phase applies them in submission order. A
+    /// above `1` too, a large run of shard-local ops has its op digests
+    /// and `File_Prove` walks taken concurrently, in contiguous chunks,
+    /// before the ops execute in submission order. A
     /// parallel phase runs `width = max(available cores, this)` workers. Consensus results are bit-identical at every thread
     /// count (see DESIGN.md §10), so — like [`ProtocolParams::shards`] — this is
     /// a deployment/performance knob, not a consensus parameter.

@@ -1,10 +1,13 @@
 //! Batch-ingest consensus equivalence: `Engine::apply_batch` must be
 //! **bit-identical** to feeding the same ops one by one through
-//! `Engine::apply` — same per-op results, same state root, same chain
-//! head, same op log — at every `(shards, ingest_threads)` combination.
-//! The parallel staging, the per-group overlays, the barrier segmentation
-//! and the ledger-conflict fallback are all semantically invisible; only
-//! wall-clock time may differ.
+//! `Engine::apply` — same per-op results, same state root, audit root and
+//! chain head, same open-block op/receipt digests and events, same op
+//! log — at every `(shards, ingest_threads)` combination. Both paths run
+//! every op once, in order, through the same handler; what the batch path
+//! adds is the barrier segmentation and, for large segments, a parallel
+//! pass that takes every op digest and `File_Prove` walk from pre-segment
+//! state and hands them in. These tests pin that the hand-in lands each
+//! digest on its own op, whatever an earlier op of the segment did.
 
 use fi_chain::account::{AccountId, TokenAmount};
 use fi_core::engine::{Engine, EngineError, StateView};
@@ -16,7 +19,7 @@ use fi_crypto::{sha256, DetRng};
 const CLIENT: AccountId = AccountId(900);
 const PROVIDER: AccountId = AccountId(700);
 /// An account funded with a shoestring balance to force mid-batch
-/// insufficient-funds flips (the staged-assumption fallback path).
+/// insufficient-funds flips inside one hashed segment.
 const PAUPER: AccountId = AccountId(901);
 
 fn params(shards: usize, ingest_threads: usize) -> ProtocolParams {
@@ -110,8 +113,8 @@ fn build_batch(engine: &Engine, seed: u64) -> Vec<Op> {
     }
     // A barrier run in the middle: new funds plus fresh file adds —
     // including an oversized one that must fail validation and a zero-size
-    // one — exercising the pre-staged pure half of `File_Add` (success and
-    // both error shapes) against its inline sequential twin.
+    // one — exercising `File_Add` as a barrier (success and both error
+    // shapes) between two hashed segments.
     ops.push(Op::Fund {
         account: CLIENT,
         amount: TokenAmount(1_000_000),
@@ -160,6 +163,19 @@ fn build_batch(engine: &Engine, seed: u64) -> Vec<Op> {
 
 fn assert_bit_identical(a: &Engine, b: &Engine, what: &str) {
     assert_eq!(a.state_root(), b.state_root(), "{what}: state roots");
+    assert_eq!(a.audit_root(), b.audit_root(), "{what}: audit roots");
+    // The open block's batch and events are not in the state root yet;
+    // they fold into the next sealed block's hash.
+    assert_eq!(
+        a.chain().open_ops(),
+        b.chain().open_ops(),
+        "{what}: open-block op and receipt digests"
+    );
+    assert_eq!(
+        a.chain().open_events(),
+        b.chain().open_events(),
+        "{what}: open-block events"
+    );
     assert_eq!(
         a.chain().head_hash(),
         b.chain().head_hash(),
@@ -183,8 +199,8 @@ fn assert_bit_identical(a: &Engine, b: &Engine, what: &str) {
 /// The tentpole invariant: randomized mixed batches through `apply_batch`
 /// reproduce the single-threaded `apply` path bit for bit at every
 /// `(shards, ingest_threads)` combination — including the configurations
-/// where staging actually fans out (8 shards × 4 threads over 64+-op
-/// segments).
+/// where the hashing pass actually fans out (8 shards × 4 threads over
+/// 64+-op segments).
 #[test]
 fn apply_batch_is_bit_identical_to_sequential_apply() {
     for seed in [7u64, 42] {
@@ -213,15 +229,16 @@ fn apply_batch_is_bit_identical_to_sequential_apply() {
                 &batched,
                 &format!("seed {seed}, {shards} shards / {threads} threads"),
             );
-            // The strategy counters tell the truth about which path ran:
-            // parallel staging engages exactly on multi-shard multi-thread
-            // configurations (the first segment is 240+ proves, far past
-            // the threshold), and never on the degenerate ones.
+            // The strategy counter tells the truth about which path ran:
+            // the hashing pass fans out exactly on multi-shard
+            // multi-thread configurations (the first segment is 240+
+            // proves, far past the threshold), and never on the
+            // degenerate ones.
             let parallel_capable = shards > 1 && threads > 1;
             assert_eq!(
                 batched.stats().batches_staged_parallel > 0,
                 parallel_capable,
-                "seed {seed}: staging strategy at {shards} shards / {threads} threads"
+                "seed {seed}: hashing strategy at {shards} shards / {threads} threads"
             );
             assert_eq!(reference.stats().batches_staged_parallel, 0);
         }
@@ -253,12 +270,11 @@ fn batch_chunking_is_invisible() {
     assert_bit_identical(&whole, &one_by_one, "op-by-op");
 }
 
-/// The ledger-conflict fallback: a caller whose balance covers only part
-/// of a big same-segment op run. Staging (against the pre-segment ledger)
-/// assumes every gas burn succeeds; the sequential truth is that the
-/// account drains mid-segment and later ops fail with
-/// `InsufficientFunds`. The commit-phase replay must catch the flip and
-/// re-execute — results and state stay bit-identical.
+/// Insolvency inside one segment: a caller whose balance covers only part
+/// of a big same-segment op run. The account drains mid-segment and the
+/// later ops fail with `InsufficientFunds`, exactly as op by op: each
+/// op's gas check reads the live ledger its predecessors left, whatever
+/// the hashing pass read before the segment ran.
 #[test]
 fn mid_batch_insolvency_falls_back_identically() {
     let gets_affordable = 10u128;
@@ -297,30 +313,26 @@ fn mid_batch_insolvency_falls_back_identically() {
         assert_eq!(
             ref_results,
             results.iter().map(|r| r.is_ok()).collect::<Vec<_>>(),
-            "fallback outcomes diverged at {shards} shards / {threads} threads"
+            "insolvency outcomes diverged at {shards} shards / {threads} threads"
         );
-        assert_bit_identical(&reference, &batched, "insolvency fallback");
+        assert_bit_identical(&reference, &batched, "insolvency flip");
         assert_eq!(
             batched.ledger().balance(PAUPER),
             TokenAmount(0),
             "the pauper account drained exactly"
         );
-        assert!(
-            batched.stats().batches_fell_back_sequential > 0,
-            "the insolvency flip must be visible in the fallback counter"
-        );
     }
 }
 
-/// The per-file fallback. In one staged segment the pauper's `File_Get`
-/// drains its balance, so its `File_Confirm` of a replica swapped into
-/// its sector (op A, on file `f`) flips to `InsufficientFunds` at commit
-/// and re-executes sequentially. A solvent client's later `File_Get` on
-/// `f` was staged over A's discarded write (the replica confirmed, so no
-/// longer listed as a holder): it must fall back too, although its own
-/// ledger program still holds. The gets on every other file commit
-/// staged. Results, open-block receipts, state and head all match
-/// op-by-op `apply`.
+/// A same-file chain across an insolvency flip. In one hashed segment the
+/// pauper's `File_Get` drains its balance, so its `File_Confirm` of a
+/// replica swapped into its sector (op A, on file `f`) fails with
+/// `InsufficientFunds` and writes nothing. A solvent client's later
+/// `File_Get` on `f` must then still list the replica's old holder: it
+/// reads the row A left unconfirmed, not the one A would have written
+/// had the pre-segment balance held. Results, open-block receipts and
+/// events, state and head all match op-by-op `apply`. (The name is from
+/// when a failed confirm made the file's later ops re-execute.)
 #[test]
 fn a_fallback_invalidates_the_later_ops_on_its_file() {
     let fee = 11u128; // RequestBase (10) + AllocRead (1): a get or a confirm
@@ -374,7 +386,7 @@ fn a_fallback_invalidates_the_later_ops_on_its_file() {
 
     let (mut reference, sector) = build();
     let ops = ops_for(&reference, sector);
-    assert!(ops.len() >= 64, "one segment past the staging threshold");
+    assert!(ops.len() >= 64, "one segment past the fan-out threshold");
     let ref_results: Vec<_> = ops.iter().map(|op| reference.apply(op.clone())).collect();
     assert_eq!(
         ref_results[1],
@@ -386,14 +398,8 @@ fn a_fallback_invalidates_the_later_ops_on_its_file() {
     let ops = ops_for(&batched, sector);
     let results = batched.apply_batch(ops);
     assert_eq!(ref_results, results, "per-op results");
-    assert_eq!(
-        reference.chain().open_ops(),
-        batched.chain().open_ops(),
-        "open-block op and receipt digests"
-    );
-    assert_bit_identical(&reference, &batched, "per-file fallback");
+    assert_bit_identical(&reference, &batched, "same-file chain");
     assert_eq!(batched.stats().batches_staged_parallel, 1);
-    assert_eq!(batched.stats().batches_fell_back_sequential, 1);
 }
 
 /// Barrier ops inside a batch split the pipeline: state after a batch
@@ -420,8 +426,8 @@ fn barriers_preserve_submission_order_in_the_op_log() {
 
 /// A caller that already holds the ops' digests (a node hashed them to
 /// identify the block) commits the identical batch without hashing again,
-/// through the staged parallel path and the small-segment path; the
-/// one-by-one `apply` loop is the oracle.
+/// through the parallel hashing pass (which then walks proofs only) and
+/// the small-segment path; the one-by-one `apply` loop is the oracle.
 #[test]
 fn caller_supplied_digests_commit_the_same_batch() {
     for (shards, threads) in [(1, 1), (8, 4)] {
@@ -442,15 +448,17 @@ fn caller_supplied_digests_commit_the_same_batch() {
     }
 }
 
-/// `File_Prove` verification is deferred: a staging worker walks all of its
-/// segment's accepted proofs as one lane batch *after* executing the ops,
-/// then patches the digests in. One shard-local segment that interleaves
-/// accepted proofs with everything a digest could be misattributed across
-/// — rejected proofs (wrong sector, unknown file, a caller that runs out
-/// of gas mid-segment), confirms, and discards of files proved earlier in
-/// the segment and proved again after — must commit exactly as the
-/// one-by-one `apply` loop does: same receipts, `audit_root` (which folds
-/// the digests in commit order), `state_root` and block hashes.
+/// `File_Prove` walks are taken ahead of execution: the hashing pass walks
+/// every prove of a segment whose file exists, as one lane batch per
+/// chunk, before any op of the segment runs, and the handler folds the
+/// digest only if the op then passes every check. One shard-local segment
+/// that interleaves accepted proofs with everything a digest could be
+/// misattributed across — rejected proofs (wrong sector, unknown file, a
+/// caller that runs out of gas mid-segment, a replica confirmed earlier in
+/// the segment), confirms, and discards of files proved earlier in the
+/// segment and proved again after — must commit exactly as the one-by-one
+/// `apply` loop does: same receipts, `audit_root` (which folds the
+/// digests in commit order), `state_root` and block hashes.
 #[test]
 fn deferred_proof_digests_land_on_their_own_ops() {
     /// A second provider, burned down to a few proofs' worth of gas.
@@ -590,12 +598,12 @@ fn deferred_proof_digests_land_on_their_own_ops() {
         let ops = ops_for(&batched);
         assert_eq!(batched.apply_batch(ops), expect, "{shards}x{threads}");
         let what = format!("deferred proofs, {shards}x{threads}");
-        assert_eq!(reference.audit_root(), batched.audit_root(), "{what}");
         assert_bit_identical(&reference, &batched, &what);
         if shards > 1 {
-            let stats = batched.stats();
-            assert!(stats.batches_staged_parallel > 0, "{what}: staged");
-            assert!(stats.batches_fell_back_sequential > 0, "{what}: fell back");
+            assert!(
+                batched.stats().batches_staged_parallel > 0,
+                "{what}: hashed"
+            );
         }
     }
 }

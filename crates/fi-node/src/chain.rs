@@ -940,9 +940,9 @@ fn commit_digest(committed: &mut HashMap<Hash256, (u64, u32)>, digest: Hash256, 
 /// engine's protocol-event buffer — nothing in a node reads it, and left
 /// alone it grows (and is cloned) for the life of the validator.
 ///
-/// Every node replays through [`Engine::apply_batch_digested`]: it stages
-/// a block when the engine's shape makes that pay and applies it op by op
-/// otherwise, bit-identical either way. Failed ops are part of history
+/// Every node replays through [`Engine::apply_batch_digested`]: it runs
+/// every op once, in order, and fans the hashing of a large segment out
+/// when the engine's shape makes that pay, bit-identical either way. Failed ops are part of history
 /// (they burn gas and carry failure receipts); outcomes surface through
 /// the roots.
 fn apply_block(engine: &mut Engine, ops: &[Op], digests: &[Hash256]) {

@@ -12,7 +12,7 @@
 //!   ([`ProtocolParams::mempool_cap`]). Admission is *advisory*: the
 //!   engine's commit path re-validates everything, and an op that passes
 //!   admission can still fail at commit (e.g. the account went broke
-//!   mid-block — exactly the PR 4 staged-ingest fallback);
+//!   mid-block, and the op's gas check reads the drained ledger);
 //! * **selection** ([`Mempool::select_block`]) — drains the highest-fee
 //!   admissible transactions into a block, respecting per-account nonce
 //!   order and stopping at [`ProtocolParams::block_gas_limit`] /
@@ -316,8 +316,8 @@ impl Mempool {
     /// fee plus op-specific escrows the commit will move (the traffic-fee
     /// escrow for `File_Add`). A heuristic —
     /// rent charged later by `Auto_CheckProof` is deliberately not
-    /// front-counted — so commit-time insolvency remains possible and is
-    /// handled by the engine's sequential fallback.
+    /// front-counted — so commit-time insolvency remains possible; the
+    /// engine's in-order execution fails the op then.
     fn admission_cost(&self, tx: &Tx, bound: u64) -> TokenAmount {
         let mut cost = self.gas.to_tokens(bound);
         if let Op::FileAdd { size, value, .. } = &tx.op {

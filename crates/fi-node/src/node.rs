@@ -242,15 +242,11 @@ pub struct ValidatorReport {
     pub final_files: u64,
     /// Receipt root of the final sealed engine block.
     pub final_receipt_root: Option<Hash256>,
-    /// Ingest segments the head engine staged through the parallel
-    /// pipeline. Execution-strategy counter: replaying followers may
+    /// Ingest segments whose hashing pass the head engine fanned out.
+    /// Execution-strategy counter: replaying followers may
     /// report different values than the proposer without any consensus
     /// divergence (see `EngineStats::consensus`).
     pub batches_staged_parallel: u64,
-    /// Staged ingest segments whose ledger assumptions failed
-    /// commit-time revalidation and re-executed sequentially on the
-    /// head engine. Execution-strategy counter.
-    pub batches_fell_back_sequential: u64,
     /// Full op log of the head engine (only when
     /// [`ConsensusConfig::record_op_log`]) — like `final_chain`, moved by
     /// truncate-at-fork + append on every head change.
@@ -525,7 +521,6 @@ impl Validator {
             .map(|b| b.receipt_root);
         let stats = tracker.engine().stats();
         report.batches_staged_parallel = stats.batches_staged_parallel;
-        report.batches_fell_back_sequential = stats.batches_fell_back_sequential;
         report.work = tracker.work();
         report.engine_events_held = tracker.engine().events().len() as u64;
         if let Some(mempool) = self.mempool.as_ref() {

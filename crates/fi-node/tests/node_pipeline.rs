@@ -123,8 +123,9 @@ fn rotating_validators_stay_bit_identical_across_200_slots_under_loss() {
 #[test]
 fn replay_modes_agree_per_height() {
     // Every validator replays blocks through `apply_batch_digested`, which
-    // stages them or applies them op by op as the engine's shape decides;
-    // under the CI shard and thread matrix they stage. Convergence across
+    // fans a large segment's hashing out or applies it op by op as the
+    // engine's shape decides; under the CI shard and thread matrix it fans
+    // out. Convergence across
     // validators, heavy loss, retransmits and duplicate deliveries
     // included, shows every replica replayed every adopted block alike.
     let cfg = chaos_cluster(0xA11B, 60, 0.2);
@@ -395,8 +396,9 @@ fn mid_block_insolvency_falls_back_like_sequential_apply() {
         target: proposer_engine.now() + proposer_engine.params().block_interval,
     });
 
-    // The staged parallel ingest (≥64-op shard-local segment at 8 shards /
-    // 4 threads) must fall back exactly like the sequential path.
+    // The batch path (a ≥64-op shard-local segment, hashed in parallel at
+    // 8 shards / 4 threads) must fail the drained reads exactly like the
+    // sequential path.
     let mut sequential = proposer_engine.clone();
     for op in ops.clone() {
         let _ = sequential.apply(op);

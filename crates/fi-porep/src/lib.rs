@@ -57,12 +57,10 @@
 
 pub mod capacity;
 pub mod cost;
-pub mod election;
 pub mod post;
 pub mod seal;
 
 pub use capacity::CapacityReplica;
 pub use cost::CostModel;
-pub use election::{run_election, ElectionWin, MinerPower};
 pub use post::{derive_challenges, WindowPost};
 pub use seal::{PorepProof, ReplicaId, SealedReplica};
