@@ -216,13 +216,6 @@ impl BlockChain {
         self.open_ops.push((op_digest, receipt_digest));
     }
 
-    /// Records a whole batch of applied ops at once — the block-batching
-    /// form of [`BlockChain::log_op`], used by pipelined ingest to commit a
-    /// segment's `(op, receipt)` digests in submission order.
-    pub fn log_ops(&mut self, pairs: impl IntoIterator<Item = (Hash256, Hash256)>) {
-        self.open_ops.extend(pairs);
-    }
-
     /// The events logged into the currently open (unsealed) block, in
     /// order. Part of the snapshot surface: they are folded into the next
     /// sealed block's hash, so restoring a chain must reinstate them.
@@ -486,22 +479,6 @@ mod tests {
         // The restored instance only holds post-restore blocks.
         assert_eq!(restored.blocks().len(), 3);
         assert_eq!(live.blocks().len(), 6);
-    }
-
-    #[test]
-    fn log_ops_batches_like_repeated_log_op() {
-        let pairs: Vec<_> = (0..4u8)
-            .map(|i| (fi_crypto::sha256(&[i]), fi_crypto::sha256(&[i, i])))
-            .collect();
-        let mut a = BlockChain::new(13, 10);
-        let mut b = BlockChain::new(13, 10);
-        for &(op, rcpt) in &pairs {
-            a.log_op(op, rcpt);
-        }
-        b.log_ops(pairs);
-        a.advance_time(10, Hash256::ZERO);
-        b.advance_time(10, Hash256::ZERO);
-        assert_eq!(a.head_hash(), b.head_hash());
     }
 
     #[test]

@@ -191,8 +191,8 @@ impl Engine {
         let avg_refresh = self.params.avg_refresh;
         let cntdown = Self::sample_cntdown(&mut self.rng, avg_refresh);
         let desc = self.files.get_mut(&file).expect("file exists");
-        // A discard issued during the transfer window (File_Discard, or the
-        // file_add_segmented rollback) must survive finalisation: keep the
+        // A discard issued during the transfer window (File_Discard, or a
+        // client's ForceDiscard rollback) must survive finalisation: keep the
         // state so the first Auto_CheckProof removes the file instead of it
         // silently reviving as Normal.
         if desc.state != FileState::Discarded {

@@ -1,6 +1,5 @@
 //! Client/provider request handlers (Figs. 4–6): sector registration and
-//! disabling, file add/confirm/prove/get/discard, and the §VI-C segmented
-//! upload front door.
+//! disabling, and file add/confirm/prove/get/discard.
 //!
 //! Each public method is a thin wrapper that constructs the corresponding
 //! [`Op`] and routes it through [`Engine::apply`]; the `*_op` methods hold
@@ -11,14 +10,13 @@ use fi_chain::gas::Op as GasOp;
 use fi_crypto::Hash256;
 
 use crate::ops::{Op, Receipt};
-use crate::segment::{reassemble_file, segment_file, SegmentError};
 use crate::types::{
     AllocEntry, AllocState, FileDescriptor, FileId, FileState, ProtocolEvent, RemovalReason,
     Sector, SectorId, SectorState,
 };
 
 use super::batch::{prove_lane, prove_root_domain, walk_proofs};
-use super::{Engine, EngineError, SegmentedUpload, Task, DEPOSIT_ESCROW, TRAFFIC_ESCROW};
+use super::{Engine, EngineError, Task, DEPOSIT_ESCROW, TRAFFIC_ESCROW};
 
 impl Engine {
     // ------------------------------------------------------------------
@@ -334,84 +332,6 @@ impl Engine {
         self.schedule_task(deadline, Task::CheckAlloc(id));
         self.log(ProtocolEvent::FileAdded { file: id, cp });
         Ok((id, cp))
-    }
-
-    /// §VI-C front door: erasure-segments an oversized `payload` through the
-    /// flat-buffer fast path and registers every segment as an individual
-    /// file, committing each one to a Merkle root hashed directly from the
-    /// shared segment buffer (no per-segment copies).
-    ///
-    /// On a mid-way failure (`NoCapacity`, funds), already-registered
-    /// segments are rolled back through [`crate::ops::Op::ForceDiscard`] —
-    /// a consensus-side op with no gas charge, so the rollback cannot
-    /// itself fail when the client is out of funds — before the error is
-    /// returned.
-    ///
-    /// # Errors
-    ///
-    /// * [`EngineError::InvalidState`] — the payload already fits
-    ///   `sizeLimit` (use [`Engine::file_add`]) or needs more than 127 data
-    ///   shards;
-    /// * any [`Engine::file_add`] error for an individual segment.
-    pub fn file_add_segmented(
-        &mut self,
-        client: AccountId,
-        payload: &[u8],
-        value: TokenAmount,
-    ) -> Result<SegmentedUpload, EngineError> {
-        let segmented = segment_file(payload, value, &self.params).map_err(|e| match e {
-            SegmentError::NotNeeded { .. } => {
-                EngineError::InvalidState("payload fits sizeLimit; use file_add")
-            }
-            SegmentError::TooLarge => {
-                EngineError::InvalidState("file exceeds 127 x sizeLimit; cannot segment")
-            }
-            SegmentError::Erasure(_) => EngineError::InvalidState("erasure coding failed"),
-        })?;
-        let seg_size = segmented.segment_len() as u64;
-        let roots = segmented.segment_roots();
-        let mut files = Vec::with_capacity(roots.len());
-        for root in roots {
-            match self.file_add(client, seg_size, segmented.segment_value, root) {
-                Ok(id) => files.push(id),
-                Err(e) => {
-                    for &id in &files {
-                        self.apply(Op::ForceDiscard { file: id })
-                            .expect("force discard is infallible");
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(SegmentedUpload { files, segmented })
-    }
-
-    /// Recovery path for a segmented upload: looks up which segments still
-    /// have live holders ([`Engine::file_get`] per segment) and reassembles
-    /// the original payload from the surviving ones (read straight from the
-    /// upload's flat buffer), recomputing only what was lost.
-    ///
-    /// # Errors
-    ///
-    /// * [`Engine::file_get`] errors (gas);
-    /// * [`EngineError::InvalidState`] when fewer than half the segments
-    ///   survive — the insurance case: compensation, not recovery.
-    pub fn file_get_segmented(
-        &mut self,
-        caller: AccountId,
-        upload: &SegmentedUpload,
-    ) -> Result<Vec<u8>, EngineError> {
-        let mut received: Vec<Option<&[u8]>> = Vec::with_capacity(upload.files.len());
-        for (i, &file) in upload.files.iter().enumerate() {
-            let alive = match self.file_get(caller, file) {
-                Ok(holders) => !holders.is_empty(),
-                Err(EngineError::UnknownFile(_)) => false,
-                Err(e) => return Err(e),
-            };
-            received.push(alive.then(|| upload.segmented.segment(i)));
-        }
-        reassemble_file(&upload.segmented, &received)
-            .map_err(|_| EngineError::InvalidState("fewer than half the segments survive"))
     }
 
     /// `File_Discard`: marks the file for removal at its next

@@ -16,7 +16,7 @@
 //!   descriptors, allocation rows, discard reasons), sectors, DRep
 //!   accounting and the counters;
 //! * `lifecycle` — client/provider requests (Figs. 4–6): add, confirm,
-//!   prove, get, discard, sector admin, segmented uploads;
+//!   prove, get, discard, sector admin;
 //! * `batch` — the parallel hashing pass of a block batch's per-file ops;
 //! * `audit` — the `Auto_*` consensus tasks (Figs. 7–9): `CheckAlloc`,
 //!   `CheckProof`, `Refresh`, `CheckRefresh`, rent distribution,
@@ -76,7 +76,6 @@ use crate::drep::CrAccounting;
 use crate::ops::{Op, OpRecord, Receipt};
 use crate::params::{ParamError, ProtocolParams};
 use crate::sampler::WeightedSampler;
-use crate::segment::SegmentedFile;
 use crate::types::{
     AllocEntry, FileDescriptor, FileId, ProtocolEvent, RemovalReason, Sector, SectorId,
 };
@@ -87,7 +86,9 @@ use self::statemap::{CommitCell, StateMaps, TrackedMap};
 
 pub use self::snapshot::SnapshotError;
 pub use self::statemap::{StateHeader, StateRoots};
-pub use self::view::{PinnedState, StateProof, StateView};
+pub use self::view::{
+    held_replica_candidates, pending_confirm_candidates, PinnedState, StateProof, StateView,
+};
 
 /// Deposit escrow: holds pledged sector deposits.
 pub const DEPOSIT_ESCROW: AccountId = AccountId(1);
@@ -135,7 +136,7 @@ pub enum EngineError {
     /// No sector with enough free space could be sampled
     /// (`collision_retry_limit` exceeded — "almost never happens").
     NoCapacity,
-    /// File exceeds `sizeLimit`; segment it first (§VI-C, [`crate::segment`]).
+    /// File exceeds `sizeLimit`; segment it first (§VI-C, `fileinsurer::segment`).
     FileTooLarge {
         /// Requested size.
         size: u64,
@@ -221,17 +222,6 @@ impl From<ParamError> for EngineError {
     fn from(e: ParamError) -> Self {
         EngineError::Param(e)
     }
-}
-
-/// The result of [`Engine::file_add_segmented`]: the per-segment file ids
-/// (data segments first, parity after — index `i` stores segment `i`) plus
-/// the segmentation plan with the encoded flat buffer.
-#[derive(Debug, Clone)]
-pub struct SegmentedUpload {
-    /// One file id per segment, in segment order.
-    pub files: Vec<FileId>,
-    /// The §VI-C plan: flat segment buffer, per-segment value, geometry.
-    pub segmented: SegmentedFile,
 }
 
 /// Consensus-scheduled tasks (the `Auto_` protocols).

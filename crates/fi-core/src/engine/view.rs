@@ -154,6 +154,47 @@ impl Engine {
     }
 }
 
+/// Every `(file, index, sector)` replica transfer currently awaiting its
+/// provider's `File_Confirm`, across all live files in `(file, index)`
+/// order.
+///
+/// The read-only sweep a client or provider drives its confirm batches
+/// from: the `fi-sim` scenario harness over its engine, the `fi-node`
+/// client over its replayed follower engine.
+pub fn pending_confirm_candidates(engine: &Engine) -> Vec<(FileId, u32, SectorId)> {
+    engine
+        .file_ids()
+        .into_iter()
+        .flat_map(|f| {
+            engine
+                .pending_confirms(f)
+                .into_iter()
+                .map(move |(i, s)| (f, i, s))
+        })
+        .collect()
+}
+
+/// Every `(file, index, sector)` replica currently held by a sector (i.e.
+/// provable this cycle), across all live files in `(file, index)` order.
+///
+/// The proof-sweep counterpart of [`pending_confirm_candidates`]: callers
+/// filter by provider behaviour (skip lazy or dark providers) and wrap the
+/// survivors into `File_Prove` ops.
+pub fn held_replica_candidates(engine: &Engine) -> Vec<(FileId, u32, SectorId)> {
+    engine
+        .file_ids()
+        .into_iter()
+        .flat_map(|f| {
+            let cp = engine.file(f).map(|d| d.cp).unwrap_or(0);
+            (0..cp).map(move |i| (f, i))
+        })
+        .filter_map(|(f, i)| {
+            let e = engine.alloc_entry(f, i)?;
+            Some((f, i, e.prev?))
+        })
+        .collect()
+}
+
 /// A read-only view of the five state HAMTs at one [`StateRoots`] — the
 /// historical reader behind [`StateView`].
 ///
@@ -377,5 +418,52 @@ impl StateProof {
             return Err(StoreError::Proof("leaf descriptor id mismatch").into());
         }
         Ok(desc)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use fi_chain::account::{AccountId, TokenAmount};
+    use fi_crypto::sha256;
+
+    use super::*;
+    use crate::params::ProtocolParams;
+
+    #[test]
+    fn candidate_queries_follow_confirms_and_check_alloc() {
+        let params = ProtocolParams {
+            k: 3,
+            delay_per_size: 6,
+            ..ProtocolParams::default()
+        };
+        let k = params.k;
+        let mut e = Engine::new(params).unwrap();
+        let (provider, client) = (AccountId(100), AccountId(200));
+        e.fund(provider, TokenAmount(1_000_000_000));
+        e.fund(client, TokenAmount(100_000_000));
+        for _ in 0..4 {
+            e.sector_register(provider, 640).unwrap();
+        }
+        let min_value = e.params().min_value;
+        let files: Vec<FileId> = [b"a", b"b"]
+            .iter()
+            .map(|seed| e.file_add(client, 16, min_value, sha256(*seed)).unwrap())
+            .collect();
+
+        // Registered, not yet confirmed: k transfers per file, none held.
+        let pending = pending_confirm_candidates(&e);
+        let keys: Vec<(FileId, u32)> = pending.iter().map(|&(f, i, _)| (f, i)).collect();
+        let expected: Vec<(FileId, u32)> = files
+            .iter()
+            .flat_map(|&f| (0..k).map(move |i| (f, i)))
+            .collect();
+        assert_eq!(keys, expected);
+        assert!(held_replica_candidates(&e).is_empty());
+
+        // Confirm every transfer, then let Auto_CheckAlloc finalise them.
+        assert_eq!(e.honest_providers_act(), (pending.len() as u64, 0));
+        e.advance_to(e.now() + e.params().transfer_window(16));
+        assert!(pending_confirm_candidates(&e).is_empty());
+        assert_eq!(held_replica_candidates(&e), pending);
     }
 }

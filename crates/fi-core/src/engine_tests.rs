@@ -706,74 +706,6 @@ fn deterministic_replay() {
 }
 
 #[test]
-fn segmented_upload_and_retrieval_round_trip() {
-    let mut e = engine_with(ProtocolParams {
-        k: 2,
-        size_limit: 32,
-        delay_per_size: 6,
-        ..ProtocolParams::default()
-    });
-    for i in 0..6u64 {
-        let p = AccountId(300 + i);
-        e.fund(p, TokenAmount(1_000_000_000));
-        e.sector_register(p, 640).unwrap();
-    }
-    let payload: Vec<u8> = (0..300u32).map(|i| (i * 31 % 251) as u8).collect();
-
-    // Small payloads are refused — file_add is the right door.
-    assert!(matches!(
-        e.file_add_segmented(CLIENT, &payload[..10], TokenAmount(1_000)),
-        Err(EngineError::InvalidState(_))
-    ));
-
-    let upload = e
-        .file_add_segmented(CLIENT, &payload, TokenAmount(10_000))
-        .unwrap();
-    // 300/32 -> 10 data shards, doubled for parity.
-    assert_eq!(upload.segmented.data_shards, 10);
-    assert_eq!(upload.files.len(), 20);
-    // Each segment registered under its flat-buffer Merkle commitment.
-    let roots = upload.segmented.segment_roots();
-    for (i, &f) in upload.files.iter().enumerate() {
-        assert_eq!(e.file(f).unwrap().merkle_root, roots[i], "segment {i}");
-    }
-
-    run_honest(&mut e, 400);
-    let recovered = e.file_get_segmented(CLIENT, &upload).unwrap();
-    assert_eq!(recovered, payload);
-}
-
-#[test]
-fn segmented_retrieval_survives_partial_loss_then_fails_past_half() {
-    let mut e = engine_with(ProtocolParams {
-        k: 2,
-        size_limit: 50,
-        delay_per_size: 6,
-        ..ProtocolParams::default()
-    });
-    let mut sectors = Vec::new();
-    for i in 0..8u64 {
-        let p = AccountId(300 + i);
-        e.fund(p, TokenAmount(1_000_000_000));
-        sectors.push(e.sector_register(p, 640).unwrap());
-    }
-    let payload: Vec<u8> = (0..200u32).map(|i| (i * 17 % 251) as u8).collect();
-    let upload = e
-        .file_add_segmented(CLIENT, &payload, TokenAmount(10_000))
-        .unwrap();
-    run_honest(&mut e, 400);
-
-    // Destroy every sector: all segments lose their holders.
-    for &s in &sectors {
-        e.corrupt_sector_now(s);
-    }
-    assert!(matches!(
-        e.file_get_segmented(CLIENT, &upload),
-        Err(EngineError::InvalidState(_))
-    ));
-}
-
-#[test]
 fn discard_during_transfer_window_survives_check_alloc() {
     // A discard issued while the upload is still Allocating must not be
     // clobbered back to Normal when Auto_CheckAlloc finalises confirmed
@@ -795,38 +727,4 @@ fn discard_during_transfer_window_survives_check_alloc() {
     let until = e.now() + e.params().proof_cycle + 1;
     run_honest(&mut e, until);
     assert!(e.file(file).is_none(), "discarded file must be removed");
-}
-
-#[test]
-fn segmented_rollback_partial_segments_do_not_revive() {
-    // file_add_segmented fails mid-way; its rollback marks partial segments
-    // Discarded while their transfers are pending. They must never come
-    // back as Normal files (the orphan-insured-segment bug).
-    let mut e = engine_with(ProtocolParams {
-        k: 2,
-        size_limit: 32,
-        delay_per_size: 6,
-        ..ProtocolParams::default()
-    });
-    e.fund(AccountId(300), TokenAmount(1_000_000_000));
-    e.sector_register(AccountId(300), 128).unwrap(); // room for only a few segments
-    let payload: Vec<u8> = (0..300u32).map(|i| (i % 251) as u8).collect();
-    assert!(matches!(
-        e.file_add_segmented(CLIENT, &payload, TokenAmount(10_000)),
-        Err(EngineError::NoCapacity)
-    ));
-    let partial = e.file_ids();
-    assert!(
-        !partial.is_empty(),
-        "expected partially-registered segments"
-    );
-    // Confirm + advance well past transfer windows and a proof cycle.
-    let until = 2 * e.params().proof_cycle + 200;
-    run_honest(&mut e, until);
-    for f in partial {
-        assert!(
-            e.file(f).is_none(),
-            "partial segment {f:?} survived the rollback"
-        );
-    }
 }

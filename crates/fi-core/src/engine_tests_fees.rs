@@ -276,44 +276,3 @@ fn alloc_entries_cleaned_up_after_removal() {
     assert_eq!(sector.free_cap, sector.capacity);
     assert_eq!(sector.replica_count, 0);
 }
-
-#[test]
-fn subnet_engine_end_to_end() {
-    use crate::subnet::SubnetRouter;
-
-    let base = ProtocolParams {
-        k: 2,
-        delay_per_size: 6,
-        ..ProtocolParams::default()
-    };
-    let mut router = SubnetRouter::new(base, 3, 10).unwrap();
-    let client = AccountId(900);
-    // Provision every level.
-    for level in 0..router.level_count() {
-        let engine = router.level_mut(level);
-        engine.set_gas_schedule(GasSchedule::free());
-        engine.fund(PROVIDER, TokenAmount(u128::MAX / 8));
-        engine.fund(client, TokenAmount(1_000_000_000));
-        engine.sector_register(PROVIDER, 1280).unwrap();
-    }
-    // A cheap file and an expensive one route to different levels with
-    // the same replica count.
-    let cheap = router
-        .file_add(client, 8, TokenAmount(1_000), sha256(b"cheap"))
-        .unwrap();
-    let dear = router
-        .file_add(client, 8, TokenAmount(100_000), sha256(b"dear"))
-        .unwrap();
-    assert_eq!(cheap.level, 0);
-    assert_eq!(dear.level, 2);
-    assert_eq!(router.level(0).file(cheap.file).unwrap().cp, 2);
-    assert_eq!(router.level(2).file(dear.file).unwrap().cp, 2);
-
-    // Both settle normally.
-    for level in 0..router.level_count() {
-        router.level_mut(level).honest_providers_act();
-    }
-    router.advance_to(100);
-    assert!(router.level(0).file(cheap.file).is_some());
-    assert!(router.level(2).file(dear.file).is_some());
-}

@@ -20,9 +20,10 @@
 //! | [`sampler`] | Table I (`RandomSector`) | Fenwick-tree weighted sampling |
 //! | [`drep`] | §III-D, Fig. 2 | Dynamic Replication / Capacity Replicas |
 //! | [`engine`] | §IV, Figs. 4–9 | the consensus state machine (`Engine::apply`) |
-//! | [`segment`] | §VI-C | erasure-coded large-file segmentation |
-//! | [`subnet`] | §VI-D | value-level subnetworks |
-//! | [`reputation`] | §VII (future work) | softmax provider reputation prototype |
+//!
+//! The client-side extensions built on the public engine API — §VI-C
+//! segmentation, §VI-D subnets, the §VII reputation prototype and the
+//! materialized DRep sector — live in the umbrella `fileinsurer` crate.
 //!
 //! ## Quickstart
 //!
@@ -64,10 +65,7 @@ pub mod engine;
 pub mod error;
 pub mod ops;
 pub mod params;
-pub mod reputation;
 pub mod sampler;
-pub mod segment;
-pub mod subnet;
 pub mod types;
 
 #[cfg(test)]

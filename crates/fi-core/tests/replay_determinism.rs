@@ -6,6 +6,7 @@
 use fi_chain::account::{AccountId, TokenAmount};
 use fi_chain::tasks::SchedulerKind;
 use fi_core::engine::{Engine, StateView};
+use fi_core::ops::Op;
 use fi_core::params::ProtocolParams;
 use fi_core::types::SectorState;
 use fi_crypto::{sha256, DetRng};
@@ -200,27 +201,27 @@ fn replay_from_checkpoint_is_deterministic() {
 }
 
 #[test]
-fn segmented_upload_rollback_is_replayable() {
-    // The §VI-C rollback path issues consensus-side ForceDiscard ops; the
-    // log must capture them so replay reproduces the partial-upload state.
+fn upload_rollback_is_replayable() {
+    // A client that registers several files and then rolls them back
+    // issues consensus-side ForceDiscard ops (the §VI-C segmented upload
+    // does this on a mid-way failure); the log must capture them so replay
+    // reproduces the rolled-back state.
     let params = ProtocolParams {
         k: 2,
-        size_limit: 16,
         ..ProtocolParams::default()
     };
     let mut engine = Engine::new(params.clone()).unwrap();
     let provider = AccountId(100);
     engine.fund(provider, TokenAmount(1_000_000_000));
     engine.sector_register(provider, 640).unwrap();
-    // Fund the client with just enough for part of the upload so it fails
-    // midway and rolls back.
-    let client = AccountId(200);
-    engine.fund(client, TokenAmount(400));
-    let payload: Vec<u8> = (0..200u32).map(|i| i as u8).collect();
-    let err = engine
-        .file_add_segmented(client, &payload, TokenAmount(2_000))
-        .unwrap_err();
-    let _ = err;
+    engine.fund(CLIENT, TokenAmount(1_000_000));
+    let value = engine.params().min_value;
+    let files: Vec<_> = (0..4u8)
+        .map(|i| engine.file_add(CLIENT, 16, value, sha256(&[i])).unwrap())
+        .collect();
+    for &file in &files {
+        engine.apply(Op::ForceDiscard { file }).unwrap();
+    }
     assert!(
         engine
             .op_log()

@@ -3,13 +3,12 @@
 //! A [`ClientDriver`] keeps a full [`ChainTracker`] replica fed by the
 //! validators' gossiped blocks — forks, equivocation bans and reorgs
 //! included — and derives its next transactions from the adopted head,
-//! exactly the way `fi_sim::harness` sweeps derive provider actions from
-//! engine state: pending replica transfers become `File_Confirm`
-//! submissions ([`fi_sim::harness::pending_confirm_candidates`]), held
-//! replicas become periodic `File_Prove`s
-//! ([`fi_sim::harness::held_replica_candidates`]), and the client account
-//! mixes in `File_Add`s, gas-charged `File_Get` reads and occasional
-//! discards. Submissions round-robin across the validator set over the
+//! exactly the way the `fi-sim` scenario harness derives provider actions
+//! from engine state: pending replica transfers become `File_Confirm`
+//! submissions ([`pending_confirm_candidates`]), held replicas become
+//! periodic `File_Prove`s ([`held_replica_candidates`]), and the client
+//! account mixes in `File_Add`s, gas-charged `File_Get` reads and
+//! occasional discards. Submissions round-robin across the validator set over the
 //! lossy link with bounded retransmit; whichever validator admits a tx
 //! forwards it to the slot's scheduled leader, so blocks are realistic
 //! mixes of all five shard-local op kinds plus `File_Add`/`AdvanceTo`
@@ -27,13 +26,12 @@ use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use fi_chain::account::{AccountId, TokenAmount};
-use fi_core::engine::{Engine, StateView};
+use fi_core::engine::{held_replica_candidates, pending_confirm_candidates, Engine, StateView};
 use fi_core::ops::Op;
 use fi_core::types::SectorId;
 use fi_crypto::{sha256, DetRng, Hash256};
 use fi_net::sim::SimTime;
 use fi_net::world::{Ctx, NodeIdx, Process, Retransmitter, RetryEvent};
-use fi_sim::harness::{held_replica_candidates, pending_confirm_candidates};
 
 use crate::chain::{ChainTracker, InsertOutcome};
 use crate::node::{NodeMsg, RETX_TAG_BASE, TAG_SYNC};

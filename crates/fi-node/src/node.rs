@@ -230,7 +230,7 @@ pub struct ValidatorReport {
     pub final_head: Option<Hash256>,
     /// `(height, hash)` of every block on the final adopted chain above
     /// the node's anchor, oldest first — the canonical spine
-    /// [`fi_sim::robustness::heights_to_reconvergence`] measures against.
+    /// [`crate::chaos::heights_to_reconvergence`] measures against.
     /// Kept current on every head change by truncating at the fork point
     /// and appending the adopted blocks; it is also the chain the node's
     /// mempool has been reconciled with.

@@ -7,7 +7,7 @@
 //! The acceptance bar: every surviving node ends bit-identical
 //! (`state_root`, head hash, receipt root at the final height), and every
 //! fault has a finite recovery latency — measured in heights past the
-//! frozen head via [`fi_sim::robustness::heights_to_reconvergence`]. The
+//! frozen head via [`fi_node::chaos::heights_to_reconvergence`]. The
 //! harness itself lives in `fi_node::chaos`.
 //!
 //! Knobs (the CI chaos matrix drives both):
@@ -16,11 +16,11 @@
 //!   (default 6; `0` disables crashes).
 
 use fi_crypto::Hash256;
+use fi_node::chaos::{heights_to_reconvergence, NetworkRobustnessSpec};
 use fi_node::{
     build_cluster, cluster_for_spec, cluster_horizon, run_chaos, schedule_fault_script,
     ClusterReports,
 };
-use fi_sim::robustness::{heights_to_reconvergence, NetworkRobustnessSpec};
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)

@@ -19,52 +19,16 @@
 //! scenarios can drive either configuration.
 
 use fi_chain::account::{AccountId, TokenAmount};
-use fi_core::engine::{Engine, StateView};
+use fi_core::engine::{pending_confirm_candidates, Engine, StateView};
 use fi_core::ops::Op;
 use fi_core::params::ProtocolParams;
 use fi_core::types::{FileId, SectorId};
 use fi_crypto::{sha256, DetRng};
 
-/// Every `(file, index, sector)` replica transfer currently awaiting its
-/// provider's `File_Confirm`, across all live files in id order.
-///
-/// This is the read-only sweep view [`Scenario`] drives its confirm
-/// batches from; the node layer's client drivers compute the same view
-/// over their replayed follower engines to decide which confirm
-/// transactions to submit.
-pub fn pending_confirm_candidates(engine: &Engine) -> Vec<(FileId, u32, SectorId)> {
-    engine
-        .file_ids()
-        .into_iter()
-        .flat_map(|f| {
-            engine
-                .pending_confirms(f)
-                .into_iter()
-                .map(move |(i, s)| (f, i, s))
-        })
-        .collect()
-}
-
-/// Every `(file, index, sector)` replica currently held by a sector (i.e.
-/// provable this cycle), across all live files in id order.
-///
-/// The proof-sweep counterpart of [`pending_confirm_candidates`]: callers
-/// filter by provider behaviour (skip lazy/dark providers) and wrap the
-/// survivors into `File_Prove` ops.
-pub fn held_replica_candidates(engine: &Engine) -> Vec<(FileId, u32, SectorId)> {
-    engine
-        .file_ids()
-        .into_iter()
-        .flat_map(|f| {
-            let cp = engine.file(f).map(|d| d.cp).unwrap_or(0);
-            (0..cp).map(move |i| (f, i))
-        })
-        .filter_map(|(f, i)| {
-            let e = engine.alloc_entry(f, i)?;
-            Some((f, i, e.prev?))
-        })
-        .collect()
-}
+/// Re-exported from its home in `fi_core::engine` for `benchmark/`'s
+/// `audit_cycle` import; goes when `benchmark/` switches its imports
+/// (ROADMAP item 1).
+pub use fi_core::engine::held_replica_candidates;
 
 /// How a provider behaves over time.
 #[derive(Debug, Clone, Copy, PartialEq)]

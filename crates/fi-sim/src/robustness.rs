@@ -23,6 +23,11 @@ use fi_crypto::DetRng;
 use crate::report::{sci, TextTable};
 use crate::Scale;
 
+/// Re-exported from its home in `fi_node::chaos` for `benchmark/`'s
+/// `node_cluster` import; goes when `benchmark/` switches its imports
+/// (ROADMAP item 1).
+pub use fi_node::chaos::NetworkRobustnessSpec;
+
 /// One experiment row.
 #[derive(Debug, Clone)]
 pub struct RobustnessRow {
@@ -169,102 +174,6 @@ pub fn render(rows: &[RobustnessRow]) -> String {
     table.render()
 }
 
-// ----------------------------------------------------------------------
-// The networked §V scenario (PR 6): the same fault model — lazy
-// providers, mass sector failure, forced repair — driven through the
-// `fi-node` cluster pipeline instead of direct engine calls, under
-// message loss, a crashed leader every K slots, and one partition/heal
-// cycle. This module only carries the *plain-data* contract (the spec
-// and the recovery-latency metric); `fi-node` builds the cluster and
-// asserts on the results, so the definition of "recovered" lives in
-// exactly one place.
-// ----------------------------------------------------------------------
-
-/// The fault script a networked robustness run executes. Times are in
-/// slots; the harness converts via its block interval.
-#[derive(Debug, Clone)]
-pub struct NetworkRobustnessSpec {
-    /// Validator count (the paper-level acceptance bar runs 5).
-    pub validators: usize,
-    /// Slots of block production.
-    pub slots: u64,
-    /// Per-message loss probability on every link.
-    pub loss: f64,
-    /// Crash the slot's scheduled leader every this many slots
-    /// (0 disables crashes).
-    pub crash_every: u64,
-    /// Each crash lasts this many slots.
-    pub crash_for_slots: u64,
-    /// Cut the minority group off at this slot (0 disables the
-    /// partition).
-    pub partition_at_slot: u64,
-    /// Heal the partition at this slot.
-    pub heal_at_slot: u64,
-    /// Validator indices on the minority side of the partition.
-    pub minority: Vec<usize>,
-    /// Inject mass `FailSector` faults at this slot.
-    pub fail_sectors_at_slot: u64,
-    /// Inject `CorruptSector` faults at this slot.
-    pub corrupt_sectors_at_slot: u64,
-    /// Inject the `ForceDiscard` + re-add repair at this slot.
-    pub repair_at_slot: u64,
-}
-
-impl NetworkRobustnessSpec {
-    /// The acceptance-bar script: 5 validators, 12% loss, a leader crash
-    /// every `crash_every` slots, one partition/heal cycle, and the §V
-    /// injections spread through the run.
-    pub fn acceptance(slots: u64, crash_every: u64) -> Self {
-        NetworkRobustnessSpec {
-            validators: 5,
-            slots,
-            loss: 0.12,
-            crash_every,
-            crash_for_slots: 2,
-            partition_at_slot: slots / 3,
-            heal_at_slot: slots / 3 + slots / 6,
-            minority: vec![3, 4],
-            fail_sectors_at_slot: slots / 4,
-            corrupt_sectors_at_slot: slots / 2,
-            repair_at_slot: 2 * slots / 3,
-        }
-    }
-}
-
-/// Heights-to-reconvergence after a fault clears at virtual time
-/// `event`: how many heights past its frozen head a node adopted before
-/// it was demonstrably back on the canonical chain.
-///
-/// `heads` is the node's head-adoption log — `(time, height, hash)` per
-/// fork-choice move, chronological; `canonical` is the final best chain
-/// as `(height, hash)` pairs (every converged node reports the same
-/// one). Let `h₀` be the node's head height at `event` (its last
-/// adoption at or before that time). The node has *reconverged* at its
-/// first adoption after `event` whose `(height, hash)` lies on
-/// `canonical` with `height ≥ h₀`; the metric is that height minus
-/// `h₀` — 0 means the frozen head was already canonical and nothing
-/// newer existed yet. `None` means the log never shows reconvergence
-/// (the acceptance gate fails on it).
-pub fn heights_to_reconvergence(
-    heads: &[(u64, u64, fi_crypto::Hash256)],
-    canonical: &[(u64, fi_crypto::Hash256)],
-    event: u64,
-) -> Option<u64> {
-    let canonical: std::collections::HashSet<&(u64, fi_crypto::Hash256)> =
-        canonical.iter().collect();
-    let h0 = heads
-        .iter()
-        .take_while(|(t, _, _)| *t <= event)
-        .last()
-        .map(|(_, h, _)| *h)
-        .unwrap_or(0);
-    heads
-        .iter()
-        .filter(|(t, _, _)| *t >= event)
-        .find(|(_, h, hash)| *h >= h0 && canonical.contains(&(*h, *hash)))
-        .map(|(_, h, _)| h - h0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,38 +218,6 @@ mod tests {
             .collect();
         assert!(random[0].gamma_lost <= random[1].gamma_lost + 1e-9);
         assert!(random[1].gamma_lost <= random[2].gamma_lost + 1e-9);
-    }
-
-    #[test]
-    fn reconvergence_counts_heights_past_the_frozen_head() {
-        let h = |n: u64| fi_crypto::sha256(&n.to_be_bytes());
-        // Canonical chain 1..=6; the node froze at height 2 (canonical),
-        // came back at t=100, briefly adopted an off-chain block at
-        // height 3, then rejoined the canonical chain at height 4.
-        let canonical: Vec<(u64, fi_crypto::Hash256)> = (1..=6).map(|i| (i, h(i))).collect();
-        let heads = vec![
-            (10, 1, h(1)),
-            (20, 2, h(2)),
-            (100, 3, h(99)), // stale branch, not canonical
-            (110, 4, h(4)),
-            (120, 5, h(5)),
-        ];
-        assert_eq!(heights_to_reconvergence(&heads, &canonical, 90), Some(2));
-        // An event before any adoption measures from height 0.
-        assert_eq!(heights_to_reconvergence(&heads, &canonical, 0), Some(1));
-        // A node that never rejoins reports None.
-        let lost = vec![(10, 1, h(1)), (100, 2, h(77))];
-        assert_eq!(heights_to_reconvergence(&lost, &canonical, 50), None);
-    }
-
-    #[test]
-    fn acceptance_spec_orders_its_fault_windows() {
-        let spec = NetworkRobustnessSpec::acceptance(60, 8);
-        assert_eq!(spec.validators, 5);
-        assert!(spec.partition_at_slot < spec.heal_at_slot);
-        assert!(spec.heal_at_slot < spec.slots);
-        assert!(spec.fail_sectors_at_slot < spec.repair_at_slot);
-        assert!(spec.minority.len() < spec.validators.div_ceil(2));
     }
 
     #[test]

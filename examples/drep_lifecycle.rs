@@ -6,9 +6,9 @@
 //! CRs; removing files regenerates CRs bit-identically; and every byte the
 //! sector claims — files *and* CRs — answers WindowPoSt challenges.
 
-use fi_core::drep::MaterializedSector;
 use fi_porep::post::{derive_challenges, WindowPost};
 use fi_porep::seal::{ReplicaId, SealedReplica};
+use fileinsurer::materialized::MaterializedSector;
 use fileinsurer::prelude::*;
 
 fn show(sector: &MaterializedSector, label: &str) {

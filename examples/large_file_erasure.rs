@@ -8,8 +8,8 @@
 //! original is recoverable from any half of the segments. We store the
 //! segments, destroy almost half the network, and reassemble.
 
-use fi_core::segment::{reassemble_file, segment_file};
 use fileinsurer::prelude::*;
+use fileinsurer::segment::{reassemble_file, segment_file};
 
 fn main() {
     let params = ProtocolParams {

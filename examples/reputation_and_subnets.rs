@@ -3,9 +3,9 @@
 //!
 //! Run with `cargo run --example reputation_and_subnets`.
 
-use fi_core::reputation::{ReputationBook, ReputationParams};
-use fi_core::subnet::SubnetRouter;
 use fileinsurer::prelude::*;
+use fileinsurer::reputation::{ReputationBook, ReputationParams};
+use fileinsurer::subnet::SubnetRouter;
 
 fn main() {
     // ---- §VI-D: value-level subnetworks --------------------------------

@@ -5,7 +5,7 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`fi_core`] | the FileInsurer protocol: engine, sampler, DRep, segmentation, subnets |
+//! | [`fi_core`] | the FileInsurer state machine: engine, sampler, DRep accounting |
 //! | [`fi_chain`] | ledger, gas, blocks, consensus pending list |
 //! | [`fi_crypto`] | SHA-256, Merkle trees, ChaCha20 DetRng, random beacon |
 //! | [`fi_porep`] | simulated PoRep / Capacity Replicas / WindowPoSt |
@@ -16,6 +16,15 @@
 //! | [`fi_baselines`] | Filecoin / Storj / Sia / Arweave comparison models |
 //! | [`fi_analysis`] | Theorems 1–4 bounds, probability helpers, statistics |
 //! | [`fi_sim`] | experiment harness for every paper table & figure |
+//!
+//! and holds the client-side extensions built on the public engine API:
+//!
+//! | Module | Paper section | Contents |
+//! |---|---|---|
+//! | [`segment`] | §VI-C | erasure-coded large-file segmentation over `File_Add` / `File_Get` |
+//! | [`subnet`] | §VI-D | value-level subnetworks, one engine per level |
+//! | [`reputation`] | §VII (future work) | softmax provider reputation prototype |
+//! | [`materialized`] | §III-D, Fig. 2 | a DRep sector with real sealed CRs |
 //!
 //! ## Quickstart
 //!
@@ -53,6 +62,11 @@ pub use fi_net as net;
 pub use fi_node as node;
 pub use fi_porep as porep;
 pub use fi_sim as sim;
+
+pub mod materialized;
+pub mod reputation;
+pub mod segment;
+pub mod subnet;
 
 /// The most commonly used items, importable in one line.
 pub mod prelude {

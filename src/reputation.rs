@@ -15,7 +15,7 @@
 //!   (full exclusion would break the i.i.d.-placement analysis; the
 //!   factor is clamped to `[min_factor, max_factor]`);
 //! * [`ReputationBook::weighted_capacity`] is what an integrating engine
-//!   would feed the [`crate::sampler::WeightedSampler`] instead of raw
+//!   would feed the [`fi_core::sampler::WeightedSampler`] instead of raw
 //!   capacity.
 //!
 //! The experiment in the tests shows the payoff: when failure propensity
@@ -62,7 +62,7 @@ impl Default for ReputationParams {
 /// # Example
 ///
 /// ```
-/// use fi_core::reputation::{ReputationBook, ReputationParams};
+/// use fileinsurer::reputation::{ReputationBook, ReputationParams};
 /// use fi_chain::account::AccountId;
 ///
 /// let mut book = ReputationBook::new(ReputationParams::default());
@@ -140,7 +140,7 @@ impl ReputationBook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampler::WeightedSampler;
+    use fi_core::sampler::WeightedSampler;
     use fi_crypto::DetRng;
 
     #[test]

@@ -18,13 +18,20 @@
 //! writes parity in place, per-segment Merkle commitments hash borrowed
 //! slices of the buffer, and reassembly recomputes only the missing
 //! segments.
+//!
+//! Segmentation is a client-side step: [`add_segmented`] registers each
+//! segment through the engine's ordinary `File_Add`, and [`get_segmented`]
+//! reads them back through `File_Get`, so the consensus engine never sees a
+//! segmented file as such.
 
-use fi_chain::account::TokenAmount;
+use fi_chain::account::{AccountId, TokenAmount};
+use fi_core::engine::{Engine, EngineError};
+use fi_core::ops::Op;
+use fi_core::params::ProtocolParams;
+use fi_core::types::FileId;
 use fi_crypto::merkle::MerkleTree;
 use fi_crypto::Hash256;
 use fi_erasure::{ReedSolomon, RsError, ShardSet};
-
-use crate::params::ProtocolParams;
 
 /// Leaf size used when committing to a segment's content (bytes).
 pub const SEGMENT_CHUNK_LEN: usize = 1024;
@@ -184,9 +191,119 @@ pub fn reassemble_file(
     Ok(payload.to_vec())
 }
 
+/// The result of [`add_segmented`]: the per-segment file ids (data
+/// segments first, parity after — index `i` stores segment `i`) plus the
+/// segmentation plan with the encoded flat buffer.
+#[derive(Debug, Clone)]
+pub struct SegmentedUpload {
+    /// One file id per segment, in segment order.
+    pub files: Vec<FileId>,
+    /// The §VI-C plan: flat segment buffer, per-segment value, geometry.
+    pub segmented: SegmentedFile,
+}
+
+/// §VI-C front door: erasure-segments an oversized `payload` through the
+/// flat-buffer fast path and registers every segment as an individual
+/// file with [`Engine::file_add`], committing each one to a Merkle root
+/// hashed directly from the shared segment buffer (no per-segment copies).
+///
+/// On a mid-way failure (`NoCapacity`, funds), already-registered
+/// segments are rolled back through [`Op::ForceDiscard`] — a
+/// consensus-side op with no gas charge, so the rollback cannot itself
+/// fail when the client is out of funds — before the error is returned.
+///
+/// # Errors
+///
+/// * [`EngineError::InvalidState`] — the payload already fits
+///   `sizeLimit` (use [`Engine::file_add`]) or needs more than 127 data
+///   shards;
+/// * any [`Engine::file_add`] error for an individual segment.
+pub fn add_segmented(
+    engine: &mut Engine,
+    client: AccountId,
+    payload: &[u8],
+    value: TokenAmount,
+) -> Result<SegmentedUpload, EngineError> {
+    let segmented = segment_file(payload, value, engine.params()).map_err(|e| match e {
+        SegmentError::NotNeeded { .. } => {
+            EngineError::InvalidState("payload fits sizeLimit; use file_add")
+        }
+        SegmentError::TooLarge => {
+            EngineError::InvalidState("file exceeds 127 x sizeLimit; cannot segment")
+        }
+        SegmentError::Erasure(_) => EngineError::InvalidState("erasure coding failed"),
+    })?;
+    let seg_size = segmented.segment_len() as u64;
+    let roots = segmented.segment_roots();
+    let mut files = Vec::with_capacity(roots.len());
+    for root in roots {
+        match engine.file_add(client, seg_size, segmented.segment_value, root) {
+            Ok(id) => files.push(id),
+            Err(e) => {
+                for &id in &files {
+                    engine
+                        .apply(Op::ForceDiscard { file: id })
+                        .expect("force discard is infallible");
+                }
+                return Err(e);
+            }
+        }
+    }
+    Ok(SegmentedUpload { files, segmented })
+}
+
+/// Recovery path for a segmented upload: looks up which segments still
+/// have live holders ([`Engine::file_get`] per segment) and reassembles
+/// the original payload from the surviving ones (read straight from the
+/// upload's flat buffer), recomputing only what was lost.
+///
+/// # Errors
+///
+/// * [`Engine::file_get`] errors (gas);
+/// * [`EngineError::InvalidState`] when fewer than half the segments
+///   survive — the insurance case: compensation, not recovery.
+pub fn get_segmented(
+    engine: &mut Engine,
+    caller: AccountId,
+    upload: &SegmentedUpload,
+) -> Result<Vec<u8>, EngineError> {
+    let mut received: Vec<Option<&[u8]>> = Vec::with_capacity(upload.files.len());
+    for (i, &file) in upload.files.iter().enumerate() {
+        let alive = match engine.file_get(caller, file) {
+            Ok(holders) => !holders.is_empty(),
+            Err(EngineError::UnknownFile(_)) => false,
+            Err(e) => return Err(e),
+        };
+        received.push(alive.then(|| upload.segmented.segment(i)));
+    }
+    reassemble_file(&upload.segmented, &received)
+        .map_err(|_| EngineError::InvalidState("fewer than half the segments survive"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fi_core::engine::StateView;
+
+    const CLIENT: AccountId = AccountId(200);
+
+    /// An engine at `params` with a funded client.
+    fn engine_with(params: ProtocolParams) -> Engine {
+        let mut e = Engine::new(params).unwrap();
+        e.fund(CLIENT, TokenAmount(100_000_000));
+        e
+    }
+
+    /// Advances to `until`, letting honest providers confirm and prove
+    /// every 50 ticks (inside every transfer window and proof-due window).
+    fn run_honest(e: &mut Engine, until: u64) {
+        while e.now() < until {
+            e.honest_providers_act();
+            let next = (e.now() + 50).min(until);
+            e.advance_to(next);
+        }
+        e.honest_providers_act();
+    }
 
     fn params() -> ProtocolParams {
         ProtocolParams {
@@ -300,5 +417,132 @@ mod tests {
             reassemble_file(&seg, &received).unwrap_err(),
             SegmentError::Erasure(RsError::ShapeMismatch)
         );
+    }
+
+    #[test]
+    fn segmented_upload_and_retrieval_round_trip() {
+        let mut e = engine_with(ProtocolParams {
+            k: 2,
+            size_limit: 32,
+            delay_per_size: 6,
+            ..ProtocolParams::default()
+        });
+        for i in 0..6u64 {
+            let p = AccountId(300 + i);
+            e.fund(p, TokenAmount(1_000_000_000));
+            e.sector_register(p, 640).unwrap();
+        }
+        let payload: Vec<u8> = (0..300u32).map(|i| (i * 31 % 251) as u8).collect();
+
+        // Small payloads are refused — file_add is the right door.
+        assert!(matches!(
+            add_segmented(&mut e, CLIENT, &payload[..10], TokenAmount(1_000)),
+            Err(EngineError::InvalidState(_))
+        ));
+
+        let upload = add_segmented(&mut e, CLIENT, &payload, TokenAmount(10_000)).unwrap();
+        // 300/32 -> 10 data shards, doubled for parity.
+        assert_eq!(upload.segmented.data_shards, 10);
+        assert_eq!(upload.files.len(), 20);
+        // Each segment registered under its flat-buffer Merkle commitment.
+        let roots = upload.segmented.segment_roots();
+        for (i, &f) in upload.files.iter().enumerate() {
+            assert_eq!(e.file(f).unwrap().merkle_root, roots[i], "segment {i}");
+        }
+
+        run_honest(&mut e, 400);
+        let recovered = get_segmented(&mut e, CLIENT, &upload).unwrap();
+        assert_eq!(recovered, payload);
+    }
+
+    #[test]
+    fn segmented_retrieval_survives_partial_loss_then_fails_past_half() {
+        let mut e = engine_with(ProtocolParams {
+            k: 2,
+            size_limit: 50,
+            delay_per_size: 6,
+            ..ProtocolParams::default()
+        });
+        let mut sectors = Vec::new();
+        for i in 0..8u64 {
+            let p = AccountId(300 + i);
+            e.fund(p, TokenAmount(1_000_000_000));
+            sectors.push(e.sector_register(p, 640).unwrap());
+        }
+        let payload: Vec<u8> = (0..200u32).map(|i| (i * 17 % 251) as u8).collect();
+        let upload = add_segmented(&mut e, CLIENT, &payload, TokenAmount(10_000)).unwrap();
+        run_honest(&mut e, 400);
+
+        // Destroy every sector: all segments lose their holders.
+        for &s in &sectors {
+            e.corrupt_sector_now(s);
+        }
+        assert!(matches!(
+            get_segmented(&mut e, CLIENT, &upload),
+            Err(EngineError::InvalidState(_))
+        ));
+    }
+
+    #[test]
+    fn segmented_rollback_partial_segments_do_not_revive() {
+        // add_segmented fails mid-way; its rollback marks partial segments
+        // Discarded while their transfers are pending. They must never come
+        // back as Normal files (the orphan-insured-segment bug).
+        let mut e = engine_with(ProtocolParams {
+            k: 2,
+            size_limit: 32,
+            delay_per_size: 6,
+            ..ProtocolParams::default()
+        });
+        e.fund(AccountId(300), TokenAmount(1_000_000_000));
+        e.sector_register(AccountId(300), 128).unwrap(); // room for only a few segments
+        let payload: Vec<u8> = (0..300u32).map(|i| (i % 251) as u8).collect();
+        assert!(matches!(
+            add_segmented(&mut e, CLIENT, &payload, TokenAmount(10_000)),
+            Err(EngineError::NoCapacity)
+        ));
+        let partial = e.file_ids();
+        assert!(
+            !partial.is_empty(),
+            "expected partially-registered segments"
+        );
+        // Confirm + advance well past transfer windows and a proof cycle.
+        let until = 2 * e.params().proof_cycle + 200;
+        run_honest(&mut e, until);
+        for f in partial {
+            assert!(
+                e.file(f).is_none(),
+                "partial segment {f:?} survived the rollback"
+            );
+        }
+    }
+
+    #[test]
+    fn segmented_upload_rollback_is_replayable() {
+        // The rollback issues consensus-side ForceDiscard ops; the log must
+        // capture them so replay reproduces the partial-upload state.
+        let params = ProtocolParams {
+            k: 2,
+            size_limit: 16,
+            ..ProtocolParams::default()
+        };
+        let mut e = Engine::new(params.clone()).unwrap();
+        let provider = AccountId(100);
+        e.fund(provider, TokenAmount(1_000_000_000));
+        e.sector_register(provider, 640).unwrap();
+        // Fund the client with just enough for part of the upload so it
+        // fails midway and rolls back.
+        e.fund(CLIENT, TokenAmount(400));
+        let payload: Vec<u8> = (0..200u32).map(|i| i as u8).collect();
+        assert!(add_segmented(&mut e, CLIENT, &payload, TokenAmount(2_000)).is_err());
+        assert!(
+            e.op_log().iter().any(|r| r.op.kind() == "op.force_discard"),
+            "rollback must be logged as ops"
+        );
+        e.advance_to(e.now() + 500);
+        let replayed = Engine::replay(params, e.op_log()).unwrap();
+        assert_eq!(replayed.state_root(), e.state_root());
+        assert_eq!(replayed.chain().head_hash(), e.chain().head_hash());
+        assert_eq!(replayed.file_ids(), e.file_ids());
     }
 }

@@ -16,9 +16,9 @@ use fi_chain::account::{AccountId, TokenAmount};
 use fi_chain::tasks::Time;
 use fi_crypto::Hash256;
 
-use crate::engine::{Engine, EngineError};
-use crate::params::{ParamError, ProtocolParams};
-use crate::types::{FileId, SectorId};
+use fi_core::engine::{Engine, EngineError};
+use fi_core::params::{ParamError, ProtocolParams};
+use fi_core::types::{FileId, SectorId};
 
 /// A file handle qualified by its subnet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,7 +43,7 @@ pub struct SubnetSectorId {
 /// # Example
 ///
 /// ```
-/// use fi_core::subnet::SubnetRouter;
+/// use fileinsurer::subnet::SubnetRouter;
 /// use fi_core::params::ProtocolParams;
 /// use fi_chain::account::TokenAmount;
 ///
@@ -156,7 +156,8 @@ impl SubnetRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::StateView;
+    use fi_chain::gas::GasSchedule;
+    use fi_core::engine::StateView;
     use fi_crypto::sha256;
 
     fn router() -> SubnetRouter {
@@ -224,5 +225,45 @@ mod tests {
         for lvl in 0..r.level_count() {
             assert_eq!(r.level(lvl).now(), 500);
         }
+    }
+
+    #[test]
+    fn subnet_engine_end_to_end() {
+        let base = ProtocolParams {
+            k: 2,
+            delay_per_size: 6,
+            ..ProtocolParams::default()
+        };
+        let mut router = SubnetRouter::new(base, 3, 10).unwrap();
+        let provider = AccountId(100);
+        let client = AccountId(900);
+        // Provision every level.
+        for level in 0..router.level_count() {
+            let engine = router.level_mut(level);
+            engine.set_gas_schedule(GasSchedule::free());
+            engine.fund(provider, TokenAmount(u128::MAX / 8));
+            engine.fund(client, TokenAmount(1_000_000_000));
+            engine.sector_register(provider, 1280).unwrap();
+        }
+        // A cheap file and an expensive one route to different levels with
+        // the same replica count.
+        let cheap = router
+            .file_add(client, 8, TokenAmount(1_000), sha256(b"cheap"))
+            .unwrap();
+        let dear = router
+            .file_add(client, 8, TokenAmount(100_000), sha256(b"dear"))
+            .unwrap();
+        assert_eq!(cheap.level, 0);
+        assert_eq!(dear.level, 2);
+        assert_eq!(router.level(0).file(cheap.file).unwrap().cp, 2);
+        assert_eq!(router.level(2).file(dear.file).unwrap().cp, 2);
+
+        // Both settle normally.
+        for level in 0..router.level_count() {
+            router.level_mut(level).honest_providers_act();
+        }
+        router.advance_to(100);
+        assert!(router.level(0).file(cheap.file).is_some());
+        assert!(router.level(2).file(dear.file).is_some());
     }
 }

@@ -10,7 +10,6 @@ use fi_chain::account::{AccountId, Ledger, TokenAmount};
 use fi_core::engine::StateView;
 use fi_core::params::ProtocolParams;
 use fi_core::sampler::WeightedSampler;
-use fi_core::segment::{reassemble_file, segment_file};
 use fi_crypto::merkle::MerkleTree;
 use fi_crypto::DetRng;
 use fi_erasure::reference::RefReedSolomon;
@@ -18,6 +17,7 @@ use fi_erasure::ReedSolomon;
 use fi_ipfs::dag::{export_bytes, import_bytes};
 use fi_ipfs::store::BlockStore;
 use fi_porep::seal::{ReplicaId, SealedReplica};
+use fileinsurer::segment::{reassemble_file, segment_file};
 
 fn random_bytes(rng: &mut DetRng, max_len: u64) -> Vec<u8> {
     let len = rng.below(max_len + 1) as usize;
