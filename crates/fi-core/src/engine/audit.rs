@@ -43,7 +43,7 @@ use crate::types::{
 
 use super::pool::fan_out;
 use super::{
-    Engine, SeqTask, Task, COMPENSATION_POOL, DEPOSIT_ESCROW, PARALLEL_FANOUT_MIN_ITEMS, RENT_POOL,
+    Engine, EngineError, SeqTask, Task, COMPENSATION_POOL, DEPOSIT_ESCROW, RENT_POOL,
     TRAFFIC_ESCROW,
 };
 
@@ -73,9 +73,8 @@ impl Engine {
             .iter()
             .filter_map(|(_, (_, t))| t.audited())
             .collect();
-        let parallel = self.params.shards > 1 && files.len() >= PARALLEL_FANOUT_MIN_ITEMS;
         let path_len = self.params.audit_path_len;
-        fan_out(self.pool_for(parallel), files, |files| {
+        fan_out(self.fan_out_width(files.len()), files, |files| {
             verify_audits(self, &files, now, path_len)
         })
     }
@@ -93,15 +92,16 @@ impl Engine {
     /// Panics on unknown sector.
     pub fn fail_sector_silently(&mut self, sector: SectorId) {
         self.apply(crate::ops::Op::FailSector { sector })
-            .expect("fault injection is infallible");
+            .expect("unknown sector");
     }
 
-    pub(super) fn fail_sector_op(&mut self, sector: SectorId) {
+    pub(super) fn fail_sector_op(&mut self, sector: SectorId) -> Result<(), EngineError> {
         self.sectors
             .get_mut(&sector)
-            .expect("unknown sector")
+            .ok_or(EngineError::UnknownSector(sector))?
             .physically_failed = true;
         self.op_counter += 1;
+        Ok(())
     }
 
     /// Corrupts a sector *with immediate detection*: deposit confiscated,
@@ -113,13 +113,16 @@ impl Engine {
     /// Panics on unknown sector.
     pub fn corrupt_sector_now(&mut self, sector: SectorId) {
         self.apply(crate::ops::Op::CorruptSector { sector })
-            .expect("fault injection is infallible");
+            .expect("unknown sector");
     }
 
-    pub(super) fn corrupt_sector_op(&mut self, sector: SectorId) {
-        let s = self.sectors.get_mut(&sector).expect("unknown sector");
+    pub(super) fn corrupt_sector_op(&mut self, sector: SectorId) -> Result<(), EngineError> {
+        let s = self
+            .sectors
+            .get_mut(&sector)
+            .ok_or(EngineError::UnknownSector(sector))?;
         if s.state == SectorState::Corrupted {
-            return;
+            return Ok(());
         }
         s.state = SectorState::Corrupted;
         s.physically_failed = true;
@@ -136,6 +139,7 @@ impl Engine {
         });
         self.void_sector_content(sector);
         self.op_counter += 1;
+        Ok(())
     }
 
     // ------------------------------------------------------------------

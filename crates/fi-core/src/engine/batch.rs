@@ -1,27 +1,17 @@
-//! The batch-ingest hashing pass: the parallel half of
+//! The batch-ingest hashing pass of
 //! [`Engine::apply_batch`](super::Engine::apply_batch).
 //!
-//! A block's op batch splits into **segments** of consecutive
-//! *shard-local* ops (`File_Confirm`, `File_Prove`, `File_Get`,
-//! `File_Discard`, `ForceDiscard` — ops that read and write only their own
-//! file's rows, plus the ledger) separated by **barrier** ops (everything
-//! else: sector admin, `File_Add`'s sampler/rng draws, funds, fault
-//! injection, `AdvanceTo`). Every op, in a segment or not, executes once,
-//! in submission order, through its one handler against live state
-//! (`engine/lifecycle.rs`), so consensus state is bit-identical to feeding
-//! the same ops one by one through `Engine::apply`.
-//!
-//! What a large segment fans out is the hashing only: each op's canonical
-//! digest (unless the caller supplied it) and the modeled WindowPoSt walk
-//! of every `File_Prove` whose file exists ([`Engine::hash_segment`]).
-//! Both are pure functions of pre-segment state that no op of the segment
-//! can change: an op digest hashes the op alone, and a proof walk hashes
-//! the file's `merkle_root` (fixed at `File_Add`), the replica index, the
-//! sector id, consensus time and `audit_path_len`. Time moves only at
-//! `AdvanceTo`, and files appear (`File_Add`) and vanish (`Auto_*` tasks,
-//! run by `AdvanceTo`) only at barriers. The handler folds a precomputed
-//! walk into the audit root only if the op passes every check, exactly
-//! where it would have walked the lane itself.
+//! Every op of a batch executes once, in submission order, through its
+//! one handler (`engine/lifecycle.rs`), exactly as `Engine::apply` runs
+//! it. Before they run, [`Engine::hash_batch`] takes every op digest the
+//! caller did not supply, and the modeled WindowPoSt walk of every
+//! `File_Prove` before the batch's first `AdvanceTo` whose file exists
+//! before the batch. Both are pure functions of pre-batch state that no
+//! earlier op can change: a digest hashes the op alone; a walk hashes the
+//! file's `merkle_root` (fixed at `File_Add`; file ids are never reused),
+//! the replica index, the sector, `audit_path_len` and the time, which
+//! moves only at `AdvanceTo`. The handler folds a precomputed walk only
+//! if the prove passes every check; any other prove walks its own lane.
 
 use fi_chain::tasks::Time;
 use fi_crypto::{cached_domain, Hash256};
@@ -32,28 +22,6 @@ use crate::types::SectorId;
 use super::audit::{walk_replicas, ReplicaLane};
 use super::pool::fan_out;
 use super::Engine;
-
-/// Whether `op` is shard-local (reads and writes only its own file's
-/// rows, plus the ledger) rather than a barrier. This is the batch
-/// classifier: runs of shard-local ops form the segments whose hashing
-/// fans out; everything else ends a segment.
-pub(super) fn is_shard_local(op: &Op) -> bool {
-    match op {
-        Op::FileConfirm { .. }
-        | Op::FileProve { .. }
-        | Op::FileGet { .. }
-        | Op::FileDiscard { .. }
-        | Op::ForceDiscard { .. } => true,
-        Op::SectorRegister { .. }
-        | Op::SectorDisable { .. }
-        | Op::FileAdd { .. }
-        | Op::Fund { .. }
-        | Op::Burn { .. }
-        | Op::FailSector { .. }
-        | Op::CorruptSector { .. }
-        | Op::AdvanceTo { .. } => false,
-    }
-}
 
 cached_domain!(fn prove_leaf_domain, "fileinsurer/prove-leaf");
 cached_domain!(fn prove_node_domain, "fileinsurer/prove-node");
@@ -82,23 +50,29 @@ pub(super) fn walk_proofs(lanes: &[ReplicaLane], now: Time, path_len: u32) -> Ve
 }
 
 impl Engine {
-    /// The parallel hashing pass of a segment of shard-local ops: one
-    /// [`fan_out`] over contiguous chunks of `ops` returns, per op in
-    /// order, its canonical digest (`digests[i]` when the caller supplied
-    /// them) and, for a `File_Prove` whose file exists, its proof walk.
-    /// Each chunk walks its proofs as one lane batch. Reads pre-segment
-    /// state only; the module doc says why that is exact.
-    pub(super) fn hash_segment(
+    /// The hashing pass of a batch: one [`fan_out`] at `width` over
+    /// contiguous chunks of `ops` returns, per op in order, its canonical
+    /// digest (`digests[i]` when the caller supplied them) and, for a
+    /// `File_Prove` before the first `AdvanceTo` whose file exists, its
+    /// proof walk. Each chunk walks its proofs as one lane batch. Reads
+    /// pre-batch state only; the module doc says why that is exact.
+    pub(super) fn hash_batch(
         &self,
         ops: &[Op],
         digests: Option<&[Hash256]>,
+        width: usize,
     ) -> Vec<(Hash256, Option<Hash256>)> {
         let (files, now) = (&self.files, self.now());
         let path_len = self.params.audit_path_len;
-        fan_out(self.pool_for(true), (0..ops.len()).collect(), |chunk| {
+        let first_advance = ops
+            .iter()
+            .position(|op| matches!(op, Op::AdvanceTo { .. }))
+            .unwrap_or(ops.len());
+        fan_out(width, (0..ops.len()).collect(), |chunk| {
             let mut provers = Vec::new();
             let mut lanes = Vec::new();
-            for (k, &i) in chunk.iter().enumerate() {
+            let before_advance = chunk.iter().take_while(|&&i| i < first_advance);
+            for (k, &i) in before_advance.enumerate() {
                 if let Op::FileProve {
                     file,
                     index,

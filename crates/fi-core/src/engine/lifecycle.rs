@@ -24,9 +24,13 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Mints tokens into an account (simulation funding).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mint overflows the token supply.
     pub fn fund(&mut self, account: AccountId, amount: TokenAmount) {
         self.apply(Op::Fund { account, amount })
-            .expect("funding is infallible");
+            .expect("mint overflows the token supply");
     }
 
     /// Burns tokens from an account (simulation counterpart of [`Engine::fund`],

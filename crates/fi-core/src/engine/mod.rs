@@ -17,7 +17,8 @@
 //!   accounting and the counters;
 //! * `lifecycle` — client/provider requests (Figs. 4–6): add, confirm,
 //!   prove, get, discard, sector admin;
-//! * `batch` — the parallel hashing pass of a block batch's per-file ops;
+//! * `batch` — the hashing pass of a block batch: op digests and proof
+//!   walks, taken before the ops run;
 //! * `audit` — the `Auto_*` consensus tasks (Figs. 7–9): `CheckAlloc`,
 //!   `CheckProof`, `Refresh`, `CheckRefresh`, rent distribution,
 //!   punishment and confiscation, fault injection;
@@ -81,7 +82,6 @@ use crate::types::{
 };
 
 use self::audit::ProofAudit;
-use self::batch::is_shard_local;
 use self::statemap::{CommitCell, StateMaps, TrackedMap};
 
 pub use self::snapshot::SnapshotError;
@@ -111,9 +111,9 @@ pub const TRAFFIC_ESCROW: AccountId = AccountId(4);
 /// spawns no thread.
 const COMMIT_FANOUT_MIN_DIRTY_KEYS: usize = 2048;
 
-/// Fewest items (shard-local ops of an ingest segment, `Auto_CheckProof`
-/// tasks of a due bucket) worth fanning out;
-/// below it the work runs inline on the calling thread. The outcome is
+/// Fewest items (ops of an ingest batch, `Auto_CheckProof` tasks of a due
+/// bucket) worth fanning out; below it the work runs inline on the calling
+/// thread. The outcome is
 /// bit-identical either way (`tests/parallel_commit.rs`,
 /// `tests/batch_ingest.rs`): the floor only decides when dispatch pays.
 const PARALLEL_FANOUT_MIN_ITEMS: usize = 64;
@@ -279,12 +279,12 @@ pub struct EngineStats {
     /// Replica storage proofs cryptographically checked by
     /// `Auto_CheckProof`'s read-only verify phase.
     pub proofs_audited: u64,
-    /// Ingest segments of `Engine::apply_batch` whose hashing pass (op
-    /// digests and `File_Prove` walks) fanned out. Execution-strategy
-    /// counter, not a consensus one — see [`EngineStats::consensus`].
+    /// Batches of `Engine::apply_batch` whose hashing pass (op digests and
+    /// `File_Prove` walks) fanned out. Execution-strategy counter, not a
+    /// consensus one — see [`EngineStats::consensus`].
     pub batches_staged_parallel: u64,
     /// Always zero: every op executes once, in submission order, so no
-    /// segment falls back. The field stays because the `FISNAPSH` stats
+    /// batch falls back. The field stays because the `FISNAPSH` stats
     /// record carries it (an older snapshot may restore a non-zero
     /// count); it goes with the next format bump.
     pub batches_fell_back_sequential: u64,
@@ -300,7 +300,7 @@ impl EngineStats {
     /// leaving only the consensus-observable counters.
     ///
     /// The strategy counter `batches_staged_parallel` records whether an
-    /// ingest segment's hashing fanned out, and legitimately differs
+    /// ingest batch's hashing fanned out, and legitimately differs
     /// across `(shards, ingest_threads)` configurations and between
     /// op-by-op `apply` and `apply_batch` — while the state they produce
     /// is bit-identical. The retired `batches_fell_back_sequential` and
@@ -324,9 +324,9 @@ impl EngineStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimes {
     /// Batch-ingest hashing pass: the op digests and `File_Prove` walks
-    /// of the segments that fan out.
+    /// of the batches whose pass fans out.
     pub stage_s: f64,
-    /// Batch-ingest execution of those segments: every op through its
+    /// Batch-ingest execution of those batches: every op through its
     /// handler, in submission order, plus its receipt digest and log
     /// entry.
     pub commit_s: f64,
@@ -495,12 +495,12 @@ impl Engine {
             chain,
             ledger: Ledger::new(),
             gas: GasSchedule::default(),
-            files: TrackedMap::new(),
-            alloc: TrackedMap::new(),
-            discard_reasons: TrackedMap::new(),
+            files: TrackedMap::default(),
+            alloc: TrackedMap::default(),
+            discard_reasons: TrackedMap::default(),
             pending: Scheduler::new(params.scheduler, params.block_interval),
-            sectors: TrackedMap::new(),
-            cr: TrackedMap::new(),
+            sectors: TrackedMap::default(),
+            cr: TrackedMap::default(),
             sector_replicas: HashMap::new(),
             sampler: WeightedSampler::new(),
             rng,
@@ -626,6 +626,9 @@ impl Engine {
                 Ok(Receipt::Discarded { file: *file })
             }
             Op::Fund { account, amount } => {
+                if self.ledger.total_supply().0.checked_add(amount.0).is_none() {
+                    return Err(EngineError::InvalidState("mint overflows the token supply"));
+                }
                 self.ledger.mint(*account, *amount);
                 Ok(Receipt::Balance {
                     account: *account,
@@ -641,16 +644,14 @@ impl Engine {
                     balance: self.ledger.balance(*account),
                 })
             }
-            Op::FailSector { sector } => {
-                self.fail_sector_op(*sector);
-                Ok(Receipt::Faulted { sector: *sector })
-            }
-            Op::CorruptSector { sector } => {
-                self.corrupt_sector_op(*sector);
-                Ok(Receipt::Faulted { sector: *sector })
-            }
+            Op::FailSector { sector } => self
+                .fail_sector_op(*sector)
+                .map(|()| Receipt::Faulted { sector: *sector }),
+            Op::CorruptSector { sector } => self
+                .corrupt_sector_op(*sector)
+                .map(|()| Receipt::Faulted { sector: *sector }),
             Op::AdvanceTo { target } => {
-                self.advance_to_op(*target);
+                self.advance_to_op(*target)?;
                 Ok(Receipt::TimeAdvanced {
                     now: self.now(),
                     height: self.chain.height(),
@@ -659,20 +660,16 @@ impl Engine {
         }
     }
 
-    /// Applies a whole block batch of ops through the pipelined ingest
-    /// path, returning one result per op in submission order.
+    /// Applies a whole block batch of ops, returning one result per op in
+    /// submission order.
     ///
     /// Every op executes once, in submission order, through the same
-    /// handler [`Engine::apply`] runs. The batch is split into segments of
-    /// consecutive **shard-local** ops (`File_Confirm` / `File_Prove` /
-    /// `File_Get` / `File_Discard` / `ForceDiscard`) separated by
-    /// **barrier** ops (sector admin, `File_Add`, funds, fault injection,
-    /// `AdvanceTo` — anything touching global state beyond the ledger).
-    /// For a segment of at least 64 ops, with the parallel paths on
-    /// ([`ProtocolParams::shards`] and [`ProtocolParams::ingest_threads`]
-    /// both above one), a hashing pass on scoped threads first takes every
-    /// op digest and every `File_Prove`'s proof walk from pre-segment
-    /// state; the ops then run sequentially with those digests handed in.
+    /// handler [`Engine::apply`] runs. One hashing pass first takes every
+    /// op digest and the proof walk of every `File_Prove` before the
+    /// batch's first `AdvanceTo` from pre-batch state, fanned out on scoped
+    /// threads for a batch of at least 64 ops when
+    /// [`ProtocolParams::shards`] is above one; the ops then run with
+    /// those digests handed in.
     ///
     /// Consensus state after `apply_batch(ops)` is **bit-identical** to
     /// `for op in ops { engine.apply(op); }` at every
@@ -704,79 +701,30 @@ impl Engine {
         self.apply_batch_with(ops, Some(digests))
     }
 
+    /// The hashing pass ([`Engine::hash_batch`]), then every op in order.
+    /// `digests`, when given, are the ops' canonical digests.
     fn apply_batch_with(
         &mut self,
         ops: Vec<Op>,
         digests: Option<&[Hash256]>,
     ) -> Vec<Result<Receipt, EngineError>> {
-        // A large segment's op digests are taken by its hashing pass.
-        let mut results = Vec::with_capacity(ops.len());
-        let mut i = 0;
-        while i < ops.len() {
-            // A (possibly empty) run of shard-local ops …
-            let seg_start = i;
-            while i < ops.len() && is_shard_local(&ops[i]) {
-                i += 1;
-            }
-            let seg_end = i;
-            // … followed by the (possibly empty) barrier run that ends it.
-            let bar_start = i;
-            while i < ops.len() && !is_shard_local(&ops[i]) {
-                i += 1;
-            }
-            let bar_end = i;
-            self.commit_segment(
-                &ops[seg_start..seg_end],
-                digests.map(|d| &d[seg_start..seg_end]),
-                &mut results,
-            );
-            for (k, op) in ops[bar_start..bar_end].iter().enumerate() {
-                let digest = match digests {
-                    Some(d) => d[bar_start + k],
-                    None => op.digest(),
-                };
-                results.push(self.apply_hashed(op.clone(), digest, None));
-            }
-        }
-        results
-    }
-
-    /// Applies one segment of shard-local ops in submission order. A
-    /// segment large enough to pay for the fan-out, with the parallel
-    /// paths on, first runs its hashing pass ([`Engine::hash_segment`]):
-    /// every op digest and proof walk, in parallel, from pre-segment
-    /// state.
-    ///
-    /// `digests`, when given, holds the segment ops' canonical digests
-    /// (nothing is hashed again); otherwise they are computed here.
-    fn commit_segment(
-        &mut self,
-        segment: &[Op],
-        digests: Option<&[Hash256]>,
-        results: &mut Vec<Result<Receipt, EngineError>>,
-    ) {
-        if segment.len() < PARALLEL_FANOUT_MIN_ITEMS
-            || self.params.ingest_threads <= 1
-            || self.params.shards <= 1
-        {
-            for (i, op) in segment.iter().enumerate() {
-                results.push(match digests {
-                    Some(d) => self.apply_hashed(op.clone(), d[i], None),
-                    None => self.apply(op.clone()),
-                });
-            }
-            return;
-        }
+        let width = self.fan_out_width(ops.len());
         let stage_start = Instant::now();
-        let hashed = self.hash_segment(segment, digests);
-        self.phase.stage_s += stage_start.elapsed().as_secs_f64();
-        self.stats.batches_staged_parallel += 1;
+        let hashed = self.hash_batch(&ops, digests, width);
+        let stage_s = stage_start.elapsed().as_secs_f64();
 
         let commit_start = Instant::now();
-        for (op, (op_digest, walked)) in segment.iter().zip(hashed) {
-            results.push(self.apply_hashed(op.clone(), op_digest, walked));
+        let results = ops
+            .into_iter()
+            .zip(hashed)
+            .map(|(op, (op_digest, walked))| self.apply_hashed(op, op_digest, walked))
+            .collect();
+        if width > 1 {
+            self.stats.batches_staged_parallel += 1;
+            self.phase.stage_s += stage_s;
+            self.phase.commit_s += commit_start.elapsed().as_secs_f64();
         }
-        self.phase.commit_s += commit_start.elapsed().as_secs_f64();
+        results
     }
 
     /// The op log: every applied op in order, successes and failures
@@ -1087,7 +1035,7 @@ impl Engine {
     /// Panics if `target` is in the past.
     pub fn advance_to(&mut self, target: Time) {
         self.apply(Op::AdvanceTo { target })
-            .expect("AdvanceTo is infallible");
+            .expect("time cannot rewind");
     }
 
     /// Advances by one block interval.
@@ -1095,8 +1043,10 @@ impl Engine {
         self.advance_to(self.now() + self.params.block_interval);
     }
 
-    pub(super) fn advance_to_op(&mut self, target: Time) {
-        assert!(target >= self.now(), "time cannot rewind");
+    pub(super) fn advance_to_op(&mut self, target: Time) -> Result<(), EngineError> {
+        if target < self.now() {
+            return Err(EngineError::InvalidState("time cannot rewind"));
+        }
         while let Some(t) = self.pending.next_time() {
             if t > target {
                 break;
@@ -1105,6 +1055,7 @@ impl Engine {
             self.run_due_bucket(t);
         }
         self.advance_chain(target);
+        Ok(())
     }
 
     /// Moves chain time to `t`. Only a sealed block folds the state root
@@ -1165,15 +1116,23 @@ impl Engine {
 
     /// The width a phase hands to [`pool::fan_out`] or [`pool::run`]: when
     /// the phase's own gate says `parallel`, the larger of the host's
-    /// available parallelism and the configured ingest width, so neither
-    /// the ingest hashing pass nor the audit fan-out ever starves for
-    /// workers; 1, to run inline, otherwise.
+    /// available parallelism and [`ProtocolParams::ingest_threads`], so no
+    /// fan-out ever starves for workers; 1, to run inline, otherwise.
     pub(super) fn pool_for(&self, parallel: bool) -> usize {
         if parallel {
             pool::cores().max(self.params.ingest_threads)
         } else {
             1
         }
+    }
+
+    /// The width the chunked phases over `items` items — a batch's hashing
+    /// pass, a due bucket's audit verify — fan out at: with the parallel
+    /// switch ([`ProtocolParams::shards`] above one) and at least
+    /// [`PARALLEL_FANOUT_MIN_ITEMS`] items, [`Engine::pool_for`]'s; 1
+    /// otherwise.
+    pub(super) fn fan_out_width(&self, items: usize) -> usize {
+        self.pool_for(self.params.shards > 1 && items >= PARALLEL_FANOUT_MIN_ITEMS)
     }
 
     /// Cumulative wall-time spent in each engine phase since construction

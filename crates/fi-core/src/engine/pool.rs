@@ -6,7 +6,7 @@
 //! hands [`run`] the jobs of its trie merges. Both run on
 //! `std::thread::scope`: the calling thread and `width − 1` threads
 //! spawned for the call pull jobs from one shared queue, so jobs may
-//! borrow from the caller's frame (`&Engine` fields, segment slices,
+//! borrow from the caller's frame (`&Engine` fields, batch slices,
 //! per-chunk output slots) and nothing outlives the call. The gates in
 //! front of each phase keep dispatches few and large. A 10-second
 //! `audit_cycle` pass makes 255 (125 hashing-pass and 5 verify fan-outs,

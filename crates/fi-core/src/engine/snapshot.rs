@@ -75,7 +75,7 @@ use crate::codec::{Dec, DecError, Enc};
 use crate::drep::CrAccounting;
 use crate::params::{ParamError, ProtocolParams};
 use crate::sampler::WeightedSampler;
-use crate::types::{AllocEntry, FileDescriptor, FileId, Sector, SectorId};
+use crate::types::{AllocEntry, FileDescriptor, FileId, RemovalReason, Sector, SectorId};
 
 use crate::error::Error;
 
@@ -470,14 +470,9 @@ impl Counters {
 /// each allocation row has its file, each sector exactly one CR row, each
 /// replica set its sector, and each sector the sampler can draw a replica
 /// set (a corrupted sector has left both).
-fn check_links(
-    files: &TrackedMap<FileId, FileDescriptor>,
-    alloc: &TrackedMap<(FileId, u32), AllocEntry>,
-    sectors: &TrackedMap<SectorId, Sector>,
-    cr: &TrackedMap<SectorId, CrAccounting>,
-    sector_replicas: &ReplicaIndex,
-    sampler: &WeightedSampler<SectorId>,
-) -> Result<(), SnapshotError> {
+fn check_links(engine: &Engine) -> Result<(), SnapshotError> {
+    let (files, alloc, sectors, cr) = (&engine.files, &engine.alloc, &engine.sectors, &engine.cr);
+    let (sector_replicas, sampler) = (&engine.sector_replicas, &engine.sampler);
     if alloc.keys().any(|(file, _)| !files.contains_key(file)) {
         return Err(SnapshotError::Malformed("allocation row without a file"));
     }
@@ -738,6 +733,104 @@ fn put_delta_nodes(d: &mut Dec<'_>, store: &dyn Blockstore) -> Result<(), Error>
     Ok(())
 }
 
+/// An engine's five row tables.
+#[derive(Default)]
+struct Rows {
+    files: TrackedMap<FileId, FileDescriptor>,
+    alloc: TrackedMap<(FileId, u32), AllocEntry>,
+    discard_reasons: TrackedMap<FileId, RemovalReason>,
+    sectors: TrackedMap<SectorId, Sector>,
+    cr: TrackedMap<SectorId, CrAccounting>,
+}
+
+/// The sections both formats carry besides the map rows, decoded.
+struct Sections {
+    params: ProtocolParams,
+    chain: BlockChain,
+    ledger: Ledger,
+    counters: Counters,
+    stats: EngineStats,
+    pending: Scheduler<SeqTask>,
+    sector_replicas: ReplicaIndex,
+    sampler: WeightedSampler<SectorId>,
+    rng: DetRng,
+    last_checkpoint: Option<Checkpoint>,
+}
+
+impl Sections {
+    /// Decodes the sections in the order both formats write them.
+    /// `tables` reads what a format puts among them: it runs before the
+    /// pending tasks (`before_tasks`) and after them.
+    fn decode<'a>(
+        d: &mut Dec<'a>,
+        mut tables: impl FnMut(&mut Dec<'a>, &Counters, bool) -> Result<(), SnapshotError>,
+    ) -> Result<Sections, SnapshotError> {
+        let params = dec_params(d)?;
+        params.validate()?;
+        let chain = dec_chain(d, &params)?;
+        let ledger = dec_ledger(d)?;
+        let counters = dec_counters(d)?;
+        let stats = dec_stats(d)?;
+        tables(d, &counters, true)?;
+        let pending = dec_tasks(d, &params, &chain, counters.task_seq)?;
+        tables(d, &counters, false)?;
+        Ok(Sections {
+            params,
+            chain,
+            ledger,
+            counters,
+            stats,
+            pending,
+            sector_replicas: dec_replicas(d)?,
+            sampler: dec_sampler(d)?,
+            rng: dec_rng(d)?,
+            last_checkpoint: dec_checkpoint(d)?,
+        })
+    }
+
+    /// The engine of these sections, `rows` and their committed tries
+    /// `maps`, on `store`, if it passes [`check_links`]. Gas schedule,
+    /// event log, op log and phase times start fresh.
+    fn into_engine(
+        self,
+        rows: Rows,
+        store: Arc<dyn Blockstore>,
+        maps: StateMaps,
+    ) -> Result<Engine, SnapshotError> {
+        let counters = &self.counters;
+        let engine = Engine {
+            params: self.params,
+            chain: self.chain,
+            ledger: self.ledger,
+            gas: GasSchedule::default(),
+            files: rows.files,
+            alloc: rows.alloc,
+            discard_reasons: rows.discard_reasons,
+            pending: self.pending,
+            sectors: rows.sectors,
+            cr: rows.cr,
+            sector_replicas: self.sector_replicas,
+            sampler: self.sampler,
+            rng: self.rng,
+            next_file_id: counters.next_file_id,
+            next_sector_id: counters.next_sector_id,
+            events: Vec::new(),
+            stats: self.stats,
+            op_counter: counters.op_counter,
+            ops_applied: counters.ops_applied,
+            task_seq: counters.task_seq,
+            audit_root: counters.audit_root,
+            op_log: Default::default(),
+            last_checkpoint: self.last_checkpoint,
+            phase: super::PhaseTimes::default(),
+            store,
+            commit: CommitCell::with_maps(maps),
+        };
+        check_links(&engine)?;
+        Ok(engine)
+    }
+}
+
 impl Engine {
     /// Serializes the engine's complete consensus state into the versioned,
     /// self-hashed snapshot format (see the module docs for what is and
@@ -809,104 +902,56 @@ impl Engine {
     pub fn snapshot_restore(bytes: &[u8]) -> Result<Engine, SnapshotError> {
         let mut d = open_envelope(bytes, MAGIC, VERSION)?;
 
-        let params = dec_params(&mut d)?;
-        params.validate()?;
-        let chain = dec_chain(&mut d, &params)?;
-        let ledger = dec_ledger(&mut d)?;
-        let counters = dec_counters(&mut d)?;
-        let stats = dec_stats(&mut d)?;
-
-        // The five map tables. Each row goes into its flat map clean, and
-        // its key and leaf into the pairs its map's trie is built from, so
-        // the engine comes back committed with nothing dirty. A file or
-        // sector row is its leaf, which opens with its 8-byte key; an
-        // alloc, discard or CR row is key ‖ leaf.
-        let mut files = TrackedMap::new();
-        let file_trie = table(&mut d, "file ids out of order or duplicated", |d| {
-            let (desc, leaf) = d.with_bytes(statemap::get_file)?;
-            let desc = counters.check_file(&leaf[..8], desc)?;
-            files.insert_clean(desc.id, desc);
-            Ok((&leaf[..8], leaf))
+        // The five map tables: files, alloc and discard reasons before the
+        // pending tasks, sectors and CR after. Each row goes into its flat
+        // map clean, and its key and leaf into the pairs its map's trie is
+        // built from, so the engine comes back committed with nothing
+        // dirty. A file or sector row is its leaf, which opens with its
+        // 8-byte key; an alloc, discard or CR row is key ‖ leaf.
+        let (mut rows, mut maps) = (Rows::default(), StateMaps::default());
+        let sections = Sections::decode(&mut d, |d, counters, before_tasks| {
+            if before_tasks {
+                maps.files = table(d, "file ids out of order or duplicated", |d| {
+                    let (desc, leaf) = d.with_bytes(statemap::get_file)?;
+                    let desc = counters.check_file(&leaf[..8], desc)?;
+                    rows.files.insert_clean(desc.id, desc);
+                    Ok((&leaf[..8], leaf))
+                })?;
+                maps.alloc = table(d, "allocation rows out of order or duplicated", |d| {
+                    let key = d.take(12)?;
+                    let (file, index) = statemap::dec_key_alloc(key)?;
+                    let (entry, leaf) = d.with_bytes(statemap::get_alloc_entry)?;
+                    rows.alloc.insert_clean((file, index), entry);
+                    Ok((key, leaf))
+                })?;
+                maps.discard = table(d, "discard reasons out of order or duplicated", |d| {
+                    let key = d.take(8)?;
+                    let file = FileId(statemap::dec_key_id(key, "discard key width")?);
+                    let (reason, leaf) = d.with_bytes(statemap::get_reason)?;
+                    rows.discard_reasons.insert_clean(file, reason);
+                    Ok((key, leaf))
+                })?;
+            } else {
+                maps.sectors = table(d, "sector ids out of order or duplicated", |d| {
+                    let (sector, leaf) = d.with_bytes(statemap::get_sector)?;
+                    let sector = counters.check_sector(&leaf[..8], sector)?;
+                    rows.sectors.insert_clean(sector.id, sector);
+                    Ok((&leaf[..8], leaf))
+                })?;
+                maps.cr = table(d, "CR rows out of order or duplicated", |d| {
+                    let key = d.take(8)?;
+                    let id = SectorId(statemap::dec_key_id(key, "cr key width")?);
+                    let (acct, leaf) = d.with_bytes(statemap::get_cr)?;
+                    rows.cr.insert_clean(id, acct);
+                    Ok((key, leaf))
+                })?;
+            }
+            Ok(())
         })?;
-        let mut alloc = TrackedMap::new();
-        let alloc_trie = table(&mut d, "allocation rows out of order or duplicated", |d| {
-            let key = d.take(12)?;
-            let (file, index) = statemap::dec_key_alloc(key)?;
-            let (entry, leaf) = d.with_bytes(statemap::get_alloc_entry)?;
-            alloc.insert_clean((file, index), entry);
-            Ok((key, leaf))
-        })?;
-        let mut discard_reasons = TrackedMap::new();
-        let discard_trie = table(&mut d, "discard reasons out of order or duplicated", |d| {
-            let key = d.take(8)?;
-            let file = FileId(statemap::dec_key_id(key, "discard key width")?);
-            let (reason, leaf) = d.with_bytes(statemap::get_reason)?;
-            discard_reasons.insert_clean(file, reason);
-            Ok((key, leaf))
-        })?;
-
-        // Pending tasks (already in canonical (time, seq) order).
-        let pending = dec_tasks(&mut d, &params, &chain, counters.task_seq)?;
-
-        let mut sectors = TrackedMap::new();
-        let sector_trie = table(&mut d, "sector ids out of order or duplicated", |d| {
-            let (sector, leaf) = d.with_bytes(statemap::get_sector)?;
-            let sector = counters.check_sector(&leaf[..8], sector)?;
-            sectors.insert_clean(sector.id, sector);
-            Ok((&leaf[..8], leaf))
-        })?;
-        let mut cr = TrackedMap::new();
-        let cr_trie = table(&mut d, "CR rows out of order or duplicated", |d| {
-            let key = d.take(8)?;
-            let id = SectorId(statemap::dec_key_id(key, "cr key width")?);
-            let (acct, leaf) = d.with_bytes(statemap::get_cr)?;
-            cr.insert_clean(id, acct);
-            Ok((key, leaf))
-        })?;
-
-        let sector_replicas = dec_replicas(&mut d)?;
-        let sampler = dec_sampler(&mut d)?;
-        let rng = dec_rng(&mut d)?;
-        let last_checkpoint = dec_checkpoint(&mut d)?;
         if !d.done() {
             return Err(SnapshotError::TrailingBytes);
         }
-        check_links(&files, &alloc, &sectors, &cr, &sector_replicas, &sampler)?;
-
-        Ok(Engine {
-            params,
-            chain,
-            ledger,
-            gas: GasSchedule::default(),
-            files,
-            alloc,
-            discard_reasons,
-            pending,
-            sectors,
-            cr,
-            sector_replicas,
-            sampler,
-            rng,
-            next_file_id: counters.next_file_id,
-            next_sector_id: counters.next_sector_id,
-            events: Vec::new(),
-            stats,
-            op_counter: counters.op_counter,
-            ops_applied: counters.ops_applied,
-            task_seq: counters.task_seq,
-            audit_root: counters.audit_root,
-            op_log: Default::default(),
-            last_checkpoint,
-            phase: super::PhaseTimes::default(),
-            store: super::default_store(),
-            commit: CommitCell::with_maps(StateMaps {
-                files: file_trie,
-                alloc: alloc_trie,
-                discard: discard_trie,
-                sectors: sector_trie,
-                cr: cr_trie,
-            }),
-        })
+        sections.into_engine(rows, super::default_store(), maps)
     }
 
     /// Serializes an **incremental** snapshot against `base`: the full
@@ -1035,17 +1080,8 @@ impl Engine {
         }
 
         // Non-map sections.
-        let params = dec_params(&mut d)?;
-        params.validate().map_err(SnapshotError::from)?;
-        let chain = dec_chain(&mut d, &params)?;
-        let ledger = dec_ledger(&mut d)?;
-        let counters = dec_counters(&mut d)?;
-        let stats = dec_stats(&mut d)?;
-        let pending = dec_tasks(&mut d, &params, &chain, counters.task_seq)?;
-        let sector_replicas = dec_replicas(&mut d)?;
-        let sampler = dec_sampler(&mut d)?;
-        let rng = dec_rng(&mut d)?;
-        let last_checkpoint = dec_checkpoint(&mut d)?;
+        let sections = Sections::decode(&mut d, |_, _, _| Ok(()))?;
+        let counters = &sections.counters;
 
         // The new tries are the base's nodes plus the shipped ones.
         let store = Arc::clone(&base.store);
@@ -1057,95 +1093,48 @@ impl Engine {
         // The map rows: the base's, then every pair the new tries say
         // differs. Only those keys are marked dirty, so the root check at
         // the end is an incremental commit over the shared tries.
-        let mut files = base.files.clone_clean();
-        let mut alloc = base.alloc.clone_clean();
-        let mut discard_reasons = base.discard_reasons.clone_clean();
-        let mut sectors = base.sectors.clone_clean();
-        let mut cr = base.cr.clone_clean();
+        let mut rows = Rows {
+            files: base.files.clone_clean(),
+            alloc: base.alloc.clone_clean(),
+            discard_reasons: base.discard_reasons.clone_clean(),
+            sectors: base.sectors.clone_clean(),
+            cr: base.cr.clone_clean(),
+        };
         let changes =
             |map: usize| Hamt::load(map_roots[map]).diff_keys(store.as_ref(), maps.tries()[map]);
 
         for (key, leaf) in changes(0)? {
             let id = FileId(statemap::dec_key_id(&key, "file key width")?);
-            match leaf {
-                Some(leaf) => {
-                    let desc = counters.check_file(&key, statemap::dec_file(&leaf)?)?;
-                    files.insert(id, desc);
-                }
-                None => {
-                    files.remove(&id);
-                }
-            }
+            let desc = match leaf {
+                Some(leaf) => Some(counters.check_file(&key, statemap::dec_file(&leaf)?)?),
+                None => None,
+            };
+            rows.files.set(id, desc);
         }
         for (key, leaf) in changes(1)? {
-            let (file, index) = statemap::dec_key_alloc(&key)?;
-            match leaf {
-                Some(leaf) => {
-                    alloc.insert((file, index), statemap::dec_alloc_entry(&leaf)?);
-                }
-                None => {
-                    alloc.remove(&(file, index));
-                }
-            }
+            let entry = leaf.map(|leaf| statemap::dec_alloc_entry(&leaf));
+            rows.alloc
+                .set(statemap::dec_key_alloc(&key)?, entry.transpose()?);
         }
         for (key, leaf) in changes(2)? {
             let file = FileId(statemap::dec_key_id(&key, "discard key width")?);
-            match leaf {
-                Some(leaf) => {
-                    discard_reasons.insert(file, statemap::dec_reason(&leaf)?);
-                }
-                None => {
-                    discard_reasons.remove(&file);
-                }
-            }
+            let reason = leaf.map(|leaf| statemap::dec_reason(&leaf));
+            rows.discard_reasons.set(file, reason.transpose()?);
         }
         for (key, leaf) in changes(3)? {
             let id = SectorId(statemap::dec_key_id(&key, "sector key width")?);
-            match leaf {
-                Some(leaf) => drop(sectors.insert(
-                    id,
-                    counters.check_sector(&key, statemap::dec_sector(&leaf)?)?,
-                )),
-                None => drop(sectors.remove(&id)),
-            }
+            let sector = match leaf {
+                Some(leaf) => Some(counters.check_sector(&key, statemap::dec_sector(&leaf)?)?),
+                None => None,
+            };
+            rows.sectors.set(id, sector);
         }
         for (key, leaf) in changes(4)? {
             let id = SectorId(statemap::dec_key_id(&key, "cr key width")?);
-            match leaf {
-                Some(leaf) => drop(cr.insert(id, statemap::dec_cr(&leaf)?)),
-                None => drop(cr.remove(&id)),
-            }
+            rows.cr
+                .set(id, leaf.map(|leaf| statemap::dec_cr(&leaf)).transpose()?);
         }
-        check_links(&files, &alloc, &sectors, &cr, &sector_replicas, &sampler)?;
-
-        let engine = Engine {
-            params,
-            chain,
-            ledger,
-            gas: GasSchedule::default(),
-            files,
-            alloc,
-            discard_reasons,
-            pending,
-            sectors,
-            cr,
-            sector_replicas,
-            sampler,
-            rng,
-            next_file_id: counters.next_file_id,
-            next_sector_id: counters.next_sector_id,
-            events: Vec::new(),
-            stats,
-            op_counter: counters.op_counter,
-            ops_applied: counters.ops_applied,
-            task_seq: counters.task_seq,
-            audit_root: counters.audit_root,
-            op_log: Default::default(),
-            last_checkpoint,
-            phase: super::PhaseTimes::default(),
-            store,
-            commit: CommitCell::with_maps(maps),
-        };
+        let engine = sections.into_engine(rows, store, maps)?;
 
         // End-to-end commitment check: the patched engine's own commit —
         // canonical tries of its rows — must fold to exactly the roots the

@@ -51,20 +51,22 @@ use crate::types::{
 /// `&self`: [`Engine::state_root`](super::Engine::state_root) commits
 /// through a shared reference. Every marking happens through `&mut self`
 /// via the lock-free `Mutex::get_mut`, so the hot path never contends.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(super) struct TrackedMap<K, V> {
     map: HashMap<K, V>,
     dirty: Mutex<HashSet<K>>,
 }
 
-impl<K: Eq + Hash + Copy, V> TrackedMap<K, V> {
-    pub(super) fn new() -> Self {
+impl<K, V> Default for TrackedMap<K, V> {
+    fn default() -> Self {
         TrackedMap {
             map: HashMap::new(),
             dirty: Mutex::new(HashSet::new()),
         }
     }
+}
 
+impl<K: Eq + Hash + Copy, V> TrackedMap<K, V> {
     #[inline]
     fn mark(&mut self, key: K) {
         self.dirty.get_mut().expect("dirty set lock").insert(key);
@@ -99,6 +101,14 @@ impl<K: Eq + Hash + Copy, V> TrackedMap<K, V> {
             self.mark(*key);
         }
         removed
+    }
+
+    /// Inserts `value` under `key`, or removes `key` when it is `None`.
+    pub(super) fn set(&mut self, key: K, value: Option<V>) {
+        match value {
+            Some(value) => drop(self.insert(key, value)),
+            None => drop(self.remove(&key)),
+        }
     }
 
     #[inline]
@@ -548,7 +558,7 @@ mod tests {
 
     #[test]
     fn tracked_map_marks_mutations() {
-        let mut m: TrackedMap<u64, String> = TrackedMap::new();
+        let mut m: TrackedMap<u64, String> = TrackedMap::default();
         assert!(m.take_dirty().is_empty());
         m.insert(1, "a".into());
         m.insert(2, "b".into());

@@ -28,11 +28,9 @@
 //! fresh engine and reproduces the same `state_root()` block by block.
 //!
 //! Ops arrive one at a time through `apply` or as whole block batches
-//! through [`crate::engine::Engine::apply_batch`], which hashes runs of
-//! the shard-local variants (`FileConfirm`, `FileProve`, `FileGet`,
-//! `FileDiscard`, `ForceDiscard` — each touches one file's rows) in
-//! parallel, treats the rest as barriers that end a run, and executes
-//! every op in order; either path commits the identical op log.
+//! through [`crate::engine::Engine::apply_batch`], which takes the
+//! batch's op digests and proof walks in one pass, then executes every op
+//! in order; either path commits the identical op log.
 
 use fi_chain::account::{AccountId, TokenAmount};
 use fi_chain::tasks::Time;

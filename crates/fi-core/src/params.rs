@@ -72,14 +72,13 @@ pub struct ProtocolParams {
     /// identical either way.
     pub scheduler: SchedulerKind,
     /// The parallel switch: above `1`, the engine fans its two large
-    /// phases out over scoped threads — the audit verify phase and (with
-    /// [`ProtocolParams::ingest_threads`] above `1` too) the batch-ingest
-    /// hashing pass; at `1` both run sequentially. Audit commits and op
-    /// execution are sequential either way. Only whether it exceeds `1`
-    /// matters: the engine holds one set of per-file rows whatever the
-    /// value. Consensus results are bit-identical either way
-    /// (see DESIGN.md §9), so this is a deployment/performance knob, not a
-    /// consensus parameter.
+    /// phases out over scoped threads — the audit verify phase and the
+    /// batch-ingest hashing pass; at `1` both run sequentially. Audit
+    /// commits and op execution are sequential either way. Only whether
+    /// it exceeds `1` matters: the engine holds one set of per-file rows
+    /// whatever the value. Consensus results are bit-identical either way
+    /// (see DESIGN.md §9–§10), so this is a deployment/performance knob,
+    /// not a consensus parameter.
     ///
     /// Defaults to `1`, or to the `FI_TEST_SHARDS` environment variable when
     /// set (the CI matrix runs the whole test suite at 1 and 8, i.e. with
@@ -90,15 +89,12 @@ pub struct ProtocolParams {
     /// audited replica (the simulated WindowPoSt verification cost, the
     /// parallelizable part of an audit).
     pub audit_path_len: u32,
-    /// Gates the batch-ingest hashing pass
-    /// ([`crate::engine::Engine::apply_batch`]) and sets the parallel
-    /// phases' minimum width. Above `1`, with [`ProtocolParams::shards`]
-    /// above `1` too, a large run of shard-local ops has its op digests
-    /// and `File_Prove` walks taken concurrently, in contiguous chunks,
-    /// before the ops execute in submission order. A
-    /// parallel phase runs `width = max(available cores, this)` workers. Consensus results are bit-identical at every thread
-    /// count (see DESIGN.md §10), so — like [`ProtocolParams::shards`] — this is
-    /// a deployment/performance knob, not a consensus parameter.
+    /// The parallel phases' minimum width: a phase that fans out (see
+    /// [`ProtocolParams::shards`]) runs `max(available cores, this)`
+    /// workers. It gates nothing. Consensus results are bit-identical at
+    /// every thread count (see DESIGN.md §10), so — like
+    /// [`ProtocolParams::shards`] — this is a deployment/performance knob,
+    /// not a consensus parameter.
     ///
     /// Defaults to `1`, or to the `FI_TEST_INGEST_THREADS` environment
     /// variable when set (the CI matrix runs the whole suite at 1 and 4

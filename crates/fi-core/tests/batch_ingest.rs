@@ -4,10 +4,11 @@
 //! chain head, same open-block op/receipt digests and events, same op
 //! log — at every `(shards, ingest_threads)` combination. Both paths run
 //! every op once, in order, through the same handler; what the batch path
-//! adds is the barrier segmentation and, for large segments, a parallel
-//! pass that takes every op digest and `File_Prove` walk from pre-segment
-//! state and hands them in. These tests pin that the hand-in lands each
-//! digest on its own op, whatever an earlier op of the segment did.
+//! adds is one pass (parallel for a large batch with `shards > 1`) that
+//! takes every op digest, and the walk of every `File_Prove` before the
+//! batch's first `AdvanceTo`, from pre-batch state and hands them in.
+//! These tests pin that the hand-in lands each digest on its own op,
+//! whatever an earlier op of the batch did.
 
 use fi_chain::account::{AccountId, TokenAmount};
 use fi_core::engine::{Engine, EngineError, StateView};
@@ -19,7 +20,7 @@ use fi_crypto::{sha256, DetRng};
 const CLIENT: AccountId = AccountId(900);
 const PROVIDER: AccountId = AccountId(700);
 /// An account funded with a shoestring balance to force mid-batch
-/// insufficient-funds flips inside one hashed segment.
+/// insufficient-funds flips inside one hashed batch.
 const PAUPER: AccountId = AccountId(901);
 
 fn params(shards: usize, ingest_threads: usize) -> ProtocolParams {
@@ -61,15 +62,18 @@ fn engine_with_files(p: ProtocolParams, n: u64) -> Engine {
 }
 
 /// Builds a mixed op batch from the engine's current state: large runs of
-/// shard-local ops (proves, gets, confirms-that-fail, discards) crossing
-/// the 64-op parallel threshold, salted with deliberate error cases and
-/// split by barrier ops (funds, adds, time advances). Deterministic given
-/// the seed, and state-identical engines produce identical batches.
+/// per-file ops (proves, gets, confirms-that-fail, discards), salted with
+/// deliberate error cases and interleaved with funds, adds and two time
+/// advances. After the first advance come proves the hashing pass must
+/// leave to their handlers: proves of pre-batch files at the new time,
+/// and of a file added, confirmed and finalised inside the batch.
+/// Deterministic given the seed, and state-identical engines produce
+/// identical batches.
 fn build_batch(engine: &Engine, seed: u64) -> Vec<Op> {
     let mut rng = DetRng::from_seed_label(seed, "batch-ingest");
     let mut ops = Vec::new();
     let files = engine.file_ids();
-    // Every held replica proves once — the bulk shard-local run.
+    // Every held replica proves once — the bulk per-file run.
     for &f in &files {
         let cp = engine.file(f).map(|d| d.cp).unwrap_or(0);
         for i in 0..cp {
@@ -111,10 +115,9 @@ fn build_batch(engine: &Engine, seed: u64) -> Vec<Op> {
             file: f,
         });
     }
-    // A barrier run in the middle: new funds plus fresh file adds —
-    // including an oversized one that must fail validation and a zero-size
-    // one — exercising `File_Add` as a barrier (success and both error
-    // shapes) between two hashed segments.
+    // New funds plus fresh file adds in the middle — including an
+    // oversized one that must fail validation and a zero-size one —
+    // exercising `File_Add` (success and both error shapes) mid-batch.
     ops.push(Op::Fund {
         account: CLIENT,
         amount: TokenAmount(1_000_000),
@@ -139,7 +142,54 @@ fn build_batch(engine: &Engine, seed: u64) -> Vec<Op> {
         value: engine.params().min_value,
         merkle_root: sha256(b"empty"),
     });
-    // Post-barrier shard-local run: more gets and a few discards.
+    // The first new file's confirms, an advance past its transfer window
+    // that finalises it, then proves of it and of pre-batch replicas at
+    // the new time. A scratch clone runs the batch so far to learn the
+    // new file's id and placements.
+    let mut sim = engine.clone();
+    let added = ops
+        .iter()
+        .filter_map(|op| match sim.apply(op.clone()) {
+            Ok(Receipt::FileAdded { file, .. }) => Some(file),
+            _ => None,
+        })
+        .collect::<Vec<_>>()[0];
+    let confirmed_from = ops.len();
+    for (index, sector) in sim.pending_confirms(added) {
+        let caller = sim.sector(sector).expect("allocated sector").owner;
+        ops.push(Op::FileConfirm {
+            caller,
+            file: added,
+            index,
+            sector,
+        });
+    }
+    ops.push(Op::AdvanceTo {
+        target: engine.now() + engine.params().transfer_window(1) + 1,
+    });
+    for op in &ops[confirmed_from..] {
+        sim.apply(op.clone()).expect("confirms and advance succeed");
+    }
+    let late_proves: Vec<Op> = ops
+        .iter()
+        .filter(|op| matches!(op, Op::FileProve { caller, .. } if *caller == PROVIDER))
+        .take(30)
+        .cloned()
+        .collect();
+    for index in 0..sim.file(added).expect("finalised in the batch").cp {
+        let sector = sim.alloc_entry(added, index).and_then(|e| e.prev);
+        let sector = sector.expect("a confirmed replica");
+        let prove = Op::FileProve {
+            caller: sim.sector(sector).expect("holding sector").owner,
+            file: added,
+            index,
+            sector,
+        };
+        sim.apply(prove.clone()).expect("the new file proves");
+        ops.push(prove);
+    }
+    ops.extend(late_proves);
+    // More gets and a few discards.
     for _ in 0..70 {
         let f = files[rng.below(files.len() as u64) as usize];
         ops.push(Op::FileGet {
@@ -154,9 +204,9 @@ fn build_batch(engine: &Engine, seed: u64) -> Vec<Op> {
         });
         ops.push(Op::ForceDiscard { file: f }); // idempotent re-discard
     }
-    // Advance-time barrier at the end so Auto_* tasks execute too.
+    // A last advance so Auto_* tasks execute too.
     ops.push(Op::AdvanceTo {
-        target: engine.now() + engine.params().proof_cycle,
+        target: sim.now() + engine.params().proof_cycle,
     });
     ops
 }
@@ -199,8 +249,7 @@ fn assert_bit_identical(a: &Engine, b: &Engine, what: &str) {
 /// The tentpole invariant: randomized mixed batches through `apply_batch`
 /// reproduce the single-threaded `apply` path bit for bit at every
 /// `(shards, ingest_threads)` combination — including the configurations
-/// where the hashing pass actually fans out (8 shards × 4 threads over
-/// 64+-op segments).
+/// where the hashing pass actually fans out (every `shards > 1` cell).
 #[test]
 fn apply_batch_is_bit_identical_to_sequential_apply() {
     for seed in [7u64, 42] {
@@ -230,11 +279,9 @@ fn apply_batch_is_bit_identical_to_sequential_apply() {
                 &format!("seed {seed}, {shards} shards / {threads} threads"),
             );
             // The strategy counter tells the truth about which path ran:
-            // the hashing pass fans out exactly on multi-shard
-            // multi-thread configurations (the first segment is 240+
-            // proves, far past the threshold), and never on the
-            // degenerate ones.
-            let parallel_capable = shards > 1 && threads > 1;
+            // the hashing pass of this 500-op batch fans out exactly on
+            // the multi-shard configurations.
+            let parallel_capable = shards > 1;
             assert_eq!(
                 batched.stats().batches_staged_parallel > 0,
                 parallel_capable,
@@ -246,8 +293,8 @@ fn apply_batch_is_bit_identical_to_sequential_apply() {
 }
 
 /// Same engine configuration, chunked differently: applying the batch as
-/// one call, in small chunks, or op-by-op must agree — segmentation is an
-/// internal detail.
+/// one call, in small chunks, or op-by-op must agree — how a block is cut
+/// into batches is an internal detail.
 #[test]
 fn batch_chunking_is_invisible() {
     let build = || engine_with_files(params(8, 4), 100);
@@ -270,13 +317,13 @@ fn batch_chunking_is_invisible() {
     assert_bit_identical(&whole, &one_by_one, "op-by-op");
 }
 
-/// Insolvency inside one segment: a caller whose balance covers only part
-/// of a big same-segment op run. The account drains mid-segment and the
-/// later ops fail with `InsufficientFunds`, exactly as op by op: each
-/// op's gas check reads the live ledger its predecessors left, whatever
-/// the hashing pass read before the segment ran.
+/// Insolvency inside one batch: a caller whose balance covers only part
+/// of a big op run. The account drains mid-batch and the later ops fail
+/// with `InsufficientFunds`, exactly as op by op: each op's gas check
+/// reads the live ledger its predecessors left, whatever the hashing pass
+/// read before the batch ran.
 #[test]
-fn mid_batch_insolvency_falls_back_identically() {
+fn mid_batch_insolvency_matches_sequential_apply() {
     let gets_affordable = 10u128;
     let get_fee = 11u128; // RequestBase (10) + AllocRead (1) at default prices
     let build = |shards, threads| {
@@ -324,17 +371,16 @@ fn mid_batch_insolvency_falls_back_identically() {
     }
 }
 
-/// A same-file chain across an insolvency flip. In one hashed segment the
+/// A same-file chain across an insolvency flip. In one hashed batch the
 /// pauper's `File_Get` drains its balance, so its `File_Confirm` of a
 /// replica swapped into its sector (op A, on file `f`) fails with
 /// `InsufficientFunds` and writes nothing. A solvent client's later
 /// `File_Get` on `f` must then still list the replica's old holder: it
 /// reads the row A left unconfirmed, not the one A would have written
-/// had the pre-segment balance held. Results, open-block receipts and
-/// events, state and head all match op-by-op `apply`. (The name is from
-/// when a failed confirm made the file's later ops re-execute.)
+/// had the pre-batch balance held. Results, open-block receipts and
+/// events, state and head all match op-by-op `apply`.
 #[test]
-fn a_fallback_invalidates_the_later_ops_on_its_file() {
+fn later_ops_on_a_file_read_what_a_failed_op_left() {
     let fee = 11u128; // RequestBase (10) + AllocRead (1): a get or a confirm
     let build = || {
         let p = ProtocolParams {
@@ -386,7 +432,7 @@ fn a_fallback_invalidates_the_later_ops_on_its_file() {
 
     let (mut reference, sector) = build();
     let ops = ops_for(&reference, sector);
-    assert!(ops.len() >= 64, "one segment past the fan-out threshold");
+    assert!(ops.len() >= 64, "a batch past the fan-out threshold");
     let ref_results: Vec<_> = ops.iter().map(|op| reference.apply(op.clone())).collect();
     assert_eq!(
         ref_results[1],
@@ -402,10 +448,10 @@ fn a_fallback_invalidates_the_later_ops_on_its_file() {
     assert_eq!(batched.stats().batches_staged_parallel, 1);
 }
 
-/// Barrier ops inside a batch split the pipeline: state after a batch
-/// containing funds / adds / time advances interleaved with shard-local
-/// runs equals the sequential execution, and the op log records every op
-/// in submission order with monotonically increasing sequence numbers.
+/// Funds, adds and time advances inside a batch: state after a batch
+/// interleaving them with per-file runs equals the sequential execution,
+/// and the op log records every op in submission order with
+/// monotonically increasing sequence numbers.
 #[test]
 fn barriers_preserve_submission_order_in_the_op_log() {
     let mut engine = engine_with_files(params(8, 4), 80);
@@ -426,8 +472,8 @@ fn barriers_preserve_submission_order_in_the_op_log() {
 
 /// A caller that already holds the ops' digests (a node hashed them to
 /// identify the block) commits the identical batch without hashing again,
-/// through the parallel hashing pass (which then walks proofs only) and
-/// the small-segment path; the one-by-one `apply` loop is the oracle.
+/// through the hashing pass inline and fanned out (either way it then
+/// walks proofs only); the one-by-one `apply` loop is the oracle.
 #[test]
 fn caller_supplied_digests_commit_the_same_batch() {
     for (shards, threads) in [(1, 1), (8, 4)] {
@@ -449,14 +495,14 @@ fn caller_supplied_digests_commit_the_same_batch() {
 }
 
 /// `File_Prove` walks are taken ahead of execution: the hashing pass walks
-/// every prove of a segment whose file exists, as one lane batch per
-/// chunk, before any op of the segment runs, and the handler folds the
-/// digest only if the op then passes every check. One shard-local segment
-/// that interleaves accepted proofs with everything a digest could be
+/// every prove of a batch whose file exists, as one lane batch per
+/// chunk, before any op of the batch runs, and the handler folds the
+/// digest only if the op then passes every check. One batch that
+/// interleaves accepted proofs with everything a digest could be
 /// misattributed across — rejected proofs (wrong sector, unknown file, a
-/// caller that runs out of gas mid-segment, a replica confirmed earlier in
-/// the segment), confirms, and discards of files proved earlier in the
-/// segment and proved again after — must commit exactly as the one-by-one
+/// caller that runs out of gas mid-batch, a replica confirmed earlier in
+/// the batch), confirms, and discards of files proved earlier in the
+/// batch and proved again after — must commit exactly as the one-by-one
 /// `apply` loop does: same receipts, `audit_root` (which folds the
 /// digests in commit order), `state_root` and block hashes.
 #[test]

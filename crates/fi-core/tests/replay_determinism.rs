@@ -5,10 +5,13 @@
 
 use fi_chain::account::{AccountId, TokenAmount};
 use fi_chain::tasks::SchedulerKind;
-use fi_core::engine::{Engine, StateView};
+use fi_core::engine::{
+    Engine, EngineError, StateHeader, StateView, COMPENSATION_POOL, DEPOSIT_ESCROW, RENT_POOL,
+    TRAFFIC_ESCROW,
+};
 use fi_core::ops::Op;
 use fi_core::params::ProtocolParams;
-use fi_core::types::SectorState;
+use fi_core::types::{SectorId, SectorState};
 use fi_crypto::{sha256, DetRng};
 
 const CLIENT: AccountId = AccountId(900);
@@ -198,6 +201,76 @@ fn replay_from_checkpoint_is_deterministic() {
         wrong.tick();
         assert!(Engine::replay_from(&wrong, &cp, engine.op_log()).is_err());
     }
+}
+
+/// No op a hostile block can carry panics the engine: a rewinding
+/// `AdvanceTo`, `FailSector` / `CorruptSector` of an unknown sector and a
+/// `Fund` whose mint overflows the supply each return a typed error before
+/// any write — every map root, the ledger and the clock stay as they were,
+/// only the applied-op count moves — and the failed ops replay from the
+/// log like any other.
+#[test]
+fn hostile_ops_fail_without_writing_and_replay() {
+    let params = ProtocolParams {
+        k: 3,
+        delay_per_size: 6,
+        ..ProtocolParams::default()
+    };
+    let mut engine = random_workload(5, &params);
+    let unknown = SectorId(u64::MAX);
+    let cases = [
+        (
+            Op::AdvanceTo {
+                target: engine.now() - 1,
+            },
+            EngineError::InvalidState("time cannot rewind"),
+        ),
+        (
+            Op::FailSector { sector: unknown },
+            EngineError::UnknownSector(unknown),
+        ),
+        (
+            Op::CorruptSector { sector: unknown },
+            EngineError::UnknownSector(unknown),
+        ),
+        (
+            Op::Fund {
+                account: CLIENT,
+                amount: TokenAmount(u128::MAX),
+            },
+            EngineError::InvalidState("mint overflows the token supply"),
+        ),
+    ];
+    let accounts = [
+        CLIENT,
+        DEPOSIT_ESCROW,
+        COMPENSATION_POOL,
+        RENT_POOL,
+        TRAFFIC_ESCROW,
+    ];
+    let balances = |e: &Engine| accounts.map(|a| e.ledger().balance(a));
+    for (op, err) in cases {
+        let kind = op.kind();
+        let (roots, header) = (engine.state_roots(), engine.state_header());
+        let before = balances(&engine);
+        assert_eq!(engine.apply(op), Err(err), "{kind}");
+        assert_eq!(
+            engine.state_roots().map_roots(),
+            roots.map_roots(),
+            "{kind}: map roots"
+        );
+        let ops_applied = header.ops_applied + 1;
+        assert_eq!(
+            engine.state_header(),
+            StateHeader {
+                ops_applied,
+                ..header
+            },
+            "{kind}: clock, supply and counters"
+        );
+        assert_eq!(balances(&engine), before, "{kind}: balances");
+    }
+    assert_replay_matches(&engine, params);
 }
 
 #[test]

@@ -941,10 +941,10 @@ fn commit_digest(committed: &mut HashMap<Hash256, (u64, u32)>, digest: Hash256, 
 /// alone it grows (and is cloned) for the life of the validator.
 ///
 /// Every node replays through [`Engine::apply_batch_digested`]: it runs
-/// every op once, in order, and fans the hashing of a large segment out
-/// when the engine's shape makes that pay, bit-identical either way. Failed ops are part of history
-/// (they burn gas and carry failure receipts); outcomes surface through
-/// the roots.
+/// every op once, in order, and fans the hashing of a large batch out
+/// when the engine's shape makes that pay, bit-identical either way.
+/// Failed ops are part of history (they burn gas and carry failure
+/// receipts); outcomes surface through the roots.
 fn apply_block(engine: &mut Engine, ops: &[Op], digests: &[Hash256]) {
     let _ = engine.apply_batch_digested(ops.to_vec(), digests);
     engine.take_events();
@@ -1026,7 +1026,7 @@ mod tests {
             assert_eq!(t.head(), hash);
             assert_eq!(t.head_height(), slot);
         }
-        assert_eq!(t.engine().now(), 90, "AdvanceTo barriers replayed");
+        assert_eq!(t.engine().now(), 90, "AdvanceTo ops replayed");
         assert_eq!(t.reorgs(), 0);
     }
 
@@ -1168,6 +1168,47 @@ mod tests {
         );
         assert_eq!(t.head(), honest.hash());
         assert_ne!(t.head(), hash);
+    }
+
+    /// A scheduled proposer may fill its block with ops no honest client
+    /// sends: a rewinding `AdvanceTo`, faults on an unknown sector and a
+    /// mint past the token supply. Each fails as a logged receipt on every
+    /// replica, never a panic, and the block is adopted like any other.
+    #[test]
+    fn hostile_ops_in_a_block_fail_as_receipts() {
+        let mut t = tracker();
+        let b1 = forge(&t, 1, 0, advance_ops(1));
+        t.insert(b1.clone());
+        let unknown = fi_core::types::SectorId(u64::MAX);
+        let hostile = vec![
+            Op::AdvanceTo { target: 1 },
+            Op::FailSector { sector: unknown },
+            Op::CorruptSector { sector: unknown },
+            Op::Fund {
+                account: AccountId(900),
+                amount: TokenAmount(u128::MAX),
+            },
+            Op::AdvanceTo { target: 60 },
+        ];
+        let b2 = forge(&t, 2, 0, hostile);
+        let mut other = tracker();
+        other.insert(b1);
+        for tracker in [&mut t, &mut other] {
+            assert_eq!(
+                tracker.insert(b2.clone()),
+                InsertOutcome::Attached {
+                    head_changed: true,
+                    reorged: false
+                }
+            );
+            assert_eq!(tracker.head(), b2.hash());
+            let log = tracker.engine().op_log().to_vec();
+            let outcomes: Vec<bool> = log[log.len() - 5..].iter().map(|r| r.ok).collect();
+            assert_eq!(outcomes, [false, false, false, false, true]);
+        }
+        assert_eq!(t.verify_failures() + other.verify_failures(), 0);
+        assert_eq!(t.engine().state_root(), other.engine().state_root());
+        assert_eq!(other.engine().state_root(), b2.state_root);
     }
 
     #[test]

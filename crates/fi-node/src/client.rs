@@ -11,8 +11,8 @@
 //! occasional discards. Submissions round-robin across the validator set over the
 //! lossy link with bounded retransmit; whichever validator admits a tx
 //! forwards it to the slot's scheduled leader, so blocks are realistic
-//! mixes of all five shard-local op kinds plus `File_Add`/`AdvanceTo`
-//! barriers no matter who proposes.
+//! mixes of confirms, proofs, gets and discards plus `File_Add`s and
+//! `AdvanceTo`s no matter who proposes.
 //!
 //! Two kinds of deliberately awkward traffic fall out: the replica view
 //! lags the chain, so the driver re-submits already-committed confirms

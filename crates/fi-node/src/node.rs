@@ -242,7 +242,7 @@ pub struct ValidatorReport {
     pub final_files: u64,
     /// Receipt root of the final sealed engine block.
     pub final_receipt_root: Option<Hash256>,
-    /// Ingest segments whose hashing pass the head engine fanned out.
+    /// Batches whose hashing pass the head engine fanned out.
     /// Execution-strategy counter: replaying followers may
     /// report different values than the proposer without any consensus
     /// divergence (see `EngineStats::consensus`).

@@ -123,9 +123,9 @@ fn rotating_validators_stay_bit_identical_across_200_slots_under_loss() {
 #[test]
 fn replay_modes_agree_per_height() {
     // Every validator replays blocks through `apply_batch_digested`, which
-    // fans a large segment's hashing out or applies it op by op as the
-    // engine's shape decides; under the CI shard and thread matrix it fans
-    // out. Convergence across
+    // fans a large batch's hashing out or runs it inline as the engine's
+    // shape decides; in the CI matrix's `shards = 8` cells it fans out.
+    // Convergence across
     // validators, heavy loss, retransmits and duplicate deliveries
     // included, shows every replica replayed every adopted block alike.
     let cfg = chaos_cluster(0xA11B, 60, 0.2);
@@ -396,9 +396,9 @@ fn mid_block_insolvency_falls_back_like_sequential_apply() {
         target: proposer_engine.now() + proposer_engine.params().block_interval,
     });
 
-    // The batch path (a ≥64-op shard-local segment, hashed in parallel at
-    // 8 shards / 4 threads) must fail the drained reads exactly like the
-    // sequential path.
+    // The batch path (a batch of more than 64 ops, hashed in parallel at
+    // 8 shards) must fail the drained reads exactly like the sequential
+    // path.
     let mut sequential = proposer_engine.clone();
     for op in ops.clone() {
         let _ = sequential.apply(op);

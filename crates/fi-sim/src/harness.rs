@@ -129,9 +129,8 @@ impl Scenario {
         let now = self.engine.now();
         // Confirms: every live provider confirms pending transfers to its
         // sectors (failing/dark providers don't). The whole sweep goes
-        // through the pipelined ingest path — `File_Confirm` is
-        // shard-local, so a big sweep stages concurrently, grouped by
-        // file, while staying bit-identical to one-by-one application.
+        // through the batch ingest path as one batch, bit-identical to
+        // one-by-one application.
         let confirms: Vec<Op> = pending_confirm_candidates(&self.engine)
             .into_iter()
             .filter_map(|(f, i, s)| {
@@ -148,7 +147,7 @@ impl Scenario {
             })
             .collect();
         self.engine.apply_batch(confirms);
-        // Proofs — likewise one shard-local batch.
+        // Proofs — likewise one batch.
         let held: Vec<(FileId, u32, SectorId, AccountId, ProviderBehavior)> =
             held_replica_candidates(&self.engine)
                 .into_iter()
