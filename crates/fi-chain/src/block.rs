@@ -12,11 +12,10 @@
 //! 3. a per-height **beacon value** feeding protocol randomness, and
 //! 4. a **state commitment** chaining block to block.
 
-use std::sync::Arc;
+use std::ops::RangeInclusive;
 
 use fi_crypto::{cached_domain, keyed_hash, Hash256, RandomBeacon};
 
-use crate::log::SharedLog;
 use crate::tasks::Time;
 
 /// An event recorded in a block. The payload is a human-readable tag plus
@@ -46,8 +45,10 @@ impl ChainEvent {
 
 cached_domain!(fn event_domain, "chain/event");
 
-/// A sealed block.
-#[derive(Debug, Clone)]
+/// The header of a sealed block. Its hash folded in the block's event
+/// digests, op digests and declared state root when it sealed; the chain
+/// keeps this header of its last block and drops the bodies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Block {
     /// Height in the chain (genesis = 0).
     pub height: u64,
@@ -59,12 +60,6 @@ pub struct Block {
     pub beacon_value: Hash256,
     /// Commitment over parent, events, op batch and declared state root.
     pub block_hash: Hash256,
-    /// Events included in this block.
-    pub events: Vec<ChainEvent>,
-    /// Digests of the protocol ops applied during this block's interval
-    /// (the transaction batch), in application order. The protocol layer
-    /// defines the op encoding; the chain commits to it opaquely.
-    pub op_digests: Vec<Hash256>,
     /// Commitment over the receipts of this block's op batch
     /// ([`Hash256::ZERO`] when the batch is empty).
     pub receipt_root: Hash256,
@@ -73,11 +68,9 @@ pub struct Block {
 /// The chain: produces blocks at a fixed cadence, exposes the beacon and
 /// the event sink for the current (open) block.
 ///
-/// Sealed blocks are immutable, so the chain keeps them in a
-/// [`SharedLog`] of `Arc<Block>`: cloning a chain (every engine clone
-/// does) shares its whole history by pointer — the cost of a clone does
-/// not depend on the height — and sealing on one clone never touches
-/// another's blocks.
+/// The chain keeps the header of its last sealed block and nothing older:
+/// the head hash commits to every earlier block, so its memory does not
+/// grow with the height and a clone copies a fixed-size value.
 ///
 /// # Example
 ///
@@ -87,9 +80,10 @@ pub struct Block {
 ///
 /// let mut chain = BlockChain::new(42, 10); // seed 42, one block per 10 ticks
 /// chain.log(ChainEvent::new("file.add", b"f1".to_vec()));
-/// let sealed = chain.advance_time(25, Hash256::ZERO); // seals heights 1,2
-/// assert_eq!(sealed.len(), 2);
+/// let sealed = chain.advance_time(25, Hash256::ZERO);
+/// assert_eq!(sealed, 1..=2);
 /// assert_eq!(chain.height(), 2);
+/// assert_eq!(chain.last_block().map(|b| b.block_hash), Some(chain.head_hash()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct BlockChain {
@@ -101,11 +95,9 @@ pub struct BlockChain {
     open_events: Vec<ChainEvent>,
     /// `(op digest, receipt digest)` pairs applied since the last seal.
     open_ops: Vec<(Hash256, Hash256)>,
-    blocks: SharedLog<Arc<Block>>,
-    /// Parent hash of `blocks[0]` — [`Hash256::ZERO`] for a chain built
-    /// from genesis; the restored head for a chain rebuilt from a snapshot
-    /// (whose `blocks` then only holds post-restore seals).
-    history_base_hash: Hash256,
+    /// Header of the last block this instance sealed (genesis for a new
+    /// chain; none for a restored chain until it seals one).
+    last: Option<Block>,
 }
 
 impl BlockChain {
@@ -119,16 +111,6 @@ impl BlockChain {
         let beacon = RandomBeacon::new(seed);
         let genesis_beacon = beacon.value_at(0);
         let genesis_hash = keyed_hash("chain/genesis", &[genesis_beacon.as_ref()]);
-        let genesis = Block {
-            height: 0,
-            timestamp: 0,
-            parent: Hash256::ZERO,
-            beacon_value: genesis_beacon,
-            block_hash: genesis_hash,
-            events: Vec::new(),
-            op_digests: Vec::new(),
-            receipt_root: Hash256::ZERO,
-        };
         BlockChain {
             beacon,
             block_interval,
@@ -137,18 +119,22 @@ impl BlockChain {
             head_hash: genesis_hash,
             open_events: Vec::new(),
             open_ops: Vec::new(),
-            blocks: std::iter::once(Arc::new(genesis)).collect(),
-            history_base_hash: Hash256::ZERO,
+            last: Some(Block {
+                height: 0,
+                timestamp: 0,
+                parent: Hash256::ZERO,
+                beacon_value: genesis_beacon,
+                block_hash: genesis_hash,
+                receipt_root: Hash256::ZERO,
+            }),
         }
     }
 
     /// Rebuilds a chain mid-flight from snapshot state: the beacon is
     /// re-derived from `seed`, the head is pinned to `(height, head_hash)`,
     /// and the open (not yet sealed) events and op batch are reinstated.
-    /// Sealed block *bodies* are not part of snapshots — [`Self::blocks`]
-    /// of a restored chain holds only blocks sealed after the restore, and
-    /// [`Self::verify_chain`] validates that suffix against the restored
-    /// head.
+    /// Snapshots carry no block header, so [`Self::last_block`] of a
+    /// restored chain is `None` until it seals a block.
     ///
     /// # Panics
     ///
@@ -179,8 +165,7 @@ impl BlockChain {
             head_hash,
             open_events,
             open_ops,
-            blocks: SharedLog::new(),
-            history_base_hash: head_hash,
+            last: None,
         }
     }
 
@@ -230,10 +215,11 @@ impl BlockChain {
         &self.open_ops
     }
 
-    /// All sealed blocks, genesis first — shared with every clone of this
-    /// chain, never copied.
-    pub fn blocks(&self) -> &SharedLog<Arc<Block>> {
-        &self.blocks
+    /// Header of the last sealed block: genesis for a chain that has
+    /// sealed nothing yet, `None` for a restored chain until its first
+    /// seal.
+    pub fn last_block(&self) -> Option<&Block> {
+        self.last.as_ref()
     }
 
     /// Hash of the chain head.
@@ -243,89 +229,86 @@ impl BlockChain {
 
     /// Whether advancing to `target` crosses a block boundary, i.e. whether
     /// [`BlockChain::advance_time`] would seal at least one block — and so
-    /// use the state root it is handed.
+    /// use the state root it is handed. A boundary past `Time::MAX` is
+    /// never crossed.
     pub fn seals_block_by(&self, target: Time) -> bool {
-        (self.height + 1) * self.block_interval <= target
+        self.height
+            .checked_add(1)
+            .and_then(|next| next.checked_mul(self.block_interval))
+            .is_some_and(|boundary| boundary <= target)
     }
 
     /// Advances consensus time to `target`, sealing one block per elapsed
     /// interval. `state_root` is the caller's state commitment, folded into
     /// each sealed block (callers that don't track state pass
-    /// [`Hash256::ZERO`]). Returns the newly sealed blocks' heights.
+    /// [`Hash256::ZERO`]). Returns the newly sealed heights (an empty range
+    /// when none sealed).
     ///
     /// # Panics
     ///
     /// Panics if `target < now` — consensus time cannot rewind.
-    pub fn advance_time(&mut self, target: Time, state_root: Hash256) -> Vec<u64> {
+    pub fn advance_time(&mut self, target: Time, state_root: Hash256) -> RangeInclusive<u64> {
         assert!(target >= self.now, "time cannot rewind");
-        let mut sealed = Vec::new();
+        let from = self.height;
         // Blocks seal at absolute boundaries height × interval, regardless
         // of how time was chopped into advance_time calls.
         while self.seals_block_by(target) {
             self.height += 1;
             self.now = self.height * self.block_interval;
-            let beacon_value = self.beacon.value_at(self.height);
-            let events = std::mem::take(&mut self.open_events);
-            let ops = std::mem::take(&mut self.open_ops);
-            let mut event_digests: Vec<u8> = Vec::new();
-            for e in &events {
-                event_digests.extend_from_slice(e.digest().as_ref());
-            }
-            let mut op_bytes: Vec<u8> = Vec::with_capacity(ops.len() * 32);
-            let mut receipt_bytes: Vec<u8> = Vec::with_capacity(ops.len() * 32);
-            for (op, receipt) in &ops {
-                op_bytes.extend_from_slice(op.as_ref());
-                receipt_bytes.extend_from_slice(receipt.as_ref());
-            }
-            let receipt_root = if ops.is_empty() {
-                Hash256::ZERO
-            } else {
-                keyed_hash("chain/receipts", &[&receipt_bytes])
-            };
-            let block_hash = keyed_hash(
-                "chain/block",
-                &[
-                    self.head_hash.as_ref(),
-                    &self.height.to_be_bytes(),
-                    &self.now.to_be_bytes(),
-                    beacon_value.as_ref(),
-                    &event_digests,
-                    &op_bytes,
-                    receipt_root.as_ref(),
-                    state_root.as_ref(),
-                ],
-            );
-            self.blocks.push(Arc::new(Block {
-                height: self.height,
-                timestamp: self.now,
-                parent: self.head_hash,
-                beacon_value,
-                block_hash,
-                events,
-                op_digests: ops.into_iter().map(|(op, _)| op).collect(),
-                receipt_root,
-            }));
-            self.head_hash = block_hash;
-            sealed.push(self.height);
+            self.seal(state_root);
         }
         // Partial interval: time advances without sealing.
         self.now = target.max(self.now);
-        sealed
+        if self.height == from {
+            RangeInclusive::new(1, 0)
+        } else {
+            from + 1..=self.height
+        }
     }
 
-    /// Verifies the hash chain over the blocks this instance holds: from
-    /// genesis for a chain built with [`BlockChain::new`], from the
-    /// restored head for one rebuilt with [`BlockChain::restore`]
-    /// (integrity audit used in tests).
-    pub fn verify_chain(&self) -> bool {
-        let mut parent = self.history_base_hash;
-        for block in &self.blocks {
-            if block.parent != parent {
-                return false;
-            }
-            parent = block.block_hash;
+    /// Seals the open block at the current height and time: hashes its
+    /// events, op batch and receipts into the new head, then drops them.
+    fn seal(&mut self, state_root: Hash256) {
+        let beacon_value = self.beacon.value_at(self.height);
+        let events = std::mem::take(&mut self.open_events);
+        let mut event_digests: Vec<u8> = Vec::with_capacity(events.len() * 32);
+        for e in &events {
+            event_digests.extend_from_slice(e.digest().as_ref());
         }
-        parent == self.head_hash
+        let ops = std::mem::take(&mut self.open_ops);
+        let mut op_bytes: Vec<u8> = Vec::with_capacity(ops.len() * 32);
+        let mut receipt_bytes: Vec<u8> = Vec::with_capacity(ops.len() * 32);
+        for (op, receipt) in &ops {
+            op_bytes.extend_from_slice(op.as_ref());
+            receipt_bytes.extend_from_slice(receipt.as_ref());
+        }
+        let receipt_root = if ops.is_empty() {
+            Hash256::ZERO
+        } else {
+            keyed_hash("chain/receipts", &[&receipt_bytes])
+        };
+        let block_hash = keyed_hash(
+            "chain/block",
+            &[
+                self.head_hash.as_ref(),
+                &self.height.to_be_bytes(),
+                &self.now.to_be_bytes(),
+                beacon_value.as_ref(),
+                &event_digests,
+                &op_bytes,
+                receipt_root.as_ref(),
+                state_root.as_ref(),
+            ],
+        );
+        self.last = Some(Block {
+            height: self.height,
+            timestamp: self.now,
+            parent: self.head_hash,
+            beacon_value,
+            block_hash,
+            receipt_root,
+        });
+        self.head_hash = block_hash;
     }
 }
 
@@ -336,23 +319,37 @@ mod tests {
     #[test]
     fn seals_one_block_per_interval() {
         let mut chain = BlockChain::new(1, 10);
+        let genesis = *chain.last_block().expect("genesis");
         let sealed = chain.advance_time(35, Hash256::ZERO);
-        assert_eq!(sealed, vec![1, 2, 3]);
+        assert_eq!(sealed, 1..=3);
         assert_eq!(chain.now(), 35);
         assert_eq!(chain.height(), 3);
-        assert!(chain.verify_chain());
+        let last = chain.last_block().expect("sealed");
+        assert_eq!((last.height, last.timestamp), (3, 30));
+        assert_eq!(last.block_hash, chain.head_hash());
+        assert_ne!(last.parent, genesis.block_hash, "the parent is block 2");
     }
 
+    /// An event folds into the hash of the block sealing after it is
+    /// logged, and leaves the open block when it does.
     #[test]
     fn events_land_in_next_sealed_block() {
-        let mut chain = BlockChain::new(2, 10);
-        chain.log(ChainEvent::new("a", b"1".to_vec()));
-        chain.advance_time(10, Hash256::ZERO);
-        chain.log(ChainEvent::new("b", b"2".to_vec()));
-        chain.advance_time(20, Hash256::ZERO);
-        assert_eq!(chain.blocks()[1].events.len(), 1);
-        assert_eq!(chain.blocks()[1].events[0].kind, "a");
-        assert_eq!(chain.blocks()[2].events[0].kind, "b");
+        let event = || ChainEvent::new("a", b"1".to_vec());
+        let mut plain = BlockChain::new(2, 10);
+        let mut early = plain.clone();
+        let mut late = plain.clone();
+        early.log(event());
+        for chain in [&mut plain, &mut early, &mut late] {
+            chain.advance_time(10, Hash256::ZERO);
+        }
+        assert!(early.open_events().is_empty());
+        assert_ne!(early.head_hash(), plain.head_hash());
+        assert_eq!(late.head_hash(), plain.head_hash());
+
+        late.log(event());
+        plain.advance_time(20, Hash256::ZERO);
+        late.advance_time(20, Hash256::ZERO);
+        assert_ne!(late.head_hash(), plain.head_hash());
     }
 
     #[test]
@@ -378,14 +375,18 @@ mod tests {
     #[test]
     fn partial_interval_advances_time_only() {
         let mut chain = BlockChain::new(4, 10);
+        let head = chain.head_hash();
         let sealed = chain.advance_time(9, Hash256::ZERO);
         assert!(sealed.is_empty());
         assert_eq!(chain.now(), 9);
         assert_eq!(chain.height(), 0);
+        assert_eq!(chain.head_hash(), head);
         // The open event stays queued until a block seals.
         chain.log(ChainEvent::new("pending", b"".to_vec()));
+        assert_eq!(chain.open_events().len(), 1);
         chain.advance_time(10, Hash256::ZERO);
-        assert_eq!(chain.blocks()[1].events.len(), 1);
+        assert!(chain.open_events().is_empty());
+        assert_eq!(chain.height(), 1);
     }
 
     /// `seals_block_by` is exactly "would `advance_time` seal anything":
@@ -404,9 +405,30 @@ mod tests {
                     !sealed.is_empty(),
                     "from {start} to {target}: sealed {sealed:?}"
                 );
-                assert_eq!(sealed.len() as u64, target / 10 - start / 10);
+                assert_eq!(sealed.count() as u64, target / 10 - start / 10);
             }
         }
+    }
+
+    /// Near the top of the time range the next boundary may not fit a
+    /// `Time`: such a boundary is never crossed, and one that does fit
+    /// still seals.
+    #[test]
+    fn boundaries_past_the_time_range_never_seal() {
+        let top = Time::MAX / 10;
+        let mut last = BlockChain::restore(6, 10, top * 10, top, Hash256::ZERO, vec![], vec![]);
+        assert!(!last.seals_block_by(Time::MAX));
+        assert!(last.advance_time(Time::MAX, Hash256::ZERO).is_empty());
+        assert_eq!((last.height(), last.now()), (top, Time::MAX));
+
+        let mut below =
+            BlockChain::restore(6, 10, top * 10 - 10, top - 1, Hash256::ZERO, vec![], vec![]);
+        assert_eq!(below.advance_time(Time::MAX, Hash256::ZERO), top..=top);
+        assert_eq!(below.height(), top);
+
+        let mut end =
+            BlockChain::restore(6, 1, Time::MAX, Time::MAX, Hash256::ZERO, vec![], vec![]);
+        assert!(end.advance_time(Time::MAX, Hash256::ZERO).is_empty());
     }
 
     #[test]
@@ -417,17 +439,18 @@ mod tests {
         chain.advance_time(19, Hash256::ZERO);
     }
 
+    /// The head commits to every earlier block: rewriting one event of
+    /// block 1 moves the head two blocks later.
     #[test]
-    fn tampered_chain_fails_verification() {
-        let mut chain = BlockChain::new(8, 10);
-        chain.log(ChainEvent::new("x", b"1".to_vec()));
-        chain.advance_time(30, Hash256::ZERO);
-        assert!(chain.verify_chain());
-        // Rewriting history breaks the hash links.
-        let mut forged: Vec<Block> = chain.blocks.iter().map(|b| (**b).clone()).collect();
-        forged[1].parent = fi_crypto::sha256(b"forged parent");
-        chain.blocks = forged.into_iter().map(Arc::new).collect();
-        assert!(!chain.verify_chain());
+    fn rewritten_history_moves_the_head() {
+        let head = |payload: &[u8]| {
+            let mut chain = BlockChain::new(8, 10);
+            chain.log(ChainEvent::new("x", payload.to_vec()));
+            chain.advance_time(30, Hash256::ZERO);
+            chain.head_hash()
+        };
+        assert_eq!(head(b"1"), head(b"1"));
+        assert_ne!(head(b"1"), head(b"2"));
     }
 
     #[test]
@@ -437,22 +460,26 @@ mod tests {
         let mut a = BlockChain::new(9, 10);
         a.log_op(op, receipt);
         a.advance_time(10, Hash256::ZERO);
+        assert!(a.open_ops().is_empty());
+        assert_ne!(a.last_block().expect("block 1").receipt_root, Hash256::ZERO);
+        let head_1 = a.head_hash();
         a.advance_time(20, Hash256::ZERO);
-        assert_eq!(a.blocks()[1].op_digests, vec![op]);
-        assert_ne!(a.blocks()[1].receipt_root, Hash256::ZERO);
-        assert!(a.blocks()[2].op_digests.is_empty());
-        assert_eq!(a.blocks()[2].receipt_root, Hash256::ZERO);
+        assert_eq!(a.last_block().expect("block 2").receipt_root, Hash256::ZERO);
 
-        // A different receipt changes the block commitment.
-        let mut b = BlockChain::new(9, 10);
-        b.log_op(op, fi_crypto::sha256(b"other receipt"));
-        b.advance_time(10, Hash256::ZERO);
-        assert_ne!(a.blocks()[1].block_hash, b.blocks()[1].block_hash);
+        // A different receipt, or a different op, changes the block
+        // commitment.
+        for (op, receipt) in [(op, fi_crypto::sha256(b"other")), (receipt, receipt)] {
+            let mut b = BlockChain::new(9, 10);
+            b.log_op(op, receipt);
+            b.advance_time(10, Hash256::ZERO);
+            assert_ne!(head_1, b.head_hash());
+        }
     }
 
     /// A chain restored from its own mid-flight state (head + open
     /// events/ops) seals byte-identical future blocks: the snapshot surface
-    /// carries everything the next seal folds in.
+    /// carries everything the next seal folds in. It reports no last
+    /// block until it seals one, then the live chain's.
     #[test]
     fn restored_chain_continues_identically() {
         let mut live = BlockChain::new(11, 10);
@@ -470,15 +497,49 @@ mod tests {
             live.open_events().to_vec(),
             live.open_ops().to_vec(),
         );
-        assert!(restored.verify_chain(), "empty suffix verifies");
-        live.advance_time(50, fi_crypto::sha256(b"root"));
-        restored.advance_time(50, fi_crypto::sha256(b"root"));
+        assert_eq!(restored.last_block(), None);
+        assert_eq!(
+            restored.advance_time(29, Hash256::ZERO),
+            RangeInclusive::new(1, 0)
+        );
+        assert_eq!(restored.last_block(), None, "no seal, no header");
+        live.advance_time(29, Hash256::ZERO);
+
+        let root = fi_crypto::sha256(b"root");
+        assert_eq!(live.advance_time(30, root), restored.advance_time(30, root));
+        assert_eq!(live.last_block(), restored.last_block());
+        let receipts = restored.last_block().expect("sealed").receipt_root;
+        assert_ne!(receipts, Hash256::ZERO, "the restored open batch sealed");
+        live.advance_time(50, root);
+        restored.advance_time(50, root);
         assert_eq!(live.head_hash(), restored.head_hash());
         assert_eq!(live.height(), restored.height());
-        assert!(restored.verify_chain(), "post-restore suffix verifies");
-        // The restored instance only holds post-restore blocks.
-        assert_eq!(restored.blocks().len(), 3);
-        assert_eq!(live.blocks().len(), 6);
+        assert_eq!(live.last_block(), restored.last_block());
+    }
+
+    /// One call that crosses 100 000 intervals seals what 100 000
+    /// one-interval calls do, and keeps one header either way.
+    #[test]
+    fn a_far_jump_seals_what_single_steps_seal() {
+        const INTERVALS: u64 = 100_000;
+        let root = fi_crypto::sha256(b"root");
+        let start = |chain: &mut BlockChain| {
+            chain.log(ChainEvent::new("e", b"1".to_vec()));
+            chain.log_op(fi_crypto::sha256(b"op"), fi_crypto::sha256(b"rcpt"));
+        };
+        let mut jump = BlockChain::new(12, 10);
+        start(&mut jump);
+        assert_eq!(jump.advance_time(INTERVALS * 10, root), 1..=INTERVALS);
+
+        let mut steps = BlockChain::new(12, 10);
+        start(&mut steps);
+        for height in 1..=INTERVALS {
+            assert_eq!(steps.advance_time(height * 10, root), height..=height);
+        }
+        assert_eq!(jump.height(), steps.height());
+        assert_eq!(jump.head_hash(), steps.head_hash());
+        assert_eq!(jump.last_block(), steps.last_block());
+        assert_eq!(jump.last_block().expect("sealed").height, INTERVALS);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   automatically when block time reaches each entry;
 //! * [`block`] — block production: height, timestamp, event log, state
 //!   commitment, and a per-height random beacon;
-//! * [`log`] — the persistent append-only log immutable history (sealed
-//!   blocks, applied-op records) is kept in, so clones share it.
+//! * [`log`] — the persistent append-only log the applied-op records are
+//!   kept in, so clones share it.
 //!
 //! The chain is single-producer and deterministic: every honest replica of
 //! the simulation derives identical state. That is precisely the abstraction

@@ -1,9 +1,9 @@
 //! A persistent append-only log: history that is shared, never copied.
 //!
-//! Sealed blocks and applied-op records are immutable once written, and a
+//! The engine's applied-op records are immutable once written, and a
 //! verifying node clones its engine several times per block (scratch
 //! verifier, sibling-reorg cache). [`SharedLog`] makes that clone cost
-//! independent of how much history there is: full chunks of
+//! independent of how long the op log is: full chunks of
 //! [`CHUNK`] items sit behind `Arc` in a newest-first linked list that
 //! clones share by pointer, and only the open tail (fewer than [`CHUNK`]
 //! items) is copied. Appending to one clone never disturbs another —

@@ -10,6 +10,7 @@ use fi_chain::gas::Op as GasOp;
 use fi_crypto::Hash256;
 
 use crate::ops::{Op, Receipt};
+use crate::params::ParamError;
 use crate::types::{
     AllocEntry, AllocState, FileDescriptor, FileId, FileState, ProtocolEvent, RemovalReason,
     Sector, SectorId, SectorState,
@@ -128,7 +129,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// * [`EngineError::Param`] — capacity not a multiple of `minCapacity`;
+    /// * [`EngineError::Param`] — capacity not a multiple of `minCapacity`,
+    ///   or so large that the sampled capacities would overflow a `u64` or
+    ///   the deposit a token amount;
     /// * [`EngineError::InsufficientFunds`] — owner cannot cover deposit.
     pub fn sector_register(
         &mut self,
@@ -147,8 +150,15 @@ impl Engine {
         capacity: u64,
     ) -> Result<SectorId, EngineError> {
         self.params.validate_capacity(capacity)?;
+        // The sampler sums the capacities of sampled sectors in a `u64`.
+        if self.sampler.total_weight().checked_add(capacity).is_none() {
+            return Err(ParamError::OutOfRange {
+                what: "total sector capacity",
+            }
+            .into());
+        }
+        let deposit = self.params.sector_deposit(capacity)?;
         self.charge_gas(owner, &[GasOp::RequestBase, GasOp::SectorAdmin])?;
-        let deposit = self.params.sector_deposit(capacity);
         self.ledger
             .transfer(owner, DEPOSIT_ESCROW, deposit)
             .map_err(|_| EngineError::InsufficientFunds)?;

@@ -342,12 +342,13 @@ pub struct PhaseTimes {
 /// # Cloning
 ///
 /// `Engine::clone` copies **live state** — the ledger, the tracked maps,
-/// the sampler, the task wheel — and *shares* everything immutable: the
-/// sealed blocks and the op log live in [`SharedLog`]s (a clone copies a
-/// pointer and an open tail of fewer than 64 items), the blockstore, the
-/// committed HAMT nodes sit behind `Arc`. A clone
-/// therefore costs the same at height 20 000 as at height 1, and a
-/// verifier can afford one per block. The one thing that still grows
+/// the sampler, the task wheel, the chain's head and open block — and
+/// *shares* everything immutable: the op log lives in a [`SharedLog`] (a
+/// clone copies a pointer and an open tail of fewer than 64 items), the
+/// blockstore and the committed HAMT nodes sit behind `Arc`. The chain
+/// keeps no sealed block but the last one's header. A clone therefore
+/// costs the same at height 20 000 as at height 1, and a verifier can
+/// afford one per block. The one thing that still grows
 /// with use is the [`StateView::events`] buffer: a long-lived holder
 /// drains it with [`Engine::take_events`] (a node's chain tracker does,
 /// after every block).
@@ -1032,10 +1033,11 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `target` is in the past.
+    /// Panics if `target` is in the past or within one block interval of
+    /// `Time::MAX`.
     pub fn advance_to(&mut self, target: Time) {
         self.apply(Op::AdvanceTo { target })
-            .expect("time cannot rewind");
+            .expect("advance target out of range");
     }
 
     /// Advances by one block interval.
@@ -1046,6 +1048,11 @@ impl Engine {
     pub(super) fn advance_to_op(&mut self, target: Time) -> Result<(), EngineError> {
         if target < self.now() {
             return Err(EngineError::InvalidState("time cannot rewind"));
+        }
+        if target > Time::MAX - self.params.block_interval {
+            return Err(EngineError::InvalidState(
+                "time within one block interval of the end of the time range",
+            ));
         }
         while let Some(t) = self.pending.next_time() {
             if t > target {

@@ -14,10 +14,10 @@
 //!
 //! Two things are deliberately **not** part of a snapshot:
 //!
-//! * history — the truncated op log and sealed block bodies (a restored
-//!   chain's [`fi_chain::BlockChain::blocks`] holds only post-restore
-//!   seals, verified against the restored head); snapshots capture state,
-//!   checkpointed op logs capture history;
+//! * history — the truncated op log and the last sealed block's header
+//!   (a restored chain's [`fi_chain::BlockChain::last_block`] is `None`
+//!   until it seals); snapshots capture state, checkpointed op logs
+//!   capture history;
 //! * deployment configuration — the gas schedule (like
 //!   [`Engine::replay`], restoring an engine that ran a non-default
 //!   schedule requires setting the same schedule afterwards) and the
@@ -888,7 +888,7 @@ impl Engine {
     /// The restored engine reproduces the saved engine's `state_root()`
     /// and — fed the same subsequent ops — every later receipt and block
     /// hash exactly (asserted by the snapshot durability tests). Its op
-    /// log starts empty and its chain holds no pre-snapshot block bodies;
+    /// log starts empty and its chain holds no block header until it seals;
     /// pair snapshots with [`Engine::checkpoint`] /
     /// [`Engine::replay_from`] to reconstruct state past the snapshot
     /// point from a persisted log suffix.

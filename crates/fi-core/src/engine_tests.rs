@@ -106,7 +106,7 @@ fn register_pledges_deposit_into_escrow() {
     let mut e = engine();
     let before = e.ledger().balance(PROVIDER);
     let sid = e.sector_register(PROVIDER, 640).unwrap();
-    let deposit = e.params().sector_deposit(640);
+    let deposit = e.params().sector_deposit(640).unwrap();
     assert_eq!(e.sector(sid).unwrap().deposit, deposit);
     assert_eq!(e.ledger().balance(DEPOSIT_ESCROW), deposit);
     assert!(e.ledger().balance(PROVIDER) < before - deposit); // deposit + gas
@@ -132,7 +132,7 @@ fn register_rejects_bad_capacity_and_poverty() {
 fn disable_empty_sector_removes_and_refunds() {
     let mut e = engine();
     let sid = e.sector_register(PROVIDER, 640).unwrap();
-    let deposit = e.params().sector_deposit(640);
+    let deposit = e.params().sector_deposit(640).unwrap();
     let before = e.ledger().balance(PROVIDER);
     e.sector_disable(PROVIDER, sid).unwrap();
     assert!(e.sector(sid).is_none(), "empty sector removed at once");

@@ -72,7 +72,7 @@ fn traffic_escrow_zeroes_out_after_all_confirms() {
     assert_eq!(e.ledger().balance(TRAFFIC_ESCROW), TokenAmount::ZERO);
     assert_eq!(
         e.ledger().balance(PROVIDER),
-        TokenAmount(1_000_000_000) - e.params().sector_deposit(640) + TokenAmount(24)
+        TokenAmount(1_000_000_000) - e.params().sector_deposit(640).unwrap() + TokenAmount(24)
     );
 }
 
@@ -232,7 +232,8 @@ fn rent_distribution_excludes_corrupted_sectors() {
         "corrupted sector earns no rent"
     );
     assert!(
-        e.ledger().balance(other) > TokenAmount(1_000_000_000) - e.params().sector_deposit(640),
+        e.ledger().balance(other)
+            > TokenAmount(1_000_000_000) - e.params().sector_deposit(640).unwrap(),
         "surviving sector collects the rent"
     );
     let _ = s2;

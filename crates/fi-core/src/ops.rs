@@ -146,7 +146,8 @@ pub enum Op {
     /// Advances consensus time, sealing blocks and executing every due
     /// `Auto_*` task (Fig. 1's pending list) on the way.
     AdvanceTo {
-        /// Target consensus time (≥ current time).
+        /// Target consensus time: at least the current time, and more
+        /// than one block interval below `Time::MAX`.
         target: Time,
     },
 }

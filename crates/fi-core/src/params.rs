@@ -347,14 +347,19 @@ impl ProtocolParams {
 
     /// The deposit pledged for a sector of `capacity` (§IV-B):
     /// `capacity · γ_deposit · capPara · minValue / minCapacity`.
-    pub fn sector_deposit(&self, capacity: u64) -> TokenAmount {
-        let raw = capacity as u128
-            * self.gamma_deposit_ppm as u128
-            * self.cap_para as u128
-            * self.min_value.0
-            / self.min_capacity as u128
-            / 1_000_000u128;
-        TokenAmount(raw)
+    ///
+    /// # Errors
+    ///
+    /// [`ParamError::OutOfRange`] when the product overflows a `u128`.
+    pub fn sector_deposit(&self, capacity: u64) -> Result<TokenAmount, ParamError> {
+        (capacity as u128)
+            .checked_mul(self.gamma_deposit_ppm as u128)
+            .and_then(|raw| raw.checked_mul(self.cap_para as u128))
+            .and_then(|raw| raw.checked_mul(self.min_value.0))
+            .map(|raw| TokenAmount(raw / self.min_capacity as u128 / 1_000_000))
+            .ok_or(ParamError::OutOfRange {
+                what: "sector deposit",
+            })
     }
 
     /// Transfer window for a file of `size`: `DelayPerSize × size` (Fig. 4).
@@ -411,9 +416,23 @@ mod tests {
     fn deposit_matches_paper_formula() {
         let p = ProtocolParams::default();
         // capacity=128: 128 · (4600/1e6) · 1000 · 1000 / 64 = 9_200.
-        assert_eq!(p.sector_deposit(128), TokenAmount(9_200));
+        assert_eq!(p.sector_deposit(128), Ok(TokenAmount(9_200)));
         // Deposit is linear in capacity.
-        assert_eq!(p.sector_deposit(256).0, 2 * p.sector_deposit(128).0);
+        assert_eq!(
+            p.sector_deposit(256).unwrap().0,
+            2 * p.sector_deposit(128).unwrap().0
+        );
+        // A product past u128 is a typed error, not a wrap.
+        let rich = ProtocolParams {
+            min_value: TokenAmount(u128::MAX / 2),
+            ..p
+        };
+        assert_eq!(
+            rich.sector_deposit(128),
+            Err(ParamError::OutOfRange {
+                what: "sector deposit"
+            })
+        );
     }
 
     #[test]

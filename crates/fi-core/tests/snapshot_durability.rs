@@ -7,7 +7,9 @@
 //! keep-a-live-clone pattern with bytes on disk.
 
 use fi_chain::account::{AccountId, TokenAmount};
-use fi_core::engine::{Engine, SnapshotError, StateView};
+use fi_chain::tasks::SchedulerKind;
+use fi_core::engine::{Engine, EngineError, SnapshotError, StateView};
+use fi_core::ops::Op;
 use fi_core::params::ProtocolParams;
 use fi_core::types::SectorState;
 use fi_crypto::{sha256, DetRng};
@@ -91,7 +93,11 @@ fn assert_future_identical(live: &mut Engine, restored: &mut Engine, seed: u64) 
     );
     assert_eq!(live.stats(), restored.stats(), "future stats");
     assert_eq!(live.file_ids(), restored.file_ids(), "future files");
-    assert!(restored.chain().verify_chain(), "restored suffix verifies");
+    assert_eq!(
+        live.chain().last_block(),
+        restored.chain().last_block(),
+        "last block header"
+    );
 }
 
 /// Round trip at several shard counts: the restored engine carries the
@@ -342,4 +348,68 @@ fn snapshot_bytes_match_their_golden_digests() {
         "301d99f169b31a336316e03d14e52c531419a98f4f67b4b0fc3f26d77c0ceeb8",
         "FIDELTA1 bytes"
     );
+}
+
+/// A chain restored at the top of the time range, where the next block
+/// boundary does not fit a `u64`, refuses an advance to the end of the
+/// range with a typed error before any write; one restored a block lower
+/// still seals up to one block interval below the end.
+#[test]
+fn advances_near_the_end_of_the_time_range_fail_typed() {
+    // A task wheel keeps one bucket per block interval up to its latest
+    // task; the pending list keeps one tree key.
+    let params = ProtocolParams {
+        scheduler: SchedulerKind::BTree,
+        ..ProtocolParams::default()
+    };
+    let interval = params.block_interval;
+    let fresh = Engine::new(params.clone()).expect("valid params");
+    let snapshot = fresh.snapshot_save();
+    let body = &snapshot[..snapshot.len() - 32];
+    // The chain section opens with its time, height and head hash.
+    let head = fresh.chain().head_hash();
+    let chain = [&0u64.to_be_bytes()[..], &0u64.to_be_bytes(), head.as_ref()].concat();
+    let at = body
+        .windows(chain.len())
+        .position(|w| w == chain)
+        .expect("chain section");
+    // Its one task, the first rent distribution, moves to the end of the
+    // range: a snapshot holds no task due before its chain's time.
+    let rent_at = params.proof_cycle * u64::from(params.rent_period_cycles);
+    let task = [1u64, rent_at, 0].map(u64::to_be_bytes).concat();
+    let tasks: Vec<usize> = (at..body.len() - task.len())
+        .filter(|&i| body[i..i + task.len()] == task)
+        .collect();
+    assert_eq!(tasks.len(), 1, "one pending task");
+    let restored_at = |height: u64| {
+        let mut patched = body.to_vec();
+        patched[tasks[0] + 8..tasks[0] + 16].copy_from_slice(&u64::MAX.to_be_bytes());
+        patched[at..at + 8].copy_from_slice(&(height * interval).to_be_bytes());
+        patched[at + 8..at + 16].copy_from_slice(&height.to_be_bytes());
+        let seal = sha256(&patched);
+        patched.extend_from_slice(seal.as_bytes());
+        Engine::snapshot_restore(&patched).expect("restores")
+    };
+    let refused = Err(EngineError::InvalidState(
+        "time within one block interval of the end of the time range",
+    ));
+
+    let top = u64::MAX / interval;
+    let mut last = restored_at(top);
+    let (now, roots) = (last.now(), last.state_roots());
+    assert_eq!(last.apply(Op::AdvanceTo { target: u64::MAX }), refused);
+    assert_eq!((last.now(), last.chain().height()), (now, top));
+    assert_eq!(last.chain().head_hash(), head);
+    assert_eq!(last.state_roots().map_roots(), roots.map_roots());
+
+    let mut below = restored_at(top - 2);
+    below.advance_to(u64::MAX - interval);
+    assert_eq!(below.chain().height(), top - 1);
+    assert_eq!(
+        below.chain().last_block().map(|b| b.height),
+        Some(top - 1),
+        "a restored chain reports the block it sealed"
+    );
+    let target = u64::MAX - interval + 1;
+    assert_eq!(below.apply(Op::AdvanceTo { target }), refused);
 }

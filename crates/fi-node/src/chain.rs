@@ -42,9 +42,10 @@
 //! * adoption replays only the new branch, from the head engine or the
 //!   deepest cached engine on it (`ENGINE_CACHE` recent states); a reorg
 //!   deeper than the cache rebuilds from the anchor engine once;
-//! * engine clones share their history ([`fi_chain::log::SharedLog`]) and
-//!   the tracker drains protocol events after every block it applies, so a
-//!   clone costs O(live state) at any height.
+//! * an engine's chain keeps only its last block header and its clones
+//!   share the op log ([`fi_chain::log::SharedLog`]); the tracker drains
+//!   protocol events after every block it applies, so a clone costs
+//!   O(live state) at any height.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -954,10 +955,8 @@ fn apply_block(engine: &mut Engine, ops: &[Op], digests: &[Hash256]) {
 fn last_receipt_root(engine: &Engine) -> Hash256 {
     engine
         .chain()
-        .blocks()
-        .last()
-        .map(|b| b.receipt_root)
-        .unwrap_or(Hash256::ZERO)
+        .last_block()
+        .map_or(Hash256::ZERO, |b| b.receipt_root)
 }
 
 #[cfg(test)]

@@ -516,8 +516,7 @@ impl Validator {
         report.final_receipt_root = tracker
             .engine()
             .chain()
-            .blocks()
-            .last()
+            .last_block()
             .map(|b| b.receipt_root);
         let stats = tracker.engine().stats();
         report.batches_staged_parallel = stats.batches_staged_parallel;
