@@ -12,8 +12,9 @@
 //!   and escrow sub-accounts (deposits, rent pool, prepaid gas);
 //! * [`gas`] — gas metering with a fee schedule, including the *prepaid*
 //!   gas FileInsurer requires for `Auto_*` tasks (§IV-A.3);
-//! * [`tasks`] — the pending list (`time → [task]`, Fig. 1) executed
-//!   automatically when block time reaches each entry;
+//! * [`tasks`] — the pending list (`time → [task]`, Fig. 1), a sparse map
+//!   of occupied epoch buckets, executed automatically when block time
+//!   reaches each entry;
 //! * [`block`] — block production: height, timestamp, event log, state
 //!   commitment, and a per-height random beacon;
 //! * [`log`] — the persistent append-only log the applied-op records are
@@ -49,4 +50,4 @@ pub use account::{AccountId, Ledger, LedgerError, TokenAmount};
 pub use block::{Block, BlockChain, ChainEvent};
 pub use gas::{GasError, GasMeter, GasSchedule, Op};
 pub use log::SharedLog;
-pub use tasks::{PendingList, Scheduler, SchedulerKind, TaskWheel};
+pub use tasks::{Scheduler, SchedulerKind};

@@ -26,8 +26,8 @@
 //!   retry, reservations and rollback, sector draining, the §VI-B Poisson
 //!   swap-in.
 //!
-//! `Auto_` tasks wait on the engine's one pending list, an epoch-bucketed
-//! wheel ([`fi_chain::tasks::TaskWheel`]), and execute when
+//! `Auto_` tasks wait on the engine's one pending list, a sparse map of
+//! epoch buckets ([`fi_chain::tasks::Scheduler`]), and execute when
 //! [`Engine::advance_to`] moves time past their deadline. A due bucket
 //! pops in `(time, schedule order)` and runs in two phases: a read-only
 //! **verify** phase (the modeled Merkle storage-proof checks of
@@ -342,7 +342,7 @@ pub struct PhaseTimes {
 /// # Cloning
 ///
 /// `Engine::clone` copies **live state** — the ledger, the tracked maps,
-/// the sampler, the task wheel, the chain's head and open block — and
+/// the sampler, the pending list, the chain's head and open block — and
 /// *shares* everything immutable: the op log lives in a [`SharedLog`] (a
 /// clone copies a pointer and an open tail of fewer than 64 items), the
 /// blockstore and the committed HAMT nodes sit behind `Arc`. The chain

@@ -510,7 +510,7 @@ fn dec_counters(d: &mut Dec<'_>) -> Result<Counters, SnapshotError> {
 fn enc_tasks(e: &mut Enc, pending: &Scheduler<SeqTask>) {
     // Pending Auto_* tasks, canonically ordered by (time, seq). Tasks
     // are scheduled with a monotonic sequence, so re-scheduling in this
-    // order reproduces the wheel's pop order exactly.
+    // order reproduces the pending list's pop order exactly.
     let tasks = pending
         .iter()
         .map(|(time, (seq, task))| ((time, *seq), task));

@@ -66,10 +66,10 @@ pub struct ProtocolParams {
     pub seed: u64,
     /// Consensus block interval in time ticks.
     pub block_interval: Time,
-    /// Pending-list implementation for `Auto_*` tasks. The epoch-bucketed
-    /// wheel is the default; the BTreeMap variant is kept for like-for-like
-    /// benchmarking and differential tests — consensus execution is
-    /// identical either way.
+    /// Bucket width of the `Auto_*` pending list: one bucket per block
+    /// interval (`Wheel`, the default) or one per tick (`BTree`). Both run
+    /// the same code and pop the same tasks in the same order, so
+    /// consensus execution is identical either way.
     pub scheduler: SchedulerKind,
     /// The parallel switch: above `1`, the engine fans its two large
     /// phases out over scoped threads — the audit verify phase and the

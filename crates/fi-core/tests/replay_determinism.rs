@@ -116,8 +116,9 @@ fn random_workloads_replay_to_identical_chains() {
 
 #[test]
 fn replay_is_scheduler_agnostic() {
-    // The wheel and the BTreeMap scheduler execute tasks identically, so a
-    // log recorded under one replays to the same chain under the other.
+    // Per-interval and per-tick buckets execute tasks identically, so a
+    // log recorded under one width replays to the same chain under the
+    // other.
     let wheel_params = ProtocolParams {
         k: 3,
         delay_per_size: 6,

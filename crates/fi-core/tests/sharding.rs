@@ -3,7 +3,7 @@
 //! and staged ingest paths, must be *bit-identical* to the 1-shard
 //! engine, which runs them sequentially — same state roots, same chain
 //! head, same stats — because every parallel phase is pure and the
-//! commit runs in the one wheel's `(time, schedule-seq)` pop order
+//! commit runs in the pending list's `(time, schedule-seq)` pop order
 //! (DESIGN.md §9).
 //!
 //! Randomized workloads with faults, refreshes, punishments and losses

@@ -7,7 +7,6 @@
 //! keep-a-live-clone pattern with bytes on disk.
 
 use fi_chain::account::{AccountId, TokenAmount};
-use fi_chain::tasks::SchedulerKind;
 use fi_core::engine::{Engine, EngineError, SnapshotError, StateView};
 use fi_core::ops::Op;
 use fi_core::params::ProtocolParams;
@@ -353,15 +352,12 @@ fn snapshot_bytes_match_their_golden_digests() {
 /// A chain restored at the top of the time range, where the next block
 /// boundary does not fit a `u64`, refuses an advance to the end of the
 /// range with a typed error before any write; one restored a block lower
-/// still seals up to one block interval below the end.
+/// still seals up to one block interval below the end. A chain at height 0
+/// whose one task sits just below the end of the range, as a hostile peer
+/// could send it, restores and keeps the task pending.
 #[test]
 fn advances_near_the_end_of_the_time_range_fail_typed() {
-    // A task wheel keeps one bucket per block interval up to its latest
-    // task; the pending list keeps one tree key.
-    let params = ProtocolParams {
-        scheduler: SchedulerKind::BTree,
-        ..ProtocolParams::default()
-    };
+    let params = ProtocolParams::default();
     let interval = params.block_interval;
     let fresh = Engine::new(params.clone()).expect("valid params");
     let snapshot = fresh.snapshot_save();
@@ -381,15 +377,23 @@ fn advances_near_the_end_of_the_time_range_fail_typed() {
         .filter(|&i| body[i..i + task.len()] == task)
         .collect();
     assert_eq!(tasks.len(), 1, "one pending task");
-    let restored_at = |height: u64| {
+    let restored = |height: u64, task_at: u64| {
         let mut patched = body.to_vec();
-        patched[tasks[0] + 8..tasks[0] + 16].copy_from_slice(&u64::MAX.to_be_bytes());
+        patched[tasks[0] + 8..tasks[0] + 16].copy_from_slice(&task_at.to_be_bytes());
         patched[at..at + 8].copy_from_slice(&(height * interval).to_be_bytes());
         patched[at + 8..at + 16].copy_from_slice(&height.to_be_bytes());
         let seal = sha256(&patched);
         patched.extend_from_slice(seal.as_bytes());
         Engine::snapshot_restore(&patched).expect("restores")
     };
+    let restored_at = |height: u64| restored(height, u64::MAX);
+
+    let mut hostile = restored(0, u64::MAX - 1);
+    assert_eq!(hostile.pending_task_count(), 1);
+    hostile.advance_to(interval);
+    assert_eq!(hostile.chain().height(), 1);
+    assert_eq!(hostile.pending_task_count(), 1);
+
     let refused = Err(EngineError::InvalidState(
         "time within one block interval of the end of the time range",
     ));

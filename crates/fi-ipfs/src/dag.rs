@@ -5,6 +5,9 @@
 //! file and any block can be integrity-checked in isolation — which is what
 //! lets BitSwap fetch from untrusted peers.
 //!
+//! Blocks live in any [`fi_store::Blockstore`], the same block space the
+//! engine's state tries use: a CID is a block's [`fi_store::block_hash`].
+//!
 //! Encoding (self-contained, length-prefixed):
 //!
 //! ```text
@@ -13,17 +16,23 @@
 //! branch := 0x01 count(u32 BE) (cid(32) size(u64 BE)) * count
 //! ```
 
+use std::sync::Arc;
+
 use fi_crypto::Hash256;
+use fi_store::{Blockstore, StoreError};
 
-use crate::store::{BlockStore, Cid};
+/// A content identifier: the SHA-256 digest of a block's bytes.
+pub type Cid = Hash256;
 
-/// Errors from DAG traversal.
+/// Errors from DAG import and traversal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DagError {
     /// A referenced block is missing from the store.
     MissingBlock(Cid),
     /// A block failed to decode as a DAG node.
     Malformed(Cid),
+    /// The block store failed to read or write a block.
+    Store(StoreError),
 }
 
 impl std::fmt::Display for DagError {
@@ -31,11 +40,18 @@ impl std::fmt::Display for DagError {
         match self {
             DagError::MissingBlock(c) => write!(f, "missing block {c}"),
             DagError::Malformed(c) => write!(f, "malformed dag node {c}"),
+            DagError::Store(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for DagError {}
+
+impl From<StoreError> for DagError {
+    fn from(e: StoreError) -> Self {
+        DagError::Store(e)
+    }
+}
 
 /// A decoded DAG node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,49 +122,64 @@ const FANOUT: usize = 16;
 /// Imports `data` into `store` as a chunked Merkle DAG; returns the root
 /// CID. `chunk_size` controls leaf granularity.
 ///
+/// # Errors
+///
+/// [`DagError::Store`] when the store fails to write a block.
+///
 /// # Panics
 ///
 /// Panics if `chunk_size == 0`.
-pub fn import_bytes(store: &mut BlockStore, data: &[u8], chunk_size: usize) -> Cid {
+pub fn import_bytes(
+    store: &dyn Blockstore,
+    data: &[u8],
+    chunk_size: usize,
+) -> Result<Cid, DagError> {
     assert!(chunk_size > 0, "chunk size must be positive");
-    // Leaves.
-    let mut level: Vec<(Cid, u64)> = if data.is_empty() {
-        let cid = store.put(DagNode::Leaf(Vec::new()).encode());
-        vec![(cid, 0)]
+    // Leaves; an empty file is one empty leaf.
+    let chunks: Vec<&[u8]> = if data.is_empty() {
+        vec![data]
     } else {
-        data.chunks(chunk_size)
-            .map(|chunk| {
-                let cid = store.put(DagNode::Leaf(chunk.to_vec()).encode());
-                (cid, chunk.len() as u64)
-            })
-            .collect()
+        data.chunks(chunk_size).collect()
     };
+    let mut level = chunks
+        .into_iter()
+        .map(|chunk| {
+            let cid = store.put(&DagNode::Leaf(chunk.to_vec()).encode())?;
+            Ok((cid, chunk.len() as u64))
+        })
+        .collect::<Result<Vec<(Cid, u64)>, StoreError>>()?;
     // Branches, bottom-up.
     while level.len() > 1 {
         level = level
             .chunks(FANOUT)
             .map(|group| {
                 let size = group.iter().map(|(_, s)| s).sum();
-                let cid = store.put(DagNode::Branch(group.to_vec()).encode());
-                (cid, size)
+                let cid = store.put(&DagNode::Branch(group.to_vec()).encode())?;
+                Ok((cid, size))
             })
-            .collect();
+            .collect::<Result<_, StoreError>>()?;
     }
-    level[0].0
+    Ok(level[0].0)
+}
+
+/// The block filed under `cid`, or [`DagError::MissingBlock`].
+fn block(store: &dyn Blockstore, cid: Cid) -> Result<Arc<[u8]>, DagError> {
+    store.get(&cid)?.ok_or(DagError::MissingBlock(cid))
 }
 
 /// Reads a whole file back from its root CID.
 ///
 /// # Errors
 ///
-/// [`DagError::MissingBlock`] / [`DagError::Malformed`] on broken DAGs.
-pub fn export_bytes(store: &BlockStore, root: Cid) -> Result<Vec<u8>, DagError> {
+/// [`DagError::MissingBlock`] / [`DagError::Malformed`] on broken DAGs,
+/// [`DagError::Store`] when the store fails to read a block.
+pub fn export_bytes(store: &dyn Blockstore, root: Cid) -> Result<Vec<u8>, DagError> {
     let mut out = Vec::new();
     let mut stack = vec![root];
     // Depth-first, left-to-right: push children reversed.
     while let Some(cid) = stack.pop() {
-        let block = store.get(&cid).ok_or(DagError::MissingBlock(cid))?;
-        match DagNode::decode(block).ok_or(DagError::Malformed(cid))? {
+        let block = block(store, cid)?;
+        match DagNode::decode(&block).ok_or(DagError::Malformed(cid))? {
             DagNode::Leaf(data) => out.extend_from_slice(&data),
             DagNode::Branch(links) => {
                 for (child, _) in links.into_iter().rev() {
@@ -160,33 +191,18 @@ pub fn export_bytes(store: &BlockStore, root: Cid) -> Result<Vec<u8>, DagError> 
     Ok(out)
 }
 
-/// Pins every block of the DAG rooted at `root`, protecting the whole file
-/// from garbage collection.
-///
-/// # Errors
-///
-/// Same failure modes as [`export_bytes`]; on error a prefix of the DAG
-/// may already be pinned.
-pub fn pin_dag(store: &mut BlockStore, root: Cid) -> Result<usize, DagError> {
-    let cids = dag_cids(store, root)?;
-    for cid in &cids {
-        store.pin(*cid);
-    }
-    Ok(cids.len())
-}
-
 /// Lists every CID in the DAG rooted at `root` (root first, DFS pre-order).
 ///
 /// # Errors
 ///
 /// Same failure modes as [`export_bytes`].
-pub fn dag_cids(store: &BlockStore, root: Cid) -> Result<Vec<Cid>, DagError> {
+pub fn dag_cids(store: &dyn Blockstore, root: Cid) -> Result<Vec<Cid>, DagError> {
     let mut out = Vec::new();
     let mut stack = vec![root];
     while let Some(cid) = stack.pop() {
-        let block = store.get(&cid).ok_or(DagError::MissingBlock(cid))?;
+        let block = block(store, cid)?;
         out.push(cid);
-        if let DagNode::Branch(links) = DagNode::decode(block).ok_or(DagError::Malformed(cid))? {
+        if let DagNode::Branch(links) = DagNode::decode(&block).ok_or(DagError::Malformed(cid))? {
             for (child, _) in links.into_iter().rev() {
                 stack.push(child);
             }
@@ -198,6 +214,7 @@ pub fn dag_cids(store: &BlockStore, root: Cid) -> Result<Vec<Cid>, DagError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fi_store::MemoryBlockstore;
 
     fn data(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 7 % 256) as u8).collect()
@@ -206,9 +223,9 @@ mod tests {
     #[test]
     fn import_export_round_trip() {
         for n in [0usize, 1, 100, 1024, 1025, 100_000] {
-            let mut store = BlockStore::new();
+            let store = MemoryBlockstore::new();
             let payload = data(n);
-            let root = import_bytes(&mut store, &payload, 1024);
+            let root = import_bytes(&store, &payload, 1024).unwrap();
             assert_eq!(export_bytes(&store, root).unwrap(), payload, "n={n}");
         }
     }
@@ -216,46 +233,46 @@ mod tests {
     #[test]
     fn deep_dag_structure() {
         // 100_000 / 100 = 1000 leaves -> ceil(1000/16)=63 -> 4 -> 1: depth 4.
-        let mut store = BlockStore::new();
+        let store = MemoryBlockstore::new();
         let payload = data(100_000);
-        let root = import_bytes(&mut store, &payload, 100);
+        let root = import_bytes(&store, &payload, 100).unwrap();
         let cids = dag_cids(&store, root).unwrap();
         assert!(cids.len() > 1000, "has branch nodes: {}", cids.len());
         assert_eq!(cids[0], root);
-        let decoded = DagNode::decode(store.get(&root).unwrap()).unwrap();
+        let decoded = DagNode::decode(&store.get(&root).unwrap().unwrap()).unwrap();
         assert_eq!(decoded.payload_size(), 100_000);
     }
 
     #[test]
     fn identical_content_same_root() {
-        let mut s1 = BlockStore::new();
-        let mut s2 = BlockStore::new();
+        let s1 = MemoryBlockstore::new();
+        let s2 = MemoryBlockstore::new();
         let payload = data(5000);
         assert_eq!(
-            import_bytes(&mut s1, &payload, 256),
-            import_bytes(&mut s2, &payload, 256)
+            import_bytes(&s1, &payload, 256).unwrap(),
+            import_bytes(&s2, &payload, 256).unwrap()
         );
         // Different chunking yields a different root (addressing includes
         // structure).
-        let mut s3 = BlockStore::new();
+        let s3 = MemoryBlockstore::new();
         assert_ne!(
-            import_bytes(&mut s3, &payload, 512),
-            import_bytes(&mut s1, &payload, 256)
+            import_bytes(&s3, &payload, 512).unwrap(),
+            import_bytes(&s1, &payload, 256).unwrap()
         );
     }
 
     #[test]
     fn missing_block_detected() {
-        let mut store = BlockStore::new();
+        let store = MemoryBlockstore::new();
         let payload = data(10_000);
-        let root = import_bytes(&mut store, &payload, 100);
-        // Drop one leaf (no pins -> gc drops everything; rebuild instead).
+        let root = import_bytes(&store, &payload, 100).unwrap();
+        // Copy every block but one leaf into a second store.
         let cids = dag_cids(&store, root).unwrap();
         let victim = *cids.last().unwrap();
-        let mut broken = BlockStore::new();
+        let broken = MemoryBlockstore::new();
         for cid in &cids {
             if *cid != victim {
-                broken.put(store.get(cid).unwrap().to_vec());
+                broken.put(&store.get(cid).unwrap().unwrap()).unwrap();
             }
         }
         assert_eq!(
@@ -266,29 +283,15 @@ mod tests {
 
     #[test]
     fn malformed_node_detected() {
-        let mut store = BlockStore::new();
-        let cid = store.put(vec![0x02, 1, 2, 3]); // unknown kind tag
+        let store = MemoryBlockstore::new();
+        let cid = store.put(&[0x02, 1, 2, 3]).unwrap(); // unknown kind tag
         assert_eq!(export_bytes(&store, cid), Err(DagError::Malformed(cid)));
         // Truncated branch.
         let mut bad = vec![0x01];
         bad.extend_from_slice(&2u32.to_be_bytes());
         bad.extend_from_slice(&[0u8; 39]); // one byte short of a link
-        let cid = store.put(bad);
+        let cid = store.put(&bad).unwrap();
         assert_eq!(export_bytes(&store, cid), Err(DagError::Malformed(cid)));
-    }
-
-    #[test]
-    fn pin_dag_protects_whole_file_from_gc() {
-        let mut store = BlockStore::new();
-        let payload = data(20_000);
-        let root = import_bytes(&mut store, &payload, 500);
-        let other = import_bytes(&mut store, &data(3_000), 500);
-        let pinned = pin_dag(&mut store, root).unwrap();
-        assert!(pinned > 1);
-        let collected = store.gc();
-        assert!(collected > 0, "unpinned dag collected");
-        assert_eq!(export_bytes(&store, root).unwrap(), payload);
-        assert!(export_bytes(&store, other).is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 
 use fi_crypto::{keyed_hash, Hash256};
 
-use crate::store::Cid;
+use crate::dag::Cid;
 
 /// A DHT node identifier.
 pub type NodeId = Hash256;

@@ -15,8 +15,9 @@
 use std::collections::BTreeMap;
 
 use fi_crypto::Hash256;
+use fi_store::{Blockstore, StoreError};
 
-use crate::store::{BlockStore, Cid};
+use crate::dag::Cid;
 
 /// A directory: an ordered map of names to child CIDs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -37,6 +38,8 @@ pub enum PathError {
     NotFound(String),
     /// Tried to descend *into* a file.
     NotADirectory(String),
+    /// The block store failed to read a block.
+    Store(StoreError),
 }
 
 impl std::fmt::Display for PathError {
@@ -47,11 +50,18 @@ impl std::fmt::Display for PathError {
             PathError::MissingBlock(c) => write!(f, "missing block {c}"),
             PathError::NotFound(name) => write!(f, "no entry named '{name}'"),
             PathError::NotADirectory(name) => write!(f, "'{name}' is a file, not a directory"),
+            PathError::Store(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for PathError {}
+
+impl From<StoreError> for PathError {
+    fn from(e: StoreError) -> Self {
+        PathError::Store(e)
+    }
+}
 
 impl Directory {
     /// An empty directory.
@@ -121,8 +131,12 @@ impl Directory {
     }
 
     /// Stores the directory as a block; returns its CID.
-    pub fn store(&self, store: &mut BlockStore) -> Cid {
-        store.put(self.encode())
+    ///
+    /// # Errors
+    ///
+    /// The store's write failure.
+    pub fn store(&self, store: &dyn Blockstore) -> Result<Cid, StoreError> {
+        store.put(&self.encode())
     }
 }
 
@@ -134,16 +148,16 @@ impl Directory {
 /// # Errors
 ///
 /// See [`PathError`].
-pub fn resolve_path(store: &BlockStore, path: &str) -> Result<Cid, PathError> {
+pub fn resolve_path(store: &dyn Blockstore, path: &str) -> Result<Cid, PathError> {
     let rest = path.strip_prefix("/ipfs/").ok_or(PathError::BadPrefix)?;
     let mut parts = rest.split('/').filter(|p| !p.is_empty());
     let root_hex = parts.next().ok_or(PathError::BadPrefix)?;
     let mut current = Hash256::from_hex(root_hex).ok_or(PathError::BadCid)?;
     for component in parts {
         let block = store
-            .get(&current)
+            .get(&current)?
             .ok_or(PathError::MissingBlock(current))?;
-        let dir = Directory::decode(block)
+        let dir = Directory::decode(&block)
             .ok_or_else(|| PathError::NotADirectory(component.to_string()))?;
         current = dir
             .get(component)
@@ -156,19 +170,19 @@ pub fn resolve_path(store: &BlockStore, path: &str) -> Result<Cid, PathError> {
 mod tests {
     use super::*;
     use crate::dag::{export_bytes, import_bytes};
+    use fi_store::MemoryBlockstore;
 
-    fn tree(store: &mut BlockStore) -> (Cid, Vec<u8>) {
+    fn tree(store: &MemoryBlockstore) -> (Cid, Vec<u8>) {
         // /docs/paper.pdf and /media/logo.png under one root.
         let paper = b"the fileinsurer paper".to_vec();
-        let paper_cid = import_bytes(store, &paper, 8);
-        let logo_cid = import_bytes(store, b"\x89PNG...", 8);
-        let docs = Directory::new().with("paper.pdf", paper_cid).store(store);
-        let media = Directory::new().with("logo.png", logo_cid).store(store);
+        let paper_cid = import_bytes(store, &paper, 8).unwrap();
+        let logo_cid = import_bytes(store, b"\x89PNG...", 8).unwrap();
+        let docs = Directory::new().with("paper.pdf", paper_cid);
+        let media = Directory::new().with("logo.png", logo_cid);
         let root = Directory::new()
-            .with("docs", docs)
-            .with("media", media)
-            .store(store);
-        (root, paper)
+            .with("docs", docs.store(store).unwrap())
+            .with("media", media.store(store).unwrap());
+        (root.store(store).unwrap(), paper)
     }
 
     #[test]
@@ -188,8 +202,8 @@ mod tests {
 
     #[test]
     fn resolve_nested_path() {
-        let mut store = BlockStore::new();
-        let (root, paper) = tree(&mut store);
+        let store = MemoryBlockstore::new();
+        let (root, paper) = tree(&store);
         let path = format!("/ipfs/{}/docs/paper.pdf", root.to_hex());
         let cid = resolve_path(&store, &path).unwrap();
         assert_eq!(export_bytes(&store, cid).unwrap(), paper);
@@ -202,8 +216,8 @@ mod tests {
 
     #[test]
     fn resolve_error_paths() {
-        let mut store = BlockStore::new();
-        let (root, _) = tree(&mut store);
+        let store = MemoryBlockstore::new();
+        let (root, _) = tree(&store);
         let hex = root.to_hex();
         assert_eq!(
             resolve_path(&store, "/notipfs/xyz"),
@@ -222,11 +236,11 @@ mod tests {
 
     #[test]
     fn directory_updates_produce_new_cids() {
-        let mut store = BlockStore::new();
-        let f1 = import_bytes(&mut store, b"v1", 8);
-        let f2 = import_bytes(&mut store, b"v2", 8);
+        let store = MemoryBlockstore::new();
+        let f1 = import_bytes(&store, b"v1", 8).unwrap();
+        let f2 = import_bytes(&store, b"v2", 8).unwrap();
         let d1 = Directory::new().with("file", f1);
         let d2 = d1.clone().with("file", f2);
-        assert_ne!(d1.store(&mut store), d2.store(&mut store));
+        assert_ne!(d1.store(&store), d2.store(&store));
     }
 }

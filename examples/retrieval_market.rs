@@ -12,16 +12,17 @@
 use fi_ipfs::bitswap::fetch_dag;
 use fi_ipfs::dag::{dag_cids, export_bytes, import_bytes};
 use fi_ipfs::dht::{node_id, Dht};
-use fi_ipfs::store::BlockStore;
+use fi_store::MemoryBlockstore;
 
 fn main() {
     // A 64 KiB file chunked into 1 KiB leaves.
     let payload: Vec<u8> = (0..65_536u32).map(|i| (i % 253) as u8).collect();
 
-    // Two providers hold the full DAG.
-    let mut provider_a = BlockStore::new();
-    let root = import_bytes(&mut provider_a, &payload, 1024);
-    let provider_b = provider_a.clone();
+    // Two providers hold the full DAG: the same bytes import to the same
+    // root CID.
+    let (provider_a, provider_b) = (MemoryBlockstore::new(), MemoryBlockstore::new());
+    let root = import_bytes(&provider_a, &payload, 1024).expect("a memory store never fails");
+    assert_eq!(import_bytes(&provider_b, &payload, 1024), Ok(root));
     let block_count = dag_cids(&provider_a, root).unwrap().len();
     println!(
         "imported file: {} bytes -> {} dag blocks, root CID {}",
@@ -53,8 +54,8 @@ fn main() {
     assert_eq!(found.providers.len(), 2);
 
     // BitSwap fetch with per-block verification.
-    let mut client_store = BlockStore::new();
-    let stats = fetch_dag(&mut client_store, &[&provider_a, &provider_b], root)
+    let client_store = MemoryBlockstore::new();
+    let stats = fetch_dag(&client_store, &[&provider_a, &provider_b], root)
         .expect("providers hold the full dag");
     println!(
         "bitswap: received {} blocks / {} bytes ({} duplicates, {} corrupt)",

@@ -10,7 +10,7 @@
 //! | [`fi_crypto`] | SHA-256, Merkle trees, ChaCha20 DetRng, random beacon |
 //! | [`fi_porep`] | simulated PoRep / Capacity Replicas / WindowPoSt |
 //! | [`fi_erasure`] | GF(2^8) + Reed–Solomon erasure codes |
-//! | [`fi_ipfs`] | content-addressed store, Merkle DAG, Kademlia DHT, BitSwap |
+//! | [`fi_ipfs`] | Merkle DAG, IPFS paths, Kademlia DHT, BitSwap over the `fi_store` block space |
 //! | [`fi_net`] | discrete-event network simulator |
 //! | [`fi_node`] | networked block production: mempool, proposer, follower replay |
 //! | [`fi_baselines`] | Filecoin / Storj / Sia / Arweave comparison models |

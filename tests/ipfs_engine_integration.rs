@@ -13,9 +13,9 @@ use fi_crypto::sha256;
 use fi_ipfs::bitswap::fetch_dag;
 use fi_ipfs::dag::{export_bytes, import_bytes};
 use fi_ipfs::dht::{node_id, Dht};
-use fi_ipfs::store::BlockStore;
 use fi_porep::post::{derive_challenges, WindowPost};
 use fi_porep::seal::{commit_data, PorepProof, ReplicaId, SealedReplica};
+use fi_store::MemoryBlockstore;
 
 const CLIENT: AccountId = AccountId(900);
 const PROVIDER_A: AccountId = AccountId(100);
@@ -72,11 +72,14 @@ fn end_to_end_store_prove_retrieve() {
 
     // --- retrieval market: DHT + BitSwap ---------------------------------
     // Providers unseal and serve the raw file as a Merkle DAG.
-    let mut store_a = BlockStore::new();
+    let (store_a, store_b) = (MemoryBlockstore::new(), MemoryBlockstore::new());
     let unsealed = replicas[0].1.unseal();
     assert_eq!(unsealed, payload, "unsealing recovers the file");
-    let root_cid = import_bytes(&mut store_a, &unsealed, 512);
-    let store_b = store_a.clone();
+    let root_cid = import_bytes(&store_a, &unsealed, 512).unwrap();
+    assert_eq!(
+        import_bytes(&store_b, &replicas[1].1.unseal(), 512),
+        Ok(root_cid)
+    );
 
     let mut dht = Dht::new(8, 3);
     for i in 0..32 {
@@ -94,8 +97,8 @@ fn end_to_end_store_prove_retrieve() {
     let found = dht.find_providers(node_id(30), root_cid);
     assert_eq!(found.providers.len(), 2);
 
-    let mut client_store = BlockStore::new();
-    let stats = fetch_dag(&mut client_store, &[&store_a, &store_b], root_cid).unwrap();
+    let client_store = MemoryBlockstore::new();
+    let stats = fetch_dag(&client_store, &[&store_a, &store_b], root_cid).unwrap();
     assert!(stats.corrupt_blocks == 0);
     assert_eq!(export_bytes(&client_store, root_cid).unwrap(), payload);
 }

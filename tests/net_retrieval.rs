@@ -5,9 +5,9 @@
 
 use fi_crypto::Hash256;
 use fi_ipfs::dag::{dag_cids, export_bytes, import_bytes};
-use fi_ipfs::store::BlockStore;
 use fi_net::link::LinkModel;
 use fi_net::world::{Ctx, Process, World};
+use fi_store::{Blockstore, MemoryBlockstore};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -22,13 +22,13 @@ enum Msg {
 
 /// A provider node serving blocks from its store.
 struct ProviderNode {
-    store: BlockStore,
+    store: Rc<MemoryBlockstore>,
 }
 
 impl Process<Msg> for ProviderNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: usize, msg: Msg) {
         if let Msg::Want(cid) = msg {
-            if let Some(block) = self.store.get(&cid) {
+            if let Some(block) = self.store.get(&cid).unwrap() {
                 let bytes = block.len() as u64;
                 ctx.send(from, Msg::Block(block.to_vec()), bytes);
             }
@@ -40,7 +40,7 @@ impl Process<Msg> for ProviderNode {
 struct ClientNode {
     providers: Vec<usize>,
     wanted: Vec<Hash256>,
-    store: Rc<RefCell<BlockStore>>,
+    store: Rc<MemoryBlockstore>,
     next_provider: usize,
     done: Rc<RefCell<bool>>,
 }
@@ -49,14 +49,12 @@ const RETRY_TAG: u64 = 1;
 
 impl ClientNode {
     fn request_all(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let store = self.store.borrow();
         let missing: Vec<Hash256> = self
             .wanted
             .iter()
-            .filter(|c| !store.has(c))
+            .filter(|c| !self.store.has(c).unwrap())
             .copied()
             .collect();
-        drop(store);
         if missing.is_empty() {
             *self.done.borrow_mut() = true;
             return;
@@ -80,7 +78,7 @@ impl Process<Msg> for ClientNode {
             // put() verifies nothing by itself, but content addressing
             // means a corrupted block simply stores under a different CID
             // and stays "missing" — same effect as rejection.
-            self.store.borrow_mut().put(bytes);
+            self.store.put(&bytes).unwrap();
         }
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
@@ -92,20 +90,20 @@ impl Process<Msg> for ClientNode {
 
 fn run_retrieval(loss: f64, seed: u64) -> (bool, u64, u64) {
     // Build the file and the provider stores.
-    let mut origin = BlockStore::new();
+    let origin = Rc::new(MemoryBlockstore::new());
     let payload: Vec<u8> = (0..30_000u32).map(|i| (i % 249) as u8).collect();
-    let root = import_bytes(&mut origin, &payload, 800);
-    let wanted = dag_cids(&origin, root).unwrap();
+    let root = import_bytes(&*origin, &payload, 800).unwrap();
+    let wanted = dag_cids(&*origin, root).unwrap();
 
     let mut world: World<Msg> = World::new(LinkModel::lossy(loss), seed);
     let p1 = world.add(ProviderNode {
-        store: origin.clone(),
+        store: Rc::clone(&origin),
     });
     let p2 = world.add(ProviderNode {
-        store: origin.clone(),
+        store: Rc::clone(&origin),
     });
 
-    let client_store = Rc::new(RefCell::new(BlockStore::new()));
+    let client_store = Rc::new(MemoryBlockstore::new());
     let done = Rc::new(RefCell::new(false));
     world.add(ClientNode {
         providers: vec![p1, p2],
@@ -116,7 +114,7 @@ fn run_retrieval(loss: f64, seed: u64) -> (bool, u64, u64) {
     });
 
     world.run_until(200_000);
-    let complete = export_bytes(&client_store.borrow(), root)
+    let complete = export_bytes(&*client_store, root)
         .map(|got| got == payload)
         .unwrap_or(false);
     (complete, world.messages_sent(), world.messages_lost())

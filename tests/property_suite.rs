@@ -14,9 +14,9 @@ use fi_crypto::merkle::MerkleTree;
 use fi_crypto::DetRng;
 use fi_erasure::reference::RefReedSolomon;
 use fi_erasure::ReedSolomon;
-use fi_ipfs::dag::{export_bytes, import_bytes};
-use fi_ipfs::store::BlockStore;
+use fi_ipfs::dag::{dag_cids, export_bytes, import_bytes};
 use fi_porep::seal::{ReplicaId, SealedReplica};
+use fi_store::{block_hash, Blockstore, MemoryBlockstore};
 use fileinsurer::segment::{reassemble_file, segment_file};
 
 fn random_bytes(rng: &mut DetRng, max_len: u64) -> Vec<u8> {
@@ -174,10 +174,13 @@ fn dag_round_trip() {
         let mut rng = DetRng::from_seed_label(seed, "prop-dag");
         let payload = random_bytes(&mut rng, 5000);
         let chunk = 1 + rng.below(599) as usize;
-        let mut store = BlockStore::new();
-        let root = import_bytes(&mut store, &payload, chunk);
+        let store = MemoryBlockstore::new();
+        let root = import_bytes(&store, &payload, chunk).unwrap();
         assert_eq!(export_bytes(&store, root).unwrap(), payload, "seed {seed}");
-        assert!(store.verify_integrity(), "seed {seed}");
+        for cid in dag_cids(&store, root).unwrap() {
+            let block = store.get(&cid).unwrap().unwrap();
+            assert_eq!(block_hash(&block), cid, "seed {seed}");
+        }
     }
 }
 
