@@ -8,7 +8,8 @@
 # that produce the receipts, events and rows every root hashes
 # (fi-core/src/engine/{audit,batch,lifecycle,alloc}.rs) and of the block
 # layer (fi-chain/src/block.rs), the `ProtocolEvent` impl
-# (fi-core/src/types.rs) and `Engine::log` (fi-core/src/engine/mod.rs).
+# (fi-core/src/types.rs), `Engine::log` (fi-core/src/engine/mod.rs) and
+# the node block hash `SealedBlock::hash_over` (fi-node/src/chain.rs).
 # Digests, state roots, block hashes, snapshot bytes and `ChainEvent`
 # payloads hash canonical bytes, never formatted text.
 #
@@ -54,6 +55,7 @@ scan non_test crates/fi-core/src/engine/alloc.rs
 scan non_test crates/fi-chain/src/block.rs
 scan item crates/fi-core/src/types.rs '^impl ProtocolEvent \{'
 scan item crates/fi-core/src/engine/mod.rs '^    pub\(super\) fn log\('
+scan item crates/fi-node/src/chain.rs '^    pub fn hash_over\('
 
 if [ -n "${hits//$'\n'/}" ]; then
     echo "::error::format! on a consensus path (hash canonical bytes instead):" >&2

@@ -12,8 +12,6 @@
 //! 3. a per-height **beacon value** feeding protocol randomness, and
 //! 4. a **state commitment** chaining block to block.
 
-use std::ops::RangeInclusive;
-
 use fi_crypto::{cached_domain, keyed_hash, Hash256, RandomBeacon};
 
 use crate::tasks::Time;
@@ -58,11 +56,9 @@ pub struct Block {
     pub parent: Hash256,
     /// Beacon value of this height.
     pub beacon_value: Hash256,
-    /// Commitment over parent, events, op batch and declared state root.
+    /// Commitment over parent, events, op batch with its receipts and
+    /// declared state root.
     pub block_hash: Hash256,
-    /// Commitment over the receipts of this block's op batch
-    /// ([`Hash256::ZERO`] when the batch is empty).
-    pub receipt_root: Hash256,
 }
 
 /// The chain: produces blocks at a fixed cadence, exposes the beacon and
@@ -72,6 +68,9 @@ pub struct Block {
 /// the head hash commits to every earlier block, so its memory does not
 /// grow with the height and a clone copies a fixed-size value.
 ///
+/// Time stops at the open block's boundary until the block seals, so what
+/// runs at the boundary itself (due tasks) still lands in that block.
+///
 /// # Example
 ///
 /// ```
@@ -79,10 +78,11 @@ pub struct Block {
 /// use fi_crypto::Hash256;
 ///
 /// let mut chain = BlockChain::new(42, 10); // seed 42, one block per 10 ticks
-/// chain.log(ChainEvent::new("file.add", b"f1".to_vec()));
-/// let sealed = chain.advance_time(25, Hash256::ZERO);
-/// assert_eq!(sealed, 1..=2);
-/// assert_eq!(chain.height(), 2);
+/// chain.advance_time(10);
+/// chain.log(ChainEvent::new("file.add", b"f1".to_vec())); // at the boundary
+/// chain.seal(Hash256::ZERO);
+/// assert!(chain.open_events().is_empty() && chain.height() == 1);
+/// assert_eq!(chain.next_boundary(), Some(20));
 /// assert_eq!(chain.last_block().map(|b| b.block_hash), Some(chain.head_hash()));
 /// ```
 #[derive(Debug, Clone)]
@@ -125,7 +125,6 @@ impl BlockChain {
                 parent: Hash256::ZERO,
                 beacon_value: genesis_beacon,
                 block_hash: genesis_hash,
-                receipt_root: Hash256::ZERO,
             }),
         }
     }
@@ -138,8 +137,8 @@ impl BlockChain {
     ///
     /// # Panics
     ///
-    /// Panics if `block_interval == 0` or `now` is inconsistent with
-    /// `height` (time before the last sealed boundary).
+    /// Panics if `block_interval == 0` or `now` lies outside the open
+    /// block's interval `[height, height + 1] × block_interval`.
     #[allow(clippy::too_many_arguments)]
     pub fn restore(
         seed: u64,
@@ -152,10 +151,13 @@ impl BlockChain {
     ) -> Self {
         assert!(block_interval > 0, "block interval must be positive");
         assert!(
-            height
-                .checked_mul(block_interval)
-                .is_some_and(|boundary| now >= boundary),
-            "time precedes the last sealed boundary"
+            height.checked_mul(block_interval).is_some_and(|sealed| {
+                now >= sealed
+                    && sealed
+                        .checked_add(block_interval)
+                        .is_none_or(|open| now <= open)
+            }),
+            "time outside the open block's interval"
         );
         BlockChain {
             beacon: RandomBeacon::new(seed),
@@ -227,48 +229,46 @@ impl BlockChain {
         self.head_hash
     }
 
-    /// Whether advancing to `target` crosses a block boundary, i.e. whether
-    /// [`BlockChain::advance_time`] would seal at least one block — and so
-    /// use the state root it is handed. A boundary past `Time::MAX` is
-    /// never crossed.
-    pub fn seals_block_by(&self, target: Time) -> bool {
+    /// The time the open block seals at; `None` past `Time::MAX`, where no
+    /// further block ever seals.
+    pub fn next_boundary(&self) -> Option<Time> {
         self.height
             .checked_add(1)
             .and_then(|next| next.checked_mul(self.block_interval))
-            .is_some_and(|boundary| boundary <= target)
     }
 
-    /// Advances consensus time to `target`, sealing one block per elapsed
-    /// interval. `state_root` is the caller's state commitment, folded into
-    /// each sealed block (callers that don't track state pass
-    /// [`Hash256::ZERO`]). Returns the newly sealed heights (an empty range
-    /// when none sealed).
+    /// Moves consensus time to `target`, at most to the open block's
+    /// boundary.
     ///
     /// # Panics
     ///
-    /// Panics if `target < now` — consensus time cannot rewind.
-    pub fn advance_time(&mut self, target: Time, state_root: Hash256) -> RangeInclusive<u64> {
+    /// Panics if `target < now` or past the open block's boundary: that
+    /// block must [`seal`](Self::seal) first.
+    pub fn advance_time(&mut self, target: Time) {
         assert!(target >= self.now, "time cannot rewind");
-        let from = self.height;
-        // Blocks seal at absolute boundaries height × interval, regardless
-        // of how time was chopped into advance_time calls.
-        while self.seals_block_by(target) {
-            self.height += 1;
-            self.now = self.height * self.block_interval;
-            self.seal(state_root);
-        }
-        // Partial interval: time advances without sealing.
-        self.now = target.max(self.now);
-        if self.height == from {
-            RangeInclusive::new(1, 0)
-        } else {
-            from + 1..=self.height
-        }
+        assert!(
+            self.next_boundary()
+                .is_none_or(|boundary| target <= boundary),
+            "seal the open block before passing its boundary"
+        );
+        self.now = target;
     }
 
-    /// Seals the open block at the current height and time: hashes its
-    /// events, op batch and receipts into the new head, then drops them.
-    fn seal(&mut self, state_root: Hash256) {
+    /// Seals the open block at its boundary, where time must stand:
+    /// hashes its events, op batch, receipts and `state_root` (the state
+    /// the block ends in; [`Hash256::ZERO`] when untracked) into the new
+    /// head, then drops them.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless time stands at the open block's boundary.
+    pub fn seal(&mut self, state_root: Hash256) {
+        assert_eq!(
+            Some(self.now),
+            self.next_boundary(),
+            "a block seals at its boundary"
+        );
+        self.height += 1;
         let beacon_value = self.beacon.value_at(self.height);
         let events = std::mem::take(&mut self.open_events);
         let mut event_digests: Vec<u8> = Vec::with_capacity(events.len() * 32);
@@ -306,7 +306,6 @@ impl BlockChain {
             parent: self.head_hash,
             beacon_value,
             block_hash,
-            receipt_root,
         });
         self.head_hash = block_hash;
     }
@@ -316,12 +315,24 @@ impl BlockChain {
 mod tests {
     use super::*;
 
+    /// Moves `chain` to `target`, sealing each boundary on the way with
+    /// `root`. Returns the heights sealed.
+    fn advance(chain: &mut BlockChain, target: Time, root: Hash256) -> Vec<u64> {
+        let mut sealed = Vec::new();
+        while let Some(boundary) = chain.next_boundary().filter(|&b| b <= target) {
+            chain.advance_time(boundary);
+            chain.seal(root);
+            sealed.push(chain.height());
+        }
+        chain.advance_time(target);
+        sealed
+    }
+
     #[test]
     fn seals_one_block_per_interval() {
         let mut chain = BlockChain::new(1, 10);
         let genesis = *chain.last_block().expect("genesis");
-        let sealed = chain.advance_time(35, Hash256::ZERO);
-        assert_eq!(sealed, 1..=3);
+        assert_eq!(advance(&mut chain, 35, Hash256::ZERO), [1, 2, 3]);
         assert_eq!(chain.now(), 35);
         assert_eq!(chain.height(), 3);
         let last = chain.last_block().expect("sealed");
@@ -331,24 +342,32 @@ mod tests {
     }
 
     /// An event folds into the hash of the block sealing after it is
-    /// logged, and leaves the open block when it does.
+    /// logged — one logged at the boundary itself too — and leaves the
+    /// open block when it does.
     #[test]
     fn events_land_in_next_sealed_block() {
         let event = || ChainEvent::new("a", b"1".to_vec());
         let mut plain = BlockChain::new(2, 10);
         let mut early = plain.clone();
+        let mut at_boundary = plain.clone();
         let mut late = plain.clone();
         early.log(event());
-        for chain in [&mut plain, &mut early, &mut late] {
-            chain.advance_time(10, Hash256::ZERO);
+        for chain in [&mut plain, &mut early, &mut at_boundary, &mut late] {
+            chain.advance_time(10);
+        }
+        at_boundary.log(event());
+        for chain in [&mut plain, &mut early, &mut at_boundary, &mut late] {
+            chain.seal(Hash256::ZERO);
         }
         assert!(early.open_events().is_empty());
+        assert!(at_boundary.open_events().is_empty());
         assert_ne!(early.head_hash(), plain.head_hash());
+        assert_eq!(at_boundary.head_hash(), early.head_hash());
         assert_eq!(late.head_hash(), plain.head_hash());
 
         late.log(event());
-        plain.advance_time(20, Hash256::ZERO);
-        late.advance_time(20, Hash256::ZERO);
+        advance(&mut plain, 20, Hash256::ZERO);
+        advance(&mut late, 20, Hash256::ZERO);
         assert_ne!(late.head_hash(), plain.head_hash());
     }
 
@@ -357,7 +376,7 @@ mod tests {
         let build = || {
             let mut c = BlockChain::new(7, 5);
             c.log(ChainEvent::new("x", b"p".to_vec()));
-            c.advance_time(17, Hash256::ZERO);
+            advance(&mut c, 17, Hash256::ZERO);
             c.head_hash()
         };
         assert_eq!(build(), build());
@@ -367,8 +386,8 @@ mod tests {
     fn state_root_affects_block_hash() {
         let mut a = BlockChain::new(3, 5);
         let mut b = BlockChain::new(3, 5);
-        a.advance_time(5, Hash256::ZERO);
-        b.advance_time(5, fi_crypto::sha256(b"state"));
+        advance(&mut a, 5, Hash256::ZERO);
+        advance(&mut b, 5, fi_crypto::sha256(b"state"));
         assert_ne!(a.head_hash(), b.head_hash());
     }
 
@@ -376,67 +395,77 @@ mod tests {
     fn partial_interval_advances_time_only() {
         let mut chain = BlockChain::new(4, 10);
         let head = chain.head_hash();
-        let sealed = chain.advance_time(9, Hash256::ZERO);
-        assert!(sealed.is_empty());
+        chain.advance_time(9);
         assert_eq!(chain.now(), 9);
         assert_eq!(chain.height(), 0);
         assert_eq!(chain.head_hash(), head);
-        // The open event stays queued until a block seals.
+        // The open event stays queued until a block seals; reaching the
+        // boundary does not seal it.
         chain.log(ChainEvent::new("pending", b"".to_vec()));
-        assert_eq!(chain.open_events().len(), 1);
-        chain.advance_time(10, Hash256::ZERO);
-        assert!(chain.open_events().is_empty());
-        assert_eq!(chain.height(), 1);
+        chain.advance_time(10);
+        assert_eq!((chain.open_events().len(), chain.height()), (1, 0));
+        chain.seal(Hash256::ZERO);
+        assert_eq!((chain.open_events().len(), chain.height()), (0, 1));
     }
 
-    /// `seals_block_by` is exactly "would `advance_time` seal anything":
-    /// on boundaries, inside an interval, across several intervals, and
-    /// from a time that is itself off the boundary grid.
+    /// The open block seals at the next multiple of the interval: from a
+    /// time on the boundary grid or off it, inside an interval or across
+    /// several, moving to `target` seals one block per boundary passed.
     #[test]
-    fn seals_block_by_agrees_with_advance_time() {
+    fn blocks_seal_at_absolute_boundaries() {
         for start in [0, 3, 10, 17, 20] {
             for target in start..start + 35 {
                 let mut chain = BlockChain::new(6, 10);
-                chain.advance_time(start, Hash256::ZERO);
-                let predicted = chain.seals_block_by(target);
-                let sealed = chain.advance_time(target, Hash256::ZERO);
-                assert_eq!(
-                    predicted,
-                    !sealed.is_empty(),
-                    "from {start} to {target}: sealed {sealed:?}"
-                );
-                assert_eq!(sealed.count() as u64, target / 10 - start / 10);
+                advance(&mut chain, start, Hash256::ZERO);
+                assert_eq!(chain.next_boundary(), Some((start / 10 + 1) * 10));
+                let sealed = advance(&mut chain, target, Hash256::ZERO);
+                assert_eq!(sealed.len() as u64, target / 10 - start / 10);
             }
         }
     }
 
     /// Near the top of the time range the next boundary may not fit a
-    /// `Time`: such a boundary is never crossed, and one that does fit
+    /// `Time`: such a boundary is never reached, and one that does fit
     /// still seals.
     #[test]
     fn boundaries_past_the_time_range_never_seal() {
         let top = Time::MAX / 10;
         let mut last = BlockChain::restore(6, 10, top * 10, top, Hash256::ZERO, vec![], vec![]);
-        assert!(!last.seals_block_by(Time::MAX));
-        assert!(last.advance_time(Time::MAX, Hash256::ZERO).is_empty());
+        assert_eq!(last.next_boundary(), None);
+        last.advance_time(Time::MAX);
         assert_eq!((last.height(), last.now()), (top, Time::MAX));
 
         let mut below =
             BlockChain::restore(6, 10, top * 10 - 10, top - 1, Hash256::ZERO, vec![], vec![]);
-        assert_eq!(below.advance_time(Time::MAX, Hash256::ZERO), top..=top);
+        assert_eq!(advance(&mut below, Time::MAX, Hash256::ZERO), [top]);
         assert_eq!(below.height(), top);
 
-        let mut end =
-            BlockChain::restore(6, 1, Time::MAX, Time::MAX, Hash256::ZERO, vec![], vec![]);
-        assert!(end.advance_time(Time::MAX, Hash256::ZERO).is_empty());
+        let end = BlockChain::restore(6, 1, Time::MAX, Time::MAX, Hash256::ZERO, vec![], vec![]);
+        assert_eq!(end.next_boundary(), None);
     }
 
     #[test]
     #[should_panic(expected = "time cannot rewind")]
     fn rewind_panics() {
         let mut chain = BlockChain::new(5, 10);
-        chain.advance_time(20, Hash256::ZERO);
-        chain.advance_time(19, Hash256::ZERO);
+        advance(&mut chain, 20, Hash256::ZERO);
+        chain.advance_time(19);
+    }
+
+    #[test]
+    #[should_panic(expected = "seal the open block before passing its boundary")]
+    fn time_cannot_pass_an_open_boundary() {
+        let mut chain = BlockChain::new(5, 10);
+        chain.advance_time(10);
+        chain.advance_time(11);
+    }
+
+    #[test]
+    #[should_panic(expected = "a block seals at its boundary")]
+    fn a_block_seals_only_at_its_boundary() {
+        let mut chain = BlockChain::new(5, 10);
+        chain.advance_time(9);
+        chain.seal(Hash256::ZERO);
     }
 
     /// The head commits to every earlier block: rewriting one event of
@@ -446,7 +475,7 @@ mod tests {
         let head = |payload: &[u8]| {
             let mut chain = BlockChain::new(8, 10);
             chain.log(ChainEvent::new("x", payload.to_vec()));
-            chain.advance_time(30, Hash256::ZERO);
+            advance(&mut chain, 30, Hash256::ZERO);
             chain.head_hash()
         };
         assert_eq!(head(b"1"), head(b"1"));
@@ -459,19 +488,19 @@ mod tests {
         let receipt = fi_crypto::sha256(b"receipt");
         let mut a = BlockChain::new(9, 10);
         a.log_op(op, receipt);
-        a.advance_time(10, Hash256::ZERO);
+        advance(&mut a, 10, Hash256::ZERO);
         assert!(a.open_ops().is_empty());
-        assert_ne!(a.last_block().expect("block 1").receipt_root, Hash256::ZERO);
         let head_1 = a.head_hash();
-        a.advance_time(20, Hash256::ZERO);
-        assert_eq!(a.last_block().expect("block 2").receipt_root, Hash256::ZERO);
 
-        // A different receipt, or a different op, changes the block
-        // commitment.
+        // No batch, a different receipt, or a different op changes the
+        // block commitment.
+        let mut empty = BlockChain::new(9, 10);
+        advance(&mut empty, 10, Hash256::ZERO);
+        assert_ne!(head_1, empty.head_hash());
         for (op, receipt) in [(op, fi_crypto::sha256(b"other")), (receipt, receipt)] {
             let mut b = BlockChain::new(9, 10);
             b.log_op(op, receipt);
-            b.advance_time(10, Hash256::ZERO);
+            advance(&mut b, 10, Hash256::ZERO);
             assert_ne!(head_1, b.head_hash());
         }
     }
@@ -484,7 +513,7 @@ mod tests {
     fn restored_chain_continues_identically() {
         let mut live = BlockChain::new(11, 10);
         live.log(ChainEvent::new("pre", b"1".to_vec()));
-        live.advance_time(25, Hash256::ZERO);
+        advance(&mut live, 25, Hash256::ZERO);
         live.log(ChainEvent::new("open", b"2".to_vec()));
         live.log_op(fi_crypto::sha256(b"op"), fi_crypto::sha256(b"rcpt"));
 
@@ -498,27 +527,37 @@ mod tests {
             live.open_ops().to_vec(),
         );
         assert_eq!(restored.last_block(), None);
-        assert_eq!(
-            restored.advance_time(29, Hash256::ZERO),
-            RangeInclusive::new(1, 0)
-        );
+        restored.advance_time(29);
         assert_eq!(restored.last_block(), None, "no seal, no header");
-        live.advance_time(29, Hash256::ZERO);
+        live.advance_time(29);
 
         let root = fi_crypto::sha256(b"root");
-        assert_eq!(live.advance_time(30, root), restored.advance_time(30, root));
+        assert_eq!(
+            advance(&mut live, 30, root),
+            advance(&mut restored, 30, root)
+        );
         assert_eq!(live.last_block(), restored.last_block());
-        let receipts = restored.last_block().expect("sealed").receipt_root;
-        assert_ne!(receipts, Hash256::ZERO, "the restored open batch sealed");
-        live.advance_time(50, root);
-        restored.advance_time(50, root);
+        assert!(
+            restored.open_ops().is_empty(),
+            "the restored open batch sealed"
+        );
+        advance(&mut live, 50, root);
+        advance(&mut restored, 50, root);
         assert_eq!(live.head_hash(), restored.head_hash());
         assert_eq!(live.height(), restored.height());
         assert_eq!(live.last_block(), restored.last_block());
     }
 
-    /// One call that crosses 100 000 intervals seals what 100 000
-    /// one-interval calls do, and keeps one header either way.
+    /// A restored chain whose time passes its open block's boundary could
+    /// never move again without rewinding, so restore refuses it.
+    #[test]
+    #[should_panic(expected = "time outside the open block's interval")]
+    fn restore_refuses_time_past_the_open_boundary() {
+        BlockChain::restore(11, 10, 21, 1, Hash256::ZERO, vec![], vec![]);
+    }
+
+    /// Sealing 100 000 empty intervals in one advance seals what 100 000
+    /// one-interval advances do, and keeps one header either way.
     #[test]
     fn a_far_jump_seals_what_single_steps_seal() {
         const INTERVALS: u64 = 100_000;
@@ -529,12 +568,15 @@ mod tests {
         };
         let mut jump = BlockChain::new(12, 10);
         start(&mut jump);
-        assert_eq!(jump.advance_time(INTERVALS * 10, root), 1..=INTERVALS);
+        assert_eq!(
+            advance(&mut jump, INTERVALS * 10, root).len() as u64,
+            INTERVALS
+        );
 
         let mut steps = BlockChain::new(12, 10);
         start(&mut steps);
         for height in 1..=INTERVALS {
-            assert_eq!(steps.advance_time(height * 10, root), height..=height);
+            assert_eq!(advance(&mut steps, height * 10, root), [height]);
         }
         assert_eq!(jump.height(), steps.height());
         assert_eq!(jump.head_hash(), steps.head_hash());
@@ -546,7 +588,7 @@ mod tests {
     fn beacon_is_height_indexed() {
         let mut chain = BlockChain::new(6, 10);
         let b0 = chain.current_beacon_value();
-        chain.advance_time(10, Hash256::ZERO);
+        advance(&mut chain, 10, Hash256::ZERO);
         let b1 = chain.current_beacon_value();
         assert_ne!(b0, b1);
         assert_eq!(b1, chain.beacon().value_at(1));

@@ -28,7 +28,8 @@
 //!
 //! `Auto_` tasks wait on the engine's one pending list, a sparse map of
 //! epoch buckets ([`fi_chain::tasks::Scheduler`]), and execute when
-//! [`Engine::advance_to`] moves time past their deadline. A due bucket
+//! [`Engine::advance_to`] reaches their deadline — before the block whose
+//! boundary that is seals, so the block commits to them. A due bucket
 //! pops in `(time, schedule order)` and runs in two phases: a read-only
 //! **verify** phase (the modeled Merkle storage-proof checks of
 //! `Auto_CheckProof`, fanned out on scoped threads by `pool::fan_out` —
@@ -1029,7 +1030,8 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Advances consensus time to `target`, executing every `Auto_*` task
-    /// that falls due, in timestamp order.
+    /// that falls due, in timestamp order, and sealing each block reached
+    /// after the tasks due at its boundary, with the state it ends in.
     ///
     /// # Panics
     ///
@@ -1054,26 +1056,26 @@ impl Engine {
                 "time within one block interval of the end of the time range",
             ));
         }
-        while let Some(t) = self.pending.next_time() {
-            if t > target {
-                break;
+        // Due buckets and boundaries in time order, a bucket first on a tie.
+        // Only a seal names a root: none inside the open block's interval.
+        loop {
+            let due = self.pending.next_time().filter(|&t| t <= target);
+            let boundary = self.chain.next_boundary().filter(|&b| b <= target);
+            match (due, boundary) {
+                (Some(t), b) if b.is_none_or(|b| t <= b) => {
+                    self.chain.advance_time(t);
+                    self.run_due_bucket(t);
+                }
+                (_, Some(b)) => {
+                    self.chain.advance_time(b);
+                    let root = self.state_root();
+                    self.chain.seal(root);
+                }
+                _ => break,
             }
-            self.advance_chain(t);
-            self.run_due_bucket(t);
         }
-        self.advance_chain(target);
+        self.chain.advance_time(target);
         Ok(())
-    }
-
-    /// Moves chain time to `t`. Only a sealed block folds the state root
-    /// in, so an advance inside the open block's interval computes none.
-    fn advance_chain(&mut self, t: Time) {
-        let root = if self.chain.seals_block_by(t) {
-            self.state_root()
-        } else {
-            Hash256::ZERO
-        };
-        self.chain.advance_time(t, root);
     }
 
     /// Executes every task due at `now`, in the order the pending list
@@ -1089,7 +1091,8 @@ impl Engine {
     ///
     /// Only the verify phase fans out, and its verdicts come back in
     /// bucket order, so the resulting state is bit-identical for any
-    /// `ProtocolParams::shards` and any host core count.
+    /// `ProtocolParams::shards` and any host core count. A block whose
+    /// boundary is `now` is still open and takes in the whole bucket.
     fn run_due_bucket(&mut self, now: Time) {
         let bucket = self.pending.pop_due(now);
         let verify_start = Instant::now();

@@ -371,9 +371,10 @@ fn dec_chain(d: &mut Dec<'_>, params: &ProtocolParams) -> Result<BlockChain, Sna
             .ok_or(SnapshotError::Malformed(
                 "chain height overflows the time range",
             ))?;
-    if now < sealed_boundary {
+    let open_boundary = sealed_boundary.checked_add(params.block_interval);
+    if now < sealed_boundary || open_boundary.is_some_and(|open| now > open) {
         return Err(SnapshotError::Malformed(
-            "chain time precedes the last sealed boundary",
+            "chain time outside the open block's interval",
         ));
     }
     let n_events = d.len()?;
@@ -1388,6 +1389,34 @@ mod tests {
         assert_eq!(
             Engine::snapshot_restore(&stale).err(),
             Some(SnapshotError::Malformed("task due before the chain's time"))
+        );
+    }
+
+    /// Time past the open block's boundary is a block that never sealed:
+    /// the next `advance_to` would have to rewind to seal it. Restore
+    /// rejects such a snapshot.
+    #[test]
+    fn restore_rejects_a_chain_time_past_the_open_boundary() {
+        let mut engine = engine_with(12);
+        engine.advance_to(25);
+        let snapshot = engine.snapshot_save();
+        let body = &snapshot[..snapshot.len() - HASH_LEN];
+        let mut d = Dec::new(&body[MAGIC.len() + 2..]);
+        let (_, params) = d.with_bytes(dec_params).expect("params");
+        assert_eq!(d.u64().expect("chain time"), 25);
+        assert_eq!(d.u64().expect("chain height"), 2);
+
+        // Height 1 leaves the boundary at 20 unsealed behind time 25.
+        let mut stale = body.to_vec();
+        let at = MAGIC.len() + 2 + params.len() + 8;
+        stale[at..at + 8].copy_from_slice(&1u64.to_be_bytes());
+        let seal = sha256(&stale);
+        stale.extend_from_slice(seal.as_bytes());
+        assert_eq!(
+            Engine::snapshot_restore(&stale).err(),
+            Some(SnapshotError::Malformed(
+                "chain time outside the open block's interval"
+            ))
         );
     }
 

@@ -417,7 +417,8 @@ fn flip_root(root: Hash256, byte: usize) -> Hash256 {
 fn head_with_event(kind: &str, payload: Vec<u8>) -> Hash256 {
     let mut chain = BlockChain::new(1, 10);
     chain.log(ChainEvent::new(kind, payload));
-    chain.advance_time(10, Hash256::ZERO);
+    chain.advance_time(10);
+    chain.seal(Hash256::ZERO);
     chain.head_hash()
 }
 

@@ -339,12 +339,12 @@ fn snapshot_bytes_match_their_golden_digests() {
     let delta = live.snapshot_delta(&base_roots).expect("delta");
     assert_eq!(
         sha256(&full).to_hex(),
-        "114043228d9e03bb504e5b0645348fc71145b1b94a4df68ad7770ac8c05a02a0",
+        "0e75693b6579ec3ee63db622f3a69c8b1b51f94e8ce49ff27378bddf6ce2845f",
         "FISNAPSH bytes"
     );
     assert_eq!(
         sha256(&delta).to_hex(),
-        "301d99f169b31a336316e03d14e52c531419a98f4f67b4b0fc3f26d77c0ceeb8",
+        "eb4f419e53651f155aa7fb7f7c2c647b47906984ebb8a3380532ff2bc7316cb3",
         "FIDELTA1 bytes"
     );
 }

@@ -28,7 +28,9 @@ use fi_core::drep::CrAccounting;
 use fi_core::engine::{Engine, PinnedState, StateRoots, StateView};
 use fi_core::ops::Op;
 use fi_core::params::ProtocolParams;
-use fi_core::types::{AllocEntry, FileDescriptor, FileId, Sector, SectorId, SectorState};
+use fi_core::types::{
+    AllocEntry, FileDescriptor, FileId, ProtocolEvent, RemovalReason, Sector, SectorId, SectorState,
+};
 use fi_core::Error;
 use fi_crypto::{sha256, DetRng, Hash256};
 use fi_store::{Blockstore, DiskBlockstore, Hamt, MemoryBlockstore, StoreError};
@@ -1086,17 +1088,17 @@ fn the_store_grows_only_by_the_versions_that_are_named() {
 // Height, head hash and state root of `off_boundary_advances_…`'s
 // workload, taken from the commit before advances skipped unused roots.
 // The head was re-pinned when op, receipt and event digests moved to
-// their canonical binary encodings (the height and root did not move:
-// state is untouched by the encoding).
+// their canonical binary encodings, and again when blocks began to seal
+// after the tasks due at their boundary (the height and root moved
+// neither time: state is untouched by either).
 const GOLDEN_HEIGHT: u64 = 79;
-const GOLDEN_HEAD: &str = "136fe85b9492f6d737b86fe7d53df3c76c5ca344f1e260aa5f09ce0691975ecc";
+const GOLDEN_HEAD: &str = "27cefae5f5057ea5b326d71556b3f89f021103a1fa57b4f3f226d2a6ea821fcd";
 const GOLDEN_ROOT: &str = "2c302c884ffc3c9de3a59c24e72a36ae46f290d3ba906ee9dbcea218b4878835";
 
 /// Advances that stop inside a block's interval fold no root into
 /// anything, so the engine computes none for them — unobservably: an
-/// engine asked for `state_root()` before every step (as every advance
-/// used to) seals the same blocks, and both seal the blocks the engine
-/// sealed before it learned to skip.
+/// engine asked for `state_root()` before every step seals the same
+/// blocks.
 #[test]
 fn off_boundary_advances_seal_the_same_blocks() {
     let run = |root_every_step: bool| {
@@ -1121,6 +1123,53 @@ fn off_boundary_advances_seal_the_same_blocks() {
     assert_eq!(height, GOLDEN_HEIGHT);
     assert_eq!(head.to_hex(), GOLDEN_HEAD);
     assert_eq!(root.to_hex(), GOLDEN_ROOT);
+}
+
+/// A block commits to the state its interval ends in: the tasks due at
+/// its boundary run before it seals. A `CheckAlloc` due exactly at a
+/// boundary drops its unconfirmed file inside that block — the open block
+/// after the advance holds none of its events — and the root and head
+/// there are those of an engine that names a root at every tick.
+#[test]
+fn tasks_due_at_a_boundary_land_in_its_block() {
+    const SIZE: u64 = 5;
+    let run = |root_every_tick: bool| {
+        let mut engine = Engine::new(params(1, 1)).expect("params");
+        let mut rng = DetRng::from_seed_label(12, "state-commitment");
+        setup(&mut engine, &mut rng);
+        let min_value = engine.params().min_value;
+        let file = engine
+            .file_add(CLIENT, SIZE, min_value, sha256(b"never confirmed"))
+            .expect("add");
+        let boundary = engine.params().transfer_window(SIZE);
+        let interval = engine.params().block_interval;
+        assert!(boundary.is_multiple_of(interval), "due at a boundary");
+        engine.take_events();
+        for target in 1..=boundary {
+            if root_every_tick {
+                engine.state_root();
+            }
+            assert!(
+                engine.file(file).is_some(),
+                "nothing is due before {boundary}"
+            );
+            engine.advance_to(target);
+        }
+        let removal = ProtocolEvent::FileRemoved {
+            file,
+            reason: RemovalReason::UploadFailed,
+        };
+        assert!(engine.take_events().contains(&removal), "the task ran");
+        let chain = engine.chain();
+        assert!(chain.open_events().is_empty(), "its events sealed");
+        let sealed = chain.last_block().expect("sealed");
+        assert_eq!(
+            (sealed.height, sealed.timestamp),
+            (boundary / interval, boundary)
+        );
+        (chain.head_hash(), engine.state_root())
+    };
+    assert_eq!(run(false), run(true));
 }
 
 /// A state commit merges its dirty keys on the worker pool from 2 048

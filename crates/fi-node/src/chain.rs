@@ -8,9 +8,13 @@
 //! * **block tree** — every structurally valid block attaches under its
 //!   parent; blocks whose parent is unknown wait in a bounded orphan pool
 //!   until it arrives (the node layer fetches it);
+//! * **time is the slot's** — a block's ops end in its one `AdvanceTo`,
+//!   to `slot × block_interval`; any other block is rejected before
+//!   replay, so no block moves time further than its slot;
 //! * **verify-then-prefer** — a branch is only adopted after replaying its
-//!   blocks on a clone of the engine and checking the proposer's claimed
-//!   `state_root` / head hash / receipt root; a block that fails
+//!   blocks on a clone of the engine and checking the one hash each
+//!   claims, the engine chain's head hash (it commits to the sealed state
+//!   root, the op digests and the receipt root); a block that fails
 //!   verification is banned, never adopted, and fork-choice recomputes
 //!   without it;
 //! * **fork-choice** — the best tip maximizes height; ties resolve at the
@@ -63,7 +67,7 @@ const ORPHAN_CAP: usize = 1024;
 
 /// A block as broadcast on the wire: its slot-schedule coordinates, chain
 /// position, the exact op sequence committed, and the proposer's claimed
-/// post-state for verify-then-prefer.
+/// engine head for verify-then-prefer.
 #[derive(Debug, Clone)]
 pub struct SealedBlock {
     /// The rotation slot this block fills.
@@ -79,12 +83,9 @@ pub struct SealedBlock {
     /// The committed ops in order (mempool selection plus the slot's
     /// trailing `AdvanceTo` barrier).
     pub ops: Vec<Op>,
-    /// `Engine::state_root()` the proposer claims after the batch.
-    pub state_root: Hash256,
-    /// Engine chain head hash the proposer claims after the batch.
+    /// The proposer's one claim: the engine chain head hash after the
+    /// batch, committing to the slot's end state, ops and receipts.
     pub head_hash: Hash256,
-    /// Receipt root of the engine block this batch sealed.
-    pub receipt_root: Hash256,
 }
 
 impl SealedBlock {
@@ -102,16 +103,14 @@ impl SealedBlock {
     /// the digests once and keeps them.
     pub fn hash_over(&self, op_digests: &[Hash256]) -> Hash256 {
         debug_assert_eq!(op_digests.len(), self.ops.len());
-        let mut buf = Vec::with_capacity(160 + op_digests.len() * 32);
+        let mut buf = Vec::with_capacity(112 + op_digests.len() * 32);
         buf.extend_from_slice(b"fi-node/block");
         buf.extend_from_slice(&self.slot.to_be_bytes());
         buf.extend_from_slice(&self.rank.to_be_bytes());
         buf.extend_from_slice(&(self.proposer as u64).to_be_bytes());
         buf.extend_from_slice(&self.height.to_be_bytes());
         buf.extend_from_slice(self.parent.as_ref());
-        buf.extend_from_slice(self.state_root.as_ref());
         buf.extend_from_slice(self.head_hash.as_ref());
-        buf.extend_from_slice(self.receipt_root.as_ref());
         for digest in op_digests {
             buf.extend_from_slice(digest.as_ref());
         }
@@ -154,6 +153,9 @@ pub enum RejectReason {
     /// The block is at or below the tracker's anchor height (stale, or
     /// predates a cold joiner's sync point).
     BelowAnchor,
+    /// The ops do not end in their one `AdvanceTo`, to the slot's time
+    /// `slot × block_interval`.
+    NotTheSlotsTime,
 }
 
 /// What [`ChainTracker::insert`] did with a block.
@@ -323,6 +325,12 @@ impl ChainTracker {
         &self.schedule
     }
 
+    /// The target of slot `slot`'s one `AdvanceTo`, its block's last op;
+    /// `None` past the time range, where no block fills the slot.
+    pub(crate) fn slot_time(&self, slot: u64) -> Option<u64> {
+        slot.checked_mul(self.engine.params().block_interval)
+    }
+
     /// The engine replayed through the current head. Its protocol-event
     /// buffer is empty: the tracker drains it after every block (the
     /// events are committed through the engine chain's blocks).
@@ -474,9 +482,10 @@ impl ChainTracker {
     }
 
     /// Seals the node's own block for `(slot, rank)` on top of the current
-    /// head: applies `ops` to the head engine, records the resulting
-    /// roots, and adopts the block as the new head. The caller must be
-    /// the schedule's `(slot, rank)` leader and must not have sealed this
+    /// head: applies `ops` to the head engine, claims the resulting engine
+    /// head hash, and adopts the block as the new head. The caller must be
+    /// the schedule's `(slot, rank)` leader, must end `ops` in the slot's
+    /// one `AdvanceTo` and must not have sealed this
     /// slot before (that would be equivocation).
     pub fn seal_block(
         &mut self,
@@ -491,6 +500,7 @@ impl ChainTracker {
             "own equivocation"
         );
         debug_assert!(slot > self.head_slot, "slot already filled on this branch");
+        debug_assert!(self.time_is_the_slots(slot, &ops), "time is the slot's");
         let digests = digest_ops(&ops);
         self.work.ops_digested += digests.len() as u64;
         let parent = self.head();
@@ -510,9 +520,7 @@ impl ChainTracker {
             height: self.head_height() + 1,
             parent,
             ops,
-            state_root: self.engine.state_root(),
             head_hash: self.engine.chain().head_hash(),
-            receipt_root: last_receipt_root(&self.engine),
         };
         let hash = block.hash_over(&digests);
         for digest in &digests {
@@ -594,7 +602,19 @@ impl ChainTracker {
         if self.schedule.leader(b.slot, b.rank as usize) != Some(b.proposer) {
             return Some(RejectReason::NotScheduled);
         }
+        if !self.time_is_the_slots(b.slot, &b.ops) {
+            return Some(RejectReason::NotTheSlotsTime);
+        }
         None
+    }
+
+    /// `ops` hold one `AdvanceTo`, last, to [`Self::slot_time`]: every other
+    /// op lies under the engine block it seals, and time stops at the slot.
+    fn time_is_the_slots(&self, slot: u64, ops: &[Op]) -> bool {
+        let advances = ops.iter().filter(|op| matches!(op, Op::AdvanceTo { .. }));
+        advances.count() == 1
+            && matches!(ops.last(), Some(&Op::AdvanceTo { target })
+                if Some(target) == self.slot_time(slot))
     }
 
     fn parent_info(&self, parent: &Hash256) -> Option<(u64, u64)> {
@@ -839,10 +859,7 @@ impl ChainTracker {
             let tb = &self.blocks[hash];
             apply_block(&mut engine, &tb.block.ops, &tb.digests);
             self.work.blocks_replayed += 1;
-            let ok = engine.state_root() == tb.block.state_root
-                && engine.chain().head_hash() == tb.block.head_hash
-                && last_receipt_root(&engine) == tb.block.receipt_root;
-            if !ok {
+            if engine.chain().head_hash() != tb.block.head_hash {
                 return Err(*hash);
             }
             if i + 2 == todo.len() {
@@ -951,14 +968,6 @@ fn apply_block(engine: &mut Engine, ops: &[Op], digests: &[Hash256]) {
     engine.take_events();
 }
 
-/// Receipt root of the engine's most recently sealed block.
-fn last_receipt_root(engine: &Engine) -> Hash256 {
-    engine
-        .chain()
-        .last_block()
-        .map_or(Hash256::ZERO, |b| b.receipt_root)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -980,9 +989,8 @@ mod tests {
         ChainTracker::new(genesis(), schedule)
     }
 
-    /// A valid block for `(slot, rank)` extending `parent` (a hash in the
-    /// tracker, or the head) — roots computed on a scratch replay, like a
-    /// remote proposer would.
+    /// A valid block for `(slot, rank)` extending the head — its engine
+    /// head computed on a scratch replay, like a remote proposer would.
     fn forge(tracker: &ChainTracker, slot: u64, rank: u32, ops: Vec<Op>) -> SealedBlock {
         let proposer = tracker
             .schedule()
@@ -999,14 +1007,19 @@ mod tests {
             height: tracker.head_height() + 1,
             parent: tracker.head(),
             ops,
-            state_root: engine.state_root(),
             head_hash: engine.chain().head_hash(),
-            receipt_root: last_receipt_root(&engine),
         }
     }
 
+    /// The time slot `slot`'s block moves the engine to.
+    fn slot_time(slot: u64) -> u64 {
+        slot * ProtocolParams::default().block_interval
+    }
+
     fn advance_ops(slot: u64) -> Vec<Op> {
-        vec![Op::AdvanceTo { target: slot * 30 }]
+        vec![Op::AdvanceTo {
+            target: slot_time(slot),
+        }]
     }
 
     #[test]
@@ -1025,7 +1038,7 @@ mod tests {
             assert_eq!(t.head(), hash);
             assert_eq!(t.head_height(), slot);
         }
-        assert_eq!(t.engine().now(), 90, "AdvanceTo ops replayed");
+        assert_eq!(t.engine().now(), slot_time(3), "AdvanceTo ops replayed");
         assert_eq!(t.reorgs(), 0);
     }
 
@@ -1103,7 +1116,11 @@ mod tests {
         // equivocator's blocks are discarded and the fallback wins.
         let base = tracker();
         let a = forge(&base, 1, 0, advance_ops(1));
-        let a2 = forge(&base, 1, 0, vec![Op::AdvanceTo { target: 31 }]);
+        let fund = Op::Fund {
+            account: AccountId(900),
+            amount: TokenAmount(1),
+        };
+        let a2 = forge(&base, 1, 0, vec![fund, advance_ops(1)[0].clone()]);
         let b = forge(&base, 1, 1, advance_ops(1));
         assert_ne!(a.hash(), a2.hash());
         let proposer = a.proposer;
@@ -1141,11 +1158,13 @@ mod tests {
         assert_eq!(heads[0], b.hash(), "the honest fallback block survives");
     }
 
+    /// A block's one claim is the engine head hash: a block whose replay
+    /// ends at another head is banned, never adopted.
     #[test]
     fn lying_roots_get_the_block_banned_not_adopted() {
         let mut t = tracker();
         let mut liar = forge(&t, 1, 0, advance_ops(1));
-        liar.state_root = sha256(b"not the real root");
+        liar.head_hash = sha256(b"not the real head");
         let hash = liar.hash();
         assert_eq!(
             t.insert(liar),
@@ -1170,9 +1189,11 @@ mod tests {
     }
 
     /// A scheduled proposer may fill its block with ops no honest client
-    /// sends: a rewinding `AdvanceTo`, faults on an unknown sector and a
-    /// mint past the token supply. Each fails as a logged receipt on every
-    /// replica, never a panic, and the block is adopted like any other.
+    /// sends: faults on an unknown sector and a mint past the token
+    /// supply. Each fails as a logged receipt on every replica, never a
+    /// panic, and the block is adopted like any other. A rewinding
+    /// `AdvanceTo` among them moves time off the slot's: that block is
+    /// rejected before any replay.
     #[test]
     fn hostile_ops_in_a_block_fail_as_receipts() {
         let mut t = tracker();
@@ -1180,15 +1201,25 @@ mod tests {
         t.insert(b1.clone());
         let unknown = fi_core::types::SectorId(u64::MAX);
         let hostile = vec![
-            Op::AdvanceTo { target: 1 },
             Op::FailSector { sector: unknown },
             Op::CorruptSector { sector: unknown },
             Op::Fund {
                 account: AccountId(900),
                 amount: TokenAmount(u128::MAX),
             },
-            Op::AdvanceTo { target: 60 },
+            Op::AdvanceTo {
+                target: slot_time(2),
+            },
         ];
+        let mut rewinding = hostile.clone();
+        rewinding.insert(0, Op::AdvanceTo { target: 1 });
+        let replayed = t.work().blocks_replayed;
+        assert_eq!(
+            t.insert(forge(&t, 2, 0, rewinding)),
+            InsertOutcome::Rejected(RejectReason::NotTheSlotsTime)
+        );
+        assert_eq!(t.work().blocks_replayed, replayed, "rejected unreplayed");
+
         let b2 = forge(&t, 2, 0, hostile);
         let mut other = tracker();
         other.insert(b1);
@@ -1202,12 +1233,48 @@ mod tests {
             );
             assert_eq!(tracker.head(), b2.hash());
             let log = tracker.engine().op_log().to_vec();
-            let outcomes: Vec<bool> = log[log.len() - 5..].iter().map(|r| r.ok).collect();
-            assert_eq!(outcomes, [false, false, false, false, true]);
+            let outcomes: Vec<bool> = log[log.len() - 4..].iter().map(|r| r.ok).collect();
+            assert_eq!(outcomes, [false, false, false, true]);
         }
         assert_eq!(t.verify_failures() + other.verify_failures(), 0);
         assert_eq!(t.engine().state_root(), other.engine().state_root());
-        assert_eq!(other.engine().state_root(), b2.state_root);
+        assert_eq!(other.engine().chain().head_hash(), b2.head_hash);
+    }
+
+    /// A block moves time to its slot's and no further: an `AdvanceTo`
+    /// 10^5 intervals past the slot, or one in the middle of the block,
+    /// gets it rejected before any replay, however honest its claim.
+    #[test]
+    fn blocks_that_move_time_off_their_slot_are_rejected_unreplayed() {
+        let mut t = tracker();
+        let interval = slot_time(1);
+        let fund = Op::Fund {
+            account: AccountId(900),
+            amount: TokenAmount(1),
+        };
+        let far = vec![Op::AdvanceTo {
+            target: (1 + 100_000) * interval,
+        }];
+        let mid_block = vec![
+            Op::AdvanceTo {
+                target: interval / 2,
+            },
+            fund,
+            Op::AdvanceTo { target: interval },
+        ];
+        for ops in [far, mid_block] {
+            let block = forge(&t, 1, 0, ops);
+            assert_eq!(
+                t.insert(block),
+                InsertOutcome::Rejected(RejectReason::NotTheSlotsTime)
+            );
+            assert_eq!(t.work().blocks_replayed, 0);
+            assert_eq!(t.head_height(), 0);
+        }
+        // The slot's own block still fills it.
+        let honest = forge(&t, 1, 0, advance_ops(1));
+        assert!(matches!(t.insert(honest), InsertOutcome::Attached { .. }));
+        assert_eq!((t.head_height(), t.work().blocks_replayed), (1, 1));
     }
 
     #[test]
@@ -1368,7 +1435,7 @@ mod tests {
         }
 
         /// A valid block for `(slot, rank)` on `parent`; `lie` replaces
-        /// its claimed state root.
+        /// its claimed engine head hash.
         fn block(
             &mut self,
             parent: Hash256,
@@ -1392,13 +1459,11 @@ mod tests {
                 height: parent_height + 1,
                 parent,
                 ops,
-                state_root: if lie {
-                    sha256(b"not the real root")
+                head_hash: if lie {
+                    sha256(b"not the real head")
                 } else {
-                    engine.state_root()
+                    engine.chain().head_hash()
                 },
-                head_hash: engine.chain().head_hash(),
-                receipt_root: last_receipt_root(&engine),
             };
             self.record(&block, engine);
             block
@@ -1421,7 +1486,7 @@ mod tests {
                 amount: TokenAmount(1 + rng.below(3) as u128),
             })
             .collect();
-        ops.push(Op::AdvanceTo { target: slot * 30 });
+        ops.extend(advance_ops(slot));
         ops
     }
 
@@ -1554,7 +1619,7 @@ mod tests {
                         InsertOutcome::Equivocation { slot, proposer }
                     );
                 }
-                // A block that lies about its state root, on the head so
+                // A block that lies about its engine head, on the head so
                 // that fork-choice has to try it — and a child that is
                 // never reachable.
                 24.. if !lied
@@ -1648,7 +1713,7 @@ mod tests {
             account: AccountId(900),
             amount: TokenAmount(5),
         };
-        let with_op = |slot: u64| vec![twice.clone(), Op::AdvanceTo { target: slot * 30 }];
+        let with_op = |slot: u64| vec![twice.clone(), advance_ops(slot)[0].clone()];
         let first = forge(&t, 1, 0, with_op(1));
         t.insert(first);
         // Slot 2: the fallback's block commits the op again and lands

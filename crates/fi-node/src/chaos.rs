@@ -229,7 +229,7 @@ pub fn schedule_fault_script(
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosOutcome {
     /// Every validator ended bit-identical (height, head hash, state
-    /// root, receipt root).
+    /// root, engine head hash).
     pub converged: bool,
     /// Agreed final height (validator 0's, meaningful when `converged`).
     pub height: u64,
@@ -283,7 +283,7 @@ pub fn digest_chaos(
     let height = reference.final_height;
     let head = reference.final_head;
     let state_root = reference.final_state_root;
-    let receipts = reference.final_receipt_root;
+    let engine_head = reference.final_engine_head;
     let canonical = reference.final_chain.clone();
     let final_files = reference.final_files;
     drop(reference);
@@ -292,7 +292,7 @@ pub fn digest_chaos(
         r.final_height == height
             && r.final_head == head
             && r.final_state_root == state_root
-            && r.final_receipt_root == receipts
+            && r.final_engine_head == engine_head
     });
 
     let latency = |node: usize, event: SimTime| {

@@ -176,7 +176,6 @@ pub fn build_cluster(cfg: &ClusterConfig) -> (World<NodeMsg>, ClusterReports) {
     let (genesis, sector_owner) = genesis_engine(&cfg.params, &cfg.providers, cfg.client);
     let schedule = cfg.schedule();
     let consensus = ConsensusConfig {
-        block_interval: cfg.params.block_interval,
         skip_timeout: cfg.skip_timeout.max(2),
         sync_every: cfg.sync_every.max(2),
         slots_total: cfg.slots,

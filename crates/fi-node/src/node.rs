@@ -146,9 +146,6 @@ pub enum NodeMsg {
 /// state — only when nodes speak).
 #[derive(Debug, Clone)]
 pub struct ConsensusConfig {
-    /// Virtual ticks per slot; slot `s` opens at `s × block_interval`
-    /// and its block's `AdvanceTo` barrier targets exactly that time.
-    pub block_interval: SimTime,
     /// Extra wait per fallback rank before it proposes into a slot the
     /// scheduled leader left empty.
     pub skip_timeout: SimTime,
@@ -162,23 +159,6 @@ pub struct ConsensusConfig {
     pub record_op_log: bool,
     /// Ticks between join-request retries while syncing.
     pub join_retry: SimTime,
-}
-
-impl ConsensusConfig {
-    /// Timing defaults matched to [`ClusterConfig::small`]
-    /// (interval 30, one-third skip timeout, sync twice per slot).
-    ///
-    /// [`ClusterConfig::small`]: crate::cluster::ClusterConfig::small
-    pub fn with_interval(block_interval: SimTime, slots_total: u64) -> Self {
-        ConsensusConfig {
-            block_interval,
-            skip_timeout: (block_interval / 3).max(2),
-            sync_every: (block_interval / 2).max(2),
-            slots_total,
-            record_op_log: false,
-            join_retry: 20,
-        }
-    }
 }
 
 /// How a node comes to life.
@@ -240,8 +220,9 @@ pub struct ValidatorReport {
     /// Live files in the final engine state (the §V scenarios assert the
     /// workload + fault injections actually shaped state).
     pub final_files: u64,
-    /// Receipt root of the final sealed engine block.
-    pub final_receipt_root: Option<Hash256>,
+    /// Final engine chain head hash: it commits to every sealed engine
+    /// block's state root, op digests and receipt root.
+    pub final_engine_head: Option<Hash256>,
     /// Batches whose hashing pass the head engine fanned out.
     /// Execution-strategy counter: replaying followers may
     /// report different values than the proposer without any consensus
@@ -365,15 +346,20 @@ impl Validator {
     }
 
     /// Arms the proposal alarm for every future slot where the schedule
-    /// ranks this node: slot `s` at rank `r` fires at
-    /// `s × interval + r × skip_timeout`.
+    /// ranks this node: slot `s` at rank `r` fires at the slot's time
+    /// ([`ChainTracker::slot_time`]) plus `r × skip_timeout`.
     fn arm_slot_timers(&mut self, ctx: &mut Ctx<'_, NodeMsg>) {
+        let tracker = self
+            .tracker
+            .as_ref()
+            .expect("a proposing node has a tracker");
         let now = ctx.now();
         for slot in 1..=self.cfg.slots_total {
             let Some(rank) = self.schedule.rank_of(slot, self.me) else {
                 continue;
             };
-            let at = slot * self.cfg.block_interval + rank as u64 * self.cfg.skip_timeout;
+            let opens = tracker.slot_time(slot).expect("slot time fits");
+            let at = opens + rank as u64 * self.cfg.skip_timeout;
             if at > now {
                 ctx.set_timer(at - now, TAG_SLOT_BASE + slot);
             }
@@ -408,7 +394,9 @@ impl Validator {
         let (txs, _gas) = mempool.select_block();
         ops.extend(txs.into_iter().map(|tx| tx.op));
         ops.push(Op::AdvanceTo {
-            target: slot * self.cfg.block_interval,
+            target: tracker
+                .slot_time(slot)
+                .expect("a scheduled slot's time fits"),
         });
         let block = tracker.seal_block(slot, rank as u32, self.me, ops);
         self.proposed_slots.insert(slot);
@@ -513,11 +501,7 @@ impl Validator {
         report.final_head = Some(tracker.head());
         report.final_state_root = Some(tracker.engine().state_root());
         report.final_files = tracker.engine().file_ids().len() as u64;
-        report.final_receipt_root = tracker
-            .engine()
-            .chain()
-            .last_block()
-            .map(|b| b.receipt_root);
+        report.final_engine_head = Some(tracker.engine().chain().head_hash());
         let stats = tracker.engine().stats();
         report.batches_staged_parallel = stats.batches_staged_parallel;
         report.work = tracker.work();

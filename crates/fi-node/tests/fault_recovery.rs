@@ -5,7 +5,7 @@
 //! cluster suffers one partition/heal cycle.
 //!
 //! The acceptance bar: every surviving node ends bit-identical
-//! (`state_root`, head hash, receipt root at the final height), and every
+//! (`state_root`, head hash, engine head hash at the final height), and every
 //! fault has a finite recovery latency — measured in heights past the
 //! frozen head via [`fi_node::chaos::heights_to_reconvergence`]. The
 //! harness itself lives in `fi_node::chaos`.
@@ -46,7 +46,7 @@ fn assert_converged(reports: &ClusterReports) -> (u64, Hash256) {
     let height = reference.final_height;
     let head = reference.final_head.expect("validator 0 has a head");
     let root = reference.final_state_root.expect("validator 0 finished");
-    let receipts = reference.final_receipt_root;
+    let engine_head = reference.final_engine_head;
     drop(reference);
     for (i, report) in reports.validators.iter().enumerate() {
         let report = report.borrow();
@@ -58,8 +58,8 @@ fn assert_converged(reports: &ClusterReports) -> (u64, Hash256) {
             "validator {i} state root"
         );
         assert_eq!(
-            report.final_receipt_root, receipts,
-            "validator {i} receipt root"
+            report.final_engine_head, engine_head,
+            "validator {i} engine head"
         );
     }
     (height, head)

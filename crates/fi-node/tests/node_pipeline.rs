@@ -3,8 +3,8 @@
 //! fork-choice adoption on every node.
 //!
 //! The acceptance bar this file carries: a cluster of rotating validators
-//! stays bit-identical (`state_root`, head hash and receipt root at the
-//! final height) across ≥200 slots under nonzero loss and jitter, with
+//! stays bit-identical (`state_root`, head hash and engine head hash at
+//! the final height) across ≥200 slots under nonzero loss and jitter, with
 //! leadership actually spread across the set; and a watcher that
 //! cold-starts mid-run from a validator's on-demand snapshot converges to
 //! the same root. What used to be this file's divergence-only checks
@@ -61,7 +61,7 @@ fn assert_converged(reports: &fi_node::ClusterReports) -> (u64, fi_crypto::Hash2
     let height = reference.final_height;
     let root = reference.final_state_root.expect("validator 0 finished");
     let head = reference.final_head.expect("validator 0 has a head");
-    let receipts = reference.final_receipt_root;
+    let engine_head = reference.final_engine_head;
     drop(reference);
     for (i, report) in reports.validators.iter().enumerate() {
         let report = report.borrow();
@@ -73,8 +73,8 @@ fn assert_converged(reports: &fi_node::ClusterReports) -> (u64, fi_crypto::Hash2
             "validator {i} state root"
         );
         assert_eq!(
-            report.final_receipt_root, receipts,
-            "validator {i} receipt root"
+            report.final_engine_head, engine_head,
+            "validator {i} engine head"
         );
     }
     (height, root)
